@@ -32,8 +32,9 @@ from typing import Optional
 
 import numpy as np
 
-from .bits import parity
-from .graphs import CycleWitness, Digraph, require_witness
+from .bits import int_to_bits, masked_parity
+from .graphs import CycleWitness, Digraph, canonical_cycle, require_witness
+from .hbnizk import usefulness
 from .state import (
     Bb84Descriptor,
     SimUsageError,
@@ -70,7 +71,7 @@ class CommitBlock:
 def commit_bit(m: int, width: int, rng: np.random.Generator) -> CommitBlock:
     y = rng.integers(0, 2, size=width, dtype=np.uint8)
     theta = rng.integers(0, 2, size=width, dtype=np.uint8)
-    c = int(m) ^ parity(y[theta == 0])
+    c = int(m) ^ int(masked_parity(theta, y))
     return CommitBlock(y, theta, c)
 
 
@@ -79,8 +80,7 @@ def commit_bits(ms: np.ndarray, width: int, rng: np.random.Generator) -> list[Co
     k = len(ms)
     ys = rng.integers(0, 2, size=(k, width), dtype=np.uint8)
     thetas = rng.integers(0, 2, size=(k, width), dtype=np.uint8)
-    parities = np.bitwise_xor.reduce(ys & (thetas ^ 1), axis=1)
-    cs = (np.asarray(ms, dtype=np.uint8) ^ parities).astype(np.uint8)
+    cs = np.asarray(ms, dtype=np.uint8) ^ masked_parity(thetas, ys)
     return [CommitBlock(ys[i], thetas[i], int(cs[i])) for i in range(k)]
 
 
@@ -91,7 +91,7 @@ def open_commit(block_state: SparseState, y: np.ndarray, theta: np.ndarray, c: i
     outcomes, _ = measure(block_state, list(range(width)), ["X" if t else "Z" for t in theta], rng)
     if not np.array_equal(outcomes, y):
         return None
-    return int(c) ^ parity(y[theta == 0])
+    return int(c) ^ int(masked_parity(theta, y))
 
 
 def deletion_cert_for_block(block_state: SparseState, rng) -> np.ndarray:
@@ -149,83 +149,55 @@ def _entry_id(rep: int, u: int, v: int, n: int) -> int:
     return rep * n * n + u * n + v
 
 
+def _permuted_adjacency(x: Digraph, tau: np.ndarray) -> np.ndarray:
+    """Adjacency matrix of x relabelled by the vertex permutation tau."""
+    permuted = np.zeros((x.n, x.n), dtype=np.uint8)
+    permuted[tau[:, None], tau] = x.adjacency
+    return permuted
+
+
+def _opening_package(
+    x: Digraph, blocks: list, taus: list, cycle: CycleWitness, reps: int
+) -> tuple[dict, set[int], np.ndarray]:
+    """Open what the hash-derived challenges ask for: every entry of a
+    challenge-0 repetition (with its permutation), the tau-image of the
+    cycle's edges in a challenge-1 one. Returns (classical package,
+    opened block ids, challenges)."""
+    n = x.n
+    cs = [b.c for b in blocks]
+    challenges = _fs_challenges(x, cs, reps)
+    openings = []
+    opened_ids: set[int] = set()
+    for rep, chal in enumerate(challenges):
+        tau = taus[rep]
+        if chal == 0:
+            ids = [_entry_id(rep, a, c, n) for a in range(n) for c in range(n)]
+            opening = {"kind": "full", "tau": [int(t) for t in tau], "ids": ids}
+        else:
+            ids = sorted(_entry_id(rep, int(tau[u]), int(tau[v]), n) for u, v in cycle.edges())
+            opening = {"kind": "cycle", "ids": ids}
+        opening["ys"] = [blocks[i].y for i in ids]
+        opening["thetas"] = [blocks[i].theta for i in ids]
+        openings.append(opening)
+        opened_ids.update(ids)
+    classical = {"cs": cs, "openings": openings, "opened_ids": sorted(opened_ids)}
+    return classical, opened_ids, challenges
+
+
 def strawman_prove(
     params: StrawmanParams, x: Digraph, witness: CycleWitness, rng: np.random.Generator
 ) -> tuple[StrawmanProof, StrawmanKey]:
     require_witness(x, witness)
-    n = x.n
     blocks = []
     taus = []
     for _ in range(params.reps):
-        tau = rng.permutation(n)
+        tau = rng.permutation(x.n)
         taus.append(tau)
-        permuted = np.zeros((n, n), dtype=np.uint8)
-        for u in range(n):
-            for v in range(n):
-                if x.adjacency[u, v]:
-                    permuted[tau[u], tau[v]] = 1
-        blocks.extend(commit_bits(permuted.ravel(), params.width, rng))
-    cs = [b.c for b in blocks]
-    challenges = _fs_challenges(x, cs, params.reps)
-
-    openings = []
-    opened_ids: set[int] = set()
-    for rep, chal in enumerate(challenges):
-        if chal == 0:
-            ids = [_entry_id(rep, a, c, n) for a in range(n) for c in range(n)]
-            openings.append(
-                {
-                    "kind": "full",
-                    "tau": [int(t) for t in taus[rep]],
-                    "ids": ids,
-                    "ys": [blocks[i].y for i in ids],
-                    "thetas": [blocks[i].theta for i in ids],
-                }
-            )
-        else:
-            tau = taus[rep]
-            ids = [
-                _entry_id(rep, int(tau[u]), int(tau[v]), n) for u, v in witness.edges()
-            ]
-            ids.sort()
-            openings.append(
-                {
-                    "kind": "cycle",
-                    "ids": ids,
-                    "ys": [blocks[i].y for i in ids],
-                    "thetas": [blocks[i].theta for i in ids],
-                }
-            )
-        opened_ids.update(openings[-1]["ids"])
-
-    classical = {"cs": cs, "openings": openings, "opened_ids": sorted(opened_ids)}
+        blocks.extend(commit_bits(_permuted_adjacency(x, tau).ravel(), params.width, rng))
+    classical, opened_ids, _ = _opening_package(x, blocks, taus, witness, params.reps)
     proof = StrawmanProof(blocks, classical)
     key = StrawmanKey([b.y for b in blocks], [b.theta for b in blocks], opened_ids)
     return proof, key
-
-
-def _cycle_pattern_ok(ids: list[int], rep: int, n: int) -> bool:
-    # opened ones must form a single directed n-cycle in the permuted matrix
-    base = rep * n * n
-    cells = []
-    for i in ids:
-        local = i - base
-        if not 0 <= local < n * n:
-            return False
-        cells.append(divmod(local, n))
-    if len(cells) != n:
-        return False
-    succ = dict(cells)
-    if len(succ) != n or any(u == v for u, v in succ.items()):
-        return False
-    if {v for v in succ.values()} != set(succ):
-        return False
-    cur = min(succ)
-    seen = set()
-    for _ in range(n):
-        seen.add(cur)
-        cur = succ[cur]
-    return cur == min(succ) and len(seen) == n
 
 
 def strawman_verify(
@@ -273,7 +245,13 @@ def strawman_verify(
                     m = open_commit(opened_states[i], yv, tv, cs[i], rng)
                     if m != 1:
                         return 0
-                if not _cycle_pattern_ok(op["ids"], rep, n):
+                # the opened ones must form a single directed n-cycle
+                cells = [i - rep * n * n for i in op["ids"]]
+                if any(not 0 <= c < n * n for c in cells):
+                    return 0
+                matrix = np.zeros(n * n, dtype=bool)
+                matrix[cells] = True
+                if usefulness(matrix.reshape(n, n), n) is None:
                     return 0
         return 1
     except (KeyError, IndexError, TypeError, SimUsageError):
@@ -359,56 +337,22 @@ def derived_soundness_adversary(
     repetition for one guessed challenge (an honest permuted commit for
     0, an everything-is-one commit for 1) and re-rolls hoping the
     hash-derived challenges land on the guesses."""
-    n = x.n
+    cycle = canonical_cycle(x.n)
     best = None
     for _ in range(grind_tries):
         guesses = rng.integers(0, 2, size=params.reps, dtype=np.uint8)
         blocks = []
         taus = []
-        cycles = []
         for rep in range(params.reps):
-            tau = rng.permutation(n)
+            tau = rng.permutation(x.n)
             taus.append(tau)
             if guesses[rep] == 0:
-                permuted = np.zeros((n, n), dtype=np.uint8)
-                for u in range(n):
-                    for v in range(n):
-                        if x.adjacency[u, v]:
-                            permuted[tau[u], tau[v]] = 1
+                permuted = _permuted_adjacency(x, tau)
             else:
-                permuted = np.ones((n, n), dtype=np.uint8)  # can open any cycle
+                permuted = np.ones((x.n, x.n), dtype=np.uint8)  # can open any cycle
             blocks.extend(commit_bits(permuted.ravel(), params.width, rng))
-            order = [int(t) for t in tau]
-            cycles.append([(order[i], order[(i + 1) % n]) for i in range(n)])
-        cs = [b.c for b in blocks]
-        challenges = _fs_challenges(x, cs, params.reps)
+        classical, opened_ids, challenges = _opening_package(x, blocks, taus, cycle, params.reps)
         hits = int(np.sum(challenges == guesses))
-        openings = []
-        opened_ids: set[int] = set()
-        for rep, chal in enumerate(challenges):
-            if chal == 0:
-                ids = [_entry_id(rep, a, c, n) for a in range(n) for c in range(n)]
-                openings.append(
-                    {
-                        "kind": "full",
-                        "tau": [int(t) for t in taus[rep]],
-                        "ids": ids,
-                        "ys": [blocks[i].y for i in ids],
-                        "thetas": [blocks[i].theta for i in ids],
-                    }
-                )
-            else:
-                ids = sorted(_entry_id(rep, u, v, n) for u, v in cycles[rep])
-                openings.append(
-                    {
-                        "kind": "cycle",
-                        "ids": ids,
-                        "ys": [blocks[i].y for i in ids],
-                        "thetas": [blocks[i].theta for i in ids],
-                    }
-                )
-            opened_ids.update(openings[-1]["ids"])
-        classical = {"cs": cs, "openings": openings, "opened_ids": sorted(opened_ids)}
         if best is None or hits > best[0]:
             best = (hits, blocks, classical, opened_ids)
         if hits == params.reps:
@@ -486,7 +430,7 @@ def run_deletion_experiment(
     lam = exp.lam
     y = rng.integers(0, 2, size=lam, dtype=np.uint8)
     theta = rng.integers(0, 2, size=lam, dtype=np.uint8)
-    masked = int(b) ^ parity(y[theta == 0])
+    masked = int(b) ^ int(masked_parity(theta, y))
     payload = _z_payload(exp, theta, masked)
     _assert_no_theta_leak(exp, payload)
     register = prep_bb84(Bb84Descriptor(y, theta))
@@ -501,7 +445,7 @@ def run_deletion_experiment(
         leaked = payload["theta"]
         bases = ["Z" if t == 0 else "X" for t in leaked]
         outcomes, _ = measure(register, list(range(lam)), bases, rng)
-        recovered = payload["masked_bit"] ^ parity(outcomes[leaked == 0])
+        recovered = payload["masked_bit"] ^ int(masked_parity(leaked, outcomes))
         cert = outcomes  # X positions carry the true y; Z positions unchecked
         out_state = SparseState(1, {int(recovered): 1.0 + 0.0j})
         classical = {"bit": int(recovered)}
@@ -533,14 +477,14 @@ def _exact_output_matrix(exp: DeletionExperiment, b: int) -> np.ndarray:
     weight = 1.0 / (4**lam)
     for y_int in range(1 << lam):
         for th_int in range(1 << lam):
-            y = np.array([(y_int >> (lam - 1 - i)) & 1 for i in range(lam)], dtype=np.uint8)
-            theta = np.array([(th_int >> (lam - 1 - i)) & 1 for i in range(lam)], dtype=np.uint8)
-            masked = int(b) ^ parity(y[theta == 0])
+            y = int_to_bits(y_int, lam)
+            theta = int_to_bits(th_int, lam)
+            masked = int(b) ^ int(masked_parity(theta, y))
             if exp.adversary == ADV_HONEST_DELETER:
                 # always accepted, empty output
                 rho[1, 1] += weight
             elif exp.adversary == ADV_BASIS_INFORMED:
-                recovered = masked ^ parity(y[theta == 0])  # = b exactly
+                recovered = masked ^ int(masked_parity(theta, y))  # = b exactly
                 rho[1 + recovered, 1 + recovered] += weight
             else:
                 raise ValueError("exact mode supports the deterministic adversaries only")

@@ -39,5 +39,13 @@ def int_to_bits(value: int, width: int) -> np.ndarray:
     return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
 
 
-def parity(bits: np.ndarray) -> int:
-    return int(np.bitwise_xor.reduce(bits)) if len(bits) else 0
+def masked_parity(theta: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """XOR of y over the positions where theta == 0, along the last axis.
+
+    The block parity behind every hidden bit and pad bit: theta marks
+    Hadamard-basis positions, whose values never enter the parity. Both
+    arguments must already be 0/1 integer arrays of one shape (no
+    coercion: the EPR path calls this on millions of entries). An empty
+    last axis gives 0; a 1-D pair gives a numpy scalar.
+    """
+    return np.bitwise_xor.reduce(y & (theta ^ 1), axis=-1).astype(np.uint8)

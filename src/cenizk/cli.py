@@ -1,23 +1,21 @@
 """Command-line surface.
 
 Verbs: setup, prove, verify, delete, certify (staged session replay),
-run-session, run-experiment, run-attack, bench. A staged verb re-runs
-the session deterministically from (params, seed) up to its stage, so
-a transcript file written by an earlier stage can be continued by a
-later verb. Exit codes: 0 = all verdicts as expected, 1 = protocol
-rejection, 2 = usage error.
+run-session, run-experiment, run-attack (run-experiment restricted to
+the attack experiments). A staged verb re-runs the session
+deterministically from (params, seed) up to its stage, so a transcript
+file written by an earlier stage can be continued by a later verb; the
+messages in that file must match the replayed ones byte for byte.
+Exit codes: 0 = all verdicts as expected, 1 = protocol rejection or
+replay mismatch, 2 = usage error. The benchmark lives in perfbench/.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
-
-import numpy as np
 
 from . import harness
-from .rng import stream
 
 _STAGE_VERBS = ("setup", "prove", "verify", "delete", "certify")
 
@@ -46,9 +44,23 @@ def _verdict_exit(transcript: harness.Transcript) -> int:
     return 0 if all(values) else 1
 
 
-def _cmd_stage(args, stage: str) -> int:
+def _replay_mismatch(given: list, replayed: list) -> str | None:
+    """Why the messages of a transcript file differ from the replayed
+    ones, or None when each is byte-identical."""
+    if len(given) > len(replayed):
+        return f"the file holds {len(given)} messages, the replay through this stage {len(replayed)}"
+    for i, (old, new) in enumerate(zip(given, replayed)):
+        if tuple(old) != tuple(new):
+            return f"message {i} ({new[0]}/{new[1]}) differs from the replayed bytes"
+    return None
+
+
+def _cmd_stage(args, stage: str | None) -> int:
+    """Run the session through stage (None: the whole session)."""
+    prev = None
     if args.infile:
-        prev = harness.deserialize_transcript(open(args.infile, "rb").read())
+        with open(args.infile, "rb") as fh:
+            prev = harness.deserialize_transcript(fh.read())
         protocol, params, seed = prev.protocol, prev.params, prev.seed
     else:
         protocol = args.protocol
@@ -57,17 +69,11 @@ def _cmd_stage(args, stage: str) -> int:
     if protocol != "epr" and stage == "delete":
         raise ValueError("delete is an EPR-protocol stage")
     transcript = harness.run_session(protocol, params, seed, stop_after=stage)
-    data = harness.serialize_transcript(transcript)
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-    print(harness.transcript_text(transcript))
-    return _verdict_exit(transcript)
-
-
-def _cmd_run_session(args) -> int:
-    params = _merged_params(args.protocol, _parse_params(args.param))
-    transcript = harness.run_session(args.protocol, params, args.seed)
+    if prev is not None:
+        reason = _replay_mismatch(prev.messages, transcript.messages)
+        if reason is not None:
+            print(f"replay mismatch: {reason}", file=sys.stderr)
+            return 1
     data = harness.serialize_transcript(transcript)
     if args.out:
         with open(args.out, "wb") as fh:
@@ -89,49 +95,6 @@ def _cmd_run_experiment(args) -> int:
 _ATTACKS = ("split-strawman", "split-crs", "clone", "derived-complete", "derived-sound")
 
 
-def _cmd_run_attack(args) -> int:
-    report = harness.run_experiment(args.name, args.trials, _parse_params(args.param), args.seed)
-    print(report.text())
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    from .epr import prep_epr
-    from .state import Bb84Descriptor, measure, prep_bb84
-
-    rng = stream(args.seed, "bench")
-    pairs = args.pairs
-    # bulk lane: factored network, one vectorized call
-    t0 = time.time()
-    net = prep_epr(pairs, 1)
-    bases = rng.integers(0, 2, size=(pairs, 1), dtype=np.int8)
-    net.measure_blocks("P", bases, rng)
-    net.measure_blocks("V", bases, rng)
-    bulk = time.time() - t0
-    # generic engine lane: one 2-qubit sparse state per pair
-    small = min(pairs, args.generic_cap)
-    t0 = time.time()
-    for i in range(small):
-        tiny = prep_epr(1, 1)
-        b = int(bases[i % pairs, 0])
-        tiny.measure_blocks("P", np.array([[b]], dtype=np.int8), rng)
-        tiny.measure_blocks("V", np.array([[b]], dtype=np.int8), rng)
-    generic_net = time.time() - t0
-    t0 = time.time()
-    for i in range(small):
-        st = prep_bb84(Bb84Descriptor("00", "10"))
-        measure(st, [0, 1], ["X", "Z"], rng)
-    engine = time.time() - t0
-    print(f"pairs {pairs}")
-    print(f"bulk_epr_lane_s {bulk:.4f}")
-    print(f"per_pair_network_s {generic_net:.4f} (over {small} pairs)")
-    print(f"sparse_engine_s {engine:.4f} (over {small} two-qubit states)")
-    if bulk > 0:
-        scaled = generic_net * (pairs / max(small, 1))
-        print(f"bulk_speedup_vs_per_pair {scaled / bulk:.1f}x")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="cenizk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -150,6 +113,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("run-session", help="full honest session")
     add_common(p)
+    p.set_defaults(infile=None)
 
     p = sub.add_parser("run-experiment", help="named experiment")
     p.add_argument("--name", required=True, choices=harness.experiment_names())
@@ -161,23 +125,14 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--trials", type=int, default=100)
     add_common(p, with_protocol=False)
 
-    p = sub.add_parser("bench", help="bulk EPR lane vs generic sparse engine")
-    p.add_argument("--pairs", type=int, default=100_000)
-    p.add_argument("--generic-cap", type=int, default=2_000)
-    p.add_argument("--seed", type=int, default=0)
-
     args = parser.parse_args(argv)
     try:
         if args.command in _STAGE_VERBS:
             return _cmd_stage(args, args.command)
         if args.command == "run-session":
-            return _cmd_run_session(args)
-        if args.command == "run-experiment":
+            return _cmd_stage(args, None)
+        if args.command in ("run-experiment", "run-attack"):
             return _cmd_run_experiment(args)
-        if args.command == "run-attack":
-            return _cmd_run_attack(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         raise ValueError(f"unknown command {args.command!r}")
     except (ValueError, OSError, harness.TranscriptError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hbg as hbg_mod
-from .bits import as_bit_array
+from .bits import as_bit_array, int_to_bits
 from .graphs import CycleWitness, Digraph
 from .hbnizk import HbParams, HbProof, hb_prove, hb_simulate, hb_verify
 
@@ -87,7 +87,7 @@ def toy_verify(crs: ToyCrs, x: np.ndarray, pi: np.ndarray) -> int:
 
 def toy_statements() -> list[np.ndarray]:
     """All 2^8 candidate statements, codewords first unneeded: plain order."""
-    return [np.array([(v >> (7 - i)) & 1 for i in range(8)], dtype=np.uint8) for v in range(256)]
+    return [int_to_bits(v, TOY_STATEMENT_BITS) for v in range(1 << TOY_STATEMENT_BITS)]
 
 
 # ---------------------------------------------------------------------
@@ -162,43 +162,10 @@ def compiled_sim(
     return CompiledCrs(crs_bg, s), CompiledProof(com, I, r_bg[I].copy(), opening, pi_hb)
 
 
-# ---------------------------------------------------------------------
-# quantum-secure adaptive zero-knowledge: assumption-level interface
-# ---------------------------------------------------------------------
-
-
-class AdaptiveZkSimulator:
-    """Interface stub for the two-part trapdoor simulator (S1, S2).
-
-    The property it represents is an assumption consumed by the
-    security argument of the superposition construction; it is not
-    desk-falsifiable and deliberately carries no tests. The dealer-mode
-    stub exists so code paths that type-check against the interface can
-    run end to end.
-    """
-
-    def s1(self, rng: np.random.Generator):
-        raise NotImplementedError
-
-    def s2(self, trapdoor, statement):
-        raise NotImplementedError
-
-
-class DealerZkStub(AdaptiveZkSimulator):
-    def s1(self, rng: np.random.Generator):
-        crs = rng.integers(0, 256, size=8, dtype=np.uint8).tobytes()
-        return crs, b"dealer-trapdoor"
-
-    def s2(self, trapdoor, statement):
-        return b"simulated-proof"
-
-
 __all__ = [
-    "AdaptiveZkSimulator",
     "CompiledCrs",
     "CompiledProof",
     "CompiledSpec",
-    "DealerZkStub",
     "TOY_PROOF_BITS",
     "TOY_STATEMENT_BITS",
     "TOY_WITNESS_BITS",

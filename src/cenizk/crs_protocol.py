@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from . import wire
-from .bits import as_bit_array, bits_to_int, int_to_bits
+from .bits import as_bit_array, bits_to_int, int_to_bits, masked_parity
 from .crs_nizk import (
     TOY_PROOF_BITS,
     CompiledSpec,
@@ -148,24 +148,13 @@ class OrStatement:
 # ---------------------------------------------------------------------
 
 
-def block_parity(theta_slice: np.ndarray, z_slice: np.ndarray) -> int:
-    """One pad bit: XOR of the z slice over the slice's computational
-    positions (empty XOR is 0)."""
-    theta_slice = as_bit_array(theta_slice)
-    z_slice = as_bit_array(z_slice)
-    if len(theta_slice) != len(z_slice):
-        raise ValueError("slices must have equal length")
-    return int(np.bitwise_xor.reduce(z_slice & (theta_slice ^ 1))) if len(z_slice) else 0
-
-
 def pad_half(theta: np.ndarray, z: np.ndarray, which: int, ell: int, lam: int) -> np.ndarray:
     """Bit i of the result: XOR of z over the computational-basis
     positions of block i (first ell blocks for which=0, next ell for
     which=1)."""
-    theta = as_bit_array(theta).reshape(2 * ell, lam)
-    z = as_bit_array(z).reshape(2 * ell, lam)
     rows = slice(0, ell) if which == 0 else slice(ell, 2 * ell)
-    return np.bitwise_xor.reduce(z[rows] & (theta[rows] ^ 1), axis=1).astype(np.uint8)
+    theta = as_bit_array(theta).reshape(2 * ell, lam)[rows]
+    return masked_parity(theta, as_bit_array(z).reshape(2 * ell, lam)[rows])
 
 
 def _pad_int(theta_int: int, z_int: int, which: int, ell: int, lam: int) -> int:
@@ -291,6 +280,28 @@ class _ToyOuterLane:
         return self.or_check_int(z_int, omega_int)
 
 
+def _outer_verify_oracle(params: CrsParams, x: np.ndarray, ct0: np.ndarray, ct1: np.ndarray):
+    """f_out: R||P value -> outer-verifier bit."""
+    lane = _ToyOuterLane(params, x, ct0, ct1)
+    width = params.proof_width
+    mask = (1 << width) - 1
+    return lambda zp: lane.verify_int(zp >> width, zp & mask)
+
+
+def _sig_test_oracle(params: CrsParams, key: CrsProverKey):
+    """f_test: R||S value -> 1 iff S holds the signature chain of R."""
+    table = _sig_table(params, key.preimages)
+    width = params.sig_bits
+    mask = (1 << width) - 1
+    return lambda zs: int((zs & mask) == _sig_int(zs >> width, table, params.sig_width))
+
+
+def _oracle_into_flag(state: SparseState, in_reg: list[int], f) -> tuple[SparseState, int]:
+    """Append a one-qubit flag register and XOR f(in_reg) into it."""
+    flag = state.num_qubits
+    return apply_oracle(append_register(state, 1), in_reg, [flag], f), flag
+
+
 def _omega_int(key: CrsProverKey, params: CrsParams) -> int:
     # omega_out = theta || k0 || k1
     return (
@@ -344,10 +355,12 @@ def _attach_functional_registers(
     x: np.ndarray,
     ct0: np.ndarray,
     ct1: np.ndarray,
+    regs: Optional[dict[str, list[int]]] = None,
 ) -> SparseState:
-    """XOR outer proofs and signatures into P and S; an involution, so
-    certification reuses it verbatim to uncompute."""
-    regs = params.registers()
+    """XOR outer proofs and signatures into P and S (default: the proof's
+    own registers); an involution, so certification reuses it verbatim
+    to uncompute."""
+    regs = regs or params.registers()
     lane = _ToyOuterLane(params, x, ct0, ct1)
     omega = _omega_int(key, params)
     table = _sig_table(params, key.preimages)
@@ -383,18 +396,10 @@ def crs_verify_prob(params: CrsParams, x: np.ndarray, sigma: CrsProofState) -> f
 
 def _verify_branches(params: CrsParams, x: np.ndarray, sigma: CrsProofState):
     regs = params.registers()
-    lane = _ToyOuterLane(params, x, sigma.ct0, sigma.ct1)
-    n = params.total_qubits
-    state = append_register(sigma.state, 1)
-
-    def f_out(zp: int) -> int:
-        z_int = zp >> params.proof_width
-        pi_int = zp & ((1 << params.proof_width) - 1)
-        return lane.verify_int(z_int, pi_int)
-
-    state = apply_oracle(state, regs["R"] + regs["P"], [n], f_out)
-    prob1, acc = project(state, n, "Z", 1)
-    prob0, rej = project(state, n, "Z", 0)
+    f_out = _outer_verify_oracle(params, x, sigma.ct0, sigma.ct1)
+    state, flag = _oracle_into_flag(sigma.state, regs["R"] + regs["P"], f_out)
+    prob1, acc = project(state, flag, "Z", 1)
+    prob0, rej = project(state, flag, "Z", 0)
     accepted = drop_last_register(acc, 1) if acc is not None else None
     rejected = drop_last_register(rej, 1) if rej is not None else None
     return prob1, accepted, rejected
@@ -408,7 +413,6 @@ class CertAudit:
     post_uncompute: Optional[SparseState]
     cert_bits: Optional[np.ndarray]
     accepted: bool
-    hadamard_match_prob: float = 0.0
 
 
 def cert_uncompute(
@@ -429,32 +433,31 @@ def crs_cert(
     audit: bool = False,
 ):
     """Signature test, uncompute, Hadamard measurement, y comparison."""
-    regs = params.registers()
-    n = params.total_qubits
-    table = _sig_table(params, key.preimages)
-    r_q = params.r_qubits
+    result = _certify(params, key, x, returned.state, returned.ct0, returned.ct1, params.registers(), rng)
+    return result if audit else result.accepted
 
-    def f_test(zs: int) -> int:
-        z_int = zs >> params.sig_bits
-        sig = zs & ((1 << params.sig_bits) - 1)
-        return int(sig == _sig_int(z_int, table, params.sig_width))
 
-    state = append_register(returned.state, 1)
-    state = apply_oracle(state, regs["R"] + regs["S"], [n], f_test)
-    prob, state = project(state, n, "Z", 1)
+def _certify(
+    params: CrsParams,
+    key: CrsProverKey,
+    x: np.ndarray,
+    state: SparseState,
+    ct0: np.ndarray,
+    ct1: np.ndarray,
+    regs: dict[str, list[int]],
+    rng: np.random.Generator,
+) -> CertAudit:
+    """crs_cert on the registers regs of state (the proof's own, or one
+    half of a clone)."""
+    state, flag = _oracle_into_flag(state, regs["R"] + regs["S"], _sig_test_oracle(params, key))
+    prob, state = project(state, flag, "Z", 1)
     if state is None:
-        result = CertAudit(0.0, None, None, False)
-        return result if audit else False
+        return CertAudit(0.0, None, None, False)
     state = drop_last_register(state, 1)
-
-    state = cert_uncompute(params, key, x, CrsProofState(state, returned.ct0, returned.ct1))
-    post_uncompute = state if audit else None
-
-    cert_bits, state = measure(state, regs["R"], ["X"] * r_q, rng)
+    state = _attach_functional_registers(params, state, key, x, ct0, ct1, regs)
+    cert_bits, _ = measure(state, regs["R"], ["X"] * len(regs["R"]), rng)
     ok = bool(np.all(cert_bits[key.theta == 1] == key.y[key.theta == 1]))
-    if audit:
-        return CertAudit(prob, post_uncompute, cert_bits, ok)
-    return ok
+    return CertAudit(prob, state, cert_bits, ok)
 
 
 def cert_match_probability(params: CrsParams, key: CrsProverKey, state: SparseState) -> float:
@@ -510,17 +513,9 @@ def verify_clone_half(
 ) -> int:
     """Run outer verification against one clone half's R and P registers."""
     regs = clone.original if half == "original" else clone.copy
-    lane = _ToyOuterLane(params, x, clone.ct0, clone.ct1)
-    n = clone.state.num_qubits
-
-    def f_out(zp: int) -> int:
-        z_int = zp >> params.proof_width
-        pi_int = zp & ((1 << params.proof_width) - 1)
-        return lane.verify_int(z_int, pi_int)
-
-    state = append_register(clone.state, 1)
-    state = apply_oracle(state, regs["R"] + regs["P"], [n], f_out)
-    outcome, _ = measure(state, [n], ["Z"], rng)
+    f_out = _outer_verify_oracle(params, x, clone.ct0, clone.ct1)
+    state, flag = _oracle_into_flag(clone.state, regs["R"] + regs["P"], f_out)
+    outcome, _ = measure(state, [flag], ["Z"], rng)
     return int(outcome[0])
 
 
@@ -532,32 +527,7 @@ def cert_original_after_clone(
     rng: np.random.Generator,
 ) -> bool:
     """Certification of the original half while the twin is withheld."""
-    regs = clone.original
-    n = clone.state.num_qubits
-    table = _sig_table(params, key.preimages)
-
-    def f_test(zs: int) -> int:
-        z_int = zs >> params.sig_bits
-        sig = zs & ((1 << params.sig_bits) - 1)
-        return int(sig == _sig_int(z_int, table, params.sig_width))
-
-    state = append_register(clone.state, 1)
-    state = apply_oracle(state, regs["R"] + regs["S"], [n], f_test)
-    prob, state = project(state, n, "Z", 1)
-    if state is None:
-        return False
-    state = drop_last_register(state, 1)
-
-    lane = _ToyOuterLane(params, x, clone.ct0, clone.ct1)
-    omega = _omega_int(key, params)
-    state = apply_oracle(
-        state, regs["R"], regs["P"], lambda z: lane.prove_int(z, omega, key.prfk)
-    )
-    state = apply_oracle(
-        state, regs["R"], regs["S"], lambda z: _sig_int(z, table, params.sig_width)
-    )
-    cert_bits, state = measure(state, regs["R"], ["X"] * params.r_qubits, rng)
-    return bool(np.all(cert_bits[key.theta == 1] == key.y[key.theta == 1]))
+    return _certify(params, key, x, clone.state, clone.ct0, clone.ct1, clone.original, rng).accepted
 
 
 # ---------------------------------------------------------------------
@@ -575,8 +545,6 @@ class DryRunRecord:
 
 
 def _compiled_proof_bits(proof) -> np.ndarray:
-    from .crs_nizk import CompiledProof
-
     payload = {
         "com": proof.com.data,
         "I": proof.I,
@@ -606,13 +574,10 @@ def _compiled_proof_from_bits(bits: np.ndarray):
         return None
 
 
-def _sig_chain_ok(chunks, preimages, z, params: CrsParams) -> bool:
+def _sig_chain_ok(chunks, table: list[list[int]], z) -> bool:
     """Certifier-side chain check: every chunk must be the OWF image of
     the preimage the z bit selects."""
-    return all(
-        chunks[i] == _owf_int(preimages[i, int(z[i])], params.sig_width, params.owf_mode)
-        for i in range(len(chunks))
-    )
+    return all(chunks[i] == table[i][int(z[i])] for i in range(len(chunks)))
 
 
 def _dry_inner_verify(crs_in, x, candidate_bits) -> int:
@@ -659,18 +624,17 @@ def crs_prove_dry(
     ct1 = pad1_y ^ k1
 
     preimages = rng.integers(0, 1 << params.preimage_bits, size=(n_r, 2), dtype=np.uint64)
+    table = _sig_table(params, preimages)
     # signature chain, chunk-wise: chunk i is the OWF image of the
     # preimage selected by z_i
-    chunks = [_owf_int(preimages[i, int(z[i])], params.sig_width, params.owf_mode) for i in range(n_r)]
-    sig_ok = _sig_chain_ok(chunks, preimages, z, params)
+    chunks = [table[i][int(z[i])] for i in range(n_r)]
+    sig_ok = _sig_chain_ok(chunks, table, z)
     # binding signal: flipping one z bit breaks the chain (barring an
     # OWF output collision at that position)
     z_flip = z.copy()
     z_flip[0] ^= 1
-    flip_detected = not _sig_chain_ok(chunks, preimages, z_flip, params)
-    images_differ = _owf_int(preimages[0, 0], params.sig_width, params.owf_mode) != _owf_int(
-        preimages[0, 1], params.sig_width, params.owf_mode
-    )
+    flip_detected = not _sig_chain_ok(chunks, table, z_flip)
+    images_differ = table[0][0] != table[0][1]
     sig_ok = sig_ok and (flip_detected or not images_differ)
 
     stmt = OrStatement(x, crs.crs_in, ct0, ct1, z)  # dry statements carry the graph itself
@@ -698,7 +662,6 @@ __all__ = [
     "CrsProverKey",
     "DryRunRecord",
     "OrStatement",
-    "block_parity",
     "build_or_statement",
     "cert_match_probability",
     "cert_original_after_clone",

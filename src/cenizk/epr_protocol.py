@@ -25,9 +25,10 @@ from typing import Callable
 import numpy as np
 
 from . import hbg as hbg_mod
+from .bits import masked_parity
 from .epr import ROLE_P, ROLE_V, EprNetwork, prep_epr
 from .graphs import CycleWitness, Digraph
-from .hbnizk import HbParams, HbProof, hb_prove, hb_simulate, hb_verify
+from .hbnizk import HbParams, HbProof, _opened_set_ok, hb_prove, hb_simulate, hb_verify
 
 BOT = "bot"
 
@@ -90,11 +91,6 @@ def _block_positions(blocks: np.ndarray, k: int) -> np.ndarray:
     return (blocks[:, None] * k + np.arange(k)).ravel()
 
 
-def _block_parity_zero_basis(theta: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """t_i = XOR of y over the computational-basis positions of block i."""
-    return np.bitwise_xor.reduce(y & (theta ^ 1), axis=1).astype(np.uint8)
-
-
 def _unopened_blocks(ell: int, I: np.ndarray) -> np.ndarray:
     mask = np.ones(ell, dtype=bool)
     mask[I] = False
@@ -124,7 +120,7 @@ def epr_prove(
     com, theta_flat, opening = hbg_mod.hbg_genbits(crs.crs_bg, rng)
     theta = theta_flat.reshape(ell, k)
     y = network.measure_blocks(ROLE_P, theta, rng)
-    t = _block_parity_zero_basis(theta, y)
+    t = masked_parity(theta, y)
     r = t ^ crs.s
     I, pi_hb = hb_prove(r, x, witness, params.hb)
     op_I = hbg_mod.restrict_opening(opening, _block_positions(I, k))
@@ -140,20 +136,30 @@ def epr_verify(
     proof: EprProof,
     rng: np.random.Generator,
 ) -> tuple[int, EprVerifierState]:
-    ell, k = params.num_blocks, params.block_width
     residual = EprVerifierState(np.asarray(proof.I, dtype=np.int64), network)
     I = residual.I
-    if I.ndim != 1 or (len(I) and (np.any(np.diff(I) <= 0) or I[0] < 0 or I[-1] >= ell)):
+    if not _opening_ok(params, crs, proof, I):
         return 0, residual
-    if proof.theta_I.shape != (len(I), k):
-        return 0, residual
+    blocks = None if len(I) == params.num_blocks else I
+    y_I = network.measure_blocks(ROLE_V, proof.theta_I, rng, blocks=blocks)
+    return _hidden_bits_verdict(params, crs, x, proof, I, y_I), residual
+
+
+def _opening_ok(params: EprParams, crs: EprCrs, proof: EprProof, I: np.ndarray) -> bool:
+    """I is a valid opened set and the generator opens theta on its blocks."""
+    k = params.block_width
+    if not _opened_set_ok(I, params.num_blocks) or proof.theta_I.shape != (len(I), k):
+        return False
     positions = _block_positions(I, k)
-    if not hbg_mod.hbg_verify_batch(crs.crs_bg, proof.com, positions, proof.theta_I.ravel(), proof.op_I):
-        return 0, residual
-    y_I = network.measure_blocks(ROLE_V, proof.theta_I, rng, blocks=None if len(I) == ell else I)
-    t_I = _block_parity_zero_basis(proof.theta_I, y_I)
-    r_I = t_I ^ crs.s[I]
-    return int(hb_verify(I, r_I, x, proof.pi_hb, params.hb)), residual
+    return bool(hbg_mod.hbg_verify_batch(crs.crs_bg, proof.com, positions, proof.theta_I.ravel(), proof.op_I))
+
+
+def _hidden_bits_verdict(
+    params: EprParams, crs: EprCrs, x: Digraph, proof: EprProof, I: np.ndarray, y_I: np.ndarray
+) -> int:
+    """hb_verify on the opened hidden bits r_I = parity(y_I) ^ s_I."""
+    r_I = masked_parity(proof.theta_I, y_I) ^ crs.s[I]
+    return int(hb_verify(I, r_I, x, proof.pi_hb, params.hb))
 
 
 def epr_delete(
@@ -202,19 +208,11 @@ def hypothetical_verifier(
     """Measures all V registers in Z (if not already collapsed), then
     verifies from the computational-basis values alone. Never used in
     certification flows."""
-    ell, k = params.num_blocks, params.block_width
     y_all = premeasure_all_z(params, network, rng)
     I = np.asarray(proof.I, dtype=np.int64)
-    if I.ndim != 1 or (len(I) and (np.any(np.diff(I) <= 0) or I[0] < 0 or I[-1] >= ell)):
+    if not _opening_ok(params, crs, proof, I):
         return 0
-    if proof.theta_I.shape != (len(I), k):
-        return 0
-    positions = _block_positions(I, k)
-    if not hbg_mod.hbg_verify_batch(crs.crs_bg, proof.com, positions, proof.theta_I.ravel(), proof.op_I):
-        return 0
-    t_I = _block_parity_zero_basis(proof.theta_I, y_all[I])
-    r_I = t_I ^ crs.s[I]
-    return int(hb_verify(I, r_I, x, proof.pi_hb, params.hb))
+    return _hidden_bits_verdict(params, crs, x, proof, I, y_all[I])
 
 
 # ---------------------------------------------------------------------
@@ -266,7 +264,7 @@ def greedy_basis_prover(
     for _ in range(genbits_tries):
         com, theta_flat, opening = hbg_mod.hbg_genbits(crs.crs_bg, rng)
         theta = theta_flat.reshape(ell, k)
-        t = _block_parity_zero_basis(theta, y)
+        t = masked_parity(theta, y)
         r = t ^ crs.s
         I, pi_hb, coverable = cheat_prove(r, x, params.hb, rng)
         if coverable > best_good:
@@ -301,17 +299,10 @@ def honest_delete_vstar(params, crs, network, x, proof, rng):
 def delete_then_remeasure_vstar(params, crs, network, x, proof, rng):
     """Honest deletion followed by a Z remeasurement of the deleted
     qubits; the extra outcomes join the classical output."""
-    b, residual = epr_verify(params, crs, network, x, proof, rng)
-    cert, _ = epr_delete(params, residual, rng)
+    cert, out = honest_delete_vstar(params, crs, network, x, proof, rng)
     rebases = np.zeros((len(cert.blocks), params.block_width), dtype=np.int8)
     re_out = network.measure_blocks(ROLE_V, rebases, rng, blocks=cert.blocks)
-    out = {
-        "verdict": b,
-        "cert_blocks": tuple(int(i) for i in cert.blocks),
-        "cert_bits": tuple(int(v) for v in cert.outcomes.ravel()),
-        "remeasured": tuple(int(v) for v in re_out.ravel()),
-    }
-    return cert, out
+    return cert, {**out, "remeasured": tuple(int(v) for v in re_out.ravel())}
 
 
 def keep_two_blocks_vstar(params, crs, network, x, proof, rng):
@@ -349,7 +340,7 @@ def epr_sim(params, x, vstar: VStar, rng):
     network = prep_epr(ell, k)
     I, r_I, pi_hb = hb_simulate(x, params.hb, rng)
     y = network.measure_blocks(ROLE_P, theta, rng)
-    t = _block_parity_zero_basis(theta, y)
+    t = masked_parity(theta, y)
     s = rng.integers(0, 2, size=ell, dtype=np.uint8)
     s[I] = t[I] ^ r_I
     crs = EprCrs(crs_bg, s)

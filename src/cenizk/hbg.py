@@ -34,9 +34,6 @@ PRG_IDENTITY = "identity"
 class HbgParams:
     k: int
     s: int
-    # succinctness exponent, documentation only: the naor instantiation
-    # does not satisfy |COM| <= 2^(k^delta poly); see module docstring
-    delta: float = 0.5
 
     def __post_init__(self):
         if self.k < 1 or self.s < 2:

@@ -190,6 +190,11 @@ def _anchored_map(witness: CycleWitness, hidden: HiddenCycle) -> tuple[int, ...]
     return tuple(vmap)
 
 
+def _opened_set_ok(I: np.ndarray, bound: int) -> bool:
+    """I is a flat, strictly increasing index array inside [0, bound)."""
+    return I.ndim == 1 and not (len(I) and (np.any(np.diff(I) <= 0) or I[0] < 0 or I[-1] >= bound))
+
+
 def _valid_map(vertex_map, params: HbParams) -> bool:
     if len(vertex_map) != params.n:
         return False
@@ -220,18 +225,12 @@ def hb_prove(
         hidden = usefulness(bits_to_matrix(block, params.matrix_side, params.block_len), params.n)
         if hidden is None:
             reps.append(RepRevealAll())
-            opened.append(None)  # placeholder: whole-block range
+            opened.append(rep * kp + np.arange(kp, dtype=np.int64))
         else:
             vmap = _anchored_map(witness, hidden)
             reps.append(RepUseful(vmap))
             opened.append(rep * kp + required_positions(vmap, x, params))
-    if all(o is None for o in opened):
-        I = np.arange(params.total_bits, dtype=np.int64)
-    else:
-        I = np.concatenate(
-            [o if o is not None else rep * kp + np.arange(kp, dtype=np.int64) for rep, o in enumerate(opened)]
-        )
-    return I, HbProof(tuple(reps))
+    return np.concatenate(opened), HbProof(tuple(reps))
 
 
 def hb_verify(
@@ -244,9 +243,9 @@ def hb_verify(
         r_I = np.asarray(r_I, dtype=np.uint8)
     except (TypeError, ValueError):
         return False
-    if len(proof.reps) != params.repetitions or I.shape != r_I.shape or I.ndim != 1:
+    if len(proof.reps) != params.repetitions or I.shape != r_I.shape:
         return False
-    if len(I) and (np.any(np.diff(I) <= 0) or I[0] < 0 or I[-1] >= params.total_bits):
+    if not _opened_set_ok(I, params.total_bits):
         return False
     kp = params.bits_per_rep
     m, b = params.matrix_side, params.block_len

@@ -14,6 +14,8 @@ import numpy as np
 
 
 def _label_words(*labels: object) -> list[int]:
+    # numpy integers hash as the Python int of the same value
+    labels = tuple(int(x) if isinstance(x, np.integer) else x for x in labels)
     digest = hashlib.blake2b(repr(labels).encode(), digest_size=16).digest()
     return [int.from_bytes(digest[i : i + 4], "big") for i in range(0, 16, 4)]
 
@@ -22,8 +24,3 @@ def stream(seed: int, *labels: object) -> np.random.Generator:
     """Child generator for (seed, labels); same arguments, same stream."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(_label_words(*labels)))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform 0/1 array of length n, dtype uint8."""
-    return rng.integers(0, 2, size=n, dtype=np.uint8)

@@ -15,7 +15,12 @@ Conventions:
   * X-basis measurement is realized by pairwise term combination, never
     by a global Hadamard, so sparsity never grows. The measured qubit
     is afterwards "retired": its key bit is pinned to 0 and further
-    operations on it are usage errors.
+    operations on it are usage errors;
+  * a register (a qubit list, most significant first) is read and
+    written through its spans: the maximal runs of consecutive qubits
+    it lists. Each span is one shift and one mask on the integer key,
+    so a register of two contiguous blocks costs two operations per
+    term whatever its width.
 
 Randomized operations take an explicit numpy Generator.
 """
@@ -56,18 +61,6 @@ class Bb84Descriptor:
 
     def __len__(self) -> int:
         return len(self.y)
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    indices: tuple[int, ...]
-    bases: tuple[str, ...]
-    outcomes: tuple[int, ...]
-    rng_label: str = ""
-
-    def __post_init__(self):
-        if len(self.outcomes) != len(self.indices):
-            raise SimUsageError("outcome count must match index count")
 
 
 class SparseState:
@@ -200,30 +193,34 @@ def _measure_z(state: SparseState, qubit: int, rng: np.random.Generator) -> tupl
     return outcome, _normalized(state.num_qubits, keep, state.retired)
 
 
-def _measure_x(state: SparseState, qubit: int, rng: np.random.Generator) -> tuple[int, SparseState]:
-    # Pairwise combination: each (z, z^bit) pair contributes one term to
-    # the post-measurement state, so the term count never grows.
+def _x_pairs(state: SparseState, qubit: int, value: int) -> tuple[dict[int, complex], float]:
+    """Unnormalized projection onto X outcome `value` and its probability.
+
+    Pairwise combination: each (z, z^bit) pair contributes one term,
+    keyed with the qubit's bit cleared, so the term count never grows.
+    """
     bit = state._bit(qubit)
-    plus: dict[int, complex] = {}
-    minus: dict[int, complex] = {}
+    keep: dict[int, complex] = {}
+    prob = 0.0
     seen = set()
-    p_plus = 0.0
-    for k, a in state.amps.items():
+    for k in state.amps:
         rep = k & ~bit
         if rep in seen:
             continue
         seen.add(rep)
         a0 = state.amps.get(rep, 0.0)
         a1 = state.amps.get(rep | bit, 0.0)
-        ap = (a0 + a1) * SQRT_HALF
-        am = (a0 - a1) * SQRT_HALF
-        if abs(ap) > 0.0:
-            plus[rep] = ap
-            p_plus += abs(ap) ** 2
-        if abs(am) > 0.0:
-            minus[rep] = am
+        amp = ((a0 + a1) if value == 0 else (a0 - a1)) * SQRT_HALF
+        if abs(amp) > 0.0:
+            keep[rep] = amp
+            prob += abs(amp) ** 2
+    return keep, prob
+
+
+def _measure_x(state: SparseState, qubit: int, rng: np.random.Generator) -> tuple[int, SparseState]:
+    plus, p_plus = _x_pairs(state, qubit, 0)
     outcome = 0 if rng.random() < p_plus else 1
-    chosen = plus if outcome == 0 else minus
+    chosen = plus if outcome == 0 else _x_pairs(state, qubit, 1)[0]
     retired = state.retired | {qubit}
     return outcome, _normalized(state.num_qubits, chosen, retired)
 
@@ -263,27 +260,13 @@ def project(
     the prune threshold.
     """
     state._require_live([index])
-    bit = state._bit(index)
     if basis == "Z":
+        bit = state._bit(index)
         keep = {k: a for k, a in state.amps.items() if bool(k & bit) == bool(value)}
         prob = sum(abs(a) ** 2 for a in keep.values())
         retired = state.retired
     elif basis == "X":
-        keep = {}
-        prob = 0.0
-        seen = set()
-        sign = 1.0 if value == 0 else -1.0
-        for k in state.amps:
-            rep = k & ~bit
-            if rep in seen:
-                continue
-            seen.add(rep)
-            a0 = state.amps.get(rep, 0.0)
-            a1 = state.amps.get(rep | bit, 0.0)
-            amp = (a0 + sign * a1) * SQRT_HALF
-            if abs(amp) > 0.0:
-                keep[rep] = amp
-                prob += abs(amp) ** 2
+        keep, prob = _x_pairs(state, index, value)
         retired = state.retired | {index}
     else:
         raise SimUsageError(f"unknown basis {basis!r}")
@@ -293,8 +276,27 @@ def project(
 
 
 # ---------------------------------------------------------------------
-# classical-oracle entangling maps
+# register spans and classical-oracle entangling maps
 # ---------------------------------------------------------------------
+
+
+def _spans(num_qubits: int, reg: Sequence[int]) -> list[tuple[int, int, int]]:
+    """(shift, width, mask) of each maximal run of consecutive qubits in
+    reg, most significant first: run q..q+w-1 is (key >> shift) & mask."""
+    runs: list[list[int]] = []  # [first qubit, width]
+    for q in reg:
+        if runs and q == runs[-1][0] + runs[-1][1]:
+            runs[-1][1] += 1
+        else:
+            runs.append([int(q), 1])
+    return [(num_qubits - q - w, w, (1 << w) - 1) for q, w in runs]
+
+
+def _extract(key: int, spans: list[tuple[int, int, int]]) -> int:
+    value = 0
+    for shift, width, mask in spans:
+        value = (value << width) | ((key >> shift) & mask)
+    return value
 
 
 def apply_oracle(
@@ -314,43 +316,18 @@ def apply_oracle(
         raise SimUsageError("in_reg and out_reg must be disjoint")
     n = state.num_qubits
     out_width = len(out_reg)
-
-    def contiguous(reg):
-        return all(reg[i + 1] == reg[i] + 1 for i in range(len(reg) - 1))
-
-    in_reg = list(in_reg)
-    out_reg = list(out_reg)
-    if contiguous(in_reg):
-        in_shift = n - 1 - in_reg[-1]
-        in_mask = (1 << len(in_reg)) - 1
-        extract = lambda k: (k >> in_shift) & in_mask
-    else:
-        in_bits = [n - 1 - q for q in in_reg]
-
-        def extract(k):
-            x = 0
-            for b in in_bits:
-                x = (x << 1) | ((k >> b) & 1)
-            return x
-
-    if contiguous(out_reg):
-        out_shift = n - 1 - out_reg[-1]
-        deposit = lambda k, y: k ^ (y << out_shift)
-    else:
-        out_bits = [n - 1 - q for q in out_reg]
-
-        def deposit(k, y):
-            for pos, b in enumerate(out_bits):
-                if (y >> (out_width - 1 - pos)) & 1:
-                    k ^= 1 << b
-            return k
-
+    in_spans = _spans(n, in_reg)
+    # deposit walks the output value from its least significant end
+    out_spans = _spans(n, out_reg)[::-1]
     amps: dict[int, complex] = {}
     for k, a in state.amps.items():
-        y = f(extract(k))
+        y = f(_extract(k, in_spans))
         if y >> out_width:
             raise SimUsageError("oracle output wider than out_reg")
-        amps[deposit(k, y)] = a
+        for shift, width, mask in out_spans:
+            k ^= (y & mask) << shift
+            y >>= width
+        amps[k] = a
     return SparseState(n, amps, state.retired)
 
 
@@ -364,19 +341,15 @@ def density_matrix(state: SparseState, subset: Sequence[int]) -> np.ndarray:
     state._require_live(subset)
     if len(subset) > DENSE_QUBIT_LIMIT:
         raise SimUsageError(f"dense density matrix capped at {DENSE_QUBIT_LIMIT} qubits")
-    n = state.num_qubits
-    sub_bits = [n - 1 - q for q in subset]
-    rest_mask = (1 << n) - 1
-    for b in sub_bits:
-        rest_mask &= ~(1 << b)
+    spans = _spans(state.num_qubits, subset)
+    rest_mask = (1 << state.num_qubits) - 1
+    for shift, _, mask in spans:
+        rest_mask &= ~(mask << shift)
     dim = 1 << len(subset)
     rho = np.zeros((dim, dim), dtype=np.complex128)
     groups: dict[int, list[tuple[int, complex]]] = {}
     for k, a in state.amps.items():
-        sub = 0
-        for b in sub_bits:
-            sub = (sub << 1) | ((k >> b) & 1)
-        groups.setdefault(k & rest_mask, []).append((sub, a))
+        groups.setdefault(k & rest_mask, []).append((_extract(k, spans), a))
     for terms in groups.values():
         for si, ai in terms:
             for sj, aj in terms:
@@ -406,18 +379,13 @@ def dump_lines(state: SparseState) -> list[str]:
     return sorted(rows)
 
 
-def dump_str(state: SparseState) -> str:
-    return "\n".join(dump_lines(state))
-
-
 def state_from_descriptor_string(y: str, theta: str) -> SparseState:
-    """Convenience wrapper used by tests and the CLI."""
+    """BB84 state from printed bitstrings, e.g. ("01", "10")."""
     return prep_bb84(Bb84Descriptor(y, theta))
 
 
 __all__ = [
     "Bb84Descriptor",
-    "MeasurementRecord",
     "SimUsageError",
     "SparseState",
     "append_register",
@@ -425,7 +393,6 @@ __all__ = [
     "density_matrix",
     "drop_last_register",
     "dump_lines",
-    "dump_str",
     "measure",
     "prep_bb84",
     "project",

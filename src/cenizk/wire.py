@@ -4,7 +4,9 @@ Self-describing, length-prefixed, deterministic: the same object graph
 always encodes to the same bytes, which golden-file and round-trip
 tests rely on. Supported values: None, bool, int (arbitrary size),
 float, bytes, str, list, dict (insertion order preserved), and numpy
-arrays of bool/uint/int/float dtypes.
+arrays of bool/uint/int/float dtypes. Decoding accepts only canonical
+bytes (each int has exactly one encoding) nested at most MAX_DEPTH
+lists and dicts deep.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ import numpy as np
 
 class WireError(ValueError):
     """Malformed or truncated wire data."""
+
+
+MAX_DEPTH = 64
 
 
 _TAG_NONE = b"N"
@@ -117,7 +122,7 @@ class _Reader:
         return n
 
 
-def _decode_from(r: _Reader):
+def _decode_from(r: _Reader, depth: int = 0):
     tag = r.take(1)
     if tag == _TAG_NONE:
         return None
@@ -127,7 +132,10 @@ def _decode_from(r: _Reader):
         return False
     if tag == _TAG_INT:
         sign = r.take(1)[0]
-        value = int.from_bytes(r.take(r.take_len()), "big")
+        body = r.take(r.take_len())
+        if sign > 1 or not body or (len(body) > 1 and body[0] == 0) or (sign and body == b"\x00"):
+            raise WireError("non-canonical int")
+        value = int.from_bytes(body, "big")
         return -value if sign else value
     if tag == _TAG_FLOAT:
         (v,) = struct.unpack(">d", r.take(8))
@@ -139,15 +147,17 @@ def _decode_from(r: _Reader):
             return r.take(r.take_len()).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise WireError("bad string payload") from exc
+    if tag in (_TAG_LIST, _TAG_DICT) and depth >= MAX_DEPTH:
+        raise WireError(f"nesting deeper than {MAX_DEPTH}")
     if tag == _TAG_LIST:
-        return [_decode_from(r) for _ in range(r.take_len())]
+        return [_decode_from(r, depth + 1) for _ in range(r.take_len())]
     if tag == _TAG_DICT:
         out = {}
         for _ in range(r.take_len()):
-            key = _decode_from(r)
+            key = _decode_from(r, depth + 1)
             if not isinstance(key, str):
                 raise WireError("dict keys must decode to strings")
-            out[key] = _decode_from(r)
+            out[key] = _decode_from(r, depth + 1)
         return out
     if tag == _TAG_ARRAY:
         try:

@@ -9,7 +9,6 @@ from cenizk.crs_nizk import (
     TOY_PROOF_BITS,
     TOY_STATEMENT_BITS,
     CompiledSpec,
-    DealerZkStub,
     compiled_prove,
     compiled_setup,
     compiled_sim,
@@ -240,11 +239,3 @@ class TestCompiledNizk:
         bound = 1 - (1 - p1) ** tries_per_trial
         sigma = math.sqrt(max(bound * (1 - bound), 1e-6) / trials)
         assert accepted / trials <= bound + 3 * sigma
-
-
-class TestZkInterfaceStub:
-    def test_stub_runs(self, rng):
-        stub = DealerZkStub()
-        crs, td = stub.s1(rng)
-        assert isinstance(crs, bytes)
-        assert stub.s2(td, b"statement") == b"simulated-proof"

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cenizk.bits import bits_to_int, int_to_bits
+from cenizk.bits import bits_to_int, int_to_bits, masked_parity
 from cenizk.crs_nizk import CompiledSpec, toy_encode
 from cenizk.crs_protocol import (
     CrsParams,
@@ -53,14 +53,10 @@ def support_terms(theta, y):
 class TestPad:
     def test_direct_formula(self):
         # one block slice, theta=00, z=10 -> bit 1 xor 0 = 1
-        from cenizk.crs_protocol import block_parity
-
-        assert block_parity(np.array([0, 0]), np.array([1, 0])) == 1
+        assert masked_parity(np.array([0, 0]), np.array([1, 0])) == 1
 
     def test_empty_xor(self):
-        from cenizk.crs_protocol import block_parity
-
-        assert block_parity(np.array([1, 1]), np.array([1, 0])) == 0
+        assert masked_parity(np.array([1, 1]), np.array([1, 0])) == 0
 
     def test_support_terms_share_the_pad_exhaustive(self):
         # lam = 3: for every (y, theta) pair and every support term z,

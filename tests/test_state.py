@@ -142,6 +142,35 @@ class TestOracle:
         out = apply_oracle(st_, [2, 0], [3], lambda z: z & 1)  # reads qubits 2,0
         assert set(out.amps) == {0b1001}  # f(in=0b01)=1 lands on qubit 3
 
+    @given(st.permutations(range(8)), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**8 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_register_spans_match_per_bit_reference(self, order, n_in, n_out, y_int):
+        # in/out registers made of several runs, in arbitrary order; the
+        # per-bit loop is the reference for extract and deposit
+        in_reg, out_reg = list(order[:n_in]), list(order[n_in : n_in + n_out])
+        st_ = prep_bb84(Bb84Descriptor(format(y_int, "08b"), "10110100"))
+        f = lambda z: (z * 3 + 1) & ((1 << n_out) - 1)
+
+        def read(k, reg):
+            return int("".join(str((k >> (7 - q)) & 1) for q in reg), 2)
+
+        expected = {}
+        for k, a in st_.amps.items():
+            y = f(read(k, in_reg))
+            for pos, q in enumerate(out_reg):
+                k ^= ((y >> (n_out - 1 - pos)) & 1) << (7 - q)
+            expected[k] = a
+        assert apply_oracle(st_, in_reg, out_reg, f).amps == expected
+
+        rho = density_matrix(st_, in_reg)
+        ref = np.zeros_like(rho)
+        rest = [q for q in range(8) if q not in in_reg]
+        for k, a in st_.amps.items():
+            for k2, a2 in st_.amps.items():
+                if read(k, rest) == read(k2, rest):
+                    ref[read(k, in_reg), read(k2, in_reg)] += a * np.conj(a2)
+        assert np.allclose(rho, ref, atol=1e-12)
+
     def test_output_width_mismatch(self):
         st_ = append_register(zero_state(1), 1)
         with pytest.raises(SimUsageError):
