@@ -39,6 +39,12 @@ def int_to_bits(value: int, width: int) -> np.ndarray:
     return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
 
 
+# Below this many rows one reduce call over the last axis is cheaper than
+# a numpy call per column; above it the column loop wins (at 819200 x 6,
+# the reduce over the short last axis takes ~4x as long as 5 column XORs).
+_COLUMN_XOR_MIN_ROWS = 256
+
+
 def masked_parity(theta: np.ndarray, y: np.ndarray) -> np.ndarray:
     """XOR of y over the positions where theta == 0, along the last axis.
 
@@ -46,6 +52,15 @@ def masked_parity(theta: np.ndarray, y: np.ndarray) -> np.ndarray:
     Hadamard-basis positions, whose values never enter the parity. Both
     arguments must already be 0/1 integer arrays of one shape (no
     coercion: the EPR path calls this on millions of entries). An empty
-    last axis gives 0; a 1-D pair gives a numpy scalar.
+    last axis gives 0; a 1-D pair gives a numpy scalar. Arrays with many
+    rows are reduced column by column, a few numpy calls in all; small
+    ones take the single `bitwise_xor.reduce`. Both give the same bits.
     """
-    return np.bitwise_xor.reduce(y & (theta ^ 1), axis=-1).astype(np.uint8)
+    masked = y & (theta ^ 1)
+    k = masked.shape[-1]
+    if k == 0 or masked.size < _COLUMN_XOR_MIN_ROWS * k:
+        return np.bitwise_xor.reduce(masked, axis=-1).astype(np.uint8)
+    out = masked[..., 0].copy()
+    for j in range(1, k):
+        out ^= masked[..., j]
+    return out.astype(np.uint8, copy=False)

@@ -76,6 +76,7 @@ class EprProverState:
 class EprVerifierState:
     I: np.ndarray
     network: EprNetwork
+    opened_ok: bool = False  # I passed _opened_set_ok
 
 
 @dataclass(frozen=True)
@@ -84,14 +85,39 @@ class EprDeletionCert:
     outcomes: np.ndarray  # (len(blocks), k) Hadamard outcomes
 
 
-def _block_positions(blocks: np.ndarray, k: int) -> np.ndarray:
-    blocks = np.asarray(blocks, dtype=np.int64)
-    if len(blocks) and blocks[0] == 0 and blocks[-1] == len(blocks) - 1:
-        return np.arange(len(blocks) * k, dtype=np.int64)
-    return (blocks[:, None] * k + np.arange(k)).ravel()
+def _every_block(I: np.ndarray, ell: int) -> bool:
+    """Whether a valid opened set is all of 0..ell-1.
+
+    Only for an I that passed `_opened_set_ok(I, ell)` (the prover's I
+    from hb_prove is valid by construction; the verifier's counts only
+    after validation): such an I is strictly increasing inside [0, ell),
+    so it is every block exactly when it has ell entries. At the
+    criterion-1 shape almost every repetition is reveal-all, and this
+    lets the session skip index arrays that would span every pair."""
+    return len(I) == ell
 
 
-def _unopened_blocks(ell: int, I: np.ndarray) -> np.ndarray:
+def _opened_rows(a: np.ndarray, I: np.ndarray, ell: int) -> np.ndarray:
+    """a[I] for a valid opened set I; a itself (no copy) when I is every block."""
+    return a if _every_block(I, ell) else a[I]
+
+
+def _block_positions(I: np.ndarray, ell: int, k: int) -> np.ndarray | range:
+    """Generator positions of the blocks of a valid opened set I."""
+    if _every_block(I, ell):
+        return range(ell * k)
+    return (I[:, None] * k + np.arange(k)).ravel()
+
+
+def _unopened_blocks(ell: int, I: np.ndarray, opened_ok: bool = False) -> np.ndarray:
+    """The blocks outside I, sorted. With opened_ok (I passed
+    _opened_set_ok) a full I leaves no block; any other I goes through a
+    mask, which also handles the repeated, unsorted or out-of-range
+    entries of an I that failed validation (those open no block)."""
+    if opened_ok and _every_block(I, ell):
+        return np.empty(0, dtype=np.int64)
+    if not opened_ok:
+        I = I[(I >= 0) & (I < ell)]
     mask = np.ones(ell, dtype=bool)
     mask[I] = False
     return np.flatnonzero(mask).astype(np.int64)
@@ -123,8 +149,8 @@ def epr_prove(
     t = masked_parity(theta, y)
     r = t ^ crs.s
     I, pi_hb = hb_prove(r, x, witness, params.hb)
-    op_I = hbg_mod.restrict_opening(opening, _block_positions(I, k))
-    proof = EprProof(I, pi_hb, com, theta[I].copy(), op_I)
+    op_I = hbg_mod.restrict_opening(opening, _block_positions(I, ell, k))
+    proof = EprProof(I, pi_hb, com, _opened_rows(theta, I, ell).copy(), op_I)
     return proof, EprProverState(y, theta, I, network)
 
 
@@ -136,13 +162,12 @@ def epr_verify(
     proof: EprProof,
     rng: np.random.Generator,
 ) -> tuple[int, EprVerifierState]:
-    residual = EprVerifierState(np.asarray(proof.I, dtype=np.int64), network)
-    I = residual.I
+    I = np.asarray(proof.I, dtype=np.int64)
     if not _opening_ok(params, crs, proof, I):
-        return 0, residual
-    blocks = None if len(I) == params.num_blocks else I
+        return 0, EprVerifierState(I, network)
+    blocks = None if _every_block(I, params.num_blocks) else I
     y_I = network.measure_blocks(ROLE_V, proof.theta_I, rng, blocks=blocks)
-    return _hidden_bits_verdict(params, crs, x, proof, I, y_I), residual
+    return _hidden_bits_verdict(params, crs, x, proof, I, y_I), EprVerifierState(I, network, opened_ok=True)
 
 
 def _opening_ok(params: EprParams, crs: EprCrs, proof: EprProof, I: np.ndarray) -> bool:
@@ -150,7 +175,7 @@ def _opening_ok(params: EprParams, crs: EprCrs, proof: EprProof, I: np.ndarray) 
     k = params.block_width
     if not _opened_set_ok(I, params.num_blocks) or proof.theta_I.shape != (len(I), k):
         return False
-    positions = _block_positions(I, k)
+    positions = _block_positions(I, params.num_blocks, k)
     return bool(hbg_mod.hbg_verify_batch(crs.crs_bg, proof.com, positions, proof.theta_I.ravel(), proof.op_I))
 
 
@@ -158,7 +183,7 @@ def _hidden_bits_verdict(
     params: EprParams, crs: EprCrs, x: Digraph, proof: EprProof, I: np.ndarray, y_I: np.ndarray
 ) -> int:
     """hb_verify on the opened hidden bits r_I = parity(y_I) ^ s_I."""
-    r_I = masked_parity(proof.theta_I, y_I) ^ crs.s[I]
+    r_I = masked_parity(proof.theta_I, y_I) ^ _opened_rows(crs.s, I, params.num_blocks)
     return int(hb_verify(I, r_I, x, proof.pi_hb, params.hb))
 
 
@@ -166,7 +191,7 @@ def epr_delete(
     params: EprParams, residual: EprVerifierState, rng: np.random.Generator
 ) -> tuple[EprDeletionCert, EprVerifierState]:
     ell, k = params.num_blocks, params.block_width
-    unopened = _unopened_blocks(ell, residual.I)
+    unopened = _unopened_blocks(ell, residual.I, residual.opened_ok)
     bases = np.ones((len(unopened), k), dtype=np.int8)
     outcomes = residual.network.measure_blocks(ROLE_V, bases, rng, blocks=unopened)
     return EprDeletionCert(unopened, outcomes), residual
@@ -176,7 +201,7 @@ def epr_cert(params: EprParams, cert: EprDeletionCert, prover: EprProverState) -
     """Accept iff the certificate covers every unopened block and matches
     the recorded y wherever theta is 1 (theta=0 positions are ignored)."""
     ell = params.num_blocks
-    unopened = _unopened_blocks(ell, prover.I)
+    unopened = _unopened_blocks(ell, prover.I, opened_ok=True)
     blocks = np.asarray(cert.blocks, dtype=np.int64)
     if blocks.shape != unopened.shape or np.any(blocks != unopened):
         return False
@@ -212,7 +237,7 @@ def hypothetical_verifier(
     I = np.asarray(proof.I, dtype=np.int64)
     if not _opening_ok(params, crs, proof, I):
         return 0
-    return _hidden_bits_verdict(params, crs, x, proof, I, y_all[I])
+    return _hidden_bits_verdict(params, crs, x, proof, I, _opened_rows(y_all, I, params.num_blocks))
 
 
 # ---------------------------------------------------------------------
@@ -273,8 +298,8 @@ def greedy_basis_prover(
         if coverable == params.hb.repetitions:
             break
     com, theta, opening, pi_hb, I = best
-    op_I = hbg_mod.restrict_opening(opening, _block_positions(I, k))
-    return EprProof(I, pi_hb, com, theta[I].copy(), op_I)
+    op_I = hbg_mod.restrict_opening(opening, _block_positions(I, ell, k))
+    return EprProof(I, pi_hb, com, _opened_rows(theta, I, ell).copy(), op_I)
 
 
 # ---------------------------------------------------------------------
@@ -344,8 +369,8 @@ def epr_sim(params, x, vstar: VStar, rng):
     s = rng.integers(0, 2, size=ell, dtype=np.uint8)
     s[I] = t[I] ^ r_I
     crs = EprCrs(crs_bg, s)
-    op_I = hbg_mod.restrict_opening(opening, _block_positions(I, k))
-    proof = EprProof(I, pi_hb, com, theta[I].copy(), op_I)
+    op_I = hbg_mod.restrict_opening(opening, _block_positions(I, ell, k))
+    proof = EprProof(I, pi_hb, com, _opened_rows(theta, I, ell).copy(), op_I)
     prover = EprProverState(y, theta, I, network)
     cert, output = vstar(params, crs, network, x, proof, rng)
     if epr_cert(params, cert, prover):

@@ -34,6 +34,9 @@ class Digraph:
         return bool(self.adjacency[u, v])
 
     def digest(self) -> bytes:
+        """n as one byte, then the packed adjacency bits; needs n < 256."""
+        if self.n >= 256:
+            raise ValueError(f"Digraph.digest needs n < 256 (n is one byte), got n = {self.n}")
         return bytes([self.n]) + np.packbits(self.adjacency.flatten()).tobytes()
 
     @classmethod

@@ -129,9 +129,19 @@ def default_crs_params() -> dict:
     return {"lam": 2, "witness": "1011", "sig_width": 16}
 
 
+def _require_params(params, keys, what: str) -> None:
+    """ValueError naming every key of `keys` that params lacks."""
+    if not isinstance(params, dict):
+        raise ValueError(f"{what} params must be a dict, got {type(params).__name__}")
+    missing = [key for key in keys if key not in params]
+    if missing:
+        raise ValueError(f"{what} params missing {', '.join(missing)}")
+
+
 def _epr_protocol_params(params: dict):
     from .epr_protocol import EprParams
 
+    _require_params(params, default_epr_params(), "epr")
     hb = HbParams(
         n=int(params["n"]),
         repetitions=int(params["reps"]),
@@ -165,9 +175,9 @@ def _run_epr_session(params: dict, seed: int, stop_after: str | None) -> Transcr
     stop = stop_after or "certify"
     if stop not in EPR_STAGES:
         raise ValueError(f"unknown stage {stop!r}")
-    t = Transcript("epr", dict(params), seed)
     pp = _epr_protocol_params(params)
     x, witness = _epr_instance(params)
+    t = Transcript("epr", dict(params), seed)
 
     crs, network = ep.epr_setup(pp, stream(seed, "setup"))
     t.add_message("setup", "crs", {"s": crs.s, "hbg": params["hbg"]})
@@ -206,18 +216,26 @@ def _epr_proof_payload(proof) -> dict:
     }
 
 
+def _crs_instance(params: dict):
+    """(CrsParams, witness bits, toy statement) from session params."""
+    from .crs_nizk import toy_encode
+    from .crs_protocol import CrsParams
+
+    _require_params(params, default_crs_params(), "crs-toy")
+    pp = CrsParams(lam=int(params["lam"]), sig_width=int(params["sig_width"]))
+    w = np.array([int(c) for c in params["witness"]], dtype=np.uint8)
+    return pp, w, toy_encode(w)
+
+
 def _run_crs_session(params: dict, seed: int, stop_after: str | None) -> Transcript:
     from . import crs_protocol as cp
-    from .crs_nizk import toy_encode
     from .state import dump_lines
 
     stop = stop_after or "certify"
     if stop not in CRS_STAGES:
         raise ValueError(f"unknown stage {stop!r}")
+    pp, w, x = _crs_instance(params)
     t = Transcript("crs-toy", dict(params), seed)
-    pp = cp.CrsParams(lam=int(params["lam"]), sig_width=int(params["sig_width"]))
-    w = np.array([int(c) for c in params["witness"]], dtype=np.uint8)
-    x = toy_encode(w)
 
     crs = cp.crs_setup(stream(seed, "setup"))
     t.add_message("setup", "crs", {"in": crs.crs_in.tag, "out": crs.crs_out.tag})
@@ -261,6 +279,7 @@ def _run_dry_session(params: dict, seed: int) -> Transcript:
     from . import crs_protocol as cp
     from .crs_nizk import CompiledSpec
 
+    _require_params(params, ("lam",), "crs-dry")
     t = Transcript("crs-dry", dict(params), seed)
     hb = HbParams(n=3, repetitions=1, matrix_side=3, block_len=1)
     spec = CompiledSpec(hb=hb, hbg_mode="dealer")
@@ -415,12 +434,8 @@ def _exp_deletion(trials: int, params: dict | None, seed: int, which: str) -> Ex
 
 def _exp_crs_honest(trials: int, params: dict | None, seed: int) -> ExperimentReport:
     from . import crs_protocol as cp
-    from .crs_nizk import toy_encode
 
-    params = params or default_crs_params()
-    pp = cp.CrsParams(lam=int(params["lam"]), sig_width=int(params["sig_width"]))
-    w = np.array([int(c) for c in params["witness"]], dtype=np.uint8)
-    x = toy_encode(w)
+    pp, w, x = _crs_instance(params or default_crs_params())
     t0 = time.time()
     good = 0
     for trial in range(trials):

@@ -145,13 +145,22 @@ class DealerOpening:
     receipt: bytes
 
 
-def restrict_opening(opening, positions: np.ndarray):
-    """Project a full opening onto a revealed-position subset."""
-    positions = np.asarray(positions, dtype=np.int64)
-    if isinstance(opening, NaorOpening):
-        return SubsetOpening(positions.copy(), opening.seeds[positions].copy())
+def _position_array(positions) -> np.ndarray:
+    """Positions as an int64 array; a range becomes the matching arange."""
+    if isinstance(positions, range):
+        return np.arange(positions.start, positions.stop, positions.step, dtype=np.int64)
+    return np.asarray(positions, dtype=np.int64)
+
+
+def restrict_opening(opening, positions: np.ndarray | range):
+    """Project a full opening onto a revealed-position subset (an array or
+    a range of positions). A dealer opening is position-free and comes
+    back as is, so its positions are never converted."""
     if isinstance(opening, DealerOpening):
         return opening
+    if isinstance(opening, NaorOpening):
+        positions = _position_array(positions)
+        return SubsetOpening(positions.copy(), opening.seeds[positions].copy())
     raise ValueError("unknown opening type")
 
 
@@ -233,18 +242,28 @@ def hbg_verify(crs, com: HbgCommitment, i: int, r_i: int, opening) -> bool:
     return False
 
 
-def hbg_verify_batch(crs, com: HbgCommitment, indices: np.ndarray, bits: np.ndarray, opening) -> bool:
-    """All-positions-at-once verification used on protocol hot paths."""
-    indices = np.asarray(indices, dtype=np.int64)
+def hbg_verify_batch(
+    crs, com: HbgCommitment, indices: np.ndarray | range, bits: np.ndarray, opening
+) -> bool:
+    """All-positions-at-once verification used on protocol hot paths.
+
+    indices is an array of positions or a range; dealer mode checks a
+    contiguous range (step 1) as one slice of the registered bits."""
     bits = np.asarray(bits, dtype=np.uint8)
     params = crs.params
-    if len(indices) != len(bits) or (len(indices) and (indices.min() < 0 or indices.max() >= params.k)):
+    if isinstance(indices, range) and indices.step == 1:
+        take = slice(indices.start, indices.stop)
+        lo, hi = indices.start, indices.stop - 1
+    else:
+        indices = take = _position_array(indices)
+        lo, hi = (indices.min(), indices.max()) if len(indices) else (0, 0)
+    if len(indices) != len(bits) or (len(indices) and (lo < 0 or hi >= params.k)):
         return False
     if crs.mode == "dealer":
         entry = crs.registry.lookup(com.data)
         if entry is None or not isinstance(opening, DealerOpening) or opening.receipt != entry[1]:
             return False
-        return bool(np.all(entry[0][indices] == bits))
+        return bool(np.array_equal(entry[0][take], bits))
     return all(hbg_verify(crs, com, int(i), int(b), opening) for i, b in zip(indices, bits))
 
 

@@ -35,46 +35,40 @@ _TAG_DICT = b"D"
 _TAG_ARRAY = b"A"
 
 
-def _emit_len(out: bytearray, n: int) -> None:
-    out += struct.pack(">I", n)
+def _len(n: int) -> bytes:
+    return struct.pack(">I", n)
 
 
-def _encode_into(obj, out: bytearray) -> None:
+def _encode_into(obj, out: list) -> None:
+    """Append the encoding of obj to out as a list of byte pieces.
+
+    `encode` joins the pieces once, so a large array or bytes payload is
+    copied exactly once, into the result."""
     if obj is None:
-        out += _TAG_NONE
+        out.append(_TAG_NONE)
     elif obj is True:
-        out += _TAG_TRUE
+        out.append(_TAG_TRUE)
     elif obj is False:
-        out += _TAG_FALSE
+        out.append(_TAG_FALSE)
     elif isinstance(obj, (int, np.integer)):
         obj = int(obj)
-        out += _TAG_INT
-        sign = 1 if obj < 0 else 0
         mag = abs(obj)
         body = mag.to_bytes((mag.bit_length() + 7) // 8 or 1, "big")
-        out.append(sign)
-        _emit_len(out, len(body))
-        out += body
+        out.append(_TAG_INT + (b"\x01" if obj < 0 else b"\x00") + _len(len(body)) + body)
     elif isinstance(obj, (float, np.floating)):
-        out += _TAG_FLOAT
-        out += struct.pack(">d", float(obj))
+        out.append(_TAG_FLOAT + struct.pack(">d", float(obj)))
     elif isinstance(obj, (bytes, bytearray)):
-        out += _TAG_BYTES
-        _emit_len(out, len(obj))
-        out += bytes(obj)
+        out.append(_TAG_BYTES + _len(len(obj)))
+        out.append(bytes(obj))
     elif isinstance(obj, str):
         data = obj.encode("utf-8")
-        out += _TAG_STR
-        _emit_len(out, len(data))
-        out += data
+        out.append(_TAG_STR + _len(len(data)) + data)
     elif isinstance(obj, (list, tuple)):
-        out += _TAG_LIST
-        _emit_len(out, len(obj))
+        out.append(_TAG_LIST + _len(len(obj)))
         for item in obj:
             _encode_into(item, out)
     elif isinstance(obj, dict):
-        out += _TAG_DICT
-        _emit_len(out, len(obj))
+        out.append(_TAG_DICT + _len(len(obj)))
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise WireError("dict keys must be strings")
@@ -83,24 +77,21 @@ def _encode_into(obj, out: bytearray) -> None:
     elif isinstance(obj, np.ndarray):
         if obj.dtype.kind not in "buif":
             raise WireError(f"unsupported array dtype {obj.dtype}")
-        out += _TAG_ARRAY
-        dt = obj.dtype.newbyteorder("<").str.encode("ascii")
-        _emit_len(out, len(dt))
-        out += dt
-        out.append(obj.ndim)
-        for dim in obj.shape:
-            _emit_len(out, dim)
-        raw = np.ascontiguousarray(obj.astype(obj.dtype.newbyteorder("<"))).tobytes()
-        _emit_len(out, len(raw))
-        out += raw
+        le = obj.dtype.newbyteorder("<")
+        dt = le.str.encode("ascii")
+        # no copy when obj is already little-endian and C-contiguous
+        raw = np.ascontiguousarray(obj.astype(le, copy=False))
+        shape = b"".join(_len(dim) for dim in obj.shape)
+        out.append(_TAG_ARRAY + _len(len(dt)) + dt + bytes([obj.ndim]) + shape + _len(raw.nbytes))
+        out.append(raw)  # joined through the buffer protocol
     else:
         raise WireError(f"cannot encode {type(obj).__name__}")
 
 
 def encode(obj) -> bytes:
-    out = bytearray()
+    out: list = []
     _encode_into(obj, out)
-    return bytes(out)
+    return b"".join(out)
 
 
 class _Reader:

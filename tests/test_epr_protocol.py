@@ -2,6 +2,7 @@
 verifier, adversaries, and the witness-free simulator."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from cenizk.epr_protocol import (
     premeasure_all_z,
     run_cezk_real,
 )
+from cenizk.epr_protocol import _unopened_blocks
 from cenizk.graphs import canonical_cycle, complete_digraph, non_hamiltonian_triangle
 from cenizk.hbnizk import HbParams
 from cenizk.rng import stream
@@ -239,6 +241,61 @@ class TestHypotheticalVerifier:
         p = (first + after) / (2 * trials)
         sigma = math.sqrt(max(2 * p * (1 - p) / trials, 1e-9))
         assert abs(first - after) / trials <= 4 * sigma + 0.02
+
+
+class TestFullOpenedSet:
+    """An opened set with ell entries stands for every block only after it
+    passes validation; one that is not 0..ell-1 must still be rejected,
+    and deletion must then cover exactly the blocks it misses."""
+
+    @staticmethod
+    def _full_session(label):
+        g, w = complete_digraph(3), canonical_cycle(3)
+        for trial in range(50):
+            rng = stream(trial, "full-set", label)
+            crs, net = epr_setup(TINY, rng)
+            proof, prover = epr_prove(TINY, crs, net, g, w, rng)
+            if len(proof.I) == TINY.num_blocks:
+                return g, crs, net, proof, rng
+        raise AssertionError("no reveal-all session in 50 trials")
+
+    @staticmethod
+    def _tampered(I, how):
+        bad = I.copy()
+        if how == "duplicate":
+            bad[1] = bad[0]  # block 1 missing, block 0 twice
+        elif how == "swapped":
+            bad[[2, 3]] = bad[[3, 2]]
+        elif how == "shifted":
+            bad = bad + 1  # block 0 missing, ell out of range
+        return bad
+
+    @pytest.mark.parametrize("how", [None, "duplicate", "swapped", "shifted"])
+    def test_epr_verify_accepts_only_the_true_full_set(self, how):
+        g, crs, net, proof, rng = self._full_session("verify")
+        I = self._tampered(proof.I, how) if how else proof.I
+        b, residual = epr_verify(TINY, crs, net, g, replace(proof, I=I), rng)
+        assert b == (1 if how is None else 0)
+        assert residual.opened_ok == (how is None)
+
+    @pytest.mark.parametrize("how", [None, "duplicate", "swapped", "shifted"])
+    def test_hypothetical_verifier_accepts_only_the_true_full_set(self, how):
+        g, crs, net, proof, rng = self._full_session("hypothetical")
+        I = self._tampered(proof.I, how) if how else proof.I
+        assert hypothetical_verifier(TINY, crs, net, g, replace(proof, I=I), rng) == (1 if how is None else 0)
+
+    @pytest.mark.parametrize("how", [None, "duplicate", "swapped", "shifted"])
+    def test_delete_after_rejection_covers_the_missing_blocks(self, how):
+        g, crs, net, proof, rng = self._full_session("delete")
+        I = self._tampered(proof.I, how) if how else proof.I
+        _, residual = epr_verify(TINY, crs, net, g, replace(proof, I=I), rng)
+        cert, _ = epr_delete(TINY, residual, rng)
+        opened = np.zeros(TINY.num_blocks, dtype=bool)
+        opened[I[I < TINY.num_blocks]] = True
+        assert np.array_equal(cert.blocks, np.flatnonzero(~opened))
+        assert np.array_equal(cert.blocks, _unopened_blocks(TINY.num_blocks, I))
+        assert cert.outcomes.shape == (len(cert.blocks), TINY.block_width)
+        assert len(cert.blocks) == {None: 0, "duplicate": 1, "swapped": 0, "shifted": 1}[how]
 
 
 class TestAdversaries:

@@ -6,7 +6,7 @@ import hashlib
 
 import pytest
 
-from cenizk.harness import run_session, serialize_transcript
+from cenizk.harness import default_epr_params, run_session, serialize_transcript
 
 GOLDEN = {
     ("epr", 0): "e18e37f0b8757ead19febf4968926a18de2f7180b3a0c30acd7d58591ffb5ec0",
@@ -26,6 +26,14 @@ GOLDEN = {
     ("crs-dry", 4): "8f82a1af5825c5fc5efe332496f2b0e7aaf1edab647f1685907778502913239b",
 }
 
+# default EPR session with the naor-mode generator: the proof carries a
+# SubsetOpening (positions and seeds) instead of a dealer receipt
+NAOR = {"n": 3, "reps": 1, "m": 3, "b": 1, "k": 4, "hbg": "naor", "hbg_s": 12}
+NAOR_GOLDEN = {
+    0: "81fb9272418484a695a7bda67b26c63f5cabf1719e8c821e16e9b2a34c2adeb6",
+    1: "2d0289f9de6105917f4657286d147a6cb18f1803b3698ac0ea203f44568e4d0a",
+}
+
 # criterion-1 shape: 4,915,200 EPR pairs
 CRITERION_1 = {"n": 4, "reps": 20, "m": 64, "b": 10, "k": 6, "hbg": "dealer", "hbg_s": 12}
 CRITERION_1_SEED0 = "0e09d547a29f4fb9b63c0c02de1e1c568526e04ab179be92f9dde24754caf69d"
@@ -38,6 +46,12 @@ def _digest(protocol, params, seed):
 @pytest.mark.parametrize("protocol,seed", sorted(GOLDEN))
 def test_default_session_digest(protocol, seed):
     assert _digest(protocol, None, seed) == GOLDEN[(protocol, seed)]
+
+
+@pytest.mark.parametrize("seed", sorted(NAOR_GOLDEN))
+def test_naor_session_digest(seed):
+    assert NAOR == {**default_epr_params(), "hbg": "naor"}
+    assert _digest("epr", NAOR, seed) == NAOR_GOLDEN[seed]
 
 
 def test_criterion_1_session_digest():

@@ -220,6 +220,25 @@ class TestExperiments:
             assert field in text
 
 
+class TestPartialParams:
+    def test_session_names_missing_keys(self):
+        with pytest.raises(ValueError, match="epr params missing reps, m, b, k, hbg, hbg_s"):
+            run_session("epr", {"n": 3}, 0)
+        with pytest.raises(ValueError, match="crs-toy params missing witness, sig_width"):
+            run_session("crs-toy", {"lam": 2}, 0)
+
+    @pytest.mark.parametrize(
+        "name", ["epr-honest", "epr-soundness-greedy", "epr-soundness-forged", "epr-single-rep"]
+    )
+    def test_epr_experiments_name_missing_keys(self, name):
+        with pytest.raises(ValueError, match="epr params missing reps"):
+            run_experiment(name, 1, {"n": 3}, 0)
+
+    def test_crs_experiment_names_missing_keys(self):
+        with pytest.raises(ValueError, match="crs-toy params missing sig_width"):
+            run_experiment("crs-honest", 1, {"lam": 2, "witness": "1011"}, 0)
+
+
 class TestCli:
     def test_run_session_exit_zero(self, capsys, tmp_path):
         out = tmp_path / "s.cenz"
@@ -285,6 +304,21 @@ class TestCli:
     def test_delete_rejected_for_crs(self, capsys):
         rc = cli_main(["delete", "--protocol", "crs-toy"])
         assert rc == 2
+
+    def test_run_experiment_partial_params_is_usage_error(self, capsys):
+        rc = cli_main(["run-experiment", "--name", "epr-honest", "--param", "n=3", "--trials", "1"])
+        assert rc == 2
+        assert "epr params missing reps, m, b, k, hbg, hbg_s" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "protocol,params",
+        [("epr", {"n": 3}), ("crs-toy", {"lam": 2}), ("crs-dry", {"witness": "1011"}), ("epr", [3])],
+    )
+    def test_certify_partial_params_is_usage_error(self, capsys, tmp_path, protocol, params):
+        path = tmp_path / "partial.cenz"
+        path.write_bytes(serialize_transcript(Transcript(protocol, params, 0)))
+        assert cli_main(["certify", "--in", str(path)]) == 2
+        assert "params" in capsys.readouterr().err
 
     def test_dry_session_verdicts(self, capsys):
         rc = cli_main(["run-session", "--protocol", "crs-dry", "--seed", "6"])

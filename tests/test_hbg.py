@@ -171,6 +171,62 @@ class TestDealer:
         assert not hbg_verify_batch(crs, com, idx, bad, op)
 
 
+class TestRangePositions:
+    """A range of positions is checked like the same positions as an array."""
+
+    @staticmethod
+    def _session(mode):
+        rng = stream(7, "range", mode)
+        crs = hbg_setup(12, mode, rng, s=8)
+        com, r, op = hbg_genbits(crs, rng)
+        return crs, com, r, op
+
+    @pytest.mark.parametrize("mode", ["dealer", "naor"])
+    @pytest.mark.parametrize("span", [range(12), range(3, 9), range(0, 12, 2), range(5, 5)])
+    def test_range_and_array_verdicts_agree(self, mode, span):
+        crs, com, r, op = self._session(mode)
+        arr = np.array(list(span), dtype=np.int64)
+        op = restrict_opening(op, span)
+        bits = r[arr]
+        assert hbg_verify_batch(crs, com, span, bits, op) is True
+        assert hbg_verify_batch(crs, com, arr, bits, op) is True
+        if len(span):
+            bad = bits.copy()
+            bad[-1] ^= 1
+            assert hbg_verify_batch(crs, com, span, bad, op) is False
+            assert hbg_verify_batch(crs, com, arr, bad, op) is False
+
+    @pytest.mark.parametrize("mode", ["dealer", "naor"])
+    @pytest.mark.parametrize("span", [range(0, 13), range(10, 14), range(-1, 4)])
+    def test_range_outside_the_generator_rejected(self, mode, span):
+        crs, com, r, op = self._session(mode)
+        # correct bits wherever a position exists; only the range is wrong
+        bits = np.array([r[i] if 0 <= i < 12 else 0 for i in span], dtype=np.uint8)
+        assert hbg_verify_batch(crs, com, span, bits, op) is False
+        assert hbg_verify_batch(crs, com, np.array(span), bits, op) is False
+
+    def test_length_mismatch_rejected(self):
+        crs, com, r, op = self._session("dealer")
+        assert hbg_verify_batch(crs, com, range(12), r[:11], op) is False
+
+    @pytest.mark.parametrize("span", [range(12), range(2, 7), range(1, 12, 3), range(4, 4)])
+    def test_restrict_naor_opening_to_range_equals_array(self, span):
+        from cenizk.wire import encode, opening_payload
+
+        _, _, _, op = self._session("naor")
+        by_range = restrict_opening(op, span)
+        by_array = restrict_opening(op, np.array(list(span), dtype=np.int64))
+        assert isinstance(by_range, SubsetOpening)
+        assert by_range.positions.dtype == by_array.positions.dtype == np.int64
+        assert np.array_equal(by_range.positions, by_array.positions)
+        assert np.array_equal(by_range.seeds, by_array.seeds)
+        assert encode(opening_payload(by_range)) == encode(opening_payload(by_array))
+
+    def test_restrict_dealer_opening_is_position_free(self):
+        _, _, _, op = self._session("dealer")
+        assert restrict_opening(op, range(12)) is op
+
+
 class TestHidingControl:
     def _predict_bits(self, prg_mode, rng):
         # distinguisher: guess r_i = 0 iff the top 2s bits of c_i are zero

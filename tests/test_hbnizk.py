@@ -14,6 +14,7 @@ import pytest
 
 from cenizk.graphs import (
     CycleWitness,
+    Digraph,
     canonical_cycle,
     complete_digraph,
     non_hamiltonian_triangle,
@@ -58,6 +59,21 @@ class TestGraphFileFormat:
 
         with pytest.raises(ValueError):
             load_digraph(path)
+
+
+class TestDigraphDigest:
+    def test_small_graph_bytes_unchanged(self):
+        # the derived-sound commitments hash these bytes
+        assert non_hamiltonian_triangle().digest().hex() == "035100"
+        assert complete_digraph(4).digest().hex() == "047bde"
+
+    def test_largest_n_fits_one_byte(self):
+        d = Digraph(255, np.zeros((255, 255), dtype=bool)).digest()
+        assert d[0] == 255 and len(d) == 1 + (255 * 255 + 7) // 8
+
+    def test_n_256_names_the_limit(self):
+        with pytest.raises(ValueError, match="n < 256"):
+            Digraph(256, np.zeros((256, 256), dtype=bool)).digest()
 
 
 class TestDecodeAndUsefulness:
