@@ -231,13 +231,6 @@ def strawman_verify(
                         i = _entry_id(rep, tau[u], tau[v], n)
                         if bits.get(i) != int(x.adjacency[u, v]):
                             return 0
-                # off-permutation entries must be zero
-                expected = {_entry_id(rep, tau[u], tau[v], n) for u in range(n) for v in range(n)}
-                for a in range(n):
-                    for c in range(n):
-                        i = _entry_id(rep, a, c, n)
-                        if i not in expected and bits.get(i) != 0:
-                            return 0
             else:
                 if op.get("kind") != "cycle" or len(op["ids"]) != n:
                     return 0

@@ -17,8 +17,6 @@ import sys
 
 from . import harness
 
-_STAGE_VERBS = ("setup", "prove", "verify", "delete", "certify")
-
 
 def _parse_params(pairs: list[str] | None) -> dict | None:
     if not pairs:
@@ -37,11 +35,6 @@ def _merged_params(protocol: str, overrides: dict | None) -> dict:
     if overrides:
         base.update(overrides)
     return base
-
-
-def _verdict_exit(transcript: harness.Transcript) -> int:
-    values = [bool(v) for v in transcript.verdicts.values()]
-    return 0 if all(values) else 1
 
 
 def _replay_mismatch(given: list, replayed: list) -> str | None:
@@ -66,8 +59,6 @@ def _cmd_stage(args, stage: str | None) -> int:
         protocol = args.protocol
         params = _merged_params(protocol, _parse_params(args.param))
         seed = args.seed
-    if protocol != "epr" and stage == "delete":
-        raise ValueError("delete is an EPR-protocol stage")
     transcript = harness.run_session(protocol, params, seed, stop_after=stage)
     if prev is not None:
         reason = _replay_mismatch(prev.messages, transcript.messages)
@@ -79,7 +70,7 @@ def _cmd_stage(args, stage: str | None) -> int:
         with open(args.out, "wb") as fh:
             fh.write(data)
     print(harness.transcript_text(transcript))
-    return _verdict_exit(transcript)
+    return 0 if all(transcript.verdicts.values()) else 1
 
 
 def _cmd_run_experiment(args) -> int:
@@ -90,9 +81,6 @@ def _cmd_run_experiment(args) -> int:
             fh.write(text + "\n")
     print(text)
     return 0
-
-
-_ATTACKS = ("split-strawman", "split-crs", "clone", "derived-complete", "derived-sound")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -106,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--param", action="append", metavar="KEY=VALUE")
         p.add_argument("--out", default=None, help="output path")
 
-    for stage in _STAGE_VERBS:
+    for stage in harness.EPR_STAGES:
         p = sub.add_parser(stage, help=f"run the session through {stage}")
         add_common(p)
         p.add_argument("--in", dest="infile", default=None, help="resume from transcript")
@@ -121,19 +109,15 @@ def main(argv: list[str] | None = None) -> int:
     add_common(p, with_protocol=False)
 
     p = sub.add_parser("run-attack", help="named attack experiment")
-    p.add_argument("--name", required=True, choices=_ATTACKS)
+    p.add_argument("--name", required=True, choices=harness.attack_names())
     p.add_argument("--trials", type=int, default=100)
     add_common(p, with_protocol=False)
 
     args = parser.parse_args(argv)
     try:
-        if args.command in _STAGE_VERBS:
-            return _cmd_stage(args, args.command)
-        if args.command == "run-session":
-            return _cmd_stage(args, None)
         if args.command in ("run-experiment", "run-attack"):
             return _cmd_run_experiment(args)
-        raise ValueError(f"unknown command {args.command!r}")
+        return _cmd_stage(args, None if args.command == "run-session" else args.command)
     except (ValueError, OSError, harness.TranscriptError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

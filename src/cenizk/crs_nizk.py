@@ -135,7 +135,7 @@ def compiled_prove(
     com, r_bg, opening = hbg_mod.hbg_genbits(crs.crs_bg, rng)
     r = r_bg ^ crs.s
     I, pi_hb = hb_prove(r, x, witness, spec.hb)
-    return CompiledProof(com, I, r_bg[I].copy(), opening, pi_hb)
+    return CompiledProof(com, I, r_bg[I].copy(), hbg_mod.restrict_opening(opening, I), pi_hb)
 
 
 def compiled_verify(spec: CompiledSpec, crs: CompiledCrs, x: Digraph, proof: CompiledProof) -> int:
@@ -159,7 +159,8 @@ def compiled_sim(
     I, r_I, pi_hb = hb_simulate(x, spec.hb, rng)
     s = rng.integers(0, 2, size=spec.hb.total_bits, dtype=np.uint8)
     s[I] = r_bg[I] ^ r_I
-    return CompiledCrs(crs_bg, s), CompiledProof(com, I, r_bg[I].copy(), opening, pi_hb)
+    proof = CompiledProof(com, I, r_bg[I].copy(), hbg_mod.restrict_opening(opening, I), pi_hb)
+    return CompiledCrs(crs_bg, s), proof
 
 
 __all__ = [

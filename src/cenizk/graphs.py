@@ -1,8 +1,8 @@
 """Directed-graph statements and Hamiltonian-cycle witnesses.
 
 The proof systems here speak directed Hamiltonicity natively; no NP
-reductions are shipped. Instances load from a plain-text adjacency
-list: first line n, then one "u v" line per directed edge.
+reductions are shipped. The fixed instances the protocols, attacks and
+experiments run on are built here in code.
 """
 
 from __future__ import annotations
@@ -77,29 +77,6 @@ def require_witness(graph: Digraph, witness: CycleWitness) -> None:
         raise ValueError("witness is not a Hamiltonian cycle of the instance")
 
 
-# -- plain-text adjacency-list format ----------------------------------
-
-
-def load_digraph(path) -> Digraph:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError("empty graph file")
-    n = int(lines[0])
-    edges = []
-    for ln in lines[1:]:
-        u, v = ln.split()
-        edges.append((int(u), int(v)))
-    return Digraph.from_edges(n, edges)
-
-
-def save_digraph(graph: Digraph, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{graph.n}\n")
-        for u, v in graph.edges():
-            fh.write(f"{u} {v}\n")
-
-
 # -- fixed instances used across the experiments -----------------------
 
 
@@ -135,10 +112,8 @@ __all__ = [
     "Digraph",
     "canonical_cycle",
     "complete_digraph",
-    "load_digraph",
     "non_hamiltonian_triangle",
     "require_witness",
-    "save_digraph",
     "triangle_both_cycles",
     "two_cycle_pair",
 ]

@@ -13,21 +13,27 @@ and the CLI share this registry.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import wire
+from . import attacks, wire
+from . import crs_protocol as cp
+from . import epr_protocol as ep
+from . import hbg as hbg_mod
+from .crs_nizk import CompiledSpec, toy_encode
 from .graphs import (
     canonical_cycle,
     complete_digraph,
     non_hamiltonian_triangle,
     triangle_both_cycles,
 )
-from .hbnizk import HbParams
+from .hbnizk import HbParams, rep_coverable
 from .rng import stream
+from .state import dump_lines
 
 MAGIC = b"CENZ1"
 VERSION = 1
@@ -129,18 +135,20 @@ def default_crs_params() -> dict:
     return {"lam": 2, "witness": "1011", "sig_width": 16}
 
 
-def _require_params(params, keys, what: str) -> None:
-    """ValueError naming every key of `keys` that params lacks."""
+def _require_params(params, defaults: dict, what: str) -> None:
+    """ValueError naming every key of defaults that params lacks, or the
+    first key whose value is not of the default value's type."""
     if not isinstance(params, dict):
         raise ValueError(f"{what} params must be a dict, got {type(params).__name__}")
-    missing = [key for key in keys if key not in params]
+    missing = [key for key in defaults if key not in params]
     if missing:
         raise ValueError(f"{what} params missing {', '.join(missing)}")
+    for key, default in defaults.items():
+        if not isinstance(params[key], type(default)):
+            raise ValueError(f"{what} param {key} must be a {type(default).__name__}, got {params[key]!r}")
 
 
-def _epr_protocol_params(params: dict):
-    from .epr_protocol import EprParams
-
+def _epr_protocol_params(params: dict) -> ep.EprParams:
     _require_params(params, default_epr_params(), "epr")
     hb = HbParams(
         n=int(params["n"]),
@@ -148,35 +156,29 @@ def _epr_protocol_params(params: dict):
         matrix_side=int(params["m"]),
         block_len=int(params["b"]),
     )
-    return EprParams(
+    return ep.EprParams(
         hb=hb, block_width=int(params["k"]), hbg_mode=params["hbg"], hbg_s=int(params["hbg_s"])
     )
 
 
-def _epr_instance(params: dict):
-    n = int(params["n"])
-    return complete_digraph(n), canonical_cycle(n)
-
-
 def run_session(protocol: str, params: dict | None, seed: int, stop_after: str | None = None) -> Transcript:
-    """Drive the honest parties end to end (or through stop_after)."""
-    if protocol == "epr":
-        return _run_epr_session(params or default_epr_params(), seed, stop_after)
-    if protocol == "crs-toy":
-        return _run_crs_session(params or default_crs_params(), seed, stop_after)
-    if protocol == "crs-dry":
-        return _run_dry_session(params or default_crs_params(), seed)
-    raise ValueError(f"unknown protocol {protocol!r}")
+    """Drive the honest parties end to end (or through stop_after).
+
+    stop_after must be one of the protocol's stages. The classical dry
+    run is a single step, so every crs-dry stage gives its whole record."""
+    if protocol not in _SESSIONS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    stages, defaults, run = _SESSIONS[protocol]
+    if stop_after is not None and stop_after not in stages:
+        raise ValueError(f"{protocol} has no stage {stop_after!r}; stages: {', '.join(stages)}")
+    if not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return run(params or defaults(), seed, stop_after or stages[-1])
 
 
-def _run_epr_session(params: dict, seed: int, stop_after: str | None) -> Transcript:
-    from . import epr_protocol as ep
-
-    stop = stop_after or "certify"
-    if stop not in EPR_STAGES:
-        raise ValueError(f"unknown stage {stop!r}")
+def _run_epr_session(params: dict, seed: int, stop: str) -> Transcript:
     pp = _epr_protocol_params(params)
-    x, witness = _epr_instance(params)
+    x, witness = complete_digraph(pp.hb.n), canonical_cycle(pp.hb.n)
     t = Transcript("epr", dict(params), seed)
 
     crs, network = ep.epr_setup(pp, stream(seed, "setup"))
@@ -218,22 +220,13 @@ def _epr_proof_payload(proof) -> dict:
 
 def _crs_instance(params: dict):
     """(CrsParams, witness bits, toy statement) from session params."""
-    from .crs_nizk import toy_encode
-    from .crs_protocol import CrsParams
-
     _require_params(params, default_crs_params(), "crs-toy")
-    pp = CrsParams(lam=int(params["lam"]), sig_width=int(params["sig_width"]))
+    pp = cp.CrsParams(lam=int(params["lam"]), sig_width=int(params["sig_width"]))
     w = np.array([int(c) for c in params["witness"]], dtype=np.uint8)
     return pp, w, toy_encode(w)
 
 
-def _run_crs_session(params: dict, seed: int, stop_after: str | None) -> Transcript:
-    from . import crs_protocol as cp
-    from .state import dump_lines
-
-    stop = stop_after or "certify"
-    if stop not in CRS_STAGES:
-        raise ValueError(f"unknown stage {stop!r}")
+def _run_crs_session(params: dict, seed: int, stop: str) -> Transcript:
     pp, w, x = _crs_instance(params)
     t = Transcript("crs-toy", dict(params), seed)
 
@@ -275,11 +268,8 @@ def _run_crs_session(params: dict, seed: int, stop_after: str | None) -> Transcr
     return t
 
 
-def _run_dry_session(params: dict, seed: int) -> Transcript:
-    from . import crs_protocol as cp
-    from .crs_nizk import CompiledSpec
-
-    _require_params(params, ("lam",), "crs-dry")
+def _run_dry_session(params: dict, seed: int, stop: str) -> Transcript:
+    _require_params(params, {"lam": 2}, "crs-dry")
     t = Transcript("crs-dry", dict(params), seed)
     hb = HbParams(n=3, repetitions=1, matrix_side=3, block_len=1)
     spec = CompiledSpec(hb=hb, hbg_mode="dealer")
@@ -290,6 +280,14 @@ def _run_dry_session(params: dict, seed: int) -> Transcript:
     for name, ok in record.checks.items():
         t.verdicts[name] = bool(ok)
     return t
+
+
+# protocol -> (stages, default params, session body)
+_SESSIONS = {
+    "epr": (EPR_STAGES, default_epr_params, _run_epr_session),
+    "crs-toy": (CRS_STAGES, default_crs_params, _run_crs_session),
+    "crs-dry": (CRS_STAGES, default_crs_params, _run_dry_session),
+}
 
 
 # ---------------------------------------------------------------------
@@ -327,68 +325,59 @@ def hoeffding_halfwidth(trials: int, alpha: float = 0.05) -> float:
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * trials))
 
 
-def _report(name, trials, successes, t0, extra=None) -> ExperimentReport:
-    est = successes / trials if trials else 0.0
-    return ExperimentReport(
-        name, trials, successes, est, hoeffding_halfwidth(trials), time.time() - t0, extra or {}
-    )
+def _per_trial(trial, trials: int, seed: int, *label):
+    """The trial loop: successes of trial(rng) over trials, trial t on stream(seed, *label, t)."""
+    return trials, sum(bool(trial(stream(seed, *label, t))) for t in range(trials)), {}
 
 
-def _exp_epr_honest(trials: int, params: dict | None, seed: int) -> ExperimentReport:
-    from . import epr_protocol as ep
+def _epr_honest(trials: int, params: dict | None, seed: int):
+    pp = _epr_protocol_params(params or default_epr_params())
+    x, witness = complete_digraph(pp.hb.n), canonical_cycle(pp.hb.n)
 
-    params = params or default_epr_params()
-    pp = _epr_protocol_params(params)
-    x, witness = _epr_instance(params)
-    t0 = time.time()
-    good = 0
-    for trial in range(trials):
-        rng = stream(seed, "epr-honest", trial)
+    def trial(rng):
         crs, network = ep.epr_setup(pp, rng)
         proof, prover = ep.epr_prove(pp, crs, network, x, witness, rng)
         b, residual = ep.epr_verify(pp, crs, network, x, proof, rng)
         cert, _ = ep.epr_delete(pp, residual, rng)
-        good += int(b == 1 and ep.epr_cert(pp, cert, prover))
-    return _report("epr-honest", trials, good, t0)
+        return b == 1 and ep.epr_cert(pp, cert, prover)
+
+    return _per_trial(trial, trials, seed, "epr-honest")
 
 
-def _exp_epr_soundness(trials: int, params: dict | None, seed: int, prover_kind: str) -> ExperimentReport:
-    from . import epr_protocol as ep
+_SOUNDNESS_PARAMS = {**default_epr_params(), "n": 3, "reps": 20, "m": 27, "b": 8, "k": 6}
 
-    params = params or {**default_epr_params(), "n": 3, "reps": 20, "m": 27, "b": 8, "k": 6}
-    pp = _epr_protocol_params(params)
+
+def _measure_first(pp, prove):
+    """trial(rng): the verifier measures every pair in Z before the proof
+    arrives, then judges prove(pp, crs, network, x, rng) for a non-Hamiltonian x."""
     x = non_hamiltonian_triangle()
-    t0 = time.time()
-    accepted = 0
-    for trial in range(trials):
-        rng = stream(seed, "epr-soundness", prover_kind, trial)
-        crs, network = ep.epr_setup(pp, rng)
-        ep.premeasure_all_z(pp, network, rng)  # the measure-first verifier
-        if prover_kind == "greedy":
-            proof = ep.greedy_basis_prover(pp, crs, network, x, rng)
-        else:
-            proof = ep.forged_proof_prover(pp, crs, network, x, rng)
-        accepted += ep.hypothetical_verifier(pp, crs, network, x, proof, rng)
-    return _report(f"epr-soundness-{prover_kind}", trials, accepted, t0)
 
-
-def _exp_epr_single_rep(trials: int, params: dict | None, seed: int) -> ExperimentReport:
-    """Greedy prover at one repetition, next to the matrix-level
-    Monte-Carlo oracle for the coverable-block rate."""
-    from . import epr_protocol as ep
-    from .hbnizk import rep_coverable
-
-    params = params or {**default_epr_params(), "n": 3, "reps": 1, "m": 27, "b": 8, "k": 6}
-    pp = _epr_protocol_params(params)
-    x = non_hamiltonian_triangle()
-    t0 = time.time()
-    accepted = 0
-    for trial in range(trials):
-        rng = stream(seed, "epr-single", trial)
+    def trial(rng):
         crs, network = ep.epr_setup(pp, rng)
         ep.premeasure_all_z(pp, network, rng)
-        proof = ep.greedy_basis_prover(pp, crs, network, x, rng, genbits_tries=1)
-        accepted += ep.hypothetical_verifier(pp, crs, network, x, proof, rng)
+        proof = prove(pp, crs, network, x, rng)
+        return ep.hypothetical_verifier(pp, crs, network, x, proof, rng)
+
+    return trial
+
+
+def _epr_soundness_greedy(trials: int, params: dict | None, seed: int):
+    trial = _measure_first(_epr_protocol_params(params or _SOUNDNESS_PARAMS), ep.greedy_basis_prover)
+    return _per_trial(trial, trials, seed, "epr-soundness", "greedy")
+
+
+def _epr_soundness_forged(trials: int, params: dict | None, seed: int):
+    trial = _measure_first(_epr_protocol_params(params or _SOUNDNESS_PARAMS), ep.forged_proof_prover)
+    return _per_trial(trial, trials, seed, "epr-soundness", "forged")
+
+
+def _epr_single_rep(trials: int, params: dict | None, seed: int):
+    """Greedy prover at one repetition, next to the matrix-level
+    Monte-Carlo oracle for the coverable-block rate."""
+    pp = _epr_protocol_params(params or {**_SOUNDNESS_PARAMS, "reps": 1})
+    trial = _measure_first(pp, functools.partial(ep.greedy_basis_prover, genbits_tries=1))
+    _, accepted, _ = _per_trial(trial, trials, seed, "epr-single")
+    x = non_hamiltonian_triangle()
     oracle_rng = stream(seed, "epr-single-oracle")
     oracle_trials = max(4 * trials, 2000)
     hits = 0
@@ -400,121 +389,52 @@ def _exp_epr_single_rep(trials: int, params: dict | None, seed: int) -> Experime
     sigma = math.sqrt(
         oracle * (1 - oracle) / oracle_trials + max(p_hat * (1 - p_hat), 1.0 / trials) / trials
     )
-    return _report(
-        "epr-single-rep",
-        trials,
-        accepted,
-        t0,
-        {"oracle_estimate": oracle, "oracle_trials": oracle_trials, "sigma": sigma},
-    )
+    return trials, accepted, {"oracle_estimate": oracle, "oracle_trials": oracle_trials, "sigma": sigma}
 
 
-def _exp_deletion(trials: int, params: dict | None, seed: int, which: str) -> ExperimentReport:
-    from . import attacks
-
-    t0 = time.time()
-    rng = stream(seed, "deletion", which)
-    if which == "honest-td":
-        exp = attacks.DeletionExperiment(int((params or {}).get("lam", 3)))
-        est = attacks.td_estimate(exp, rng)
-        return _report("deletion-honest-td", 1, 1, t0, {"td": est.value, "exact": est.exact})
-    if which == "leaking-td":
-        exp = attacks.DeletionExperiment(
-            int((params or {}).get("lam", 2)), attacks.Z_THETA_LEAKING, attacks.ADV_BASIS_INFORMED
-        )
-        est = attacks.td_estimate(exp, rng)
-        return _report("deletion-leaking-td", 1, 1, t0, {"td": est.value, "exact": est.exact})
-    if which == "keep-state":
-        lam = int((params or {}).get("lam", 4))
-        exp = attacks.DeletionExperiment(lam, attacks.Z_PLAIN, attacks.ADV_KEEP_STATE)
-        hits = sum(attacks.run_deletion_experiment(exp, 0, rng).accepted for _ in range(trials))
-        return _report("deletion-keep-state", trials, hits, t0, {"analytic": 0.75**lam})
-    raise ValueError(f"unknown deletion experiment {which!r}")
+def _td(exp: attacks.DeletionExperiment, seed: int, label: str):
+    """One trace-distance estimate, reported as 1 trial and 1 success."""
+    est = attacks.td_estimate(exp, stream(seed, "deletion", label))
+    return 1, 1, {"td": est.value, "exact": est.exact}
 
 
-def _exp_crs_honest(trials: int, params: dict | None, seed: int) -> ExperimentReport:
-    from . import crs_protocol as cp
+def _deletion_honest_td(trials: int, params: dict | None, seed: int):
+    return _td(attacks.DeletionExperiment(int((params or {}).get("lam", 3))), seed, "honest-td")
 
+
+def _deletion_leaking_td(trials: int, params: dict | None, seed: int):
+    lam = int((params or {}).get("lam", 2))
+    exp = attacks.DeletionExperiment(lam, attacks.Z_THETA_LEAKING, attacks.ADV_BASIS_INFORMED)
+    return _td(exp, seed, "leaking-td")
+
+
+def _deletion_keep_state(trials: int, params: dict | None, seed: int):
+    """Every trial draws from the one stream of the experiment."""
+    lam = int((params or {}).get("lam", 4))
+    exp = attacks.DeletionExperiment(lam, attacks.Z_PLAIN, attacks.ADV_KEEP_STATE)
+    rng = stream(seed, "deletion", "keep-state")
+    hits = sum(attacks.run_deletion_experiment(exp, 0, rng).accepted for _ in range(trials))
+    return trials, hits, {"analytic": 0.75**lam}
+
+
+def _crs_honest(trials: int, params: dict | None, seed: int):
     pp, w, x = _crs_instance(params or default_crs_params())
-    t0 = time.time()
-    good = 0
-    for trial in range(trials):
-        rng = stream(seed, "crs-honest", trial)
+
+    def trial(rng):
         crs = cp.crs_setup(rng)
         sigma, key = cp.crs_prove(pp, crs, x, w, rng)
         b, residual = cp.crs_verify(pp, crs, x, sigma, rng)
         ok = cp.crs_cert(pp, key, x, residual, rng)
-        good += int(b == 1 and ok)
-    return _report("crs-honest", trials, good, t0)
+        return b == 1 and ok
+
+    return _per_trial(trial, trials, seed, "crs-honest")
 
 
-def _exp_attack(trials: int, params: dict | None, seed: int, which: str) -> ExperimentReport:
-    from . import attacks
-    from . import crs_protocol as cp
-    from .crs_nizk import toy_encode
-
-    t0 = time.time()
-    if which == "split-strawman":
-        sp = attacks.StrawmanParams()
-        g, w, _ = triangle_both_cycles()
-        wins = 0
-        for trial in range(trials):
-            out = attacks.split_attack(sp, g, w, stream(seed, which, trial))
-            wins += int(out.cert_accepts and out.verify_accepts)
-        return _report(which, trials, wins, t0)
-    if which == "split-crs":
-        pp = cp.CrsParams()
-        w = np.array([1, 0, 1, 1], dtype=np.uint8)
-        x = toy_encode(w)
-        wins = 0
-        for trial in range(trials):
-            rng = stream(seed, which, trial)
-            crs = cp.crs_setup(rng)
-            out = attacks.split_attack_on_crs(pp, crs, x, w, rng)
-            wins += int(out.cert_accepts and out.verify_accepts)
-        return _report(which, trials, wins, t0)
-    if which == "clone":
-        pp = cp.CrsParams()
-        w = np.array([1, 0, 1, 1], dtype=np.uint8)
-        x = toy_encode(w)
-        wins = 0
-        for trial in range(trials):
-            rng = stream(seed, which, trial)
-            crs = cp.crs_setup(rng)
-            sigma, key = cp.crs_prove(pp, crs, x, w, rng)
-            clone = cp.clone_attack(pp, sigma)
-            va = cp.verify_clone_half(pp, x, clone, "original", rng)
-            vb = cp.verify_clone_half(pp, x, clone, "copy", rng)
-            wins += int(va == 1 and vb == 1)
-        return _report(which, trials, wins, t0)
-    if which == "derived-complete":
-        sp = attacks.StrawmanParams()
-        g, w, _ = triangle_both_cycles()
-        wins = 0
-        for trial in range(trials):
-            rng = stream(seed, which, trial)
-            pkg = attacks.derived_prove(sp, g, w, rng)
-            wins += attacks.derived_verify(sp, g, pkg, rng)
-        return _report(which, trials, wins, t0)
-    if which == "derived-sound":
-        sp = attacks.StrawmanParams()
-        bad = non_hamiltonian_triangle()
-        wins = 0
-        for trial in range(trials):
-            rng = stream(seed, which, trial)
-            pkg = attacks.derived_soundness_adversary(sp, bad, rng)
-            wins += attacks.derived_verify(sp, bad, pkg, rng)
-        return _report(which, trials, wins, t0)
-    raise ValueError(f"unknown attack {which!r}")
-
-
-def _exp_hbg_binding(trials: int, params: dict | None, seed: int) -> ExperimentReport:
-    from . import hbg as hbg_mod
-
+def _hbg_binding(trials: int, params: dict | None, seed: int):
+    """Counts equivocations and open mismatches, so it keeps its own loop."""
     params = params or {}
     s = int(params.get("s", 12))
     k = int(params.get("k", 8))
-    t0 = time.time()
     equivocations = 0
     mismatches = 0
     for trial in range(trials):
@@ -525,31 +445,82 @@ def _exp_hbg_binding(trials: int, params: dict | None, seed: int) -> ExperimentR
         equivocations += int(res.equivocal.any())
         mismatches += int(not np.array_equal(res.bits, r))
     good = trials - max(equivocations, mismatches)
-    return _report(
-        "hbg-binding", trials, good, t0, {"equivocations": equivocations, "open_mismatches": mismatches}
-    )
+    return trials, good, {"equivocations": equivocations, "open_mismatches": mismatches}
+
+
+def _split_strawman(rng) -> bool:
+    g, w, _ = triangle_both_cycles()
+    out = attacks.split_attack(attacks.StrawmanParams(), g, w, rng)
+    return out.cert_accepts and out.verify_accepts
+
+
+def _split_crs(rng) -> bool:
+    pp, w, x = _crs_instance(default_crs_params())
+    out = attacks.split_attack_on_crs(pp, cp.crs_setup(rng), x, w, rng)
+    return out.cert_accepts and out.verify_accepts
+
+
+def _clone(rng) -> bool:
+    pp, w, x = _crs_instance(default_crs_params())
+    crs = cp.crs_setup(rng)
+    sigma, _ = cp.crs_prove(pp, crs, x, w, rng)
+    clone = cp.clone_attack(pp, sigma)
+    va = cp.verify_clone_half(pp, x, clone, "original", rng)
+    vb = cp.verify_clone_half(pp, x, clone, "copy", rng)
+    return va == 1 and vb == 1
+
+
+def _derived_complete(rng) -> bool:
+    sp = attacks.StrawmanParams()
+    g, w, _ = triangle_both_cycles()
+    return attacks.derived_verify(sp, g, attacks.derived_prove(sp, g, w, rng), rng) == 1
+
+
+def _derived_sound(rng) -> bool:
+    sp = attacks.StrawmanParams()
+    bad = non_hamiltonian_triangle()
+    return attacks.derived_verify(sp, bad, attacks.derived_soundness_adversary(sp, bad, rng), rng) == 1
+
+
+# attack name -> trial(rng) on the attack's fixed instance (cenizk run-attack)
+_ATTACKS = {
+    "split-strawman": _split_strawman,
+    "split-crs": _split_crs,
+    "clone": _clone,
+    "derived-complete": _derived_complete,
+    "derived-sound": _derived_sound,
+}
+
+
+def _attack(name: str):
+    """Experiment of attack `name`: trial t on stream(seed, name, t); params are not read."""
+
+    def experiment(trials: int, params: dict | None, seed: int):
+        return _per_trial(_ATTACKS[name], trials, seed, name)
+
+    return experiment
 
 
 _EXPERIMENTS = {
-    "epr-honest": _exp_epr_honest,
-    "epr-soundness-greedy": lambda t, p, s: _exp_epr_soundness(t, p, s, "greedy"),
-    "epr-soundness-forged": lambda t, p, s: _exp_epr_soundness(t, p, s, "forged"),
-    "epr-single-rep": _exp_epr_single_rep,
-    "deletion-honest-td": lambda t, p, s: _exp_deletion(t, p, s, "honest-td"),
-    "deletion-leaking-td": lambda t, p, s: _exp_deletion(t, p, s, "leaking-td"),
-    "deletion-keep-state": lambda t, p, s: _exp_deletion(t, p, s, "keep-state"),
-    "crs-honest": _exp_crs_honest,
-    "split-strawman": lambda t, p, s: _exp_attack(t, p, s, "split-strawman"),
-    "split-crs": lambda t, p, s: _exp_attack(t, p, s, "split-crs"),
-    "clone": lambda t, p, s: _exp_attack(t, p, s, "clone"),
-    "derived-complete": lambda t, p, s: _exp_attack(t, p, s, "derived-complete"),
-    "derived-sound": lambda t, p, s: _exp_attack(t, p, s, "derived-sound"),
-    "hbg-binding": _exp_hbg_binding,
+    "epr-honest": _epr_honest,
+    "epr-soundness-greedy": _epr_soundness_greedy,
+    "epr-soundness-forged": _epr_soundness_forged,
+    "epr-single-rep": _epr_single_rep,
+    "deletion-honest-td": _deletion_honest_td,
+    "deletion-leaking-td": _deletion_leaking_td,
+    "deletion-keep-state": _deletion_keep_state,
+    "crs-honest": _crs_honest,
+    "hbg-binding": _hbg_binding,
+    **{name: _attack(name) for name in _ATTACKS},
 }
 
 
 def experiment_names() -> list[str]:
     return sorted(_EXPERIMENTS)
+
+
+def attack_names() -> list[str]:
+    return sorted(_ATTACKS)
 
 
 def run_experiment(name: str, trials: int, params: dict | None, seed: int) -> ExperimentReport:
@@ -559,7 +530,11 @@ def run_experiment(name: str, trials: int, params: dict | None, seed: int) -> Ex
         raise ValueError("trials must be >= 0")
     if trials == 0:
         return ExperimentReport(name, 0, 0, 0.0, 0.0, 0.0, {})
-    return _EXPERIMENTS[name](trials, params, seed)
+    t0 = time.time()
+    trials, successes, extra = _EXPERIMENTS[name](trials, params, seed)
+    return ExperimentReport(
+        name, trials, successes, successes / trials, hoeffding_halfwidth(trials), time.time() - t0, extra
+    )
 
 
 __all__ = [
@@ -567,6 +542,7 @@ __all__ = [
     "ExperimentReport",
     "Transcript",
     "TranscriptError",
+    "attack_names",
     "default_crs_params",
     "default_epr_params",
     "deserialize_transcript",

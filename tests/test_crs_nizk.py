@@ -239,3 +239,33 @@ class TestCompiledNizk:
         bound = 1 - (1 - p1) ** tries_per_trial
         sigma = math.sqrt(max(bound * (1 - bound), 1e-6) / trials)
         assert accepted / trials <= bound + 3 * sigma
+
+
+class TestNaorOpening:
+    """With the naor generator a compiled proof ships seeds only for the
+    revealed positions; a seed for a closed position would let the
+    verifier open its hidden bit."""
+
+    SPEC = CompiledSpec(
+        hb=HbParams(n=3, repetitions=600, matrix_side=3, block_len=1), hbg_mode="naor", hbg_s=8
+    )
+
+    def _check(self, g, crs, proof):
+        from cenizk.hbg import SubsetOpening, hbg_verify
+
+        closed = np.setdiff1d(np.arange(self.SPEC.hb.total_bits), proof.I)
+        assert len(closed) > 0  # some repetition is useful, so some bits stay hidden
+        assert isinstance(proof.opening, SubsetOpening)
+        assert np.array_equal(proof.opening.positions, proof.I)
+        assert compiled_verify(self.SPEC, crs, g, proof) == 1
+        for bit in (0, 1):
+            assert not hbg_verify(crs.crs_bg, proof.com, int(closed[0]), bit, proof.opening)
+
+    def test_prover_opens_exactly_the_revealed_set(self):
+        g = complete_digraph(3)
+        crs = compiled_setup(self.SPEC, stream(1, "naor-crs"))
+        self._check(g, crs, compiled_prove(self.SPEC, crs, g, canonical_cycle(3), stream(1, "naor-prove")))
+
+    def test_simulator_opens_exactly_the_revealed_set(self):
+        g = complete_digraph(3)
+        self._check(g, *compiled_sim(self.SPEC, g, stream(1, "naor-sim")))

@@ -12,6 +12,8 @@ from cenizk.harness import MAGIC, VERSION
 from cenizk.harness import (
     Transcript,
     TranscriptError,
+    default_crs_params,
+    default_epr_params,
     deserialize_transcript,
     hoeffding_halfwidth,
     run_experiment,
@@ -237,6 +239,66 @@ class TestPartialParams:
     def test_crs_experiment_names_missing_keys(self):
         with pytest.raises(ValueError, match="crs-toy params missing sig_width"):
             run_experiment("crs-honest", 1, {"lam": 2, "witness": "1011"}, 0)
+
+
+class TestParamTypes:
+    @pytest.mark.parametrize(
+        "protocol,key,value",
+        [("epr", "n", None), ("crs-toy", "lam", [2]), ("crs-toy", "witness", 1011)],
+    )
+    def test_certify_names_a_param_of_the_wrong_type(self, capsys, tmp_path, protocol, key, value):
+        defaults = default_epr_params() if protocol == "epr" else default_crs_params()
+        path = tmp_path / "typed.cenz"
+        path.write_bytes(serialize_transcript(Transcript(protocol, {**defaults, key: value}, 0)))
+        assert cli_main(["certify", "--in", str(path)]) == 2
+        assert f"{protocol} param {key} must be a" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["x", 1.5])
+    def test_certify_names_a_non_integer_seed(self, capsys, tmp_path, seed):
+        path = tmp_path / "seed.cenz"
+        path.write_bytes(serialize_transcript(Transcript("epr", default_epr_params(), seed)))
+        assert cli_main(["certify", "--in", str(path)]) == 2
+        assert "seed must be an integer" in capsys.readouterr().err
+
+
+class TestStages:
+    @pytest.mark.parametrize("protocol", ["epr", "crs-toy", "crs-dry"])
+    def test_unknown_stage_rejected(self, protocol):
+        with pytest.raises(ValueError, match="has no stage 'bogus'"):
+            run_session(protocol, None, 0, stop_after="bogus")
+
+    def test_delete_is_no_crs_dry_stage(self, capsys):
+        assert cli_main(["delete", "--protocol", "crs-dry"]) == 2
+        assert "crs-dry has no stage 'delete'" in capsys.readouterr().err
+
+
+class TestDecodeFuzz:
+    """Truncated or single-byte-mutated golden transcripts decode to a
+    Transcript or raise TranscriptError; nothing else escapes. Decode
+    only: a mutated size param could ask a session for huge arrays."""
+
+    GOLDEN = {protocol: serialize_transcript(run_session(protocol, None, 0)) for protocol in ("epr", "crs-toy")}
+
+    @staticmethod
+    def _decode(data):
+        try:
+            assert isinstance(deserialize_transcript(data), Transcript)
+        except TranscriptError:
+            pass
+
+    @given(st.sampled_from(sorted(GOLDEN)), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_truncation(self, protocol, data):
+        golden = self.GOLDEN[protocol]
+        self._decode(golden[: data.draw(st.integers(0, len(golden) - 1))])
+
+    @given(st.sampled_from(sorted(GOLDEN)), st.data())
+    @settings(max_examples=1000, deadline=None)
+    def test_single_byte_mutation(self, protocol, data):
+        golden = bytearray(self.GOLDEN[protocol])
+        pos = data.draw(st.integers(0, len(golden) - 1))
+        golden[pos] = data.draw(st.integers(0, 255).filter(lambda b: b != golden[pos]))
+        self._decode(bytes(golden))
 
 
 class TestCli:

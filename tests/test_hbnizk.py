@@ -41,26 +41,6 @@ def int_block(v, nbits):
     return np.array([(v >> (nbits - 1 - i)) & 1 for i in range(nbits)], dtype=np.uint8)
 
 
-class TestGraphFileFormat:
-    def test_adjacency_list_round_trip(self, tmp_path):
-        from cenizk.graphs import load_digraph, save_digraph
-
-        g = non_hamiltonian_triangle()
-        path = tmp_path / "g.txt"
-        save_digraph(g, path)
-        assert path.read_text() == "3\n0 1\n1 0\n2 1\n"
-        back = load_digraph(path)
-        assert back.n == g.n and np.array_equal(back.adjacency, g.adjacency)
-
-    def test_rejects_empty_file(self, tmp_path):
-        path = tmp_path / "empty.txt"
-        path.write_text("")
-        from cenizk.graphs import load_digraph
-
-        with pytest.raises(ValueError):
-            load_digraph(path)
-
-
 class TestDigraphDigest:
     def test_small_graph_bytes_unchanged(self):
         # the derived-sound commitments hash these bytes
