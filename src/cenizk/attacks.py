@@ -9,7 +9,9 @@ Three experiment families:
   certification) - the splitting attack succeeds with certainty. The
   same split packaged as a prover is the derived proof system that is
   simultaneously statistically sound and witness-independent, which is
-  the executable content of the impossibility argument.
+  the executable content of the impossibility argument. A forger's
+  discarded attempts are never turned into blocks, and opened states
+  are prepared when the verifier reads them.
 
 * The same splitting attempt against the superposition CRS protocol,
   where it fails: any retained computational-basis copy of the
@@ -27,6 +29,7 @@ Three experiment families:
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional
 
@@ -75,13 +78,22 @@ def commit_bit(m: int, width: int, rng: np.random.Generator) -> CommitBlock:
     return CommitBlock(y, theta, c)
 
 
-def commit_bits(ms: np.ndarray, width: int, rng: np.random.Generator) -> list[CommitBlock]:
-    """Batch commit: one sampling call for a whole block vector."""
-    k = len(ms)
+def _draw_blocks(k: int, width: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The draws behind k commitment blocks: ys, then thetas, each a
+    (k, width) uint8 array."""
     ys = rng.integers(0, 2, size=(k, width), dtype=np.uint8)
     thetas = rng.integers(0, 2, size=(k, width), dtype=np.uint8)
-    cs = np.asarray(ms, dtype=np.uint8) ^ masked_parity(thetas, ys)
-    return [CommitBlock(ys[i], thetas[i], int(cs[i])) for i in range(k)]
+    return ys, thetas
+
+
+def _blocks(ys: np.ndarray, thetas: np.ndarray, cs: np.ndarray) -> list[CommitBlock]:
+    return [CommitBlock(y, theta, c) for y, theta, c in zip(ys, thetas, cs.tolist())]
+
+
+def commit_bits(ms: np.ndarray, width: int, rng: np.random.Generator) -> list[CommitBlock]:
+    """Batch commit: two draws (ys, then thetas) for a whole block vector."""
+    ys, thetas = _draw_blocks(len(ms), width, rng)
+    return _blocks(ys, thetas, np.asarray(ms, dtype=np.uint8) ^ masked_parity(thetas, ys))
 
 
 def open_commit(block_state: SparseState, y: np.ndarray, theta: np.ndarray, c: int, rng) -> Optional[int]:
@@ -137,8 +149,9 @@ class StrawmanKey:
     opened: set
 
 
-def _fs_challenges(x: Digraph, cs: list[int], reps: int) -> np.ndarray:
-    # opening set derived from classical commitment data only
+def _fs_challenges(x: Digraph, cs, reps: int) -> np.ndarray:
+    # opening set derived from classical commitment data only; cs is a
+    # list of 0/1 ints or a uint8 array (same bytes)
     data = x.digest() + bytes(cs)
     digest = hashlib.blake2b(data, digest_size=(reps + 7) // 8, person=b"strawman-fs").digest()
     bits = np.unpackbits(np.frombuffer(digest, dtype=np.uint8))[:reps]
@@ -158,11 +171,11 @@ def _permuted_adjacency(x: Digraph, tau: np.ndarray) -> np.ndarray:
 
 def _opening_package(
     x: Digraph, blocks: list, taus: list, cycle: CycleWitness, reps: int
-) -> tuple[dict, set[int], np.ndarray]:
+) -> tuple[dict, set[int]]:
     """Open what the hash-derived challenges ask for: every entry of a
     challenge-0 repetition (with its permutation), the tau-image of the
     cycle's edges in a challenge-1 one. Returns (classical package,
-    opened block ids, challenges)."""
+    opened block ids)."""
     n = x.n
     cs = [b.c for b in blocks]
     challenges = _fs_challenges(x, cs, reps)
@@ -181,7 +194,38 @@ def _opening_package(
         openings.append(opening)
         opened_ids.update(ids)
     classical = {"cs": cs, "openings": openings, "opened_ids": sorted(opened_ids)}
-    return classical, opened_ids, challenges
+    return classical, opened_ids
+
+
+class _OpenedStates(Mapping):
+    """Read-only id -> SparseState over the opened blocks. A block's
+    state is prepared the first time its id is read; an id that was not
+    opened is a KeyError."""
+
+    def __init__(self, blocks: list, opened_ids: list[int]):
+        self._blocks = blocks
+        self._ids = opened_ids
+        self._opened = frozenset(opened_ids)
+
+    def __getitem__(self, i) -> SparseState:
+        if i not in self._opened:
+            raise KeyError(i)
+        return self._blocks[i].state
+
+    def __contains__(self, i) -> bool:
+        return i in self._opened
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+
+def _verification_half(classical: dict, blocks: list) -> dict:
+    """What the splitting verifier keeps: the classical package and the
+    opened blocks' states."""
+    return {"classical": classical, "opened_states": _OpenedStates(blocks, classical["opened_ids"])}
 
 
 def strawman_prove(
@@ -194,7 +238,7 @@ def strawman_prove(
         tau = rng.permutation(x.n)
         taus.append(tau)
         blocks.extend(commit_bits(_permuted_adjacency(x, tau).ravel(), params.width, rng))
-    classical, opened_ids, _ = _opening_package(x, blocks, taus, witness, params.reps)
+    classical, opened_ids = _opening_package(x, blocks, taus, witness, params.reps)
     proof = StrawmanProof(blocks, classical)
     key = StrawmanKey([b.y for b in blocks], [b.theta for b in blocks], opened_ids)
     return proof, key
@@ -296,8 +340,10 @@ def split_attack(
     n_blocks = params.block_count(x.n)
     opened = set(proof.classical["opened_ids"])
     to_cert = {i: proof.blocks[i].state for i in range(n_blocks) if i not in opened}
-    to_verify = {} if withhold_opened else {i: proof.blocks[i].state for i in opened}
-    package = {"classical": proof.classical, "opened_states": to_verify}
+    if withhold_opened:
+        package = {"classical": proof.classical, "opened_states": {}}
+    else:
+        package = _verification_half(proof.classical, proof.blocks)
     cert_ok = strawman_cert(params, key, to_cert, n_blocks, rng)
     verify_ok = bool(strawman_verify(params, x, package, rng))
     return SplitOutcome(cert_ok, verify_ok)
@@ -310,13 +356,8 @@ def derived_prove(
     verifier, output the verification half. Together with the strawman
     verifier this forms the statistically-sound, witness-independent
     proof system the impossibility argument constructs."""
-    proof, key = strawman_prove(params, x, witness, rng)
-    opened = set(proof.classical["opened_ids"])
-    package = {
-        "classical": proof.classical,
-        "opened_states": {i: proof.blocks[i].state for i in opened},
-    }
-    return package
+    proof, _ = strawman_prove(params, x, witness, rng)
+    return _verification_half(proof.classical, proof.blocks)
 
 
 def derived_verify(params: StrawmanParams, x: Digraph, package: dict, rng) -> int:
@@ -329,32 +370,33 @@ def derived_soundness_adversary(
     """Challenge-grinding forger for a false statement: prepares each
     repetition for one guessed challenge (an honest permuted commit for
     0, an everything-is-one commit for 1) and re-rolls hoping the
-    hash-derived challenges land on the guesses."""
-    cycle = canonical_cycle(x.n)
+    hash-derived challenges land on the guesses. An attempt stays
+    arrays (one parity call scores it); only the kept one becomes
+    blocks and an opening package."""
+    n, reps = x.n, params.reps
     best = None
     for _ in range(grind_tries):
-        guesses = rng.integers(0, 2, size=params.reps, dtype=np.uint8)
-        blocks = []
-        taus = []
-        for rep in range(params.reps):
-            tau = rng.permutation(x.n)
+        guesses = rng.integers(0, 2, size=reps, dtype=np.uint8)
+        taus, ms, ys, thetas = [], [], [], []
+        for guess in guesses:
+            tau = rng.permutation(n)
+            y, theta = _draw_blocks(n * n, params.width, rng)
             taus.append(tau)
-            if guesses[rep] == 0:
-                permuted = _permuted_adjacency(x, tau)
-            else:
-                permuted = np.ones((x.n, x.n), dtype=np.uint8)  # can open any cycle
-            blocks.extend(commit_bits(permuted.ravel(), params.width, rng))
-        classical, opened_ids, challenges = _opening_package(x, blocks, taus, cycle, params.reps)
-        hits = int(np.sum(challenges == guesses))
+            # an everything-is-one commit can open any cycle
+            ms.append(_permuted_adjacency(x, tau) if guess == 0 else np.ones((n, n), dtype=np.uint8))
+            ys.append(y)
+            thetas.append(theta)
+        ys, thetas = np.concatenate(ys), np.concatenate(thetas)
+        cs = np.concatenate(ms, axis=None) ^ masked_parity(thetas, ys)
+        hits = int(np.sum(_fs_challenges(x, cs, reps) == guesses))
         if best is None or hits > best[0]:
-            best = (hits, blocks, classical, opened_ids)
-        if hits == params.reps:
+            best = (hits, taus, ys, thetas, cs)
+        if hits == reps:
             break
-    _, blocks, classical, opened_ids = best
-    return {
-        "classical": classical,
-        "opened_states": {i: blocks[i].state for i in opened_ids},
-    }
+    _, taus, ys, thetas, cs = best
+    blocks = _blocks(ys, thetas, cs)
+    classical, _ = _opening_package(x, blocks, taus, canonical_cycle(n), reps)
+    return _verification_half(classical, blocks)
 
 
 def split_attack_on_crs(crs_params, crs, x, witness, rng) -> SplitOutcome:

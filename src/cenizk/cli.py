@@ -18,6 +18,15 @@ import sys
 from . import harness
 
 
+# params whose default is a string keep their values as given ("0011")
+_STR_PARAMS = {
+    key
+    for defaults in (harness.default_epr_params(), harness.default_crs_params())
+    for key, value in defaults.items()
+    if isinstance(value, str)
+}
+
+
 def _parse_params(pairs: list[str] | None) -> dict | None:
     if not pairs:
         return None
@@ -26,7 +35,7 @@ def _parse_params(pairs: list[str] | None) -> dict | None:
         if "=" not in pair:
             raise ValueError(f"--param expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
-        out[key] = value if not value.lstrip("-").isdigit() else int(value)
+        out[key] = int(value) if key not in _STR_PARAMS and value.lstrip("-").isdigit() else value
     return out
 
 

@@ -24,6 +24,7 @@ from . import attacks, wire
 from . import crs_protocol as cp
 from . import epr_protocol as ep
 from . import hbg as hbg_mod
+from .bits import as_bit_array
 from .crs_nizk import CompiledSpec, toy_encode
 from .graphs import (
     canonical_cycle,
@@ -136,8 +137,9 @@ def default_crs_params() -> dict:
 
 
 def _require_params(params, defaults: dict, what: str) -> None:
-    """ValueError naming every key of defaults that params lacks, or the
-    first key whose value is not of the default value's type."""
+    """ValueError naming every key of defaults that params lacks, the
+    first key whose value is not of the default value's type, or the
+    first integer (a size) below 1."""
     if not isinstance(params, dict):
         raise ValueError(f"{what} params must be a dict, got {type(params).__name__}")
     missing = [key for key in defaults if key not in params]
@@ -146,6 +148,8 @@ def _require_params(params, defaults: dict, what: str) -> None:
     for key, default in defaults.items():
         if not isinstance(params[key], type(default)):
             raise ValueError(f"{what} param {key} must be a {type(default).__name__}, got {params[key]!r}")
+        if isinstance(default, int) and params[key] < 1:
+            raise ValueError(f"{what} param {key} must be at least 1, got {params[key]!r}")
 
 
 def _epr_protocol_params(params: dict) -> ep.EprParams:
@@ -222,7 +226,10 @@ def _crs_instance(params: dict):
     """(CrsParams, witness bits, toy statement) from session params."""
     _require_params(params, default_crs_params(), "crs-toy")
     pp = cp.CrsParams(lam=int(params["lam"]), sig_width=int(params["sig_width"]))
-    w = np.array([int(c) for c in params["witness"]], dtype=np.uint8)
+    try:
+        w = as_bit_array(params["witness"])
+    except ValueError:
+        raise ValueError(f"crs-toy param witness must be a 0/1 string, got {params['witness']!r}") from None
     return pp, w, toy_encode(w)
 
 

@@ -3,10 +3,12 @@ the failed split on the superposition protocol, and the deletion
 experiment harness."""
 
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
+from cenizk import attacks
 from cenizk.attacks import (
     ADV_BASIS_INFORMED,
     ADV_KEEP_STATE,
@@ -141,6 +143,93 @@ class TestDerivedProofSystem:
         cb = {k: b.count(k) for k in keys}
         tv = 0.5 * sum(abs(ca.get(k, 0) - cb.get(k, 0)) for k in keys) / len(a)
         assert tv <= 0.05
+
+
+class _Reads(Mapping):
+    """Records every id read through it, then delegates."""
+
+    def __init__(self, inner):
+        self.inner, self.ids = inner, []
+
+    def __getitem__(self, i):
+        self.ids.append(i)
+        return self.inner[i]
+
+    def __iter__(self):
+        return iter(self.inner)
+
+    def __len__(self):
+        return len(self.inner)
+
+
+class TestLazyPackage:
+    """opened_states prepares a block's state when its id is read."""
+
+    @pytest.fixture
+    def preps(self, monkeypatch):
+        calls = []
+        real = attacks.prep_bb84
+
+        def counting(desc):
+            calls.append(desc)
+            return real(desc)
+
+        monkeypatch.setattr(attacks, "prep_bb84", counting)
+        return calls
+
+    def _verify_counting_reads(self, params, x, package, rng):
+        reads = _Reads(package["opened_states"])
+        verdict = derived_verify(params, x, {**package, "opened_states": reads}, rng)
+        return verdict, set(reads.ids)
+
+    def test_forger_prepares_no_state(self, preps):
+        bad, params = non_hamiltonian_triangle(), StrawmanParams()
+        for trial in range(5):
+            rng = stream(trial, "lazy-forger")
+            package = derived_soundness_adversary(params, bad, rng)
+            assert preps == []
+            verdict, read = self._verify_counting_reads(params, bad, package, rng)
+            assert verdict == 0
+            assert 0 < len(preps) <= len(read)
+            preps.clear()
+
+    def test_verifier_prepares_only_what_it_reads(self, preps):
+        g, w, _ = triangle_both_cycles()
+        params = StrawmanParams(reps=8)
+        for trial in range(5):
+            rng = stream(trial, "lazy-prove")
+            package = derived_prove(params, g, w, rng)
+            assert preps == []
+            verdict, read = self._verify_counting_reads(params, g, package, rng)
+            assert verdict == 1
+            assert len(preps) == len(read) == len(package["opened_states"])
+            preps.clear()
+
+    def test_keys_are_the_opened_ids(self):
+        g, w, _ = triangle_both_cycles()
+        package = derived_prove(StrawmanParams(reps=6), g, w, stream(0, "lazy-keys"))
+        states, opened = package["opened_states"], package["classical"]["opened_ids"]
+        assert len(states) == len(opened)
+        assert list(states) == opened
+        assert all(i in states for i in opened)
+
+    def test_unopened_id_verifies_to_zero(self, preps):
+        g, w, _ = triangle_both_cycles()
+        params = StrawmanParams(reps=6)
+        rng = stream(0, "lazy-unopened")
+        package = derived_prove(params, g, w, rng)
+        opened = package["classical"]["opened_ids"]
+        unopened = min(set(range(params.block_count(g.n))) - set(opened))
+        assert unopened not in package["opened_states"]
+        with pytest.raises(KeyError):
+            package["opened_states"][unopened]
+        assert preps == []
+        classical = package["classical"]
+        first = {**classical["openings"][0]}
+        first["ids"] = [unopened] + first["ids"][1:]
+        forged = {**classical, "openings": [first] + classical["openings"][1:]}
+        assert derived_verify(params, g, {**package, "classical": forged}, rng) == 0
+        assert derived_verify(params, g, package, rng) == 1
 
 
 class TestDeletionExperiment:

@@ -4,9 +4,13 @@ byte shows up here."""
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from cenizk.attacks import StrawmanParams, derived_prove, derived_soundness_adversary, derived_verify
+from cenizk.graphs import non_hamiltonian_triangle, triangle_both_cycles
 from cenizk.harness import default_epr_params, run_session, serialize_transcript
+from cenizk.rng import stream
 
 GOLDEN = {
     ("epr", 0): "e18e37f0b8757ead19febf4968926a18de2f7180b3a0c30acd7d58591ffb5ec0",
@@ -56,3 +60,64 @@ def test_naor_session_digest(seed):
 
 def test_criterion_1_session_digest():
     assert _digest("epr", CRITERION_1, 0) == CRITERION_1_SEED0
+
+
+# ---------------------------------------------------------------------
+# attack layer: the criterion-8 forger and the derived prover
+# ---------------------------------------------------------------------
+
+# criterion-8 forger plus derived_verify on the non-Hamiltonian
+# triangle, forger and verifier on one stream
+FORGER_GOLDEN = {
+    0: "f1a7ffdf606d52e7ea1c5ae860883318cdd6cb0f44b2ff19f6f1b013d7795f09",
+    1: "83e4a65a3b93290ac2eab30004fd9675e9f7e2bf6172bc0ef7efc05a9b2db91b",
+    2: "1643b2408262a08f2b4b86d20f93fdcfbe9e24c72959c87b6487e3fb7d76ee7a",
+    3: "5b6f1487afcc38397507ded89a726ff19f10a977e8513fa6cf302db5748689e0",
+    4: "dd490c7b62a6da0c0c12d32dba1fbd50d3fba6706876d89cd375e7c05bc7dbef",
+}
+
+# derived prover plus derived_verify on K3 with its first cycle
+DERIVED_PROVE_GOLDEN = {
+    0: "e468f3e42556957aa70ba9dc8107820c2a644a020a41a0284dee2e1f08086025",
+    1: "212404d335cd56519b6ecbcf053e427917680fe78e9e6c6fd4935de9a4101d2a",
+}
+
+
+def _package_digest(package, verdict, rng) -> str:
+    """Everything a derived-system package carries, the verdict on it,
+    and one draw after the op (which pins how much the op consumed)."""
+    classical = package["classical"]
+    parts = [[int(c) for c in classical["cs"]], [int(i) for i in classical["opened_ids"]]]
+    for op in classical["openings"]:
+        parts.append(
+            (
+                op["kind"],
+                [int(i) for i in op["ids"]],
+                [int(t) for t in op.get("tau", [])],
+                [np.asarray(y).tolist() for y in op["ys"]],
+                [np.asarray(t).tolist() for t in op["thetas"]],
+            )
+        )
+    parts.append(sorted(int(i) for i in package["opened_states"]))
+    parts.append(int(verdict))
+    parts.append(rng.random())
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(FORGER_GOLDEN))
+def test_derived_soundness_forger_digest(seed):
+    x, params = non_hamiltonian_triangle(), StrawmanParams()
+    rng = stream(seed, "derived-sound")
+    package = derived_soundness_adversary(params, x, rng)
+    verdict = derived_verify(params, x, package, rng)
+    assert _package_digest(package, verdict, rng) == FORGER_GOLDEN[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(DERIVED_PROVE_GOLDEN))
+def test_derived_prove_digest(seed):
+    x, witness, _ = triangle_both_cycles()
+    params = StrawmanParams()
+    rng = stream(seed, "derived-prove")
+    package = derived_prove(params, x, witness, rng)
+    verdict = derived_verify(params, x, package, rng)
+    assert _package_digest(package, verdict, rng) == DERIVED_PROVE_GOLDEN[seed]

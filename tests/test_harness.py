@@ -261,6 +261,37 @@ class TestParamTypes:
         assert "seed must be an integer" in capsys.readouterr().err
 
 
+# every integer param a session reads; the dry run reads only lam
+SIZE_PARAMS = [("epr", key) for key, value in default_epr_params().items() if isinstance(value, int)] + [
+    ("crs-toy", "lam"),
+    ("crs-toy", "sig_width"),
+    ("crs-dry", "lam"),
+]
+
+
+class TestCliParams:
+    def test_witness_digits_stay_a_string(self, capsys, tmp_path):
+        out = tmp_path / "w.cenz"
+        argv = ["run-session", "--protocol", "crs-toy", "--param", "witness=0011", "--out", str(out)]
+        assert cli_main(argv) == 0
+        assert deserialize_transcript(out.read_bytes()).params["witness"] == "0011"
+
+    def test_witness_with_a_non_bit_is_usage_error(self, capsys):
+        assert cli_main(["run-session", "--protocol", "crs-toy", "--param", "witness=1012"]) == 2
+        assert "crs-toy param witness must be a 0/1 string, got '1012'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("protocol,key", SIZE_PARAMS)
+    def test_size_below_one_is_usage_error(self, capsys, tmp_path, protocol, key, value):
+        assert cli_main(["run-session", "--protocol", protocol, "--param", f"{key}={value}"]) == 2
+        assert f"{protocol} param {key} must be at least 1, got {value}" in capsys.readouterr().err
+        defaults = default_epr_params() if protocol == "epr" else default_crs_params()
+        path = tmp_path / "size.cenz"
+        path.write_bytes(serialize_transcript(Transcript(protocol, {**defaults, key: value}, 0)))
+        assert cli_main(["certify", "--in", str(path)]) == 2
+        assert f"{protocol} param {key} must be at least 1" in capsys.readouterr().err
+
+
 class TestStages:
     @pytest.mark.parametrize("protocol", ["epr", "crs-toy", "crs-dry"])
     def test_unknown_stage_rejected(self, protocol):
