@@ -405,19 +405,27 @@ def _td(exp: attacks.DeletionExperiment, seed: int, label: str):
     return 1, 1, {"td": est.value, "exact": est.exact}
 
 
+def _deletion_lam(params: dict | None, default: int, what: str) -> int:
+    """lam of a deletion experiment, checked like a session param."""
+    params = params or {"lam": default}
+    _require_params(params, {"lam": default}, what)
+    return params["lam"]
+
+
 def _deletion_honest_td(trials: int, params: dict | None, seed: int):
-    return _td(attacks.DeletionExperiment(int((params or {}).get("lam", 3))), seed, "honest-td")
+    lam = _deletion_lam(params, 3, "deletion-honest-td")
+    return _td(attacks.DeletionExperiment(lam), seed, "honest-td")
 
 
 def _deletion_leaking_td(trials: int, params: dict | None, seed: int):
-    lam = int((params or {}).get("lam", 2))
+    lam = _deletion_lam(params, 2, "deletion-leaking-td")
     exp = attacks.DeletionExperiment(lam, attacks.Z_THETA_LEAKING, attacks.ADV_BASIS_INFORMED)
     return _td(exp, seed, "leaking-td")
 
 
 def _deletion_keep_state(trials: int, params: dict | None, seed: int):
     """Every trial draws from the one stream of the experiment."""
-    lam = int((params or {}).get("lam", 4))
+    lam = _deletion_lam(params, 4, "deletion-keep-state")
     exp = attacks.DeletionExperiment(lam, attacks.Z_PLAIN, attacks.ADV_KEEP_STATE)
     rng = stream(seed, "deletion", "keep-state")
     hits = sum(attacks.run_deletion_experiment(exp, 0, rng).accepted for _ in range(trials))

@@ -28,13 +28,23 @@ analytically.
 
 The verifier receives only the opened values r_I; unopened hidden bits
 never cross the interface.
+
+usefulness is the one decoding reference. Blocks of at most
+_TABLE_MAX_BITS bits (the criterion-3 fixtures: 4 bits at m=2, b=1
+and 9 bits at m=3, b=1) are decoded by table lookup: usefulness fills
+a table over every block value once per (m, b, n), and hb_prove,
+hb_verify and hb_simulate pack the blocks of all repetitions with one
+dot product and look them up. Larger blocks (criterion 1: 40,960
+bits) keep one usefulness call per repetition. required_positions is
+cached per (map, statement, m, b).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -145,6 +155,29 @@ def usefulness(matrix: np.ndarray, n: int) -> Optional[HiddenCycle]:
     return HiddenCycle(tuple(sorted(succ.items())))
 
 
+# Blocks of at most this many bits are decoded by table lookup. Filling
+# the table takes one usefulness call per block value: 4,096 calls
+# (about 40 ms) at the cap, where 16 bits would take 65,536 (0.6 s).
+_TABLE_MAX_BITS = 12
+
+
+@functools.lru_cache(maxsize=32)
+def _block_decoder(m: int, b: int, n: int) -> Callable[[np.ndarray], list[Optional[HiddenCycle]]]:
+    """Decoder for a (reps, m*m*b) block array: usefulness of each row.
+
+    Up to _TABLE_MAX_BITS bits, one dot product packs every row to an
+    integer (block bit i is integer bit i), which indexes a table that
+    usefulness fills once per block value. Larger blocks take one
+    usefulness call per row."""
+    kp = m * m * b
+    if kp > _TABLE_MAX_BITS:
+        return lambda blocks: [usefulness(bits_to_matrix(block, m, b), n) for block in blocks]
+    weights = 1 << np.arange(kp, dtype=np.int64)
+    every_block = (np.arange(1 << kp)[:, None] >> np.arange(kp)) & 1
+    table = tuple(usefulness(bits_to_matrix(block, m, b), n) for block in every_block)
+    return lambda blocks: [table[code] for code in (blocks @ weights).tolist()]
+
+
 def useful_probability(m: int, b: int, n: int) -> float:
     """Closed-form chance a uniform block decodes to a useful matrix.
 
@@ -167,12 +200,37 @@ def _entry_bits(u: int, v: int, m: int, b: int) -> slice:
 
 def required_positions(vertex_map: tuple[int, ...], x: Digraph, params: HbParams) -> np.ndarray:
     """Bit positions (within one block) a useful-claim must open: all of
-    them except the entries carrying statement edges under the map."""
-    m, b = params.matrix_side, params.block_len
-    mask = np.ones(params.bits_per_rep, dtype=bool)
-    for a, c in x.edges():
+    them except the entries carrying statement edges under the map.
+    Cached; the returned array is read-only."""
+    return _required_positions(
+        tuple(vertex_map), x.n, x.adjacency.tobytes(), params.matrix_side, params.block_len
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _required_positions(vertex_map: tuple[int, ...], n: int, adjacency: bytes, m: int, b: int) -> np.ndarray:
+    mask = np.ones(m * m * b, dtype=bool)
+    for a, c in np.argwhere(np.frombuffer(adjacency, dtype=bool).reshape(n, n)):
         mask[_entry_bits(vertex_map[a], vertex_map[c], m, b)] = False
-    return np.flatnonzero(mask)
+    need = np.flatnonzero(mask)
+    need.flags.writeable = False
+    return need
+
+
+def _opened_mask(vmaps: list[Optional[tuple[int, ...]]], x: Digraph, params: HbParams) -> np.ndarray:
+    """(repetitions, bits_per_rep) mask of opened bits: the whole block
+    of a reveal-all repetition (map None), required_positions of a
+    useful-claim."""
+    mask = np.ones((params.repetitions, params.bits_per_rep), dtype=bool)
+    for rep, vmap in enumerate(vmaps):
+        if vmap is not None:
+            mask[rep] = False
+            mask[rep, required_positions(vmap, x, params)] = True
+    return mask
+
+
+def _proof(vmaps: list[Optional[tuple[int, ...]]]) -> HbProof:
+    return HbProof(tuple(RepRevealAll() if vmap is None else RepUseful(vmap) for vmap in vmaps))
 
 
 def _anchored_map(witness: CycleWitness, hidden: HiddenCycle) -> tuple[int, ...]:
@@ -192,7 +250,7 @@ def _anchored_map(witness: CycleWitness, hidden: HiddenCycle) -> tuple[int, ...]
 
 def _opened_set_ok(I: np.ndarray, bound: int) -> bool:
     """I is a flat, strictly increasing index array inside [0, bound)."""
-    return I.ndim == 1 and not (len(I) and (np.any(np.diff(I) <= 0) or I[0] < 0 or I[-1] >= bound))
+    return I.ndim == 1 and not (len(I) and ((I[1:] <= I[:-1]).any() or I[0] < 0 or I[-1] >= bound))
 
 
 def _valid_map(vertex_map, params: HbParams) -> bool:
@@ -217,20 +275,10 @@ def hb_prove(
     r = np.asarray(r, dtype=np.uint8)
     if r.shape != (params.total_bits,):
         raise ValueError(f"hidden string must have {params.total_bits} bits")
-    kp = params.bits_per_rep
-    reps = []
-    opened = []
-    for rep in range(params.repetitions):
-        block = r[rep * kp : (rep + 1) * kp]
-        hidden = usefulness(bits_to_matrix(block, params.matrix_side, params.block_len), params.n)
-        if hidden is None:
-            reps.append(RepRevealAll())
-            opened.append(rep * kp + np.arange(kp, dtype=np.int64))
-        else:
-            vmap = _anchored_map(witness, hidden)
-            reps.append(RepUseful(vmap))
-            opened.append(rep * kp + required_positions(vmap, x, params))
-    return np.concatenate(opened), HbProof(tuple(reps))
+    decode = _block_decoder(params.matrix_side, params.block_len, params.n)
+    hidden = decode(r.reshape(params.repetitions, params.bits_per_rep))
+    vmaps = [None if cycle is None else _anchored_map(witness, cycle) for cycle in hidden]
+    return np.flatnonzero(_opened_mask(vmaps, x, params)), _proof(vmaps)
 
 
 def hb_verify(
@@ -248,32 +296,32 @@ def hb_verify(
     if not _opened_set_ok(I, params.total_bits):
         return False
     kp = params.bits_per_rep
-    m, b = params.matrix_side, params.block_len
     bounds = np.searchsorted(I, np.arange(params.repetitions + 1) * kp)
+    # reveal-all: kp positions inside a block are all of it (I is strictly
+    # increasing), and the block must decode as not useful
+    reveal = np.array([isinstance(rep_proof, RepRevealAll) for rep_proof in proof.reps])
+    if (bounds[1:][reveal] - bounds[:-1][reveal] != kp).any():
+        return False
+    if reveal.all():
+        blocks = r_I.reshape(params.repetitions, kp)
+    else:
+        blocks = r_I[bounds[:-1][reveal, None] + np.arange(kp)]
+    decode = _block_decoder(params.matrix_side, params.block_len, params.n)
+    if any(cycle is not None for cycle in decode(blocks)):
+        return False
     for rep, rep_proof in enumerate(proof.reps):
-        idx = I[bounds[rep] : bounds[rep + 1]] - rep * kp
-        vals = r_I[bounds[rep] : bounds[rep + 1]]
         if isinstance(rep_proof, RepRevealAll):
-            if len(idx) != kp:
-                return False
-            if usefulness(bits_to_matrix(vals, m, b), params.n) is not None:
-                return False
-        elif isinstance(rep_proof, RepUseful):
-            if not _valid_map(rep_proof.vertex_map, params):
-                return False
-            need = required_positions(rep_proof.vertex_map, x, params)
-            if len(idx) != len(need) or np.any(idx != need):
-                return False
-            # every opened entry is fully opened by construction of the
-            # required set; it must decode to 0 (some bit clear)
-            block = np.ones(kp, dtype=np.uint8)
-            block[idx] = vals
-            matrix = bits_to_matrix(block, m, b)
-            for a, c in x.edges():
-                matrix[rep_proof.vertex_map[a], rep_proof.vertex_map[c]] = False
-            if np.any(matrix):
-                return False
-        else:
+            continue
+        if not isinstance(rep_proof, RepUseful) or not _valid_map(rep_proof.vertex_map, params):
+            return False
+        need = required_positions(rep_proof.vertex_map, x, params)
+        lo, hi = bounds[rep], bounds[rep + 1]
+        if hi - lo != len(need) or (I[lo:hi] - rep * kp != need).any():
+            return False
+        # required_positions opens whole entries, each of which must
+        # decode to 0 (some bit clear); the entries on statement edges
+        # under the map, the hidden cycle's among them, stay closed
+        if r_I[lo:hi].reshape(-1, params.block_len).all(axis=1).any():
             return False
     return True
 
@@ -290,34 +338,21 @@ def hb_simulate(
     witness, so the simulator samples it directly. Opened values are
     the true zeros of the sampled block.
     """
-    kp = params.bits_per_rep
-    reps = []
-    opened = []
-    values = []
+    decode = _block_decoder(params.matrix_side, params.block_len, params.n)
+    blocks = np.empty((params.repetitions, params.bits_per_rep), dtype=np.uint8)
+    vmaps = []
     for rep in range(params.repetitions):
-        block = rng.integers(0, 2, size=kp, dtype=np.uint8)
-        hidden = usefulness(bits_to_matrix(block, params.matrix_side, params.block_len), params.n)
+        blocks[rep] = rng.integers(0, 2, size=params.bits_per_rep, dtype=np.uint8)
+        (hidden,) = decode(blocks[rep : rep + 1])
         if hidden is None:
-            reps.append(RepRevealAll())
-            opened.append(rep * kp + np.arange(kp, dtype=np.int64))
-            values.append(block)
+            vmaps.append(None)
         else:
             w = sorted(hidden.vertices)
             rest = rng.permutation(w[1:])
-            vmap = tuple([w[0]] + [int(v) for v in rest])
-            reps.append(RepUseful(vmap))
-            need = required_positions(vmap, x, params)
-            opened.append(rep * kp + need)
-            values.append(np.zeros(len(need), dtype=np.uint8))
-    return np.concatenate(opened), np.concatenate(values), HbProof(tuple(reps))
-
-
-def amplify(params: HbParams, repetitions: int) -> HbParams:
-    """Parallel-repetition wrapper: same scheme, rho-fold hidden-bit
-    consumption, accept only if every repetition accepts."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    return HbParams(params.n, repetitions, params.matrix_side, params.block_len)
+            vmaps.append(tuple([w[0]] + [int(v) for v in rest]))
+            blocks[rep] = 0  # a useful claim opens only entries that decode to 0
+    mask = _opened_mask(vmaps, x, params)
+    return np.flatnonzero(mask), blocks[mask], _proof(vmaps)
 
 
 # ---------------------------------------------------------------------
@@ -389,12 +424,9 @@ def cheat_prove(
     useful matrix, hiding its ones behind a cover map when one exists.
     Returns (I, proof, coverable_count); the proof verifies iff every
     repetition was coverable."""
-    kp = params.bits_per_rep
-    reps = []
-    opened = []
+    vmaps = []
     coverable = 0
-    for rep in range(params.repetitions):
-        block = r[rep * kp : (rep + 1) * kp]
+    for block in np.asarray(r, dtype=np.uint8).reshape(params.repetitions, params.bits_per_rep):
         matrix = bits_to_matrix(block, params.matrix_side, params.block_len)
         ones = [(int(u), int(v)) for u, v in np.argwhere(matrix)]
         vmap = cover_map(ones, x, params.matrix_side, rng)
@@ -403,9 +435,8 @@ def cheat_prove(
             vmap = tuple(range(params.n))
         else:
             coverable += 1
-        reps.append(RepUseful(vmap))
-        opened.append(rep * kp + required_positions(vmap, x, params))
-    return np.concatenate(opened), HbProof(tuple(reps)), coverable
+        vmaps.append(vmap)
+    return np.flatnonzero(_opened_mask(vmaps, x, params)), _proof(vmaps), coverable
 
 
 def rep_coverable(block: np.ndarray, x: Digraph, params: HbParams, rng: np.random.Generator) -> bool:
@@ -425,7 +456,6 @@ __all__ = [
     "HiddenCycle",
     "RepRevealAll",
     "RepUseful",
-    "amplify",
     "bits_to_matrix",
     "hb_prove",
     "hb_simulate",

@@ -8,9 +8,18 @@ import numpy as np
 import pytest
 
 from cenizk.attacks import StrawmanParams, derived_prove, derived_soundness_adversary, derived_verify
-from cenizk.graphs import non_hamiltonian_triangle, triangle_both_cycles
+from cenizk.epr_protocol import BOT, EprParams, epr_sim, honest_delete_vstar, keep_two_blocks_vstar, run_cezk_real
+from cenizk.graphs import (
+    canonical_cycle,
+    complete_digraph,
+    non_hamiltonian_triangle,
+    triangle_both_cycles,
+    two_cycle_pair,
+)
 from cenizk.harness import default_epr_params, run_session, serialize_transcript
+from cenizk.hbnizk import HbParams
 from cenizk.rng import stream
+from cenizk.state import dump_lines
 
 GOLDEN = {
     ("epr", 0): "e18e37f0b8757ead19febf4968926a18de2f7180b3a0c30acd7d58591ffb5ec0",
@@ -121,3 +130,54 @@ def test_derived_prove_digest(seed):
     package = derived_prove(params, x, witness, rng)
     verdict = derived_verify(params, x, package, rng)
     assert _package_digest(package, verdict, rng) == DERIVED_PROVE_GOLDEN[seed]
+
+
+# ---------------------------------------------------------------------
+# criterion 3: the first trials of each CE-ZK lane
+# ---------------------------------------------------------------------
+
+# same params, statements, verifiers, seed and stream labels as
+# test_criterion_3_epr_cezk: (real or simulated, EprParams, instance,
+# V*) per lane
+C3_SEED = 20260808
+C3_TRIALS = 2_000
+C3_CLASSICAL = EprParams(hb=HbParams(n=3, repetitions=1, matrix_side=3, block_len=1), block_width=4)
+C3_QUANTUM = EprParams(hb=HbParams(n=2, repetitions=8, matrix_side=2, block_len=1), block_width=2)
+C3_LANES = {
+    "c3r": (True, C3_CLASSICAL, (complete_digraph(3), canonical_cycle(3)), honest_delete_vstar),
+    "c3s": (False, C3_CLASSICAL, (complete_digraph(3), canonical_cycle(3)), honest_delete_vstar),
+    "c3qr": (True, C3_QUANTUM, two_cycle_pair(), keep_two_blocks_vstar),
+    "c3qs": (False, C3_QUANTUM, two_cycle_pair(), keep_two_blocks_vstar),
+}
+C3_GOLDEN = {
+    "c3r": "502f5eb71fc7cd581c22f01dc86c745e6c7717c9e7b5430f0ff2383f9ae6e54c",
+    "c3s": "f5958d3a70a7d074071bc6d41a3d7e987d2527ee3cedff69ecfd7b968d148a74",
+    "c3qr": "9707fbc0d0738e3f5725eb37f3ca44899fb208e9d33221b06b194c220fbff756",
+    "c3qs": "78aae31de4e9b66bca59fc468243f23bf309e97f8eaf6fd07e7bf3e9d55ab0d1",
+}
+
+
+def _c3_output_digest(out) -> tuple:
+    """The criterion-3 readout of one output, with a kept state's full
+    amplitude dump in place of the Hadamard pattern read off it."""
+    if out == BOT:
+        return ("bot",)
+    if "qstate" in out:
+        kept = None if out["qstate"] is None else tuple(dump_lines(out["qstate"]))
+        return (out["verdict"], out["tag"], kept)
+    return (out["verdict"], out["cert_blocks"], out["cert_bits"])
+
+
+@pytest.mark.parametrize("lane", sorted(C3_GOLDEN))
+def test_criterion_3_lane_digest(lane):
+    real, params, (x, witness), vstar = C3_LANES[lane]
+    h = hashlib.sha256()
+    for trial in range(C3_TRIALS):
+        rng = stream(C3_SEED, lane, trial)
+        if real:
+            out, _, _ = run_cezk_real(params, x, witness, vstar, rng)
+        else:
+            out, _, _ = epr_sim(params, x, vstar, rng)
+        # one draw after the trial pins how much of the stream it used
+        h.update(repr((_c3_output_digest(out), rng.random())).encode())
+    assert h.hexdigest() == C3_GOLDEN[lane]

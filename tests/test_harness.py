@@ -291,6 +291,18 @@ class TestCliParams:
         assert cli_main(["certify", "--in", str(path)]) == 2
         assert f"{protocol} param {key} must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("name", ["deletion-honest-td", "deletion-leaking-td", "deletion-keep-state"])
+    def test_deletion_lam_below_one_is_usage_error(self, capsys, name, value):
+        assert cli_main(["run-experiment", "--name", name, "--param", f"lam={value}"]) == 2
+        assert f"{name} param lam must be at least 1, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,lam", [("deletion-honest-td", 3), ("deletion-leaking-td", 2), ("deletion-keep-state", 4)])
+    def test_deletion_default_lam(self, name, lam):
+        default = run_experiment(name, 50, None, 3)
+        explicit = run_experiment(name, 50, {"lam": lam}, 3)
+        assert (default.successes, default.extra) == (explicit.successes, explicit.extra)
+
 
 class TestStages:
     @pytest.mark.parametrize("protocol", ["epr", "crs-toy", "crs-dry"])

@@ -12,23 +12,26 @@ import math
 import numpy as np
 import pytest
 
+from cenizk import hbnizk
 from cenizk.graphs import (
     CycleWitness,
     Digraph,
     canonical_cycle,
     complete_digraph,
     non_hamiltonian_triangle,
+    two_cycle_pair,
 )
 from cenizk.hbnizk import (
     HbParams,
+    HbProof,
     RepRevealAll,
     RepUseful,
-    amplify,
     bits_to_matrix,
     cheat_prove,
     hb_prove,
     hb_simulate,
     hb_verify,
+    required_positions,
     useful_probability,
     usefulness,
 )
@@ -330,10 +333,10 @@ class TestSimulator:
 
 class TestAmplify:
     def test_rho_one_is_base(self):
-        assert amplify(TINY, 1) == TINY
+        assert HbParams(TINY.n, 1, TINY.matrix_side, TINY.block_len) == TINY
 
     def test_completeness_preserved(self, rng):
-        params = amplify(TINY, 7)
+        params = HbParams(TINY.n, 7, TINY.matrix_side, TINY.block_len)
         g, w = complete_digraph(3), canonical_cycle(3)
         r = rng.integers(0, 2, size=params.total_bits, dtype=np.uint8)
         I, proof = hb_prove(r, g, w, params)
@@ -353,7 +356,7 @@ class TestAmplify:
         p1 = hits / trials
         assert p1 < 0.25  # tiny-geometry cheat rate sanity bound
 
-        params20 = amplify(TINY, 20)
+        params20 = HbParams(TINY.n, 20, TINY.matrix_side, TINY.block_len)
         accepted = 0
         for _ in range(300):
             r = rng.integers(0, 2, size=params20.total_bits, dtype=np.uint8)
@@ -364,9 +367,207 @@ class TestAmplify:
 
     def test_cheat_accept_iff_all_coverable(self, rng):
         bad = non_hamiltonian_triangle()
-        params = amplify(TINY, 3)
+        params = HbParams(TINY.n, 3, TINY.matrix_side, TINY.block_len)
         for _ in range(300):
             r = rng.integers(0, 2, size=params.total_bits, dtype=np.uint8)
             I, proof, coverable = cheat_prove(r, bad, params, rng)
             accepted = hb_verify(I, r[I], bad, proof, params)
             assert accepted == (coverable == params.repetitions)
+
+
+# ---------------------------------------------------------------------
+# table decoding against the per-repetition reference
+# ---------------------------------------------------------------------
+
+# quantum-output and classical criterion-3 shapes (table path), and one
+# shape above the table cap (per-repetition path)
+FIXTURES = {
+    "quantum": (HbParams(n=2, repetitions=8, matrix_side=2, block_len=1), two_cycle_pair()),
+    "classical": (HbParams(n=3, repetitions=3, matrix_side=3, block_len=1), (complete_digraph(3), canonical_cycle(3))),
+    "above-cap": (HbParams(n=2, repetitions=4, matrix_side=2, block_len=4), two_cycle_pair()),
+}
+
+
+def ref_decode(block, params):
+    return usefulness(bits_to_matrix(block, params.matrix_side, params.block_len), params.n)
+
+
+def ref_prove(r, x, witness, params):
+    """hb_prove one repetition at a time."""
+    kp, n = params.bits_per_rep, params.n
+    reps, opened = [], []
+    for rep in range(params.repetitions):
+        hidden = ref_decode(r[rep * kp : (rep + 1) * kp], params)
+        if hidden is None:
+            reps.append(RepRevealAll())
+            opened.append(rep * kp + np.arange(kp))
+            continue
+        vmap, g, h = [0] * n, 0, min(hidden.vertices)
+        for _ in range(n):
+            vmap[g] = h
+            g, h = witness.successor_of(g), hidden.successor_of(h)
+        reps.append(RepUseful(tuple(vmap)))
+        opened.append(rep * kp + required_positions(tuple(vmap), x, params))
+    return np.concatenate(opened), HbProof(tuple(reps))
+
+
+def ref_verify(I, r_I, x, proof, params):
+    """hb_verify one repetition at a time, rebuilding each matrix."""
+    kp, m, b = params.bits_per_rep, params.matrix_side, params.block_len
+    if len(proof.reps) != params.repetitions or I.shape != r_I.shape:
+        return False
+    if len(I) and (np.any(np.diff(I) <= 0) or I[0] < 0 or I[-1] >= params.total_bits):
+        return False
+    for rep, rep_proof in enumerate(proof.reps):
+        inside = (I >= rep * kp) & (I < (rep + 1) * kp)
+        idx, vals = I[inside] - rep * kp, r_I[inside]
+        if isinstance(rep_proof, RepRevealAll):
+            if len(idx) != kp or ref_decode(vals, params) is not None:
+                return False
+            continue
+        vmap = rep_proof.vertex_map
+        if len(set(vmap)) != params.n or not all(0 <= v < m for v in vmap):
+            return False
+        need = required_positions(vmap, x, params)
+        if len(idx) != len(need) or np.any(idx != need):
+            return False
+        block = np.ones(kp, dtype=np.uint8)
+        block[idx] = vals
+        matrix = bits_to_matrix(block, m, b)
+        for a, c in x.edges():
+            matrix[vmap[a], vmap[c]] = False
+        if matrix.any():
+            return False
+    return True
+
+
+def ref_simulate(x, params, rng):
+    """hb_simulate one repetition at a time, with the same draws."""
+    kp = params.bits_per_rep
+    reps, opened, values = [], [], []
+    for rep in range(params.repetitions):
+        block = rng.integers(0, 2, size=kp, dtype=np.uint8)
+        hidden = ref_decode(block, params)
+        if hidden is None:
+            reps.append(RepRevealAll())
+            opened.append(rep * kp + np.arange(kp))
+            values.append(block)
+        else:
+            w = sorted(hidden.vertices)
+            vmap = tuple([w[0]] + [int(v) for v in rng.permutation(w[1:])])
+            reps.append(RepUseful(vmap))
+            need = required_positions(vmap, x, params)
+            opened.append(rep * kp + need)
+            values.append(np.zeros(len(need), dtype=np.uint8))
+    return np.concatenate(opened), np.concatenate(values), HbProof(tuple(reps))
+
+
+@pytest.fixture
+def usefulness_calls(monkeypatch):
+    """Counts the calls hbnizk makes to usefulness."""
+    calls = []
+
+    def counted(matrix, n):
+        calls.append(n)
+        return usefulness(matrix, n)
+
+    monkeypatch.setattr(hbnizk, "usefulness", counted)
+    return calls
+
+
+def mutations(I, r_I, proof, params, rng):
+    """(I, r_I, proof) variants: one value flipped, one position dropped,
+    one repetition's claim swapped."""
+    out = []
+    if len(I):
+        j = rng.integers(len(I))
+        flipped = r_I.copy()
+        flipped[j] ^= 1
+        out += [(I, flipped, proof), (np.delete(I, j), np.delete(r_I, j), proof)]
+    reps = list(proof.reps)
+    k = rng.integers(len(reps))
+    if isinstance(reps[k], RepUseful):
+        reps[k] = RepRevealAll()
+    else:
+        reps[k] = RepUseful(tuple(int(v) for v in rng.permutation(params.matrix_side)[: params.n]))
+    out.append((I, r_I, HbProof(tuple(reps))))
+    return out
+
+
+class TestBlockTable:
+    @pytest.mark.parametrize("m,b,n", [(2, 1, 2), (3, 1, 3)])
+    def test_table_equals_usefulness_on_every_block(self, m, b, n):
+        kp = m * m * b
+        every = np.array([int_block(v, kp) for v in range(1 << kp)])
+        decode = hbnizk._block_decoder(m, b, n)
+        assert decode(every) == [usefulness(bits_to_matrix(block, m, b), n) for block in every]
+        assert sum(cycle is not None for cycle in decode(every)) == round(useful_probability(m, b, n) * (1 << kp))
+
+    @pytest.mark.parametrize("shape", sorted(FIXTURES))
+    def test_matches_per_repetition_reference(self, shape, rng):
+        params, (x, witness) = FIXTURES[shape]
+        for _ in range(400):
+            # dense blocks at b > 1, so useful ones turn up there too
+            r = (rng.random(params.total_bits) < rng.choice([0.5, 0.85])).astype(np.uint8)
+            I, proof = hb_prove(r, x, witness, params)
+            I_ref, proof_ref = ref_prove(r, x, witness, params)
+            assert np.array_equal(I, I_ref) and I.dtype == I_ref.dtype and proof == proof_ref
+            seed = int(rng.integers(2**32))
+            sim = hb_simulate(x, params, stream(seed, "sim"))
+            sim_ref = ref_simulate(x, params, stream(seed, "sim"))
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(sim[:2], sim_ref[:2]))
+            assert sim[2] == sim_ref[2]
+            for I_, r_I, proof_ in [(I, r[I], proof), sim, *mutations(I, r[I], proof, params, rng), *mutations(*sim, params, rng)]:
+                assert hb_verify(I_, r_I, x, proof_, params) == ref_verify(I_, r_I, x, proof_, params)
+
+    def test_reveal_all_claim_on_useful_block_rejects(self):
+        params, (x, witness) = FIXTURES["quantum"]
+        r = np.zeros(params.total_bits, dtype=np.uint8)
+        r[[5, 6]] = 1  # repetition 1 holds the useful cycle 0 -> 1 -> 0
+        I, proof = hb_prove(r, x, witness, params)
+        assert isinstance(proof.reps[1], RepUseful) and hb_verify(I, r[I], x, proof, params)
+        claim = HbProof(tuple(RepRevealAll() for _ in proof.reps))
+        everything = np.arange(params.total_bits)
+        assert not hb_verify(everything, r, x, claim, params)
+        assert hb_verify(everything, np.zeros_like(r), x, claim, params)
+
+    @pytest.mark.parametrize("shape", sorted(FIXTURES))
+    def test_reveal_all_one_position_short_rejects(self, shape):
+        params, (x, witness) = FIXTURES[shape]
+        kp = params.bits_per_rep
+        r = np.zeros(params.total_bits, dtype=np.uint8)
+        I, proof = hb_prove(r, x, witness, params)
+        assert hb_verify(I, r[I], x, proof, params)
+        for rep in range(params.repetitions):
+            for drop in (rep * kp, (rep + 1) * kp - 1):
+                short = I[I != drop]
+                assert not hb_verify(short, r[short], x, proof, params)
+
+    def test_above_cap_takes_the_per_repetition_path(self, usefulness_calls, rng):
+        params, (x, witness) = FIXTURES["above-cap"]
+        assert params.bits_per_rep > hbnizk._TABLE_MAX_BITS
+        r = np.zeros(params.total_bits, dtype=np.uint8)
+        I, proof = hb_prove(r, x, witness, params)
+        assert hb_verify(I, r[I], x, proof, params)
+        hb_simulate(x, params, rng)
+        assert len(usefulness_calls) == 3 * params.repetitions
+
+    @pytest.mark.parametrize("shape", ["quantum", "classical"])
+    def test_table_path_calls_usefulness_only_to_fill_the_table(self, shape, usefulness_calls, rng):
+        params, (x, witness) = FIXTURES[shape]
+        hbnizk._block_decoder.cache_clear()
+        for _ in range(20):
+            r = rng.integers(0, 2, size=params.total_bits, dtype=np.uint8)
+            I, proof = hb_prove(r, x, witness, params)
+            assert hb_verify(I, r[I], x, proof, params)
+            I, r_I, proof = hb_simulate(x, params, rng)
+            assert hb_verify(I, r_I, x, proof, params)
+        assert len(usefulness_calls) == 1 << params.bits_per_rep
+
+    def test_required_positions_cached_read_only(self):
+        params, (x, _) = FIXTURES["classical"]
+        need = required_positions((2, 0, 1), x, params)
+        assert required_positions((2, 0, 1), complete_digraph(3), params) is need
+        with pytest.raises(ValueError):
+            need[0] = 0
+        assert list(need) == [0, 4, 8]  # the diagonal: K3 has every other entry
