@@ -299,13 +299,14 @@ def hb_verify(
     bounds = np.searchsorted(I, np.arange(params.repetitions + 1) * kp)
     # reveal-all: kp positions inside a block are all of it (I is strictly
     # increasing), and the block must decode as not useful
-    reveal = np.array([isinstance(rep_proof, RepRevealAll) for rep_proof in proof.reps])
-    if (bounds[1:][reveal] - bounds[:-1][reveal] != kp).any():
+    counts = (bounds[1:] - bounds[:-1]).tolist()
+    reveal = [rep for rep, rep_proof in enumerate(proof.reps) if isinstance(rep_proof, RepRevealAll)]
+    if any(counts[rep] != kp for rep in reveal):
         return False
-    if reveal.all():
+    if len(reveal) == params.repetitions:
         blocks = r_I.reshape(params.repetitions, kp)
     else:
-        blocks = r_I[bounds[:-1][reveal, None] + np.arange(kp)]
+        blocks = r_I[bounds[reveal, None] + np.arange(kp)]
     decode = _block_decoder(params.matrix_side, params.block_len, params.n)
     if any(cycle is not None for cycle in decode(blocks)):
         return False

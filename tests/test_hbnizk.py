@@ -333,7 +333,9 @@ class TestSimulator:
 
 class TestAmplify:
     def test_rho_one_is_base(self):
-        assert HbParams(TINY.n, 1, TINY.matrix_side, TINY.block_len) == TINY
+        # one repetition consumes one block; rho repetitions, rho blocks
+        assert TINY.repetitions == 1 and TINY.total_bits == TINY.bits_per_rep
+        assert HbParams(TINY.n, 7, TINY.matrix_side, TINY.block_len).total_bits == 7 * TINY.bits_per_rep
 
     def test_completeness_preserved(self, rng):
         params = HbParams(TINY.n, 7, TINY.matrix_side, TINY.block_len)
@@ -426,7 +428,7 @@ def ref_verify(I, r_I, x, proof, params):
                 return False
             continue
         vmap = rep_proof.vertex_map
-        if len(set(vmap)) != params.n or not all(0 <= v < m for v in vmap):
+        if len(vmap) != params.n or len(set(vmap)) != params.n or not all(0 <= v < m for v in vmap):
             return False
         need = required_positions(vmap, x, params)
         if len(idx) != len(need) or np.any(idx != need):
