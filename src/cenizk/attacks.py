@@ -71,13 +71,6 @@ class CommitBlock:
         return self._state
 
 
-def commit_bit(m: int, width: int, rng: np.random.Generator) -> CommitBlock:
-    y = rng.integers(0, 2, size=width, dtype=np.uint8)
-    theta = rng.integers(0, 2, size=width, dtype=np.uint8)
-    c = int(m) ^ int(masked_parity(theta, y))
-    return CommitBlock(y, theta, c)
-
-
 def _draw_blocks(k: int, width: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """The draws behind k commitment blocks: ys, then thetas, each a
     (k, width) uint8 array."""
@@ -568,7 +561,6 @@ __all__ = [
     "Z_PLAIN",
     "Z_THETA_LEAKING",
     "check_deletion_cert",
-    "commit_bit",
     "commit_bits",
     "deletion_cert_for_block",
     "derived_prove",

@@ -30,6 +30,7 @@ Two execution modes:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Optional
@@ -196,30 +197,53 @@ def _owf_int(preimage: int, sig_width: int, mode: str) -> int:
 
 
 def _sig_table(params: CrsParams, preimages: np.ndarray) -> list[list[int]]:
-    return [
-        [_owf_int(preimages[i, b], params.sig_width, params.owf_mode) for b in (0, 1)]
-        for i in range(len(preimages))
-    ]
+    """Both OWF images of every encoding position: table[i][b] signs z_i = b."""
+    return [[_owf_int(p, params.sig_width, params.owf_mode) for p in pair] for pair in preimages.tolist()]
 
 
-def _sig_int(z_int: int, table: list[list[int]], width: int) -> int:
-    out = 0
-    n = len(table)
-    for i in range(n):
-        bit = (z_int >> (n - 1 - i)) & 1
-        out = (out << width) | table[i][bit]
-    return out
+_SIG_CHUNK = 8  # z bits per lookup table
+
+
+def _sig_lookup(params: CrsParams, preimages: np.ndarray):
+    """z -> signature chain of z: chunk i, sig_width bits with position 0
+    most significant, is table[i][z_i].
+
+    The chain is base ^ (XOR of delta_i over the positions where z_i = 1),
+    base holding every table[i][0] and delta_i the difference of
+    position i's two images. The deltas are folded into one table per 8
+    bits of z (base into the lowest), so a term costs one lookup per 8
+    bits of z."""
+    table = _sig_table(params, preimages)
+    n, w = len(table), params.sig_width
+    base = 0
+    # deltas by bit of the integer z, least significant first
+    deltas = []
+    for i, (img0, img1) in enumerate(table):
+        base |= img0 << ((n - 1 - i) * w)
+        deltas.append((img0 ^ img1) << ((n - 1 - i) * w))
+    deltas.reverse()
+    chunks = []
+    for lo in range(0, n, _SIG_CHUNK):
+        folded = [0]
+        for d in deltas[lo : lo + _SIG_CHUNK]:
+            folded += [f ^ d for f in folded]
+        chunks.append(folded)
+    chunks[0] = [f ^ base for f in chunks[0]]
+    low_mask = (1 << _SIG_CHUNK) - 1
+
+    def sig(z: int) -> int:
+        out = 0
+        for folded in chunks:
+            out ^= folded[z & low_mask]
+            z >>= _SIG_CHUNK
+        return out
+
+    return sig
 
 
 # ---------------------------------------------------------------------
 # OR statement and outer proof lane
 # ---------------------------------------------------------------------
-
-
-def build_or_statement(
-    x: np.ndarray, crs_in, ct0: np.ndarray, ct1: np.ndarray, z: np.ndarray
-) -> OrStatement:
-    return OrStatement(as_bit_array(x), crs_in, as_bit_array(ct0), as_bit_array(ct1), as_bit_array(z))
 
 
 def _inner_verify(crs_in, x: np.ndarray, candidate: np.ndarray) -> int:
@@ -250,6 +274,7 @@ class _ToyOuterLane:
 
     def __init__(self, params: CrsParams, x: np.ndarray, ct0: np.ndarray, ct1: np.ndarray):
         self.params = params
+        self.witness_bits = params.witness_bits
         self.x_int = bits_to_int(x)
         self.ct0_int = bits_to_int(ct0)
         self.ct1_int = bits_to_int(ct1)
@@ -269,12 +294,12 @@ class _ToyOuterLane:
         return int(self.encode_table[cand1] == self.x_int)
 
     def prove_int(self, z_int: int, omega_int: int, prfk: bytes) -> int:
-        w = self.params.witness_bits
+        w = self.witness_bits
         mask = _prf_mask_int(prfk, z_int, w, self.params.prf_mode)
         return ((omega_int ^ mask) << w) | mask
 
     def verify_int(self, z_int: int, pi_int: int) -> int:
-        w = self.params.witness_bits
+        w = self.witness_bits
         mask = pi_int & ((1 << w) - 1)
         omega_int = (pi_int >> w) ^ mask
         return self.or_check_int(z_int, omega_int)
@@ -290,10 +315,10 @@ def _outer_verify_oracle(params: CrsParams, x: np.ndarray, ct0: np.ndarray, ct1:
 
 def _sig_test_oracle(params: CrsParams, key: CrsProverKey):
     """f_test: R||S value -> 1 iff S holds the signature chain of R."""
-    table = _sig_table(params, key.preimages)
+    sig = _sig_lookup(params, key.preimages)
     width = params.sig_bits
     mask = (1 << width) - 1
-    return lambda zs: int((zs & mask) == _sig_int(zs >> width, table, params.sig_width))
+    return lambda zs: int((zs & mask) == sig(zs >> width))
 
 
 def _oracle_into_flag(state: SparseState, in_reg: list[int], f) -> tuple[SparseState, int]:
@@ -363,14 +388,10 @@ def _attach_functional_registers(
     regs = regs or params.registers()
     lane = _ToyOuterLane(params, x, ct0, ct1)
     omega = _omega_int(key, params)
-    table = _sig_table(params, key.preimages)
     state = apply_oracle(
         state, regs["R"], regs["P"], lambda z: lane.prove_int(z, omega, key.prfk)
     )
-    state = apply_oracle(
-        state, regs["R"], regs["S"], lambda z: _sig_int(z, table, params.sig_width)
-    )
-    return state
+    return apply_oracle(state, regs["R"], regs["S"], _sig_lookup(params, key.preimages))
 
 
 def crs_verify(
@@ -574,10 +595,10 @@ def _compiled_proof_from_bits(bits: np.ndarray):
         return None
 
 
-def _sig_chain_ok(chunks, table: list[list[int]], z) -> bool:
+def _sig_chain_ok(chunks, image, z) -> bool:
     """Certifier-side chain check: every chunk must be the OWF image of
-    the preimage the z bit selects."""
-    return all(chunks[i] == table[i][int(z[i])] for i in range(len(chunks)))
+    the preimage the z bit selects (image(i, b) signs z_i = b)."""
+    return all(c == image(i, b) for i, (c, b) in enumerate(zip(chunks, z)))
 
 
 def _dry_inner_verify(crs_in, x, candidate_bits) -> int:
@@ -624,17 +645,20 @@ def crs_prove_dry(
     ct1 = pad1_y ^ k1
 
     preimages = rng.integers(0, 1 << params.preimage_bits, size=(n_r, 2), dtype=np.uint64)
-    table = _sig_table(params, preimages)
+    pre = preimages.tolist()
+    # hashed on first read: the image z selects at each position, plus
+    # the other image at position 0
+    image = functools.cache(lambda i, b: _owf_int(pre[i][b], params.sig_width, params.owf_mode))
     # signature chain, chunk-wise: chunk i is the OWF image of the
     # preimage selected by z_i
-    chunks = [table[i][int(z[i])] for i in range(n_r)]
-    sig_ok = _sig_chain_ok(chunks, table, z)
+    z_bits = z.tolist()
+    chunks = [image(i, b) for i, b in enumerate(z_bits)]
+    sig_ok = _sig_chain_ok(chunks, image, z_bits)
     # binding signal: flipping one z bit breaks the chain (barring an
     # OWF output collision at that position)
-    z_flip = z.copy()
-    z_flip[0] ^= 1
-    flip_detected = not _sig_chain_ok(chunks, table, z_flip)
-    images_differ = table[0][0] != table[0][1]
+    z_flip = [z_bits[0] ^ 1] + z_bits[1:]
+    flip_detected = not _sig_chain_ok(chunks, image, z_flip)
+    images_differ = image(0, 0) != image(0, 1)
     sig_ok = sig_ok and (flip_detected or not images_differ)
 
     stmt = OrStatement(x, crs.crs_in, ct0, ct1, z)  # dry statements carry the graph itself
@@ -662,7 +686,6 @@ __all__ = [
     "CrsProverKey",
     "DryRunRecord",
     "OrStatement",
-    "build_or_statement",
     "cert_match_probability",
     "cert_original_after_clone",
     "cert_uncompute",

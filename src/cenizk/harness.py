@@ -222,14 +222,20 @@ def _epr_proof_payload(proof) -> dict:
     }
 
 
-def _crs_instance(params: dict):
-    """(CrsParams, witness bits, toy statement) from session params."""
-    _require_params(params, default_crs_params(), "crs-toy")
+def _crs_params(params: dict, what: str):
+    """(CrsParams, witness bits) from crs-toy or crs-dry session params."""
+    _require_params(params, default_crs_params(), what)
     pp = cp.CrsParams(lam=int(params["lam"]), sig_width=int(params["sig_width"]))
     try:
         w = as_bit_array(params["witness"])
     except ValueError:
-        raise ValueError(f"crs-toy param witness must be a 0/1 string, got {params['witness']!r}") from None
+        raise ValueError(f"{what} param witness must be a 0/1 string, got {params['witness']!r}") from None
+    return pp, w
+
+
+def _crs_instance(params: dict):
+    """(CrsParams, witness bits, toy statement) from session params."""
+    pp, w = _crs_params(params, "crs-toy")
     return pp, w, toy_encode(w)
 
 
@@ -276,13 +282,15 @@ def _run_crs_session(params: dict, seed: int, stop: str) -> Transcript:
 
 
 def _run_dry_session(params: dict, seed: int, stop: str) -> Transcript:
-    _require_params(params, {"lam": 2}, "crs-dry")
+    # the rehearsal proves a fixed triangle cycle; the witness param is
+    # only validated
+    pp, _ = _crs_params(params, "crs-dry")
     t = Transcript("crs-dry", dict(params), seed)
     hb = HbParams(n=3, repetitions=1, matrix_side=3, block_len=1)
     spec = CompiledSpec(hb=hb, hbg_mode="dealer")
     crs = cp.crs_setup_dry(spec, stream(seed, "setup"))
     x, witness = triangle_both_cycles()[0], canonical_cycle(3)
-    record = cp.crs_prove_dry(cp.CrsParams(lam=int(params["lam"])), crs, x, witness, stream(seed, "prove"))
+    record = cp.crs_prove_dry(pp, crs, x, witness, stream(seed, "prove"))
     t.add_message("prover", "dry-run", {"ell": record.ell, "ct0": record.ct0, "ct1": record.ct1})
     for name, ok in record.checks.items():
         t.verdicts[name] = bool(ok)

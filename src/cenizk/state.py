@@ -28,6 +28,7 @@ Randomized operations take an explicit numpy Generator.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -78,11 +79,12 @@ class SparseState:
     # -- invariants ---------------------------------------------------
 
     def _check(self) -> None:
-        norm = sum(abs(a) ** 2 for a in self.amps.values())
+        mags = list(map(abs, self.amps.values()))
+        norm = sum(map(operator.mul, mags, mags))
         assert abs(norm - 1.0) <= NORM_TOL, f"norm drifted: {norm}"
-        assert all(abs(a) >= PRUNE_EPS for a in self.amps.values()), "unpruned tiny term"
+        assert not mags or min(mags) >= PRUNE_EPS, "unpruned tiny term"
         limit = 1 << self.num_qubits
-        assert all(0 <= k < limit for k in self.amps), "key out of range"
+        assert not mags or (min(self.amps) >= 0 and max(self.amps) < limit), "key out of range"
 
     def norm_sq(self) -> float:
         return sum(abs(a) ** 2 for a in self.amps.values())
@@ -131,28 +133,23 @@ def prep_bb84(desc: Bb84Descriptor) -> SparseState:
     of y_j z_j) and every magnitude is 2^(-wt(theta)/2).
     """
     n = len(desc)
-    had = [j for j in range(n) if desc.theta[j]]
-    wt = len(had)
+    y, theta = desc.y.tolist(), desc.theta.tolist()
+    had = [j for j in range(n) if theta[j]]
+    mag = 2.0 ** (-len(had) / 2.0)
     base = 0
-    for j in range(n):
-        if desc.theta[j] == 0 and desc.y[j]:
-            base |= 1 << (n - 1 - j)
-    mag = 2.0 ** (-wt / 2.0)
-    amps: dict[int, complex] = {}
-    for assign in range(1 << wt):
-        key = base
-        sign_bits = 0
-        for pos, j in enumerate(had):
-            zj = (assign >> (wt - 1 - pos)) & 1
-            if zj:
-                key |= 1 << (n - 1 - j)
-                sign_bits ^= desc.y[j]
-        amps[key] = complex(mag if sign_bits == 0 else -mag)
-    return SparseState(n, amps)
-
-
-def zero_state(num_qubits: int) -> SparseState:
-    return SparseState(num_qubits, {0: 1.0 + 0.0j})
+    for yj, tj in zip(y, theta):
+        base = (base << 1) | (yj & (tj ^ 1))
+    # Doubling over the Hadamard positions, last one first, lists the
+    # support in the order of a counter whose least significant bit is
+    # the last Hadamard position.
+    keys = [base]
+    signs = [0]
+    for j in reversed(had):
+        bit = 1 << (n - 1 - j)
+        keys += [k | bit for k in keys]
+        signs += [s ^ 1 for s in signs] if y[j] else signs
+    amp = [complex(mag), complex(-mag)]
+    return SparseState(n, dict(zip(keys, map(amp.__getitem__, signs))))
 
 
 def append_register(state: SparseState, width: int) -> SparseState:
@@ -299,6 +296,29 @@ def _extract(key: int, spans: list[tuple[int, int, int]]) -> int:
     return value
 
 
+def _read(keys, spans: list[tuple[int, int, int]]) -> list[int]:
+    """The register value of each key."""
+    if len(spans) == 1:
+        shift, _, mask = spans[0]
+        return [(k >> shift) & mask for k in keys]
+    return [_extract(k, spans) for k in keys]
+
+
+def _deposit(values: list[int], spans: list[tuple[int, int, int]]) -> list[int]:
+    """For each value, the key mask that holds it in the register."""
+    if len(spans) == 1:
+        shift = spans[0][0]
+        return [v << shift for v in values]
+    out = []
+    for v in values:
+        m = 0
+        for shift, width, mask in reversed(spans):
+            m |= (v & mask) << shift
+            v >>= width
+        out.append(m)
+    return out
+
+
 def apply_oracle(
     state: SparseState,
     in_reg: Sequence[int],
@@ -315,20 +335,11 @@ def apply_oracle(
     if set(in_reg) & set(out_reg):
         raise SimUsageError("in_reg and out_reg must be disjoint")
     n = state.num_qubits
-    out_width = len(out_reg)
-    in_spans = _spans(n, in_reg)
-    # deposit walks the output value from its least significant end
-    out_spans = _spans(n, out_reg)[::-1]
-    amps: dict[int, complex] = {}
-    for k, a in state.amps.items():
-        y = f(_extract(k, in_spans))
-        if y >> out_width:
-            raise SimUsageError("oracle output wider than out_reg")
-        for shift, width, mask in out_spans:
-            k ^= (y & mask) << shift
-            y >>= width
-        amps[k] = a
-    return SparseState(n, amps, state.retired)
+    ys = list(map(f, _read(state.amps, _spans(n, in_reg))))
+    if ys and (min(ys) < 0 or max(ys) >> len(out_reg)):
+        raise SimUsageError("oracle output negative or wider than out_reg")
+    keys = map(operator.xor, state.amps, _deposit(ys, _spans(n, out_reg)))
+    return SparseState(n, dict(zip(keys, state.amps.values())), state.retired)
 
 
 # ---------------------------------------------------------------------
@@ -372,16 +383,9 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
 
 def dump_lines(state: SparseState) -> list[str]:
     """Lines "bitstring real imag", sorted lexicographically by bitstring."""
-    rows = []
-    for k, a in state.amps.items():
-        bstr = format(k, f"0{state.num_qubits}b")
-        rows.append(f"{bstr} {a.real:.12e} {a.imag:.12e}")
-    return sorted(rows)
-
-
-def state_from_descriptor_string(y: str, theta: str) -> SparseState:
-    """BB84 state from printed bitstrings, e.g. ("01", "10")."""
-    return prep_bb84(Bb84Descriptor(y, theta))
+    # fixed-width bitstrings sort as their integers do
+    n = state.num_qubits
+    return [f"{k:0{n}b} {a.real:.12e} {a.imag:.12e}" for k, a in sorted(state.amps.items())]
 
 
 __all__ = [
@@ -396,7 +400,5 @@ __all__ = [
     "measure",
     "prep_bb84",
     "project",
-    "state_from_descriptor_string",
     "trace_distance",
-    "zero_state",
 ]

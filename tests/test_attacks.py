@@ -17,7 +17,7 @@ from cenizk.attacks import (
     Z_PLAIN,
     Z_THETA_LEAKING,
     check_deletion_cert,
-    commit_bit,
+    commit_bits,
     deletion_cert_for_block,
     derived_prove,
     derived_soundness_adversary,
@@ -36,7 +36,7 @@ from cenizk.rng import stream
 class TestCommitBlocks:
     def test_open_round_trip(self, rng):
         for m in (0, 1):
-            block = commit_bit(m, 4, rng)
+            block = commit_bits([m], 4, rng)[0]
             got = open_commit(block.state, block.y, block.theta, block.c, rng)
             assert got == m
 
@@ -44,14 +44,14 @@ class TestCommitBlocks:
         detected = 0
         trials = 200
         for _ in range(trials):
-            block = commit_bit(1, 6, rng)
+            block = commit_bits([1], 6, rng)[0]
             bad_theta = block.theta ^ 1  # flip every basis claim
             got = open_commit(block.state, block.y, bad_theta, block.c, rng)
             detected += got is None
         assert detected > trials * 0.9  # per-position detection is 1/2
 
     def test_deletion_cert_checks_hadamard_positions(self, rng):
-        block = commit_bit(0, 5, rng)
+        block = commit_bits([0], 5, rng)[0]
         cert = deletion_cert_for_block(block.state, rng)
         assert check_deletion_cert(cert, block.y, block.theta)
 

@@ -12,7 +12,6 @@ from cenizk.crs_protocol import (
     CrsParams,
     CrsProofState,
     OrStatement,
-    build_or_statement,
     cert_match_probability,
     cert_original_after_clone,
     cert_uncompute,
@@ -27,6 +26,8 @@ from cenizk.crs_protocol import (
     or_check,
     pad_half,
     verify_clone_half,
+    _owf_int,
+    _sig_lookup,
 )
 from cenizk.graphs import canonical_cycle, complete_digraph
 from cenizk.hbnizk import HbParams
@@ -116,7 +117,7 @@ class TestOrStatement:
         crs = crs_setup(rng)
         sigma, key = crs_prove(PARAMS, crs, STATEMENT, WITNESS, rng)
         z = next(iter(support_terms(key.theta, key.y)))
-        stmt = build_or_statement(STATEMENT, crs.crs_in, sigma.ct0, sigma.ct1, z)
+        stmt = OrStatement(STATEMENT, crs.crs_in, sigma.ct0, sigma.ct1, z)
         return crs, sigma, key, stmt
 
     def test_honest_accepts_via_clause_zero(self, rng):
@@ -135,7 +136,7 @@ class TestOrStatement:
         ct1 = pi_in ^ pad_half(theta, y, 1, PARAMS.ell, PARAMS.lam) ^ k1
         ct0 = rng.integers(0, 2, size=PARAMS.ell, dtype=np.uint8)  # garbage
         z = np.where(theta == 0, y, rng.integers(0, 2, size=PARAMS.r_qubits, dtype=np.uint8))
-        stmt = build_or_statement(STATEMENT, crs.crs_in, ct0, ct1, z.astype(np.uint8))
+        stmt = OrStatement(STATEMENT, crs.crs_in, ct0, ct1, z.astype(np.uint8))
         result = or_check(stmt, (theta, k0, k1))
         assert result == 1
 
@@ -308,6 +309,48 @@ class TestDryRun:
             crs = crs_setup_dry(spec, rng)
             record = crs_prove_dry(CrsParams(lam=2), crs, g, w, rng)
             assert all(record.checks.values()), record.checks
+
+
+def sig_table_reference(params, preimages):
+    """Both OWF images of every position, hashed from numpy scalars."""
+    return [[_owf_int(preimages[i, b], params.sig_width, params.owf_mode) for b in (0, 1)] for i in range(len(preimages))]
+
+
+def sig_int_reference(z_int, table, width):
+    """The per-position signature chain the toy oracles used to build,
+    position 0 most significant."""
+    out = 0
+    n = len(table)
+    for i in range(n):
+        bit = (z_int >> (n - 1 - i)) & 1
+        out = (out << width) | table[i][bit]
+    return out
+
+
+def _preimages(params, seed):
+    rng = stream(seed, "sig-lookup")
+    return rng.integers(0, 1 << params.preimage_bits, size=(params.r_qubits, 2), dtype=np.uint64)
+
+
+class TestSignatureLookup:
+    @pytest.mark.parametrize("key_seed", [0, 1, 2])
+    def test_matches_per_position_chain_on_every_z(self, key_seed):
+        preimages = _preimages(PARAMS, key_seed)
+        sig = _sig_lookup(PARAMS, preimages)
+        table = sig_table_reference(PARAMS, preimages)
+        assert all(sig(z) == sig_int_reference(z, table, PARAMS.sig_width) for z in range(1 << PARAMS.r_qubits))
+
+    @pytest.mark.parametrize(
+        "params",
+        [CrsParams(sig_width=1), CrsParams(lam=1), CrsParams(lam=3, sig_width=5), CrsParams(owf_mode="identity")],
+    )
+    def test_matches_per_position_chain_at_other_shapes(self, params):
+        preimages = _preimages(params, 7)
+        sig = _sig_lookup(params, preimages)
+        table = sig_table_reference(params, preimages)
+        n = params.r_qubits
+        zs = range(1 << n) if n <= 16 else stream(8, "sig-lookup").integers(0, 1 << n, 4096).tolist()
+        assert all(sig(z) == sig_int_reference(z, table, params.sig_width) for z in zs)
 
 
 class TestNegativeControlFixtures:

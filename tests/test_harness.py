@@ -179,10 +179,10 @@ class TestDeterminism:
 
     def test_quantum_registers_never_serialize(self):
         # the wire encoder rejects state objects outright
-        from cenizk.state import zero_state
+        from cenizk.state import SparseState
 
         with pytest.raises(wire.WireError):
-            wire.encode({"state": zero_state(1)})
+            wire.encode({"state": SparseState(1, {0: 1.0 + 0.0j})})
 
     def test_epr_messages_reveal_theta_only_for_opened_blocks(self):
         t = run_session("epr", None, 12)
@@ -261,11 +261,12 @@ class TestParamTypes:
         assert "seed must be an integer" in capsys.readouterr().err
 
 
-# every integer param a session reads; the dry run reads only lam
+# every integer param a session reads
 SIZE_PARAMS = [("epr", key) for key, value in default_epr_params().items() if isinstance(value, int)] + [
     ("crs-toy", "lam"),
     ("crs-toy", "sig_width"),
     ("crs-dry", "lam"),
+    ("crs-dry", "sig_width"),
 ]
 
 
@@ -279,6 +280,14 @@ class TestCliParams:
     def test_witness_with_a_non_bit_is_usage_error(self, capsys):
         assert cli_main(["run-session", "--protocol", "crs-toy", "--param", "witness=1012"]) == 2
         assert "crs-toy param witness must be a 0/1 string, got '1012'" in capsys.readouterr().err
+
+    def test_dry_run_checks_the_params_it_records(self, capsys):
+        # crs-dry proves a fixed triangle, but every param lands in the
+        # transcript, so each is validated as crs-toy validates it
+        assert cli_main(["run-session", "--protocol", "crs-dry", "--param", "witness=1012"]) == 2
+        assert "crs-dry param witness must be a 0/1 string, got '1012'" in capsys.readouterr().err
+        assert cli_main(["run-session", "--protocol", "crs-dry", "--param", "sig_width=0"]) == 2
+        assert "crs-dry param sig_width must be at least 1, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [0, -1])
     @pytest.mark.parametrize("protocol,key", SIZE_PARAMS)

@@ -24,9 +24,7 @@ from cenizk.state import (
     measure,
     prep_bb84,
     project,
-    state_from_descriptor_string,
     trace_distance,
-    zero_state,
 )
 from conftest import CHI2_CRIT_1DF, chi_square_uniform
 
@@ -39,17 +37,17 @@ def bits(s):
 
 class TestPrepBb84:
     def test_h_zero(self):
-        st_ = state_from_descriptor_string("0", "1")
+        st_ = prep_bb84(Bb84Descriptor("0", "1"))
         assert st_.amps[0] == pytest.approx(SQRT_HALF)
         assert st_.amps[1] == pytest.approx(SQRT_HALF)
 
     def test_h_one(self):
-        st_ = state_from_descriptor_string("1", "1")
+        st_ = prep_bb84(Bb84Descriptor("1", "1"))
         assert st_.amps[0] == pytest.approx(SQRT_HALF)
         assert st_.amps[1] == pytest.approx(-SQRT_HALF)
 
     def test_computational(self):
-        st_ = state_from_descriptor_string("10", "00")
+        st_ = prep_bb84(Bb84Descriptor("10", "00"))
         assert st_.amps == {0b10: pytest.approx(1.0)}
 
     @given(st.integers(0, 63), st.integers(0, 63))
@@ -87,7 +85,7 @@ class TestMeasure:
     def test_plus_state_unbiased(self, rng):
         counts = [0, 0]
         for _ in range(10_000):
-            out, _ = measure(state_from_descriptor_string("0", "1"), [0], ["Z"], rng)
+            out, _ = measure(prep_bb84(Bb84Descriptor("0", "1")), [0], ["Z"], rng)
             counts[out[0]] += 1
         assert chi_square_uniform(counts) < CHI2_CRIT_1DF
 
@@ -105,20 +103,20 @@ class TestMeasure:
         assert post.num_terms() <= before
 
     def test_remeasure_retired_qubit_errors(self, rng):
-        st_ = state_from_descriptor_string("00", "10")
+        st_ = prep_bb84(Bb84Descriptor("00", "10"))
         _, post = measure(st_, [0], ["X"], rng)
         with pytest.raises(SimUsageError):
             measure(post, [0], ["Z"], rng)
 
     def test_duplicate_indices_error(self, rng):
-        st_ = state_from_descriptor_string("00", "00")
+        st_ = prep_bb84(Bb84Descriptor("00", "00"))
         with pytest.raises(SimUsageError):
             measure(st_, [0, 0], ["Z", "Z"], rng)
 
 
 class TestOracle:
     def test_cnot_copy(self):
-        st_ = state_from_descriptor_string("0", "1")
+        st_ = prep_bb84(Bb84Descriptor("0", "1"))
         st_ = append_register(st_, 1)
         st_ = apply_oracle(st_, [0], [1], lambda z: z)
         assert set(st_.amps) == {0b00, 0b11}
@@ -138,7 +136,7 @@ class TestOracle:
         assert set(st_.amps) == {0b000, 0b110}
 
     def test_non_contiguous_registers(self):
-        st_ = append_register(state_from_descriptor_string("10", "00"), 2)
+        st_ = append_register(prep_bb84(Bb84Descriptor("10", "00")), 2)
         out = apply_oracle(st_, [2, 0], [3], lambda z: z & 1)  # reads qubits 2,0
         assert set(out.amps) == {0b1001}  # f(in=0b01)=1 lands on qubit 3
 
@@ -172,23 +170,23 @@ class TestOracle:
         assert np.allclose(rho, ref, atol=1e-12)
 
     def test_output_width_mismatch(self):
-        st_ = append_register(zero_state(1), 1)
+        st_ = append_register(SparseState(1, {0: 1.0 + 0.0j}), 1)
         with pytest.raises(SimUsageError):
             apply_oracle(st_, [0], [1], lambda z: 2)
 
     def test_overlapping_registers_error(self):
-        st_ = zero_state(2)
+        st_ = SparseState(2, {0: 1.0 + 0.0j})
         with pytest.raises(SimUsageError):
             apply_oracle(st_, [0], [0], lambda z: z)
 
 
 class TestAppendDrop:
     def test_append_extends_keys(self):
-        st_ = append_register(state_from_descriptor_string("1", "0"), 2)
+        st_ = append_register(prep_bb84(Bb84Descriptor("1", "0")), 2)
         assert set(st_.amps) == {0b100}
 
     def test_append_preserves_norm_and_terms(self):
-        st_ = state_from_descriptor_string("01", "11")
+        st_ = prep_bb84(Bb84Descriptor("01", "11"))
         grown = append_register(st_, 3)
         assert grown.num_terms() == st_.num_terms()
         assert grown.norm_sq() == pytest.approx(1.0)
@@ -204,40 +202,40 @@ class TestAppendDrop:
 
 class TestProject:
     def test_zero_onto_zero(self):
-        prob, post = project(zero_state(1), 0, "Z", 0)
+        prob, post = project(SparseState(1, {0: 1.0 + 0.0j}), 0, "Z", 0)
         assert prob == pytest.approx(1.0)
         assert post.amps == {0: pytest.approx(1.0)}
 
     def test_zero_onto_one_is_bot(self):
-        prob, post = project(zero_state(1), 0, "Z", 1)
+        prob, post = project(SparseState(1, {0: 1.0 + 0.0j}), 0, "Z", 1)
         assert prob == 0.0 and post is None
 
     def test_plus_onto_zero(self):
-        prob, post = project(state_from_descriptor_string("0", "1"), 0, "Z", 0)
+        prob, post = project(prep_bb84(Bb84Descriptor("0", "1")), 0, "Z", 0)
         assert prob == pytest.approx(0.5)
         assert post.amps == {0: pytest.approx(1.0)}
 
     def test_x_projection_on_eigenstate(self):
-        prob, post = project(state_from_descriptor_string("1", "1"), 0, "X", 1)
+        prob, post = project(prep_bb84(Bb84Descriptor("1", "1")), 0, "X", 1)
         assert prob == pytest.approx(1.0)
-        prob0, _ = project(state_from_descriptor_string("1", "1"), 0, "X", 0)
+        prob0, _ = project(prep_bb84(Bb84Descriptor("1", "1")), 0, "X", 0)
         assert prob0 == 0.0
 
 
 class TestDensityAndTraceDistance:
     def test_identical_states(self):
-        rho = density_matrix(state_from_descriptor_string("0", "0"), [0])
+        rho = density_matrix(prep_bb84(Bb84Descriptor("0", "0")), [0])
         assert trace_distance(rho, rho) == pytest.approx(0.0)
 
     def test_orthogonal_pure_states(self):
-        r0 = density_matrix(state_from_descriptor_string("0", "0"), [0])
-        r1 = density_matrix(state_from_descriptor_string("1", "0"), [0])
+        r0 = density_matrix(prep_bb84(Bb84Descriptor("0", "0")), [0])
+        r1 = density_matrix(prep_bb84(Bb84Descriptor("1", "0")), [0])
         assert trace_distance(r0, r1) == pytest.approx(1.0)
 
     def test_pure_state_closed_form_oracle(self):
         # independent oracle: TD = sqrt(1 - |<a|b>|^2) for pure states
-        a = state_from_descriptor_string("0", "0")
-        b = state_from_descriptor_string("0", "1")
+        a = prep_bb84(Bb84Descriptor("0", "0"))
+        b = prep_bb84(Bb84Descriptor("0", "1"))
         overlap = sum(a.amps.get(k, 0).conjugate() * v for k, v in b.amps.items())
         oracle = math.sqrt(1.0 - abs(overlap) ** 2)
         td = trace_distance(density_matrix(a, [0]), density_matrix(b, [0]))
@@ -261,7 +259,7 @@ class TestDensityAndTraceDistance:
         assert np.allclose(rho, np.eye(2) / 2)
 
     def test_dense_guard(self):
-        st_ = zero_state(14)
+        st_ = SparseState(14, {0: 1.0 + 0.0j})
         with pytest.raises(SimUsageError):
             density_matrix(st_, list(range(13)))
 
@@ -286,7 +284,7 @@ class TestNormalization:
 
 class TestDump:
     def test_golden_lines(self):
-        st_ = state_from_descriptor_string("11", "01")
+        st_ = prep_bb84(Bb84Descriptor("11", "01"))
         assert dump_lines(st_) == [
             "10 7.071067811865e-01 0.000000000000e+00",
             "11 -7.071067811865e-01 0.000000000000e+00",
@@ -297,3 +295,100 @@ class TestDump:
         lines = dump_lines(st_)
         assert lines == sorted(lines)
         assert len(lines) == 8
+
+
+# ---------------------------------------------------------------------
+# the rewritten primitives pinned against the per-term loops they replaced
+# ---------------------------------------------------------------------
+
+
+def prep_bb84_reference(y, theta):
+    """The per-bit loop prep_bb84 used to run: one pass over the
+    Hadamard positions for every support term."""
+    n = len(y)
+    had = [j for j in range(n) if theta[j]]
+    wt = len(had)
+    base = 0
+    for j in range(n):
+        if theta[j] == 0 and y[j]:
+            base |= 1 << (n - 1 - j)
+    mag = 2.0 ** (-wt / 2.0)
+    amps = {}
+    for assign in range(1 << wt):
+        key = base
+        sign_bits = 0
+        for pos, j in enumerate(had):
+            if (assign >> (wt - 1 - pos)) & 1:
+                key |= 1 << (n - 1 - j)
+                sign_bits ^= y[j]
+        amps[key] = complex(mag if sign_bits == 0 else -mag)
+    return amps
+
+
+def dump_lines_reference(st_):
+    rows = [f"{format(k, f'0{st_.num_qubits}b')} {a.real:.12e} {a.imag:.12e}" for k, a in st_.amps.items()]
+    return sorted(rows)
+
+
+class TestAgainstReferenceLoops:
+    def test_prep_bb84_matches_per_bit_loop_up_to_six_qubits(self):
+        # keys, amplitudes (sign of a zero imaginary part included) and
+        # dict iteration order, which fixes every later summation order
+        for n in range(7):
+            for y_int in range(1 << n):
+                y = [(y_int >> (n - 1 - i)) & 1 for i in range(n)]
+                for th_int in range(1 << n):
+                    theta = [(th_int >> (n - 1 - i)) & 1 for i in range(n)]
+                    got = prep_bb84(Bb84Descriptor(y, theta)).amps
+                    assert repr(list(got.items())) == repr(list(prep_bb84_reference(y, theta).items()))
+
+    def test_oracle_refuses_negative_output(self):
+        st_ = append_register(prep_bb84(Bb84Descriptor("00", "10")), 2)
+        with pytest.raises(SimUsageError):
+            apply_oracle(st_, [0, 1], [2, 3], lambda z: z - 1)  # -1 on the z = 0 term
+        with pytest.raises(SimUsageError):
+            apply_oracle(st_, [0, 1], [2, 3], lambda z: -1)
+
+    def test_oracle_refuses_output_wider_than_out_reg(self):
+        st_ = append_register(prep_bb84(Bb84Descriptor("01", "10")), 2)
+        with pytest.raises(SimUsageError):
+            apply_oracle(st_, [0, 1], [2, 3], lambda z: 4 if z else 3)
+        assert apply_oracle(st_, [0, 1], [2, 3], lambda z: 3).num_terms() == 2
+
+    def test_multi_span_deposit_matches_per_bit_reference(self):
+        # out_reg of three runs listed out of order, in_reg of two runs
+        st_ = append_register(prep_bb84(Bb84Descriptor("101101", "110110")), 6)
+        in_reg, out_reg = [4, 5, 0, 1, 2], [11, 6, 7, 3, 9, 10]
+        n = st_.num_qubits
+        f = lambda z: (z * 37 + 5) & 0b111111
+
+        def read(k, reg):
+            return int("".join(str((k >> (n - 1 - q)) & 1) for q in reg), 2)
+
+        expected = {}
+        for k, a in st_.amps.items():
+            y = f(read(k, in_reg))
+            for pos, q in enumerate(out_reg):
+                k ^= ((y >> (len(out_reg) - 1 - pos)) & 1) << (n - 1 - q)
+            expected[k] = a
+        assert list(apply_oracle(st_, in_reg, out_reg, f).amps.items()) == list(expected.items())
+
+    @pytest.mark.parametrize(
+        "amps",
+        [
+            {0: 1.0 + 0j, 1: 1.0 + 0j},  # norm 2
+            {0: 1.0 + 0j, 1: 1e-13 + 0j},  # unpruned tiny term
+            {0b100: 1.0 + 0j},  # key >= 2^n
+            {-1: 1.0 + 0j},  # negative key
+        ],
+    )
+    def test_state_invariants_are_asserted(self, amps):
+        with pytest.raises(AssertionError):
+            SparseState(2, amps)
+
+    def test_dump_lines_matches_sorted_strings(self, rng):
+        st_ = append_register(prep_bb84(Bb84Descriptor("01101001", "11010111")), 4)
+        st_ = apply_oracle(st_, list(range(8)), [8, 9, 10, 11], lambda z: (z * 11) & 0b1111)
+        _, measured = measure(st_, [0, 3], ["X", "Z"], rng)
+        for s in (st_, measured, SparseState(3, {0b101: -1.0 + 0j})):
+            assert dump_lines(s) == dump_lines_reference(s)
