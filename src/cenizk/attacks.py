@@ -35,7 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .bits import int_to_bits, masked_parity
+from . import crs_protocol as cp
+from .bits import check_deletion_cert, int_to_bits, masked_parity
 from .graphs import CycleWitness, Digraph, canonical_cycle, require_witness
 from .hbnizk import usefulness
 from .state import (
@@ -103,11 +104,6 @@ def deletion_cert_for_block(block_state: SparseState, rng) -> np.ndarray:
     width = block_state.num_qubits
     outcomes, _ = measure(block_state, list(range(width)), ["X"] * width, rng)
     return outcomes
-
-
-def check_deletion_cert(cert: np.ndarray, y: np.ndarray, theta: np.ndarray) -> bool:
-    mask = theta == 1
-    return bool(np.all(cert[mask] == y[mask]))
 
 
 # ---------------------------------------------------------------------
@@ -397,8 +393,6 @@ def split_attack_on_crs(crs_params, crs, x, witness, rng) -> SplitOutcome:
     computational-basis copy for verification, return the original for
     certification. Verification still accepts; certification now fails
     with probability 1 - 2^-wt(theta)."""
-    from . import crs_protocol as cp
-
     sigma, key = cp.crs_prove(crs_params, crs, x, witness, rng)
     clone = cp.clone_attack(crs_params, sigma)
     verify_ok = bool(cp.verify_clone_half(crs_params, x, clone, "copy", rng))

@@ -64,3 +64,14 @@ def masked_parity(theta: np.ndarray, y: np.ndarray) -> np.ndarray:
     for j in range(1, k):
         out ^= masked[..., j]
     return out.astype(np.uint8, copy=False)
+
+
+def check_deletion_cert(cert: np.ndarray, y: np.ndarray, theta: np.ndarray) -> bool:
+    """Hadamard-basis certificate check: cert equals y wherever theta is 1.
+
+    Same theta convention as `masked_parity` (1 marks a Hadamard
+    position); computational positions are not checked. Any matching
+    shapes, e.g. one block or a (blocks, width) matrix.
+    """
+    mask = theta == 1
+    return bool(np.all(cert[mask] == y[mask]))

@@ -33,24 +33,26 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
 from . import wire
-from .bits import as_bit_array, bits_to_int, int_to_bits, masked_parity
+from .bits import as_bit_array, bits_to_int, check_deletion_cert, int_to_bits, masked_parity
 from .crs_nizk import (
     TOY_PROOF_BITS,
+    CompiledProof,
     CompiledSpec,
     ToyCrs,
     compiled_prove,
+    compiled_setup,
     compiled_verify,
     toy_encode,
     toy_prove,
     toy_setup,
-    toy_verify,
 )
 from .graphs import CycleWitness, Digraph
+from .hbg import HbgCommitment
 from .state import (
     Bb84Descriptor,
     SparseState,
@@ -72,11 +74,11 @@ class CrsParams:
     """Toy-mode geometry. lam qubits per block, 2*ell blocks."""
 
     lam: int = 2
-    ell: int = TOY_PROOF_BITS
     sig_width: int = 16  # OWF output bits per encoding position
-    preimage_bits: int = 32
     owf_mode: str = "hash"  # "identity" is the negative-control fixture
     prf_mode: str = "hash"
+    ell: ClassVar[int] = TOY_PROOF_BITS
+    preimage_bits: ClassVar[int] = 32
 
     @property
     def r_qubits(self) -> int:
@@ -133,15 +135,6 @@ class CrsProverKey:
     y: np.ndarray
     prfk: bytes
     preimages: np.ndarray  # (r_qubits, 2) uint64 one-time preimages
-
-
-@dataclass(frozen=True)
-class OrStatement:
-    x: np.ndarray
-    crs_in: object
-    ct0: np.ndarray
-    ct1: np.ndarray
-    z: np.ndarray  # the superposition term carried by this instance
 
 
 # ---------------------------------------------------------------------
@@ -208,12 +201,20 @@ def _sig_lookup(params: CrsParams, preimages: np.ndarray):
     """z -> signature chain of z: chunk i, sig_width bits with position 0
     most significant, is table[i][z_i].
 
+    Built once per key: a session's prove and certify steps share it."""
+    return _sig_lookup_for(params, np.asarray(preimages, dtype=np.uint64).tobytes())
+
+
+@functools.lru_cache(maxsize=16)
+def _sig_lookup_for(params: CrsParams, raw_preimages: bytes):
+    """_sig_lookup for the (r_qubits, 2) uint64 preimages in raw_preimages.
+
     The chain is base ^ (XOR of delta_i over the positions where z_i = 1),
     base holding every table[i][0] and delta_i the difference of
     position i's two images. The deltas are folded into one table per 8
     bits of z (base into the lowest), so a term costs one lookup per 8
     bits of z."""
-    table = _sig_table(params, preimages)
+    table = _sig_table(params, np.frombuffer(raw_preimages, dtype=np.uint64).reshape(-1, 2))
     n, w = len(table), params.sig_width
     base = 0
     # deltas by bit of the integer z, least significant first
@@ -242,26 +243,13 @@ def _sig_lookup(params: CrsParams, preimages: np.ndarray):
 
 
 # ---------------------------------------------------------------------
-# OR statement and outer proof lane
+# outer proof lane
 # ---------------------------------------------------------------------
 
-
-def _inner_verify(crs_in, x: np.ndarray, candidate: np.ndarray) -> int:
-    if isinstance(crs_in, ToyCrs):
-        return toy_verify(crs_in, x, candidate)
-    return _dry_inner_verify(crs_in, x, candidate)
-
-
-def or_check(stmt: OrStatement, omega: tuple[np.ndarray, np.ndarray, np.ndarray]) -> int:
-    """Evaluate the two decryption clauses with the supplied witness."""
-    theta, k0, k1 = (as_bit_array(w) for w in omega)
-    ell = len(stmt.ct0)
-    lam = len(theta) // (2 * ell)
-    cand0 = stmt.ct0 ^ k0 ^ pad_half(theta, stmt.z, 0, ell, lam)
-    if _inner_verify(stmt.crs_in, stmt.x, cand0):
-        return 1
-    cand1 = stmt.ct1 ^ k1 ^ pad_half(theta, stmt.z, 1, ell, lam)
-    return int(bool(_inner_verify(stmt.crs_in, stmt.x, cand1)))
+# toy-code image: proof value -> statement value
+_TOY_ENCODE_TABLE = tuple(
+    bits_to_int(toy_encode(int_to_bits(w, TOY_PROOF_BITS))) for w in range(1 << TOY_PROOF_BITS)
+)
 
 
 class _ToyOuterLane:
@@ -269,7 +257,8 @@ class _ToyOuterLane:
 
     The outer proof for term z is (omega ^ mask_z) || mask_z with
     mask_z = F_prfk(z); verification unmasks and evaluates the OR
-    statement. Witness-exhibiting, hence perfectly sound.
+    statement (`or_check_int`, the only evaluation of it in toy mode).
+    Witness-exhibiting, hence perfectly sound.
     """
 
     def __init__(self, params: CrsParams, x: np.ndarray, ct0: np.ndarray, ct1: np.ndarray):
@@ -278,8 +267,6 @@ class _ToyOuterLane:
         self.x_int = bits_to_int(x)
         self.ct0_int = bits_to_int(ct0)
         self.ct1_int = bits_to_int(ct1)
-        # toy-code image: proof value -> statement value
-        self.encode_table = [bits_to_int(toy_encode(int_to_bits(w, TOY_PROOF_BITS))) for w in range(16)]
 
     def or_check_int(self, z_int: int, omega_int: int) -> int:
         p = self.params
@@ -288,10 +275,10 @@ class _ToyOuterLane:
         k0_int = (omega_int >> ell) & ((1 << ell) - 1)
         k1_int = omega_int & ((1 << ell) - 1)
         cand0 = self.ct0_int ^ k0_int ^ _pad_int(theta_int, z_int, 0, ell, lam)
-        if self.encode_table[cand0] == self.x_int:
+        if _TOY_ENCODE_TABLE[cand0] == self.x_int:
             return 1
         cand1 = self.ct1_int ^ k1_int ^ _pad_int(theta_int, z_int, 1, ell, lam)
-        return int(self.encode_table[cand1] == self.x_int)
+        return int(_TOY_ENCODE_TABLE[cand1] == self.x_int)
 
     def prove_int(self, z_int: int, omega_int: int, prfk: bytes) -> int:
         w = self.witness_bits
@@ -477,8 +464,7 @@ def _certify(
     state = drop_last_register(state, 1)
     state = _attach_functional_registers(params, state, key, x, ct0, ct1, regs)
     cert_bits, _ = measure(state, regs["R"], ["X"] * len(regs["R"]), rng)
-    ok = bool(np.all(cert_bits[key.theta == 1] == key.y[key.theta == 1]))
-    return CertAudit(prob, state, cert_bits, ok)
+    return CertAudit(prob, state, cert_bits, check_deletion_cert(cert_bits, key.y, key.theta))
 
 
 def cert_match_probability(params: CrsParams, key: CrsProverKey, state: SparseState) -> float:
@@ -578,9 +564,6 @@ def _compiled_proof_bits(proof) -> np.ndarray:
 
 
 def _compiled_proof_from_bits(bits: np.ndarray):
-    from .crs_nizk import CompiledProof
-    from .hbg import HbgCommitment
-
     try:
         raw = np.packbits(bits).tobytes()
         payload = wire.decode(raw)
@@ -611,8 +594,6 @@ def _dry_inner_verify(crs_in, x, candidate_bits) -> int:
 
 
 def crs_setup_dry(spec: CompiledSpec, rng: np.random.Generator) -> CrsNizkCrs:
-    from .crs_nizk import compiled_setup
-
     return CrsNizkCrs((spec, compiled_setup(spec, rng)), toy_setup(rng))
 
 
@@ -661,17 +642,17 @@ def crs_prove_dry(
     images_differ = image(0, 0) != image(0, 1)
     sig_ok = sig_ok and (flip_detected or not images_differ)
 
-    stmt = OrStatement(x, crs.crs_in, ct0, ct1, z)  # dry statements carry the graph itself
+    pad0_z = pad_half(theta, z, 0, ell, lam)
+    pad1_z = pad_half(theta, z, 1, ell, lam)
+    cand0 = ct0 ^ k0 ^ pad0_z
     checks = {
-        "pad_matches_support_term": bool(
-            np.array_equal(pad_half(theta, z, 0, ell, lam), pad0_y)
-            and np.array_equal(pad_half(theta, z, 1, ell, lam), pad1_y)
-        ),
-        "ct0_unmasks_to_inner_proof": bool(
-            np.array_equal(ct0 ^ k0 ^ pad_half(theta, z, 0, ell, lam), pi_bits)
-        ),
+        "pad_matches_support_term": bool(np.array_equal(pad0_z, pad0_y) and np.array_equal(pad1_z, pad1_y)),
+        "ct0_unmasks_to_inner_proof": bool(np.array_equal(cand0, pi_bits)),
         "inner_proof_verifies": bool(_dry_inner_verify(crs.crs_in, x, pi_bits)),
-        "or_statement_true": bool(or_check(stmt, (theta, k0, k1))),
+        # the OR statement over the graph itself: clause 1 only if clause 0 fails
+        "or_statement_true": bool(
+            _dry_inner_verify(crs.crs_in, x, cand0) or _dry_inner_verify(crs.crs_in, x, ct1 ^ k1 ^ pad1_z)
+        ),
         "sig_chain_consistent": bool(sig_ok),
     }
     return DryRunRecord(ell, z, ct0, ct1, checks)
@@ -685,7 +666,6 @@ __all__ = [
     "CrsProofState",
     "CrsProverKey",
     "DryRunRecord",
-    "OrStatement",
     "cert_match_probability",
     "cert_original_after_clone",
     "cert_uncompute",
@@ -697,7 +677,6 @@ __all__ = [
     "crs_setup_dry",
     "crs_verify",
     "crs_verify_prob",
-    "or_check",
     "pad_half",
     "verify_clone_half",
 ]

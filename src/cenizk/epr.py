@@ -5,8 +5,9 @@ disjoint EPR pairs, so the network is stored in factored form: each
 pair is either still entangled or has collapsed to a product of two
 single-qubit pure states, tracked in flat numpy arrays. That makes a
 session with millions of pairs a handful of vector operations while
-staying an exact simulation (it is cross-checked against the generic
-sparse engine in the tests).
+staying an exact simulation: the tests cross-check `measure_blocks`,
+through each of its three branches (first touch, all collapsed, mixed),
+against the generic sparse engine.
 
 Measurement rules per pair (derivable from (|00>+|11>)/sqrt(2), which
 equals (|++>+|-->)/sqrt(2)):
@@ -57,12 +58,6 @@ class EprNetwork:
             self.basis = {r: np.full(shape, _UNSET, dtype=np.int8) for r in (ROLE_P, ROLE_V)}
             self.value = {r: np.zeros(shape, dtype=np.uint8) for r in (ROLE_P, ROLE_V)}
             self.entangled = np.ones(shape, dtype=bool)
-
-    # -- index map: role x (block, position) -> global qubit index -----
-
-    def qubit_index(self, role: str, block: int, pos: int) -> int:
-        flat = block * self.block_width + pos
-        return flat if role == ROLE_P else self.block_count * self.block_width + flat
 
     def _other(self, role: str) -> str:
         return ROLE_V if role == ROLE_P else ROLE_P
@@ -136,26 +131,6 @@ class EprNetwork:
         self.value[other][blocks] = np.where(ent, outcomes, ov)
         self.entangled[blocks] = False
         return outcomes
-
-    def measure_pair_half(self, role: str, block: int, pos: int, basis: int, rng) -> int:
-        """Measure a single half-qubit; pairs are independent, so this
-        touches only the (block, pos) factor."""
-        if role not in (ROLE_P, ROLE_V):
-            raise SimUsageError(f"unknown role {role!r}")
-        other = self._other(role)
-        if self.entangled[block, pos]:
-            outcome = int(rng.integers(0, 2))
-            for r in (role, other):
-                self.basis[r][block, pos] = basis
-                self.value[r][block, pos] = outcome
-            self.entangled[block, pos] = False
-            return outcome
-        if self.basis[role][block, pos] == basis:
-            return int(self.value[role][block, pos])
-        outcome = int(rng.integers(0, 2))
-        self.basis[role][block, pos] = basis
-        self.value[role][block, pos] = outcome
-        return outcome
 
     # -- extraction to the generic engine --------------------------------
 

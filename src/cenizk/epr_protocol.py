@@ -25,10 +25,19 @@ from typing import Callable
 import numpy as np
 
 from . import hbg as hbg_mod
-from .bits import masked_parity
+from .bits import check_deletion_cert, masked_parity
 from .epr import ROLE_P, ROLE_V, EprNetwork, prep_epr
 from .graphs import CycleWitness, Digraph
-from .hbnizk import HbParams, HbProof, _opened_set_ok, hb_prove, hb_simulate, hb_verify
+from .hbnizk import (
+    HbParams,
+    HbProof,
+    RepRevealAll,
+    _opened_set_ok,
+    cheat_prove,
+    hb_prove,
+    hb_simulate,
+    hb_verify,
+)
 
 BOT = "bot"
 
@@ -207,8 +216,7 @@ def epr_cert(params: EprParams, cert: EprDeletionCert, prover: EprProverState) -
         return False
     if cert.outcomes.shape != (len(blocks), params.block_width):
         return False
-    mask = prover.theta[blocks] == 1
-    return bool(np.all(cert.outcomes[mask] == prover.y[blocks][mask]))
+    return check_deletion_cert(cert.outcomes, prover.y[blocks], prover.theta[blocks])
 
 
 # ---------------------------------------------------------------------
@@ -250,8 +258,6 @@ def forged_proof_prover(
 ) -> EprProof:
     """Fabricates com, theta claims and openings out of thin air; the
     generator verification rejects these outright."""
-    from .hbnizk import RepRevealAll
-
     ell, k = params.num_blocks, params.block_width
     com = hbg_mod.HbgCommitment(rng.integers(0, 256, size=16, dtype=np.uint8).tobytes())
     I = np.arange(ell, dtype=np.int64)
@@ -278,8 +284,6 @@ def greedy_basis_prover(
     a cover-map claim. Note the honest reveal-all answer for unuseful
     blocks is excluded by construction: that escape is the analytic
     (1-q)^rho term the desk experiments do not re-measure."""
-    from .hbnizk import cheat_prove
-
     ell, k = params.num_blocks, params.block_width
     z_bases = np.zeros((ell, k), dtype=np.int8)
     y = network.measure_blocks(ROLE_P, z_bases, rng)

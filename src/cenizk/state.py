@@ -182,14 +182,6 @@ def drop_last_register(state: SparseState, width: int) -> SparseState:
 # ---------------------------------------------------------------------
 
 
-def _measure_z(state: SparseState, qubit: int, rng: np.random.Generator) -> tuple[int, SparseState]:
-    bit = state._bit(qubit)
-    p1 = sum(abs(a) ** 2 for k, a in state.amps.items() if k & bit)
-    outcome = 1 if rng.random() < p1 else 0
-    keep = {k: a for k, a in state.amps.items() if bool(k & bit) == bool(outcome)}
-    return outcome, _normalized(state.num_qubits, keep, state.retired)
-
-
 def _x_pairs(state: SparseState, qubit: int, value: int) -> tuple[dict[int, complex], float]:
     """Unnormalized projection onto X outcome `value` and its probability.
 
@@ -214,12 +206,19 @@ def _x_pairs(state: SparseState, qubit: int, value: int) -> tuple[dict[int, comp
     return keep, prob
 
 
-def _measure_x(state: SparseState, qubit: int, rng: np.random.Generator) -> tuple[int, SparseState]:
-    plus, p_plus = _x_pairs(state, qubit, 0)
-    outcome = 0 if rng.random() < p_plus else 1
-    chosen = plus if outcome == 0 else _x_pairs(state, qubit, 1)[0]
-    retired = state.retired | {qubit}
-    return outcome, _normalized(state.num_qubits, chosen, retired)
+def _project(
+    state: SparseState, qubit: int, basis: str, value: int
+) -> tuple[dict[int, complex], float, frozenset[int]]:
+    """Unnormalized post-selection of one qubit on one outcome: the kept
+    terms, their Born probability and the retired set afterwards."""
+    if basis == "Z":
+        bit = state._bit(qubit)
+        keep = {k: a for k, a in state.amps.items() if bool(k & bit) == bool(value)}
+        return keep, sum(abs(a) ** 2 for a in keep.values()), state.retired
+    if basis == "X":
+        keep, prob = _x_pairs(state, qubit, value)
+        return keep, prob, state.retired | {qubit}
+    raise SimUsageError(f"unknown basis {basis!r}")
 
 
 def measure(
@@ -239,12 +238,15 @@ def measure(
     outcomes = np.zeros(len(indices), dtype=np.uint8)
     current = state
     for pos, (q, b) in enumerate(zip(indices, bases)):
-        if b == "Z":
-            outcomes[pos], current = _measure_z(current, q, rng)
-        elif b == "X":
-            outcomes[pos], current = _measure_x(current, q, rng)
-        else:
-            raise SimUsageError(f"unknown basis {b!r}")
+        # the draw picks the first outcome when below its probability:
+        # Z reports 1 below P[1], X reports 0 (|+>) below P[+]
+        first = 1 if b == "Z" else 0
+        keep, prob, retired = _project(current, q, b, first)
+        outcome = first if rng.random() < prob else first ^ 1
+        if outcome != first:
+            keep, _, retired = _project(current, q, b, outcome)
+        outcomes[pos] = outcome
+        current = _normalized(current.num_qubits, keep, retired)
     return outcomes, current
 
 
@@ -257,16 +259,7 @@ def project(
     the prune threshold.
     """
     state._require_live([index])
-    if basis == "Z":
-        bit = state._bit(index)
-        keep = {k: a for k, a in state.amps.items() if bool(k & bit) == bool(value)}
-        prob = sum(abs(a) ** 2 for a in keep.values())
-        retired = state.retired
-    elif basis == "X":
-        keep, prob = _x_pairs(state, index, value)
-        retired = state.retired | {index}
-    else:
-        raise SimUsageError(f"unknown basis {basis!r}")
+    keep, prob, retired = _project(state, index, basis, value)
     if prob < PRUNE_EPS:
         return 0.0, None
     return prob, _normalized(state.num_qubits, keep, retired)

@@ -15,6 +15,9 @@ import struct
 
 import numpy as np
 
+from .hbg import DealerOpening, NaorOpening, SubsetOpening
+from .hbnizk import HbProof, RepRevealAll, RepUseful
+
 
 class WireError(ValueError):
     """Malformed or truncated wire data."""
@@ -181,8 +184,6 @@ def decode(data: bytes):
 
 
 def opening_payload(opening) -> dict:
-    from .hbg import DealerOpening, NaorOpening, SubsetOpening
-
     if isinstance(opening, NaorOpening):
         return {"kind": "naor", "seeds": opening.seeds}
     if isinstance(opening, SubsetOpening):
@@ -193,8 +194,6 @@ def opening_payload(opening) -> dict:
 
 
 def opening_from_payload(payload: dict):
-    from .hbg import DealerOpening, NaorOpening, SubsetOpening
-
     kind = payload.get("kind")
     if kind == "naor":
         return NaorOpening(np.asarray(payload["seeds"], dtype=np.uint64))
@@ -209,8 +208,6 @@ def opening_from_payload(payload: dict):
 
 
 def hbproof_payload(proof) -> list:
-    from .hbnizk import RepRevealAll, RepUseful
-
     out = []
     for rep in proof.reps:
         if isinstance(rep, RepRevealAll):
@@ -223,8 +220,6 @@ def hbproof_payload(proof) -> list:
 
 
 def hbproof_from_payload(payload: list):
-    from .hbnizk import HbProof, RepRevealAll, RepUseful
-
     reps = []
     for item in payload:
         kind = item.get("kind")

@@ -11,7 +11,6 @@ from cenizk.crs_nizk import CompiledSpec, toy_encode
 from cenizk.crs_protocol import (
     CrsParams,
     CrsProofState,
-    OrStatement,
     cert_match_probability,
     cert_original_after_clone,
     cert_uncompute,
@@ -23,13 +22,17 @@ from cenizk.crs_protocol import (
     crs_setup_dry,
     crs_verify,
     crs_verify_prob,
-    or_check,
     pad_half,
     verify_clone_half,
+    _omega_int,
     _owf_int,
+    _pad_int,
     _sig_lookup,
+    _sig_lookup_for,
+    _ToyOuterLane,
 )
 from cenizk.graphs import canonical_cycle, complete_digraph
+from cenizk.harness import run_session
 from cenizk.hbnizk import HbParams
 from cenizk.rng import stream
 from cenizk.state import Bb84Descriptor, append_register, prep_bb84
@@ -74,6 +77,47 @@ class TestPad:
                     assert np.array_equal(pad_half(theta, z, 1, ell, lam), p1)
 
 
+class TestPadInt:
+    """`_pad_int`, the pad the outer-verify oracle computes on every
+    term, against `pad_half`."""
+
+    @staticmethod
+    def _agrees(theta_int, z_int, ell, lam, halves=(0, 1)):
+        width = 2 * ell * lam
+        theta, z = int_to_bits(theta_int, width), int_to_bits(z_int, width)
+        return all(
+            _pad_int(theta_int, z_int, which, ell, lam) == bits_to_int(pad_half(theta, z, which, ell, lam))
+            for which in halves
+        )
+
+    @pytest.mark.parametrize("ell,lam", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)])
+    def test_exhaustive(self, ell, lam):
+        n = 1 << (2 * ell * lam)
+        for theta_int in range(n):
+            for z_int in range(n):
+                assert self._agrees(theta_int, z_int, ell, lam)
+
+    def test_exhaustive_over_the_read_half_at_ell2_lam3(self):
+        # 2^24 (theta, z) pairs take minutes; a half's pad reads only its
+        # own 6 bits of theta and z, so those run over every value while
+        # the other half's bits are drawn at random
+        ell, lam = 2, 3
+        half = ell * lam
+        others = stream(11, "pad-int").integers(0, 1 << half, size=(2, 2, 1 << (2 * half))).tolist()
+        for which in (0, 1):
+            read_shift, other_shift = (half, 0) if which == 0 else (0, half)
+            for i, (t_other, z_other) in enumerate(zip(*others[which])):
+                theta_int = ((i >> half) << read_shift) | (t_other << other_shift)
+                z_int = ((i & ((1 << half) - 1)) << read_shift) | (z_other << other_shift)
+                assert self._agrees(theta_int, z_int, ell, lam, halves=(which,))
+
+    def test_random_at_toy_shape(self):
+        width = PARAMS.r_qubits
+        draws = stream(12, "pad-int").integers(0, 1 << width, size=(2000, 2)).tolist()
+        for theta_int, z_int in draws:
+            assert self._agrees(theta_int, z_int, PARAMS.ell, PARAMS.lam)
+
+
 class TestSetupProve:
     def test_independent_crs_draws_distinct(self, rng):
         crs = crs_setup(rng)
@@ -113,21 +157,23 @@ class TestSetupProve:
 
 
 class TestOrStatement:
+    """The OR statement as verification evaluates it: `or_check_int` of
+    the toy outer lane, on integer z and witness theta || k0 || k1."""
+
     def _honest(self, rng):
         crs = crs_setup(rng)
         sigma, key = crs_prove(PARAMS, crs, STATEMENT, WITNESS, rng)
         z = next(iter(support_terms(key.theta, key.y)))
-        stmt = OrStatement(STATEMENT, crs.crs_in, sigma.ct0, sigma.ct1, z)
-        return crs, sigma, key, stmt
+        lane = _ToyOuterLane(PARAMS, STATEMENT, sigma.ct0, sigma.ct1)
+        return lane, _omega_int(key, PARAMS), key, z
 
     def test_honest_accepts_via_clause_zero(self, rng):
-        _, _, key, stmt = self._honest(rng)
-        assert or_check(stmt, (key.theta, key.k0, key.k1)) == 1
+        lane, omega, _, z = self._honest(rng)
+        assert lane.or_check_int(bits_to_int(z), omega) == 1
 
     def test_swapped_ciphertext_accepts_via_clause_one(self, rng):
         # the hybrid-style fixture: place a valid inner proof in ct1 and
         # garbage in ct0; the OR statement stays true through clause 1
-        crs = crs_setup(rng)
         theta = rng.integers(0, 2, size=PARAMS.r_qubits, dtype=np.uint8)
         y = rng.integers(0, 2, size=PARAMS.r_qubits, dtype=np.uint8)
         k0 = rng.integers(0, 2, size=PARAMS.ell, dtype=np.uint8)
@@ -136,37 +182,35 @@ class TestOrStatement:
         ct1 = pi_in ^ pad_half(theta, y, 1, PARAMS.ell, PARAMS.lam) ^ k1
         ct0 = rng.integers(0, 2, size=PARAMS.ell, dtype=np.uint8)  # garbage
         z = np.where(theta == 0, y, rng.integers(0, 2, size=PARAMS.r_qubits, dtype=np.uint8))
-        stmt = OrStatement(STATEMENT, crs.crs_in, ct0, ct1, z.astype(np.uint8))
-        result = or_check(stmt, (theta, k0, k1))
-        assert result == 1
+        lane = _ToyOuterLane(PARAMS, STATEMENT, ct0, ct1)
+        omega = bits_to_int(np.concatenate([theta, k0, k1]))
+        assert lane.or_check_int(bits_to_int(z), omega) == 1
 
     def test_flipped_computational_z_bit_rejects(self, rng):
         # code soundness: flipping a computational-basis position inside
         # the first half walks the clause-0 candidate off the code while
         # clause 1 keeps hiding the zero plaintext, so the OR collapses
-        crs, sigma, key, stmt = self._honest(rng)
+        lane, omega, key, z = self._honest(rng)
         half = PARAMS.ell * PARAMS.lam
         comp_first = [j for j in np.flatnonzero(key.theta == 0) if j < half]
         if not comp_first:
             pytest.skip("all-Hadamard draw in the first half")
         for j in comp_first:
-            z = stmt.z.copy()
-            z[j] ^= 1
-            flipped = OrStatement(stmt.x, stmt.crs_in, stmt.ct0, stmt.ct1, z)
-            assert or_check(flipped, (key.theta, key.k0, key.k1)) == 0
+            flipped = z.copy()
+            flipped[j] ^= 1
+            assert lane.or_check_int(bits_to_int(flipped), omega) == 0
 
     def test_flipped_second_half_bit_keeps_clause_zero(self, rng):
         # the complementary fact: second-half flips only disturb the
         # already-false clause 1, the statement stays true via clause 0
-        crs, sigma, key, stmt = self._honest(rng)
+        lane, omega, key, z = self._honest(rng)
         half = PARAMS.ell * PARAMS.lam
         comp_second = [j for j in np.flatnonzero(key.theta == 0) if j >= half]
         if not comp_second:
             pytest.skip("all-Hadamard draw in the second half")
-        z = stmt.z.copy()
-        z[comp_second[0]] ^= 1
-        flipped = OrStatement(stmt.x, stmt.crs_in, stmt.ct0, stmt.ct1, z)
-        assert or_check(flipped, (key.theta, key.k0, key.k1)) == 1
+        flipped = z.copy()
+        flipped[comp_second[0]] ^= 1
+        assert lane.or_check_int(bits_to_int(flipped), omega) == 1
 
 
 class TestVerify:
@@ -351,6 +395,14 @@ class TestSignatureLookup:
         n = params.r_qubits
         zs = range(1 << n) if n <= 16 else stream(8, "sig-lookup").integers(0, 1 << n, 4096).tolist()
         assert all(sig(z) == sig_int_reference(z, table, params.sig_width) for z in zs)
+
+    def test_one_session_builds_the_lookup_once(self):
+        # proving, the certifier's signature test and its uncompute all
+        # sign with the one key: one build, two reuses
+        _sig_lookup_for.cache_clear()
+        run_session("crs-toy", None, 7)
+        info = _sig_lookup_for.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 class TestNegativeControlFixtures:

@@ -1,18 +1,21 @@
 """EPR network tests.
 
 The factored per-pair representation is cross-validated against the
-generic sparse engine: for every (first role, first basis, second
-basis) combination the joint outcome distribution of the two lanes
-must agree.
+generic sparse engine through `measure_blocks`, the measurement the
+protocols run: for every basis combination the joint outcome
+distribution of the two lanes must agree, on 1x1 networks (first-touch
+and all-collapsed branches) and on a 2x1 network whose second call
+meets one collapsed and one entangled block (the mixed branch).
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from cenizk.epr import ROLE_P, ROLE_V, prep_epr
-from cenizk.state import SimUsageError, SparseState, measure
+from cenizk.state import SimUsageError, SparseState, measure, project
 from conftest import CHI2_CRIT_1DF
 
 SQRT_HALF = math.sqrt(0.5)
@@ -77,23 +80,30 @@ class TestCorrelations:
         assert np.array_equal(out1, out2)
 
 
+def _measure_one(net, role, basis, rng, block=0):
+    """One half of pair (block, 0) through `measure_blocks`; basis 0=Z 1=X."""
+    return int(net.measure_blocks(role, np.array([[basis]]), rng, blocks=[block])[0, 0])
+
+
 class TestRemeasurement:
     def test_same_basis_idempotent(self, rng):
-        net = prep_epr(1, 1)
-        a = net.measure_pair_half(ROLE_P, 0, 0, 0, rng)
-        assert net.measure_pair_half(ROLE_P, 0, 0, 0, rng) == a
+        for basis in (0, 1):
+            for _ in range(100):
+                net = prep_epr(1, 1)
+                a = _measure_one(net, ROLE_P, basis, rng)
+                assert _measure_one(net, ROLE_P, basis, rng) == a
 
     def test_basis_change_does_not_touch_partner(self, rng):
         for _ in range(200):
             net = prep_epr(1, 1)
-            a = net.measure_pair_half(ROLE_P, 0, 0, 0, rng)  # Z collapse
-            net.measure_pair_half(ROLE_P, 0, 0, 1, rng)  # X remeasure P
+            a = _measure_one(net, ROLE_P, 0, rng)  # Z collapse
+            _measure_one(net, ROLE_P, 1, rng)  # X remeasure P
             # V's Z value was fixed by the first collapse
-            assert net.measure_pair_half(ROLE_V, 0, 0, 0, rng) == a
+            assert _measure_one(net, ROLE_V, 0, rng) == a
 
 
 class TestCrossValidationAgainstEngine:
-    """Joint outcome distributions: factored lane vs generic engine."""
+    """Joint outcome distributions: `measure_blocks` vs generic engine."""
 
     def _engine_sample(self, b1, b2, rng):
         bell = SparseState(2, {0b00: SQRT_HALF, 0b11: SQRT_HALF})
@@ -102,8 +112,8 @@ class TestCrossValidationAgainstEngine:
 
     def _network_sample(self, b1, b2, rng):
         net = prep_epr(1, 1)
-        a = net.measure_pair_half(ROLE_P, 0, 0, 0 if b1 == "Z" else 1, rng)
-        b = net.measure_pair_half(ROLE_V, 0, 0, 0 if b2 == "Z" else 1, rng)
+        a = _measure_one(net, ROLE_P, 0 if b1 == "Z" else 1, rng)
+        b = _measure_one(net, ROLE_V, 0 if b2 == "Z" else 1, rng)
         return a, b
 
     @pytest.mark.parametrize("b1,b2", [("Z", "Z"), ("Z", "X"), ("X", "Z"), ("X", "X")])
@@ -120,6 +130,49 @@ class TestCrossValidationAgainstEngine:
         # identical distributions: empirical TV over 4 outcomes stays small
         assert tv < 0.05
 
+    # two Bell pairs as engine qubits P0, V0, P1, V1
+    _TWO_PAIRS = {0b0000: 0.5, 0b0011: 0.5, 0b1100: 0.5, 0b1111: 0.5}
+    # engine qubit of each network measurement, in the order below
+    _ENGINE_ORDER = (0, 1, 3, 2)
+
+    def _engine_distribution(self, bases):
+        """Exact joint distribution of the four outcomes, Born
+        probabilities chained through `project`."""
+        dist = {}
+        for outcome in itertools.product((0, 1), repeat=4):
+            prob, state = 1.0, SparseState(4, dict(self._TWO_PAIRS))
+            for q, b, v in zip(self._ENGINE_ORDER, bases, outcome):
+                p, state = project(state, q, "ZX"[b], v)
+                prob *= p  # p is 0.0 when state is None
+                if state is None:
+                    break
+            dist[outcome] = prob
+        return dist
+
+    def _mixed_network_sample(self, bases, rng):
+        # P measures block 0 (first touch), then V measures both blocks
+        # (block 0 collapsed, block 1 entangled: the mixed branch), then
+        # P re-reads block 1 (all collapsed)
+        b_p0, b_v0, b_v1, b_p1 = bases
+        net = prep_epr(2, 1)
+        p0 = _measure_one(net, ROLE_P, b_p0, rng)
+        v = net.measure_blocks(ROLE_V, np.array([[b_v0], [b_v1]]), rng)
+        p1 = _measure_one(net, ROLE_P, b_p1, rng, block=1)
+        return p0, int(v[0, 0]), int(v[1, 0]), p1
+
+    @pytest.mark.parametrize("bases", list(itertools.product((0, 1), repeat=4)))
+    def test_mixed_branch_joint_distribution(self, bases, rng):
+        trials = 3000
+        exact = self._engine_distribution(bases)
+        lane = dict.fromkeys(exact, 0)
+        for _ in range(trials):
+            lane[self._mixed_network_sample(bases, rng)] += 1
+        impossible = [o for o, p in exact.items() if p == 0.0 and lane[o]]
+        assert not impossible, f"outcomes the engine rules out: {impossible}"
+        tv = 0.5 * sum(abs(lane[o] / trials - p) for o, p in exact.items())
+        # up to 16 outcomes: sampling TV stays near 0.03 at this trial count
+        assert tv < 0.07
+
 
 class TestExtraction:
     def test_half_state_requires_collapse(self, rng):
@@ -130,10 +183,3 @@ class TestExtraction:
         st = net.half_state(ROLE_V, [(0, 0), (0, 1)])
         assert st.num_qubits == 2
         assert st.norm_sq() == pytest.approx(1.0)
-
-    def test_qubit_index_map(self):
-        net = prep_epr(3, 4)
-        assert net.qubit_index(ROLE_P, 0, 0) == 0
-        assert net.qubit_index(ROLE_P, 2, 3) == 11
-        assert net.qubit_index(ROLE_V, 0, 0) == 12
-        assert net.qubit_index(ROLE_V, 2, 3) == 23
