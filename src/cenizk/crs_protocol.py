@@ -578,10 +578,15 @@ def _compiled_proof_from_bits(bits: np.ndarray):
         return None
 
 
-def _sig_chain_ok(chunks, image, z) -> bool:
-    """Certifier-side chain check: every chunk must be the OWF image of
-    the preimage the z bit selects (image(i, b) signs z_i = b)."""
-    return all(c == image(i, b) for i, (c, b) in enumerate(zip(chunks, z)))
+def _lamport_sign(pre, z) -> list[int]:
+    """The signature of z: chunk i is the preimage pre[i][z_i]."""
+    return [pre[i][b] for i, b in enumerate(z)]
+
+
+def _sig_chain_ok(chunks, owf, image, z) -> bool:
+    """Certifier-side chain check: every chunk must hash (owf) to the
+    public image the z bit selects (image(i, b) signs z_i = b)."""
+    return len(chunks) == len(z) and all(owf(c) == image(i, b) for i, (c, b) in enumerate(zip(chunks, z)))
 
 
 def _dry_inner_verify(crs_in, x, candidate_bits) -> int:
@@ -627,18 +632,22 @@ def crs_prove_dry(
 
     preimages = rng.integers(0, 1 << params.preimage_bits, size=(n_r, 2), dtype=np.uint64)
     pre = preimages.tolist()
-    # hashed on first read: the image z selects at each position, plus
-    # the other image at position 0
-    image = functools.cache(lambda i, b: _owf_int(pre[i][b], params.sig_width, params.owf_mode))
-    # signature chain, chunk-wise: chunk i is the OWF image of the
-    # preimage selected by z_i
+    # one OWF cache keyed on the preimage serves the signer's public
+    # images and the certifier's hashes of the chunks, so an honest run
+    # hashes the image z selects at each position, plus the other image
+    # at position 0
+    owf = functools.cache(lambda p: _owf_int(p, params.sig_width, params.owf_mode))
+
+    def image(i, b):
+        return owf(pre[i][b])
+
     z_bits = z.tolist()
-    chunks = [image(i, b) for i, b in enumerate(z_bits)]
-    sig_ok = _sig_chain_ok(chunks, image, z_bits)
+    chunks = _lamport_sign(pre, z_bits)
+    sig_ok = _sig_chain_ok(chunks, owf, image, z_bits)
     # binding signal: flipping one z bit breaks the chain (barring an
     # OWF output collision at that position)
     z_flip = [z_bits[0] ^ 1] + z_bits[1:]
-    flip_detected = not _sig_chain_ok(chunks, image, z_flip)
+    flip_detected = not _sig_chain_ok(chunks, owf, image, z_flip)
     images_differ = image(0, 0) != image(0, 1)
     sig_ok = sig_ok and (flip_detected or not images_differ)
 

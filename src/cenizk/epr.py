@@ -9,6 +9,20 @@ staying an exact simulation: the tests cross-check `measure_blocks`,
 through each of its three branches (first touch, all collapsed, mixed),
 against the generic sparse engine.
 
+The records are built lazily and shared while they agree:
+  * a fresh network holds no arrays; every pair is entangled;
+  * the first measurement of the whole network collapses both halves
+    to the same basis/value, so both roles share one pair of arrays:
+    the bases passed in (uint8, kept by reference) and the outcomes
+    returned (made read-only);
+  * a later measurement replaces a role's arrays when it covers the
+    whole network, and otherwise copies that role's arrays once before
+    writing its rows (copy on write). Arrays the network hands out or
+    was handed are therefore never written to by the network; callers
+    must not write to them either.
+The entangled mask is the only record of which pairs are unmeasured.
+It is kept as an array only once some but not all pairs are collapsed.
+
 Measurement rules per pair (derivable from (|00>+|11>)/sqrt(2), which
 equals (|++>+|-->)/sqrt(2)):
   * first measurement of either half in basis b: outcome uniform, and
@@ -28,8 +42,7 @@ from .state import SimUsageError, SparseState
 
 ROLE_P = "P"
 ROLE_V = "V"
-
-_UNSET = np.int8(-1)
+_ROLES = (ROLE_P, ROLE_V)
 
 # single-qubit pure states, keyed by (basis, value): Z0, Z1, X+, X-
 _QUBIT_AMPS = {
@@ -40,27 +53,66 @@ _QUBIT_AMPS = {
 }
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only (it is shared between the network and a caller)."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass
 class EprNetwork:
     """ell blocks of width k; pair (i, j) couples qubits P^i_j and V^i_j."""
 
     block_count: int
     block_width: int
-    basis: dict = field(repr=False, default=None)  # role -> int8 (ell, k), -1 unset
-    value: dict = field(repr=False, default=None)  # role -> uint8 (ell, k)
-    entangled: np.ndarray = field(repr=False, default=None)  # bool (ell, k)
+    # role -> uint8 (ell, k) basis/value record; None until the first
+    # measurement. Both roles may hold the same array objects.
+    _basis: dict | None = field(repr=False, default=None)
+    _value: dict | None = field(repr=False, default=None)
+    # bool (ell, k) mask; None while every pair is in one state: all
+    # entangled (no records yet) or all collapsed
+    _entangled: np.ndarray | None = field(repr=False, default=None)
+    # roles whose record arrays the network alone holds (writable in place)
+    _owned: set = field(repr=False, default_factory=set)
 
     def __post_init__(self):
         if self.block_count * self.block_width < 1:
             raise SimUsageError("network needs at least one pair")
-        shape = (self.block_count, self.block_width)
-        if self.basis is None:
-            self.basis = {r: np.full(shape, _UNSET, dtype=np.int8) for r in (ROLE_P, ROLE_V)}
-            self.value = {r: np.zeros(shape, dtype=np.uint8) for r in (ROLE_P, ROLE_V)}
-            self.entangled = np.ones(shape, dtype=bool)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.block_count, self.block_width)
 
     def _other(self, role: str) -> str:
         return ROLE_V if role == ROLE_P else ROLE_P
+
+    def _is_entangled(self, block: int, pos: int) -> bool:
+        if self._entangled is None:
+            return self._basis is None
+        return bool(self._entangled[block, pos])
+
+    def _own(self, role: str) -> None:
+        """Make role's records private and writable: allocate them on the
+        first partial touch, copy them on the first write after sharing."""
+        if self._basis is None:
+            self._basis = {r: np.zeros(self.shape, dtype=np.uint8) for r in _ROLES}
+            self._value = {r: np.zeros(self.shape, dtype=np.uint8) for r in _ROLES}
+            self._owned = set(_ROLES)
+        elif role not in self._owned:
+            self._basis[role] = self._basis[role].copy()
+            self._value[role] = self._value[role].copy()
+            self._owned.add(role)
+
+    def _write(self, role: str, blocks, bases: np.ndarray, outcomes: np.ndarray) -> None:
+        """Record role's bases/outcomes on blocks (None: the whole network)."""
+        if blocks is None:
+            self._basis[role] = bases
+            self._value[role] = _frozen(outcomes)
+            self._owned.discard(role)
+        else:
+            self._own(role)
+            self._basis[role][blocks] = bases
+            self._value[role][blocks] = outcomes
 
     # -- measurement ----------------------------------------------------
 
@@ -73,75 +125,93 @@ class EprNetwork:
     ) -> np.ndarray:
         """Measure whole blocks of one half; bases is (num_blocks, k) 0=Z 1=X.
 
-        Returns the (num_blocks, k) outcome matrix. Vectorized over all
-        requested pairs.
+        Returns the (num_blocks, k) outcome matrix, read-only when the
+        network keeps it as its record. Vectorized over all requested
+        pairs; an empty block list draws nothing and allocates no record.
         """
-        if role not in (ROLE_P, ROLE_V):
+        if role not in _ROLES:
             raise SimUsageError(f"unknown role {role!r}")
-        whole = blocks is None
-        if whole:
-            blocks = slice(None)
-            n_blocks = self.block_count
-        else:
+        if blocks is not None:
             blocks = np.asarray(blocks, dtype=np.int64)
-            n_blocks = len(blocks)
-        bases = np.asarray(bases, dtype=np.int8)
+        n_blocks = self.block_count if blocks is None else len(blocks)
+        bases = np.asarray(bases, dtype=np.uint8)
         if bases.shape != (n_blocks, self.block_width):
             raise SimUsageError("bases shape must be (num_blocks, block_width)")
+        if n_blocks == 0:
+            return np.empty(bases.shape, dtype=np.uint8)
         other = self._other(role)
 
-        ent = self.entangled[blocks]
-        if not ent.any():
-            # every pair collapsed: re-reads are deterministic, only
-            # basis changes draw fresh bits
-            my_basis = self.basis[role][blocks]
-            same = my_basis == bases
-            if same.all():
-                return self.value[role][blocks].copy()
-            outcomes = self.value[role][blocks]
+        if self._basis is None and blocks is None:
+            # first touch of the whole network: uniform outcomes collapse
+            # both halves to one shared record
+            outcomes = _frozen(rng.integers(0, 2, size=bases.shape, dtype=np.uint8))
+            self._basis = dict.fromkeys(_ROLES, bases)
+            self._value = dict.fromkeys(_ROLES, outcomes)
+            self._owned = set()
+            return outcomes
+
+        def rows(a: np.ndarray) -> np.ndarray:
+            return a if blocks is None else a[blocks]
+
+        if self._entangled is None:
+            ent = None
+            any_ent = all_ent = self._basis is None
+        else:
+            ent = rows(self._entangled)
+            any_ent, all_ent = bool(ent.any()), bool(ent.all())
+
+        if not any_ent:
+            # every pair collapsed: re-reads are deterministic (the
+            # record itself when whole), only basis changes draw fresh bits
+            my_basis = rows(self._basis[role])
+            my_value = rows(self._value[role])
+            if my_basis is bases or np.array_equal(my_basis, bases):
+                return my_value
             fresh = rng.integers(0, 2, size=bases.shape, dtype=np.uint8)
-            outcomes = np.where(same, outcomes, fresh)
-            self.basis[role][blocks] = bases
-            self.value[role][blocks] = outcomes
+            outcomes = np.where(my_basis == bases, my_value, fresh)
+            self._write(role, blocks, bases, outcomes)
             return outcomes
 
         fresh = rng.integers(0, 2, size=bases.shape, dtype=np.uint8)
-        if ent.all():
+        if all_ent:
             # first touch everywhere: uniform outcomes collapse both halves
             outcomes = fresh
-            for r in (role, other):
-                self.basis[r][blocks] = bases
-                self.value[r][blocks] = outcomes
-            self.entangled[blocks] = False
-            return outcomes
-
-        my_basis = self.basis[role][blocks]
-        my_value = self.value[role][blocks]
-        outcomes = np.where(
-            ent,
-            fresh,  # first touch: uniform outcome, collapses the pair
-            np.where(my_basis == bases, my_value, fresh),
-        ).astype(np.uint8)
-        self.basis[role][blocks] = bases
-        self.value[role][blocks] = outcomes
-        # partner collapses to the same basis/value only on first touch
-        ob = self.basis[other][blocks]
-        ov = self.value[other][blocks]
-        self.basis[other][blocks] = np.where(ent, bases, ob)
-        self.value[other][blocks] = np.where(ent, outcomes, ov)
-        self.entangled[blocks] = False
+            self._write(role, blocks, bases, outcomes)
+            self._write(other, blocks, bases, outcomes)
+        else:
+            my_basis = rows(self._basis[role])
+            my_value = rows(self._value[role])
+            outcomes = np.where(
+                ent,
+                fresh,  # first touch: uniform outcome, collapses the pair
+                np.where(my_basis == bases, my_value, fresh),
+            )
+            # partner collapses to the same basis/value only on first touch
+            partner_basis = np.where(ent, bases, rows(self._basis[other]))
+            partner_value = np.where(ent, outcomes, rows(self._value[other]))
+            self._write(role, blocks, bases, outcomes)
+            self._write(other, blocks, partner_basis, partner_value)
+        if blocks is None:
+            self._entangled = None
+        else:
+            if self._entangled is None:
+                self._entangled = np.ones(self.shape, dtype=bool)
+            self._entangled[blocks] = False
         return outcomes
 
     # -- extraction to the generic engine --------------------------------
 
+    def _qubit(self, role: str, block: int, pos: int) -> dict:
+        return _QUBIT_AMPS[(int(self._basis[role][block, pos]), int(self._value[role][block, pos]))]
+
     def pair_state(self, block: int, pos: int) -> SparseState:
         """Joint state of one (P, V) pair as a 2-qubit SparseState."""
-        if self.entangled[block, pos]:
+        if self._is_entangled(block, pos):
             amps = {0b00: np.sqrt(0.5) + 0j, 0b11: np.sqrt(0.5) + 0j}
             return SparseState(2, amps)
         joint: dict[int, complex] = {}
-        p = _QUBIT_AMPS[(int(self.basis[ROLE_P][block, pos]), int(self.value[ROLE_P][block, pos]))]
-        v = _QUBIT_AMPS[(int(self.basis[ROLE_V][block, pos]), int(self.value[ROLE_V][block, pos]))]
+        p = self._qubit(ROLE_P, block, pos)
+        v = self._qubit(ROLE_V, block, pos)
         for kp, ap in p.items():
             for kv, av in v.items():
                 joint[(kp << 1) | kv] = ap * av
@@ -157,15 +227,15 @@ class EprNetwork:
             raise SimUsageError("half_state capped at 12 qubits")
         amps: dict[int, complex] = {0: 1.0 + 0j}
         for block, pos in pairs:
-            if self.entangled[block, pos]:
+            if self._is_entangled(block, pos):
                 raise SimUsageError("half of an entangled pair is mixed; measure first")
-            q = _QUBIT_AMPS[(int(self.basis[role][block, pos]), int(self.value[role][block, pos]))]
+            q = self._qubit(role, block, pos)
             amps = {(k << 1) | kq: a * aq for k, a in amps.items() for kq, aq in q.items()}
         return SparseState(len(pairs), amps)
 
 
 def prep_epr(block_count: int, block_width: int) -> EprNetwork:
-    """Fresh network of block_count x block_width EPR pairs."""
+    """Fresh network of block_count x block_width EPR pairs; allocates nothing."""
     return EprNetwork(block_count, block_width)
 
 

@@ -32,11 +32,11 @@ from .hbnizk import (
     HbParams,
     HbProof,
     RepRevealAll,
+    _hb_verify_opened,
     _opened_set_ok,
     cheat_prove,
     hb_prove,
     hb_simulate,
-    hb_verify,
 )
 
 BOT = "bot"
@@ -159,7 +159,7 @@ def epr_prove(
     r = t ^ crs.s
     I, pi_hb = hb_prove(r, x, witness, params.hb)
     op_I = hbg_mod.restrict_opening(opening, _block_positions(I, ell, k))
-    proof = EprProof(I, pi_hb, com, _opened_rows(theta, I, ell).copy(), op_I)
+    proof = EprProof(I, pi_hb, com, _opened_rows(theta, I, ell), op_I)
     return proof, EprProverState(y, theta, I, network)
 
 
@@ -191,9 +191,10 @@ def _opening_ok(params: EprParams, crs: EprCrs, proof: EprProof, I: np.ndarray) 
 def _hidden_bits_verdict(
     params: EprParams, crs: EprCrs, x: Digraph, proof: EprProof, I: np.ndarray, y_I: np.ndarray
 ) -> int:
-    """hb_verify on the opened hidden bits r_I = parity(y_I) ^ s_I."""
+    """hb_verify on the opened hidden bits r_I = parity(y_I) ^ s_I, for an
+    I that `_opening_ok` has validated (so it is not checked again)."""
     r_I = masked_parity(proof.theta_I, y_I) ^ _opened_rows(crs.s, I, params.num_blocks)
-    return int(hb_verify(I, r_I, x, proof.pi_hb, params.hb))
+    return int(_hb_verify_opened(I, r_I, x, proof.pi_hb, params.hb))
 
 
 def epr_delete(
@@ -201,7 +202,7 @@ def epr_delete(
 ) -> tuple[EprDeletionCert, EprVerifierState]:
     ell, k = params.num_blocks, params.block_width
     unopened = _unopened_blocks(ell, residual.I, residual.opened_ok)
-    bases = np.ones((len(unopened), k), dtype=np.int8)
+    bases = np.ones((len(unopened), k), dtype=np.uint8)
     outcomes = residual.network.measure_blocks(ROLE_V, bases, rng, blocks=unopened)
     return EprDeletionCert(unopened, outcomes), residual
 
@@ -226,7 +227,7 @@ def epr_cert(params: EprParams, cert: EprDeletionCert, prover: EprProverState) -
 
 def premeasure_all_z(params: EprParams, network: EprNetwork, rng: np.random.Generator) -> np.ndarray:
     """Collapse every verifier half in the computational basis."""
-    bases = np.zeros((params.num_blocks, params.block_width), dtype=np.int8)
+    bases = np.zeros((params.num_blocks, params.block_width), dtype=np.uint8)
     return network.measure_blocks(ROLE_V, bases, rng)
 
 
@@ -285,7 +286,7 @@ def greedy_basis_prover(
     blocks is excluded by construction: that escape is the analytic
     (1-q)^rho term the desk experiments do not re-measure."""
     ell, k = params.num_blocks, params.block_width
-    z_bases = np.zeros((ell, k), dtype=np.int8)
+    z_bases = np.zeros((ell, k), dtype=np.uint8)
     y = network.measure_blocks(ROLE_P, z_bases, rng)
 
     best = None
@@ -303,7 +304,7 @@ def greedy_basis_prover(
             break
     com, theta, opening, pi_hb, I = best
     op_I = hbg_mod.restrict_opening(opening, _block_positions(I, ell, k))
-    return EprProof(I, pi_hb, com, _opened_rows(theta, I, ell).copy(), op_I)
+    return EprProof(I, pi_hb, com, _opened_rows(theta, I, ell), op_I)
 
 
 # ---------------------------------------------------------------------
@@ -329,7 +330,7 @@ def delete_then_remeasure_vstar(params, crs, network, x, proof, rng):
     """Honest deletion followed by a Z remeasurement of the deleted
     qubits; the extra outcomes join the classical output."""
     cert, out = honest_delete_vstar(params, crs, network, x, proof, rng)
-    rebases = np.zeros((len(cert.blocks), params.block_width), dtype=np.int8)
+    rebases = np.zeros((len(cert.blocks), params.block_width), dtype=np.uint8)
     re_out = network.measure_blocks(ROLE_V, rebases, rng, blocks=cert.blocks)
     return cert, {**out, "remeasured": tuple(int(v) for v in re_out.ravel())}
 
@@ -374,7 +375,7 @@ def epr_sim(params, x, vstar: VStar, rng):
     s[I] = t[I] ^ r_I
     crs = EprCrs(crs_bg, s)
     op_I = hbg_mod.restrict_opening(opening, _block_positions(I, ell, k))
-    proof = EprProof(I, pi_hb, com, _opened_rows(theta, I, ell).copy(), op_I)
+    proof = EprProof(I, pi_hb, com, _opened_rows(theta, I, ell), op_I)
     prover = EprProverState(y, theta, I, network)
     cert, output = vstar(params, crs, network, x, proof, rng)
     if epr_cert(params, cert, prover):

@@ -70,7 +70,8 @@ class Transcript:
 
 
 def serialize_transcript(t: Transcript) -> bytes:
-    body = wire.encode(
+    """MAGIC, VERSION and the wire-encoded body, joined in one copy."""
+    return wire.encode(
         {
             "protocol": t.protocol,
             "params": t.params,
@@ -78,19 +79,20 @@ def serialize_transcript(t: Transcript) -> bytes:
             "messages": [[role, step, payload] for role, step, payload in t.messages],
             "verdicts": t.verdicts,
             "records": t.records,
-        }
+        },
+        prefix=MAGIC + VERSION.to_bytes(2, "big"),
     )
-    return MAGIC + VERSION.to_bytes(2, "big") + body
 
 
 def deserialize_transcript(data: bytes) -> Transcript:
+    """The transcript in data; its arrays are read-only views into data."""
     if len(data) < 7 or data[:5] != MAGIC:
         raise TranscriptError("bad magic header")
     version = int.from_bytes(data[5:7], "big")
     if version != VERSION:
         raise TranscriptError(f"unsupported transcript version {version}")
     try:
-        body = wire.decode(data[7:])
+        body = wire.decode(memoryview(data)[7:])
     except wire.WireError as exc:
         raise TranscriptError(str(exc)) from exc
     if not isinstance(body, dict):
@@ -136,10 +138,26 @@ def default_crs_params() -> dict:
     return {"lam": 2, "witness": "1011", "sig_width": 16}
 
 
+# Size caps on session params, so that a params dict (a replayed
+# transcript's among them) cannot ask for an unbounded session. Each cap
+# sits above every shape the acceptance suite and the benchmark run: the
+# largest EPR session is criterion 1's 4,915,200 pairs, every CRS session
+# uses lam=2 and sig_width=16. A key "a*b" caps the product of params a, b.
+SIZE_CAPS = {
+    # reps*m*m*b*k is the EPR pair count (hidden bits times block width)
+    "epr": {"reps*m*m*b*k": 1 << 23},
+    # toy states hold up to 2^(8*lam) terms; the OWF images have 64 bits
+    "crs-toy": {"lam": 3, "sig_width": 64},
+    # the dry run hashes 2*ell encoding positions per unit of lam (4,160
+    # at its fixed triangle statement)
+    "crs-dry": {"lam": 16, "sig_width": 64},
+}
+
+
 def _require_params(params, defaults: dict, what: str) -> None:
     """ValueError naming every key of defaults that params lacks, the
-    first key whose value is not of the default value's type, or the
-    first integer (a size) below 1."""
+    first key whose value is not of the default value's type, the first
+    integer (a size) below 1, or the first size above its SIZE_CAPS cap."""
     if not isinstance(params, dict):
         raise ValueError(f"{what} params must be a dict, got {type(params).__name__}")
     missing = [key for key in defaults if key not in params]
@@ -150,6 +168,10 @@ def _require_params(params, defaults: dict, what: str) -> None:
             raise ValueError(f"{what} param {key} must be a {type(default).__name__}, got {params[key]!r}")
         if isinstance(default, int) and params[key] < 1:
             raise ValueError(f"{what} param {key} must be at least 1, got {params[key]!r}")
+    for name, cap in SIZE_CAPS.get(what, {}).items():
+        size = math.prod(params[key] for key in name.split("*"))
+        if size > cap:
+            raise ValueError(f"{what} param {name} must be at most {cap}, got {size}")
 
 
 def _epr_protocol_params(params: dict) -> ep.EprParams:

@@ -98,7 +98,11 @@ class DealerRegistry:
         self._entries: dict[bytes, tuple[np.ndarray, bytes]] = {}
 
     def register(self, com: bytes, bits: np.ndarray, receipt: bytes) -> None:
-        self._entries[com] = (bits.copy(), receipt)
+        """Record bits under com; a read-only array is kept without a copy."""
+        if bits.flags.writeable:
+            bits = bits.copy()
+            bits.flags.writeable = False
+        self._entries[com] = (bits, receipt)
 
     def lookup(self, com: bytes):
         return self._entries.get(com)
@@ -192,9 +196,10 @@ def hbg_setup(
 
 
 def hbg_genbits(crs, rng: np.random.Generator):
-    """(com, r, openings) for k fresh hidden bits."""
+    """(com, r, openings) for k fresh hidden bits; r is read-only."""
     params = crs.params
     r = rng.integers(0, 2, size=params.k, dtype=np.uint8)
+    r.flags.writeable = False
     if crs.mode == "naor":
         seeds = rng.integers(0, 1 << params.s, size=params.k, dtype=np.uint64)
         chunks = bytearray()

@@ -6,7 +6,8 @@ tests rely on. Supported values: None, bool, int (arbitrary size),
 float, bytes, str, list, dict (insertion order preserved), and numpy
 arrays of bool/uint/int/float dtypes. Decoding accepts only canonical
 bytes (each int has exactly one encoding) nested at most MAX_DEPTH
-lists and dicts deep.
+lists and dicts deep. Decoded arrays are read-only views into the
+decoded buffer, not copies.
 """
 
 from __future__ import annotations
@@ -91,18 +92,19 @@ def _encode_into(obj, out: list) -> None:
         raise WireError(f"cannot encode {type(obj).__name__}")
 
 
-def encode(obj) -> bytes:
-    out: list = []
+def encode(obj, prefix: bytes = b"") -> bytes:
+    """prefix followed by the encoding of obj, joined in one copy."""
+    out: list = [prefix]
     _encode_into(obj, out)
     return b"".join(out)
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    def __init__(self, data: memoryview):
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise WireError("truncated wire data")
         chunk = self.data[self.pos : self.pos + n]
@@ -135,10 +137,10 @@ def _decode_from(r: _Reader, depth: int = 0):
         (v,) = struct.unpack(">d", r.take(8))
         return v
     if tag == _TAG_BYTES:
-        return r.take(r.take_len())
+        return r.take(r.take_len()).tobytes()
     if tag == _TAG_STR:
         try:
-            return r.take(r.take_len()).decode("utf-8")
+            return str(r.take(r.take_len()), "utf-8")
         except UnicodeDecodeError as exc:
             raise WireError("bad string payload") from exc
     if tag in (_TAG_LIST, _TAG_DICT) and depth >= MAX_DEPTH:
@@ -155,7 +157,7 @@ def _decode_from(r: _Reader, depth: int = 0):
         return out
     if tag == _TAG_ARRAY:
         try:
-            dt = np.dtype(r.take(r.take_len()).decode("ascii"))
+            dt = np.dtype(str(r.take(r.take_len()), "ascii"))
         except (TypeError, ValueError, UnicodeDecodeError) as exc:
             raise WireError("bad array dtype") from exc
         if dt.kind not in "buif":
@@ -166,14 +168,23 @@ def _decode_from(r: _Reader, depth: int = 0):
         count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
         if len(raw) != count * dt.itemsize:
             raise WireError("array payload size mismatch")
-        return np.frombuffer(raw, dtype=dt).reshape(shape).copy()
-    raise WireError(f"unknown tag {tag!r}")
+        arr = np.frombuffer(raw, dtype=dt).reshape(shape)
+        arr.flags.writeable = False
+        return arr
+    raise WireError(f"unknown tag {bytes(tag)!r}")
 
 
-def decode(data: bytes):
-    r = _Reader(data)
+def decode(data: bytes | bytearray | memoryview):
+    """The object encoded in data. Arrays come back as read-only views
+    into data (no copy), so data must not change while they are in
+    use; bytes and str leaves are copies of their own payload."""
+    try:
+        view = memoryview(data).cast("B")
+    except TypeError as exc:
+        raise WireError(f"cannot decode {type(data).__name__}") from exc
+    r = _Reader(view)
     obj = _decode_from(r)
-    if r.pos != len(data):
+    if r.pos != len(view):
         raise WireError("trailing bytes after payload")
     return obj
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cenizk import crs_protocol
 from cenizk.bits import bits_to_int, int_to_bits, masked_parity
 from cenizk.crs_nizk import CompiledSpec, toy_encode
 from cenizk.crs_protocol import (
@@ -353,6 +354,24 @@ class TestDryRun:
             crs = crs_setup_dry(spec, rng)
             record = crs_prove_dry(CrsParams(lam=2), crs, g, w, rng)
             assert all(record.checks.values()), record.checks
+
+    def test_corrupted_signature_chunk_breaks_the_chain(self, monkeypatch):
+        # the certifier hashes each chunk of the signature, so one wrong
+        # preimage must fail the chain while every other identity holds
+        spec = CompiledSpec(hb=HbParams(n=3, repetitions=1, matrix_side=3, block_len=1))
+        g, w = complete_digraph(3), canonical_cycle(3)
+        honest_sign = crs_protocol._lamport_sign
+
+        def corrupted_sign(pre, z):
+            chunks = honest_sign(pre, z)
+            chunks[17] ^= 1
+            return chunks
+
+        monkeypatch.setattr(crs_protocol, "_lamport_sign", corrupted_sign)
+        rng = stream(0, "dry")
+        record = crs_prove_dry(CrsParams(lam=2), crs_setup_dry(spec, rng), g, w, rng)
+        assert record.checks.pop("sig_chain_consistent") is False
+        assert all(record.checks.values()), record.checks
 
 
 def sig_table_reference(params, preimages):

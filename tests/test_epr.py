@@ -5,11 +5,15 @@ generic sparse engine through `measure_blocks`, the measurement the
 protocols run: for every basis combination the joint outcome
 distribution of the two lanes must agree, on 1x1 networks (first-touch
 and all-collapsed branches) and on a 2x1 network whose second call
-meets one collapsed and one entangled block (the mixed branch).
+meets one collapsed and one entangled block (the mixed branch). The
+lazy, shared representation (no arrays before the first measurement,
+one record for both halves after a whole-network first touch) is
+checked against engine states through `pair_state`/`half_state`.
 """
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,3 +187,103 @@ class TestExtraction:
         st = net.half_state(ROLE_V, [(0, 0), (0, 1)])
         assert st.num_qubits == 2
         assert st.norm_sq() == pytest.approx(1.0)
+
+
+def _unmeasured(pair, q):
+    """One-qubit state of qubit q (0 = P, the high key bit) of an engine
+    pair state whose other qubit `project` has measured out."""
+    return SparseState(1, {(key >> (1 - q)) & 1: amp for key, amp in pair.amps.items()})
+
+
+def _same_state(a, b):
+    """Equal single-register pure states, up to a global phase."""
+    overlap = sum(amp * np.conj(b.amps.get(key, 0)) for key, amp in a.amps.items())
+    return a.num_qubits == b.num_qubits and abs(abs(overlap) - 1.0) < 1e-12
+
+
+class TestSharedRecords:
+    """After a whole-network first touch both halves share one record;
+    later measurements must not leak through it into the partner."""
+
+    def test_partial_other_basis_leaves_partner_unchanged(self, rng):
+        net = prep_epr(4, 3)
+        theta = rng.integers(0, 2, size=(4, 3), dtype=np.uint8)
+        y = net.measure_blocks(ROLE_P, theta, rng)
+        theta_before, y_before = theta.copy(), y.copy()
+        partner = [net.pair_state(i, j).amps for i in range(4) for j in range(3)]
+        v_half = net.half_state(ROLE_V, [(1, j) for j in range(3)]).amps
+        # P re-measures block 1 in the other basis
+        net.measure_blocks(ROLE_P, 1 - theta[[1]], rng, blocks=[1])
+        # V's half, and every pair outside block 1, are as before
+        assert net.half_state(ROLE_V, [(1, j) for j in range(3)]).amps == v_half
+        after = [net.pair_state(i, j).amps for i in range(4) for j in range(3)]
+        assert [a for n, a in enumerate(after) if n // 3 != 1] == [a for n, a in enumerate(partner) if n // 3 != 1]
+        # V re-reads in theta and still gets the first-touch outcomes
+        assert np.array_equal(net.measure_blocks(ROLE_V, theta, rng), y_before)
+        # the arrays handed in and out at first touch are untouched
+        assert np.array_equal(theta, theta_before) and np.array_equal(y, y_before)
+
+    def test_partial_other_basis_matches_engine(self, rng):
+        # whole first touch of a 2x1 network in bases (b, b'), then P
+        # re-measures block 0 in the other basis: V's halves must stay
+        # the engine's post-measurement states of their qubits, and P's
+        # half of block 0 must become the state the engine gives for
+        # the new outcome
+        bell = SparseState(2, {0b00: SQRT_HALF, 0b11: SQRT_HALF})
+        for theta in itertools.product((0, 1), repeat=2):
+            for _ in range(20):
+                net = prep_epr(2, 1)
+                y = net.measure_blocks(ROLE_P, np.array(theta, dtype=np.uint8)[:, None], rng)
+                v_states = [_unmeasured(project(bell, 0, "ZX"[b], int(a))[1], 1) for b, a in zip(theta, y[:, 0])]
+                c = _measure_one(net, ROLE_P, 1 - theta[0], rng)
+                for i in range(2):
+                    assert _same_state(net.half_state(ROLE_V, [(i, 0)]), v_states[i])
+                # P's qubit in basis 1-b with value c, as the engine
+                # leaves it when its partner is measured that way
+                p_state = _unmeasured(project(bell, 1, "ZX"[1 - theta[0]], c)[1], 0)
+                assert _same_state(net.half_state(ROLE_P, [(0, 0)]), p_state)
+                assert _same_state(net.half_state(ROLE_P, [(1, 0)]), v_states[1])
+
+    def test_same_basis_whole_reread_draws_nothing(self, rng):
+        net = prep_epr(3, 2)
+        theta = rng.integers(0, 2, size=(3, 2), dtype=np.uint8)
+        y = net.measure_blocks(ROLE_P, theta, rng)
+        position = rng.bit_generator.state
+        # the same array object, and an equal copy of it
+        for bases in (theta, theta.copy()):
+            for role in (ROLE_V, ROLE_P):
+                assert np.array_equal(net.measure_blocks(role, bases, rng), y)
+        assert rng.bit_generator.state == position
+        bell = SparseState(2, {0b00: SQRT_HALF, 0b11: SQRT_HALF})
+        for (i, j), b in np.ndenumerate(theta):
+            engine = _unmeasured(project(bell, 0, "ZX"[b], int(y[i, j]))[1], 1)
+            assert _same_state(net.half_state(ROLE_V, [(i, j)]), engine)
+
+    def test_empty_block_list_draws_and_allocates_nothing(self, rng):
+        net = prep_epr(3, 2)
+        position = rng.bit_generator.state
+        out = net.measure_blocks(ROLE_V, np.ones((0, 2), dtype=np.uint8), rng, blocks=[])
+        assert out.shape == (0, 2)
+        assert rng.bit_generator.state == position
+        assert set(net.pair_state(2, 1).amps) == {0b00, 0b11}
+
+    def test_prep_allocates_nothing_at_criterion_one_shape(self, rng):
+        # 819,200 blocks of 6: one full-size uint8 array is 4.9 MB
+        tracemalloc.start()
+        try:
+            net = prep_epr(819_200, 6)
+            # an empty block list (epr_delete when every block is opened)
+            # must not materialise the records either
+            empty = net.measure_blocks(ROLE_V, np.ones((0, 6), dtype=np.uint8), rng, blocks=[])
+            _, peak = tracemalloc.get_traced_memory()
+            assert empty.shape == (0, 6) and peak < 64 * 1024
+            assert set(net.pair_state(819_199, 5).amps) == {0b00, 0b11}
+            # the first whole touch stores the bases and outcomes once
+            tracemalloc.reset_peak()
+            theta = np.zeros((819_200, 6), dtype=np.uint8)
+            before, _ = tracemalloc.get_traced_memory()
+            net.measure_blocks(ROLE_P, theta, rng)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 819_200 * 6 + 64 * 1024

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cenizk import wire
 from cenizk.cli import main as cli_main
-from cenizk.harness import MAGIC, VERSION
+from cenizk.harness import MAGIC, SIZE_CAPS, VERSION, _require_params
 from cenizk.harness import (
     Transcript,
     TranscriptError,
@@ -94,6 +94,43 @@ class TestWire:
         assert wire.decode(ok) is not None
         with pytest.raises(wire.WireError):
             wire.decode(b"L\x00\x00\x00\x01" + ok)
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_decoded_array_is_a_read_only_view_of_the_input(self, kind):
+        data = kind(wire.encode([np.arange(6, dtype=np.int64).reshape(2, 3), b"\x01"]))
+        arr, _ = wire.decode(data)
+        assert np.array_equal(arr, np.arange(6).reshape(2, 3)) and arr.dtype == np.int64
+        assert not arr.flags.writeable
+        assert np.shares_memory(arr, np.frombuffer(data, dtype=np.uint8))
+        with pytest.raises(ValueError):
+            arr[0, 0] = 7
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_decode_accepts_bytes_like_input(self, kind):
+        obj = {"b": b"\x00\xff", "s": "h\u00e9", "a": np.array([1, 2], dtype=np.uint16), "i": -5, "e": np.zeros(0)}
+        back = wire.decode(kind(wire.encode(obj)))
+        assert _eq(back, obj)
+        assert type(back["b"]) is bytes and type(back["s"]) is str
+
+    def test_decode_reads_a_memoryview_slice(self):
+        data = wire.encode({"a": np.arange(3, dtype=np.uint32)})
+        assert _eq(wire.decode(memoryview(b"pad" + data)[3:]), {"a": np.arange(3, dtype=np.uint32)})
+
+    def test_decode_rejects_non_bytes_input(self):
+        with pytest.raises(wire.WireError):
+            wire.decode("N")
+
+    @given(values)
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_and_str_leaves_never_decode_as_memoryview(self, obj):
+        def leaves(x):
+            if isinstance(x, list):
+                return [leaf for item in x for leaf in leaves(item)]
+            if isinstance(x, dict):
+                return [leaf for item in x.values() for leaf in leaves(item)]
+            return [x]
+
+        assert not any(isinstance(leaf, memoryview) for leaf in leaves(wire.decode(wire.encode(obj))))
 
 
 class TestTranscriptSerialization:
@@ -300,6 +337,37 @@ class TestCliParams:
         assert cli_main(["certify", "--in", str(path)]) == 2
         assert f"{protocol} param {key} must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "protocol,key,value,name",
+        [
+            ("epr", "m", 10**6, "reps*m*m*b*k"),
+            ("epr", "reps", 2**23, "reps*m*m*b*k"),
+            ("crs-toy", "lam", SIZE_CAPS["crs-toy"]["lam"] + 1, "lam"),
+            ("crs-toy", "sig_width", SIZE_CAPS["crs-toy"]["sig_width"] + 1, "sig_width"),
+            ("crs-dry", "lam", SIZE_CAPS["crs-dry"]["lam"] + 1, "lam"),
+            ("crs-dry", "sig_width", SIZE_CAPS["crs-dry"]["sig_width"] + 1, "sig_width"),
+        ],
+    )
+    def test_size_above_cap_is_usage_error(self, capsys, tmp_path, protocol, key, value, name):
+        defaults = default_epr_params() if protocol == "epr" else default_crs_params()
+        path = tmp_path / "huge.cenz"
+        path.write_bytes(serialize_transcript(Transcript(protocol, {**defaults, key: value}, 0)))
+        assert cli_main(["certify", "--in", str(path)]) == 2
+        assert f"error: {protocol} param {name} must be at most" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "protocol,params",
+        [
+            # criterion 1 and the epr-c1 benchmark workload; the soundness shape
+            ("epr", {"n": 4, "reps": 20, "m": 64, "b": 10, "k": 6, "hbg": "dealer", "hbg_s": 12}),
+            ("epr", {"n": 3, "reps": 20, "m": 27, "b": 8, "k": 6, "hbg": "dealer", "hbg_s": 12}),
+            ("crs-toy", default_crs_params()),
+            ("crs-dry", default_crs_params()),
+        ],
+    )
+    def test_caps_admit_every_suite_shape(self, protocol, params):
+        _require_params(params, default_epr_params() if protocol == "epr" else default_crs_params(), protocol)
+
     @pytest.mark.parametrize("value", [0, -1])
     @pytest.mark.parametrize("name", ["deletion-honest-td", "deletion-leaking-td", "deletion-keep-state"])
     def test_deletion_lam_below_one_is_usage_error(self, capsys, name, value):
@@ -362,6 +430,13 @@ class TestCli:
         assert data[:5] == b"CENZ1"
         text = capsys.readouterr().out
         assert "verdict verify = 1" in text
+
+    def test_certify_replays_a_written_epr_transcript(self, capsys, tmp_path):
+        out = tmp_path / "full.cenz"
+        assert cli_main(["run-session", "--protocol", "epr", "--seed", "5", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli_main(["certify", "--in", str(out)]) == 0
+        assert "verdict certify = True" in capsys.readouterr().out
 
     def test_stage_then_resume(self, capsys, tmp_path):
         out = tmp_path / "stage.cenz"
