@@ -40,9 +40,9 @@ def int_to_bits(value: int, width: int) -> np.ndarray:
 
 
 # Below this many rows one reduce call over the last axis is cheaper than
-# a numpy call per word column; above it the column loop wins (at
-# 819200 x 6, the reduce over the short last axis takes ~4x as long as
-# the three-column XOR of 2-byte words).
+# the word-column loop; above it the loop wins (the two cross near 256
+# rows of 6; at 819200 x 6 the reduce over the short last axis takes ~6x
+# as long as the three-column XOR of 2-byte words).
 _COLUMN_XOR_MIN_ROWS = 256
 
 

@@ -32,11 +32,11 @@ from .hbnizk import (
     HbParams,
     HbProof,
     RepRevealAll,
-    _hb_verify_opened,
     _opened_set_ok,
     cheat_prove,
     hb_prove,
     hb_simulate,
+    hb_verify,
 )
 
 BOT = "bot"
@@ -194,7 +194,7 @@ def _hidden_bits_verdict(
     """hb_verify on the opened hidden bits r_I = parity(y_I) ^ s_I, for an
     I that `_opening_ok` has validated (so it is not checked again)."""
     r_I = masked_parity(proof.theta_I, y_I) ^ _opened_rows(crs.s, I, params.num_blocks)
-    return int(_hb_verify_opened(I, r_I, x, proof.pi_hb, params.hb))
+    return int(hb_verify(I, r_I, x, proof.pi_hb, params.hb, opened_ok=True))
 
 
 def epr_delete(

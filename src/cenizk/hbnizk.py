@@ -282,23 +282,20 @@ def hb_prove(
 
 
 def hb_verify(
-    I: np.ndarray, r_I: np.ndarray, x: Digraph, proof: HbProof, params: HbParams
+    I: np.ndarray, r_I: np.ndarray, x: Digraph, proof: HbProof, params: HbParams, opened_ok: bool = False
 ) -> bool:
     """Accept iff every repetition checks out. Malformed input rejects,
-    it never raises."""
+    it never raises. opened_ok: the caller has already checked I with
+    `_opened_set_ok(I, params.total_bits)` (the EPR verifier does, before
+    its generator check), so it is not walked again."""
     try:
         I = np.asarray(I, dtype=np.int64)
         r_I = np.asarray(r_I, dtype=np.uint8)
     except (TypeError, ValueError):
         return False
-    return _opened_set_ok(I, params.total_bits) and _hb_verify_opened(I, r_I, x, proof, params)
-
-
-def _hb_verify_opened(I: np.ndarray, r_I: np.ndarray, x: Digraph, proof: HbProof, params: HbParams) -> bool:
-    """hb_verify for an int64 I that already passed
-    `_opened_set_ok(I, params.total_bits)` and a uint8 r_I: the EPR
-    verifier validates its opened set once, before the generator check."""
     if len(proof.reps) != params.repetitions or I.shape != r_I.shape:
+        return False
+    if not opened_ok and not _opened_set_ok(I, params.total_bits):
         return False
     kp = params.bits_per_rep
     bounds = np.searchsorted(I, np.arange(params.repetitions + 1) * kp)
