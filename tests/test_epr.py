@@ -259,7 +259,7 @@ class TestSharedRecords:
             engine = _unmeasured(project(bell, 0, "ZX"[b], int(y[i, j]))[1], 1)
             assert _same_state(net.half_state(ROLE_V, [(i, j)]), engine)
 
-    def test_empty_block_list_draws_and_allocates_nothing(self, rng):
+    def test_empty_block_list_draws_nothing(self, rng):
         net = prep_epr(3, 2)
         position = rng.bit_generator.state
         out = net.measure_blocks(ROLE_V, np.ones((0, 2), dtype=np.uint8), rng, blocks=[])
@@ -283,7 +283,7 @@ class TestSharedRecords:
             theta = np.zeros((819_200, 6), dtype=np.uint8)
             before, _ = tracemalloc.get_traced_memory()
             net.measure_blocks(ROLE_P, theta, rng)
-            after, peak = tracemalloc.get_traced_memory()
+            after, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert after - before < 819_200 * 6 + 64 * 1024
