@@ -12,6 +12,12 @@ uncomputes proofs and signatures with the recorded PRF key, measures
 the encoding register in the Hadamard basis and compares against the
 recorded y wherever theta is 1.
 
+The outer-verifier bit and the signature-test bit are each measured
+with `state.measure_flag`, which is exactly appending a flag qubit,
+XORing the oracle into it, measuring it in Z and dropping it, done in
+one pass. Outer proofs and signatures go into the contiguous P||S
+register through one oracle.
+
 Two execution modes:
 
 * toy (full quantum): the inner NIZK is the 4-bit linear-code system,
@@ -33,7 +39,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
-from typing import ClassVar, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -58,8 +64,8 @@ from .state import (
     SparseState,
     append_register,
     apply_oracle,
-    drop_last_register,
     measure,
+    measure_flag,
     prep_bb84,
     project,
 )
@@ -151,17 +157,24 @@ def pad_half(theta: np.ndarray, z: np.ndarray, which: int, ell: int, lam: int) -
     return masked_parity(theta, as_bit_array(z).reshape(2 * ell, lam)[rows])
 
 
+@functools.cache
+def _pad_table(ell: int, lam: int) -> list[int]:
+    """One half's pad indexed by its ell*lam masked bits (z & ~theta):
+    bit i, most significant first, is the parity of block i's lam bits.
+    Built on first use; 4,096 entries at ell=4, lam=3."""
+    parity = [v.bit_count() & 1 for v in range(1 << lam)]
+    table = [0]
+    for _ in range(ell):
+        table = [(t << 1) | p for t in table for p in parity]
+    return table
+
+
 def _pad_int(theta_int: int, z_int: int, which: int, ell: int, lam: int) -> int:
-    # integer lane for the per-term oracles
-    out = 0
-    width = 2 * ell * lam
-    base = which * ell
-    for i in range(ell):
-        shift = width - (base + i + 1) * lam
-        t = (theta_int >> shift) & ((1 << lam) - 1)
-        zb = (z_int >> shift) & ((1 << lam) - 1)
-        out = (out << 1) | ((zb & ~t & ((1 << lam) - 1)).bit_count() & 1)
-    return out
+    # integer lane for the per-term oracles: half 0 is the high ell*lam
+    # bits of the 2*ell*lam-bit register, half 1 the low ones
+    half = ell * lam
+    masked = ((z_int & ~theta_int) >> ((1 - which) * half)) & ((1 << half) - 1)
+    return _pad_table(ell, lam)[masked]
 
 
 # ---------------------------------------------------------------------
@@ -169,12 +182,22 @@ def _pad_int(theta_int: int, z_int: int, which: int, ell: int, lam: int) -> int:
 # ---------------------------------------------------------------------
 
 
-def _prf_mask_int(prfk: bytes, z_int: int, width: int, mode: str) -> int:
+def _prf_mask(prfk: bytes, width: int, mode: str) -> Callable[[int], int]:
+    """z -> F_prfk(z), `width` bits. In hash mode the keyed blake2b is set
+    up once and copied per z, which gives the digest of
+    blake2b(z, key=prfk)."""
+    low = (1 << width) - 1
     if mode == "hash":
-        digest = hashlib.blake2b(z_int.to_bytes(16, "big"), key=prfk, digest_size=16).digest()
-        return int.from_bytes(digest, "big") & ((1 << width) - 1)
+        keyed = hashlib.blake2b(key=prfk, digest_size=16)
+
+        def prf(z_int: int) -> int:
+            h = keyed.copy()
+            h.update(z_int.to_bytes(16, "big"))
+            return int.from_bytes(h.digest(), "big") & low
+
+        return prf
     if mode == "identity":
-        return z_int & ((1 << width) - 1)
+        return lambda z_int: z_int & low
     raise ValueError(f"unknown prf mode {mode!r}")
 
 
@@ -280,10 +303,16 @@ class _ToyOuterLane:
         cand1 = self.ct1_int ^ k1_int ^ _pad_int(theta_int, z_int, 1, ell, lam)
         return int(_TOY_ENCODE_TABLE[cand1] == self.x_int)
 
-    def prove_int(self, z_int: int, omega_int: int, prfk: bytes) -> int:
+    def prover(self, omega_int: int, prfk: bytes) -> Callable[[int], int]:
+        """z -> the outer proof (omega ^ mask_z) || mask_z."""
         w = self.witness_bits
-        mask = _prf_mask_int(prfk, z_int, w, self.params.prf_mode)
-        return ((omega_int ^ mask) << w) | mask
+        prf = _prf_mask(prfk, w, self.params.prf_mode)
+
+        def prove(z_int: int) -> int:
+            mask = prf(z_int)
+            return ((omega_int ^ mask) << w) | mask
+
+        return prove
 
     def verify_int(self, z_int: int, pi_int: int) -> int:
         w = self.witness_bits
@@ -306,12 +335,6 @@ def _sig_test_oracle(params: CrsParams, key: CrsProverKey):
     width = params.sig_bits
     mask = (1 << width) - 1
     return lambda zs: int((zs & mask) == sig(zs >> width))
-
-
-def _oracle_into_flag(state: SparseState, in_reg: list[int], f) -> tuple[SparseState, int]:
-    """Append a one-qubit flag register and XOR f(in_reg) into it."""
-    flag = state.num_qubits
-    return apply_oracle(append_register(state, 1), in_reg, [flag], f), flag
 
 
 def _omega_int(key: CrsProverKey, params: CrsParams) -> int:
@@ -353,9 +376,7 @@ def crs_prove(
     preimages = rng.integers(0, 1 << params.preimage_bits, size=(n_r, 2), dtype=np.uint64)
     key = CrsProverKey(theta, k0, k1, crs.crs_out, y, prfk, preimages)
 
-    state = prep_bb84(Bb84Descriptor(y, theta))
-    state = append_register(state, params.proof_width)
-    state = append_register(state, params.sig_bits)
+    state = append_register(prep_bb84(Bb84Descriptor(y, theta)), params.proof_width + params.sig_bits)
     state = _attach_functional_registers(params, state, key, x, ct0, ct1)
     return CrsProofState(state, ct0, ct1), key
 
@@ -370,15 +391,13 @@ def _attach_functional_registers(
     regs: Optional[dict[str, list[int]]] = None,
 ) -> SparseState:
     """XOR outer proofs and signatures into P and S (default: the proof's
-    own registers); an involution, so certification reuses it verbatim
-    to uncompute."""
+    own registers) with one oracle on P||S; an involution, so
+    certification reuses it verbatim to uncompute."""
     regs = regs or params.registers()
-    lane = _ToyOuterLane(params, x, ct0, ct1)
-    omega = _omega_int(key, params)
-    state = apply_oracle(
-        state, regs["R"], regs["P"], lambda z: lane.prove_int(z, omega, key.prfk)
-    )
-    return apply_oracle(state, regs["R"], regs["S"], _sig_lookup(params, key.preimages))
+    prove = _ToyOuterLane(params, x, ct0, ct1).prover(_omega_int(key, params), key.prfk)
+    sig = _sig_lookup(params, key.preimages)
+    sig_bits = params.sig_bits
+    return apply_oracle(state, regs["R"], regs["P"] + regs["S"], lambda z: (prove(z) << sig_bits) | sig(z))
 
 
 def crs_verify(
@@ -405,11 +424,7 @@ def crs_verify_prob(params: CrsParams, x: np.ndarray, sigma: CrsProofState) -> f
 def _verify_branches(params: CrsParams, x: np.ndarray, sigma: CrsProofState):
     regs = params.registers()
     f_out = _outer_verify_oracle(params, x, sigma.ct0, sigma.ct1)
-    state, flag = _oracle_into_flag(sigma.state, regs["R"] + regs["P"], f_out)
-    prob1, acc = project(state, flag, "Z", 1)
-    prob0, rej = project(state, flag, "Z", 0)
-    accepted = drop_last_register(acc, 1) if acc is not None else None
-    rejected = drop_last_register(rej, 1) if rej is not None else None
+    (_, rejected), (prob1, accepted) = measure_flag(sigma.state, regs["R"] + regs["P"], f_out)
     return prob1, accepted, rejected
 
 
@@ -457,11 +472,9 @@ def _certify(
 ) -> CertAudit:
     """crs_cert on the registers regs of state (the proof's own, or one
     half of a clone)."""
-    state, flag = _oracle_into_flag(state, regs["R"] + regs["S"], _sig_test_oracle(params, key))
-    prob, state = project(state, flag, "Z", 1)
+    _, (prob, state) = measure_flag(state, regs["R"] + regs["S"], _sig_test_oracle(params, key))
     if state is None:
         return CertAudit(0.0, None, None, False)
-    state = drop_last_register(state, 1)
     state = _attach_functional_registers(params, state, key, x, ct0, ct1, regs)
     cert_bits, _ = measure(state, regs["R"], ["X"] * len(regs["R"]), rng)
     return CertAudit(prob, state, cert_bits, check_deletion_cert(cert_bits, key.y, key.theta))
@@ -521,9 +534,9 @@ def verify_clone_half(
     """Run outer verification against one clone half's R and P registers."""
     regs = clone.original if half == "original" else clone.copy
     f_out = _outer_verify_oracle(params, x, clone.ct0, clone.ct1)
-    state, flag = _oracle_into_flag(clone.state, regs["R"] + regs["P"], f_out)
-    outcome, _ = measure(state, [flag], ["Z"], rng)
-    return int(outcome[0])
+    _, (prob1, _) = measure_flag(clone.state, regs["R"] + regs["P"], f_out)
+    # one draw, outcome 1 below P[1], as a Z measurement of the flag
+    return int(rng.random() < prob1)
 
 
 def cert_original_after_clone(

@@ -13,9 +13,15 @@ Conventions:
     the printed bitstring reads left to right in qubit order;
   * X-basis outcome bit 0 means the +1 eigenstate |+>, bit 1 means |->;
   * X-basis measurement is realized by pairwise term combination, never
-    by a global Hadamard, so sparsity never grows. The measured qubit
-    is afterwards "retired": its key bit is pinned to 0 and further
-    operations on it are usage errors;
+    by a global Hadamard, so sparsity never grows. One pass over the
+    terms yields both outcomes. The measured qubit is afterwards
+    "retired": its key bit is pinned to 0 and further operations on it
+    are usage errors;
+  * `measure_flag` is exactly the sequence append_register(state, 1),
+    apply_oracle into that flag, project (or measure) the flag in Z,
+    drop_last_register: the same keys, amplitudes, dict order and
+    probabilities for both flag values, from one pass that splits the
+    terms instead of four whole-state passes;
   * a register (a qubit list, most significant first) is read and
     written through its spans: the maximal runs of consecutive qubits
     it lists. Each span is one shift and one mask on the integer key,
@@ -30,7 +36,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import compress, repeat
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -114,8 +121,10 @@ class SparseState:
         return all(abs(self.amps[k] - other.amps[k]) <= tol for k in self.amps)
 
 
-def _normalized(num_qubits: int, amps: dict[int, complex], retired: frozenset[int]) -> SparseState:
-    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+def _normalized(num_qubits: int, amps: dict[int, complex], prob: float, retired: frozenset[int]) -> SparseState:
+    """amps scaled to unit norm, prob being their squared norm summed in
+    dict order; terms that fall below PRUNE_EPS are dropped."""
+    norm = math.sqrt(prob)
     out = {k: a / norm for k, a in amps.items() if abs(a) / norm >= PRUNE_EPS}
     return SparseState(num_qubits, out, retired)
 
@@ -182,42 +191,52 @@ def drop_last_register(state: SparseState, width: int) -> SparseState:
 # ---------------------------------------------------------------------
 
 
-def _x_pairs(state: SparseState, qubit: int, value: int) -> tuple[dict[int, complex], float]:
-    """Unnormalized projection onto X outcome `value` and its probability.
+# (probability, post-selected state, or (0.0, None) below PRUNE_EPS)
+_Outcome = tuple[float, Optional[SparseState]]
 
-    Pairwise combination: each (z, z^bit) pair contributes one term,
-    keyed with the qubit's bit cleared, so the term count never grows.
+
+def _sq_norm(amps: dict[int, complex]) -> float:
+    """Sum of |a|^2 over amps, in dict order."""
+    return sum(map(pow, map(abs, amps.values()), repeat(2)))
+
+
+def _x_pairs(state: SparseState, qubit: int) -> tuple[dict[int, complex], dict[int, complex]]:
+    """Unnormalized projections onto X outcomes 0 (|+>) and 1 (|->), from
+    one pass over the terms.
+
+    Pairwise combination: each (z, z^bit) pair contributes one term to
+    each outcome, keyed with the qubit's bit cleared, so the term count
+    never grows.
     """
     bit = state._bit(qubit)
-    keep: dict[int, complex] = {}
-    prob = 0.0
-    seen = set()
-    for k in state.amps:
-        rep = k & ~bit
-        if rep in seen:
-            continue
-        seen.add(rep)
-        a0 = state.amps.get(rep, 0.0)
-        a1 = state.amps.get(rep | bit, 0.0)
-        amp = ((a0 + a1) if value == 0 else (a0 - a1)) * SQRT_HALF
-        if abs(amp) > 0.0:
-            keep[rep] = amp
-            prob += abs(amp) ** 2
-    return keep, prob
+    get = state.amps.get
+    plus: dict[int, complex] = {}
+    minus: dict[int, complex] = {}
+    # pair representatives in the order their first member is listed
+    for rep in dict.fromkeys(map(operator.and_, state.amps, repeat(~bit))):
+        a0 = get(rep, 0.0)
+        a1 = get(rep | bit, 0.0)
+        amp = (a0 + a1) * SQRT_HALF
+        if amp:  # a complex is truthy iff its modulus is above 0
+            plus[rep] = amp
+        amp = (a0 - a1) * SQRT_HALF
+        if amp:
+            minus[rep] = amp
+    return plus, minus
 
 
-def _project(
-    state: SparseState, qubit: int, basis: str, value: int
-) -> tuple[dict[int, complex], float, frozenset[int]]:
-    """Unnormalized post-selection of one qubit on one outcome: the kept
-    terms, their Born probability and the retired set afterwards."""
+def _split(
+    state: SparseState, qubit: int, basis: str
+) -> tuple[tuple[dict[int, complex], dict[int, complex]], frozenset[int]]:
+    """Unnormalized post-selections of one qubit on outcomes 0 and 1 (their
+    Born probabilities are their _sq_norm) and the retired set afterwards."""
     if basis == "Z":
         bit = state._bit(qubit)
-        keep = {k: a for k, a in state.amps.items() if bool(k & bit) == bool(value)}
-        return keep, sum(abs(a) ** 2 for a in keep.values()), state.retired
+        zero = {k: a for k, a in state.amps.items() if not k & bit}
+        one = {k: a for k, a in state.amps.items() if k & bit}
+        return (zero, one), state.retired
     if basis == "X":
-        keep, prob = _x_pairs(state, qubit, value)
-        return keep, prob, state.retired | {qubit}
+        return _x_pairs(state, qubit), state.retired | {qubit}
     raise SimUsageError(f"unknown basis {basis!r}")
 
 
@@ -238,31 +257,66 @@ def measure(
     outcomes = np.zeros(len(indices), dtype=np.uint8)
     current = state
     for pos, (q, b) in enumerate(zip(indices, bases)):
+        branches, retired = _split(current, q, b)
         # the draw picks the first outcome when below its probability:
         # Z reports 1 below P[1], X reports 0 (|+>) below P[+]
         first = 1 if b == "Z" else 0
-        keep, prob, retired = _project(current, q, b, first)
+        prob = _sq_norm(branches[first])
         outcome = first if rng.random() < prob else first ^ 1
         if outcome != first:
-            keep, _, retired = _project(current, q, b, outcome)
+            prob = _sq_norm(branches[outcome])
         outcomes[pos] = outcome
-        current = _normalized(current.num_qubits, keep, retired)
+        current = _normalized(current.num_qubits, branches[outcome], prob, retired)
     return outcomes, current
 
 
-def project(
-    state: SparseState, index: int, basis: str, value: int
-) -> tuple[float, SparseState | None]:
+def _post_selected(num_qubits: int, keep: dict[int, complex], prob: float, retired: frozenset[int]) -> _Outcome:
+    """One branch as project returns it."""
+    if prob < PRUNE_EPS:
+        return 0.0, None
+    return prob, _normalized(num_qubits, keep, prob, retired)
+
+
+def project(state: SparseState, index: int, basis: str, value: int) -> _Outcome:
     """Born probability of the outcome plus the post-selected state.
 
     Returns (prob, state) or (prob, None) when the probability is below
     the prune threshold.
     """
     state._require_live([index])
-    keep, prob, retired = _project(state, index, basis, value)
-    if prob < PRUNE_EPS:
-        return 0.0, None
-    return prob, _normalized(state.num_qubits, keep, retired)
+    branches, retired = _split(state, index, basis)
+    keep = branches[bool(value)]
+    return _post_selected(state.num_qubits, keep, _sq_norm(keep), retired)
+
+
+def measure_flag(
+    state: SparseState, in_reg: Sequence[int], f: Callable[[int], int]
+) -> tuple[_Outcome, _Outcome]:
+    """Both branches of: append a one-qubit flag register, XOR f(in_reg)
+    into it, measure the flag in Z and drop it.
+
+    Returns ((prob, state) for flag 0, (prob, state) for flag 1): exactly
+    what append_register, apply_oracle, project on that value and
+    drop_last_register give (keys, amplitudes, dict order and the
+    (0.0, None) of a branch below PRUNE_EPS), from one pass that splits
+    the terms and one normalisation per non-empty branch. f must map
+    every in_reg value to 0 or 1.
+    """
+    state._require_live(in_reg)
+    amps = state.amps
+    flags = list(map(f, _read(amps, _spans(state.num_qubits, in_reg))))
+    if flags and (min(flags) < 0 or max(flags) > 1):
+        raise SimUsageError("oracle output negative or wider than out_reg")
+    if 0 not in flags:
+        parts = ({}, amps)
+    elif 1 not in flags:
+        parts = (amps, {})
+    else:
+        parts = (
+            dict(compress(amps.items(), map(operator.not_, flags))),
+            dict(compress(amps.items(), flags)),
+        )
+    return tuple(_post_selected(state.num_qubits, keep, _sq_norm(keep), state.retired) for keep in parts)
 
 
 # ---------------------------------------------------------------------
@@ -376,9 +430,19 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
 
 def dump_lines(state: SparseState) -> list[str]:
     """Lines "bitstring real imag", sorted lexicographically by bitstring."""
-    # fixed-width bitstrings sort as their integers do
+    # fixed-width bitstrings sort as their integers do; each distinct
+    # amplitude is formatted once, keyed with the signs of its parts
+    # because 0.0 == -0.0 but the two print differently
     n = state.num_qubits
-    return [f"{k:0{n}b} {a.real:.12e} {a.imag:.12e}" for k, a in sorted(state.amps.items())]
+    texts: dict[tuple[complex, float, float], str] = {}
+    lines = []
+    for k, a in sorted(state.amps.items()):
+        key = (a, math.copysign(1.0, a.real), math.copysign(1.0, a.imag))
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = f"{a.real:.12e} {a.imag:.12e}"
+        lines.append(f"{k:0{n}b} {text}")
+    return lines
 
 
 __all__ = [
@@ -391,6 +455,7 @@ __all__ = [
     "drop_last_register",
     "dump_lines",
     "measure",
+    "measure_flag",
     "prep_bb84",
     "project",
     "trace_distance",

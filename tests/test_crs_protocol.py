@@ -112,6 +112,28 @@ class TestPadInt:
                 z_int = ((i & ((1 << half) - 1)) << read_shift) | (z_other << other_shift)
                 assert self._agrees(theta_int, z_int, ell, lam, halves=(which,))
 
+    def test_every_z_at_ell4_lam1(self):
+        # the protocols' ell = 4: every 8-bit z for eight seeded thetas
+        ell, lam = PARAMS.ell, 1
+        for theta_int in stream(13, "pad-int", lam).integers(0, 1 << 8, size=8).tolist():
+            for z_int in range(1 << 8):
+                assert self._agrees(theta_int, z_int, ell, lam)
+
+    @pytest.mark.parametrize("lam,thetas", [(2, 8), (3, 4)])
+    def test_every_read_half_at_ell4(self, lam, thetas):
+        # ell = 4 at the larger lams: a half's pad reads its own 4*lam
+        # bits of theta and z, so those bits of z run over every value,
+        # with the other half's bits of z drawn at random, for seeded thetas
+        ell = PARAMS.ell
+        half = ell * lam
+        g = stream(13, "pad-int", lam)
+        for theta_int in g.integers(0, 1 << (2 * half), size=thetas).tolist():
+            for which in (0, 1):
+                read_shift, other_shift = (half, 0) if which == 0 else (0, half)
+                for z_read, z_other in enumerate(g.integers(0, 1 << half, size=1 << half).tolist()):
+                    z_int = (z_read << read_shift) | (z_other << other_shift)
+                    assert self._agrees(theta_int, z_int, ell, lam, halves=(which,))
+
     def test_random_at_toy_shape(self):
         width = PARAMS.r_qubits
         draws = stream(12, "pad-int").integers(0, 1 << width, size=(2000, 2)).tolist()

@@ -421,6 +421,38 @@ class TestDecodeFuzz:
         self._decode(bytes(golden))
 
 
+class TestCertifyFuzz:
+    """certify --in on truncated and byte-mutated transcript files of each
+    protocol, mutated anywhere in the file: the session params, the seed,
+    the messages and the replayed state dump. Every run exits 0, 1 or 2;
+    a traceback fails the test. Derandomised: the mutations of each
+    protocol come from one seeded stream."""
+
+    GOLDEN = {protocol: serialize_transcript(run_session(protocol, None, 0)) for protocol in ("epr", "crs-toy", "crs-dry")}
+
+    @staticmethod
+    def _mutants(golden: bytes, g: np.random.Generator):
+        for cut in g.integers(0, len(golden), size=30).tolist():
+            yield golden[:cut]
+        for width in [1] * 140 + [3] * 20:
+            data = bytearray(golden)
+            for pos in g.integers(0, len(golden), size=width).tolist():
+                data[pos] = (data[pos] + int(g.integers(1, 256))) % 256
+            yield bytes(data)
+
+    @pytest.mark.parametrize("protocol", sorted(GOLDEN))
+    def test_every_mutant_exits_0_1_or_2(self, capsys, tmp_path, protocol):
+        path = tmp_path / "mutant.cenz"
+        codes = []
+        for data in self._mutants(self.GOLDEN[protocol], stream(31, "certify-fuzz", protocol)):
+            path.write_bytes(data)
+            codes.append(cli_main(["certify", "--in", str(path)]))
+            capsys.readouterr()
+        assert set(codes) <= {0, 1, 2}
+        # both refusals are reached: bad bytes (2) and replay mismatches (1)
+        assert {1, 2} <= set(codes)
+
+
 class TestCli:
     def test_run_session_exit_zero(self, capsys, tmp_path):
         out = tmp_path / "s.cenz"

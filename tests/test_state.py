@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cenizk.state import (
+    PRUNE_EPS,
     Bb84Descriptor,
     SimUsageError,
     SparseState,
@@ -22,10 +23,12 @@ from cenizk.state import (
     drop_last_register,
     dump_lines,
     measure,
+    measure_flag,
     prep_bb84,
     project,
     trace_distance,
 )
+from cenizk.rng import stream
 from conftest import CHI2_CRIT_1DF, chi_square_uniform
 
 SQRT_HALF = math.sqrt(0.5)
@@ -290,6 +293,17 @@ class TestDump:
             "11 -7.071067811865e-01 0.000000000000e+00",
         ]
 
+    def test_signed_zero_parts_print_their_sign(self):
+        # 0.5+0j == 0.5-0j, yet the two lines differ in the imaginary sign
+        st_ = SparseState(2, {0b00: 0.5 + 0j, 0b01: complex(0.5, -0.0), 0b10: -0.5 + 0j, 0b11: complex(-0.5, -0.0)})
+        assert dump_lines(st_) == [
+            "00 5.000000000000e-01 0.000000000000e+00",
+            "01 5.000000000000e-01 -0.000000000000e+00",
+            "10 -5.000000000000e-01 0.000000000000e+00",
+            "11 -5.000000000000e-01 -0.000000000000e+00",
+        ]
+        assert dump_lines(SparseState(1, {0: complex(-0.0, 1.0)})) == ["0 -0.000000000000e+00 1.000000000000e+00"]
+
     def test_sorted_lexicographically(self):
         st_ = prep_bb84(Bb84Descriptor("000", "111"))
         lines = dump_lines(st_)
@@ -392,3 +406,220 @@ class TestAgainstReferenceLoops:
         _, measured = measure(st_, [0, 3], ["X", "Z"], rng)
         for s in (st_, measured, SparseState(3, {0b101: -1.0 + 0j})):
             assert dump_lines(s) == dump_lines_reference(s)
+
+
+# ---------------------------------------------------------------------
+# measurement paths pinned against the code they replaced: the flag
+# sequence append -> apply_oracle -> project/measure -> drop, and the
+# one-branch projection that measure and project used to share
+# ---------------------------------------------------------------------
+
+
+def normalized_reference(num_qubits, amps, retired):
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    out = {k: a / norm for k, a in amps.items() if abs(a) / norm >= PRUNE_EPS}
+    return SparseState(num_qubits, out, retired)
+
+
+def x_pairs_reference(state, qubit, value):
+    bit = state._bit(qubit)
+    keep, prob, seen = {}, 0.0, set()
+    for k in state.amps:
+        rep = k & ~bit
+        if rep in seen:
+            continue
+        seen.add(rep)
+        a0 = state.amps.get(rep, 0.0)
+        a1 = state.amps.get(rep | bit, 0.0)
+        amp = ((a0 + a1) if value == 0 else (a0 - a1)) * SQRT_HALF
+        if abs(amp) > 0.0:
+            keep[rep] = amp
+            prob += abs(amp) ** 2
+    return keep, prob
+
+
+def project_one_branch_reference(state, qubit, basis, value):
+    if basis == "Z":
+        bit = state._bit(qubit)
+        keep = {k: a for k, a in state.amps.items() if bool(k & bit) == bool(value)}
+        return keep, sum(abs(a) ** 2 for a in keep.values()), state.retired
+    keep, prob = x_pairs_reference(state, qubit, value)
+    return keep, prob, state.retired | {qubit}
+
+
+def project_reference(state, index, basis, value):
+    state._require_live([index])
+    keep, prob, retired = project_one_branch_reference(state, index, basis, value)
+    if prob < PRUNE_EPS:
+        return 0.0, None
+    return prob, normalized_reference(state.num_qubits, keep, retired)
+
+
+def measure_reference(state, indices, bases, rng):
+    state._require_live(indices)
+    outcomes = np.zeros(len(indices), dtype=np.uint8)
+    current = state
+    for pos, (q, b) in enumerate(zip(indices, bases)):
+        first = 1 if b == "Z" else 0
+        keep, prob, retired = project_one_branch_reference(current, q, b, first)
+        outcome = first if rng.random() < prob else first ^ 1
+        if outcome != first:
+            keep, _, retired = project_one_branch_reference(current, q, b, outcome)
+        outcomes[pos] = outcome
+        current = normalized_reference(current.num_qubits, keep, retired)
+    return outcomes, current
+
+
+def flagged_reference(state, in_reg, f):
+    flag = state.num_qubits
+    return apply_oracle(append_register(state, 1), in_reg, [flag], f), flag
+
+
+def flag_branch_reference(state, in_reg, f, value):
+    flagged, flag = flagged_reference(state, in_reg, f)
+    prob, post = project_reference(flagged, flag, "Z", value)
+    return prob, None if post is None else drop_last_register(post, 1)
+
+
+def same_state(a, b):
+    """Identical keys, amplitudes (signs of zero parts included), dict
+    order, width and retired set; or both None."""
+    if a is None or b is None:
+        return a is None and b is None
+    return (
+        a.num_qubits == b.num_qubits
+        and a.retired == b.retired
+        and repr(list(a.amps.items())) == repr(list(b.amps.items()))
+    )
+
+
+def random_states(seed, count):
+    """Seeded sparse states of 2 to 6 qubits, each with its live qubits:
+    BB84 states with an oracle register, some qubits retired by an X
+    measurement (exact cancellations, empty branches), random complex
+    amplitudes, pairs that nearly cancel, and a lone term of amplitude
+    1e-7 (a branch of probability 1e-14, below PRUNE_EPS)."""
+    g = stream(seed, "equivalence")
+    out = []
+    for i in range(count):
+        kind = i % 4
+        n = int(g.integers(2, 7))
+        if kind in (0, 1):
+            y, theta = g.integers(0, 2, size=n), g.integers(0, 2, size=n)
+            state = prep_bb84(Bb84Descriptor(y, theta))
+            if n >= 3:
+                state = apply_oracle(append_register(state, 1), list(range(n)), [n], lambda v: bin(v).count("1") & 1)
+            if kind == 1:
+                q = int(g.integers(0, n))
+                _, state = measure_reference(state, [q], ["X"], g)
+        else:
+            # keys with qubit 0 clear, in seeded order
+            keys = list(dict.fromkeys(g.integers(0, 1 << (n - 1), size=int(g.integers(1, 1 << n))).tolist()))
+            if kind == 2:
+                amps = g.normal(size=len(keys)) + 1j * g.normal(size=len(keys)) * int(g.integers(0, 2))
+            else:
+                # equal real amplitudes: X pairs cancel exactly in one
+                # outcome, and nearly where one amplitude is nudged
+                amps = np.ones(len(keys), dtype=np.complex128)
+                amps[0] *= 1 - 1e-7
+            amps = amps / np.sqrt(np.sum(np.abs(amps) ** 2))
+            amp_map = {k: complex(a) for k, a in zip(keys, amps)}
+            if kind == 2:
+                # the only term with qubit 0 set; |a|^2 = 1e-14 moves the
+                # norm by far less than NORM_TOL
+                amp_map[(1 << (n - 1)) | keys[0]] = complex(1e-7, 0.0)
+            state = SparseState(n, amp_map)
+        live = [q for q in range(state.num_qubits) if q not in state.retired]
+        out.append((state, live))
+    return out
+
+
+class TestMeasurementEquivalence:
+    STATES = random_states(71, 240)
+
+    def test_the_states_cover_empty_and_sub_threshold_branches(self):
+        probs = [
+            project_reference(s, q, b, v)[0]
+            for s, live in self.STATES
+            for q in live
+            for b in "ZX"
+            for v in (0, 1)
+        ]
+        raw = [
+            project_one_branch_reference(s, q, b, v)[1]
+            for s, live in self.STATES
+            for q in live
+            for b in "ZX"
+            for v in (0, 1)
+        ]
+        assert any(p == 0 for p in raw)  # empty branches
+        assert any(0 < p < PRUNE_EPS for p in raw)  # sub-threshold branches
+        assert any(s.retired for s, _ in self.STATES)
+        assert sum(p > 0 for p in probs) > 100
+
+    def test_project_matches_one_branch_projection(self):
+        for state, live in self.STATES:
+            for q in live:
+                for basis in "ZX":
+                    for value in (0, 1):
+                        prob, post = project(state, q, basis, value)
+                        ref_prob, ref_post = project_reference(state, q, basis, value)
+                        assert prob == ref_prob
+                        assert same_state(post, ref_post)
+
+    def test_measure_matches_one_branch_measurement(self):
+        g = stream(72, "bases")
+        rng, rng_ref = stream(73, "draws"), stream(73, "draws")
+        for state, live in self.STATES:
+            for _ in range(3):
+                qubits = [live[j] for j in g.permutation(len(live))[: int(g.integers(1, len(live) + 1))]]
+                bases = ["ZX"[int(b)] for b in g.integers(0, 2, size=len(qubits))]
+                out, post = measure(state, qubits, bases, rng)
+                ref_out, ref_post = measure_reference(state, qubits, bases, rng_ref)
+                assert out.dtype == ref_out.dtype and out.tolist() == ref_out.tolist()
+                assert same_state(post, ref_post)
+                assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    @staticmethod
+    def _flag_functions(state, in_reg, g):
+        """Constant 0 and 1, a seeded table, and 1 on one term's input only
+        (the lone term of probability 1e-14 when there is one)."""
+        n = state.num_qubits
+        table = g.integers(0, 2, size=1 << len(in_reg)).tolist()
+        smallest = min(state.amps, key=lambda k: abs(state.amps[k]))
+        lone = int("".join(str((smallest >> (n - 1 - q)) & 1) for q in in_reg), 2)
+        return [lambda v: 0, lambda v: 1, table.__getitem__, lambda v: int(v == lone)]
+
+    def test_measure_flag_matches_append_oracle_project_drop(self):
+        g = stream(74, "registers")
+        for state, live in self.STATES:
+            in_reg = [live[j] for j in g.permutation(len(live))[: int(g.integers(1, len(live) + 1))]]
+            for f in self._flag_functions(state, in_reg, g):
+                branches = measure_flag(state, in_reg, f)
+                for value in (0, 1):
+                    prob, post = branches[value]
+                    ref_prob, ref_post = flag_branch_reference(state, in_reg, f, value)
+                    assert prob == ref_prob
+                    assert same_state(post, ref_post)
+
+    def test_flag_draw_matches_measuring_the_flag(self):
+        # verify_clone_half: one draw, outcome 1 below P[1]
+        g = stream(75, "registers")
+        rng, rng_ref = stream(76, "draws"), stream(76, "draws")
+        for state, live in self.STATES:
+            in_reg = [live[j] for j in g.permutation(len(live))[: int(g.integers(1, len(live) + 1))]]
+            for f in self._flag_functions(state, in_reg, g):
+                outcome = int(rng.random() < measure_flag(state, in_reg, f)[1][0])
+                flagged, flag = flagged_reference(state, in_reg, f)
+                ref_out, _ = measure_reference(flagged, [flag], ["Z"], rng_ref)
+                assert outcome == int(ref_out[0])
+                assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_measure_flag_refuses_outputs_other_than_bits(self):
+        st_ = prep_bb84(Bb84Descriptor("01", "10"))
+        for f in (lambda v: 2, lambda v: -1, lambda v: v + 1):
+            with pytest.raises(SimUsageError):
+                measure_flag(st_, [0, 1], f)
+        _, post = measure(st_, [0], ["X"], stream(1, "x"))
+        with pytest.raises(SimUsageError):
+            measure_flag(post, [0, 1], lambda v: 0)
