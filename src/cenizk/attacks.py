@@ -36,6 +36,7 @@ from typing import Optional
 import numpy as np
 
 from . import crs_protocol as cp
+from . import rng as rng_mod
 from .bits import check_deletion_cert, int_to_bits, masked_parity
 from .graphs import CycleWitness, Digraph, canonical_cycle, require_witness
 from .hbnizk import usefulness
@@ -75,8 +76,8 @@ class CommitBlock:
 def _draw_blocks(k: int, width: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """The draws behind k commitment blocks: ys, then thetas, each a
     (k, width) uint8 array."""
-    ys = rng.integers(0, 2, size=(k, width), dtype=np.uint8)
-    thetas = rng.integers(0, 2, size=(k, width), dtype=np.uint8)
+    ys = rng_mod.bits(rng, (k, width))
+    thetas = rng_mod.bits(rng, (k, width))
     return ys, thetas
 
 
@@ -365,7 +366,7 @@ def derived_soundness_adversary(
     n, reps = x.n, params.reps
     best = None
     for _ in range(grind_tries):
-        guesses = rng.integers(0, 2, size=reps, dtype=np.uint8)
+        guesses = rng_mod.bits(rng, reps)
         taus, ms, ys, thetas = [], [], [], []
         for guess in guesses:
             tau = rng.permutation(n)
@@ -450,8 +451,8 @@ def run_deletion_experiment(
     exp: DeletionExperiment, b: int, rng: np.random.Generator
 ) -> DeletionOutcome:
     lam = exp.lam
-    y = rng.integers(0, 2, size=lam, dtype=np.uint8)
-    theta = rng.integers(0, 2, size=lam, dtype=np.uint8)
+    y = rng_mod.bits(rng, lam)
+    theta = rng_mod.bits(rng, lam)
     masked = int(b) ^ int(masked_parity(theta, y))
     payload = _z_payload(exp, theta, masked)
     _assert_no_theta_leak(exp, payload)
@@ -461,7 +462,7 @@ def run_deletion_experiment(
         cert, _ = measure(register, list(range(lam)), ["X"] * lam, rng)
         out_state, classical = None, {}
     elif exp.adversary == ADV_KEEP_STATE:
-        cert = rng.integers(0, 2, size=lam, dtype=np.uint8)
+        cert = rng_mod.bits(rng, lam)
         out_state, classical = register, {"masked_bit": payload["masked_bit"]}
     elif exp.adversary == ADV_BASIS_INFORMED:
         leaked = payload["theta"]

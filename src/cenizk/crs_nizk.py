@@ -6,8 +6,7 @@ Two proof systems live here:
   (crs_bg, s) with s a uniform mask; the prover derives the hidden
   string as r = r_bg XOR s from generator output r_bg and ships the
   per-position openings for the revealed set. Statistically sound at
-  desk scale; the simulator back-solves s on the revealed positions,
-  which keeps the simulated CRS statistically close to real.
+  desk scale. It is the inner proof of the CRS construction's dry run.
 
 * ToyNizk: a 4-bit-witness / 8-bit-statement linear-code proof with
   proof length 4. Perfectly complete and perfectly sound (the code map
@@ -23,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hbg as hbg_mod
+from . import rng as rng_mod
 from .bits import as_bit_array, int_to_bits
 from .graphs import CycleWitness, Digraph
-from .hbnizk import HbParams, HbProof, hb_prove, hb_simulate, hb_verify
+from .hbnizk import HbParams, HbProof, hb_prove, hb_verify
 
 # ---------------------------------------------------------------------
 # toy linear-code NIZK (proof length 4)
@@ -121,7 +121,7 @@ class CompiledSpec:
 
 def compiled_setup(spec: CompiledSpec, rng: np.random.Generator) -> CompiledCrs:
     crs_bg = hbg_mod.hbg_setup(spec.hb.total_bits, spec.hbg_mode, rng, s=spec.hbg_s)
-    s = rng.integers(0, 2, size=spec.hb.total_bits, dtype=np.uint8)
+    s = rng_mod.bits(rng, spec.hb.total_bits)
     return CompiledCrs(crs_bg, s)
 
 
@@ -145,24 +145,6 @@ def compiled_verify(spec: CompiledSpec, crs: CompiledCrs, x: Digraph, proof: Com
     return int(hb_verify(proof.I, r_I, x, proof.pi_hb, spec.hb))
 
 
-def compiled_sim(
-    spec: CompiledSpec, x: Digraph, rng: np.random.Generator
-) -> tuple[CompiledCrs, CompiledProof]:
-    """Witness-free simulator producing (crs', proof').
-
-    Runs the generator honestly, simulates the hidden-bits layer, then
-    sets s := r_bg XOR r_hb on the revealed positions and uniform
-    elsewhere, so crs' matches the real CRS distribution statistically.
-    """
-    crs_bg = hbg_mod.hbg_setup(spec.hb.total_bits, spec.hbg_mode, rng, s=spec.hbg_s)
-    com, r_bg, opening = hbg_mod.hbg_genbits(crs_bg, rng)
-    I, r_I, pi_hb = hb_simulate(x, spec.hb, rng)
-    s = rng.integers(0, 2, size=spec.hb.total_bits, dtype=np.uint8)
-    s[I] = r_bg[I] ^ r_I
-    proof = CompiledProof(com, I, r_bg[I].copy(), hbg_mod.restrict_opening(opening, I), pi_hb)
-    return CompiledCrs(crs_bg, s), proof
-
-
 __all__ = [
     "CompiledCrs",
     "CompiledProof",
@@ -173,7 +155,6 @@ __all__ = [
     "ToyCrs",
     "compiled_prove",
     "compiled_setup",
-    "compiled_sim",
     "compiled_verify",
     "toy_encode",
     "toy_prove",

@@ -43,6 +43,7 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
+from . import rng as rng_mod
 from . import wire
 from .bits import as_bit_array, bits_to_int, check_deletion_cert, int_to_bits, masked_parity
 from .crs_nizk import (
@@ -201,12 +202,16 @@ def _prf_mask(prfk: bytes, width: int, mode: str) -> Callable[[int], int]:
     raise ValueError(f"unknown prf mode {mode!r}")
 
 
+_OWF_HASH = hashlib.blake2b(digest_size=8, person=b"lamport-owf")
+
+
 def _owf_int(preimage: int, sig_width: int, mode: str) -> int:
+    """The sig_width-bit OWF image of a 64-bit preimage. In hash mode the
+    personalised blake2b is set up once and copied per preimage."""
     if mode == "hash":
-        digest = hashlib.blake2b(
-            int(preimage).to_bytes(8, "big"), digest_size=8, person=b"lamport-owf"
-        ).digest()
-        return int.from_bytes(digest, "big") & ((1 << sig_width) - 1)
+        h = _OWF_HASH.copy()
+        h.update(int(preimage).to_bytes(8, "big"))
+        return int.from_bytes(h.digest(), "big") & ((1 << sig_width) - 1)
     if mode == "identity":
         return int(preimage) & ((1 << sig_width) - 1)
     raise ValueError(f"unknown owf mode {mode!r}")
@@ -364,11 +369,11 @@ def crs_prove(
 ) -> tuple[CrsProofState, CrsProverKey]:
     x = as_bit_array(x)
     n_r = params.r_qubits
-    y = rng.integers(0, 2, size=n_r, dtype=np.uint8)
-    theta = rng.integers(0, 2, size=n_r, dtype=np.uint8)
+    y = rng_mod.bits(rng, n_r)
+    theta = rng_mod.bits(rng, n_r)
     pi_in = toy_prove(crs.crs_in, x, witness)
-    k0 = rng.integers(0, 2, size=params.ell, dtype=np.uint8)
-    k1 = rng.integers(0, 2, size=params.ell, dtype=np.uint8)
+    k0 = rng_mod.bits(rng, params.ell)
+    k1 = rng_mod.bits(rng, params.ell)
     ct0 = pi_in ^ pad_half(theta, y, 0, params.ell, params.lam) ^ k0
     ct1 = pad_half(theta, y, 1, params.ell, params.lam) ^ k1
 
@@ -596,12 +601,6 @@ def _lamport_sign(pre, z) -> list[int]:
     return [pre[i][b] for i, b in enumerate(z)]
 
 
-def _sig_chain_ok(chunks, owf, image, z) -> bool:
-    """Certifier-side chain check: every chunk must hash (owf) to the
-    public image the z bit selects (image(i, b) signs z_i = b)."""
-    return len(chunks) == len(z) and all(owf(c) == image(i, b) for i, (c, b) in enumerate(zip(chunks, z)))
-
-
 def _dry_inner_verify(crs_in, x, candidate_bits) -> int:
     # crs_in here is a (CompiledSpec, CompiledCrs) pair; see crs_setup_dry
     spec, crs = crs_in
@@ -631,13 +630,13 @@ def crs_prove_dry(
     lam = params.lam
     n_r = 2 * ell * lam
 
-    y = rng.integers(0, 2, size=n_r, dtype=np.uint8)
-    theta = rng.integers(0, 2, size=n_r, dtype=np.uint8)
+    y = rng_mod.bits(rng, n_r)
+    theta = rng_mod.bits(rng, n_r)
     # one support term: computational positions carry y, Hadamard free
-    z = np.where(theta == 0, y, rng.integers(0, 2, size=n_r, dtype=np.uint8)).astype(np.uint8)
+    z = np.where(theta == 0, y, rng_mod.bits(rng, n_r)).astype(np.uint8)
 
-    k0 = rng.integers(0, 2, size=ell, dtype=np.uint8)
-    k1 = rng.integers(0, 2, size=ell, dtype=np.uint8)
+    k0 = rng_mod.bits(rng, ell)
+    k1 = rng_mod.bits(rng, ell)
     pad0_y = pad_half(theta, y, 0, ell, lam)
     pad1_y = pad_half(theta, y, 1, ell, lam)
     ct0 = pi_bits ^ pad0_y ^ k0
@@ -645,24 +644,19 @@ def crs_prove_dry(
 
     preimages = rng.integers(0, 1 << params.preimage_bits, size=(n_r, 2), dtype=np.uint64)
     pre = preimages.tolist()
-    # one OWF cache keyed on the preimage serves the signer's public
-    # images and the certifier's hashes of the chunks, so an honest run
-    # hashes the image z selects at each position, plus the other image
-    # at position 0
-    owf = functools.cache(lambda p: _owf_int(p, params.sig_width, params.owf_mode))
-
-    def image(i, b):
-        return owf(pre[i][b])
-
+    w, mode = params.sig_width, params.owf_mode
     z_bits = z.tolist()
     chunks = _lamport_sign(pre, z_bits)
-    sig_ok = _sig_chain_ok(chunks, owf, image, z_bits)
-    # binding signal: flipping one z bit breaks the chain (barring an
-    # OWF output collision at that position)
-    z_flip = [z_bits[0] ^ 1] + z_bits[1:]
-    flip_detected = not _sig_chain_ok(chunks, owf, image, z_flip)
-    images_differ = image(0, 0) != image(0, 1)
-    sig_ok = sig_ok and (flip_detected or not images_differ)
+    # the certifier hashes every chunk and compares it with the public
+    # image pre[i][z_i] signs; an honest chunk is that preimage, so its
+    # hash is the image, and an honest run hashes n_r + 1 preimages
+    hashes = [_owf_int(c, w, mode) for c in chunks]
+    images = [h if c == p[b] else _owf_int(p[b], w, mode) for c, h, p, b in zip(chunks, hashes, pre, z_bits)]
+    sig_ok = len(chunks) == len(z_bits) and hashes == images
+    # binding signal: the chain does not verify for z with bit 0 flipped
+    # (barring an OWF output collision at that position)
+    other = _owf_int(pre[0][z_bits[0] ^ 1], w, mode)
+    sig_ok = sig_ok and (hashes[0] != other or images[0] == other)
 
     pad0_z = pad_half(theta, z, 0, ell, lam)
     pad1_z = pad_half(theta, z, 1, ell, lam)

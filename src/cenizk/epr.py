@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import rng as rng_mod
 from .state import SimUsageError, SparseState
 
 ROLE_P = "P"
@@ -144,7 +145,7 @@ class EprNetwork:
         if self._basis is None and blocks is None:
             # first touch of the whole network: uniform outcomes collapse
             # both halves to one shared record
-            outcomes = _frozen(rng.integers(0, 2, size=bases.shape, dtype=np.uint8))
+            outcomes = _frozen(rng_mod.bits(rng, bases.shape))
             self._basis = dict.fromkeys(_ROLES, bases)
             self._value = dict.fromkeys(_ROLES, outcomes)
             self._owned = set()
@@ -167,12 +168,12 @@ class EprNetwork:
             my_value = rows(self._value[role])
             if my_basis is bases or np.array_equal(my_basis, bases):
                 return my_value
-            fresh = rng.integers(0, 2, size=bases.shape, dtype=np.uint8)
+            fresh = rng_mod.bits(rng, bases.shape)
             outcomes = np.where(my_basis == bases, my_value, fresh)
             self._write(role, blocks, bases, outcomes)
             return outcomes
 
-        fresh = rng.integers(0, 2, size=bases.shape, dtype=np.uint8)
+        fresh = rng_mod.bits(rng, bases.shape)
         if all_ent:
             # first touch everywhere: uniform outcomes collapse both halves
             outcomes = fresh

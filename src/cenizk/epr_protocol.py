@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import hbg as hbg_mod
+from . import rng as rng_mod
 from .bits import check_deletion_cert, masked_parity
 from .epr import ROLE_P, ROLE_V, EprNetwork, prep_epr
 from .graphs import CycleWitness, Digraph
@@ -139,7 +140,7 @@ def _unopened_blocks(ell: int, I: np.ndarray, opened_ok: bool = False) -> np.nda
 
 def epr_setup(params: EprParams, rng: np.random.Generator) -> tuple[EprCrs, EprNetwork]:
     crs_bg = hbg_mod.hbg_setup(params.num_pairs, params.hbg_mode, rng, s=params.hbg_s)
-    s = rng.integers(0, 2, size=params.num_blocks, dtype=np.uint8)
+    s = rng_mod.bits(rng, params.num_blocks)
     return EprCrs(crs_bg, s), prep_epr(params.num_blocks, params.block_width)
 
 
@@ -158,9 +159,16 @@ def epr_prove(
     t = masked_parity(theta, y)
     r = t ^ crs.s
     I, pi_hb = hb_prove(r, x, witness, params.hb)
-    op_I = hbg_mod.restrict_opening(opening, _block_positions(I, ell, k))
-    proof = EprProof(I, pi_hb, com, _opened_rows(theta, I, ell), op_I)
-    return proof, EprProverState(y, theta, I, network)
+    return _assemble_proof(params, I, pi_hb, com, theta, opening), EprProverState(y, theta, I, network)
+
+
+def _assemble_proof(
+    params: EprParams, I: np.ndarray, pi_hb: HbProof, com, theta: np.ndarray, opening
+) -> EprProof:
+    """The proof for a valid opened set I: theta's rows and the generator
+    openings on I's blocks."""
+    op_I = hbg_mod.restrict_opening(opening, _block_positions(I, params.num_blocks, params.block_width))
+    return EprProof(I, pi_hb, com, _opened_rows(theta, I, params.num_blocks), op_I)
 
 
 def epr_verify(
@@ -262,7 +270,7 @@ def forged_proof_prover(
     ell, k = params.num_blocks, params.block_width
     com = hbg_mod.HbgCommitment(rng.integers(0, 256, size=16, dtype=np.uint8).tobytes())
     I = np.arange(ell, dtype=np.int64)
-    theta_I = rng.integers(0, 2, size=(ell, k), dtype=np.uint8)
+    theta_I = rng_mod.bits(rng, (ell, k))
     op = hbg_mod.DealerOpening(rng.integers(0, 256, size=16, dtype=np.uint8).tobytes())
     pi_hb = HbProof(tuple(RepRevealAll() for _ in range(params.hb.repetitions)))
     return EprProof(I, pi_hb, com, theta_I, op)
@@ -303,8 +311,7 @@ def greedy_basis_prover(
         if coverable == params.hb.repetitions:
             break
     com, theta, opening, pi_hb, I = best
-    op_I = hbg_mod.restrict_opening(opening, _block_positions(I, ell, k))
-    return EprProof(I, pi_hb, com, _opened_rows(theta, I, ell), op_I)
+    return _assemble_proof(params, I, pi_hb, com, theta, opening)
 
 
 # ---------------------------------------------------------------------
@@ -353,10 +360,7 @@ def run_cezk_real(params, x, witness, vstar: VStar, rng):
     prover-side certification gate."""
     crs, network = epr_setup(params, rng)
     proof, prover = epr_prove(params, crs, network, x, witness, rng)
-    cert, output = vstar(params, crs, network, x, proof, rng)
-    if epr_cert(params, cert, prover):
-        return output, crs, proof
-    return BOT, crs, proof
+    return _cert_gate(params, crs, x, proof, prover, vstar, rng)
 
 
 def epr_sim(params, x, vstar: VStar, rng):
@@ -371,16 +375,17 @@ def epr_sim(params, x, vstar: VStar, rng):
     I, r_I, pi_hb = hb_simulate(x, params.hb, rng)
     y = network.measure_blocks(ROLE_P, theta, rng)
     t = masked_parity(theta, y)
-    s = rng.integers(0, 2, size=ell, dtype=np.uint8)
+    s = rng_mod.bits(rng, ell)
     s[I] = t[I] ^ r_I
-    crs = EprCrs(crs_bg, s)
-    op_I = hbg_mod.restrict_opening(opening, _block_positions(I, ell, k))
-    proof = EprProof(I, pi_hb, com, _opened_rows(theta, I, ell), op_I)
-    prover = EprProverState(y, theta, I, network)
-    cert, output = vstar(params, crs, network, x, proof, rng)
-    if epr_cert(params, cert, prover):
-        return output, crs, proof
-    return BOT, crs, proof
+    proof = _assemble_proof(params, I, pi_hb, com, theta, opening)
+    return _cert_gate(params, EprCrs(crs_bg, s), x, proof, EprProverState(y, theta, I, network), vstar, rng)
+
+
+def _cert_gate(params, crs, x, proof, prover: EprProverState, vstar: VStar, rng):
+    """(output, crs, proof): V* runs on the prover's network and its
+    output is kept only if the prover certifies its deletion, else BOT."""
+    cert, output = vstar(params, crs, prover.network, x, proof, rng)
+    return (output if epr_cert(params, cert, prover) else BOT), crs, proof
 
 
 __all__ = [

@@ -24,6 +24,7 @@ from . import attacks, wire
 from . import crs_protocol as cp
 from . import epr_protocol as ep
 from . import hbg as hbg_mod
+from . import rng as rng_mod
 from .bits import as_bit_array
 from .crs_nizk import CompiledSpec, toy_encode
 from .graphs import (
@@ -419,7 +420,7 @@ def _epr_single_rep(trials: int, params: dict | None, seed: int):
     oracle_trials = max(4 * trials, 2000)
     hits = 0
     for _ in range(oracle_trials):
-        block = oracle_rng.integers(0, 2, size=pp.hb.bits_per_rep, dtype=np.uint8)
+        block = rng_mod.bits(oracle_rng, pp.hb.bits_per_rep)
         hits += rep_coverable(block, x, pp.hb, oracle_rng)
     oracle = hits / oracle_trials
     p_hat = accepted / trials

@@ -24,6 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import rng as rng_mod
+
 OPEN_SEED_LIMIT = 22  # brute-force Open guard: at most 2^22 seeds
 
 PRG_BLAKE = "blake"
@@ -198,7 +200,7 @@ def hbg_setup(
 def hbg_genbits(crs, rng: np.random.Generator):
     """(com, r, openings) for k fresh hidden bits; r is read-only."""
     params = crs.params
-    r = rng.integers(0, 2, size=params.k, dtype=np.uint8)
+    r = rng_mod.bits(rng, params.k)
     r.flags.writeable = False
     if crs.mode == "naor":
         seeds = rng.integers(0, 1 << params.s, size=params.k, dtype=np.uint64)

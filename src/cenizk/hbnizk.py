@@ -48,6 +48,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import rng as rng_mod
 from .graphs import CycleWitness, Digraph, require_witness
 
 
@@ -345,7 +346,7 @@ def hb_simulate(
     blocks = np.empty((params.repetitions, params.bits_per_rep), dtype=np.uint8)
     vmaps = []
     for rep in range(params.repetitions):
-        blocks[rep] = rng.integers(0, 2, size=params.bits_per_rep, dtype=np.uint8)
+        blocks[rep] = rng_mod.bits(rng, params.bits_per_rep)
         (hidden,) = decode(blocks[rep : rep + 1])
         if hidden is None:
             vmaps.append(None)
@@ -420,6 +421,15 @@ def cover_map(
     return tuple(vmap)
 
 
+def _block_cover(
+    block: np.ndarray, x: Digraph, params: HbParams, rng: np.random.Generator
+) -> tuple[int, ...] | None:
+    """cover_map of the one-entries of one repetition block."""
+    matrix = bits_to_matrix(block, params.matrix_side, params.block_len)
+    ones = [(int(u), int(v)) for u, v in np.argwhere(matrix)]
+    return cover_map(ones, x, params.matrix_side, rng)
+
+
 def cheat_prove(
     r: np.ndarray, x: Digraph, params: HbParams, rng: np.random.Generator
 ) -> tuple[np.ndarray, HbProof, int]:
@@ -430,9 +440,7 @@ def cheat_prove(
     vmaps = []
     coverable = 0
     for block in np.asarray(r, dtype=np.uint8).reshape(params.repetitions, params.bits_per_rep):
-        matrix = bits_to_matrix(block, params.matrix_side, params.block_len)
-        ones = [(int(u), int(v)) for u, v in np.argwhere(matrix)]
-        vmap = cover_map(ones, x, params.matrix_side, rng)
+        vmap = _block_cover(block, x, params, rng)
         if vmap is None:
             # no covering embedding; claim an arbitrary map and lose
             vmap = tuple(range(params.n))
@@ -445,9 +453,7 @@ def cheat_prove(
 def rep_coverable(block: np.ndarray, x: Digraph, params: HbParams, rng: np.random.Generator) -> bool:
     """Oracle-side predicate: can one repetition block be answered by a
     fabricated useful-claim?"""
-    matrix = bits_to_matrix(block, params.matrix_side, params.block_len)
-    ones = [(int(u), int(v)) for u, v in np.argwhere(matrix)]
-    return cover_map(ones, x, params.matrix_side, rng) is not None
+    return _block_cover(block, x, params, rng) is not None
 
 
 __all__ = [
