@@ -217,11 +217,6 @@ def _owf_int(preimage: int, sig_width: int, mode: str) -> int:
     raise ValueError(f"unknown owf mode {mode!r}")
 
 
-def _sig_table(params: CrsParams, preimages: np.ndarray) -> list[list[int]]:
-    """Both OWF images of every encoding position: table[i][b] signs z_i = b."""
-    return [[_owf_int(p, params.sig_width, params.owf_mode) for p in pair] for pair in preimages.tolist()]
-
-
 _SIG_CHUNK = 8  # z bits per lookup table
 
 
@@ -242,8 +237,10 @@ def _sig_lookup_for(params: CrsParams, raw_preimages: bytes):
     position i's two images. The deltas are folded into one table per 8
     bits of z (base into the lowest), so a term costs one lookup per 8
     bits of z."""
-    table = _sig_table(params, np.frombuffer(raw_preimages, dtype=np.uint64).reshape(-1, 2))
-    n, w = len(table), params.sig_width
+    pre = np.frombuffer(raw_preimages, dtype=np.uint64).reshape(-1, 2).tolist()
+    n, w = len(pre), params.sig_width
+    # both OWF images of every encoding position: table[i][b] signs z_i = b
+    table = [[_owf_int(p, w, params.owf_mode) for p in pair] for pair in pre]
     base = 0
     # deltas by bit of the integer z, least significant first
     deltas = []
@@ -649,14 +646,10 @@ def crs_prove_dry(
     chunks = _lamport_sign(pre, z_bits)
     # the certifier hashes every chunk and compares it with the public
     # image pre[i][z_i] signs; an honest chunk is that preimage, so its
-    # hash is the image, and an honest run hashes n_r + 1 preimages
+    # hash is the image, and an honest run hashes n_r preimages
     hashes = [_owf_int(c, w, mode) for c in chunks]
     images = [h if c == p[b] else _owf_int(p[b], w, mode) for c, h, p, b in zip(chunks, hashes, pre, z_bits)]
     sig_ok = len(chunks) == len(z_bits) and hashes == images
-    # binding signal: the chain does not verify for z with bit 0 flipped
-    # (barring an OWF output collision at that position)
-    other = _owf_int(pre[0][z_bits[0] ^ 1], w, mode)
-    sig_ok = sig_ok and (hashes[0] != other or images[0] == other)
 
     pad0_z = pad_half(theta, z, 0, ell, lam)
     pad1_z = pad_half(theta, z, 1, ell, lam)

@@ -194,11 +194,6 @@ def useful_probability(m: int, b: int, n: int) -> float:
 # ---------------------------------------------------------------------
 
 
-def _entry_bits(u: int, v: int, m: int, b: int) -> slice:
-    start = (u * m + v) * b
-    return slice(start, start + b)
-
-
 def required_positions(vertex_map: tuple[int, ...], x: Digraph, params: HbParams) -> np.ndarray:
     """Bit positions (within one block) a useful-claim must open: all of
     them except the entries carrying statement edges under the map.
@@ -212,7 +207,8 @@ def required_positions(vertex_map: tuple[int, ...], x: Digraph, params: HbParams
 def _required_positions(vertex_map: tuple[int, ...], n: int, adjacency: bytes, m: int, b: int) -> np.ndarray:
     mask = np.ones(m * m * b, dtype=bool)
     for a, c in np.argwhere(np.frombuffer(adjacency, dtype=bool).reshape(n, n)):
-        mask[_entry_bits(vertex_map[a], vertex_map[c], m, b)] = False
+        start = (vertex_map[a] * m + vertex_map[c]) * b
+        mask[start : start + b] = False
     need = np.flatnonzero(mask)
     need.flags.writeable = False
     return need

@@ -3,11 +3,14 @@
 Every 0/1 array in the package (EPR outcomes, hidden bits, pad keys,
 BB84 strings) comes from `cenizk.rng.bits`, looked up on the module at
 call time, so replacing that one attribute changes the draw everywhere.
+Large draws are cut from 32-bit words; they must give the bits and the
+generator state of `integers(0, 2, dtype=np.uint8)`.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cenizk
@@ -59,3 +62,46 @@ def test_one_patch_reaches_every_session(protocol, monkeypatch):
     monkeypatch.setattr(cenizk.rng, "bits", counting)
     assert serialize_transcript(run_session(protocol, None, 0)) == expected
     assert calls, f"a default {protocol} session drew no bits through cenizk.rng.bits"
+
+
+WORD_MIN = cenizk.rng._WORD_DRAW_MIN
+SHAPES = [0, 1, 3, WORD_MIN - 1, WORD_MIN, WORD_MIN + 1, 8321, 819200, (819200, 6), (3, 7), np.int64(WORD_MIN + 5)]
+BIT_GENERATORS = [np.random.PCG64, np.random.Philox, np.random.SFC64, np.random.MT19937]
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=repr)
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+def test_bits_equal_the_uint8_draw_and_leave_the_same_state(bit_generator, shape):
+    for seed in (0, 7, 2024):
+        gen, ref = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+        # an odd number of uint32 draws first leaves half a 64-bit output buffered
+        for g in (gen, ref):
+            g.integers(0, 1 << 32, size=seed % 2, dtype=np.uint32)
+        got = cenizk.rng.bits(gen, shape)
+        want = ref.integers(0, 2, size=shape, dtype=np.uint8)
+        assert got.dtype == np.uint8 and got.shape == want.shape
+        assert got.flags.c_contiguous and got.flags.writeable
+        np.testing.assert_array_equal(got, want)
+        assert gen.integers(0, 1 << 32, dtype=np.uint32) == ref.integers(0, 1 << 32, dtype=np.uint32)
+        assert gen.random() == ref.random()
+
+
+class _RecordingGenerator:
+    """Passes integers() through to a real Generator and records each call."""
+
+    def __init__(self, gen):
+        self.gen, self.calls = gen, []
+
+    def integers(self, low, high, size=None, dtype=np.int64):
+        self.calls.append((low, high, size, np.dtype(dtype)))
+        return self.gen.integers(low, high, size=size, dtype=dtype)
+
+
+@pytest.mark.parametrize("n", [3, WORD_MIN - 1, WORD_MIN, 8321, 4_915_200])
+def test_large_draws_take_one_uint32_call(n):
+    gen = _RecordingGenerator(np.random.default_rng(5))
+    cenizk.rng.bits(gen, n)
+    if n >= WORD_MIN:
+        assert gen.calls == [(0, 1 << 32, -(-n // 4), np.dtype(np.uint32))]
+    else:
+        assert gen.calls == [(0, 2, n, np.dtype(np.uint8))]
