@@ -18,6 +18,13 @@ XORing the oracle into it, measuring it in Z and dropping it, done in
 one pass. Outer proofs and signatures go into the contiguous P||S
 register through one oracle.
 
+A term's P||S value is a pure function of z and the prover key, so the
+key memoises it per CrsParams: proving fills the memo, certification's
+signature test and uncompute read it, and a z the prover never produced
+(a forged, cloned or Z-measured term, or any z under a key rebuilt from
+its wire payload) is computed on first use and stored. The memo is not
+part of the wire payload.
+
 Two execution modes:
 
 * toy (full quantum): the inner NIZK is the 4-bit linear-code system,
@@ -38,7 +45,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
@@ -135,6 +142,10 @@ class CrsProofState:
 
 @dataclass(frozen=True)
 class CrsProverKey:
+    """The prover's classical revocation key. `_ps_memo` maps CrsParams
+    to this key's memo z -> P||S value, a cache that lives and dies with
+    the key and is not in the wire payload."""
+
     theta: np.ndarray  # 2*ell*lam bits
     k0: np.ndarray
     k1: np.ndarray
@@ -142,6 +153,7 @@ class CrsProverKey:
     y: np.ndarray
     prfk: bytes
     preimages: np.ndarray  # (r_qubits, 2) uint64 one-time preimages
+    _ps_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------
@@ -278,74 +290,61 @@ _TOY_ENCODE_TABLE = tuple(
 
 
 class _ToyOuterLane:
-    """Integer-lane outer prove/verify oracles for one (crs, x, ct) context.
-
-    The outer proof for term z is (omega ^ mask_z) || mask_z with
-    mask_z = F_prfk(z); verification unmasks and evaluates the OR
-    statement (`or_check_int`, the only evaluation of it in toy mode).
-    Witness-exhibiting, hence perfectly sound.
+    """The toy outer lane for one (crs, x, ct) context. The outer proof
+    for term z is (omega ^ mask_z) || mask_z with mask_z = F_prfk(z).
+    `verify`, the outer-verify oracle on R||P values, unmasks it and
+    evaluates the OR statement, its only evaluation in toy mode (with
+    `_pad_int`'s lookup inlined); `or_check_int` runs it on an unmasked
+    proof. Witness-exhibiting, hence perfectly sound.
     """
 
     def __init__(self, params: CrsParams, x: np.ndarray, ct0: np.ndarray, ct1: np.ndarray):
-        self.params = params
-        self.witness_bits = params.witness_bits
-        self.x_int = bits_to_int(x)
-        self.ct0_int = bits_to_int(ct0)
-        self.ct1_int = bits_to_int(ct1)
+        ell, half = params.ell, params.ell * params.lam
+        half_mask, k_mask = (1 << half) - 1, (1 << ell) - 1
+        width, w = params.proof_width, params.witness_bits
+        w_mask = (1 << w) - 1
+        pad, encode = _pad_table(ell, params.lam), _TOY_ENCODE_TABLE
+        x_int, ct0_int, ct1_int = bits_to_int(x), bits_to_int(ct0), bits_to_int(ct1)
 
-    def or_check_int(self, z_int: int, omega_int: int) -> int:
-        p = self.params
-        ell, lam = p.ell, p.lam
-        theta_int = omega_int >> (2 * ell)
-        k0_int = (omega_int >> ell) & ((1 << ell) - 1)
-        k1_int = omega_int & ((1 << ell) - 1)
-        cand0 = self.ct0_int ^ k0_int ^ _pad_int(theta_int, z_int, 0, ell, lam)
-        if _TOY_ENCODE_TABLE[cand0] == self.x_int:
-            return 1
-        cand1 = self.ct1_int ^ k1_int ^ _pad_int(theta_int, z_int, 1, ell, lam)
-        return int(_TOY_ENCODE_TABLE[cand1] == self.x_int)
+        def verify(zp: int) -> int:
+            # omega = theta || k0 || k1 is the XOR of the proof's halves;
+            # the bits of z outside theta index the pads
+            omega = ((zp >> w) ^ zp) & w_mask
+            free = (zp >> width) & ~(omega >> (2 * ell))
+            if encode[ct0_int ^ ((omega >> ell) & k_mask) ^ pad[(free >> half) & half_mask]] == x_int:
+                return 1
+            return int(encode[ct1_int ^ (omega & k_mask) ^ pad[free & half_mask]] == x_int)
 
-    def prover(self, omega_int: int, prfk: bytes) -> Callable[[int], int]:
-        """z -> the outer proof (omega ^ mask_z) || mask_z."""
-        w = self.witness_bits
-        prf = _prf_mask(prfk, w, self.params.prf_mode)
-
-        def prove(z_int: int) -> int:
-            mask = prf(z_int)
-            return ((omega_int ^ mask) << w) | mask
-
-        return prove
-
-    def verify_int(self, z_int: int, pi_int: int) -> int:
-        w = self.witness_bits
-        mask = pi_int & ((1 << w) - 1)
-        omega_int = (pi_int >> w) ^ mask
-        return self.or_check_int(z_int, omega_int)
+        self.verify = verify
+        self.or_check_int = lambda z_int, omega_int: verify((z_int << width) | (omega_int << w))
 
 
-def _outer_verify_oracle(params: CrsParams, x: np.ndarray, ct0: np.ndarray, ct1: np.ndarray):
-    """f_out: R||P value -> outer-verifier bit."""
-    lane = _ToyOuterLane(params, x, ct0, ct1)
-    width = params.proof_width
-    mask = (1 << width) - 1
-    return lambda zp: lane.verify_int(zp >> width, zp & mask)
+class _PsMemo(dict):
+    """One key's z -> P||S value at one CrsParams; `fill` computes a miss."""
+
+    __slots__ = ("fill",)
+
+    def __missing__(self, z_int: int) -> int:
+        value = self[z_int] = self.fill(z_int)
+        return value
 
 
-def _sig_test_oracle(params: CrsParams, key: CrsProverKey):
-    """f_test: R||S value -> 1 iff S holds the signature chain of R."""
-    sig = _sig_lookup(params, key.preimages)
-    width = params.sig_bits
-    mask = (1 << width) - 1
-    return lambda zs: int((zs & mask) == sig(zs >> width))
+def _ps_memo(params: CrsParams, key: CrsProverKey) -> _PsMemo:
+    """The key's memo for params, with `fill` bound to z -> (omega ^ mask_z)
+    || mask_z || sig(z); its getitem is the P||S oracle."""
+    memo = key._ps_memo.setdefault(params, _PsMemo())
+    w, sig_bits = params.witness_bits, params.sig_bits
+    top, spread = _omega_int(key, params) << (w + sig_bits), (1 << w) | 1
+    prf, sig = _prf_mask(key.prfk, w, params.prf_mode), _sig_lookup(params, key.preimages)
+    # (omega ^ mask) || mask is (omega << w) ^ mask * (2^w + 1)
+    memo.fill = lambda z_int: top ^ ((prf(z_int) * spread) << sig_bits) ^ sig(z_int)
+    return memo
 
 
 def _omega_int(key: CrsProverKey, params: CrsParams) -> int:
     # omega_out = theta || k0 || k1
-    return (
-        (bits_to_int(key.theta) << (2 * params.ell))
-        | (bits_to_int(key.k0) << params.ell)
-        | bits_to_int(key.k1)
-    )
+    ell = params.ell
+    return (bits_to_int(key.theta) << (2 * ell)) | (bits_to_int(key.k0) << ell) | bits_to_int(key.k1)
 
 
 # ---------------------------------------------------------------------
@@ -396,10 +395,7 @@ def _attach_functional_registers(
     own registers) with one oracle on P||S; an involution, so
     certification reuses it verbatim to uncompute."""
     regs = regs or params.registers()
-    prove = _ToyOuterLane(params, x, ct0, ct1).prover(_omega_int(key, params), key.prfk)
-    sig = _sig_lookup(params, key.preimages)
-    sig_bits = params.sig_bits
-    return apply_oracle(state, regs["R"], regs["P"] + regs["S"], lambda z: (prove(z) << sig_bits) | sig(z))
+    return apply_oracle(state, regs["R"], regs["P"] + regs["S"], _ps_memo(params, key).__getitem__)
 
 
 def crs_verify(
@@ -425,7 +421,7 @@ def crs_verify_prob(params: CrsParams, x: np.ndarray, sigma: CrsProofState) -> f
 
 def _verify_branches(params: CrsParams, x: np.ndarray, sigma: CrsProofState):
     regs = params.registers()
-    f_out = _outer_verify_oracle(params, x, sigma.ct0, sigma.ct1)
+    f_out = _ToyOuterLane(params, x, sigma.ct0, sigma.ct1).verify
     (_, rejected), (prob1, accepted) = measure_flag(sigma.state, regs["R"] + regs["P"], f_out)
     return prob1, accepted, rejected
 
@@ -473,8 +469,12 @@ def _certify(
     rng: np.random.Generator,
 ) -> CertAudit:
     """crs_cert on the registers regs of state (the proof's own, or one
-    half of a clone)."""
-    _, (prob, state) = measure_flag(state, regs["R"] + regs["S"], _sig_test_oracle(params, key))
+    half of a clone). The signature test compares S with R's P||S value."""
+    memo, width = _ps_memo(params, key), params.sig_bits
+    mask = (1 << width) - 1
+    _, (prob, state) = measure_flag(
+        state, regs["R"] + regs["S"], lambda zs: int((zs & mask) == (memo[zs >> width] & mask))
+    )
     if state is None:
         return CertAudit(0.0, None, None, False)
     state = _attach_functional_registers(params, state, key, x, ct0, ct1, regs)
@@ -535,7 +535,7 @@ def verify_clone_half(
 ) -> int:
     """Run outer verification against one clone half's R and P registers."""
     regs = clone.original if half == "original" else clone.copy
-    f_out = _outer_verify_oracle(params, x, clone.ct0, clone.ct1)
+    f_out = _ToyOuterLane(params, x, clone.ct0, clone.ct1).verify
     _, (prob1, _) = measure_flag(clone.state, regs["R"] + regs["P"], f_out)
     # one draw, outcome 1 below P[1], as a Z measurement of the flag
     return int(rng.random() < prob1)

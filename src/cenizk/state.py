@@ -441,7 +441,7 @@ def dump_lines(state: SparseState) -> list[str]:
         text = texts.get(key)
         if text is None:
             text = texts[key] = f"{a.real:.12e} {a.imag:.12e}"
-        lines.append(f"{k:0{n}b} {text}")
+        lines.append(f"{bin(k)[2:].zfill(n)} {text}")
     return lines
 
 

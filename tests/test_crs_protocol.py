@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from cenizk import crs_protocol
+from cenizk import crs_protocol, wire
 from cenizk.bits import bits_to_int, int_to_bits, masked_parity
-from cenizk.crs_nizk import CompiledSpec, toy_encode
+from cenizk.crs_nizk import CompiledSpec, ToyCrs, toy_encode
 from cenizk.crs_protocol import (
     CrsParams,
     CrsProofState,
+    CrsProverKey,
     cert_match_probability,
     cert_original_after_clone,
     cert_uncompute,
@@ -25,6 +26,7 @@ from cenizk.crs_protocol import (
     crs_verify_prob,
     pad_half,
     verify_clone_half,
+    _certify,
     _omega_int,
     _owf_int,
     _pad_int,
@@ -36,7 +38,7 @@ from cenizk.graphs import canonical_cycle, complete_digraph
 from cenizk.harness import run_session
 from cenizk.hbnizk import HbParams
 from cenizk.rng import stream
-from cenizk.state import Bb84Descriptor, append_register, prep_bb84
+from cenizk.state import Bb84Descriptor, SparseState, append_register, prep_bb84
 
 PARAMS = CrsParams()
 WITNESS = np.array([1, 0, 1, 1], dtype=np.uint8)
@@ -444,6 +446,118 @@ class TestSignatureLookup:
         run_session("crs-toy", None, 7)
         info = _sig_lookup_for.cache_info()
         assert (info.misses, info.hits) == (1, 2)
+
+
+def honest_session(seed):
+    """A default crs-toy session up to certification, on the streams
+    run_session uses: (crs, sigma after verification, key)."""
+    crs = crs_setup(stream(seed, "setup"))
+    sigma, key = crs_prove(PARAMS, crs, STATEMENT, WITNESS, stream(seed, "prove"))
+    b, residual = crs_verify(PARAMS, crs, STATEMENT, sigma, stream(seed, "verify"))
+    assert b == 1
+    return crs, residual, key
+
+
+def key_from_wire(seed):
+    """The prover key of run_session's crs-toy transcript, rebuilt from
+    its `prover-key` payload: a new key whose memo is empty."""
+    transcript = run_session("crs-toy", None, seed)
+    p = wire.decode(next(raw for _, step, raw in transcript.messages if step == "prover-key"))
+    return CrsProverKey(p["theta"], p["k0"], p["k1"], ToyCrs(p["crs_out"]), p["y"], p["prfk"], p["preimages"])
+
+
+def assert_same_audit(a, b):
+    """Equal CertAudits: probability, bits, verdict, and the uncomputed
+    state's keys, amplitudes and dict order."""
+    assert (a.sig_test_prob, a.accepted) == (b.sig_test_prob, b.accepted)
+    assert np.array_equal(a.cert_bits, b.cert_bits)
+    assert list(a.post_uncompute.amps.items()) == list(b.post_uncompute.amps.items())
+
+
+class TestPsMemo:
+    """Each prover key memoises z -> P||S value. The memo is a cache:
+    certification under a key rebuilt from the wire, which recomputes
+    every value, gives the same audit as under the key that proved."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rebuilt_key_certifies_the_default_sessions_alike(self, seed):
+        _, residual, key = honest_session(seed)
+        rebuilt = key_from_wire(seed)
+        assert not rebuilt._ps_memo and key._ps_memo
+        regs = PARAMS.registers()
+        state, ct0, ct1 = residual.state, residual.ct0, residual.ct1
+        audits = [
+            _certify(PARAMS, k, STATEMENT, state, ct0, ct1, regs, stream(seed, "certify")) for k in (key, rebuilt)
+        ]
+        assert audits[0].accepted
+        assert_same_audit(*audits)
+
+    def test_rebuilt_key_certifies_a_clone_alike(self):
+        for seed in range(5):
+            _, residual, key = honest_session(seed)
+            clone = clone_attack(PARAMS, residual)
+            audits = []
+            for k in (key, key_from_wire(seed)):
+                rng = stream(seed, "clonecert")
+                audits.append(_certify(PARAMS, k, STATEMENT, clone.state, clone.ct0, clone.ct1, clone.original, rng))
+                assert cert_original_after_clone(PARAMS, k, STATEMENT, clone, stream(seed, "clonecert")) == (
+                    audits[-1].accepted
+                )
+            assert_same_audit(*audits)
+
+    def test_rebuilt_key_certifies_a_partial_forgery_alike(self):
+        # the state of test_partial_forgery_is_projected_out: one term's
+        # signature corrupted, so its z is in neither memo
+        for seed in range(5):
+            _, residual, key = honest_session(seed)
+            amps = dict(residual.state.amps)
+            some_key = next(iter(amps))
+            amps[some_key ^ 1] = amps.pop(some_key)
+            mixed = CrsProofState(SparseState(residual.state.num_qubits, amps), residual.ct0, residual.ct1)
+            audits = [
+                crs_cert(PARAMS, k, STATEMENT, mixed, stream(seed, "certify"), audit=True)
+                for k in (key, key_from_wire(seed))
+            ]
+            assert audits[0].sig_test_prob == pytest.approx(1.0 - 1.0 / len(amps))
+            assert_same_audit(*audits)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_session_evaluates_the_prf_once_per_term(self, seed, monkeypatch):
+        # proving fills the memo; the signature test and the uncompute
+        # read it, so the PRF runs 2^wt(theta) times, not twice that
+        calls = []
+        prf_mask = crs_protocol._prf_mask
+
+        def counted_prf_mask(*args):
+            prf = prf_mask(*args)
+
+            def counted(z_int):
+                calls.append(z_int)
+                return prf(z_int)
+
+            return counted
+
+        monkeypatch.setattr(crs_protocol, "_prf_mask", counted_prf_mask)
+        _, residual, key = honest_session(seed)
+        assert crs_cert(PARAMS, key, STATEMENT, residual, stream(seed, "certify"))
+        terms = 2 ** int(key.theta.sum())
+        assert len(calls) == terms
+        support = {k >> (PARAMS.proof_width + PARAMS.sig_bits) for k in residual.state.amps}
+        assert list(key._ps_memo) == [PARAMS]
+        assert set(key._ps_memo[PARAMS]) == support and len(support) == terms
+
+    def test_other_params_get_their_own_memo(self):
+        # at another sig_width the key computes its values afresh, as a
+        # fresh key does, and the default params' values stay untouched
+        _, residual, key = honest_session(0)
+        before = list(key._ps_memo[PARAMS].items())
+        other = CrsParams(sig_width=8)
+        bb84 = prep_bb84(Bb84Descriptor(key.y, key.theta))
+        sigma = CrsProofState(append_register(bb84, other.proof_width + other.sig_bits), residual.ct0, residual.ct1)
+        attached = [cert_uncompute(other, k, STATEMENT, sigma) for k in (key, key_from_wire(0))]
+        assert list(attached[0].amps.items()) == list(attached[1].amps.items())
+        assert set(key._ps_memo) == {PARAMS, other}
+        assert list(key._ps_memo[PARAMS].items()) == before
 
 
 class TestNegativeControlFixtures:

@@ -407,6 +407,22 @@ class TestAgainstReferenceLoops:
         for s in (st_, measured, SparseState(3, {0b101: -1.0 + 0j})):
             assert dump_lines(s) == dump_lines_reference(s)
 
+    @pytest.mark.parametrize(
+        "num_qubits,amps",
+        [
+            (5, {0: 1.0 + 0j}),  # key 0
+            (1, {0: complex(SQRT_HALF, -0.0), 1: complex(-0.0, -SQRT_HALF)}),  # one qubit
+            (320, {(1 << 320) - 1: complex(-0.0, 1.0)}),  # full-width key
+            (320, {0: complex(-SQRT_HALF, -0.0), (1 << 320) - 1: complex(-0.0, SQRT_HALF)}),
+            (4, {0b0001: complex(0.5, -0.0), 0b1000: complex(-0.0, 0.5), 0b1111: -0.5 + 0j, 0: complex(-0.5, -0.0)}),
+        ],
+    )
+    def test_dump_lines_edge_keys_match_format_reference(self, num_qubits, amps):
+        # key 0, one qubit, a full-width key and signed-zero parts print as
+        # format(k, "0{n}b") and "{:.12e}" print them
+        s = SparseState(num_qubits, amps)
+        assert dump_lines(s) == dump_lines_reference(s)
+
 
 # ---------------------------------------------------------------------
 # measurement paths pinned against the code they replaced: the flag
