@@ -469,7 +469,7 @@ def _certify(
     rng: np.random.Generator,
 ) -> CertAudit:
     """crs_cert on the registers regs of state (the proof's own, or one
-    half of a clone). The signature test compares S with R's P||S value."""
+    half of a clone). The signature test compares S with the low bits of R's P||S value."""
     memo, width = _ps_memo(params, key), params.sig_bits
     mask = (1 << width) - 1
     _, (prob, state) = measure_flag(
