@@ -46,6 +46,25 @@ def int_to_bits(value: int, width: int) -> np.ndarray:
 _COLUMN_XOR_MIN_ROWS = 256
 
 
+def _fold(a: np.ndarray, op: np.ufunc) -> np.ndarray:
+    """op (np.bitwise_xor or np.bitwise_and) over the last axis of a uint8
+    array: one `op.reduce` for few rows; for many, each row's k bytes read
+    as k/w words of w bytes (w the largest of 8, 4, 2, 1 dividing k), the
+    word columns combined and the result's bytes folded."""
+    k = a.shape[-1]
+    if k == 0 or a.size < _COLUMN_XOR_MIN_ROWS * k:
+        return op.reduce(a, axis=-1)
+    w = next(w for w in (8, 4, 2, 1) if k % w == 0)
+    words = np.ascontiguousarray(a).reshape(-1, k).view(f"u{w}")
+    out = op(words[:, 0], words[:, 1]) if k > w else words[:, 0].copy()
+    for j in range(2, k // w):
+        op(out, words[:, j], out=out)
+    while w > 1:
+        w //= 2
+        op(out, out >> (8 * w), out=out)
+    return out.astype(np.uint8).reshape(a.shape[:-1])
+
+
 def masked_parity(theta: np.ndarray, y: np.ndarray) -> np.ndarray:
     """XOR of y over the positions where theta == 0, along the last axis.
 
@@ -53,25 +72,10 @@ def masked_parity(theta: np.ndarray, y: np.ndarray) -> np.ndarray:
     Hadamard-basis positions, whose values never enter the parity. Both
     arguments must already be 0/1 integer arrays of one shape (no
     coercion: the EPR path calls this on millions of entries). An empty
-    last axis gives 0; a 1-D pair gives a numpy scalar. Small arrays
-    take the single `bitwise_xor.reduce`. Arrays with many rows read
-    each row's k masked bytes as k/w words of w bytes (w the largest of
-    8, 4, 2, 1 dividing k), XOR the word columns, and fold the bytes of
-    the result: a few numpy calls in all. Both give the same bits.
+    last axis gives 0; a 1-D pair gives a numpy scalar.
     """
-    masked = y & (theta ^ 1)
-    k = masked.shape[-1]
-    if k == 0 or masked.size < _COLUMN_XOR_MIN_ROWS * k:
-        return np.bitwise_xor.reduce(masked, axis=-1).astype(np.uint8)
-    w = next(w for w in (8, 4, 2, 1) if k % w == 0)
-    words = masked.astype(np.uint8, copy=False).reshape(-1, k).view(f"u{w}")
-    out = words[:, 0].copy()
-    for j in range(1, k // w):
-        out ^= words[:, j]
-    while w > 1:
-        w //= 2
-        out ^= out >> (8 * w)
-    return out.astype(np.uint8).reshape(masked.shape[:-1])
+    masked = np.greater(y, theta).view(np.uint8)  # y & (theta ^ 1) on bits, in one pass
+    return _fold(masked, np.bitwise_xor)
 
 
 def check_deletion_cert(cert: np.ndarray, y: np.ndarray, theta: np.ndarray) -> bool:

@@ -35,8 +35,8 @@ and 9 bits at m=3, b=1) are decoded by table lookup: usefulness fills
 a table over every block value once per (m, b, n), and hb_prove,
 hb_verify and hb_simulate pack the blocks of all repetitions with one
 dot product and look them up. Larger blocks (criterion 1: 40,960
-bits) keep one usefulness call per repetition. required_positions is
-cached per (map, statement, m, b).
+bits) share one bits_to_matrix; usefulness sees only the matrices
+with n ones. required_positions is cached per (map, statement, m, b).
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng as rng_mod
+from .bits import _fold
 from .graphs import CycleWitness, Digraph, require_witness
 
 
@@ -121,11 +122,12 @@ class HiddenCycle:
 
 
 def bits_to_matrix(block: np.ndarray, m: int, b: int) -> np.ndarray:
-    """Decode m*m*b hidden bits to the boolean matrix (entry = all-ones slice)."""
+    """Decode (..., m*m*b) hidden bits to (..., m, m) matrices (entry = all-nonzero slice)."""
     block = np.asarray(block, dtype=np.uint8)
-    if block.shape != (m * m * b,):
+    if block.shape[-1:] != (m * m * b,):
         raise ValueError(f"block must have {m * m * b} bits")
-    return block.reshape(m, m, b).all(axis=2)
+    block = (block != 0).view(np.uint8) if block.max(initial=0) > 1 else block
+    return _fold(block.reshape(*block.shape[:-1], m, m, b), np.bitwise_and).astype(bool)
 
 
 def usefulness(matrix: np.ndarray, n: int) -> Optional[HiddenCycle]:
@@ -156,9 +158,9 @@ def usefulness(matrix: np.ndarray, n: int) -> Optional[HiddenCycle]:
     return HiddenCycle(tuple(sorted(succ.items())))
 
 
-# Blocks of at most this many bits are decoded by table lookup. Filling
-# the table takes one usefulness call per block value: 4,096 calls
-# (about 40 ms) at the cap, where 16 bits would take 65,536 (0.6 s).
+# Blocks of at most this many bits are decoded by table lookup (larger
+# ones in one batched pass). Filling the table takes one usefulness call
+# per block value: 4,096 (about 40 ms) at the cap, 65,536 (0.6 s) at 16.
 _TABLE_MAX_BITS = 12
 
 
@@ -169,10 +171,13 @@ def _block_decoder(m: int, b: int, n: int) -> Callable[[np.ndarray], list[Option
     Up to _TABLE_MAX_BITS bits, one dot product packs every row to an
     integer (block bit i is integer bit i), which indexes a table that
     usefulness fills once per block value. Larger blocks take one
-    usefulness call per row."""
+    batched bits_to_matrix; rows without exactly n ones are None (as
+    usefulness gives) and only the rest reach usefulness."""
     kp = m * m * b
     if kp > _TABLE_MAX_BITS:
-        return lambda blocks: [usefulness(bits_to_matrix(block, m, b), n) for block in blocks]
+        return lambda blocks: [
+            usefulness(mat, n) if np.count_nonzero(mat) == n else None for mat in bits_to_matrix(blocks, m, b)
+        ]
     weights = 1 << np.arange(kp, dtype=np.int64)
     every_block = (np.arange(1 << kp)[:, None] >> np.arange(kp)) & 1
     table = tuple(usefulness(bits_to_matrix(block, m, b), n) for block in every_block)
@@ -418,10 +423,9 @@ def cover_map(
 
 
 def _block_cover(
-    block: np.ndarray, x: Digraph, params: HbParams, rng: np.random.Generator
+    matrix: np.ndarray, x: Digraph, params: HbParams, rng: np.random.Generator
 ) -> tuple[int, ...] | None:
-    """cover_map of the one-entries of one repetition block."""
-    matrix = bits_to_matrix(block, params.matrix_side, params.block_len)
+    """cover_map of the one-entries of one decoded repetition matrix."""
     ones = [(int(u), int(v)) for u, v in np.argwhere(matrix)]
     return cover_map(ones, x, params.matrix_side, rng)
 
@@ -435,8 +439,9 @@ def cheat_prove(
     repetition was coverable."""
     vmaps = []
     coverable = 0
-    for block in np.asarray(r, dtype=np.uint8).reshape(params.repetitions, params.bits_per_rep):
-        vmap = _block_cover(block, x, params, rng)
+    blocks = np.asarray(r, dtype=np.uint8).reshape(params.repetitions, params.bits_per_rep)
+    for matrix in bits_to_matrix(blocks, params.matrix_side, params.block_len):
+        vmap = _block_cover(matrix, x, params, rng)
         if vmap is None:
             # no covering embedding; claim an arbitrary map and lose
             vmap = tuple(range(params.n))
@@ -449,7 +454,7 @@ def cheat_prove(
 def rep_coverable(block: np.ndarray, x: Digraph, params: HbParams, rng: np.random.Generator) -> bool:
     """Oracle-side predicate: can one repetition block be answered by a
     fabricated useful-claim?"""
-    return _block_cover(block, x, params, rng) is not None
+    return _block_cover(bits_to_matrix(block, params.matrix_side, params.block_len), x, params, rng) is not None
 
 
 __all__ = [

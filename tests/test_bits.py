@@ -1,4 +1,5 @@
-"""bits.masked_parity against the one-call XOR reduction it replaced.
+"""bits.masked_parity, the word fold behind it and hbnizk.bits_to_matrix
+against the one-call reductions they replaced.
 
 Arrays with many rows take a column-by-column path, small ones the
 single reduce; both must give the reference bits, dtype and shape."""
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cenizk.bits import _COLUMN_XOR_MIN_ROWS, masked_parity
+from cenizk.bits import _COLUMN_XOR_MIN_ROWS, _fold, masked_parity
+from cenizk.hbnizk import bits_to_matrix
 
 
 def reference(theta, y):
@@ -65,3 +67,95 @@ class TestMaskedParity:
         got = masked_parity(empty, empty)
         assert got.dtype == np.uint8 and got.shape == shape[:-1]
         assert not np.any(got)
+
+
+SLICE_LENGTHS = [1, 2, 3, 4, 5, 8, 10, 16]
+FOLD_ROWS = [1, _COLUMN_XOR_MIN_ROWS - 1, _COLUMN_XOR_MIN_ROWS, 4 * _COLUMN_XOR_MIN_ROWS + 3]
+
+
+def dense_bits(rng, shape, p=0.8):
+    """0/1 bytes, dense enough that all-ones slices of 16 turn up."""
+    return (rng.random(shape) < p).astype(np.uint8)
+
+
+def any_bytes(rng, shape):
+    """uint8 values of every size, zero in about a fifth of the places."""
+    a = rng.integers(1, 256, size=shape, dtype=np.uint8)
+    a[rng.random(shape) < 0.2] = 0
+    return a
+
+
+def all_reference(block, m, b):
+    return block.reshape(*block.shape[:-1], m, m, b).all(-1)
+
+
+class TestFold:
+    @pytest.mark.parametrize("rows", FOLD_ROWS)
+    @pytest.mark.parametrize("b", SLICE_LENGTHS)
+    def test_and_fold_is_all_over_bits(self, rows, b):
+        a = dense_bits(np.random.default_rng(rows * 31 + b), (rows, b))
+        got = _fold(a, np.bitwise_and)
+        assert got.dtype == np.uint8 and got.shape == (rows,)
+        assert np.array_equal(got, a.all(-1))
+
+    @pytest.mark.parametrize("op", [np.bitwise_and, np.bitwise_xor])
+    @pytest.mark.parametrize("rows", FOLD_ROWS)
+    @pytest.mark.parametrize("b", SLICE_LENGTHS)
+    def test_any_bytes_match_one_reduce(self, op, rows, b):
+        rng = np.random.default_rng(rows * 37 + b)
+        a = any_bytes(rng, (rows, b))
+        a[: rows // 2] |= 0xF0  # rows whose AND keeps high bits
+        got = _fold(a, op)
+        assert got.dtype == np.uint8 and np.array_equal(got, op.reduce(a, axis=-1))
+
+    @pytest.mark.parametrize("shape", [(10,), (1000, 10), (4, 300, 10), (2, 3, 300, 10)])
+    def test_leading_axes_are_kept(self, shape):
+        a = dense_bits(np.random.default_rng(len(shape)), shape)
+        got = _fold(a, np.bitwise_and)
+        assert got.shape == shape[:-1] and np.array_equal(got, a.all(-1))
+
+    def test_read_only_and_non_contiguous_inputs(self):
+        rng = np.random.default_rng(11)
+        wide = dense_bits(rng, (2 * 600, 2 * 10))
+        read_only = np.frombuffer(wide[:600, :10].tobytes(), dtype=np.uint8).reshape(600, 10)
+        gathered = wide[np.arange(600)[:, None] * 2, np.arange(10)]
+        for a in [read_only, gathered, wide[::2, :10], wide[:600, ::2], np.asfortranarray(wide[:600, :10])]:
+            for op in (np.bitwise_and, np.bitwise_xor):
+                assert np.array_equal(_fold(a, op), op.reduce(a, axis=-1))
+        assert not read_only.flags.writeable
+
+
+class TestBitsToMatrix:
+    @pytest.mark.parametrize("m", [2, 15, 16, 17])  # m*m rows per block: 256 sits on the threshold
+    @pytest.mark.parametrize("b", SLICE_LENGTHS)
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_batched_matches_all_over_slices(self, m, b, lead):
+        rng = np.random.default_rng(m * 100 + b * 10 + len(lead))
+        block = dense_bits(rng, (*lead, m * m * b))
+        got = bits_to_matrix(block, m, b)
+        assert got.dtype == bool and got.shape == (*lead, m, m)
+        assert np.array_equal(got, all_reference(block, m, b))
+
+    @pytest.mark.parametrize("m", [2, 17])
+    @pytest.mark.parametrize("b", SLICE_LENGTHS)
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_any_nonzero_byte_counts_as_set(self, m, b, lead):
+        block = any_bytes(np.random.default_rng(m * 100 + b), (*lead, m * m * b))
+        block[..., ::3] |= 2  # no byte of these is 1, yet they count as set
+        assert np.array_equal(bits_to_matrix(block, m, b), all_reference(block, m, b))
+
+    def test_read_only_and_non_contiguous_inputs(self):
+        rng = np.random.default_rng(12)
+        m, b, reps = 17, 10, 4
+        kp = m * m * b
+        r = dense_bits(rng, 2 * reps * kp)
+        wire = np.frombuffer(r.tobytes(), dtype=np.uint8)  # a decoded wire view
+        gathered = wire[(np.arange(reps) * 2 * kp)[:, None] + np.arange(kp)]  # hb_verify's r_I rows
+        strided = r.reshape(2 * reps, kp)[::2]
+        for blocks in [wire.reshape(2 * reps, kp), gathered, strided, np.asfortranarray(gathered)]:
+            assert np.array_equal(bits_to_matrix(blocks, m, b), all_reference(blocks, m, b))
+        assert np.array_equal(bits_to_matrix(wire[:kp], m, b), all_reference(wire[:kp], m, b))
+
+    def test_wrong_last_axis_raises(self):
+        with pytest.raises(ValueError, match="block must have 8 bits"):
+            bits_to_matrix(np.zeros((3, 9), dtype=np.uint8), 2, 2)

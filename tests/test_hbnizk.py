@@ -466,15 +466,44 @@ def ref_simulate(x, params, rng):
 
 @pytest.fixture
 def usefulness_calls(monkeypatch):
-    """Counts the calls hbnizk makes to usefulness."""
+    """Records the matrix of every call hbnizk makes to usefulness."""
     calls = []
 
     def counted(matrix, n):
-        calls.append(n)
+        calls.append(matrix.copy())
         return usefulness(matrix, n)
 
     monkeypatch.setattr(hbnizk, "usefulness", counted)
     return calls
+
+
+def planted_block(rng, m, b, entries):
+    """A random m*m*b block whose one-entries are exactly `entries`:
+    uniform bits, each all-ones slice outside them broken by one zero."""
+    block = rng.integers(0, 2, size=(m, m, b), dtype=np.uint8)
+    block[block.all(-1), 0] = 0
+    for u, v in entries:
+        block[u, v] = 1
+    return block.reshape(-1)
+
+
+def near_misses(rng, m, n):
+    """One-entry sets around a random hidden n-cycle: the cycle, n - 1 and
+    n + 1 ones, n ones on a path (not a cycle), n ones with a self-loop,
+    and two cycles whose n ones share one vertex set when n is even."""
+    w = [int(v) for v in rng.permutation(m)[: n + 1]]
+    cycle = [(w[i], w[(i + 1) % n]) for i in range(n)]
+    out = {
+        "cycle": cycle,
+        "short": cycle[:-1],
+        "long": cycle + [(w[0], w[n])],
+        "path": [(w[i], w[i + 1]) for i in range(n)],
+        "self-loop": [(w[0], w[0])] + [(w[i], w[1 + i % (n - 1)]) for i in range(1, n)],
+        "empty": [],
+    }
+    if n % 2 == 0:
+        out["two-cycles"] = [(w[i], w[i ^ 1]) for i in range(n)]
+    return out
 
 
 def mutations(I, r_I, proof, params, rng):
@@ -545,14 +574,37 @@ class TestBlockTable:
                 short = I[I != drop]
                 assert not hb_verify(short, r[short], x, proof, params)
 
-    def test_above_cap_takes_the_per_repetition_path(self, usefulness_calls, rng):
+    @pytest.mark.parametrize("m,b,n", [(64, 10, 4), (27, 8, 3)])  # criterion-1 and criterion-2 shapes
+    def test_above_cap_decoder_matches_per_row_reference(self, m, b, n, rng):
+        assert m * m * b > hbnizk._TABLE_MAX_BITS
+        kinds = near_misses(rng, m, n)
+        blocks = [planted_block(rng, m, b, entries) for entries in kinds.values() for _ in range(3)]
+        blocks += [rng.integers(0, 2, size=m * m * b, dtype=np.uint8) for _ in range(20)]
+        blocks = np.array(blocks)
+        got = hbnizk._block_decoder(m, b, n)(blocks)
+        want = [usefulness(bits_to_matrix(block, m, b), n) for block in blocks]
+        assert got == want
+        # the planted cycles are useful and every near miss is not
+        assert [cycle is not None for cycle in got[: 3 * len(kinds)]] == [k == "cycle" for k in kinds for _ in range(3)]
+        # a read-only one-row batch, as hb_simulate and a decoded wire view give
+        assert hbnizk._block_decoder(m, b, n)(np.frombuffer(blocks[:1].tobytes(), np.uint8)[None]) == want[:1]
+
+    def test_above_cap_calls_usefulness_only_on_rows_with_n_ones(self, usefulness_calls, rng):
         params, (x, witness) = FIXTURES["above-cap"]
+        m, b, n = params.matrix_side, params.block_len, params.n
         assert params.bits_per_rep > hbnizk._TABLE_MAX_BITS
-        r = np.zeros(params.total_bits, dtype=np.uint8)
-        I, proof = hb_prove(r, x, witness, params)
-        assert hb_verify(I, r[I], x, proof, params)
-        hb_simulate(x, params, rng)
-        assert len(usefulness_calls) == 3 * params.repetitions
+        r = (rng.random(16 * params.bits_per_rep) < 0.85).astype(np.uint8)
+        blocks = r.reshape(16, params.bits_per_rep)
+        with_n = [mat for mat in bits_to_matrix(blocks, m, b) if mat.sum() == n]
+        assert 0 < len(with_n) < len(blocks)
+        hbnizk._block_decoder(m, b, n)(blocks)
+        assert len(usefulness_calls) == len(with_n)
+        assert all(np.array_equal(got, want) for got, want in zip(usefulness_calls, with_n))
+        # an all-zero hidden string has no row with n ones: prove and verify call it never
+        usefulness_calls.clear()
+        zeros = np.zeros(params.total_bits, dtype=np.uint8)
+        I, proof = hb_prove(zeros, x, witness, params)
+        assert hb_verify(I, zeros[I], x, proof, params) and usefulness_calls == []
 
     @pytest.mark.parametrize("shape", ["quantum", "classical"])
     def test_table_path_calls_usefulness_only_to_fill_the_table(self, shape, usefulness_calls, rng):
