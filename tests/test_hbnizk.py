@@ -595,7 +595,7 @@ class TestBlockTable:
         assert params.bits_per_rep > hbnizk._TABLE_MAX_BITS
         r = (rng.random(16 * params.bits_per_rep) < 0.85).astype(np.uint8)
         blocks = r.reshape(16, params.bits_per_rep)
-        with_n = [mat for mat in bits_to_matrix(blocks, m, b) if mat.sum() == n]
+        with_n = [mat for mat in blocks.reshape(16, m, m, b).all(-1) if mat.sum() == n]
         assert 0 < len(with_n) < len(blocks)
         hbnizk._block_decoder(m, b, n)(blocks)
         assert len(usefulness_calls) == len(with_n)
