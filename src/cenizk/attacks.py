@@ -73,12 +73,10 @@ class CommitBlock:
         return self._state
 
 
-def _draw_blocks(k: int, width: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The draws behind k commitment blocks: ys, then thetas, each a
-    (k, width) uint8 array."""
-    ys = rng_mod.bits(rng, (k, width))
-    thetas = rng_mod.bits(rng, (k, width))
-    return ys, thetas
+def _draw_blocks(k: int, width: int, rng: np.random.Generator) -> np.ndarray:
+    """The draws behind k commitment blocks: ys, then thetas, stacked
+    as a (2, k, width) uint8 array."""
+    return rng_mod.bits(rng, (k, width), count=2)
 
 
 def _blocks(ys: np.ndarray, thetas: np.ndarray, cs: np.ndarray) -> list[CommitBlock]:
@@ -152,15 +150,29 @@ def _entry_id(rep: int, u: int, v: int, n: int) -> int:
     return rep * n * n + u * n + v
 
 
-def _permuted_adjacency(x: Digraph, tau: np.ndarray) -> np.ndarray:
-    """Adjacency matrix of x relabelled by the vertex permutation tau."""
-    permuted = np.zeros((x.n, x.n), dtype=np.uint8)
-    permuted[tau[:, None], tau] = x.adjacency
+def _permuted_adjacency(x: Digraph, taus: np.ndarray) -> np.ndarray:
+    """Adjacency matrices of x relabelled by each vertex permutation in
+    the (r, n) stack taus: an (r, n, n) uint8 array."""
+    permuted = np.zeros((len(taus), x.n, x.n), dtype=np.uint8)
+    permuted[np.arange(len(taus))[:, None, None], taus[:, :, None], taus[:, None, :]] = x.adjacency
     return permuted
 
 
+def _draw_reps(n: int, params: StrawmanParams, rng: np.random.Generator):
+    """Per repetition, a vertex permutation and then its n*n block
+    draws. Returns the (reps, n) permutations and the ys and thetas of
+    all reps*n*n blocks, row-major."""
+    taus = np.empty((params.reps, n), dtype=np.intp)
+    draws = np.empty((2, params.reps, n * n, params.width), dtype=np.uint8)
+    for rep in range(params.reps):
+        taus[rep] = rng.permutation(n)
+        draws[:, rep] = _draw_blocks(n * n, params.width, rng)
+    ys, thetas = draws.reshape(2, -1, params.width)
+    return taus, ys, thetas
+
+
 def _opening_package(
-    x: Digraph, blocks: list, taus: list, cycle: CycleWitness, reps: int
+    x: Digraph, blocks: list, taus: np.ndarray, cycle: CycleWitness, reps: int
 ) -> tuple[dict, set[int]]:
     """Open what the hash-derived challenges ask for: every entry of a
     challenge-0 repetition (with its permutation), the tau-image of the
@@ -222,12 +234,8 @@ def strawman_prove(
     params: StrawmanParams, x: Digraph, witness: CycleWitness, rng: np.random.Generator
 ) -> tuple[StrawmanProof, StrawmanKey]:
     require_witness(x, witness)
-    blocks = []
-    taus = []
-    for _ in range(params.reps):
-        tau = rng.permutation(x.n)
-        taus.append(tau)
-        blocks.extend(commit_bits(_permuted_adjacency(x, tau).ravel(), params.width, rng))
+    taus, ys, thetas = _draw_reps(x.n, params, rng)
+    blocks = _blocks(ys, thetas, _permuted_adjacency(x, taus).ravel() ^ masked_parity(thetas, ys))
     classical, opened_ids = _opening_package(x, blocks, taus, witness, params.reps)
     proof = StrawmanProof(blocks, classical)
     key = StrawmanKey([b.y for b in blocks], [b.theta for b in blocks], opened_ids)
@@ -367,17 +375,10 @@ def derived_soundness_adversary(
     best = None
     for _ in range(grind_tries):
         guesses = rng_mod.bits(rng, reps)
-        taus, ms, ys, thetas = [], [], [], []
-        for guess in guesses:
-            tau = rng.permutation(n)
-            y, theta = _draw_blocks(n * n, params.width, rng)
-            taus.append(tau)
-            # an everything-is-one commit can open any cycle
-            ms.append(_permuted_adjacency(x, tau) if guess == 0 else np.ones((n, n), dtype=np.uint8))
-            ys.append(y)
-            thetas.append(theta)
-        ys, thetas = np.concatenate(ys), np.concatenate(thetas)
-        cs = np.concatenate(ms, axis=None) ^ masked_parity(thetas, ys)
+        taus, ys, thetas = _draw_reps(n, params, rng)
+        # an everything-is-one commit can open any cycle
+        ms = np.where(guesses[:, None, None] == 0, _permuted_adjacency(x, taus), np.uint8(1))
+        cs = ms.ravel() ^ masked_parity(thetas, ys)
         hits = int(np.sum(_fs_challenges(x, cs, reps) == guesses))
         if best is None or hits > best[0]:
             best = (hits, taus, ys, thetas, cs)
@@ -451,8 +452,7 @@ def run_deletion_experiment(
     exp: DeletionExperiment, b: int, rng: np.random.Generator
 ) -> DeletionOutcome:
     lam = exp.lam
-    y = rng_mod.bits(rng, lam)
-    theta = rng_mod.bits(rng, lam)
+    y, theta = rng_mod.bits(rng, lam, count=2)
     masked = int(b) ^ int(masked_parity(theta, y))
     payload = _z_payload(exp, theta, masked)
     _assert_no_theta_leak(exp, payload)

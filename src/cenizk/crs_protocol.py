@@ -365,11 +365,9 @@ def crs_prove(
 ) -> tuple[CrsProofState, CrsProverKey]:
     x = as_bit_array(x)
     n_r = params.r_qubits
-    y = rng_mod.bits(rng, n_r)
-    theta = rng_mod.bits(rng, n_r)
+    y, theta = rng_mod.bits(rng, n_r, count=2)
     pi_in = toy_prove(crs.crs_in, x, witness)
-    k0 = rng_mod.bits(rng, params.ell)
-    k1 = rng_mod.bits(rng, params.ell)
+    k0, k1 = rng_mod.bits(rng, params.ell, count=2)
     ct0 = pi_in ^ pad_half(theta, y, 0, params.ell, params.lam) ^ k0
     ct1 = pad_half(theta, y, 1, params.ell, params.lam) ^ k1
 
@@ -627,13 +625,11 @@ def crs_prove_dry(
     lam = params.lam
     n_r = 2 * ell * lam
 
-    y = rng_mod.bits(rng, n_r)
-    theta = rng_mod.bits(rng, n_r)
+    y, theta, free = rng_mod.bits(rng, n_r, count=3)
     # one support term: computational positions carry y, Hadamard free
-    z = np.where(theta == 0, y, rng_mod.bits(rng, n_r)).astype(np.uint8)
+    z = np.where(theta == 0, y, free)
 
-    k0 = rng_mod.bits(rng, ell)
-    k1 = rng_mod.bits(rng, ell)
+    k0, k1 = rng_mod.bits(rng, ell, count=2)
     pad0_y = pad_half(theta, y, 0, ell, lam)
     pad1_y = pad_half(theta, y, 1, ell, lam)
     ct0 = pi_bits ^ pad0_y ^ k0

@@ -6,7 +6,9 @@ labels, so a session seed fully determines every artifact and
 independent trials can run on independent streams. `bits` is the one
 way a uniform 0/1 array is drawn; callers reach it as `rng.bits` so a
 single attribute decides the draw everywhere. A large draw is cut from
-32-bit words, with the bits and generator state of `integers(0, 2)`.
+32-bit words, with the bits and generator state of `integers(0, 2)`;
+`bits(gen, shape, count=k)` cuts k consecutive same-shape draws from
+one word draw.
 """
 
 from __future__ import annotations
@@ -35,17 +37,23 @@ def stream(seed: int, *labels: object) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def bits(gen: np.random.Generator, shape) -> np.ndarray:
+def bits(gen: np.random.Generator, shape, count: int = 1) -> np.ndarray:
     """`gen.integers(0, 2, size=shape, dtype=np.uint8)`, same gen state after.
 
     numpy spends one byte of a buffered `next_uint32` per entry: entry i
     is the top bit of little-endian byte i % 4 of word i // 4, and the
     last word's unused bytes are dropped. A uint32 draw takes one
     `next_uint32` per word, so large draws shift whole words' bytes.
+    With count > 1 the result stacks count such consecutive draws,
+    shape (count, *shape), cut from one word draw: each draw starts on
+    a fresh word, so row j is words [j*w, (j+1)*w) for w = ceil(n/4).
     """
     n = math.prod(shape) if isinstance(shape, tuple) else int(shape)
-    if n < _WORD_DRAW_MIN:
+    if count == 1 and n < _WORD_DRAW_MIN:
         return gen.integers(0, 2, size=shape, dtype=np.uint8)
-    out = gen.integers(0, 1 << 32, size=-(-n // 4), dtype=np.uint32).astype("<u4", copy=False).view(np.uint8)
+    row = -(-n // 4) * 4
+    out = gen.integers(0, 1 << 32, size=count * row // 4, dtype=np.uint32).astype("<u4", copy=False).view(np.uint8)
     out >>= 7
-    return out[:n].reshape(shape)
+    if count == 1:
+        return out[:n].reshape(shape)
+    return out.reshape(count, row)[:, :n].reshape((count, *shape) if isinstance(shape, tuple) else (count, n))

@@ -336,19 +336,15 @@ def _spans(num_qubits: int, reg: Sequence[int]) -> list[tuple[int, int, int]]:
     return [(num_qubits - q - w, w, (1 << w) - 1) for q, w in runs]
 
 
-def _extract(key: int, spans: list[tuple[int, int, int]]) -> int:
-    value = 0
-    for shift, width, mask in spans:
-        value = (value << width) | ((key >> shift) & mask)
-    return value
-
-
 def _read(keys, spans: list[tuple[int, int, int]]) -> list[int]:
-    """The register value of each key."""
-    if len(spans) == 1:
-        shift, _, mask = spans[0]
-        return [(k >> shift) & mask for k in keys]
-    return [_extract(k, spans) for k in keys]
+    """The register value of each key: one pass over keys per span."""
+    if not spans:
+        return [0] * len(keys)
+    shift, _, mask = spans[0]
+    values = [(k >> shift) & mask for k in keys]
+    for shift, width, mask in spans[1:]:
+        values = [(v << width) | ((k >> shift) & mask) for v, k in zip(values, keys)]
+    return values
 
 
 def _deposit(values: list[int], spans: list[tuple[int, int, int]]) -> list[int]:
@@ -406,8 +402,8 @@ def density_matrix(state: SparseState, subset: Sequence[int]) -> np.ndarray:
     dim = 1 << len(subset)
     rho = np.zeros((dim, dim), dtype=np.complex128)
     groups: dict[int, list[tuple[int, complex]]] = {}
-    for k, a in state.amps.items():
-        groups.setdefault(k & rest_mask, []).append((_extract(k, spans), a))
+    for (k, a), s in zip(state.amps.items(), _read(state.amps, spans)):
+        groups.setdefault(k & rest_mask, []).append((s, a))
     for terms in groups.values():
         for si, ai in terms:
             for sj, aj in terms:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cenizk import attacks
+from cenizk import rng as rng_mod
 from cenizk.attacks import (
     ADV_BASIS_INFORMED,
     ADV_KEEP_STATE,
@@ -114,6 +115,23 @@ class TestDerivedProofSystem:
             rng = stream(trial, "ds")
             pkg = derived_soundness_adversary(params, bad, rng, grind_tries=8)
             assert derived_verify(params, bad, pkg, rng) == 0
+
+    @pytest.mark.parametrize("reps", [1, 7, 24])
+    def test_one_grind_try_draws_once_per_repetition(self, reps, monkeypatch):
+        """One draw for the guesses, then one per repetition for all of
+        its blocks' ys and thetas."""
+        honest_bits, calls = rng_mod.bits, []
+
+        def counting(gen, shape, count=1):
+            calls.append((shape, count))
+            return honest_bits(gen, shape, count=count)
+
+        monkeypatch.setattr(rng_mod, "bits", counting)
+        bad = non_hamiltonian_triangle()
+        derived_soundness_adversary(StrawmanParams(reps=reps, width=5), bad, stream(0, "draws"), grind_tries=1)
+        assert len(calls) == 1 + reps
+        assert calls[0] == (reps, 1)
+        assert set(calls[1:]) == {((9, 5), 2)}
 
     def test_witness_independence(self):
         """Two distinct Hamiltonian cycles of the triangle: per-repetition

@@ -7,7 +7,18 @@ import hashlib
 import numpy as np
 import pytest
 
-from cenizk.attacks import StrawmanParams, derived_prove, derived_soundness_adversary, derived_verify
+from cenizk.attacks import (
+    ADV_BASIS_INFORMED,
+    ADV_KEEP_STATE,
+    Z_PLAIN,
+    Z_THETA_LEAKING,
+    DeletionExperiment,
+    StrawmanParams,
+    derived_prove,
+    derived_soundness_adversary,
+    derived_verify,
+    run_deletion_experiment,
+)
 from cenizk.epr_protocol import BOT, EprParams, epr_sim, honest_delete_vstar, keep_two_blocks_vstar, run_cezk_real
 from cenizk.graphs import (
     canonical_cycle,
@@ -92,6 +103,28 @@ DERIVED_PROVE_GOLDEN = {
 }
 
 
+# the same ops at StrawmanParams(reps=7, width=5): each block vector
+# draw on the triangle is 45 entries, which is not a whole number of
+# 32-bit words; (seed, grind_tries) for the forger
+SMALL = StrawmanParams(reps=7, width=5)
+SMALL_FORGER_GOLDEN = {
+    (0, 16): "df57a7f7db7167aed21db3950f9e088d2033f6b68097e9c037471b208e9b9b57",
+    (1, 16): "993166b01d85b9c61346a8030746b41fc17ad41808437f6c03cc6bdedf0b1800",
+    (2, 16): "b6af710aad6f606956ea79a42153082e1ac07bd6b74da4b5f5171c3072f27bba",
+    (0, 3): "269303a0ce6f4b31cbccb38525a4b05688bbe5c015c53fa52bc7af32c00cf5f0",
+    (1, 3): "992bd0703fa6b404a3cd57c5c83e10f8d6f3c6981b3bc951e7683daa6d4be7cf",
+    (2, 3): "013c800be79efad3b0567c21b569e0549ebce4e5ad2e32f6fc19fbbc1913fc83",
+}
+SMALL_DERIVED_PROVE_GOLDEN = {
+    0: "8464cedd01661de7471a9418d8291e67a7846b01481a80c4671281b0bb05dfdb",
+    1: "316d8670fbf51886405e7fd020c929eb048670fb84b289b2d444e914a9e71139",
+}
+
+# five BB84 deletion experiments per (lambda, fixture, adversary), one
+# stream each: outcome, kept state, classical output and the next draw
+DELETION_GOLDEN = "1e0f17495adbfa4e742c942d8cb28f4bdbc99b6b27289090081271132e981eb3"
+
+
 def _package_digest(package, verdict, rng) -> str:
     """Everything a derived-system package carries, the verdict on it,
     and one draw after the op (which pins how much the op consumed)."""
@@ -130,6 +163,40 @@ def test_derived_prove_digest(seed):
     package = derived_prove(params, x, witness, rng)
     verdict = derived_verify(params, x, package, rng)
     assert _package_digest(package, verdict, rng) == DERIVED_PROVE_GOLDEN[seed]
+
+
+@pytest.mark.parametrize("seed,grind_tries", sorted(SMALL_FORGER_GOLDEN))
+def test_forger_digest_off_word_boundary(seed, grind_tries):
+    x = non_hamiltonian_triangle()
+    rng = stream(seed, "derived-sound")
+    package = derived_soundness_adversary(SMALL, x, rng, grind_tries=grind_tries)
+    verdict = derived_verify(SMALL, x, package, rng)
+    assert _package_digest(package, verdict, rng) == SMALL_FORGER_GOLDEN[(seed, grind_tries)]
+
+
+@pytest.mark.parametrize("seed", sorted(SMALL_DERIVED_PROVE_GOLDEN))
+def test_derived_prove_digest_off_word_boundary(seed):
+    x, witness, _ = triangle_both_cycles()
+    rng = stream(seed, "derived-prove")
+    package = derived_prove(SMALL, x, witness, rng)
+    verdict = derived_verify(SMALL, x, package, rng)
+    assert _package_digest(package, verdict, rng) == SMALL_DERIVED_PROVE_GOLDEN[seed]
+
+
+def test_deletion_experiment_digest():
+    h = hashlib.sha256()
+    for lam in (3, 5, 8):
+        for exp in (
+            DeletionExperiment(lam),
+            DeletionExperiment(lam, Z_PLAIN, ADV_KEEP_STATE),
+            DeletionExperiment(lam, Z_THETA_LEAKING, ADV_BASIS_INFORMED),
+        ):
+            rng = stream(11, "deletion", lam, exp.adversary)
+            for b in (0, 1, 1, 0, 1):
+                out = run_deletion_experiment(exp, b, rng)
+                kept = None if out.output_state is None else tuple(dump_lines(out.output_state))
+                h.update(repr((out.accepted, kept, sorted(out.classical.items()), rng.random())).encode())
+    assert h.hexdigest() == DELETION_GOLDEN
 
 
 # ---------------------------------------------------------------------

@@ -4,7 +4,8 @@ Every 0/1 array in the package (EPR outcomes, hidden bits, pad keys,
 BB84 strings) comes from `cenizk.rng.bits`, looked up on the module at
 call time, so replacing that one attribute changes the draw everywhere.
 Large draws are cut from 32-bit words; they must give the bits and the
-generator state of `integers(0, 2, dtype=np.uint8)`.
+generator state of `integers(0, 2, dtype=np.uint8)`. A `count=k` draw
+must give the bits and state of k such consecutive draws.
 """
 
 import ast
@@ -55,9 +56,9 @@ def test_one_patch_reaches_every_session(protocol, monkeypatch):
     honest_bits = cenizk.rng.bits
     calls = []
 
-    def counting(gen, shape):
+    def counting(gen, shape, count=1):
         calls.append(shape)
-        return honest_bits(gen, shape)
+        return honest_bits(gen, shape, count=count)
 
     monkeypatch.setattr(cenizk.rng, "bits", counting)
     assert serialize_transcript(run_session(protocol, None, 0)) == expected
@@ -105,3 +106,35 @@ def test_large_draws_take_one_uint32_call(n):
         assert gen.calls == [(0, 1 << 32, -(-n // 4), np.dtype(np.uint32))]
     else:
         assert gen.calls == [(0, 2, n, np.dtype(np.uint8))]
+
+
+COUNT_SIZES = [0, 1, 3, 4, 5, 36, 45, WORD_MIN - 1, WORD_MIN, 8321]
+COUNT_SHAPES = COUNT_SIZES + [(9, 5), (2, 3, 6), np.int64(45)]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5])
+@pytest.mark.parametrize("shape", COUNT_SHAPES, ids=repr)
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+def test_count_draws_equal_consecutive_uint8_draws(bit_generator, shape, count):
+    for seed in (0, 7):
+        gen, ref = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+        # an odd number of uint32 draws first leaves half a 64-bit output buffered
+        for g in (gen, ref):
+            g.integers(0, 1 << 32, size=seed % 2, dtype=np.uint32)
+        got = cenizk.rng.bits(gen, shape, count=count)
+        rows = [ref.integers(0, 2, size=shape, dtype=np.uint8) for _ in range(count)]
+        want = rows[0] if count == 1 else np.stack(rows)
+        assert got.dtype == np.uint8 and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+        for row in [got] if count == 1 else got:
+            assert row.flags.c_contiguous and row.flags.writeable
+        assert gen.integers(0, 1 << 32, dtype=np.uint32) == ref.integers(0, 1 << 32, dtype=np.uint32)
+        assert gen.random() == ref.random()
+
+
+@pytest.mark.parametrize("count", [2, 3, 5])
+@pytest.mark.parametrize("n", COUNT_SIZES)
+def test_count_draws_take_one_uint32_call(n, count):
+    gen = _RecordingGenerator(np.random.default_rng(5))
+    cenizk.rng.bits(gen, n, count=count)
+    assert gen.calls == [(0, 1 << 32, count * -(-n // 4), np.dtype(np.uint32))]

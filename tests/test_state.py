@@ -28,6 +28,7 @@ from cenizk.state import (
     project,
     trace_distance,
 )
+from cenizk.state import _read, _spans
 from cenizk.rng import stream
 from conftest import CHI2_CRIT_1DF, chi_square_uniform
 
@@ -386,6 +387,19 @@ class TestAgainstReferenceLoops:
                 k ^= ((y >> (len(out_reg) - 1 - pos)) & 1) << (n - 1 - q)
             expected[k] = a
         assert list(apply_oracle(st_, in_reg, out_reg, f).amps.items()) == list(expected.items())
+
+    @pytest.mark.parametrize(
+        "reg",
+        [[], [3], [0, 1, 2], [4, 5, 0, 1], [9, 2, 3, 7], [11, 0, 5, 6, 1], list(range(11, -1, -1)), list(range(12))],
+        ids=repr,
+    )
+    def test_read_matches_per_bit_reference(self, reg):
+        # 0, 1, 2 and 3+ runs; key 0 and the full-width key are included
+        n = 12
+        keys = [0, (1 << n) - 1] + stream(3, "read").integers(0, 1 << n, size=64).tolist()
+        want = [sum(((k >> (n - 1 - q)) & 1) << (len(reg) - 1 - pos) for pos, q in enumerate(reg)) for k in keys]
+        assert _read(keys, _spans(n, reg)) == want
+        assert _read(dict.fromkeys(keys[:2]), _spans(n, reg)) == want[:2]
 
     @pytest.mark.parametrize(
         "amps",
