@@ -329,7 +329,6 @@ def split_attack(
     x: Digraph,
     witness: CycleWitness,
     rng: np.random.Generator,
-    withhold_opened: bool = False,
 ) -> SplitOutcome:
     """V* routes unopened blocks to the certification register and opened
     blocks (with cloned classical openings) to the verification
@@ -338,10 +337,7 @@ def split_attack(
     n_blocks = params.block_count(x.n)
     opened = set(proof.classical["opened_ids"])
     to_cert = {i: proof.blocks[i].state for i in range(n_blocks) if i not in opened}
-    if withhold_opened:
-        package = {"classical": proof.classical, "opened_states": {}}
-    else:
-        package = _verification_half(proof.classical, proof.blocks)
+    package = _verification_half(proof.classical, proof.blocks)
     cert_ok = strawman_cert(params, key, to_cert, n_blocks, rng)
     verify_ok = bool(strawman_verify(params, x, package, rng))
     return SplitOutcome(cert_ok, verify_ok)

@@ -19,11 +19,11 @@ one pass. Outer proofs and signatures go into the contiguous P||S
 register through one oracle.
 
 A term's P||S value is a pure function of z and the prover key, so the
-key memoises it per CrsParams: proving fills the memo, certification's
-signature test and uncompute read it, and a z the prover never produced
-(a forged, cloned or Z-measured term, or any z under a key rebuilt from
-its wire payload) is computed on first use and stored. The memo is not
-part of the wire payload.
+key memoises it in one memo per CrsParams, built once with its PRF and
+signature chain: proving fills it, certification's signature test and
+uncompute read it, and a z the prover never produced (a forged, cloned
+or Z-measured term, or any z under a key rebuilt from its wire payload)
+is computed on first use and stored. It is not in the wire payload.
 
 Two execution modes:
 
@@ -182,14 +182,6 @@ def _pad_table(ell: int, lam: int) -> list[int]:
     return table
 
 
-def _pad_int(theta_int: int, z_int: int, which: int, ell: int, lam: int) -> int:
-    # integer lane for the per-term oracles: half 0 is the high ell*lam
-    # bits of the 2*ell*lam-bit register, half 1 the low ones
-    half = ell * lam
-    masked = ((z_int & ~theta_int) >> ((1 - which) * half)) & ((1 << half) - 1)
-    return _pad_table(ell, lam)[masked]
-
-
 # ---------------------------------------------------------------------
 # opaque primitives: PRF mask and one-time signature chain
 # ---------------------------------------------------------------------
@@ -233,23 +225,15 @@ _SIG_CHUNK = 8  # z bits per lookup table
 
 
 def _sig_lookup(params: CrsParams, preimages: np.ndarray):
-    """z -> signature chain of z: chunk i, sig_width bits with position 0
-    most significant, is table[i][z_i].
-
-    Built once per key: a session's prove and certify steps share it."""
-    return _sig_lookup_for(params, np.asarray(preimages, dtype=np.uint64).tobytes())
-
-
-@functools.lru_cache(maxsize=16)
-def _sig_lookup_for(params: CrsParams, raw_preimages: bytes):
-    """_sig_lookup for the (r_qubits, 2) uint64 preimages in raw_preimages.
+    """z -> signature chain of z under the (r_qubits, 2) preimages: chunk
+    i, sig_width bits with position 0 most significant, is table[i][z_i].
 
     The chain is base ^ (XOR of delta_i over the positions where z_i = 1),
     base holding every table[i][0] and delta_i the difference of
     position i's two images. The deltas are folded into one table per 8
     bits of z (base into the lowest), so a term costs one lookup per 8
-    bits of z."""
-    pre = np.frombuffer(raw_preimages, dtype=np.uint64).reshape(-1, 2).tolist()
+    bits of z. Built once per key and CrsParams, with its memo."""
+    pre = np.asarray(preimages, dtype=np.uint64).reshape(-1, 2).tolist()
     n, w = len(pre), params.sig_width
     # both OWF images of every encoding position: table[i][b] signs z_i = b
     table = [[_owf_int(p, w, params.owf_mode) for p in pair] for pair in pre]
@@ -289,34 +273,29 @@ _TOY_ENCODE_TABLE = tuple(
 )
 
 
-class _ToyOuterLane:
-    """The toy outer lane for one (crs, x, ct) context. The outer proof
-    for term z is (omega ^ mask_z) || mask_z with mask_z = F_prfk(z).
-    `verify`, the outer-verify oracle on R||P values, unmasks it and
-    evaluates the OR statement, its only evaluation in toy mode (with
-    `_pad_int`'s lookup inlined); `or_check_int` runs it on an unmasked
-    proof. Witness-exhibiting, hence perfectly sound.
-    """
+def _outer_verify(params: CrsParams, x: np.ndarray, ct0: np.ndarray, ct1: np.ndarray) -> Callable[[int], int]:
+    """The toy outer-verify oracle on R||P values for one (x, ct) context.
+    The outer proof for term z is (omega ^ mask_z) || mask_z with mask_z =
+    F_prfk(z); the oracle unmasks it and evaluates the OR statement, its
+    only evaluation in toy mode, with the pads read from `_pad_table`.
+    Witness-exhibiting, hence perfectly sound."""
+    ell, half = params.ell, params.ell * params.lam
+    half_mask, k_mask = (1 << half) - 1, (1 << ell) - 1
+    width, w = params.proof_width, params.witness_bits
+    w_mask = (1 << w) - 1
+    pad, encode = _pad_table(ell, params.lam), _TOY_ENCODE_TABLE
+    x_int, ct0_int, ct1_int = bits_to_int(x), bits_to_int(ct0), bits_to_int(ct1)
 
-    def __init__(self, params: CrsParams, x: np.ndarray, ct0: np.ndarray, ct1: np.ndarray):
-        ell, half = params.ell, params.ell * params.lam
-        half_mask, k_mask = (1 << half) - 1, (1 << ell) - 1
-        width, w = params.proof_width, params.witness_bits
-        w_mask = (1 << w) - 1
-        pad, encode = _pad_table(ell, params.lam), _TOY_ENCODE_TABLE
-        x_int, ct0_int, ct1_int = bits_to_int(x), bits_to_int(ct0), bits_to_int(ct1)
+    def verify(zp: int) -> int:
+        # omega = theta || k0 || k1 is the XOR of the proof's halves;
+        # the bits of z outside theta index the pads
+        omega = ((zp >> w) ^ zp) & w_mask
+        free = (zp >> width) & ~(omega >> (2 * ell))
+        if encode[ct0_int ^ ((omega >> ell) & k_mask) ^ pad[(free >> half) & half_mask]] == x_int:
+            return 1
+        return int(encode[ct1_int ^ (omega & k_mask) ^ pad[free & half_mask]] == x_int)
 
-        def verify(zp: int) -> int:
-            # omega = theta || k0 || k1 is the XOR of the proof's halves;
-            # the bits of z outside theta index the pads
-            omega = ((zp >> w) ^ zp) & w_mask
-            free = (zp >> width) & ~(omega >> (2 * ell))
-            if encode[ct0_int ^ ((omega >> ell) & k_mask) ^ pad[(free >> half) & half_mask]] == x_int:
-                return 1
-            return int(encode[ct1_int ^ (omega & k_mask) ^ pad[free & half_mask]] == x_int)
-
-        self.verify = verify
-        self.or_check_int = lambda z_int, omega_int: verify((z_int << width) | (omega_int << w))
+    return verify
 
 
 class _PsMemo(dict):
@@ -330,14 +309,16 @@ class _PsMemo(dict):
 
 
 def _ps_memo(params: CrsParams, key: CrsProverKey) -> _PsMemo:
-    """The key's memo for params, with `fill` bound to z -> (omega ^ mask_z)
-    || mask_z || sig(z); its getitem is the P||S oracle."""
-    memo = key._ps_memo.setdefault(params, _PsMemo())
-    w, sig_bits = params.witness_bits, params.sig_bits
-    top, spread = _omega_int(key, params) << (w + sig_bits), (1 << w) | 1
-    prf, sig = _prf_mask(key.prfk, w, params.prf_mode), _sig_lookup(params, key.preimages)
-    # (omega ^ mask) || mask is (omega << w) ^ mask * (2^w + 1)
-    memo.fill = lambda z_int: top ^ ((prf(z_int) * spread) << sig_bits) ^ sig(z_int)
+    """The key's memo for params, made on first use with `fill` bound to
+    z -> (omega ^ mask_z) || mask_z || sig(z); its getitem is the P||S oracle."""
+    memo = key._ps_memo.get(params)
+    if memo is None:
+        w, sig_bits = params.witness_bits, params.sig_bits
+        top, spread = _omega_int(key, params) << (w + sig_bits), (1 << w) | 1
+        prf, sig = _prf_mask(key.prfk, w, params.prf_mode), _sig_lookup(params, key.preimages)
+        memo = key._ps_memo[params] = _PsMemo()
+        # (omega ^ mask) || mask is (omega << w) ^ mask * (2^w + 1)
+        memo.fill = lambda z_int: top ^ ((prf(z_int) * spread) << sig_bits) ^ sig(z_int)
     return memo
 
 
@@ -376,23 +357,16 @@ def crs_prove(
     key = CrsProverKey(theta, k0, k1, crs.crs_out, y, prfk, preimages)
 
     state = append_register(prep_bb84(Bb84Descriptor(y, theta)), params.proof_width + params.sig_bits)
-    state = _attach_functional_registers(params, state, key, x, ct0, ct1)
+    state = _attach_functional_registers(params, state, key, params.registers())
     return CrsProofState(state, ct0, ct1), key
 
 
 def _attach_functional_registers(
-    params: CrsParams,
-    state: SparseState,
-    key: CrsProverKey,
-    x: np.ndarray,
-    ct0: np.ndarray,
-    ct1: np.ndarray,
-    regs: Optional[dict[str, list[int]]] = None,
+    params: CrsParams, state: SparseState, key: CrsProverKey, regs: dict[str, list[int]]
 ) -> SparseState:
-    """XOR outer proofs and signatures into P and S (default: the proof's
-    own registers) with one oracle on P||S; an involution, so
-    certification reuses it verbatim to uncompute."""
-    regs = regs or params.registers()
+    """XOR outer proofs and signatures into regs' P and S with one oracle
+    on P||S; an involution, so certification reuses it verbatim to
+    uncompute."""
     return apply_oracle(state, regs["R"], regs["P"] + regs["S"], _ps_memo(params, key).__getitem__)
 
 
@@ -406,7 +380,8 @@ def crs_verify(
     """Oracle the outer verifier into a fresh register, measure it, and
     hand back the post-measurement state either way (the rejecting
     branch is kept for diagnostics)."""
-    prob1, accepted, rejected = _verify_branches(params, x, sigma)
+    regs = params.registers()
+    (_, rejected), (prob1, accepted) = _verify_flag(params, x, sigma.state, sigma.ct0, sigma.ct1, regs)
     if rng.random() < prob1:
         return 1, CrsProofState(accepted, sigma.ct0, sigma.ct1)
     return 0, CrsProofState(rejected, sigma.ct0, sigma.ct1)
@@ -414,14 +389,15 @@ def crs_verify(
 
 def crs_verify_prob(params: CrsParams, x: np.ndarray, sigma: CrsProofState) -> float:
     """Exact acceptance probability (the audit lane of verification)."""
-    return _verify_branches(params, x, sigma)[0]
+    return _verify_flag(params, x, sigma.state, sigma.ct0, sigma.ct1, params.registers())[1][0]
 
 
-def _verify_branches(params: CrsParams, x: np.ndarray, sigma: CrsProofState):
-    regs = params.registers()
-    f_out = _ToyOuterLane(params, x, sigma.ct0, sigma.ct1).verify
-    (_, rejected), (prob1, accepted) = measure_flag(sigma.state, regs["R"] + regs["P"], f_out)
-    return prob1, accepted, rejected
+def _verify_flag(
+    params: CrsParams, x: np.ndarray, state: SparseState, ct0: np.ndarray, ct1: np.ndarray, regs: dict
+):
+    """Both branches of the outer-verifier flag on regs' R and P:
+    ((prob, state) for reject, (prob, state) for accept)."""
+    return measure_flag(state, regs["R"] + regs["P"], _outer_verify(params, x, ct0, ct1))
 
 
 @dataclass(frozen=True)
@@ -434,13 +410,11 @@ class CertAudit:
     accepted: bool
 
 
-def cert_uncompute(
-    params: CrsParams, key: CrsProverKey, x: np.ndarray, sigma: CrsProofState
-) -> SparseState:
+def cert_uncompute(params: CrsParams, key: CrsProverKey, x: np.ndarray, sigma: CrsProofState) -> SparseState:
     """Uncompute outer proofs and signatures from the recorded key; on an
     undisturbed proof this returns exactly the BB84 state with zeroed
     P and S registers."""
-    return _attach_functional_registers(params, sigma.state, key, x, sigma.ct0, sigma.ct1)
+    return _attach_functional_registers(params, sigma.state, key, params.registers())
 
 
 def crs_cert(
@@ -452,19 +426,12 @@ def crs_cert(
     audit: bool = False,
 ):
     """Signature test, uncompute, Hadamard measurement, y comparison."""
-    result = _certify(params, key, x, returned.state, returned.ct0, returned.ct1, params.registers(), rng)
+    result = _certify(params, key, returned.state, params.registers(), rng)
     return result if audit else result.accepted
 
 
 def _certify(
-    params: CrsParams,
-    key: CrsProverKey,
-    x: np.ndarray,
-    state: SparseState,
-    ct0: np.ndarray,
-    ct1: np.ndarray,
-    regs: dict[str, list[int]],
-    rng: np.random.Generator,
+    params: CrsParams, key: CrsProverKey, state: SparseState, regs: dict[str, list[int]], rng: np.random.Generator
 ) -> CertAudit:
     """crs_cert on the registers regs of state (the proof's own, or one
     half of a clone). The signature test compares S with the low bits of R's P||S value."""
@@ -475,7 +442,7 @@ def _certify(
     )
     if state is None:
         return CertAudit(0.0, None, None, False)
-    state = _attach_functional_registers(params, state, key, x, ct0, ct1, regs)
+    state = _attach_functional_registers(params, state, key, regs)
     cert_bits, _ = measure(state, regs["R"], ["X"] * len(regs["R"]), rng)
     return CertAudit(prob, state, cert_bits, check_deletion_cert(cert_bits, key.y, key.theta))
 
@@ -533,8 +500,7 @@ def verify_clone_half(
 ) -> int:
     """Run outer verification against one clone half's R and P registers."""
     regs = clone.original if half == "original" else clone.copy
-    f_out = _ToyOuterLane(params, x, clone.ct0, clone.ct1).verify
-    _, (prob1, _) = measure_flag(clone.state, regs["R"] + regs["P"], f_out)
+    _, (prob1, _) = _verify_flag(params, x, clone.state, clone.ct0, clone.ct1, regs)
     # one draw, outcome 1 below P[1], as a Z measurement of the flag
     return int(rng.random() < prob1)
 
@@ -547,7 +513,7 @@ def cert_original_after_clone(
     rng: np.random.Generator,
 ) -> bool:
     """Certification of the original half while the twin is withheld."""
-    return _certify(params, key, x, clone.state, clone.ct0, clone.ct1, clone.original, rng).accepted
+    return _certify(params, key, clone.state, clone.original, rng).accepted
 
 
 # ---------------------------------------------------------------------

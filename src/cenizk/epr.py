@@ -84,9 +84,6 @@ class EprNetwork:
     def shape(self) -> tuple[int, int]:
         return (self.block_count, self.block_width)
 
-    def _other(self, role: str) -> str:
-        return ROLE_V if role == ROLE_P else ROLE_P
-
     def _is_entangled(self, block: int, pos: int) -> bool:
         if self._entangled is None:
             return self._basis is None
@@ -140,7 +137,7 @@ class EprNetwork:
             raise SimUsageError("bases shape must be (num_blocks, block_width)")
         if n_blocks == 0:
             return np.empty(bases.shape, dtype=np.uint8)
-        other = self._other(role)
+        other = ROLE_V if role == ROLE_P else ROLE_P
 
         if self._basis is None and blocks is None:
             # first touch of the whole network: uniform outcomes collapse

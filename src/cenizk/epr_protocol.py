@@ -84,9 +84,8 @@ class EprProverState:
 
 @dataclass(frozen=True)
 class EprVerifierState:
-    I: np.ndarray
+    I: np.ndarray  # the blocks verification opened: a valid opened set
     network: EprNetwork
-    opened_ok: bool = False  # I passed _opened_set_ok
 
 
 @dataclass(frozen=True)
@@ -98,10 +97,10 @@ class EprDeletionCert:
 def _every_block(I: np.ndarray, ell: int) -> bool:
     """Whether a valid opened set is all of 0..ell-1.
 
-    Only for an I that passed `_opened_set_ok(I, ell)` (the prover's I
-    from hb_prove is valid by construction; the verifier's counts only
-    after validation): such an I is strictly increasing inside [0, ell),
-    so it is every block exactly when it has ell entries. At the
+    Only for an I that passed `_opened_set_ok(I, ell)` (hb_prove's and
+    the verifier state's are valid by construction, a proof's only after
+    validation): such an I is strictly increasing inside [0, ell), so it
+    is every block exactly when it has ell entries. At the
     criterion-1 shape almost every repetition is reveal-all, and this
     lets the session skip index arrays that would span every pair."""
     return len(I) == ell
@@ -119,15 +118,10 @@ def _block_positions(I: np.ndarray, ell: int, k: int) -> np.ndarray | range:
     return (I[:, None] * k + np.arange(k)).ravel()
 
 
-def _unopened_blocks(ell: int, I: np.ndarray, opened_ok: bool = False) -> np.ndarray:
-    """The blocks outside I, sorted. With opened_ok (I passed
-    _opened_set_ok) a full I leaves no block; any other I goes through a
-    mask, which also handles the repeated, unsorted or out-of-range
-    entries of an I that failed validation (those open no block)."""
-    if opened_ok and _every_block(I, ell):
+def _unopened_blocks(ell: int, I: np.ndarray) -> np.ndarray:
+    """The blocks outside a valid opened set I, sorted."""
+    if _every_block(I, ell):
         return np.empty(0, dtype=np.int64)
-    if not opened_ok:
-        I = I[(I >= 0) & (I < ell)]
     mask = np.ones(ell, dtype=bool)
     mask[I] = False
     return np.flatnonzero(mask).astype(np.int64)
@@ -179,12 +173,13 @@ def epr_verify(
     proof: EprProof,
     rng: np.random.Generator,
 ) -> tuple[int, EprVerifierState]:
-    I = np.asarray(proof.I, dtype=np.int64)
+    I, ell = np.asarray(proof.I, dtype=np.int64), params.num_blocks
     if not _opening_ok(params, crs, proof, I):
-        return 0, EprVerifierState(I, network)
-    blocks = None if _every_block(I, params.num_blocks) else I
+        # a rejected I opens each of its in-range entries once
+        return 0, EprVerifierState(np.unique(I[(I >= 0) & (I < ell)]), network)
+    blocks = None if _every_block(I, ell) else I
     y_I = network.measure_blocks(ROLE_V, proof.theta_I, rng, blocks=blocks)
-    return _hidden_bits_verdict(params, crs, x, proof, I, y_I), EprVerifierState(I, network, opened_ok=True)
+    return _hidden_bits_verdict(params, crs, x, proof, I, y_I), EprVerifierState(I, network)
 
 
 def _opening_ok(params: EprParams, crs: EprCrs, proof: EprProof, I: np.ndarray) -> bool:
@@ -209,7 +204,7 @@ def epr_delete(
     params: EprParams, residual: EprVerifierState, rng: np.random.Generator
 ) -> tuple[EprDeletionCert, EprVerifierState]:
     ell, k = params.num_blocks, params.block_width
-    unopened = _unopened_blocks(ell, residual.I, residual.opened_ok)
+    unopened = _unopened_blocks(ell, residual.I)
     bases = np.ones((len(unopened), k), dtype=np.uint8)
     outcomes = residual.network.measure_blocks(ROLE_V, bases, rng, blocks=unopened)
     return EprDeletionCert(unopened, outcomes), residual
@@ -219,7 +214,7 @@ def epr_cert(params: EprParams, cert: EprDeletionCert, prover: EprProverState) -
     """Accept iff the certificate covers every unopened block and matches
     the recorded y wherever theta is 1 (theta=0 positions are ignored)."""
     ell = params.num_blocks
-    unopened = _unopened_blocks(ell, prover.I, opened_ok=True)
+    unopened = _unopened_blocks(ell, prover.I)
     blocks = np.asarray(cert.blocks, dtype=np.int64)
     if blocks.shape != unopened.shape or np.any(blocks != unopened):
         return False

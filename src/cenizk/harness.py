@@ -156,11 +156,15 @@ SIZE_CAPS = {
 
 
 def _require_params(params, defaults: dict, what: str) -> None:
-    """ValueError naming every key of defaults that params lacks, the
-    first key whose value is not of the default value's type, the first
-    integer (a size) below 1, or the first size above its SIZE_CAPS cap."""
+    """ValueError naming every key of params not in defaults, every key of
+    defaults not in params, the first key whose value is not of the default
+    value's type, the first integer (a size) below 1, or the first size
+    above its SIZE_CAPS cap."""
     if not isinstance(params, dict):
         raise ValueError(f"{what} params must be a dict, got {type(params).__name__}")
+    unknown = [str(key) for key in params if key not in defaults]
+    if unknown:
+        raise ValueError(f"{what} has no param {', '.join(unknown)}; known: {', '.join(defaults) or 'none'}")
     missing = [key for key in defaults if key not in params]
     if missing:
         raise ValueError(f"{what} params missing {', '.join(missing)}")
@@ -477,15 +481,16 @@ def _crs_honest(trials: int, params: dict | None, seed: int):
 
 
 def _hbg_binding(trials: int, params: dict | None, seed: int):
-    """Counts equivocations and open mismatches, so it keeps its own loop."""
-    params = params or {}
-    s = int(params.get("s", 12))
-    k = int(params.get("k", 8))
+    """Counts equivocations and open mismatches, so it keeps its own loop.
+    Params s and k default one by one."""
+    defaults = {"s": 12, "k": 8}
+    params = {**defaults, **(params or {})}
+    _require_params(params, defaults, "hbg-binding")
     equivocations = 0
     mismatches = 0
     for trial in range(trials):
         rng = stream(seed, "hbg-binding", trial)
-        crs = hbg_mod.hbg_setup(k, "naor", rng, s=s)
+        crs = hbg_mod.hbg_setup(params["k"], "naor", rng, s=params["s"])
         com, r, _ = hbg_mod.hbg_genbits(crs, rng)
         res = hbg_mod.hbg_open(crs, com)
         equivocations += int(res.equivocal.any())
@@ -539,9 +544,10 @@ _ATTACKS = {
 
 
 def _attack(name: str):
-    """Experiment of attack `name`: trial t on stream(seed, name, t); params are not read."""
+    """Experiment of attack `name`: trial t on stream(seed, name, t); it takes no params."""
 
     def experiment(trials: int, params: dict | None, seed: int):
+        _require_params(params or {}, {}, name)
         return _per_trial(_ATTACKS[name], trials, seed, name)
 
     return experiment

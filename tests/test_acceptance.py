@@ -325,7 +325,7 @@ def test_criterion_6_crs_soundness_mechanics():
             state = prep_bb84(Bb84Descriptor(y, theta))
             state = append_register(state, params.proof_width)
             state = append_register(state, params.sig_bits)
-            state = _attach_functional_registers(params, state, key, x, ct0, ct1)
+            state = _attach_functional_registers(params, state, key, params.registers())
             prob = crs_verify_prob(params, x, CrsProofState(state, ct0, ct1))
             all_zero = all_zero and prob == 0.0
             checked += 1

@@ -4,6 +4,7 @@ and every function the layered benchmark traces (perfbench/spans.py
 TARGETS) exists where the tracer looks for it, so a rename or deletion
 fails here rather than in `perfbench/run.py --trace 1`."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -56,3 +57,32 @@ def test_traced_target_exists(layer, qual):
     for part in qual.split("."):
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+# dispatch-table entries whose signature the table fixes: a session body
+# takes (params, seed, stop) and an experiment (trials, params, seed),
+# whether or not it reads each one
+UNUSED_PARAM_EXEMPT = {"_run_dry_session", "_deletion_honest_td", "_deletion_leaking_td"}
+
+
+def _unread_params(path: Path):
+    """(function, parameter) for every parameter of a `_`-prefixed function
+    in path that the function's body (nested functions included) never
+    reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or not node.name.startswith("_"):
+            continue
+        if node.name in UNUSED_PARAM_EXEMPT:
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p is not None]
+        body = (n for stmt in node.body for n in ast.walk(stmt))
+        read = {n.id for n in body if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        yield from ((node.name, p) for p in params if p not in read)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_private_functions_read_every_parameter(name):
+    unread = list(_unread_params(PACKAGE_ROOT / "cenizk" / f"{name}.py"))
+    assert not unread, f"cenizk.{name}: parameters never read {unread}"

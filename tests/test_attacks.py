@@ -28,6 +28,8 @@ from cenizk.attacks import (
     run_deletion_experiment,
     split_attack,
     split_attack_on_crs,
+    strawman_prove,
+    strawman_verify,
     td_estimate,
 )
 from cenizk.graphs import non_hamiltonian_triangle, triangle_both_cycles, two_cycle_pair
@@ -75,9 +77,12 @@ class TestSplitAttack:
             assert out.cert_accepts and out.verify_accepts
 
     def test_withholding_opened_blocks_fails_verification(self, rng):
+        # the classical package alone, without the opened blocks' states
         g, w, _ = triangle_both_cycles()
-        out = split_attack(StrawmanParams(reps=6), g, w, rng, withhold_opened=True)
-        assert out.cert_accepts and not out.verify_accepts
+        params = StrawmanParams(reps=6)
+        proof, _ = strawman_prove(params, g, w, rng)
+        package = {"classical": proof.classical, "opened_states": {}}
+        assert strawman_verify(params, g, package, rng) == 0
 
     def test_split_fails_on_superposition_protocol(self):
         from cenizk.crs_nizk import toy_encode

@@ -28,11 +28,10 @@ from cenizk.crs_protocol import (
     verify_clone_half,
     _certify,
     _omega_int,
+    _outer_verify,
     _owf_int,
-    _pad_int,
+    _pad_table,
     _sig_lookup,
-    _sig_lookup_for,
-    _ToyOuterLane,
 )
 from cenizk.graphs import canonical_cycle, complete_digraph
 from cenizk.harness import run_session
@@ -81,15 +80,19 @@ class TestPad:
 
 
 class TestPadInt:
-    """`_pad_int`, the pad the outer-verify oracle computes on every
+    """`_pad_table`, the pad lookup the outer-verify oracle reads on every
     term, against `pad_half`."""
 
     @staticmethod
     def _agrees(theta_int, z_int, ell, lam, halves=(0, 1)):
-        width = 2 * ell * lam
+        # the oracle's indexing: half 0 is the high ell*lam bits of the
+        # 2*ell*lam-bit register, half 1 the low ones
+        width, half = 2 * ell * lam, ell * lam
         theta, z = int_to_bits(theta_int, width), int_to_bits(z_int, width)
+        masked = z_int & ~theta_int
         return all(
-            _pad_int(theta_int, z_int, which, ell, lam) == bits_to_int(pad_half(theta, z, which, ell, lam))
+            _pad_table(ell, lam)[(masked >> ((1 - which) * half)) & ((1 << half) - 1)]
+            == bits_to_int(pad_half(theta, z, which, ell, lam))
             for which in halves
         )
 
@@ -181,20 +184,26 @@ class TestSetupProve:
         assert len(sigs) == sigma.state.num_terms()
 
 
+def or_check(ct0, ct1, z, omega_int):
+    """The outer-verify oracle on term z with the unmasked proof omega:
+    the R||P value z || omega || 0."""
+    verify = _outer_verify(PARAMS, STATEMENT, ct0, ct1)
+    return verify((bits_to_int(z) << PARAMS.proof_width) | (omega_int << PARAMS.witness_bits))
+
+
 class TestOrStatement:
-    """The OR statement as verification evaluates it: `or_check_int` of
-    the toy outer lane, on integer z and witness theta || k0 || k1."""
+    """The OR statement as verification evaluates it: the outer-verify
+    oracle on integer z and an unmasked witness theta || k0 || k1."""
 
     def _honest(self, rng):
         crs = crs_setup(rng)
         sigma, key = crs_prove(PARAMS, crs, STATEMENT, WITNESS, rng)
         z = next(iter(support_terms(key.theta, key.y)))
-        lane = _ToyOuterLane(PARAMS, STATEMENT, sigma.ct0, sigma.ct1)
-        return lane, _omega_int(key, PARAMS), key, z
+        return (sigma.ct0, sigma.ct1), _omega_int(key, PARAMS), key, z
 
     def test_honest_accepts_via_clause_zero(self, rng):
-        lane, omega, _, z = self._honest(rng)
-        assert lane.or_check_int(bits_to_int(z), omega) == 1
+        cts, omega, _, z = self._honest(rng)
+        assert or_check(*cts, z, omega) == 1
 
     def test_swapped_ciphertext_accepts_via_clause_one(self, rng):
         # the hybrid-style fixture: place a valid inner proof in ct1 and
@@ -207,15 +216,14 @@ class TestOrStatement:
         ct1 = pi_in ^ pad_half(theta, y, 1, PARAMS.ell, PARAMS.lam) ^ k1
         ct0 = rng.integers(0, 2, size=PARAMS.ell, dtype=np.uint8)  # garbage
         z = np.where(theta == 0, y, rng.integers(0, 2, size=PARAMS.r_qubits, dtype=np.uint8))
-        lane = _ToyOuterLane(PARAMS, STATEMENT, ct0, ct1)
         omega = bits_to_int(np.concatenate([theta, k0, k1]))
-        assert lane.or_check_int(bits_to_int(z), omega) == 1
+        assert or_check(ct0, ct1, z, omega) == 1
 
     def test_flipped_computational_z_bit_rejects(self, rng):
         # code soundness: flipping a computational-basis position inside
         # the first half walks the clause-0 candidate off the code while
         # clause 1 keeps hiding the zero plaintext, so the OR collapses
-        lane, omega, key, z = self._honest(rng)
+        cts, omega, key, z = self._honest(rng)
         half = PARAMS.ell * PARAMS.lam
         comp_first = [j for j in np.flatnonzero(key.theta == 0) if j < half]
         if not comp_first:
@@ -223,19 +231,19 @@ class TestOrStatement:
         for j in comp_first:
             flipped = z.copy()
             flipped[j] ^= 1
-            assert lane.or_check_int(bits_to_int(flipped), omega) == 0
+            assert or_check(*cts, flipped, omega) == 0
 
     def test_flipped_second_half_bit_keeps_clause_zero(self, rng):
         # the complementary fact: second-half flips only disturb the
         # already-false clause 1, the statement stays true via clause 0
-        lane, omega, key, z = self._honest(rng)
+        cts, omega, key, z = self._honest(rng)
         half = PARAMS.ell * PARAMS.lam
         comp_second = [j for j in np.flatnonzero(key.theta == 0) if j >= half]
         if not comp_second:
             pytest.skip("all-Hadamard draw in the second half")
         flipped = z.copy()
         flipped[comp_second[0]] ^= 1
-        assert lane.or_check_int(bits_to_int(flipped), omega) == 1
+        assert or_check(*cts, flipped, omega) == 1
 
 
 class TestVerify:
@@ -439,13 +447,19 @@ class TestSignatureLookup:
         zs = range(1 << n) if n <= 16 else stream(8, "sig-lookup").integers(0, 1 << n, 4096).tolist()
         assert all(sig(z) == sig_int_reference(z, table, params.sig_width) for z in zs)
 
-    def test_one_session_builds_the_lookup_once(self):
+    def test_one_session_builds_the_lookup_once(self, monkeypatch):
         # proving, the certifier's signature test and its uncompute all
-        # sign with the one key: one build, two reuses
-        _sig_lookup_for.cache_clear()
+        # sign with the one key's memo, which builds the chain once
+        builds = []
+        sig_lookup = crs_protocol._sig_lookup
+
+        def counted_sig_lookup(*args):
+            builds.append(args)
+            return sig_lookup(*args)
+
+        monkeypatch.setattr(crs_protocol, "_sig_lookup", counted_sig_lookup)
         run_session("crs-toy", None, 7)
-        info = _sig_lookup_for.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+        assert len(builds) == 1
 
 
 def honest_session(seed):
@@ -485,10 +499,7 @@ class TestPsMemo:
         rebuilt = key_from_wire(seed)
         assert not rebuilt._ps_memo and key._ps_memo
         regs = PARAMS.registers()
-        state, ct0, ct1 = residual.state, residual.ct0, residual.ct1
-        audits = [
-            _certify(PARAMS, k, STATEMENT, state, ct0, ct1, regs, stream(seed, "certify")) for k in (key, rebuilt)
-        ]
+        audits = [_certify(PARAMS, k, residual.state, regs, stream(seed, "certify")) for k in (key, rebuilt)]
         assert audits[0].accepted
         assert_same_audit(*audits)
 
@@ -499,7 +510,7 @@ class TestPsMemo:
             audits = []
             for k in (key, key_from_wire(seed)):
                 rng = stream(seed, "clonecert")
-                audits.append(_certify(PARAMS, k, STATEMENT, clone.state, clone.ct0, clone.ct1, clone.original, rng))
+                audits.append(_certify(PARAMS, k, clone.state, clone.original, rng))
                 assert cert_original_after_clone(PARAMS, k, STATEMENT, clone, stream(seed, "clonecert")) == (
                     audits[-1].accepted
                 )

@@ -28,7 +28,7 @@ from cenizk.epr_protocol import (
 )
 from cenizk.epr_protocol import _unopened_blocks
 from cenizk.graphs import canonical_cycle, complete_digraph, non_hamiltonian_triangle
-from cenizk.hbnizk import HbParams
+from cenizk.hbnizk import HbParams, _opened_set_ok
 from cenizk.rng import stream
 from conftest import CHI2_CRIT_1DF, chi_square_uniform
 
@@ -276,7 +276,7 @@ class TestFullOpenedSet:
         I = self._tampered(proof.I, how) if how else proof.I
         b, residual = epr_verify(TINY, crs, net, g, replace(proof, I=I), rng)
         assert b == (1 if how is None else 0)
-        assert residual.opened_ok == (how is None)
+        assert _opened_set_ok(residual.I, TINY.num_blocks)
 
     @pytest.mark.parametrize("how", [None, "duplicate", "swapped", "shifted"])
     def test_hypothetical_verifier_accepts_only_the_true_full_set(self, how):
@@ -293,9 +293,45 @@ class TestFullOpenedSet:
         opened = np.zeros(TINY.num_blocks, dtype=bool)
         opened[I[I < TINY.num_blocks]] = True
         assert np.array_equal(cert.blocks, np.flatnonzero(~opened))
-        assert np.array_equal(cert.blocks, _unopened_blocks(TINY.num_blocks, I))
+        assert np.array_equal(cert.blocks, _unopened_blocks(TINY.num_blocks, residual.I))
         assert cert.outcomes.shape == (len(cert.blocks), TINY.block_width)
         assert len(cert.blocks) == {None: 0, "duplicate": 1, "swapped": 0, "shifted": 1}[how]
+
+
+class TestRejectedOpenedSet:
+    """A rejected I opens exactly its in-range entries: deletion covers
+    every other block, and the verifier keeps a valid opened set. The
+    expected blocks were recorded before the verifier state dropped its
+    validity flag."""
+
+    CASES = {
+        "duplicates": ([0, 0, 2, 3, 4, 5, 6, 7, 8], [1]),
+        "swapped": ([0, 1, 3, 2, 4, 5, 6, 7, 8], []),
+        "negative": ([-1, 1, 2, 3, 4, 5, 6, 7, 8], [0]),
+        "past_ell": ([0, 1, 2, 3, 4, 5, 6, 7, 9], [8]),
+        "empty": ([], list(range(9))),
+        "two_d": ([[0, 2], [4, 6]], [1, 3, 5, 7, 8]),
+        "all_out_of_range": ([-3, 9, 20], list(range(9))),
+        "mixed": ([5, 3, 5, -2, 11, 0], [1, 2, 4, 6, 7, 8]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_delete_covers_the_blocks_left_unopened(self, name):
+        I, expected = self.CASES[name]
+        g, crs, net, proof, rng = TestFullOpenedSet._full_session("rejected")
+        b, residual = epr_verify(TINY, crs, net, g, replace(proof, I=np.asarray(I, dtype=np.int64)), rng)
+        cert, _ = epr_delete(TINY, residual, rng)
+        assert b == 0
+        assert cert.blocks.dtype == np.int64 and cert.blocks.tolist() == expected
+        assert cert.outcomes.shape == (len(expected), TINY.block_width)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_verifier_state_holds_a_valid_opened_set(self, name):
+        I, expected = self.CASES[name]
+        g, crs, net, proof, rng = TestFullOpenedSet._full_session("rejected")
+        _, residual = epr_verify(TINY, crs, net, g, replace(proof, I=np.asarray(I, dtype=np.int64)), rng)
+        assert _opened_set_ok(residual.I, TINY.num_blocks)
+        assert sorted(set(range(TINY.num_blocks)) - set(residual.I.tolist())) == expected
 
 
 class TestAdversaries:

@@ -380,6 +380,31 @@ class TestCliParams:
         explicit = run_experiment(name, 50, {"lam": lam}, 3)
         assert (default.successes, default.extra) == (explicit.successes, explicit.extra)
 
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (["run-session", "--protocol", "epr", "--param", "bogus=7"], "bogus"),
+            (["run-session", "--protocol", "crs-toy", "--param", "bogus=7"], "bogus"),
+            (["run-experiment", "--name", "hbg-binding", "--param", "hbg_s=0"], "hbg_s"),
+            (["run-experiment", "--name", "deletion-keep-state", "--param", "lamb=3"], "lamb"),
+            (["run-attack", "--name", "clone", "--param", "x=1"], "x"),
+        ],
+    )
+    def test_unknown_param_key_is_usage_error(self, capsys, argv, key):
+        assert cli_main(argv) == 2
+        assert f"has no param {key};" in capsys.readouterr().err
+
+    def test_certify_names_an_unknown_param_key(self, capsys, tmp_path):
+        path = tmp_path / "unknown.cenz"
+        path.write_bytes(serialize_transcript(Transcript("epr", {**default_epr_params(), "bogus": 7}, 0)))
+        assert cli_main(["certify", "--in", str(path)]) == 2
+        assert "epr has no param bogus;" in capsys.readouterr().err
+
+    def test_hbg_binding_defaults_its_params_one_by_one(self):
+        default = run_experiment("hbg-binding", 3, None, 5)
+        partial = run_experiment("hbg-binding", 3, {"k": 8}, 5)
+        assert (default.successes, default.extra) == (partial.successes, partial.extra)
+
 
 class TestStages:
     @pytest.mark.parametrize("protocol", ["epr", "crs-toy", "crs-dry"])
