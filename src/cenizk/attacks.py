@@ -394,7 +394,7 @@ def split_attack_on_crs(crs_params, crs, x, witness, rng) -> SplitOutcome:
     sigma, key = cp.crs_prove(crs_params, crs, x, witness, rng)
     clone = cp.clone_attack(crs_params, sigma)
     verify_ok = bool(cp.verify_clone_half(crs_params, x, clone, "copy", rng))
-    cert_ok = bool(cp.cert_original_after_clone(crs_params, key, x, clone, rng))
+    cert_ok = bool(cp.cert_original_after_clone(crs_params, key, clone, rng))
     return SplitOutcome(cert_ok, verify_ok)
 
 

@@ -410,7 +410,7 @@ class CertAudit:
     accepted: bool
 
 
-def cert_uncompute(params: CrsParams, key: CrsProverKey, x: np.ndarray, sigma: CrsProofState) -> SparseState:
+def cert_uncompute(params: CrsParams, key: CrsProverKey, sigma: CrsProofState) -> SparseState:
     """Uncompute outer proofs and signatures from the recorded key; on an
     undisturbed proof this returns exactly the BB84 state with zeroed
     P and S registers."""
@@ -420,7 +420,6 @@ def cert_uncompute(params: CrsParams, key: CrsProverKey, x: np.ndarray, sigma: C
 def crs_cert(
     params: CrsParams,
     key: CrsProverKey,
-    x: np.ndarray,
     returned: CrsProofState,
     rng: np.random.Generator,
     audit: bool = False,
@@ -508,7 +507,6 @@ def verify_clone_half(
 def cert_original_after_clone(
     params: CrsParams,
     key: CrsProverKey,
-    x: np.ndarray,
     clone: CloneResult,
     rng: np.random.Generator,
 ) -> bool:

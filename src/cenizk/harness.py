@@ -38,7 +38,7 @@ from .rng import stream
 from .state import dump_lines
 
 MAGIC = b"CENZ1"
-VERSION = 1
+VERSION = 2
 
 
 class TranscriptError(ValueError):
@@ -213,12 +213,12 @@ def _run_epr_session(params: dict, seed: int, stop: str) -> Transcript:
     t = Transcript("epr", dict(params), seed)
 
     crs, network = ep.epr_setup(pp, stream(seed, "setup"))
-    t.add_message("setup", "crs", {"s": crs.s, "hbg": params["hbg"]})
+    t.add_message("setup", "crs", {"s": np.packbits(crs.s), "hbg": params["hbg"]})
     if stop == "setup":
         return t
 
     proof, prover = ep.epr_prove(pp, crs, network, x, witness, stream(seed, "prove"))
-    t.add_message("prover", "proof", _epr_proof_payload(proof))
+    t.add_message("prover", "proof", _epr_proof_payload(proof, pp.num_blocks))
     t.add_record("prover", "measure-theta-basis", prover.theta, prover.y, "prove")
     if stop == "prove":
         return t
@@ -229,7 +229,7 @@ def _run_epr_session(params: dict, seed: int, stop: str) -> Transcript:
         return t
 
     cert, _ = ep.epr_delete(pp, residual, stream(seed, "delete"))
-    t.add_message("verifier", "deletion-cert", {"blocks": cert.blocks, "outcomes": cert.outcomes})
+    t.add_message("verifier", "deletion-cert", {"blocks": cert.blocks, "outcomes": np.packbits(cert.outcomes)})
     t.add_record("verifier", "measure-hadamard", np.ones_like(cert.outcomes), cert.outcomes, "delete")
     if stop == "delete":
         return t
@@ -239,11 +239,13 @@ def _run_epr_session(params: dict, seed: int, stop: str) -> Transcript:
     return t
 
 
-def _epr_proof_payload(proof) -> dict:
+def _epr_proof_payload(proof, ell: int) -> dict:
+    opened = np.zeros(ell, dtype=np.uint8)
+    opened[proof.I] = 1
     return {
-        "I": proof.I,
+        "opened": np.packbits(opened),
         "com": proof.com.data,
-        "theta_I": proof.theta_I,
+        "theta_I": np.packbits(proof.theta_I),
         "op": wire.opening_payload(proof.op_I),
         "pi_hb": wire.hbproof_payload(proof.pi_hb),
     }
@@ -303,7 +305,7 @@ def _run_crs_session(params: dict, seed: int, stop: str) -> Transcript:
     if stop == "verify":
         return t
 
-    ok = cp.crs_cert(pp, key, x, residual, stream(seed, "certify"))
+    ok = cp.crs_cert(pp, key, residual, stream(seed, "certify"))
     t.verdicts["certify"] = bool(ok)
     return t
 
@@ -474,7 +476,7 @@ def _crs_honest(trials: int, params: dict | None, seed: int):
         crs = cp.crs_setup(rng)
         sigma, key = cp.crs_prove(pp, crs, x, w, rng)
         b, residual = cp.crs_verify(pp, crs, x, sigma, rng)
-        ok = cp.crs_cert(pp, key, x, residual, rng)
+        ok = cp.crs_cert(pp, key, residual, rng)
         return b == 1 and ok
 
     return _per_trial(trial, trials, seed, "crs-honest")

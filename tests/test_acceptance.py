@@ -246,9 +246,9 @@ def test_criterion_5_crs_toy_mode():
     sigma, key = crs_prove(params, crs, x, w, rng)
     p_verify = crs_verify_prob(params, x, sigma)
     b, residual = crs_verify(params, crs, x, sigma, rng)
-    audit = crs_cert(params, key, x, residual, rng, audit=True)
+    audit = crs_cert(params, key, residual, rng, audit=True)
     p_cert = audit.sig_test_prob * cert_match_probability(
-        params, key, cert_uncompute(params, key, x, sigma)
+        params, key, cert_uncompute(params, key, sigma)
     )
     audit_ok = abs(p_verify - 1.0) < 1e-9 and abs(p_cert - 1.0) < 1e-9 and audit.accepted
     ok = report.successes >= 99 and elapsed <= 300 and audit_ok
@@ -356,7 +356,7 @@ def test_criterion_7_uncompute_recompute():
         rng = stream(SEED, "c7", trial)
         crs = crs_setup(rng)
         sigma, key = crs_prove(params, crs, x, w, rng)
-        post = cert_uncompute(params, key, x, sigma)
+        post = cert_uncompute(params, key, sigma)
         expected = append_register(
             append_register(prep_bb84(Bb84Descriptor(key.y, key.theta)), params.proof_width),
             params.sig_bits,

@@ -271,7 +271,7 @@ class TestCert:
         crs = crs_setup(rng)
         sigma, key = crs_prove(PARAMS, crs, STATEMENT, WITNESS, rng)
         b, residual = crs_verify(PARAMS, crs, STATEMENT, sigma, rng)
-        audit = crs_cert(PARAMS, key, STATEMENT, residual, rng, audit=True)
+        audit = crs_cert(PARAMS, key, residual, rng, audit=True)
         assert b == 1 and audit.accepted
         assert audit.sig_test_prob == pytest.approx(1.0)
 
@@ -282,7 +282,7 @@ class TestCert:
             rng = stream(trial, "unc")
             crs = crs_setup(rng)
             sigma, key = crs_prove(PARAMS, crs, STATEMENT, WITNESS, rng)
-            post = cert_uncompute(PARAMS, key, STATEMENT, sigma)
+            post = cert_uncompute(PARAMS, key, sigma)
             expected = append_register(
                 append_register(prep_bb84(Bb84Descriptor(key.y, key.theta)), PARAMS.proof_width),
                 PARAMS.sig_bits,
@@ -306,7 +306,7 @@ class TestCert:
                 sigma.state, list(range(PARAMS.r_qubits)), ["Z"] * PARAMS.r_qubits, rng
             )
             returned = CrsProofState(collapsed, sigma.ct0, sigma.ct1)
-            passes += int(crs_cert(PARAMS, key, STATEMENT, returned, rng))
+            passes += int(crs_cert(PARAMS, key, returned, rng))
             expected += 2.0 ** (-int(key.theta.sum()))
         sigma_bound = math.sqrt(trials) * 0.5
         assert abs(passes - expected) <= 3 * sigma_bound + 1
@@ -322,7 +322,7 @@ class TestCert:
         forged = CrsProofState(
             SparseState(sigma.state.num_qubits, forged_amps), sigma.ct0, sigma.ct1
         )
-        assert crs_cert(PARAMS, key, STATEMENT, forged, rng) is False
+        assert crs_cert(PARAMS, key, forged, rng) is False
 
     def test_partial_forgery_is_projected_out(self, rng):
         # one forged term dies under the Test projector: the signature
@@ -337,7 +337,7 @@ class TestCert:
         from cenizk.state import SparseState
 
         mixed = CrsProofState(SparseState(sigma.state.num_qubits, amps), sigma.ct0, sigma.ct1)
-        audit = crs_cert(PARAMS, key, STATEMENT, mixed, rng, audit=True)
+        audit = crs_cert(PARAMS, key, mixed, rng, audit=True)
         assert audit.sig_test_prob == pytest.approx(1.0 - 1.0 / terms)
         assert audit.post_uncompute.num_terms() == terms - 1
 
@@ -370,7 +370,7 @@ class TestClone:
             crs = crs_setup(rng)
             sigma, key = crs_prove(PARAMS, crs, STATEMENT, WITNESS, rng)
             clone = clone_attack(PARAMS, sigma)
-            passes += int(cert_original_after_clone(PARAMS, key, STATEMENT, clone, rng))
+            passes += int(cert_original_after_clone(PARAMS, key, clone, rng))
         # expected pass rate is E[2^-wt(theta)] = (3/4)^16 ~ 1%
         assert passes <= 6
 
@@ -511,7 +511,7 @@ class TestPsMemo:
             for k in (key, key_from_wire(seed)):
                 rng = stream(seed, "clonecert")
                 audits.append(_certify(PARAMS, k, clone.state, clone.original, rng))
-                assert cert_original_after_clone(PARAMS, k, STATEMENT, clone, stream(seed, "clonecert")) == (
+                assert cert_original_after_clone(PARAMS, k, clone, stream(seed, "clonecert")) == (
                     audits[-1].accepted
                 )
             assert_same_audit(*audits)
@@ -526,7 +526,7 @@ class TestPsMemo:
             amps[some_key ^ 1] = amps.pop(some_key)
             mixed = CrsProofState(SparseState(residual.state.num_qubits, amps), residual.ct0, residual.ct1)
             audits = [
-                crs_cert(PARAMS, k, STATEMENT, mixed, stream(seed, "certify"), audit=True)
+                crs_cert(PARAMS, k, mixed, stream(seed, "certify"), audit=True)
                 for k in (key, key_from_wire(seed))
             ]
             assert audits[0].sig_test_prob == pytest.approx(1.0 - 1.0 / len(amps))
@@ -550,7 +550,7 @@ class TestPsMemo:
 
         monkeypatch.setattr(crs_protocol, "_prf_mask", counted_prf_mask)
         _, residual, key = honest_session(seed)
-        assert crs_cert(PARAMS, key, STATEMENT, residual, stream(seed, "certify"))
+        assert crs_cert(PARAMS, key, residual, stream(seed, "certify"))
         terms = 2 ** int(key.theta.sum())
         assert len(calls) == terms
         support = {k >> (PARAMS.proof_width + PARAMS.sig_bits) for k in residual.state.amps}
@@ -565,7 +565,7 @@ class TestPsMemo:
         other = CrsParams(sig_width=8)
         bb84 = prep_bb84(Bb84Descriptor(key.y, key.theta))
         sigma = CrsProofState(append_register(bb84, other.proof_width + other.sig_bits), residual.ct0, residual.ct1)
-        attached = [cert_uncompute(other, k, STATEMENT, sigma) for k in (key, key_from_wire(0))]
+        attached = [cert_uncompute(other, k, sigma) for k in (key, key_from_wire(0))]
         assert list(attached[0].amps.items()) == list(attached[1].amps.items())
         assert set(key._ps_memo) == {PARAMS, other}
         assert list(key._ps_memo[PARAMS].items()) == before

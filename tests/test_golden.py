@@ -1,12 +1,20 @@
 """Golden transcript digests: SHA-256 of serialize_transcript(run_session(...))
 for fixed seeds. Any change to a verdict, an RNG draw order or a CENZ1
-byte shows up here."""
+byte shows up here.
 
+Each session is pinned twice: by its CENZ1 version-2 bytes, and by the
+version-1 bytes it re-expands to (the EPR 0/1 arrays unpacked into
+their v1 layout and key order, and 1 in the version field). The v1
+digests are the ones recorded before the EPR payloads were bit-packed,
+so they show that the move to v2 changed no draw, verdict or other byte."""
+
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
+from cenizk import wire
 from cenizk.attacks import (
     ADV_BASIS_INFORMED,
     ADV_KEEP_STATE,
@@ -31,6 +39,7 @@ from cenizk.harness import default_epr_params, run_session, serialize_transcript
 from cenizk.hbnizk import HbParams
 from cenizk.rng import stream
 from cenizk.state import dump_lines
+from conftest import epr_message_arrays
 
 GOLDEN = {
     ("epr", 0): "e18e37f0b8757ead19febf4968926a18de2f7180b3a0c30acd7d58591ffb5ec0",
@@ -49,6 +58,23 @@ GOLDEN = {
     ("crs-dry", 3): "e407e72b3c36d989b26c92c2316cde3299114d43800ab2ab1520672bb9f3a9f2",
     ("crs-dry", 4): "8f82a1af5825c5fc5efe332496f2b0e7aaf1edab647f1685907778502913239b",
 }
+GOLDEN_V2 = {
+    ("epr", 0): "07c42c915a1891cf9925e797244734bb9a756a59e5196bd630e54f0f9af508d7",
+    ("epr", 1): "06bc61bb872020eafd490015f99f733dd4bff06ab3fcb123b749dc2d19595a17",
+    ("epr", 2): "8eb782e1312138d99f42fb4ab9d5664605800bcf90691f7faa8e82593a6e5f8f",
+    ("epr", 3): "51dcc8009104616b71958f7b5998b929e8b981e09ea2001e6a9e6e8691170ed8",
+    ("epr", 4): "30d7fb7d2e1ffbcf067c5cafc66fb5360a809892f354af2b8a4dada6dbde62c7",
+    ("crs-toy", 0): "a89bfe207257bb0151576150c0ed0d3712bb606946d1bca1fa69eed87470215e",
+    ("crs-toy", 1): "77a8a70cdd7f32948d3851f161a3508987a01d805a679630de1e41c55dc0334d",
+    ("crs-toy", 2): "972a049d552e68e15fad50fd7afd18caa2ab803cfacfc334d9fbc01f654128f7",
+    ("crs-toy", 3): "ec65e8f8c68a79083004611f88aa8d9963a2467265a50dc6eba4e36f2ae1a0c5",
+    ("crs-toy", 4): "f19e3211abbe52f1d3a9440f94f1f7b39f18d2a03d65ca628e17d0529d58d9b1",
+    ("crs-dry", 0): "d36442e96104804946725eab9bcbbfd2973411c22e57f67f98d9d19f93bff793",
+    ("crs-dry", 1): "14ff82ad16a7eba33efebe0da103be98a63e09c22b8537bf0fb26a6f53d8c231",
+    ("crs-dry", 2): "ba9c134abea7438b0bb89beba749a773787f8d28e7200d26c688f489573d127d",
+    ("crs-dry", 3): "8fc17fc1b45977acff73c76796c1b0c40ca1fd64843368e61ca8d4603a0f028c",
+    ("crs-dry", 4): "31db21054f6f782defdc09dd0ab9bcc81243e033ee6c77669732dec9033a8311",
+}
 
 # default EPR session with the naor-mode generator: the proof carries a
 # SubsetOpening (positions and seeds) instead of a dealer receipt
@@ -57,29 +83,63 @@ NAOR_GOLDEN = {
     0: "81fb9272418484a695a7bda67b26c63f5cabf1719e8c821e16e9b2a34c2adeb6",
     1: "2d0289f9de6105917f4657286d147a6cb18f1803b3698ac0ea203f44568e4d0a",
 }
+NAOR_GOLDEN_V2 = {
+    0: "3caf40f4e15585e43d8b77667fe03c12dea65636453616390d6b1584e7d405b2",
+    1: "fc7876294ce32d148d27db2158c2f6bd4bf5549fdd0108205055d4c122261ed5",
+}
 
 # criterion-1 shape: 4,915,200 EPR pairs
 CRITERION_1 = {"n": 4, "reps": 20, "m": 64, "b": 10, "k": 6, "hbg": "dealer", "hbg_s": 12}
 CRITERION_1_SEED0 = "0e09d547a29f4fb9b63c0c02de1e1c568526e04ab179be92f9dde24754caf69d"
+CRITERION_1_SEED0_V2 = "1e3a9b74239e7ca9a2189f319aa44628b2865ec2a46ab49e6a1493a3793c7010"
 
 
-def _digest(protocol, params, seed):
-    return hashlib.sha256(serialize_transcript(run_session(protocol, params, seed))).hexdigest()
+def _v1_bytes(t) -> bytes:
+    """The CENZ1 version-1 serialization of transcript t: each EPR 0/1
+    array unpacked (s, the opened mask back to int64 I, theta_I as
+    (|I|, k) uint8, the certificate's outcomes), each payload re-encoded
+    in v1 key order, and 1 in the version field."""
+    if t.protocol == "epr":
+        arrays, messages = epr_message_arrays(t), []
+        for role, step, payload in t.messages:
+            p = wire.decode(payload)
+            if step == "crs":
+                p = {"s": arrays["s"], "hbg": p["hbg"]}
+            elif step == "proof":
+                p = {
+                    "I": arrays["I"],
+                    "com": p["com"],
+                    "theta_I": arrays["theta_I"],
+                    "op": p["op"],
+                    "pi_hb": p["pi_hb"],
+                }
+            elif step == "deletion-cert":
+                p = {"blocks": p["blocks"], "outcomes": arrays["outcomes"]}
+            messages.append((role, step, wire.encode(p)))
+        t = dataclasses.replace(t, messages=messages)
+    data = serialize_transcript(t)
+    return data[:5] + (1).to_bytes(2, "big") + data[7:]
+
+
+def _digests(protocol, params, seed) -> tuple[str, str]:
+    """(v2, v1) SHA-256 digests of one session's transcript."""
+    t = run_session(protocol, params, seed)
+    return tuple(hashlib.sha256(data).hexdigest() for data in (serialize_transcript(t), _v1_bytes(t)))
 
 
 @pytest.mark.parametrize("protocol,seed", sorted(GOLDEN))
 def test_default_session_digest(protocol, seed):
-    assert _digest(protocol, None, seed) == GOLDEN[(protocol, seed)]
+    assert _digests(protocol, None, seed) == (GOLDEN_V2[(protocol, seed)], GOLDEN[(protocol, seed)])
 
 
 @pytest.mark.parametrize("seed", sorted(NAOR_GOLDEN))
 def test_naor_session_digest(seed):
     assert NAOR == {**default_epr_params(), "hbg": "naor"}
-    assert _digest("epr", NAOR, seed) == NAOR_GOLDEN[seed]
+    assert _digests("epr", NAOR, seed) == (NAOR_GOLDEN_V2[seed], NAOR_GOLDEN[seed])
 
 
 def test_criterion_1_session_digest():
-    assert _digest("epr", CRITERION_1, 0) == CRITERION_1_SEED0
+    assert _digests("epr", CRITERION_1, 0) == (CRITERION_1_SEED0_V2, CRITERION_1_SEED0)
 
 
 # ---------------------------------------------------------------------

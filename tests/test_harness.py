@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cenizk import epr_protocol as ep
 from cenizk import wire
 from cenizk.cli import main as cli_main
+from cenizk.graphs import canonical_cycle, complete_digraph
 from cenizk.harness import MAGIC, SIZE_CAPS, VERSION, _require_params
 from cenizk.harness import (
     Transcript,
@@ -20,7 +22,9 @@ from cenizk.harness import (
     run_session,
     serialize_transcript,
 )
+from cenizk.hbnizk import HbParams
 from cenizk.rng import stream
+from conftest import epr_message_arrays
 
 # wire-encodable value strategy (scalars, arrays, nested containers)
 scalars = st.one_of(
@@ -133,6 +137,11 @@ class TestWire:
         assert not any(isinstance(leaf, memoryview) for leaf in leaves(wire.decode(wire.encode(obj))))
 
 
+# an EPR session that leaves blocks unopened at seed 0: the criterion-3
+# quantum-output shape with the naor generator
+UNOPENED_PARAMS = {"n": 2, "reps": 8, "m": 2, "b": 1, "k": 2, "hbg": "naor", "hbg_s": 12}
+
+
 class TestTranscriptSerialization:
     def _sample(self, seed=3):
         t = run_session("epr", None, seed)
@@ -172,6 +181,18 @@ class TestTranscriptSerialization:
         bad = data[:5] + (99).to_bytes(2, "big") + data[7:]
         with pytest.raises(TranscriptError):
             deserialize_transcript(bad)
+
+    def test_version_1_file_is_refused(self, capsys, tmp_path):
+        # a well-formed body behind version 1: v1 EPR payloads are not bit-packed
+        assert VERSION == 2
+        data = serialize_transcript(self._sample())
+        v1 = MAGIC + (1).to_bytes(2, "big") + data[7:]
+        with pytest.raises(TranscriptError, match="version 1$"):
+            deserialize_transcript(v1)
+        path = tmp_path / "v1.cenz"
+        path.write_bytes(v1)
+        assert cli_main(["certify", "--in", str(path)]) == 2
+        assert "unsupported transcript version 1" in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -222,15 +243,39 @@ class TestDeterminism:
             wire.encode({"state": SparseState(1, {0: 1.0 + 0.0j})})
 
     def test_epr_messages_reveal_theta_only_for_opened_blocks(self):
-        t = run_session("epr", None, 12)
+        # the naor generator opens a subset of positions; at this seed two
+        # blocks stay unopened
+        t = run_session("epr", UNOPENED_PARAMS, 0)
         payload = wire.decode(next(p for role, step, p in t.messages if step == "proof"))
-        k = int(t.params["k"])
-        assert payload["theta_I"].shape[0] == len(payload["I"])
-        if payload["op"]["kind"] == "subset":
-            allowed = {
-                int(i) * k + j for i in payload["I"] for j in range(k)
-            }
-            assert set(int(p) for p in payload["op"]["positions"]) <= allowed
+        assert list(payload) == ["opened", "com", "theta_I", "op", "pi_hb"]
+        arrays, k = epr_message_arrays(t), UNOPENED_PARAMS["k"]
+        ell = len(arrays["s"])
+        assert 0 < len(arrays["I"]) < ell
+        assert payload["opened"].dtype == np.uint8 and len(payload["opened"]) == (ell + 7) // 8
+        assert payload["theta_I"].dtype == np.uint8 and len(payload["theta_I"]) == (len(arrays["I"]) * k + 7) // 8
+        assert payload["op"]["kind"] == "subset"
+        allowed = {int(i) * k + j for i in arrays["I"] for j in range(k)}
+        assert set(int(p) for p in payload["op"]["positions"]) == allowed
+
+    def test_epr_payloads_unpack_to_the_protocol_objects(self):
+        seed = 0
+        pp = ep.EprParams(
+            hb=HbParams(n=2, repetitions=8, matrix_side=2, block_len=1), block_width=2, hbg_mode="naor"
+        )
+        x, witness = complete_digraph(2), canonical_cycle(2)
+        crs, network = ep.epr_setup(pp, stream(seed, "setup"))
+        proof, _ = ep.epr_prove(pp, crs, network, x, witness, stream(seed, "prove"))
+        _, residual = ep.epr_verify(pp, crs, network, x, proof, stream(seed, "verify"))
+        cert, _ = ep.epr_delete(pp, residual, stream(seed, "delete"))
+        assert len(cert.blocks) > 0
+        arrays = epr_message_arrays(run_session("epr", UNOPENED_PARAMS, seed))
+        for got, want in [
+            (arrays["s"], crs.s),
+            (arrays["I"], proof.I),
+            (arrays["theta_I"], proof.theta_I),
+            (arrays["outcomes"], cert.outcomes),
+        ]:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestExperiments:
