@@ -25,7 +25,7 @@ from . import hbg as hbg_mod
 from . import rng as rng_mod
 from .bits import as_bit_array, int_to_bits
 from .graphs import CycleWitness, Digraph
-from .hbnizk import HbParams, HbProof, hb_prove, hb_verify
+from .hbnizk import HbParams, HbProof, _well_shaped, hb_prove, hb_verify
 
 # ---------------------------------------------------------------------
 # toy linear-code NIZK (proof length 4)
@@ -104,7 +104,7 @@ class CompiledCrs:
 @dataclass(frozen=True)
 class CompiledProof:
     com: hbg_mod.HbgCommitment
-    I: np.ndarray
+    opened: np.ndarray  # (hb.total_bits,) bool mask of the revealed positions
     r_bg_I: np.ndarray  # generator bits claimed at the revealed positions
     opening: object
     pi_hb: HbProof
@@ -134,15 +134,17 @@ def compiled_prove(
 ) -> CompiledProof:
     com, r_bg, opening = hbg_mod.hbg_genbits(crs.crs_bg, rng)
     r = r_bg ^ crs.s
-    I, pi_hb = hb_prove(r, x, witness, spec.hb)
-    return CompiledProof(com, I, r_bg[I].copy(), hbg_mod.restrict_opening(opening, I), pi_hb)
+    opened, pi_hb = hb_prove(r, x, witness, spec.hb)
+    return CompiledProof(com, opened, r_bg[opened], hbg_mod.restrict_opening(opening, np.flatnonzero(opened)), pi_hb)
 
 
 def compiled_verify(spec: CompiledSpec, crs: CompiledCrs, x: Digraph, proof: CompiledProof) -> int:
-    if not hbg_mod.hbg_verify_batch(crs.crs_bg, proof.com, proof.I, proof.r_bg_I, proof.opening):
+    opened = proof.opened
+    if not _well_shaped(opened, spec.hb.total_bits) or not hbg_mod.hbg_verify_batch(
+        crs.crs_bg, proof.com, np.flatnonzero(opened), proof.r_bg_I, proof.opening
+    ):
         return 0
-    r_I = proof.r_bg_I ^ crs.s[proof.I]
-    return int(hb_verify(proof.I, r_I, x, proof.pi_hb, spec.hb))
+    return int(hb_verify(opened, proof.r_bg_I ^ crs.s[opened], x, proof.pi_hb, spec.hb))
 
 
 __all__ = [

@@ -531,7 +531,7 @@ class DryRunRecord:
 def _compiled_proof_bits(proof) -> np.ndarray:
     payload = {
         "com": proof.com.data,
-        "I": proof.I,
+        "I": np.flatnonzero(proof.opened),
         "r": proof.r_bg_I,
         "op": wire.opening_payload(proof.opening),
         "pi": wire.hbproof_payload(proof.pi_hb),
@@ -540,13 +540,24 @@ def _compiled_proof_bits(proof) -> np.ndarray:
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8)).astype(np.uint8)
 
 
-def _compiled_proof_from_bits(bits: np.ndarray):
+def _opened_from_indices(I, total_bits: int) -> np.ndarray:
+    """The opened mask of a wire index list: ValueError unless I is flat
+    and strictly increasing inside [0, total_bits)."""
+    I = np.asarray(I, dtype=np.int64)
+    if I.ndim != 1 or (len(I) and ((I[1:] <= I[:-1]).any() or I[0] < 0 or I[-1] >= total_bits)):
+        raise ValueError("opened positions must be strictly increasing inside the hidden string")
+    opened = np.zeros(total_bits, dtype=bool)
+    opened[I] = True
+    return opened
+
+
+def _compiled_proof_from_bits(bits: np.ndarray, total_bits: int):
     try:
         raw = np.packbits(bits).tobytes()
         payload = wire.decode(raw)
         return CompiledProof(
             HbgCommitment(payload["com"]),
-            np.asarray(payload["I"], dtype=np.int64),
+            _opened_from_indices(payload["I"], total_bits),
             np.asarray(payload["r"], dtype=np.uint8),
             wire.opening_from_payload(payload["op"]),
             wire.hbproof_from_payload(payload["pi"]),
@@ -563,7 +574,7 @@ def _lamport_sign(pre, z) -> list[int]:
 def _dry_inner_verify(crs_in, x, candidate_bits) -> int:
     # crs_in here is a (CompiledSpec, CompiledCrs) pair; see crs_setup_dry
     spec, crs = crs_in
-    proof = _compiled_proof_from_bits(as_bit_array(candidate_bits))
+    proof = _compiled_proof_from_bits(as_bit_array(candidate_bits), spec.hb.total_bits)
     if proof is None:
         return 0
     return compiled_verify(spec, crs, x, proof)

@@ -8,6 +8,11 @@ its block's theta entries through the generator; deleting a bit means
 Hadamard-measuring the block and returning the outcomes, which the
 prover checks against its recorded values wherever theta is 1.
 
+The opened set is the hidden-bits layer's (ell,) bool mask over blocks;
+deletion covers the rest. An all-True mask skips every index array over
+the pairs. A rejected well-shaped mask stays the verifier's opened set;
+a malformed one opens nothing.
+
 The prover certification reference is the recorded y: the prover's own
 theta-basis measurement already produced the Hadamard-position values
 Cert compares against, so no re-measurement happens (the certificate
@@ -33,7 +38,7 @@ from .hbnizk import (
     HbParams,
     HbProof,
     RepRevealAll,
-    _opened_set_ok,
+    _well_shaped,
     cheat_prove,
     hb_prove,
     hb_simulate,
@@ -67,10 +72,10 @@ class EprCrs:
 
 @dataclass(frozen=True)
 class EprProof:
-    I: np.ndarray  # opened hidden-bit indices == opened blocks
+    opened: np.ndarray  # (ell,) bool mask of opened hidden bits == opened blocks
     pi_hb: HbProof
     com: hbg_mod.HbgCommitment
-    theta_I: np.ndarray  # (|I|, k) basis rows for opened blocks only
+    theta_I: np.ndarray  # (opened count, k) basis rows for opened blocks only
     op_I: object  # generator openings restricted to opened positions
 
 
@@ -78,13 +83,13 @@ class EprProof:
 class EprProverState:
     y: np.ndarray  # (ell, k) recorded outcomes
     theta: np.ndarray  # (ell, k)
-    I: np.ndarray
+    opened: np.ndarray
     network: EprNetwork
 
 
 @dataclass(frozen=True)
 class EprVerifierState:
-    I: np.ndarray  # the blocks verification opened: a valid opened set
+    opened: np.ndarray  # the blocks verification opened: a well-shaped mask
     network: EprNetwork
 
 
@@ -94,37 +99,16 @@ class EprDeletionCert:
     outcomes: np.ndarray  # (len(blocks), k) Hadamard outcomes
 
 
-def _every_block(I: np.ndarray, ell: int) -> bool:
-    """Whether a valid opened set is all of 0..ell-1.
-
-    Only for an I that passed `_opened_set_ok(I, ell)` (hb_prove's and
-    the verifier state's are valid by construction, a proof's only after
-    validation): such an I is strictly increasing inside [0, ell), so it
-    is every block exactly when it has ell entries. At the
-    criterion-1 shape almost every repetition is reveal-all, and this
-    lets the session skip index arrays that would span every pair."""
-    return len(I) == ell
+def _opened_rows(a: np.ndarray, opened: np.ndarray) -> np.ndarray:
+    """a[opened]; a itself (no copy) when every block is opened."""
+    return a if opened.all() else a[opened]
 
 
-def _opened_rows(a: np.ndarray, I: np.ndarray, ell: int) -> np.ndarray:
-    """a[I] for a valid opened set I; a itself (no copy) when I is every block."""
-    return a if _every_block(I, ell) else a[I]
-
-
-def _block_positions(I: np.ndarray, ell: int, k: int) -> np.ndarray | range:
-    """Generator positions of the blocks of a valid opened set I."""
-    if _every_block(I, ell):
-        return range(ell * k)
-    return (I[:, None] * k + np.arange(k)).ravel()
-
-
-def _unopened_blocks(ell: int, I: np.ndarray) -> np.ndarray:
-    """The blocks outside a valid opened set I, sorted."""
-    if _every_block(I, ell):
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(ell, dtype=bool)
-    mask[I] = False
-    return np.flatnonzero(mask).astype(np.int64)
+def _block_positions(opened: np.ndarray, k: int) -> np.ndarray | range:
+    """Generator positions of the blocks of a well-shaped mask."""
+    if opened.all():
+        return range(len(opened) * k)
+    return np.flatnonzero(np.repeat(opened, k))
 
 
 # ---------------------------------------------------------------------
@@ -152,17 +136,17 @@ def epr_prove(
     y = network.measure_blocks(ROLE_P, theta, rng)
     t = masked_parity(theta, y)
     r = t ^ crs.s
-    I, pi_hb = hb_prove(r, x, witness, params.hb)
-    return _assemble_proof(params, I, pi_hb, com, theta, opening), EprProverState(y, theta, I, network)
+    opened, pi_hb = hb_prove(r, x, witness, params.hb)
+    return _assemble_proof(params, opened, pi_hb, com, theta, opening), EprProverState(y, theta, opened, network)
 
 
 def _assemble_proof(
-    params: EprParams, I: np.ndarray, pi_hb: HbProof, com, theta: np.ndarray, opening
+    params: EprParams, opened: np.ndarray, pi_hb: HbProof, com, theta: np.ndarray, opening
 ) -> EprProof:
-    """The proof for a valid opened set I: theta's rows and the generator
-    openings on I's blocks."""
-    op_I = hbg_mod.restrict_opening(opening, _block_positions(I, params.num_blocks, params.block_width))
-    return EprProof(I, pi_hb, com, _opened_rows(theta, I, params.num_blocks), op_I)
+    """The proof for an opened mask: theta's rows and the generator
+    openings on its blocks."""
+    op_I = hbg_mod.restrict_opening(opening, _block_positions(opened, params.block_width))
+    return EprProof(opened, pi_hb, com, _opened_rows(theta, opened), op_I)
 
 
 def epr_verify(
@@ -173,39 +157,35 @@ def epr_verify(
     proof: EprProof,
     rng: np.random.Generator,
 ) -> tuple[int, EprVerifierState]:
-    I, ell = np.asarray(proof.I, dtype=np.int64), params.num_blocks
-    if not _opening_ok(params, crs, proof, I):
-        # a rejected I opens each of its in-range entries once
-        return 0, EprVerifierState(np.unique(I[(I >= 0) & (I < ell)]), network)
-    blocks = None if _every_block(I, ell) else I
+    opened, ell = proof.opened, params.num_blocks
+    if not _opening_ok(params, crs, proof):
+        # a rejected mask stays the opened set if well shaped; a malformed one opens nothing
+        return 0, EprVerifierState(opened if _well_shaped(opened, ell) else np.zeros(ell, dtype=bool), network)
+    blocks = None if opened.all() else np.flatnonzero(opened)
     y_I = network.measure_blocks(ROLE_V, proof.theta_I, rng, blocks=blocks)
-    return _hidden_bits_verdict(params, crs, x, proof, I, y_I), EprVerifierState(I, network)
+    return _hidden_bits_verdict(params, crs, x, proof, y_I), EprVerifierState(opened, network)
 
 
-def _opening_ok(params: EprParams, crs: EprCrs, proof: EprProof, I: np.ndarray) -> bool:
-    """I is a valid opened set and the generator opens theta on its blocks."""
-    k = params.block_width
-    if not _opened_set_ok(I, params.num_blocks) or proof.theta_I.shape != (len(I), k):
+def _opening_ok(params: EprParams, crs: EprCrs, proof: EprProof) -> bool:
+    """The opened mask is well shaped and the generator opens theta on its blocks."""
+    opened, k = proof.opened, params.block_width
+    if not _well_shaped(opened, params.num_blocks) or proof.theta_I.shape != (np.count_nonzero(opened), k):
         return False
-    positions = _block_positions(I, params.num_blocks, k)
+    positions = _block_positions(opened, k)
     return bool(hbg_mod.hbg_verify_batch(crs.crs_bg, proof.com, positions, proof.theta_I.ravel(), proof.op_I))
 
 
-def _hidden_bits_verdict(
-    params: EprParams, crs: EprCrs, x: Digraph, proof: EprProof, I: np.ndarray, y_I: np.ndarray
-) -> int:
-    """hb_verify on the opened hidden bits r_I = parity(y_I) ^ s_I, for an
-    I that `_opening_ok` has validated (so it is not checked again)."""
-    r_I = masked_parity(proof.theta_I, y_I) ^ _opened_rows(crs.s, I, params.num_blocks)
-    return int(hb_verify(I, r_I, x, proof.pi_hb, params.hb, opened_ok=True))
+def _hidden_bits_verdict(params: EprParams, crs: EprCrs, x: Digraph, proof: EprProof, y_I: np.ndarray) -> int:
+    """hb_verify on the opened hidden bits r_I = parity(y_I) ^ s_I."""
+    r_I = masked_parity(proof.theta_I, y_I) ^ _opened_rows(crs.s, proof.opened)
+    return int(hb_verify(proof.opened, r_I, x, proof.pi_hb, params.hb))
 
 
 def epr_delete(
     params: EprParams, residual: EprVerifierState, rng: np.random.Generator
 ) -> tuple[EprDeletionCert, EprVerifierState]:
-    ell, k = params.num_blocks, params.block_width
-    unopened = _unopened_blocks(ell, residual.I)
-    bases = np.ones((len(unopened), k), dtype=np.uint8)
+    unopened = np.flatnonzero(~residual.opened)
+    bases = np.ones((len(unopened), params.block_width), dtype=np.uint8)
     outcomes = residual.network.measure_blocks(ROLE_V, bases, rng, blocks=unopened)
     return EprDeletionCert(unopened, outcomes), residual
 
@@ -213,8 +193,7 @@ def epr_delete(
 def epr_cert(params: EprParams, cert: EprDeletionCert, prover: EprProverState) -> bool:
     """Accept iff the certificate covers every unopened block and matches
     the recorded y wherever theta is 1 (theta=0 positions are ignored)."""
-    ell = params.num_blocks
-    unopened = _unopened_blocks(ell, prover.I)
+    unopened = np.flatnonzero(~prover.opened)
     blocks = np.asarray(cert.blocks, dtype=np.int64)
     if blocks.shape != unopened.shape or np.any(blocks != unopened):
         return False
@@ -246,10 +225,9 @@ def hypothetical_verifier(
     verifies from the computational-basis values alone. Never used in
     certification flows."""
     y_all = premeasure_all_z(params, network, rng)
-    I = np.asarray(proof.I, dtype=np.int64)
-    if not _opening_ok(params, crs, proof, I):
+    if not _opening_ok(params, crs, proof):
         return 0
-    return _hidden_bits_verdict(params, crs, x, proof, I, _opened_rows(y_all, I, params.num_blocks))
+    return _hidden_bits_verdict(params, crs, x, proof, _opened_rows(y_all, proof.opened))
 
 
 # ---------------------------------------------------------------------
@@ -264,11 +242,10 @@ def forged_proof_prover(
     generator verification rejects these outright."""
     ell, k = params.num_blocks, params.block_width
     com = hbg_mod.HbgCommitment(rng.integers(0, 256, size=16, dtype=np.uint8).tobytes())
-    I = np.arange(ell, dtype=np.int64)
     theta_I = rng_mod.bits(rng, (ell, k))
     op = hbg_mod.DealerOpening(rng.integers(0, 256, size=16, dtype=np.uint8).tobytes())
     pi_hb = HbProof(tuple(RepRevealAll() for _ in range(params.hb.repetitions)))
-    return EprProof(I, pi_hb, com, theta_I, op)
+    return EprProof(np.ones(ell, dtype=bool), pi_hb, com, theta_I, op)
 
 
 def greedy_basis_prover(
@@ -299,14 +276,14 @@ def greedy_basis_prover(
         theta = theta_flat.reshape(ell, k)
         t = masked_parity(theta, y)
         r = t ^ crs.s
-        I, pi_hb, coverable = cheat_prove(r, x, params.hb, rng)
+        opened, pi_hb, coverable = cheat_prove(r, x, params.hb, rng)
         if coverable > best_good:
             best_good = coverable
-            best = (com, theta, opening, pi_hb, I)
+            best = (com, theta, opening, pi_hb, opened)
         if coverable == params.hb.repetitions:
             break
-    com, theta, opening, pi_hb, I = best
-    return _assemble_proof(params, I, pi_hb, com, theta, opening)
+    com, theta, opening, pi_hb, opened = best
+    return _assemble_proof(params, opened, pi_hb, com, theta, opening)
 
 
 # ---------------------------------------------------------------------
@@ -367,13 +344,13 @@ def epr_sim(params, x, vstar: VStar, rng):
     com, theta_flat, opening = hbg_mod.hbg_genbits(crs_bg, rng)
     theta = theta_flat.reshape(ell, k)
     network = prep_epr(ell, k)
-    I, r_I, pi_hb = hb_simulate(x, params.hb, rng)
+    opened, r_I, pi_hb = hb_simulate(x, params.hb, rng)
     y = network.measure_blocks(ROLE_P, theta, rng)
     t = masked_parity(theta, y)
     s = rng_mod.bits(rng, ell)
-    s[I] = t[I] ^ r_I
-    proof = _assemble_proof(params, I, pi_hb, com, theta, opening)
-    return _cert_gate(params, EprCrs(crs_bg, s), x, proof, EprProverState(y, theta, I, network), vstar, rng)
+    s[opened] = t[opened] ^ r_I
+    proof = _assemble_proof(params, opened, pi_hb, com, theta, opening)
+    return _cert_gate(params, EprCrs(crs_bg, s), x, proof, EprProverState(y, theta, opened, network), vstar, rng)
 
 
 def _cert_gate(params, crs, x, proof, prover: EprProverState, vstar: VStar, rng):

@@ -139,11 +139,13 @@ def default_crs_params() -> dict:
     return {"lam": 2, "witness": "1011", "sig_width": 16}
 
 
-# Size caps on session params, so that a params dict (a replayed
-# transcript's among them) cannot ask for an unbounded session. Each cap
-# sits above every shape the acceptance suite and the benchmark run: the
-# largest EPR session is criterion 1's 4,915,200 pairs, every CRS session
-# uses lam=2 and sig_width=16. A key "a*b" caps the product of params a, b.
+# Size caps on session and experiment params, so that a params dict (a
+# replayed transcript's among them) cannot ask for an unbounded run. Each
+# cap sits above every shape the acceptance suite and the benchmark run:
+# the largest EPR session is criterion 1's 4,915,200 pairs, every CRS
+# session uses lam=2 and sig_width=16, the deletion experiments run at
+# lam 2-8 (8 in the deletion digest) and hbg-binding at s=12, k=8. A key
+# "a*b" caps the product of params a, b.
 SIZE_CAPS = {
     # reps*m*m*b*k is the EPR pair count (hidden bits times block width)
     "epr": {"reps*m*m*b*k": 1 << 23},
@@ -152,6 +154,11 @@ SIZE_CAPS = {
     # the dry run hashes 2*ell encoding positions per unit of lam (4,160
     # at its fixed triangle statement)
     "crs-dry": {"lam": 16, "sig_width": 64},
+    # prep_bb84 builds 2^wt(theta) terms, up to 2^lam, on every trial
+    **dict.fromkeys(("deletion-honest-td", "deletion-leaking-td", "deletion-keep-state"), {"lam": 8}),
+    # Open hashes all 2^s seeds (kept below OPEN_SEED_LIMIT, which is
+    # checked only after GenBits); each trial makes k PRG calls and k scans
+    "hbg-binding": {"s": 16, "k": 1024},
 }
 
 
@@ -218,7 +225,7 @@ def _run_epr_session(params: dict, seed: int, stop: str) -> Transcript:
         return t
 
     proof, prover = ep.epr_prove(pp, crs, network, x, witness, stream(seed, "prove"))
-    t.add_message("prover", "proof", _epr_proof_payload(proof, pp.num_blocks))
+    t.add_message("prover", "proof", _epr_proof_payload(proof))
     t.add_record("prover", "measure-theta-basis", prover.theta, prover.y, "prove")
     if stop == "prove":
         return t
@@ -239,11 +246,9 @@ def _run_epr_session(params: dict, seed: int, stop: str) -> Transcript:
     return t
 
 
-def _epr_proof_payload(proof, ell: int) -> dict:
-    opened = np.zeros(ell, dtype=np.uint8)
-    opened[proof.I] = 1
+def _epr_proof_payload(proof) -> dict:
     return {
-        "opened": np.packbits(opened),
+        "opened": np.packbits(proof.opened),
         "com": proof.com.data,
         "theta_I": np.packbits(proof.theta_I),
         "op": wire.opening_payload(proof.op_I),

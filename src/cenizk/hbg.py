@@ -218,22 +218,26 @@ def hbg_genbits(crs, rng: np.random.Generator):
     raise ValueError(f"unknown hbg mode {crs.mode!r}")
 
 
+def _naor_opening_ok(opening, k: int) -> bool:
+    """A naor opening holds one seed per position it covers: k seeds, or
+    a flat seed array aligned with a flat position array."""
+    if isinstance(opening, NaorOpening):
+        return np.shape(opening.seeds) == (k,)
+    if isinstance(opening, SubsetOpening):
+        return np.ndim(opening.positions) == 1 and np.shape(opening.seeds) == np.shape(opening.positions)
+    return False
+
+
 def hbg_verify(crs, com: HbgCommitment, i: int, r_i: int, opening) -> bool:
     """Accept iff position i of com opens to bit r_i under the given proof."""
     params = crs.params
     if not 0 <= i < params.k:
         return False
     if crs.mode == "naor":
-        if isinstance(opening, NaorOpening):
-            seed = int(opening.seeds[i])
-        elif isinstance(opening, SubsetOpening):
-            found = opening.seed_at(i)
-            if found is None:
-                return False
-            seed = found
-        else:
+        if not _naor_opening_ok(opening, params.k):
             return False
-        if seed >> params.s:
+        seed = int(opening.seeds[i]) if isinstance(opening, NaorOpening) else opening.seed_at(i)
+        if seed is None or seed >> params.s:
             return False
         c = np.frombuffer(com.chunk(i, params.out_bytes), dtype=np.uint8)
         if len(c) != params.out_bytes:
@@ -271,7 +275,9 @@ def hbg_verify_batch(
         if entry is None or not isinstance(opening, DealerOpening) or opening.receipt != entry[1]:
             return False
         return bool(np.array_equal(entry[0][take], bits))
-    return all(hbg_verify(crs, com, int(i), int(b), opening) for i, b in zip(indices, bits))
+    return _naor_opening_ok(opening, params.k) and all(
+        hbg_verify(crs, com, int(i), int(b), opening) for i, b in zip(indices, bits)
+    )
 
 
 def hbg_open(crs, com: HbgCommitment) -> HbgOpenResult:

@@ -26,8 +26,9 @@ on a desk, so the soundness experiments here measure the
 fabricated-claim adversary (cheat_prove) and treat the reveal-all term
 analytically.
 
-The verifier receives only the opened values r_I; unopened hidden bits
-never cross the interface.
+The opened set is a (total_bits,) bool mask; any such mask is valid, so
+the verifier checks only dtype and shape. It receives only the opened
+values r_I, in mask order; unopened hidden bits never cross the interface.
 
 usefulness is the one decoding reference. Blocks of at most
 _TABLE_MAX_BITS bits (the criterion-3 fixtures: 4 bits at m=2, b=1
@@ -36,12 +37,13 @@ a table over every block value once per (m, b, n), and hb_prove,
 hb_verify and hb_simulate pack the blocks of all repetitions with one
 dot product and look them up. Larger blocks (criterion 1: 40,960
 bits) share one bits_to_matrix; usefulness sees only the matrices
-with n ones. required_positions is cached per (map, statement, m, b).
+with n ones. required_mask is cached per (map, statement, m, b).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -199,36 +201,37 @@ def useful_probability(m: int, b: int, n: int) -> float:
 # ---------------------------------------------------------------------
 
 
-def required_positions(vertex_map: tuple[int, ...], x: Digraph, params: HbParams) -> np.ndarray:
-    """Bit positions (within one block) a useful-claim must open: all of
+def required_mask(vertex_map: tuple[int, ...], x: Digraph, params: HbParams) -> np.ndarray:
+    """(bits_per_rep,) mask of the bits a useful-claim must open: all of
     them except the entries carrying statement edges under the map.
     Cached; the returned array is read-only."""
-    return _required_positions(
-        tuple(vertex_map), x.n, x.adjacency.tobytes(), params.matrix_side, params.block_len
-    )
+    return _required_mask(tuple(vertex_map), x.n, x.adjacency.tobytes(), params.matrix_side, params.block_len)
 
 
 @functools.lru_cache(maxsize=64)
-def _required_positions(vertex_map: tuple[int, ...], n: int, adjacency: bytes, m: int, b: int) -> np.ndarray:
+def _required_mask(vertex_map: tuple[int, ...], n: int, adjacency: bytes, m: int, b: int) -> np.ndarray:
     mask = np.ones(m * m * b, dtype=bool)
     for a, c in np.argwhere(np.frombuffer(adjacency, dtype=bool).reshape(n, n)):
         start = (vertex_map[a] * m + vertex_map[c]) * b
         mask[start : start + b] = False
-    need = np.flatnonzero(mask)
-    need.flags.writeable = False
-    return need
+    mask.flags.writeable = False
+    return mask
 
 
 def _opened_mask(vmaps: list[Optional[tuple[int, ...]]], x: Digraph, params: HbParams) -> np.ndarray:
     """(repetitions, bits_per_rep) mask of opened bits: the whole block
-    of a reveal-all repetition (map None), required_positions of a
+    of a reveal-all repetition (map None), required_mask of a
     useful-claim."""
     mask = np.ones((params.repetitions, params.bits_per_rep), dtype=bool)
     for rep, vmap in enumerate(vmaps):
         if vmap is not None:
-            mask[rep] = False
-            mask[rep, required_positions(vmap, x, params)] = True
+            mask[rep] = required_mask(vmap, x, params)
     return mask
+
+
+def _well_shaped(opened, bits: int) -> bool:
+    """opened is a flat bool mask over `bits` hidden bits, so a valid opened set."""
+    return isinstance(opened, np.ndarray) and opened.dtype == bool and opened.shape == (bits,)
 
 
 def _proof(vmaps: list[Optional[tuple[int, ...]]]) -> HbProof:
@@ -250,11 +253,6 @@ def _anchored_map(witness: CycleWitness, hidden: HiddenCycle) -> tuple[int, ...]
     return tuple(vmap)
 
 
-def _opened_set_ok(I: np.ndarray, bound: int) -> bool:
-    """I is a flat, strictly increasing index array inside [0, bound)."""
-    return I.ndim == 1 and not (len(I) and ((I[1:] <= I[:-1]).any() or I[0] < 0 or I[-1] >= bound))
-
-
 def _valid_map(vertex_map, params: HbParams) -> bool:
     if len(vertex_map) != params.n:
         return False
@@ -271,8 +269,8 @@ def _valid_map(vertex_map, params: HbParams) -> bool:
 def hb_prove(
     r: np.ndarray, x: Digraph, witness: CycleWitness, params: HbParams
 ) -> tuple[np.ndarray, HbProof]:
-    """Deterministic hidden-bits prover. Returns (I, proof) with I the
-    sorted global indices of opened bits."""
+    """Deterministic hidden-bits prover. Returns (opened, proof) with
+    opened the (total_bits,) mask of opened bits."""
     require_witness(x, witness)
     r = np.asarray(r, dtype=np.uint8)
     if r.shape != (params.total_bits,):
@@ -280,37 +278,34 @@ def hb_prove(
     decode = _block_decoder(params.matrix_side, params.block_len, params.n)
     hidden = decode(r.reshape(params.repetitions, params.bits_per_rep))
     vmaps = [None if cycle is None else _anchored_map(witness, cycle) for cycle in hidden]
-    return np.flatnonzero(_opened_mask(vmaps, x, params)), _proof(vmaps)
+    return _opened_mask(vmaps, x, params).ravel(), _proof(vmaps)
 
 
-def hb_verify(
-    I: np.ndarray, r_I: np.ndarray, x: Digraph, proof: HbProof, params: HbParams, opened_ok: bool = False
-) -> bool:
-    """Accept iff every repetition checks out. Malformed input rejects,
-    it never raises. opened_ok: the caller has already checked I with
-    `_opened_set_ok(I, params.total_bits)` (the EPR verifier does, before
-    its generator check), so it is not walked again."""
+def hb_verify(opened: np.ndarray, r_I: np.ndarray, x: Digraph, proof: HbProof, params: HbParams) -> bool:
+    """Accept iff every repetition checks out. opened must be a
+    (total_bits,) bool mask and r_I hold one value per opened bit.
+    Malformed input rejects, it never raises."""
     try:
-        I = np.asarray(I, dtype=np.int64)
         r_I = np.asarray(r_I, dtype=np.uint8)
     except (TypeError, ValueError):
         return False
-    if len(proof.reps) != params.repetitions or I.shape != r_I.shape:
-        return False
-    if not opened_ok and not _opened_set_ok(I, params.total_bits):
+    if len(proof.reps) != params.repetitions or not _well_shaped(opened, params.total_bits):
         return False
     kp = params.bits_per_rep
-    bounds = np.searchsorted(I, np.arange(params.repetitions + 1) * kp)
-    # reveal-all: kp positions inside a block are all of it (I is strictly
-    # increasing), and the block must decode as not useful
-    counts = (bounds[1:] - bounds[:-1]).tolist()
+    rows = opened.reshape(params.repetitions, kp)
+    counts = np.count_nonzero(rows, axis=1).tolist()
+    ends = list(itertools.accumulate(counts))  # r_I[ends[rep] - counts[rep] : ends[rep]] is rep's
+    if r_I.shape != (ends[-1],):
+        return False
+    # reveal-all: the whole row is opened, and the block must decode as
+    # not useful
     reveal = [rep for rep, rep_proof in enumerate(proof.reps) if isinstance(rep_proof, RepRevealAll)]
     if any(counts[rep] != kp for rep in reveal):
         return False
     if len(reveal) == params.repetitions:
         blocks = r_I.reshape(params.repetitions, kp)
     else:
-        blocks = r_I[bounds[reveal, None] + np.arange(kp)]
+        blocks = r_I[np.array([ends[rep] - kp for rep in reveal], dtype=np.int64)[:, None] + np.arange(kp)]
     decode = _block_decoder(params.matrix_side, params.block_len, params.n)
     if any(cycle is not None for cycle in decode(blocks)):
         return False
@@ -319,14 +314,12 @@ def hb_verify(
             continue
         if not isinstance(rep_proof, RepUseful) or not _valid_map(rep_proof.vertex_map, params):
             return False
-        need = required_positions(rep_proof.vertex_map, x, params)
-        lo, hi = bounds[rep], bounds[rep + 1]
-        if hi - lo != len(need) or (I[lo:hi] - rep * kp != need).any():
+        if (rows[rep] != required_mask(rep_proof.vertex_map, x, params)).any():
             return False
-        # required_positions opens whole entries, each of which must
-        # decode to 0 (some bit clear); the entries on statement edges
-        # under the map, the hidden cycle's among them, stay closed
-        if r_I[lo:hi].reshape(-1, params.block_len).all(axis=1).any():
+        # required_mask opens whole entries, each of which must decode
+        # to 0 (some bit clear); the entries on statement edges under the
+        # map, the hidden cycle's among them, stay closed
+        if r_I[ends[rep] - counts[rep] : ends[rep]].reshape(-1, params.block_len).all(axis=1).any():
             return False
     return True
 
@@ -334,7 +327,7 @@ def hb_verify(
 def hb_simulate(
     x: Digraph, params: HbParams, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, HbProof]:
-    """Witness-free simulator: (I, r_I, proof).
+    """Witness-free simulator: (opened, r_I, proof).
 
     Samples each block uniformly; not-useful blocks are revealed
     honestly. For a useful block only the anchored map's distribution
@@ -357,7 +350,7 @@ def hb_simulate(
             vmaps.append(tuple([w[0]] + [int(v) for v in rest]))
             blocks[rep] = 0  # a useful claim opens only entries that decode to 0
     mask = _opened_mask(vmaps, x, params)
-    return np.flatnonzero(mask), blocks[mask], _proof(vmaps)
+    return mask.ravel(), blocks[mask], _proof(vmaps)
 
 
 # ---------------------------------------------------------------------
@@ -435,8 +428,8 @@ def cheat_prove(
 ) -> tuple[np.ndarray, HbProof, int]:
     """Fabricated-useful-claim adversary: every repetition claims a
     useful matrix, hiding its ones behind a cover map when one exists.
-    Returns (I, proof, coverable_count); the proof verifies iff every
-    repetition was coverable."""
+    Returns (opened, proof, coverable_count); the proof verifies iff
+    every repetition was coverable."""
     vmaps = []
     coverable = 0
     blocks = np.asarray(r, dtype=np.uint8).reshape(params.repetitions, params.bits_per_rep)
@@ -448,7 +441,7 @@ def cheat_prove(
         else:
             coverable += 1
         vmaps.append(vmap)
-    return np.flatnonzero(_opened_mask(vmaps, x, params)), _proof(vmaps), coverable
+    return _opened_mask(vmaps, x, params).ravel(), _proof(vmaps), coverable
 
 
 def rep_coverable(block: np.ndarray, x: Digraph, params: HbParams, rng: np.random.Generator) -> bool:
@@ -470,7 +463,7 @@ __all__ = [
     "hb_prove",
     "hb_simulate",
     "hb_verify",
-    "required_positions",
+    "required_mask",
     "useful_probability",
     "usefulness",
 ]

@@ -205,6 +205,8 @@ def opening_payload(opening) -> dict:
 
 
 def opening_from_payload(payload: dict):
+    if not isinstance(payload, dict):
+        raise WireError("opening payload must be a dict")
     kind = payload.get("kind")
     if kind == "naor":
         return NaorOpening(np.asarray(payload["seeds"], dtype=np.uint64))
@@ -231,6 +233,8 @@ def hbproof_payload(proof) -> list:
 
 
 def hbproof_from_payload(payload: list):
+    if not isinstance(payload, list) or not all(isinstance(item, dict) for item in payload):
+        raise WireError("proof payload must be a list of dicts")
     reps = []
     for item in payload:
         kind = item.get("kind")

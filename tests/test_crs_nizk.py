@@ -103,7 +103,7 @@ class TestCompiledNizk:
         crs = compiled_setup(TINY_SPEC, stream(5, "s"))
         p1 = compiled_prove(TINY_SPEC, crs, g, w, stream(6, "p"))
         p2 = compiled_prove(TINY_SPEC, crs, g, w, stream(6, "p"))
-        assert np.array_equal(p1.I, p2.I) and p1.pi_hb == p2.pi_hb
+        assert np.array_equal(p1.opened, p2.opened) and p1.pi_hb == p2.pi_hb
 
     def test_tampered_opening_rejected(self, rng):
         g, w = complete_digraph(3), canonical_cycle(3)
@@ -113,11 +113,11 @@ class TestCompiledNizk:
 
         bad_bits = proof.r_bg_I.copy()
         bad_bits[0] ^= 1
-        tampered = CompiledProof(proof.com, proof.I, bad_bits, proof.opening, proof.pi_hb)
+        tampered = CompiledProof(proof.com, proof.opened, bad_bits, proof.opening, proof.pi_hb)
         assert compiled_verify(TINY_SPEC, crs, g, tampered) == 0
 
     def test_opened_set_marginal(self, rng):
-        # P[|I| = everything] must match 1 - P[the block is useful]
+        # P[every bit opened] must match 1 - P[the block is useful]
         from cenizk.hbnizk import useful_probability
 
         g, w = complete_digraph(3), canonical_cycle(3)
@@ -126,7 +126,7 @@ class TestCompiledNizk:
         full_real = 0
         for _ in range(trials):
             proof = compiled_prove(TINY_SPEC, crs, g, w, rng)
-            full_real += len(proof.I) == TINY_SPEC.hb.total_bits
+            full_real += proof.opened.all()
         p = 1 - useful_probability(3, 1, 3)
         sigma = math.sqrt(p * (1 - p) / trials)
         assert abs(full_real / trials - p) <= 3 * sigma
@@ -159,19 +159,19 @@ class TestCompiledNizk:
                 # random adversary: honest generator run, fabricated claims
                 com, r_bg, opening = hbg_genbits(crs.crs_bg, rng)
                 r = r_bg ^ crs.s
-                I, pi_hb, _ = cheat_prove(r, bad, spec20.hb, rng)
-                proof = CompiledProof(com, I, r_bg[I].copy(), opening, pi_hb)
+                opened, pi_hb, _ = cheat_prove(r, bad, spec20.hb, rng)
+                proof = CompiledProof(com, opened, r_bg[opened], opening, pi_hb)
             else:
                 # greedy adversary: re-roll the commitment a few times
                 best = None
                 for _ in range(4):
                     com, r_bg, opening = hbg_genbits(crs.crs_bg, rng)
                     r = r_bg ^ crs.s
-                    I, pi_hb, coverable = cheat_prove(r, bad, spec20.hb, rng)
+                    opened, pi_hb, coverable = cheat_prove(r, bad, spec20.hb, rng)
                     if best is None or coverable > best[0]:
-                        best = (coverable, com, r_bg, opening, I, pi_hb)
-                _, com, r_bg, opening, I, pi_hb = best
-                proof = CompiledProof(com, I, r_bg[I].copy(), opening, pi_hb)
+                        best = (coverable, com, r_bg, opening, opened, pi_hb)
+                _, com, r_bg, opening, opened, pi_hb = best
+                proof = CompiledProof(com, opened, r_bg[opened], opening, pi_hb)
             accepted += compiled_verify(spec20, crs, bad, proof)
         assert accepted == 0
 
@@ -189,15 +189,15 @@ class TestCompiledNizk:
             for _ in range(tries_per_trial):
                 com, r_bg, opening = hbg_genbits(crs.crs_bg, rng)
                 r = r_bg ^ crs.s
-                I, pi_hb, coverable = cheat_prove(r, bad, TINY_SPEC.hb, rng)
+                opened, pi_hb, coverable = cheat_prove(r, bad, TINY_SPEC.hb, rng)
                 if best is None or coverable > best[0]:
-                    best = (coverable, com, r_bg, opening, I, pi_hb)
+                    best = (coverable, com, r_bg, opening, opened, pi_hb)
                 if coverable == TINY_SPEC.hb.repetitions:
                     break
-            _, com, r_bg, opening, I, pi_hb = best
+            _, com, r_bg, opening, opened, pi_hb = best
             from cenizk.crs_nizk import CompiledProof
 
-            proof = CompiledProof(com, I, r_bg[I].copy(), opening, pi_hb)
+            proof = CompiledProof(com, opened, r_bg[opened], opening, pi_hb)
             accepted += compiled_verify(TINY_SPEC, crs, bad, proof)
         # oracle: fraction of uniform blocks answerable per repetition,
         # amplified by the adversary's re-rolls
@@ -224,10 +224,10 @@ class TestNaorOpening:
     def _check(self, g, crs, proof):
         from cenizk.hbg import SubsetOpening, hbg_verify
 
-        closed = np.setdiff1d(np.arange(self.SPEC.hb.total_bits), proof.I)
+        closed = np.flatnonzero(~proof.opened)
         assert len(closed) > 0  # some repetition is useful, so some bits stay hidden
         assert isinstance(proof.opening, SubsetOpening)
-        assert np.array_equal(proof.opening.positions, proof.I)
+        assert np.array_equal(proof.opening.positions, np.flatnonzero(proof.opened))
         assert compiled_verify(self.SPEC, crs, g, proof) == 1
         for bit in (0, 1):
             assert not hbg_verify(crs.crs_bg, proof.com, int(closed[0]), bit, proof.opening)

@@ -8,7 +8,7 @@ import pytest
 
 from cenizk import crs_protocol, wire
 from cenizk.bits import bits_to_int, int_to_bits, masked_parity
-from cenizk.crs_nizk import CompiledSpec, ToyCrs, toy_encode
+from cenizk.crs_nizk import CompiledSpec, ToyCrs, compiled_prove, compiled_setup, toy_encode
 from cenizk.crs_protocol import (
     CrsParams,
     CrsProofState,
@@ -404,6 +404,58 @@ class TestDryRun:
         record = crs_prove_dry(CrsParams(lam=2), crs_setup_dry(spec, rng), g, w, rng)
         assert record.checks.pop("sig_chain_consistent") is False
         assert all(record.checks.values()), record.checks
+
+
+class TestCompiledProofDecode:
+    """The dry run's inner proof travels as wire bytes that list its opened
+    positions. Decoding turns the list back into the opened mask; a list
+    that is not strictly increasing inside the hidden string, or an
+    opening or proof payload that is not a dict, decodes to None."""
+
+    SPEC = CompiledSpec(hb=HbParams(n=3, repetitions=1, matrix_side=3, block_len=1))
+
+    def _proof_and_payload(self):
+        g, w = complete_digraph(3), canonical_cycle(3)
+        rng = stream(0, "decode")
+        proof = compiled_prove(self.SPEC, compiled_setup(self.SPEC, rng), g, w, rng)
+        bits = crs_protocol._compiled_proof_bits(proof)
+        return proof, wire.decode(np.packbits(bits).tobytes())
+
+    def _decode(self, payload):
+        bits = np.unpackbits(np.frombuffer(wire.encode(payload), dtype=np.uint8))
+        return crs_protocol._compiled_proof_from_bits(bits, self.SPEC.hb.total_bits)
+
+    def test_round_trip_restores_the_mask(self):
+        proof, payload = self._proof_and_payload()
+        assert np.array_equal(payload["I"], np.flatnonzero(proof.opened))
+        back = self._decode(payload)
+        assert back.opened.dtype == bool and np.array_equal(back.opened, proof.opened)
+        assert np.array_equal(back.r_bg_I, proof.r_bg_I) and back.pi_hb == proof.pi_hb
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("I", np.array([0, 2, 1])),
+            ("I", np.array([0, 1, 1])),
+            ("I", np.array([-1, 0])),
+            ("I", np.array([0, 9])),
+            ("I", np.array([[0, 1]])),
+            ("op", [1]),
+            ("pi", [1]),
+        ],
+        ids=["unsorted", "duplicate", "negative", "past-total-bits", "two-d", "op-list", "pi-list"],
+    )
+    def test_malformed_payload_decodes_to_none(self, key, value):
+        _, payload = self._proof_and_payload()
+        assert self._decode({**payload, key: value}) is None
+
+    def test_payload_adapters_refuse_non_dicts(self):
+        with pytest.raises(wire.WireError):
+            wire.opening_from_payload([1])
+        with pytest.raises(wire.WireError):
+            wire.hbproof_from_payload([1])
+        with pytest.raises(wire.WireError):
+            wire.hbproof_from_payload({"kind": "all"})
 
 
 def sig_table_reference(params, preimages):

@@ -26,9 +26,9 @@ from cenizk.epr_protocol import (
     premeasure_all_z,
     run_cezk_real,
 )
-from cenizk.epr_protocol import _unopened_blocks
 from cenizk.graphs import canonical_cycle, complete_digraph, non_hamiltonian_triangle
-from cenizk.hbnizk import HbParams, _opened_set_ok
+from cenizk.hbg import NaorOpening, SubsetOpening, hbg_verify_batch
+from cenizk.hbnizk import HbParams, _well_shaped
 from cenizk.rng import stream
 from conftest import CHI2_CRIT_1DF, chi_square_uniform
 
@@ -95,8 +95,8 @@ class TestHonestSessions:
         crs, net = epr_setup(TINY, rng)
         proof, prover = epr_prove(TINY, crs, net, g, w, rng)
         theta_I = proof.theta_I
-        y_v = net.measure_blocks(ROLE_V, theta_I, rng, blocks=proof.I)
-        assert np.array_equal(y_v, prover.y[proof.I])
+        y_v = net.measure_blocks(ROLE_V, theta_I, rng, blocks=np.flatnonzero(proof.opened))
+        assert np.array_equal(y_v, prover.y[proof.opened])
 
     def test_r_marginal_uniform_over_runs(self, rng):
         g, w = complete_digraph(3), canonical_cycle(3)
@@ -114,12 +114,12 @@ class TestHonestSessions:
         g, w = two_vertex_instance()
         crs, net = epr_setup(DELETING, rng)
         proof, prover = epr_prove(DELETING, crs, net, g, w, rng)
-        assert proof.theta_I.shape == (len(proof.I), DELETING.block_width)
+        assert proof.theta_I.shape == (np.count_nonzero(proof.opened), DELETING.block_width)
         from cenizk.hbg import SubsetOpening
 
         if isinstance(proof.op_I, SubsetOpening):
             allowed = set()
-            for i in proof.I:
+            for i in np.flatnonzero(proof.opened):
                 allowed.update(range(i * DELETING.block_width, (i + 1) * DELETING.block_width))
             assert set(int(p) for p in proof.op_I.positions) <= allowed
 
@@ -187,9 +187,7 @@ class TestDeletion:
             crs, net = epr_setup(DELETING, rng)
             proof, prover = epr_prove(DELETING, crs, net, g, w, rng)
             _, residual = epr_verify(DELETING, crs, net, g, proof, rng)
-            from cenizk.epr_protocol import _unopened_blocks
-
-            unopened = _unopened_blocks(DELETING.num_blocks, residual.I)
+            unopened = np.flatnonzero(~residual.opened)
             if len(unopened) == 0:
                 continue
             bases = np.zeros((len(unopened), DELETING.block_width), dtype=np.int8)
@@ -244,9 +242,11 @@ class TestHypotheticalVerifier:
 
 
 class TestFullOpenedSet:
-    """An opened set with ell entries stands for every block only after it
-    passes validation; one that is not 0..ell-1 must still be rejected,
-    and deletion must then cover exactly the blocks it misses."""
+    """An all-True mask stands for every block. A tampered mask must be
+    rejected, and deletion must then cover the blocks it leaves closed:
+    those of a well-shaped mask, or every block of a malformed one."""
+
+    DELETED = {None: [], "shifted": list(range(9)), "missing": [1]}
 
     @staticmethod
     def _full_session(label):
@@ -255,71 +255,82 @@ class TestFullOpenedSet:
             rng = stream(trial, "full-set", label)
             crs, net = epr_setup(TINY, rng)
             proof, prover = epr_prove(TINY, crs, net, g, w, rng)
-            if len(proof.I) == TINY.num_blocks:
+            if proof.opened.all():
                 return g, crs, net, proof, rng
         raise AssertionError("no reveal-all session in 50 trials")
 
     @staticmethod
-    def _tampered(I, how):
-        bad = I.copy()
-        if how == "duplicate":
-            bad[1] = bad[0]  # block 1 missing, block 0 twice
-        elif how == "swapped":
-            bad[[2, 3]] = bad[[3, 2]]
-        elif how == "shifted":
-            bad = bad + 1  # block 0 missing, ell out of range
-        return bad
+    def _tampered(proof, how):
+        if how == "shifted":
+            # one place along: block 0 closed and an entry past ell (malformed)
+            return replace(proof, opened=np.r_[False, proof.opened])
+        if how == "missing":
+            # well shaped and consistent with theta_I and the generator, but
+            # the reveal-all repetition is no longer wholly opened
+            opened = proof.opened.copy()
+            opened[1] = False
+            return replace(proof, opened=opened, theta_I=proof.theta_I[opened])
+        return proof
 
-    @pytest.mark.parametrize("how", [None, "duplicate", "swapped", "shifted"])
+    @pytest.mark.parametrize("how", [None, "shifted", "missing"])
     def test_epr_verify_accepts_only_the_true_full_set(self, how):
         g, crs, net, proof, rng = self._full_session("verify")
-        I = self._tampered(proof.I, how) if how else proof.I
-        b, residual = epr_verify(TINY, crs, net, g, replace(proof, I=I), rng)
+        b, residual = epr_verify(TINY, crs, net, g, self._tampered(proof, how), rng)
         assert b == (1 if how is None else 0)
-        assert _opened_set_ok(residual.I, TINY.num_blocks)
+        assert _well_shaped(residual.opened, TINY.num_blocks)
 
-    @pytest.mark.parametrize("how", [None, "duplicate", "swapped", "shifted"])
+    @pytest.mark.parametrize("how", [None, "shifted", "missing"])
     def test_hypothetical_verifier_accepts_only_the_true_full_set(self, how):
         g, crs, net, proof, rng = self._full_session("hypothetical")
-        I = self._tampered(proof.I, how) if how else proof.I
-        assert hypothetical_verifier(TINY, crs, net, g, replace(proof, I=I), rng) == (1 if how is None else 0)
+        assert hypothetical_verifier(TINY, crs, net, g, self._tampered(proof, how), rng) == (1 if how is None else 0)
 
-    @pytest.mark.parametrize("how", [None, "duplicate", "swapped", "shifted"])
+    @pytest.mark.parametrize("how", [None, "shifted", "missing"])
     def test_delete_after_rejection_covers_the_missing_blocks(self, how):
         g, crs, net, proof, rng = self._full_session("delete")
-        I = self._tampered(proof.I, how) if how else proof.I
-        _, residual = epr_verify(TINY, crs, net, g, replace(proof, I=I), rng)
+        _, residual = epr_verify(TINY, crs, net, g, self._tampered(proof, how), rng)
         cert, _ = epr_delete(TINY, residual, rng)
-        opened = np.zeros(TINY.num_blocks, dtype=bool)
-        opened[I[I < TINY.num_blocks]] = True
-        assert np.array_equal(cert.blocks, np.flatnonzero(~opened))
-        assert np.array_equal(cert.blocks, _unopened_blocks(TINY.num_blocks, residual.I))
+        assert cert.blocks.dtype == np.int64 and cert.blocks.tolist() == self.DELETED[how]
+        assert np.array_equal(cert.blocks, np.flatnonzero(~residual.opened))
         assert cert.outcomes.shape == (len(cert.blocks), TINY.block_width)
-        assert len(cert.blocks) == {None: 0, "duplicate": 1, "swapped": 0, "shifted": 1}[how]
 
 
 class TestRejectedOpenedSet:
-    """A rejected I opens exactly its in-range entries: deletion covers
-    every other block, and the verifier keeps a valid opened set. The
-    expected blocks were recorded before the verifier state dropped its
-    validity flag."""
+    """A rejected proof keeps a well-shaped mask as the verifier's opened
+    set, so deletion covers exactly the blocks it leaves closed. Anything
+    else in the opened field is malformed and opens nothing, so deletion
+    covers every block: a mask of the wrong length or rank, a non-bool
+    array (a uint8 mask with a 2) and the int64 index arrays the first
+    eight cases hold, valid index sets among them."""
 
+    EVERY = list(range(9))
     CASES = {
-        "duplicates": ([0, 0, 2, 3, 4, 5, 6, 7, 8], [1]),
-        "swapped": ([0, 1, 3, 2, 4, 5, 6, 7, 8], []),
-        "negative": ([-1, 1, 2, 3, 4, 5, 6, 7, 8], [0]),
-        "past_ell": ([0, 1, 2, 3, 4, 5, 6, 7, 9], [8]),
-        "empty": ([], list(range(9))),
-        "two_d": ([[0, 2], [4, 6]], [1, 3, 5, 7, 8]),
-        "all_out_of_range": ([-3, 9, 20], list(range(9))),
-        "mixed": ([5, 3, 5, -2, 11, 0], [1, 2, 4, 6, 7, 8]),
+        "duplicates": ([0, 0, 2, 3, 4, 5, 6, 7, 8], EVERY),
+        "swapped": ([0, 1, 3, 2, 4, 5, 6, 7, 8], EVERY),
+        "negative": ([-1, 1, 2, 3, 4, 5, 6, 7, 8], EVERY),
+        "past_ell": ([0, 1, 2, 3, 4, 5, 6, 7, 9], EVERY),
+        "empty": ([], EVERY),
+        "two_d": ([[0, 2], [4, 6]], EVERY),
+        "all_out_of_range": ([-3, 9, 20], EVERY),
+        "mixed": ([5, 3, 5, -2, 11, 0], EVERY),
+        "mask_short": (np.ones(8, dtype=bool), EVERY),
+        "mask_long": (np.ones(10, dtype=bool), EVERY),
+        "mask_two_d": (np.ones((3, 3), dtype=bool), EVERY),
+        "mask_uint8_with_a_2": (np.array([2, 1, 1, 1, 1, 1, 1, 1, 1], dtype=np.uint8), EVERY),
+        "mask_all_false": (np.zeros(9, dtype=bool), EVERY),
+        # well shaped, but theta_I holds nine rows
+        "mask_disagrees_with_theta_rows": (np.isin(np.arange(9), [1, 4], invert=True), [1, 4]),
     }
+
+    @staticmethod
+    def _opened(name):
+        opened = TestRejectedOpenedSet.CASES[name][0]
+        return opened if isinstance(opened, np.ndarray) else np.asarray(opened, dtype=np.int64)
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_delete_covers_the_blocks_left_unopened(self, name):
-        I, expected = self.CASES[name]
+        expected = self.CASES[name][1]
         g, crs, net, proof, rng = TestFullOpenedSet._full_session("rejected")
-        b, residual = epr_verify(TINY, crs, net, g, replace(proof, I=np.asarray(I, dtype=np.int64)), rng)
+        b, residual = epr_verify(TINY, crs, net, g, replace(proof, opened=self._opened(name)), rng)
         cert, _ = epr_delete(TINY, residual, rng)
         assert b == 0
         assert cert.blocks.dtype == np.int64 and cert.blocks.tolist() == expected
@@ -327,11 +338,41 @@ class TestRejectedOpenedSet:
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_verifier_state_holds_a_valid_opened_set(self, name):
-        I, expected = self.CASES[name]
+        expected = self.CASES[name][1]
         g, crs, net, proof, rng = TestFullOpenedSet._full_session("rejected")
-        _, residual = epr_verify(TINY, crs, net, g, replace(proof, I=np.asarray(I, dtype=np.int64)), rng)
-        assert _opened_set_ok(residual.I, TINY.num_blocks)
-        assert sorted(set(range(TINY.num_blocks)) - set(residual.I.tolist())) == expected
+        _, residual = epr_verify(TINY, crs, net, g, replace(proof, opened=self._opened(name)), rng)
+        assert _well_shaped(residual.opened, TINY.num_blocks)
+        assert np.flatnonzero(~residual.opened).tolist() == expected
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_hypothetical_verifier_rejects(self, name):
+        g, crs, net, proof, rng = TestFullOpenedSet._full_session("rejected-hypothetical")
+        assert hypothetical_verifier(TINY, crs, net, g, replace(proof, opened=self._opened(name)), rng) == 0
+
+
+class TestMalformedNaorOpening:
+    """A naor opening whose seeds do not line up with the positions it
+    covers rejects; it must not raise inside the generator check."""
+
+    PARAMS = EprParams(hb=HbParams(n=3, repetitions=1, matrix_side=3, block_len=1), block_width=4, hbg_mode="naor")
+
+    @pytest.mark.parametrize("how", ["seeds_short", "seeds_two_d", "naor_short", "naor_long"])
+    def test_epr_verify_rejects(self, how):
+        g, w = complete_digraph(3), canonical_cycle(3)
+        rng = stream(0, "naor-malformed")
+        crs, net = epr_setup(self.PARAMS, rng)
+        proof, _ = epr_prove(self.PARAMS, crs, net, g, w, rng)
+        positions, seeds = proof.op_I.positions, proof.op_I.seeds
+        assert proof.opened.all()  # so the subset seeds are a full naor opening's
+        bad = {
+            "seeds_short": SubsetOpening(positions, seeds[:-1]),
+            "seeds_two_d": SubsetOpening(positions, seeds[:, None]),
+            "naor_short": NaorOpening(seeds[:-1]),
+            "naor_long": NaorOpening(np.append(seeds, seeds[:1])),
+        }[how]
+        assert epr_verify(self.PARAMS, crs, net, g, replace(proof, op_I=bad), rng)[0] == 0
+        assert not hbg_verify_batch(crs.crs_bg, proof.com, positions, proof.theta_I.ravel(), bad)
+        assert hbg_verify_batch(crs.crs_bg, proof.com, positions, proof.theta_I.ravel(), NaorOpening(seeds))
 
 
 class TestAdversaries:

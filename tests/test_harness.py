@@ -271,7 +271,7 @@ class TestDeterminism:
         arrays = epr_message_arrays(run_session("epr", UNOPENED_PARAMS, seed))
         for got, want in [
             (arrays["s"], crs.s),
-            (arrays["I"], proof.I),
+            (arrays["I"], np.flatnonzero(proof.opened)),
             (arrays["theta_I"], proof.theta_I),
             (arrays["outcomes"], cert.outcomes),
         ]:
@@ -412,6 +412,26 @@ class TestCliParams:
     )
     def test_caps_admit_every_suite_shape(self, protocol, params):
         _require_params(params, default_epr_params() if protocol == "epr" else default_crs_params(), protocol)
+
+    @pytest.mark.parametrize(
+        "name,key",
+        [
+            ("deletion-honest-td", "lam"),
+            ("deletion-leaking-td", "lam"),
+            ("deletion-keep-state", "lam"),
+            ("hbg-binding", "s"),
+            ("hbg-binding", "k"),
+        ],
+    )
+    def test_experiment_size_above_cap_is_usage_error(self, capsys, name, key):
+        value = SIZE_CAPS[name][key] + 1
+        assert cli_main(["run-experiment", "--name", name, "--trials", "1", "--param", f"{key}={value}"]) == 2
+        assert f"error: {name} param {key} must be at most {value - 1}, got {value}" in capsys.readouterr().err
+
+    def test_experiment_caps_admit_every_suite_value(self):
+        for name in ("deletion-honest-td", "deletion-leaking-td", "deletion-keep-state"):
+            _require_params({"lam": 8}, {"lam": 3}, name)  # the deletion digest's largest lam
+        _require_params({"s": 12, "k": 8}, {"s": 12, "k": 8}, "hbg-binding")  # criterion 9
 
     @pytest.mark.parametrize("value", [0, -1])
     @pytest.mark.parametrize("name", ["deletion-honest-td", "deletion-leaking-td", "deletion-keep-state"])

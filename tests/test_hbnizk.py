@@ -31,7 +31,7 @@ from cenizk.hbnizk import (
     hb_prove,
     hb_simulate,
     hb_verify,
-    required_positions,
+    required_mask,
     useful_probability,
     usefulness,
 )
@@ -148,35 +148,35 @@ class TestProveVerify:
         g, w = complete_digraph(3), canonical_cycle(3)
         for v in range(512):
             r = int_block(v, 9)
-            I, proof = hb_prove(r, g, w, TINY)
-            assert hb_verify(I, r[I], g, proof, TINY)
+            opened, proof = hb_prove(r, g, w, TINY)
+            assert hb_verify(opened, r[opened], g, proof, TINY)
 
     def test_completeness_randomized_production(self, rng):
         params = HbParams.defaults(4, 3)
         g, w = complete_digraph(4), canonical_cycle(4)
         for _ in range(3):
             r = rng.integers(0, 2, size=params.total_bits, dtype=np.uint8)
-            I, proof = hb_prove(r, g, w, params)
-            assert hb_verify(I, r[I], g, proof, params)
+            opened, proof = hb_prove(r, g, w, params)
+            assert hb_verify(opened, r[opened], g, proof, params)
 
     def test_all_not_useful_reveals_everything(self):
         g, w = complete_digraph(3), canonical_cycle(3)
         r = np.zeros(9, dtype=np.uint8)  # zero matrix: not useful
-        I, proof = hb_prove(r, g, w, TINY)
+        opened, proof = hb_prove(r, g, w, TINY)
         assert isinstance(proof.reps[0], RepRevealAll)
-        assert np.array_equal(I, np.arange(9))
+        assert opened.dtype == bool and opened.all()
 
     def test_useful_block_opens_non_edges_only(self, rng):
         g, w = complete_digraph(3), canonical_cycle(3)
         # force the useful matrix with cycle 0->1->2->0
         r = np.zeros(9, dtype=np.uint8)
         r[[1, 5, 6]] = 1  # entries (0,1), (1,2), (2,0)
-        I, proof = hb_prove(r, g, w, TINY)
+        opened, proof = hb_prove(r, g, w, TINY)
         assert isinstance(proof.reps[0], RepUseful)
         # opened entries all decode to zero
-        assert not r[I].any()
+        assert not r[opened].any()
         # the six statement-edge entries stay closed (K3 has 6 edges)
-        assert len(I) == 3
+        assert np.count_nonzero(opened) == 3
 
     def test_flipped_opened_bit_rejected_useful(self):
         # useful repetition: every opened entry must decode to zero, so
@@ -184,47 +184,57 @@ class TestProveVerify:
         g, w = complete_digraph(3), canonical_cycle(3)
         r = np.zeros(9, dtype=np.uint8)
         r[[1, 5, 6]] = 1
-        I, proof = hb_prove(r, g, w, TINY)
+        opened, proof = hb_prove(r, g, w, TINY)
         assert isinstance(proof.reps[0], RepUseful)
-        for pos in range(len(I)):
-            vals = r[I].copy()
+        for pos in range(np.count_nonzero(opened)):
+            vals = r[opened]
             vals[pos] ^= 1
-            assert not hb_verify(I, vals, g, proof, TINY)
+            assert not hb_verify(opened, vals, g, proof, TINY)
 
     def test_flipped_opened_bits_rejected_reveal_all(self):
         # reveal-all repetition: flips are caught when they make the
         # revealed matrix decode as useful
         g, w = complete_digraph(3), canonical_cycle(3)
         r = np.zeros(9, dtype=np.uint8)
-        I, proof = hb_prove(r, g, w, TINY)
+        opened, proof = hb_prove(r, g, w, TINY)
         assert isinstance(proof.reps[0], RepRevealAll)
-        vals = r[I].copy()
+        vals = r[opened]
         vals[[1, 5, 6]] ^= 1  # now decodes to the 3-cycle: useful
-        assert not hb_verify(I, vals, g, proof, TINY)
+        assert not hb_verify(opened, vals, g, proof, TINY)
 
     def test_invalid_witness_raises(self):
         g = non_hamiltonian_triangle()
         with pytest.raises(ValueError):
             hb_prove(np.zeros(9, dtype=np.uint8), g, CycleWitness((0, 1, 2)), TINY)
 
-    def test_malformed_index_set_rejects(self, rng):
+    def test_malformed_index_set_rejects(self):
+        # the opened set is a (total_bits,) bool mask; nothing else is read
         g, w = complete_digraph(3), canonical_cycle(3)
-        r = rng.integers(0, 2, size=9, dtype=np.uint8)
-        I, proof = hb_prove(r, g, w, TINY)
-        assert not hb_verify(I[::-1], r[I][::-1], g, proof, TINY)  # unsorted
-        assert not hb_verify(I + 100, r[I], g, proof, TINY)  # out of range
-        assert not hb_verify(I[:-1], r[I][:-1], g, proof, TINY)  # too short
+        r = np.zeros(9, dtype=np.uint8)  # reveal-all, so every value is opened
+        opened, proof = hb_prove(r, g, w, TINY)
+        assert hb_verify(opened, r, g, proof, TINY)
+        uint8_two = opened.astype(np.uint8)
+        uint8_two[0] = 2
+        for bad in [
+            opened[:-1],  # too short
+            np.append(opened, True),  # too long
+            opened.reshape(3, 3),  # 2-D
+            uint8_two,  # not bool
+            np.arange(9),  # the index array of the same set
+            list(opened),  # not an array
+        ]:
+            assert not hb_verify(bad, r[: np.count_nonzero(bad)], g, proof, TINY)
+        assert not hb_verify(np.zeros(9, dtype=bool), r[:0], g, proof, TINY)  # all False
 
     def test_verifier_never_reads_unopened_bits(self, rng):
-        # interface-level guarantee: verdicts depend only on r[I]
+        # interface-level guarantee: verdicts depend only on r[opened]
         g, w = complete_digraph(3), canonical_cycle(3)
         r = np.zeros(9, dtype=np.uint8)
         r[[1, 5, 6]] = 1
-        I, proof = hb_prove(r, g, w, TINY)
+        opened, proof = hb_prove(r, g, w, TINY)
         r_scrambled = r.copy()
-        unopened = np.setdiff1d(np.arange(9), I)
-        r_scrambled[unopened] ^= 1
-        assert hb_verify(I, r_scrambled[I], g, proof, TINY)
+        r_scrambled[~opened] ^= 1
+        assert hb_verify(opened, r_scrambled[opened], g, proof, TINY)
 
 
 class TestSoundnessExhaustive:
@@ -241,11 +251,11 @@ class TestSoundnessExhaustive:
             r = int_block(v, 9)
             hidden = usefulness(bits_to_matrix(r, 3, 1), 3)
             for vmap in itertools.permutations(range(3)):
-                from cenizk.hbnizk import HbProof, required_positions
+                from cenizk.hbnizk import HbProof, required_mask
 
                 proof = HbProof((RepUseful(tuple(vmap)),))
-                I = required_positions(tuple(vmap), bad, params)
-                accepted = hb_verify(I, r[I], bad, proof, params)
+                opened = required_mask(tuple(vmap), bad, params)
+                accepted = hb_verify(opened, r[opened], bad, proof, params)
                 if hidden is not None:
                     assert not accepted, f"useful string {v:09b} accepted via {vmap}"
             if hidden is not None:
@@ -261,19 +271,19 @@ class TestSoundnessExhaustive:
         bad = non_hamiltonian_triangle()
         r = np.zeros(9, dtype=np.uint8)
         proof = HbProof((RepRevealAll(),))
-        I = np.arange(9)
-        assert hb_verify(I, r[I], bad, proof, TINY)
+        opened = np.ones(9, dtype=bool)
+        assert hb_verify(opened, r[opened], bad, proof, TINY)
 
 
 class TestSimulator:
-    def digest(self, I, r_I, proof):
+    def digest(self, opened, r_I, proof):
         reps = []
         for rep in proof.reps:
             if isinstance(rep, RepRevealAll):
                 reps.append(("all",))
             else:
                 reps.append(("useful", rep.vertex_map))
-        return (tuple(int(i) for i in I), tuple(int(b) for b in r_I), tuple(reps))
+        return (tuple(opened.tolist()), tuple(int(b) for b in r_I), tuple(reps))
 
     def test_tv_distance_real_vs_simulated(self, rng):
         g, w = complete_digraph(3), canonical_cycle(3)
@@ -283,11 +293,11 @@ class TestSimulator:
         r_all = rng.integers(0, 2, size=(samples, 9), dtype=np.uint8)
         for i in range(samples):
             r = r_all[i]
-            I, proof = hb_prove(r, g, w, TINY)
-            key = self.digest(I, r[I], proof)
+            opened, proof = hb_prove(r, g, w, TINY)
+            key = self.digest(opened, r[opened], proof)
             real_counts[key] = real_counts.get(key, 0) + 1
-            I2, rI2, proof2 = hb_simulate(g, TINY, rng)
-            key2 = self.digest(I2, rI2, proof2)
+            opened2, rI2, proof2 = hb_simulate(g, TINY, rng)
+            key2 = self.digest(opened2, rI2, proof2)
             sim_counts[key2] = sim_counts.get(key2, 0) + 1
         keys = set(real_counts) | set(sim_counts)
         tv = 0.5 * sum(abs(real_counts.get(k, 0) - sim_counts.get(k, 0)) for k in keys) / samples
@@ -298,27 +308,27 @@ class TestSimulator:
         # block verbatim; digests coincide exactly
         g, w = complete_digraph(3), canonical_cycle(3)
         r = np.zeros(9, dtype=np.uint8)
-        I, proof = hb_prove(r, g, w, TINY)
+        opened, proof = hb_prove(r, g, w, TINY)
         sim_rng = stream(99, "fixed")
         while True:
-            I2, rI2, proof2 = hb_simulate(g, TINY, sim_rng)
+            opened2, rI2, proof2 = hb_simulate(g, TINY, sim_rng)
             if isinstance(proof2.reps[0], RepRevealAll):
                 break
         assert isinstance(proof.reps[0], RepRevealAll)
-        assert np.array_equal(I, I2)
+        assert np.array_equal(opened, opened2)
 
     def test_opened_index_marginal(self, rng):
-        # P[I is the whole string] is the not-useful rate on both sides
+        # P[every bit is opened] is the not-useful rate on both sides
         g, w = complete_digraph(3), canonical_cycle(3)
         trials = 20_000
         p_real = 0
         p_sim = 0
         r_all = rng.integers(0, 2, size=(trials, 9), dtype=np.uint8)
         for i in range(trials):
-            I, _ = hb_prove(r_all[i], g, w, TINY)
-            p_real += len(I) == 9
-            I2, _, _ = hb_simulate(g, TINY, rng)
-            p_sim += len(I2) == 9
+            opened, _ = hb_prove(r_all[i], g, w, TINY)
+            p_real += opened.all()
+            opened2, _, _ = hb_simulate(g, TINY, rng)
+            p_sim += opened2.all()
         p = 1 - useful_probability(3, 1, 3)
         sigma = math.sqrt(p * (1 - p) / trials)
         assert abs(p_real / trials - p) <= 3 * sigma
@@ -327,8 +337,8 @@ class TestSimulator:
     def test_simulated_proofs_verify(self, rng):
         g = complete_digraph(3)
         for _ in range(200):
-            I, r_I, proof = hb_simulate(g, TINY, rng)
-            assert hb_verify(I, r_I, g, proof, TINY)
+            opened, r_I, proof = hb_simulate(g, TINY, rng)
+            assert hb_verify(opened, r_I, g, proof, TINY)
 
 
 class TestAmplify:
@@ -341,8 +351,8 @@ class TestAmplify:
         params = HbParams(TINY.n, 7, TINY.matrix_side, TINY.block_len)
         g, w = complete_digraph(3), canonical_cycle(3)
         r = rng.integers(0, 2, size=params.total_bits, dtype=np.uint8)
-        I, proof = hb_prove(r, g, w, params)
-        assert hb_verify(I, r[I], g, proof, params)
+        opened, proof = hb_prove(r, g, w, params)
+        assert hb_verify(opened, r[opened], g, proof, params)
 
     def test_false_statement_amplification(self, rng):
         """Measured single-repetition cheat rate p1; at rho=20 the
@@ -353,8 +363,8 @@ class TestAmplify:
         hits = 0
         for _ in range(trials):
             r = rng.integers(0, 2, size=TINY.total_bits, dtype=np.uint8)
-            I, proof, coverable = cheat_prove(r, bad, TINY, rng)
-            hits += int(hb_verify(I, r[I], bad, proof, TINY))
+            opened, proof, coverable = cheat_prove(r, bad, TINY, rng)
+            hits += int(hb_verify(opened, r[opened], bad, proof, TINY))
         p1 = hits / trials
         assert p1 < 0.25  # tiny-geometry cheat rate sanity bound
 
@@ -362,8 +372,8 @@ class TestAmplify:
         accepted = 0
         for _ in range(300):
             r = rng.integers(0, 2, size=params20.total_bits, dtype=np.uint8)
-            I, proof, _ = cheat_prove(r, bad, params20, rng)
-            accepted += int(hb_verify(I, r[I], bad, proof, params20))
+            opened, proof, _ = cheat_prove(r, bad, params20, rng)
+            accepted += int(hb_verify(opened, r[opened], bad, proof, params20))
         bound = p1**20 + 3 * math.sqrt(max(p1**20 * (1 - p1**20), 1e-9) / 300)
         assert accepted / 300 <= bound + 3 * math.sqrt(0.25 / 300)
 
@@ -372,8 +382,8 @@ class TestAmplify:
         params = HbParams(TINY.n, 3, TINY.matrix_side, TINY.block_len)
         for _ in range(300):
             r = rng.integers(0, 2, size=params.total_bits, dtype=np.uint8)
-            I, proof, coverable = cheat_prove(r, bad, params, rng)
-            accepted = hb_verify(I, r[I], bad, proof, params)
+            opened, proof, coverable = cheat_prove(r, bad, params, rng)
+            accepted = hb_verify(opened, r[opened], bad, proof, params)
             assert accepted == (coverable == params.repetitions)
 
 
@@ -402,39 +412,40 @@ def ref_prove(r, x, witness, params):
         hidden = ref_decode(r[rep * kp : (rep + 1) * kp], params)
         if hidden is None:
             reps.append(RepRevealAll())
-            opened.append(rep * kp + np.arange(kp))
+            opened.append(np.ones(kp, dtype=bool))
             continue
         vmap, g, h = [0] * n, 0, min(hidden.vertices)
         for _ in range(n):
             vmap[g] = h
             g, h = witness.successor_of(g), hidden.successor_of(h)
         reps.append(RepUseful(tuple(vmap)))
-        opened.append(rep * kp + required_positions(tuple(vmap), x, params))
+        opened.append(required_mask(tuple(vmap), x, params))
     return np.concatenate(opened), HbProof(tuple(reps))
 
 
-def ref_verify(I, r_I, x, proof, params):
+def ref_verify(opened, r_I, x, proof, params):
     """hb_verify one repetition at a time, rebuilding each matrix."""
     kp, m, b = params.bits_per_rep, params.matrix_side, params.block_len
-    if len(proof.reps) != params.repetitions or I.shape != r_I.shape:
+    if len(proof.reps) != params.repetitions or not isinstance(opened, np.ndarray):
         return False
-    if len(I) and (np.any(np.diff(I) <= 0) or I[0] < 0 or I[-1] >= params.total_bits):
+    if opened.dtype != bool or opened.shape != (params.total_bits,) or r_I.shape != (opened.sum(),):
         return False
+    start = 0
     for rep, rep_proof in enumerate(proof.reps):
-        inside = (I >= rep * kp) & (I < (rep + 1) * kp)
-        idx, vals = I[inside] - rep * kp, r_I[inside]
+        row = opened[rep * kp : (rep + 1) * kp]
+        vals = r_I[start : start + row.sum()]
+        start += row.sum()
         if isinstance(rep_proof, RepRevealAll):
-            if len(idx) != kp or ref_decode(vals, params) is not None:
+            if not row.all() or ref_decode(vals, params) is not None:
                 return False
             continue
         vmap = rep_proof.vertex_map
         if len(vmap) != params.n or len(set(vmap)) != params.n or not all(0 <= v < m for v in vmap):
             return False
-        need = required_positions(vmap, x, params)
-        if len(idx) != len(need) or np.any(idx != need):
+        if not np.array_equal(row, required_mask(vmap, x, params)):
             return False
         block = np.ones(kp, dtype=np.uint8)
-        block[idx] = vals
+        block[row] = vals
         matrix = bits_to_matrix(block, m, b)
         for a, c in x.edges():
             matrix[vmap[a], vmap[c]] = False
@@ -452,15 +463,15 @@ def ref_simulate(x, params, rng):
         hidden = ref_decode(block, params)
         if hidden is None:
             reps.append(RepRevealAll())
-            opened.append(rep * kp + np.arange(kp))
+            opened.append(np.ones(kp, dtype=bool))
             values.append(block)
         else:
             w = sorted(hidden.vertices)
             vmap = tuple([w[0]] + [int(v) for v in rng.permutation(w[1:])])
             reps.append(RepUseful(vmap))
-            need = required_positions(vmap, x, params)
-            opened.append(rep * kp + need)
-            values.append(np.zeros(len(need), dtype=np.uint8))
+            need = required_mask(vmap, x, params)
+            opened.append(need)
+            values.append(np.zeros(np.count_nonzero(need), dtype=np.uint8))
     return np.concatenate(opened), np.concatenate(values), HbProof(tuple(reps))
 
 
@@ -506,22 +517,24 @@ def near_misses(rng, m, n):
     return out
 
 
-def mutations(I, r_I, proof, params, rng):
-    """(I, r_I, proof) variants: one value flipped, one position dropped,
-    one repetition's claim swapped."""
+def mutations(opened, r_I, proof, params, rng):
+    """(opened, r_I, proof) variants: one value flipped, one position
+    dropped, one repetition's claim swapped."""
     out = []
-    if len(I):
-        j = rng.integers(len(I))
+    if opened.any():
+        j = rng.integers(np.count_nonzero(opened))
         flipped = r_I.copy()
         flipped[j] ^= 1
-        out += [(I, flipped, proof), (np.delete(I, j), np.delete(r_I, j), proof)]
+        dropped = opened.copy()
+        dropped[np.flatnonzero(opened)[j]] = False
+        out += [(opened, flipped, proof), (dropped, np.delete(r_I, j), proof)]
     reps = list(proof.reps)
     k = rng.integers(len(reps))
     if isinstance(reps[k], RepUseful):
         reps[k] = RepRevealAll()
     else:
         reps[k] = RepUseful(tuple(int(v) for v in rng.permutation(params.matrix_side)[: params.n]))
-    out.append((I, r_I, HbProof(tuple(reps))))
+    out.append((opened, r_I, HbProof(tuple(reps))))
     return out
 
 
@@ -540,25 +553,26 @@ class TestBlockTable:
         for _ in range(400):
             # dense blocks at b > 1, so useful ones turn up there too
             r = (rng.random(params.total_bits) < rng.choice([0.5, 0.85])).astype(np.uint8)
-            I, proof = hb_prove(r, x, witness, params)
-            I_ref, proof_ref = ref_prove(r, x, witness, params)
-            assert np.array_equal(I, I_ref) and I.dtype == I_ref.dtype and proof == proof_ref
+            opened, proof = hb_prove(r, x, witness, params)
+            opened_ref, proof_ref = ref_prove(r, x, witness, params)
+            assert np.array_equal(opened, opened_ref) and opened.dtype == opened_ref.dtype and proof == proof_ref
             seed = int(rng.integers(2**32))
             sim = hb_simulate(x, params, stream(seed, "sim"))
             sim_ref = ref_simulate(x, params, stream(seed, "sim"))
             assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(sim[:2], sim_ref[:2]))
             assert sim[2] == sim_ref[2]
-            for I_, r_I, proof_ in [(I, r[I], proof), sim, *mutations(I, r[I], proof, params, rng), *mutations(*sim, params, rng)]:
-                assert hb_verify(I_, r_I, x, proof_, params) == ref_verify(I_, r_I, x, proof_, params)
+            real = (opened, r[opened], proof)
+            for opened_, r_I, proof_ in [real, sim, *mutations(*real, params, rng), *mutations(*sim, params, rng)]:
+                assert hb_verify(opened_, r_I, x, proof_, params) == ref_verify(opened_, r_I, x, proof_, params)
 
     def test_reveal_all_claim_on_useful_block_rejects(self):
         params, (x, witness) = FIXTURES["quantum"]
         r = np.zeros(params.total_bits, dtype=np.uint8)
         r[[5, 6]] = 1  # repetition 1 holds the useful cycle 0 -> 1 -> 0
-        I, proof = hb_prove(r, x, witness, params)
-        assert isinstance(proof.reps[1], RepUseful) and hb_verify(I, r[I], x, proof, params)
+        opened, proof = hb_prove(r, x, witness, params)
+        assert isinstance(proof.reps[1], RepUseful) and hb_verify(opened, r[opened], x, proof, params)
         claim = HbProof(tuple(RepRevealAll() for _ in proof.reps))
-        everything = np.arange(params.total_bits)
+        everything = np.ones(params.total_bits, dtype=bool)
         assert not hb_verify(everything, r, x, claim, params)
         assert hb_verify(everything, np.zeros_like(r), x, claim, params)
 
@@ -567,11 +581,12 @@ class TestBlockTable:
         params, (x, witness) = FIXTURES[shape]
         kp = params.bits_per_rep
         r = np.zeros(params.total_bits, dtype=np.uint8)
-        I, proof = hb_prove(r, x, witness, params)
-        assert hb_verify(I, r[I], x, proof, params)
+        opened, proof = hb_prove(r, x, witness, params)
+        assert hb_verify(opened, r[opened], x, proof, params)
         for rep in range(params.repetitions):
             for drop in (rep * kp, (rep + 1) * kp - 1):
-                short = I[I != drop]
+                short = opened.copy()
+                short[drop] = False
                 assert not hb_verify(short, r[short], x, proof, params)
 
     @pytest.mark.parametrize("m,b,n", [(64, 10, 4), (27, 8, 3)])  # criterion-1 and criterion-2 shapes
@@ -603,8 +618,8 @@ class TestBlockTable:
         # an all-zero hidden string has no row with n ones: prove and verify call it never
         usefulness_calls.clear()
         zeros = np.zeros(params.total_bits, dtype=np.uint8)
-        I, proof = hb_prove(zeros, x, witness, params)
-        assert hb_verify(I, zeros[I], x, proof, params) and usefulness_calls == []
+        opened, proof = hb_prove(zeros, x, witness, params)
+        assert hb_verify(opened, zeros[opened], x, proof, params) and usefulness_calls == []
 
     @pytest.mark.parametrize("shape", ["quantum", "classical"])
     def test_table_path_calls_usefulness_only_to_fill_the_table(self, shape, usefulness_calls, rng):
@@ -612,16 +627,17 @@ class TestBlockTable:
         hbnizk._block_decoder.cache_clear()
         for _ in range(20):
             r = rng.integers(0, 2, size=params.total_bits, dtype=np.uint8)
-            I, proof = hb_prove(r, x, witness, params)
-            assert hb_verify(I, r[I], x, proof, params)
-            I, r_I, proof = hb_simulate(x, params, rng)
-            assert hb_verify(I, r_I, x, proof, params)
+            opened, proof = hb_prove(r, x, witness, params)
+            assert hb_verify(opened, r[opened], x, proof, params)
+            opened, r_I, proof = hb_simulate(x, params, rng)
+            assert hb_verify(opened, r_I, x, proof, params)
         assert len(usefulness_calls) == 1 << params.bits_per_rep
 
-    def test_required_positions_cached_read_only(self):
+    def test_required_mask_cached_read_only(self):
         params, (x, _) = FIXTURES["classical"]
-        need = required_positions((2, 0, 1), x, params)
-        assert required_positions((2, 0, 1), complete_digraph(3), params) is need
+        need = required_mask((2, 0, 1), x, params)
+        assert required_mask((2, 0, 1), complete_digraph(3), params) is need
         with pytest.raises(ValueError):
-            need[0] = 0
-        assert list(need) == [0, 4, 8]  # the diagonal: K3 has every other entry
+            need[0] = False
+        assert need.dtype == bool and need.shape == (params.bits_per_rep,)
+        assert np.flatnonzero(need).tolist() == [0, 4, 8]  # the diagonal: K3 has every other entry
