@@ -125,6 +125,18 @@ class TestHonestSessions:
 
 
 class TestDeletion:
+    def test_verifier_cannot_write_the_provers_opened_set(self, rng):
+        # the proof's mask is the prover's: a V* that could open one more
+        # block in place would keep it undeleted and still certify
+        g, w = two_vertex_instance()
+        crs, net = epr_setup(DELETING, rng)
+        proof, prover = epr_prove(DELETING, crs, net, g, w, rng)
+        _, residual = epr_verify(DELETING, crs, net, g, proof, rng)
+        for opened in (proof.opened, prover.opened, residual.opened):
+            with pytest.raises(ValueError):
+                opened[0] = not opened[0]
+
+
     def test_cert_dimensions(self, rng):
         g, w = two_vertex_instance()
         crs, net = epr_setup(DELETING, rng)
