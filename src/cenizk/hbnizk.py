@@ -219,10 +219,9 @@ def _required_mask(vertex_map: tuple[int, ...], n: int, adjacency: bytes, m: int
 
 
 def _opened_mask(vmaps: list[Optional[tuple[int, ...]]], x: Digraph, params: HbParams) -> np.ndarray:
-    """(repetitions, bits_per_rep) mask of opened bits: the whole block
-    of a reveal-all repetition (map None), required_mask of a
-    useful-claim. Read-only: the EPR prover's state and the proof it
-    hands the verifier share it."""
+    """(repetitions, bits_per_rep) read-only mask of opened bits: the
+    whole block of a reveal-all repetition (map None), required_mask of
+    a useful-claim. The EPR prover's state and its proof share it."""
     mask = np.ones((params.repetitions, params.bits_per_rep), dtype=bool)
     for rep, vmap in enumerate(vmaps):
         if vmap is not None:

@@ -205,9 +205,7 @@ def opening_payload(opening) -> dict:
 
 
 def opening_from_payload(payload: dict):
-    if not isinstance(payload, dict):
-        raise WireError("opening payload must be a dict")
-    kind = payload.get("kind")
+    kind = payload.get("kind") if isinstance(payload, dict) else None
     if kind == "naor":
         return NaorOpening(np.asarray(payload["seeds"], dtype=np.uint64))
     if kind == "subset":
@@ -233,11 +231,11 @@ def hbproof_payload(proof) -> list:
 
 
 def hbproof_from_payload(payload: list):
-    if not isinstance(payload, list) or not all(isinstance(item, dict) for item in payload):
-        raise WireError("proof payload must be a list of dicts")
+    if not isinstance(payload, list):
+        raise WireError("proof payload must be a list")
     reps = []
     for item in payload:
-        kind = item.get("kind")
+        kind = item.get("kind") if isinstance(item, dict) else None
         if kind == "all":
             reps.append(RepRevealAll())
         elif kind == "useful":
