@@ -65,6 +65,11 @@ def _fold(a: np.ndarray, op: np.ufunc) -> np.ndarray:
     return out.astype(np.uint8).reshape(a.shape[:-1])
 
 
+# Rows per chunk of a large 2-D `masked_parity`: a chunk's temporaries are
+# reused, where one pass over 819,200 rows takes fresh pages on every call.
+_PARITY_CHUNK_ROWS = 16384
+
+
 def masked_parity(theta: np.ndarray, y: np.ndarray) -> np.ndarray:
     """XOR of y over the positions where theta == 0, along the last axis.
 
@@ -74,6 +79,10 @@ def masked_parity(theta: np.ndarray, y: np.ndarray) -> np.ndarray:
     coercion: the EPR path calls this on millions of entries). An empty
     last axis gives 0; a 1-D pair gives a numpy scalar.
     """
+    if theta.shape != y.shape:
+        raise ValueError(f"theta has shape {theta.shape} but y has shape {y.shape}")
+    if theta.ndim == 2 and len(theta) > (c := _PARITY_CHUNK_ROWS):
+        return np.concatenate([masked_parity(theta[i : i + c], y[i : i + c]) for i in range(0, len(theta), c)])
     masked = np.greater(y, theta).view(np.uint8)  # y & (theta ^ 1) on bits, in one pass
     return _fold(masked, np.bitwise_xor)
 

@@ -6,9 +6,9 @@ labels, so a session seed fully determines every artifact and
 independent trials can run on independent streams. `bits` is the one
 way a uniform 0/1 array is drawn; callers reach it as `rng.bits` so a
 single attribute decides the draw everywhere. A large draw is cut from
-32-bit words, with the bits and generator state of `integers(0, 2)`;
-`bits(gen, shape, count=k)` cuts k consecutive same-shape draws from
-one word draw.
+32-bit words, taken two to a raw 64-bit output where the generator
+buffers half-words, with the bits and whole state of `integers(0, 2)`;
+`bits(gen, shape, count=k)` cuts k consecutive draws from one word draw.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ def bits(gen: np.random.Generator, shape, count: int = 1) -> np.ndarray:
 
     numpy spends one byte of a buffered `next_uint32` per entry: entry i
     is the top bit of little-endian byte i % 4 of word i // 4, and the
-    last word's unused bytes are dropped. A uint32 draw takes one
-    `next_uint32` per word, so large draws shift whole words' bytes.
+    last word's unused bytes are dropped, so large draws shift whole
+    words' bytes: from `random_raw` once count * n reaches
+    `_WORD_DRAW_MIN`, else (and on MT19937) from one uint32 `integers`.
     With count > 1 the result stacks count such consecutive draws,
     shape (count, *shape), cut from one word draw: each draw starts on
     a fresh word, so row j is words [j*w, (j+1)*w) for w = ceil(n/4).
@@ -52,7 +53,17 @@ def bits(gen: np.random.Generator, shape, count: int = 1) -> np.ndarray:
     if count == 1 and n < _WORD_DRAW_MIN:
         return gen.integers(0, 2, size=shape, dtype=np.uint8)
     row = -(-n // 4) * 4
-    out = gen.integers(0, 1 << 32, size=count * row // 4, dtype=np.uint32).astype("<u4", copy=False).view(np.uint8)
+    words = count * row // 4
+    if count * n < _WORD_DRAW_MIN or "has_uint32" not in (state := gen.bit_generator.state):
+        out = gen.integers(0, 1 << 32, size=words, dtype=np.uint32)
+    else:  # next_uint32 splits a raw output low half first, buffering the high half
+        held = state["has_uint32"]
+        raw = gen.bit_generator.random_raw((words - held + 1) // 2).astype("<u8", copy=False).view("<u4")
+        after = gen.bit_generator.state  # as integers leaves it: odd last half buffered, uinteger the last high half
+        after["has_uint32"], after["uinteger"] = (words - held) % 2, int(raw[-1])
+        gen.bit_generator.state = after
+        out = (np.append(np.uint32(state["uinteger"]), raw) if held else raw)[:words]
+    out = out.astype("<u4", copy=False).view(np.uint8)
     out >>= 7
     if count == 1:
         return out[:n].reshape(shape)

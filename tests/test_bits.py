@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cenizk.bits import _COLUMN_XOR_MIN_ROWS, _fold, masked_parity
+from cenizk.bits import _COLUMN_XOR_MIN_ROWS, _PARITY_CHUNK_ROWS, _fold, masked_parity
 from cenizk.hbnizk import bits_to_matrix
 
 
@@ -60,6 +60,25 @@ class TestMaskedParity:
         y = rng.integers(0, 2, size=(40, 30, 6), dtype=np.uint8)
         got = masked_parity(theta, y)
         assert got.shape == (40, 30) and np.array_equal(got, reference(theta, y))
+
+    @pytest.mark.parametrize("rows", [d + _PARITY_CHUNK_ROWS for d in (-1, 0, 1)] + [2 * _PARITY_CHUNK_ROWS + 3])
+    def test_row_chunks_match_plain_reference(self, rows):
+        rng = np.random.default_rng(rows)
+        for k in [1, 2, 3, 4, 5, 6, 7, 8, 16]:
+            theta = rng.integers(0, 2, size=(rows, k), dtype=np.uint8)
+            y = rng.integers(0, 2, size=(rows, k), dtype=np.uint8)
+            theta.flags.writeable = y.flags.writeable = False
+            got = masked_parity(theta, y)
+            assert got.dtype == np.uint8 and got.shape == (rows,)
+            assert np.array_equal(got, np.bitwise_xor.reduce(y & (1 - theta), axis=-1))
+
+    @pytest.mark.parametrize(
+        "theta_shape, y_shape",
+        [((6,), (5, 6)), ((5, 6), (6,)), ((5, 1), (5, 6)), ((5, 6), (5, 7)), ((2 * _PARITY_CHUNK_ROWS, 6), (_PARITY_CHUNK_ROWS, 6))],
+    )
+    def test_mismatched_shapes_raise(self, theta_shape, y_shape):
+        with pytest.raises(ValueError, match="shape"):
+            masked_parity(np.zeros(theta_shape, dtype=np.uint8), np.ones(y_shape, dtype=np.uint8))
 
     @pytest.mark.parametrize("shape", [(0,), (5, 0), (300, 0)])
     def test_empty_last_axis_gives_zero(self, shape):

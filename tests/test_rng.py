@@ -67,7 +67,7 @@ def test_one_patch_reaches_every_session(protocol, monkeypatch):
 
 WORD_MIN = cenizk.rng._WORD_DRAW_MIN
 SHAPES = [0, 1, 3, WORD_MIN - 1, WORD_MIN, WORD_MIN + 1, 8321, 819200, (819200, 6), (3, 7), np.int64(WORD_MIN + 5)]
-BIT_GENERATORS = [np.random.PCG64, np.random.Philox, np.random.SFC64, np.random.MT19937]
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64, np.random.MT19937]
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=repr)
@@ -87,25 +87,76 @@ def test_bits_equal_the_uint8_draw_and_leave_the_same_state(bit_generator, shape
         assert gen.random() == ref.random()
 
 
+class _RecordingBitGenerator:
+    """Passes state and random_raw() through to a real bit generator and
+    records each use."""
+
+    def __init__(self, bit_gen, calls):
+        self._bit_gen, self._calls = bit_gen, calls
+
+    @property
+    def state(self):
+        self._calls.append(("state",))
+        return self._bit_gen.state
+
+    @state.setter
+    def state(self, value):
+        self._calls.append(("set state",))
+        self._bit_gen.state = value
+
+    def random_raw(self, size=None):
+        self._calls.append(("random_raw", size))
+        return self._bit_gen.random_raw(size)
+
+
 class _RecordingGenerator:
-    """Passes integers() through to a real Generator and records each call."""
+    """Passes integers() and its bit generator through to a real Generator
+    and records each call, in order."""
 
     def __init__(self, gen):
         self.gen, self.calls = gen, []
+        self.bit_generator = _RecordingBitGenerator(gen.bit_generator, self.calls)
 
     def integers(self, low, high, size=None, dtype=np.int64):
-        self.calls.append((low, high, size, np.dtype(dtype)))
+        self.calls.append(("integers", low, high, size, np.dtype(dtype)))
         return self.gen.integers(low, high, size=size, dtype=dtype)
+
+    def draws(self):
+        """The recorded calls that draw, leaving out state reads and writes."""
+        return [c for c in self.calls if c[0] in ("integers", "random_raw")]
+
+
+def _uint32_call(words):
+    return ("integers", 0, 1 << 32, words, np.dtype(np.uint32))
 
 
 @pytest.mark.parametrize("n", [3, WORD_MIN - 1, WORD_MIN, 8321, 4_915_200])
 def test_large_draws_take_one_uint32_call(n):
-    gen = _RecordingGenerator(np.random.default_rng(5))
+    # MT19937 has no half-word buffer, so its word draws stay integers calls
+    gen = _RecordingGenerator(np.random.Generator(np.random.MT19937(5)))
     cenizk.rng.bits(gen, n)
     if n >= WORD_MIN:
-        assert gen.calls == [(0, 1 << 32, -(-n // 4), np.dtype(np.uint32))]
+        assert gen.draws() == [_uint32_call(-(-n // 4))]
     else:
-        assert gen.calls == [(0, 2, n, np.dtype(np.uint8))]
+        assert gen.calls == [("integers", 0, 2, n, np.dtype(np.uint8))]
+
+
+BUFFERED_BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64]
+
+
+@pytest.mark.parametrize("n", [3, WORD_MIN - 1, WORD_MIN, WORD_MIN + 4, 8321, 4_915_200])
+@pytest.mark.parametrize("held", [0, 1])
+@pytest.mark.parametrize("bit_generator", BUFFERED_BIT_GENERATORS, ids=lambda bg: bg.__name__)
+def test_large_draws_on_buffered_generators_take_one_random_raw_call(bit_generator, held, n):
+    real = np.random.Generator(bit_generator(5))
+    real.integers(0, 1 << 32, size=held, dtype=np.uint32)
+    gen = _RecordingGenerator(real)
+    cenizk.rng.bits(gen, n)
+    if n >= WORD_MIN:
+        assert gen.draws() == [("random_raw", (-(-n // 4) - held + 1) // 2)]
+    else:
+        # exactly the uint8 call: not even a state read
+        assert gen.calls == [("integers", 0, 2, n, np.dtype(np.uint8))]
 
 
 COUNT_SIZES = [0, 1, 3, 4, 5, 36, 45, WORD_MIN - 1, WORD_MIN, 8321]
@@ -135,6 +186,31 @@ def test_count_draws_equal_consecutive_uint8_draws(bit_generator, shape, count):
 @pytest.mark.parametrize("count", [2, 3, 5])
 @pytest.mark.parametrize("n", COUNT_SIZES)
 def test_count_draws_take_one_uint32_call(n, count):
-    gen = _RecordingGenerator(np.random.default_rng(5))
+    gen = _RecordingGenerator(np.random.Generator(np.random.MT19937(5)))
     cenizk.rng.bits(gen, n, count=count)
-    assert gen.calls == [(0, 1 << 32, count * -(-n // 4), np.dtype(np.uint32))]
+    assert gen.draws() == [_uint32_call(count * -(-n // 4))]
+    small = _RecordingGenerator(np.random.default_rng(5))
+    cenizk.rng.bits(small, n, count=count)
+    if count * n < WORD_MIN:
+        # exactly one word draw: not even a state read
+        assert small.calls == [_uint32_call(count * -(-n // 4))]
+    else:
+        assert small.draws() == [("random_raw", (count * -(-n // 4) + 1) // 2)]
+
+
+STATE_SHAPES = [1023, 1024, WORD_MIN - 1, WORD_MIN, WORD_MIN + 4, WORD_MIN + 5, 8321, (9, 5), (513, 4)]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("shape", STATE_SHAPES, ids=repr)
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+def test_bits_leave_the_whole_state_of_the_uint8_draws(bit_generator, shape, count):
+    for pre_draws in range(4):
+        gen, ref = np.random.Generator(bit_generator(11)), np.random.Generator(bit_generator(11))
+        for g in (gen, ref):
+            g.integers(0, 1 << 32, size=pre_draws, dtype=np.uint32)
+        got = cenizk.rng.bits(gen, shape, count=count)
+        rows = [ref.integers(0, 2, size=shape, dtype=np.uint8) for _ in range(count)]
+        np.testing.assert_array_equal(got, rows[0] if count == 1 else np.stack(rows))
+        # every field, the buffered half-word and a stale uinteger included
+        np.testing.assert_equal(gen.bit_generator.state, ref.bit_generator.state)
