@@ -3,9 +3,10 @@
 Every 0/1 array in the package (EPR outcomes, hidden bits, pad keys,
 BB84 strings) comes from `cenizk.rng.bits`, looked up on the module at
 call time, so replacing that one attribute changes the draw everywhere.
-Large draws are cut from 32-bit words; they must give the bits and the
-generator state of `integers(0, 2, dtype=np.uint8)`. A `count=k` draw
-must give the bits and state of k such consecutive draws.
+Large draws are cut from 32-bit words, taken from `random_raw` where
+the bit generator buffers half-words; they must give the bits and the
+whole generator state of `integers(0, 2, dtype=np.uint8)`. A `count=k`
+draw must give the bits and state of k such consecutive draws.
 """
 
 import ast
