@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from cenizk import wire
+from cenizk.rng import bits
 from cenizk.attacks import (
     ADV_BASIS_INFORMED,
     ADV_KEEP_STATE,
@@ -36,7 +37,7 @@ from cenizk.graphs import (
     two_cycle_pair,
 )
 from cenizk.harness import default_epr_params, run_session, serialize_transcript
-from cenizk.hbnizk import HbParams
+from cenizk.hbnizk import HbParams, cheat_prove
 from cenizk.rng import stream
 from cenizk.state import dump_lines
 from conftest import epr_message_arrays
@@ -257,6 +258,36 @@ def test_deletion_experiment_digest():
                 kept = None if out.output_state is None else tuple(dump_lines(out.output_state))
                 h.update(repr((out.accepted, kept, sorted(out.classical.items()), rng.random())).encode())
     assert h.hexdigest() == DELETION_GOLDEN
+
+
+# ---------------------------------------------------------------------
+# hidden-bits adversary: which cover map it picks and what it draws
+# ---------------------------------------------------------------------
+
+# cheat_prove on 200 hidden strings at criterion 2's shape, strings and
+# the adversary's shuffles on one stream per statement: (digest, number
+# of coverable repetitions out of 4,000)
+CHEAT_PARAMS = HbParams(n=3, repetitions=20, matrix_side=27, block_len=8)
+CHEAT_GOLDEN = {
+    "triangle": ("6815e7054041413fe47756d88ca29409ee40bf4e13bb7f7721eaddeaf261f3ba", 991),
+    "k3": ("b99108461224dcacbfb6ea5627143106afe6931ecb3c822f4cb60946b225903e", 1021),
+}
+CHEAT_STATEMENTS = {"triangle": non_hamiltonian_triangle, "k3": lambda: complete_digraph(3)}
+
+
+@pytest.mark.parametrize("statement", sorted(CHEAT_GOLDEN))
+def test_cheat_prove_digest(statement):
+    x = CHEAT_STATEMENTS[statement]()
+    rng = stream(0, "cheat")
+    h = hashlib.sha256()
+    total = 0
+    for _ in range(200):
+        r = bits(rng, CHEAT_PARAMS.total_bits)
+        opened, proof, coverable = cheat_prove(r, x, CHEAT_PARAMS, rng)
+        total += coverable
+        maps = [rep.vertex_map for rep in proof.reps]
+        h.update(repr((np.packbits(opened).tobytes(), maps, coverable, rng.bit_generator.state)).encode())
+    assert (h.hexdigest(), total) == CHEAT_GOLDEN[statement]
 
 
 # ---------------------------------------------------------------------
