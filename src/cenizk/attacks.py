@@ -73,19 +73,13 @@ class CommitBlock:
         return self._state
 
 
-def _draw_blocks(k: int, width: int, rng: np.random.Generator) -> np.ndarray:
-    """The draws behind k commitment blocks: ys, then thetas, stacked
-    as a (2, k, width) uint8 array."""
-    return rng_mod.bits(rng, (k, width), count=2)
-
-
 def _blocks(ys: np.ndarray, thetas: np.ndarray, cs: np.ndarray) -> list[CommitBlock]:
     return [CommitBlock(y, theta, c) for y, theta, c in zip(ys, thetas, cs.tolist())]
 
 
 def commit_bits(ms: np.ndarray, width: int, rng: np.random.Generator) -> list[CommitBlock]:
     """Batch commit: two draws (ys, then thetas) for a whole block vector."""
-    ys, thetas = _draw_blocks(len(ms), width, rng)
+    ys, thetas = rng_mod.bits(rng, (len(ms), width), count=2)
     return _blocks(ys, thetas, np.asarray(ms, dtype=np.uint8) ^ masked_parity(thetas, ys))
 
 
@@ -166,7 +160,7 @@ def _draw_reps(n: int, params: StrawmanParams, rng: np.random.Generator):
     draws = np.empty((2, params.reps, n * n, params.width), dtype=np.uint8)
     for rep in range(params.reps):
         taus[rep] = rng.permutation(n)
-        draws[:, rep] = _draw_blocks(n * n, params.width, rng)
+        draws[:, rep] = rng_mod.bits(rng, (n * n, params.width), count=2)
     ys, thetas = draws.reshape(2, -1, params.width)
     return taus, ys, thetas
 

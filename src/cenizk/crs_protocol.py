@@ -615,12 +615,11 @@ def crs_prove_dry(
     w, mode = params.sig_width, params.owf_mode
     z_bits = z.tolist()
     chunks = _lamport_sign(pre, z_bits)
-    # the certifier hashes every chunk and compares it with the public
-    # image pre[i][z_i] signs; an honest chunk is that preimage, so its
-    # hash is the image, and an honest run hashes n_r preimages
-    hashes = [_owf_int(c, w, mode) for c in chunks]
-    images = [h if c == p[b] else _owf_int(p[b], w, mode) for c, h, p, b in zip(chunks, hashes, pre, z_bits)]
-    sig_ok = len(chunks) == len(z_bits) and hashes == images
+    # the Lamport check: chunk i must hash to the image of pre[i][z_i];
+    # an honest chunk is that preimage, so it is never hashed
+    sig_ok = len(chunks) == len(z_bits) and all(
+        c == p[b] or _owf_int(c, w, mode) == _owf_int(p[b], w, mode) for c, p, b in zip(chunks, pre, z_bits)
+    )
 
     pad0_z = pad_half(theta, z, 0, ell, lam)
     pad1_z = pad_half(theta, z, 1, ell, lam)

@@ -19,7 +19,7 @@ negative control in the hiding tests.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -93,27 +93,12 @@ class NaorCrs:
     mode = "naor"
 
 
-class DealerRegistry:
-    """Mutable trusted-party ledger; confined to one harness thread."""
-
-    def __init__(self):
-        self._entries: dict[bytes, tuple[np.ndarray, bytes]] = {}
-
-    def register(self, com: bytes, bits: np.ndarray, receipt: bytes) -> None:
-        """Record bits under com; a read-only array is kept without a copy."""
-        if bits.flags.writeable:
-            bits = bits.copy()
-            bits.flags.writeable = False
-        self._entries[com] = (bits, receipt)
-
-    def lookup(self, com: bytes):
-        return self._entries.get(com)
-
-
 @dataclass(frozen=True)
 class DealerCrs:
     params: HbgParams
-    registry: DealerRegistry
+    # the trusted party's mutable ledger, confined to one harness thread:
+    # commitment -> (read-only registered bits, receipt)
+    registry: dict[bytes, tuple[np.ndarray, bytes]] = field(default_factory=dict, compare=False)
 
     mode = "dealer"
 
@@ -193,7 +178,7 @@ def hbg_setup(
             u[:, 0] &= 0xFF >> extra
         return NaorCrs(params, u, prg_mode)
     if mode == "dealer":
-        return DealerCrs(params, DealerRegistry())
+        return DealerCrs(params)
     raise ValueError(f"unknown hbg mode {mode!r}")
 
 
@@ -213,7 +198,7 @@ def hbg_genbits(crs, rng: np.random.Generator):
     if crs.mode == "dealer":
         com = rng.integers(0, 256, size=16, dtype=np.uint8).tobytes()
         receipt = hashlib.blake2b(com, digest_size=16, person=b"hbg-receipt").digest()
-        crs.registry.register(com, r, receipt)
+        crs.registry[com] = (r, receipt)
         return HbgCommitment(com), r, DealerOpening(receipt)
     raise ValueError(f"unknown hbg mode {crs.mode!r}")
 
@@ -245,7 +230,7 @@ def hbg_verify(crs, com: HbgCommitment, i: int, r_i: int, opening) -> bool:
         target = (c ^ crs.u[i]) if r_i else c
         return target.tobytes() == prg_expand(seed, params, crs.prg_mode)
     if crs.mode == "dealer":
-        entry = crs.registry.lookup(com.data)
+        entry = crs.registry.get(com.data)
         if entry is None or not isinstance(opening, DealerOpening):
             return False
         bits, receipt = entry
@@ -271,7 +256,7 @@ def hbg_verify_batch(
     if len(indices) != len(bits) or (len(indices) and (lo < 0 or hi >= params.k)):
         return False
     if crs.mode == "dealer":
-        entry = crs.registry.lookup(com.data)
+        entry = crs.registry.get(com.data)
         if entry is None or not isinstance(opening, DealerOpening) or opening.receipt != entry[1]:
             return False
         return bool(np.array_equal(entry[0][take], bits))
@@ -316,7 +301,6 @@ __all__ = [
     "SubsetOpening",
     "restrict_opening",
     "DealerOpening",
-    "DealerRegistry",
     "HbgCommitment",
     "HbgOpenResult",
     "HbgParams",

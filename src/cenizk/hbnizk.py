@@ -135,28 +135,19 @@ def bits_to_matrix(block: np.ndarray, m: int, b: int) -> np.ndarray:
 def usefulness(matrix: np.ndarray, n: int) -> Optional[HiddenCycle]:
     """HiddenCycle when the ones form a single directed n-cycle, else None.
 
-    Requires exactly n ones globally, occupying n distinct rows and n
-    distinct columns over the same vertex set, forming one cycle.
+    That is: n >= 2, and the ones are a permutation of n vertices (n
+    ones, one in each of n rows, the same n columns) whose orbit from
+    the smallest vertex has length n.
     """
-    ones = np.argwhere(matrix)
-    if len(ones) != n:
+    ones = np.argwhere(matrix).tolist()
+    succ = dict(ones)
+    if n < 2 or len(ones) != n or len(succ) != n or set(succ.values()) != set(succ):
         return None
-    rows = [int(u) for u, _ in ones]
-    cols = [int(v) for _, v in ones]
-    if len(set(rows)) != n or len(set(cols)) != n or set(rows) != set(cols):
-        return None
-    succ = {int(u): int(v) for u, v in ones}
-    if any(u == v for u, v in succ.items()):
-        return None
-    # walk the functional graph: one orbit covering all n vertices
-    start = min(succ)
-    seen = []
-    cur = start
-    for _ in range(n):
-        seen.append(cur)
+    start = cur = min(succ)
+    for _ in range(n - 1):
         cur = succ[cur]
-    if cur != start or len(set(seen)) != n:
-        return None
+        if cur == start:
+            return None
     return HiddenCycle(tuple(sorted(succ.items())))
 
 
@@ -284,12 +275,16 @@ def hb_prove(
 
 def hb_verify(opened: np.ndarray, r_I: np.ndarray, x: Digraph, proof: HbProof, params: HbParams) -> bool:
     """Accept iff every repetition checks out. opened must be a
-    (total_bits,) bool mask and r_I hold one value per opened bit.
-    Malformed input rejects, it never raises."""
+    (total_bits,) bool mask and r_I hold one bit (a bool or an integer
+    0 or 1) per opened bit. Malformed input rejects, it never raises."""
     try:
-        r_I = np.asarray(r_I, dtype=np.uint8)
+        r_I = np.asarray(r_I)
     except (TypeError, ValueError):
         return False
+    # only bool or integer 0s and 1s, checked before the cast could wrap or truncate
+    if r_I.dtype.kind not in "biu" or r_I.max(initial=0) > 1 or r_I.min(initial=0) < 0:
+        return False
+    r_I = r_I.astype(np.uint8, copy=False)
     if len(proof.reps) != params.repetitions or not _well_shaped(opened, params.total_bits):
         return False
     kp = params.bits_per_rep
@@ -363,57 +358,23 @@ def cover_map(
     ones: list[tuple[int, int]], x: Digraph, m: int, rng: np.random.Generator
 ) -> tuple[int, ...] | None:
     """Injective map [n] -> [m] whose statement-edge image covers every
-    one-entry, or None when no such map exists. Small backtracking over
-    the (few) one-entries; unconstrained graph vertices land on random
-    free matrix vertices."""
-    n = x.n
-    if any(u == v for u, v in ones):
-        return None  # a self-loop entry can never sit on a statement edge
-    if len({w for uv in ones for w in uv}) > n or len(ones) > len(x.edges()):
+    one-entry, or None when no such map exists. The matrix vertices the
+    ones touch, in order of first appearance, take the lexicographically
+    first tuple of distinct graph vertices that puts every one-entry on a
+    statement edge; the other graph vertices land, in increasing order,
+    on the untouched matrix vertices in shuffled order."""
+    touched = list(dict.fromkeys(w for uv in ones for w in uv))
+    pairs = [(touched.index(u), touched.index(v)) for u, v in ones]
+    for image in itertools.permutations(range(x.n), len(touched)):
+        if all(x.has_edge(image[i], image[j]) for i, j in pairs):
+            break
+    else:
         return None
-
-    assign: dict[int, int] = {}  # matrix vertex -> graph vertex
-    used: set[int] = set()
-
-    def place(idx: int) -> bool:
-        if idx == len(ones):
-            return True
-        u, v = ones[idx]
-        a_opts = [assign[u]] if u in assign else [a for a in range(n) if a not in used]
-        for a in a_opts:
-            fresh_u = u not in assign
-            if fresh_u:
-                assign[u] = a
-                used.add(a)
-            c_opts = [assign[v]] if v in assign else [c for c in range(n) if c not in used]
-            for c in c_opts:
-                if x.has_edge(a, c):
-                    fresh_v = v not in assign
-                    if fresh_v:
-                        assign[v] = c
-                        used.add(c)
-                    if place(idx + 1):
-                        return True
-                    if fresh_v:
-                        del assign[v]
-                        used.discard(c)
-            if fresh_u:
-                del assign[u]
-                used.discard(a)
-        return False
-
-    if not place(0):
-        return None
-    vmap = [-1] * n
-    for mv, gv in assign.items():
-        vmap[gv] = mv
-    free = [mv for mv in range(m) if mv not in assign]
+    placed = dict(zip(image, touched))  # graph vertex -> matrix vertex
+    free = [mv for mv in range(m) if mv not in touched]
     rng.shuffle(free)
     it = iter(free)
-    for a in range(n):
-        if vmap[a] < 0:
-            vmap[a] = int(next(it))
-    return tuple(vmap)
+    return tuple(placed[a] if a in placed else next(it) for a in range(x.n))
 
 
 def _block_cover(

@@ -111,9 +111,6 @@ class SparseState:
         if len(set(indices)) != len(indices):
             raise SimUsageError("indices must be distinct")
 
-    def copy(self) -> "SparseState":
-        return SparseState(self.num_qubits, dict(self.amps), self.retired)
-
     def equals(self, other: "SparseState", tol: float = NORM_TOL) -> bool:
         """Amplitude-map equality within tol (exact keys, close amplitudes)."""
         if self.num_qubits != other.num_qubits or set(self.amps) != set(other.amps):

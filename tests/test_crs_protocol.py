@@ -388,8 +388,9 @@ class TestDryRun:
             assert all(record.checks.values()), record.checks
 
     def test_corrupted_signature_chunk_breaks_the_chain(self, monkeypatch):
-        # the certifier hashes each chunk of the signature, so one wrong
-        # preimage must fail the chain while every other identity holds
+        # the certifier checks each chunk of the signature against its
+        # public image, so one wrong preimage must fail the chain while
+        # every other identity holds
         spec = CompiledSpec(hb=HbParams(n=3, repetitions=1, matrix_side=3, block_len=1))
         g, w = complete_digraph(3), canonical_cycle(3)
         honest_sign = crs_protocol._lamport_sign

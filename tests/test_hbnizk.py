@@ -99,13 +99,9 @@ class TestDecodeAndUsefulness:
 class TestUsefulRate:
     def brute_force_count(self, m, n):
         # independent oracle: enumerate every 0/1 matrix at block_len=1
-        count = 0
         cells = m * m
-        for v in range(1 << cells):
-            mat = np.array([(v >> (cells - 1 - i)) & 1 for i in range(cells)], dtype=bool)
-            if usefulness(mat.reshape(m, m), n) is not None:
-                count += 1
-        return count
+        every = (np.arange(1 << cells)[:, None] >> np.arange(cells - 1, -1, -1)) & 1
+        return sum(usefulness(mat, n) is not None for mat in every.astype(bool).reshape(-1, m, m))
 
     def test_exhaustive_m3(self):
         count = self.brute_force_count(3, 3)
@@ -118,6 +114,21 @@ class TestUsefulRate:
         count = self.brute_force_count(4, 3)
         assert count == 8
         assert count / 2**16 == pytest.approx(useful_probability(4, 1, 3), rel=1e-12)
+
+    @pytest.mark.parametrize("m,n,count", [(2, 2, 1), (3, 2, 3), (4, 2, 6), (4, 4, 6)])
+    def test_exhaustive_small_shapes(self, m, n, count):
+        # with (3, 3) and (4, 3) above, every 2 <= n <= m <= 4; at (4, 4)
+        # the 3 pairs of disjoint 2-cycles hold 4 ones on one vertex set
+        # and are not useful
+        assert self.brute_force_count(m, n) == count
+        assert count / 2 ** (m * m) == pytest.approx(useful_probability(m, 1, n), rel=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_n_one_never_useful(self, m):
+        # the closed form counts the m lone self-loops at n = 1, so the
+        # comparison with it starts at n = 2
+        assert self.brute_force_count(m, 1) == 0
+        assert useful_probability(m, 1, 1) * 2 ** (m * m) == pytest.approx(m)
 
     def test_monte_carlo_production_shape(self, rng):
         # two-stage sampler: Binomial one-count filter, then uniform
@@ -588,6 +599,22 @@ class TestBlockTable:
                 short = opened.copy()
                 short[drop] = False
                 assert not hb_verify(short, r[short], x, proof, params)
+
+    @pytest.mark.parametrize("shape", ["quantum", "batched"])  # table-decoded, and above the table cap
+    def test_non_bit_values_reject(self, shape, rng):
+        # r_I holds bits: values the uint8 cast would wrap, truncate or
+        # let through reject, and none raises
+        if shape == "batched":
+            params, x = HbParams(n=3, repetitions=3, matrix_side=4, block_len=1), complete_digraph(3)
+        else:
+            params, (x, _) = FIXTURES[shape]
+        opened, r_I, proof = hb_simulate(x, params, rng)
+        assert (r_I == 1).any()
+        for good in [r_I, r_I.astype(bool), r_I.tolist()]:
+            assert hb_verify(opened, good, x, proof, params)
+        k = len(r_I)
+        for bad in [np.full(k, 2), [-1] * k, [256] * k, [0.5] * k, r_I.astype(float), np.where(r_I == 1, 3, 0)]:
+            assert not hb_verify(opened, bad, x, proof, params)
 
     @pytest.mark.parametrize("m,b,n", [(64, 10, 4), (27, 8, 3)])  # criterion-1 and criterion-2 shapes
     def test_above_cap_decoder_matches_per_row_reference(self, m, b, n, rng):
