@@ -37,7 +37,7 @@ import numpy as np
 
 from . import crs_protocol as cp
 from . import rng as rng_mod
-from .bits import check_deletion_cert, int_to_bits, masked_parity
+from .bits import check_deletion_cert, masked_parity, pack_rows
 from .graphs import CycleWitness, Digraph, canonical_cycle, require_witness
 from .hbnizk import usefulness
 from .state import (
@@ -80,7 +80,7 @@ def _blocks(ys: np.ndarray, thetas: np.ndarray, cs: np.ndarray) -> list[CommitBl
 def commit_bits(ms: np.ndarray, width: int, rng: np.random.Generator) -> list[CommitBlock]:
     """Batch commit: two draws (ys, then thetas) for a whole block vector."""
     ys, thetas = rng_mod.bits(rng, (len(ms), width), count=2)
-    return _blocks(ys, thetas, np.asarray(ms, dtype=np.uint8) ^ masked_parity(thetas, ys))
+    return _blocks(ys, thetas, np.asarray(ms, dtype=np.uint8) ^ masked_parity(pack_rows(thetas), pack_rows(ys)))
 
 
 def open_commit(block_state: SparseState, y: np.ndarray, theta: np.ndarray, c: int, rng) -> Optional[int]:
@@ -90,7 +90,7 @@ def open_commit(block_state: SparseState, y: np.ndarray, theta: np.ndarray, c: i
     outcomes, _ = measure(block_state, list(range(width)), ["X" if t else "Z" for t in theta], rng)
     if not np.array_equal(outcomes, y):
         return None
-    return int(c) ^ int(masked_parity(theta, y))
+    return int(c) ^ int(masked_parity(pack_rows(theta), pack_rows(y)))
 
 
 def deletion_cert_for_block(block_state: SparseState, rng) -> np.ndarray:
@@ -229,7 +229,7 @@ def strawman_prove(
 ) -> tuple[StrawmanProof, StrawmanKey]:
     require_witness(x, witness)
     taus, ys, thetas = _draw_reps(x.n, params, rng)
-    blocks = _blocks(ys, thetas, _permuted_adjacency(x, taus).ravel() ^ masked_parity(thetas, ys))
+    blocks = _blocks(ys, thetas, _permuted_adjacency(x, taus).ravel() ^ masked_parity(pack_rows(thetas), pack_rows(ys)))
     classical, opened_ids = _opening_package(x, blocks, taus, witness, params.reps)
     proof = StrawmanProof(blocks, classical)
     key = StrawmanKey([b.y for b in blocks], [b.theta for b in blocks], opened_ids)
@@ -368,7 +368,7 @@ def derived_soundness_adversary(
         taus, ys, thetas = _draw_reps(n, params, rng)
         # an everything-is-one commit can open any cycle
         ms = np.where(guesses[:, None, None] == 0, _permuted_adjacency(x, taus), np.uint8(1))
-        cs = ms.ravel() ^ masked_parity(thetas, ys)
+        cs = ms.ravel() ^ masked_parity(pack_rows(thetas), pack_rows(ys))
         hits = int(np.sum(_fs_challenges(x, cs, reps) == guesses))
         if best is None or hits > best[0]:
             best = (hits, taus, ys, thetas, cs)
@@ -443,7 +443,7 @@ def run_deletion_experiment(
 ) -> DeletionOutcome:
     lam = exp.lam
     y, theta = rng_mod.bits(rng, lam, count=2)
-    masked = int(b) ^ int(masked_parity(theta, y))
+    masked = int(b) ^ int(masked_parity(pack_rows(theta), pack_rows(y)))
     payload = _z_payload(exp, theta, masked)
     _assert_no_theta_leak(exp, payload)
     register = prep_bb84(Bb84Descriptor(y, theta))
@@ -458,7 +458,7 @@ def run_deletion_experiment(
         leaked = payload["theta"]
         bases = ["Z" if t == 0 else "X" for t in leaked]
         outcomes, _ = measure(register, list(range(lam)), bases, rng)
-        recovered = payload["masked_bit"] ^ int(masked_parity(leaked, outcomes))
+        recovered = payload["masked_bit"] ^ int(masked_parity(pack_rows(leaked), pack_rows(outcomes)))
         cert = outcomes  # X positions carry the true y; Z positions unchecked
         out_state = SparseState(1, {int(recovered): 1.0 + 0.0j})
         classical = {"bit": int(recovered)}
@@ -490,14 +490,14 @@ def _exact_output_matrix(exp: DeletionExperiment, b: int) -> np.ndarray:
     weight = 1.0 / (4**lam)
     for y_int in range(1 << lam):
         for th_int in range(1 << lam):
-            y = int_to_bits(y_int, lam)
-            theta = int_to_bits(th_int, lam)
-            masked = int(b) ^ int(masked_parity(theta, y))
+            # y and theta as words (the parity ignores their bit order)
+            parity = int(masked_parity(np.uint64(th_int), np.uint64(y_int)))
+            masked = int(b) ^ parity
             if exp.adversary == ADV_HONEST_DELETER:
                 # always accepted, empty output
                 rho[1, 1] += weight
             elif exp.adversary == ADV_BASIS_INFORMED:
-                recovered = masked ^ int(masked_parity(theta, y))  # = b exactly
+                recovered = masked ^ parity  # = b exactly
                 rho[1 + recovered, 1 + recovered] += weight
             else:
                 raise ValueError("exact mode supports the deterministic adversaries only")

@@ -1,10 +1,10 @@
 """Bitstring plumbing shared across the protocol modules.
 
-Bitstrings travel in two forms: numpy uint8 0/1 arrays (protocol
-layer, vectorizable) and Python ints paired with a width (sparse
-statevector keys). Conversions here fix one convention: index 0 of
-the array is the most significant bit of the int, matching character
-position 0 of the printed bitstring.
+Bitstrings travel as numpy uint8 0/1 arrays (protocol layer), as
+Python ints paired with a width (sparse statevector keys: index 0 of
+the array is the int's most significant bit, character 0 of the
+printed bitstring), and as words packing one row each (EPR blocks,
+block parities: bit j, value 1 << j, is entry j of the row).
 """
 
 from __future__ import annotations
@@ -65,34 +65,43 @@ def _fold(a: np.ndarray, op: np.ufunc) -> np.ndarray:
     return out.astype(np.uint8).reshape(a.shape[:-1])
 
 
-# Rows per chunk of a large 2-D `masked_parity`: a chunk's temporaries are
-# reused, where one pass over 819,200 rows takes fresh pages on every call.
-_PARITY_CHUNK_ROWS = 16384
+def pack_rows(rows) -> np.ndarray:
+    """(..., w) 0/1 rows (nonzero counts as 1) as (...,) words of the
+    narrowest unsigned dtype that holds w <= 64 bits; empty rows give 0."""
+    packed = np.packbits(rows, axis=-1, bitorder="little")
+    size = next((n for n in (1, 2, 4, 8) if n >= packed.shape[-1]), None)
+    if size is None:
+        raise ValueError(f"rows of {np.shape(rows)[-1]} bits do not fit in one word")
+    if packed.shape[-1] != size:
+        packed = np.concatenate([packed, np.zeros((*packed.shape[:-1], size - packed.shape[-1]), np.uint8)], axis=-1)
+    return packed.view(f"<u{size}")[..., 0]
+
+
+def unpack_rows(words: np.ndarray, width: int) -> np.ndarray:
+    """Inverse of `pack_rows` for uint8 words: (..., width) 0/1 uint8 rows."""
+    return np.unpackbits(words[..., None], axis=-1, count=width, bitorder="little")
 
 
 def masked_parity(theta: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """XOR of y over the positions where theta == 0, along the last axis.
-
-    The block parity behind every hidden bit and pad bit: theta marks
-    Hadamard-basis positions, whose values never enter the parity. Both
-    arguments must already be 0/1 integer arrays of one shape (no
-    coercion: the EPR path calls this on millions of entries). An empty
-    last axis gives 0; a 1-D pair gives a numpy scalar.
+    """Parity of each word of y over the bits where theta's word is 0, as
+    uint8: the block parity behind every hidden bit and pad bit (a set
+    theta bit marks a Hadamard position). theta and y are words of one
+    shape and packing, taken as given: EPR block bytes, or `pack_rows`.
     """
     if theta.shape != y.shape:
         raise ValueError(f"theta has shape {theta.shape} but y has shape {y.shape}")
-    if theta.ndim == 2 and len(theta) > (c := _PARITY_CHUNK_ROWS):
-        return np.concatenate([masked_parity(theta[i : i + c], y[i : i + c]) for i in range(0, len(theta), c)])
-    masked = np.greater(y, theta).view(np.uint8)  # y & (theta ^ 1) on bits, in one pass
-    return _fold(masked, np.bitwise_xor)
+    # one buffer worked in place: at 819,200 blocks a fresh temporary's
+    # first-touch pages cost more than the arithmetic
+    out = np.invert(theta, out=np.empty(theta.shape, theta.dtype))
+    out &= y
+    np.bitwise_count(out, out=out)
+    out &= 1
+    return out.astype(np.uint8, copy=False)
 
 
 def check_deletion_cert(cert: np.ndarray, y: np.ndarray, theta: np.ndarray) -> bool:
-    """Hadamard-basis certificate check: cert equals y wherever theta is 1.
-
-    Same theta convention as `masked_parity` (1 marks a Hadamard
-    position); computational positions are not checked. Any matching
-    shapes, e.g. one block or a (blocks, width) matrix.
-    """
-    mask = theta == 1
-    return bool(np.all(cert[mask] == y[mask]))
+    """Hadamard-basis certificate check: cert equals y on every set bit
+    of theta, whose convention is `masked_parity`'s. All three are words
+    of one packing (a 0/1 array is one-bit words); a cert of another
+    shape than y fails."""
+    return np.shape(cert) == np.shape(y) and not ((cert ^ y) & theta).any()

@@ -52,7 +52,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from . import wire
-from .bits import as_bit_array, bits_to_int, check_deletion_cert, int_to_bits, masked_parity
+from .bits import as_bit_array, bits_to_int, check_deletion_cert, int_to_bits, masked_parity, pack_rows
 from .crs_nizk import (
     TOY_PROOF_BITS,
     CompiledProof,
@@ -167,7 +167,7 @@ def pad_half(theta: np.ndarray, z: np.ndarray, which: int, ell: int, lam: int) -
     which=1)."""
     rows = slice(0, ell) if which == 0 else slice(ell, 2 * ell)
     theta = as_bit_array(theta).reshape(2 * ell, lam)[rows]
-    return masked_parity(theta, as_bit_array(z).reshape(2 * ell, lam)[rows])
+    return masked_parity(pack_rows(theta), pack_rows(as_bit_array(z).reshape(2 * ell, lam)[rows]))
 
 
 @functools.cache

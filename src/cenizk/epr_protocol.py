@@ -1,17 +1,19 @@
 """Certified-everlasting NIZK over shared EPR pairs.
 
 One hidden bit per EPR block. The hidden-bits generator fixes a basis
-string theta across all ell*k pairs; both parties measure their halves
-in that basis, and hidden bit i is the XOR of block i's computational
-positions, masked by the public string s. Opening a bit means opening
-its block's theta entries through the generator; deleting a bit means
-Hadamard-measuring the block and returning the outcomes, which the
-prover checks against its recorded values wherever theta is 1.
+word theta_i for each of the ell blocks of k <= 8 pairs; both parties
+measure their halves in those bases, and hidden bit i is the XOR of
+block i's computational positions, masked by the public string s.
+Bases and outcomes travel as block words, one uint8 per block (the
+`bits` word convention: bit j is pair j). Opening a bit means opening
+its block's word through the generator; deleting a bit means
+Hadamard-measuring the block and returning the outcome word, which the
+prover checks against its recorded word on theta's set bits.
 
 The opened set is the hidden-bits layer's (ell,) bool mask over blocks;
-deletion covers the rest. An all-True mask skips every index array over
-the pairs. A rejected well-shaped mask stays the verifier's opened set;
-a malformed one opens nothing.
+deletion covers the rest. An all-True mask skips every index array. A
+rejected well-shaped mask stays the verifier's opened set; a malformed
+one opens nothing.
 
 The prover certification reference is the recorded y: the prover's own
 theta-basis measurement already produced the Hadamard-position values
@@ -19,7 +21,7 @@ Cert compares against, so no re-measurement happens (the certificate
 bits at theta=0 positions are ignored by definition).
 
 Everything here is batch-first numpy so a session with millions of
-pairs stays inside a handful of vector operations.
+pairs stays inside a handful of vector operations on block words.
 """
 
 from __future__ import annotations
@@ -59,10 +61,6 @@ class EprParams:
     def num_blocks(self) -> int:
         return self.hb.total_bits
 
-    @property
-    def num_pairs(self) -> int:
-        return self.num_blocks * self.block_width
-
 
 @dataclass(frozen=True)
 class EprCrs:
@@ -75,14 +73,14 @@ class EprProof:
     opened: np.ndarray  # (ell,) bool mask of opened hidden bits == opened blocks
     pi_hb: HbProof
     com: hbg_mod.HbgCommitment
-    theta_I: np.ndarray  # (opened count, k) basis rows for opened blocks only
-    op_I: object  # generator openings restricted to opened positions
+    theta_I: np.ndarray  # (opened count,) basis words of the opened blocks only
+    op_I: object  # generator openings restricted to the opened blocks' pairs
 
 
 @dataclass(frozen=True)
 class EprProverState:
-    y: np.ndarray  # (ell, k) recorded outcomes
-    theta: np.ndarray  # (ell, k)
+    y: np.ndarray  # (ell,) recorded outcome words
+    theta: np.ndarray  # (ell,) basis words
     opened: np.ndarray
     network: EprNetwork
 
@@ -96,7 +94,7 @@ class EprVerifierState:
 @dataclass(frozen=True)
 class EprDeletionCert:
     blocks: np.ndarray  # the unopened block indices, sorted
-    outcomes: np.ndarray  # (len(blocks), k) Hadamard outcomes
+    outcomes: np.ndarray  # (len(blocks),) Hadamard outcome words
 
 
 def _opened_rows(a: np.ndarray, opened: np.ndarray) -> np.ndarray:
@@ -104,11 +102,9 @@ def _opened_rows(a: np.ndarray, opened: np.ndarray) -> np.ndarray:
     return a if opened.all() else a[opened]
 
 
-def _block_positions(opened: np.ndarray, k: int) -> np.ndarray | range:
-    """Generator positions of the blocks of a well-shaped mask."""
-    if opened.all():
-        return range(len(opened) * k)
-    return np.flatnonzero(np.repeat(opened, k))
+def _opened_pairs(opened: np.ndarray, k: int) -> np.ndarray | range:
+    """The pairs of the blocks of a well-shaped mask: the bits a naor opening commits."""
+    return range(len(opened) * k) if opened.all() else np.flatnonzero(np.repeat(opened, k))
 
 
 # ---------------------------------------------------------------------
@@ -117,7 +113,7 @@ def _block_positions(opened: np.ndarray, k: int) -> np.ndarray | range:
 
 
 def epr_setup(params: EprParams, rng: np.random.Generator) -> tuple[EprCrs, EprNetwork]:
-    crs_bg = hbg_mod.hbg_setup(params.num_pairs, params.hbg_mode, rng, s=params.hbg_s)
+    crs_bg = hbg_mod.hbg_setup(params.num_blocks, params.hbg_mode, rng, s=params.hbg_s, width=params.block_width)
     s = rng_mod.bits(rng, params.num_blocks)
     return EprCrs(crs_bg, s), prep_epr(params.num_blocks, params.block_width)
 
@@ -130,22 +126,18 @@ def epr_prove(
     witness: CycleWitness,
     rng: np.random.Generator,
 ) -> tuple[EprProof, EprProverState]:
-    ell, k = params.num_blocks, params.block_width
-    com, theta_flat, opening = hbg_mod.hbg_genbits(crs.crs_bg, rng)
-    theta = theta_flat.reshape(ell, k)
+    com, theta, opening = hbg_mod.hbg_genbits(crs.crs_bg, rng)
     y = network.measure_blocks(ROLE_P, theta, rng)
-    t = masked_parity(theta, y)
-    r = t ^ crs.s
-    opened, pi_hb = hb_prove(r, x, witness, params.hb)
+    opened, pi_hb = hb_prove(masked_parity(theta, y) ^ crs.s, x, witness, params.hb)
     return _assemble_proof(params, opened, pi_hb, com, theta, opening), EprProverState(y, theta, opened, network)
 
 
 def _assemble_proof(
     params: EprParams, opened: np.ndarray, pi_hb: HbProof, com, theta: np.ndarray, opening
 ) -> EprProof:
-    """The proof for an opened mask: theta's rows and the generator
+    """The proof for an opened mask: theta's words and the generator
     openings on its blocks."""
-    op_I = hbg_mod.restrict_opening(opening, _block_positions(opened, params.block_width))
+    op_I = hbg_mod.restrict_opening(opening, _opened_pairs(opened, params.block_width))
     return EprProof(opened, pi_hb, com, _opened_rows(theta, opened), op_I)
 
 
@@ -168,11 +160,11 @@ def epr_verify(
 
 def _opening_ok(params: EprParams, crs: EprCrs, proof: EprProof) -> bool:
     """The opened mask is well shaped and the generator opens theta on its blocks."""
-    opened, k = proof.opened, params.block_width
-    if not _well_shaped(opened, params.num_blocks) or proof.theta_I.shape != (np.count_nonzero(opened), k):
+    opened = proof.opened
+    if not _well_shaped(opened, params.num_blocks) or proof.theta_I.shape != (np.count_nonzero(opened),):
         return False
-    positions = _block_positions(opened, k)
-    return bool(hbg_mod.hbg_verify_batch(crs.crs_bg, proof.com, positions, proof.theta_I.ravel(), proof.op_I))
+    blocks = range(len(opened)) if opened.all() else np.flatnonzero(opened)
+    return bool(hbg_mod.hbg_verify_batch(crs.crs_bg, proof.com, blocks, proof.theta_I, proof.op_I))
 
 
 def _hidden_bits_verdict(params: EprParams, crs: EprCrs, x: Digraph, proof: EprProof, y_I: np.ndarray) -> int:
@@ -185,21 +177,23 @@ def epr_delete(
     params: EprParams, residual: EprVerifierState, rng: np.random.Generator
 ) -> tuple[EprDeletionCert, EprVerifierState]:
     unopened = np.flatnonzero(~residual.opened)
-    bases = np.ones((len(unopened), params.block_width), dtype=np.uint8)
+    bases = np.full(len(unopened), (1 << params.block_width) - 1, dtype=np.uint8)
     outcomes = residual.network.measure_blocks(ROLE_V, bases, rng, blocks=unopened)
     return EprDeletionCert(unopened, outcomes), residual
 
 
 def epr_cert(params: EprParams, cert: EprDeletionCert, prover: EprProverState) -> bool:
-    """Accept iff the certificate covers every unopened block and matches
-    the recorded y wherever theta is 1 (theta=0 positions are ignored)."""
-    unopened = np.flatnonzero(~prover.opened)
-    blocks = np.asarray(cert.blocks, dtype=np.int64)
-    if blocks.shape != unopened.shape or np.any(blocks != unopened):
+    """Accept iff the certificate names exactly the unopened blocks, as an
+    integer array, and its outcomes are unsigned block words that match
+    the recorded y on theta's set bits (theta=0 positions are ignored).
+    A malformed certificate rejects; it never raises."""
+    blocks, outcomes, unopened = cert.blocks, cert.outcomes, np.flatnonzero(~prover.opened)
+    if not (isinstance(blocks, np.ndarray) and blocks.dtype.kind in "iu" and np.array_equal(blocks, unopened)):
         return False
-    if cert.outcomes.shape != (len(blocks), params.block_width):
+    words = isinstance(outcomes, np.ndarray) and outcomes.dtype.kind == "u"
+    if not words or outcomes.max(initial=0) >> params.block_width:
         return False
-    return check_deletion_cert(cert.outcomes, prover.y[blocks], prover.theta[blocks])
+    return check_deletion_cert(outcomes, prover.y[unopened], prover.theta[unopened])
 
 
 # ---------------------------------------------------------------------
@@ -209,8 +203,7 @@ def epr_cert(params: EprParams, cert: EprDeletionCert, prover: EprProverState) -
 
 def premeasure_all_z(params: EprParams, network: EprNetwork, rng: np.random.Generator) -> np.ndarray:
     """Collapse every verifier half in the computational basis."""
-    bases = np.zeros((params.num_blocks, params.block_width), dtype=np.uint8)
-    return network.measure_blocks(ROLE_V, bases, rng)
+    return network.measure_blocks(ROLE_V, np.zeros(params.num_blocks, dtype=np.uint8), rng)
 
 
 def hypothetical_verifier(
@@ -240,9 +233,9 @@ def forged_proof_prover(
 ) -> EprProof:
     """Fabricates com, theta claims and openings out of thin air; the
     generator verification rejects these outright."""
-    ell, k = params.num_blocks, params.block_width
+    ell = params.num_blocks
     com = hbg_mod.HbgCommitment(rng.integers(0, 256, size=16, dtype=np.uint8).tobytes())
-    theta_I = rng_mod.bits(rng, (ell, k))
+    theta_I = rng_mod.blocks(rng, ell, params.block_width)
     op = hbg_mod.DealerOpening(rng.integers(0, 256, size=16, dtype=np.uint8).tobytes())
     pi_hb = HbProof(tuple(RepRevealAll() for _ in range(params.hb.repetitions)))
     return EprProof(np.ones(ell, dtype=bool), pi_hb, com, theta_I, op)
@@ -265,18 +258,13 @@ def greedy_basis_prover(
     a cover-map claim. Note the honest reveal-all answer for unuseful
     blocks is excluded by construction: that escape is the analytic
     (1-q)^rho term the desk experiments do not re-measure."""
-    ell, k = params.num_blocks, params.block_width
-    z_bases = np.zeros((ell, k), dtype=np.uint8)
-    y = network.measure_blocks(ROLE_P, z_bases, rng)
+    y = network.measure_blocks(ROLE_P, np.zeros(params.num_blocks, dtype=np.uint8), rng)
 
     best = None
     best_good = -1
     for _ in range(genbits_tries):
-        com, theta_flat, opening = hbg_mod.hbg_genbits(crs.crs_bg, rng)
-        theta = theta_flat.reshape(ell, k)
-        t = masked_parity(theta, y)
-        r = t ^ crs.s
-        opened, pi_hb, coverable = cheat_prove(r, x, params.hb, rng)
+        com, theta, opening = hbg_mod.hbg_genbits(crs.crs_bg, rng)
+        opened, pi_hb, coverable = cheat_prove(masked_parity(theta, y) ^ crs.s, x, params.hb, rng)
         if coverable > best_good:
             best_good = coverable
             best = (com, theta, opening, pi_hb, opened)
@@ -300,7 +288,7 @@ def honest_delete_vstar(params, crs, network, x, proof, rng):
     out = {
         "verdict": b,
         "cert_blocks": tuple(int(i) for i in cert.blocks),
-        "cert_bits": tuple(int(v) for v in cert.outcomes.ravel()),
+        "cert_bits": tuple(int(v) for v in cert.outcomes),
     }
     return cert, out
 
@@ -309,9 +297,9 @@ def delete_then_remeasure_vstar(params, crs, network, x, proof, rng):
     """Honest deletion followed by a Z remeasurement of the deleted
     qubits; the extra outcomes join the classical output."""
     cert, out = honest_delete_vstar(params, crs, network, x, proof, rng)
-    rebases = np.zeros((len(cert.blocks), params.block_width), dtype=np.uint8)
+    rebases = np.zeros(len(cert.blocks), dtype=np.uint8)
     re_out = network.measure_blocks(ROLE_V, rebases, rng, blocks=cert.blocks)
-    return cert, {**out, "remeasured": tuple(int(v) for v in re_out.ravel())}
+    return cert, {**out, "remeasured": tuple(int(v) for v in re_out)}
 
 
 def keep_two_blocks_vstar(params, crs, network, x, proof, rng):
@@ -340,9 +328,8 @@ def epr_sim(params, x, vstar: VStar, rng):
     hidden-bits layer simulated, s backfilled on opened positions,
     honest generator and EPR mechanics, prover-side Cert gate."""
     ell, k = params.num_blocks, params.block_width
-    crs_bg = hbg_mod.hbg_setup(params.num_pairs, params.hbg_mode, rng, s=params.hbg_s)
-    com, theta_flat, opening = hbg_mod.hbg_genbits(crs_bg, rng)
-    theta = theta_flat.reshape(ell, k)
+    crs_bg = hbg_mod.hbg_setup(ell, params.hbg_mode, rng, s=params.hbg_s, width=k)
+    com, theta, opening = hbg_mod.hbg_genbits(crs_bg, rng)
     network = prep_epr(ell, k)
     opened, r_I, pi_hb = hb_simulate(x, params.hb, rng)
     y = network.measure_blocks(ROLE_P, theta, rng)

@@ -38,7 +38,7 @@ from .rng import stream
 from .state import dump_lines
 
 MAGIC = b"CENZ1"
-VERSION = 2
+VERSION = 3
 
 
 class TranscriptError(ValueError):
@@ -57,14 +57,15 @@ class Transcript:
     def add_message(self, role: str, step: str, payload) -> None:
         self.messages.append((role, step, wire.encode(payload)))
 
-    def add_record(self, role: str, step: str, bases: np.ndarray, outcomes: np.ndarray, label: str) -> None:
+    def add_record(self, role: str, step: str, bases: np.ndarray, outcomes: np.ndarray, width: int, label: str) -> None:
+        """Record whole blocks' basis and outcome words as they are."""
         self.records.append(
             {
                 "role": role,
                 "step": step,
-                "count": int(np.asarray(outcomes).size),
-                "bases": np.packbits(np.asarray(bases, dtype=np.uint8).ravel()),
-                "outcomes": np.packbits(np.asarray(outcomes, dtype=np.uint8).ravel()),
+                "count": len(outcomes) * width,
+                "bases": bases,
+                "outcomes": outcomes,
                 "rng_label": label,
             }
         )
@@ -147,8 +148,9 @@ def default_crs_params() -> dict:
 # lam 2-8 (8 in the deletion digest) and hbg-binding at s=12, k=8. A key
 # "a*b" caps the product of params a, b.
 SIZE_CAPS = {
-    # reps*m*m*b*k is the EPR pair count (hidden bits times block width)
-    "epr": {"reps*m*m*b*k": 1 << 23},
+    # reps*m*m*b*k is the EPR pair count (hidden bits times block width);
+    # a block's bases and outcomes are one byte each, so k is at most 8
+    "epr": {"reps*m*m*b*k": 1 << 23, "k": 8},
     # toy states hold up to 2^(8*lam) terms; the OWF images have 64 bits
     "crs-toy": {"lam": 3, "sig_width": 64},
     # the dry run hashes 2*ell encoding positions per unit of lam (4,160
@@ -226,7 +228,7 @@ def _run_epr_session(params: dict, seed: int, stop: str) -> Transcript:
 
     proof, prover = ep.epr_prove(pp, crs, network, x, witness, stream(seed, "prove"))
     t.add_message("prover", "proof", _epr_proof_payload(proof))
-    t.add_record("prover", "measure-theta-basis", prover.theta, prover.y, "prove")
+    t.add_record("prover", "measure-theta-basis", prover.theta, prover.y, pp.block_width, "prove")
     if stop == "prove":
         return t
 
@@ -236,8 +238,9 @@ def _run_epr_session(params: dict, seed: int, stop: str) -> Transcript:
         return t
 
     cert, _ = ep.epr_delete(pp, residual, stream(seed, "delete"))
-    t.add_message("verifier", "deletion-cert", {"blocks": cert.blocks, "outcomes": np.packbits(cert.outcomes)})
-    t.add_record("verifier", "measure-hadamard", np.ones_like(cert.outcomes), cert.outcomes, "delete")
+    t.add_message("verifier", "deletion-cert", {"blocks": cert.blocks, "outcomes": cert.outcomes})
+    hadamard = np.full_like(cert.outcomes, (1 << pp.block_width) - 1)
+    t.add_record("verifier", "measure-hadamard", hadamard, cert.outcomes, pp.block_width, "delete")
     if stop == "delete":
         return t
 
@@ -250,7 +253,7 @@ def _epr_proof_payload(proof) -> dict:
     return {
         "opened": np.packbits(proof.opened),
         "com": proof.com.data,
-        "theta_I": np.packbits(proof.theta_I),
+        "theta_I": proof.theta_I,
         "op": wire.opening_payload(proof.op_I),
         "pi_hb": wire.hbproof_payload(proof.pi_hb),
     }

@@ -1,8 +1,12 @@
 """Hidden-bits generator with two instantiations.
 
-naor mode: per position i the CRS carries a random shift u_i of 3s
-bits; committing to bit r_i means publishing c_i = G(seed_i) XOR
-(r_i * u_i) for a fresh s-bit seed. Binding is statistical: a fixed
+The output is k words of `width` bits, one per position (the EPR
+protocol takes one per block, in the `bits` word convention). naor
+commits each bit of a word: bit j of word i is committed bit i*width+j.
+
+naor mode: per committed bit the CRS carries a random shift u of 3s
+bits; committing to bit b means publishing c = G(seed) XOR (b * u)
+for a fresh s-bit seed. Binding is statistical: a fixed
 c_i lies in the image coset of at most one bit value except with
 probability ~2^-s over the CRS, and the inefficient Open recovers the
 committed string by scanning all 2^s seeds. Hiding is computational
@@ -25,6 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import rng as rng_mod
+from .bits import pack_rows, unpack_rows
 
 OPEN_SEED_LIMIT = 22  # brute-force Open guard: at most 2^22 seeds
 
@@ -34,12 +39,17 @@ PRG_IDENTITY = "identity"
 
 @dataclass(frozen=True)
 class HbgParams:
-    k: int
+    k: int  # positions
     s: int
+    width: int = 1  # bits per position
 
     def __post_init__(self):
-        if self.k < 1 or self.s < 2:
-            raise ValueError("need k >= 1 and s >= 2")
+        if self.k < 1 or self.s < 2 or not 1 <= self.width <= 8:
+            raise ValueError("need k >= 1, s >= 2 and 1 <= width <= 8 (one byte per position)")
+
+    @property
+    def committed(self) -> int:  # committed bits: width per position
+        return self.k * self.width
 
     @property
     def out_bits(self) -> int:
@@ -87,7 +97,7 @@ def _prg_image(s: int, out_bytes: int, mode: str) -> dict[bytes, int]:
 @dataclass(frozen=True)
 class NaorCrs:
     params: HbgParams
-    u: np.ndarray  # (k, out_bytes) uint8 shifts
+    u: np.ndarray  # (committed, out_bytes) uint8 shifts
     prg_mode: str = PRG_BLAKE
 
     mode = "naor"
@@ -105,7 +115,7 @@ class DealerCrs:
 
 @dataclass(frozen=True)
 class HbgCommitment:
-    data: bytes  # naor: k * out_bytes packed c_i values; dealer: opaque handle
+    data: bytes  # naor: committed * out_bytes packed c values; dealer: opaque handle
 
     def chunk(self, i: int, out_bytes: int) -> bytes:
         return self.data[i * out_bytes : (i + 1) * out_bytes]
@@ -113,15 +123,15 @@ class HbgCommitment:
 
 @dataclass(frozen=True)
 class NaorOpening:
-    seeds: np.ndarray  # (k,) uint64
+    seeds: np.ndarray  # (committed,) uint64
 
 
 @dataclass(frozen=True)
 class SubsetOpening:
-    """Naor openings restricted to the positions a proof actually reveals;
-    seeds for unopened positions never leave the prover."""
+    """Naor openings restricted to the committed bits a proof actually
+    reveals; seeds for unopened bits never leave the prover."""
 
-    positions: np.ndarray  # sorted global positions
+    positions: np.ndarray  # sorted committed-bit positions
     seeds: np.ndarray  # aligned with positions
 
     def seed_at(self, i: int) -> int | None:
@@ -144,9 +154,9 @@ def _position_array(positions) -> np.ndarray:
 
 
 def restrict_opening(opening, positions: np.ndarray | range):
-    """Project a full opening onto a revealed-position subset (an array or
-    a range of positions). A dealer opening is position-free and comes
-    back as is, so its positions are never converted."""
+    """Project a full opening onto a revealed subset of committed bits (an
+    array or a range of them). A dealer opening is position-free and
+    comes back as is, so its positions are never converted."""
     if isinstance(opening, DealerOpening):
         return opening
     if isinstance(opening, NaorOpening):
@@ -157,9 +167,9 @@ def restrict_opening(opening, positions: np.ndarray | range):
 
 @dataclass(frozen=True)
 class HbgOpenResult:
-    bits: np.ndarray
-    equivocal: np.ndarray  # positions where both cosets contain c_i
-    garbage: np.ndarray  # positions in neither coset (defaulted to 0)
+    bits: np.ndarray  # one word per position
+    equivocal: np.ndarray  # positions with a bit whose c lies in both cosets
+    garbage: np.ndarray  # positions with a bit in neither coset (defaulted to 0)
 
 
 # ---------------------------------------------------------------------
@@ -168,11 +178,12 @@ class HbgOpenResult:
 
 
 def hbg_setup(
-    k: int, mode: str, rng: np.random.Generator, s: int = 12, prg_mode: str = PRG_BLAKE
+    k: int, mode: str, rng: np.random.Generator, s: int = 12, prg_mode: str = PRG_BLAKE, width: int = 1
 ):
-    params = HbgParams(k=k, s=s)
+    """CRS for k positions of width bits each."""
+    params = HbgParams(k=k, s=s, width=width)
     if mode == "naor":
-        u = rng.integers(0, 256, size=(k, params.out_bytes), dtype=np.uint8)
+        u = rng.integers(0, 256, size=(params.committed, params.out_bytes), dtype=np.uint8)
         extra = 8 * params.out_bytes - params.out_bits
         if extra:
             u[:, 0] &= 0xFF >> extra
@@ -183,17 +194,17 @@ def hbg_setup(
 
 
 def hbg_genbits(crs, rng: np.random.Generator):
-    """(com, r, openings) for k fresh hidden bits; r is read-only."""
+    """(com, r, openings) for k fresh width-bit words; r is read-only uint8."""
     params = crs.params
-    r = rng_mod.bits(rng, params.k)
+    r = rng_mod.blocks(rng, params.k, params.width)
     r.flags.writeable = False
     if crs.mode == "naor":
-        seeds = rng.integers(0, 1 << params.s, size=params.k, dtype=np.uint64)
+        seeds = rng.integers(0, 1 << params.s, size=params.committed, dtype=np.uint64)
+        committed = unpack_rows(r, params.width).ravel().tolist()
         chunks = bytearray()
-        for i in range(params.k):
-            g = np.frombuffer(prg_expand(int(seeds[i]), params, crs.prg_mode), dtype=np.uint8)
-            c = (g ^ crs.u[i]) if r[i] else g
-            chunks += c.tobytes()
+        for p, (seed, bit) in enumerate(zip(seeds.tolist(), committed)):
+            g = np.frombuffer(prg_expand(seed, params, crs.prg_mode), dtype=np.uint8)
+            chunks += ((g ^ crs.u[p]) if bit else g).tobytes()
         return HbgCommitment(bytes(chunks)), r, NaorOpening(seeds)
     if crs.mode == "dealer":
         com = rng.integers(0, 256, size=16, dtype=np.uint8).tobytes()
@@ -203,32 +214,33 @@ def hbg_genbits(crs, rng: np.random.Generator):
     raise ValueError(f"unknown hbg mode {crs.mode!r}")
 
 
-def _naor_opening_ok(opening, k: int) -> bool:
-    """A naor opening holds one seed per position it covers: k seeds, or
-    a flat seed array aligned with a flat position array."""
+def _naor_opening_ok(opening, committed: int) -> bool:
+    """A naor opening holds one seed per committed bit it covers: all of
+    them, or a flat seed array aligned with a flat position array."""
     if isinstance(opening, NaorOpening):
-        return np.shape(opening.seeds) == (k,)
+        return np.shape(opening.seeds) == (committed,)
     if isinstance(opening, SubsetOpening):
         return np.ndim(opening.positions) == 1 and np.shape(opening.seeds) == np.shape(opening.positions)
     return False
 
 
 def hbg_verify(crs, com: HbgCommitment, i: int, r_i: int, opening) -> bool:
-    """Accept iff position i of com opens to bit r_i under the given proof."""
+    """Accept iff position i of com opens to the word r_i under the given proof."""
     params = crs.params
     if not 0 <= i < params.k:
         return False
     if crs.mode == "naor":
-        if not _naor_opening_ok(opening, params.k):
+        r_i, w = int(r_i), params.width
+        if not _naor_opening_ok(opening, params.committed) or r_i >> w:
             return False
-        seed = int(opening.seeds[i]) if isinstance(opening, NaorOpening) else opening.seed_at(i)
-        if seed is None or seed >> params.s:
-            return False
-        c = np.frombuffer(com.chunk(i, params.out_bytes), dtype=np.uint8)
-        if len(c) != params.out_bytes:
-            return False
-        target = (c ^ crs.u[i]) if r_i else c
-        return target.tobytes() == prg_expand(seed, params, crs.prg_mode)
+        for j, p in enumerate(range(i * w, (i + 1) * w)):
+            seed = int(opening.seeds[p]) if isinstance(opening, NaorOpening) else opening.seed_at(p)
+            c = np.frombuffer(com.chunk(p, params.out_bytes), dtype=np.uint8)
+            if seed is None or seed >> params.s or len(c) != params.out_bytes:
+                return False
+            if ((c ^ crs.u[p]) if (r_i >> j) & 1 else c).tobytes() != prg_expand(seed, params, crs.prg_mode):
+                return False
+        return True
     if crs.mode == "dealer":
         entry = crs.registry.get(com.data)
         if entry is None or not isinstance(opening, DealerOpening):
@@ -243,8 +255,9 @@ def hbg_verify_batch(
 ) -> bool:
     """All-positions-at-once verification used on protocol hot paths.
 
-    indices is an array of positions or a range; dealer mode checks a
-    contiguous range (step 1) as one slice of the registered bits."""
+    indices is an array of positions or a range, bits their words; dealer
+    mode compares the registered words once, a contiguous range (step 1)
+    as one slice of them."""
     bits = np.asarray(bits, dtype=np.uint8)
     params = crs.params
     if isinstance(indices, range) and indices.step == 1:
@@ -260,7 +273,7 @@ def hbg_verify_batch(
         if entry is None or not isinstance(opening, DealerOpening) or opening.receipt != entry[1]:
             return False
         return bool(np.array_equal(entry[0][take], bits))
-    return _naor_opening_ok(opening, params.k) and all(
+    return _naor_opening_ok(opening, params.committed) and all(
         hbg_verify(crs, com, int(i), int(b), opening) for i, b in zip(indices, bits)
     )
 
@@ -268,9 +281,9 @@ def hbg_verify_batch(
 def hbg_open(crs, com: HbgCommitment) -> HbgOpenResult:
     """Inefficient deterministic Open: exhaustive seed scan per position.
 
-    r_i = 0 if some seed explains c_i directly, else 1 if some seed
-    explains c_i XOR u_i, else a fixed default 0 with the garbage flag
-    set; positions explainable both ways are flagged equivocal.
+    Per committed bit: 0 if some seed explains c directly, else 1 if some
+    seed explains c XOR u, else 0 flagged garbage; explainable both ways is
+    equivocal. A position packs its bits and is flagged if any bit is.
     """
     if crs.mode != "naor":
         raise ValueError("Open is defined for the naor instantiation only")
@@ -278,22 +291,16 @@ def hbg_open(crs, com: HbgCommitment) -> HbgOpenResult:
     if params.s > OPEN_SEED_LIMIT:
         raise ValueError(f"brute-force Open capped at s <= {OPEN_SEED_LIMIT}")
     image = _prg_image(params.s, params.out_bytes, crs.prg_mode)
-    bits = np.zeros(params.k, dtype=np.uint8)
-    equivocal = np.zeros(params.k, dtype=bool)
-    garbage = np.zeros(params.k, dtype=bool)
-    for i in range(params.k):
+    as_zero, as_one = np.zeros((2, params.committed), dtype=bool)
+    for i in range(params.committed):
         c = np.frombuffer(com.chunk(i, params.out_bytes), dtype=np.uint8)
-        as_zero = c.tobytes() in image
-        as_one = (c ^ crs.u[i]).tobytes() in image
-        if as_zero and as_one:
-            equivocal[i] = True
-            bits[i] = 0
-        elif as_one:
-            bits[i] = 1
-        elif not as_zero:
-            garbage[i] = True
-            bits[i] = 0
-    return HbgOpenResult(bits, equivocal, garbage)
+        as_zero[i], as_one[i] = c.tobytes() in image, (c ^ crs.u[i]).tobytes() in image
+    words = (params.k, params.width)
+    return HbgOpenResult(
+        pack_rows((as_one & ~as_zero).reshape(words)),
+        (as_zero & as_one).reshape(words).any(axis=1),
+        (~(as_zero | as_one)).reshape(words).any(axis=1),
+    )
 
 
 __all__ = [

@@ -289,7 +289,8 @@ def hb_verify(opened: np.ndarray, r_I: np.ndarray, x: Digraph, proof: HbProof, p
         return False
     kp = params.bits_per_rep
     rows = opened.reshape(params.repetitions, kp)
-    counts = np.count_nonzero(rows, axis=1).tolist()
+    full = np.count_nonzero(opened) == opened.size
+    counts = [kp] * params.repetitions if full else np.count_nonzero(rows, axis=1).tolist()
     ends = list(itertools.accumulate(counts))  # r_I[ends[rep] - counts[rep] : ends[rep]] is rep's
     if r_I.shape != (ends[-1],):
         return False

@@ -9,6 +9,7 @@ single attribute decides the draw everywhere. A large draw is cut from
 32-bit words, taken two to a raw 64-bit output where the generator
 buffers half-words, with the bits and whole state of `integers(0, 2)`;
 `bits(gen, shape, count=k)` cuts k consecutive draws from one word draw.
+`blocks` is the one draw of EPR block words: one masked byte per block.
 """
 
 from __future__ import annotations
@@ -68,3 +69,12 @@ def bits(gen: np.random.Generator, shape, count: int = 1) -> np.ndarray:
     if count == 1:
         return out[:n].reshape(shape)
     return out.reshape(count, row)[:, :n].reshape((count, *shape) if isinstance(shape, tuple) else (count, n))
+
+
+def blocks(gen: np.random.Generator, n: int, width: int) -> np.ndarray:
+    """n uniform words of width <= 8 bits as (n,) uint8: word i is byte i
+    of the little-endian `random_raw` outputs, masked. Advances the bit
+    generator by ceil(n/8) raw outputs; its buffered half-word stays."""
+    out = gen.bit_generator.random_raw(-(-n // 8)).astype("<u8", copy=False).view(np.uint8)[:n]
+    out &= (1 << width) - 1
+    return out

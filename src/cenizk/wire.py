@@ -239,7 +239,11 @@ def hbproof_from_payload(payload: list):
         if kind == "all":
             reps.append(RepRevealAll())
         elif kind == "useful":
-            reps.append(RepUseful(tuple(int(v) for v in item["map"])))
+            vertex_map = item.get("map")
+            # exactly ints: int() would floor 1.5 and accept True
+            if not isinstance(vertex_map, list) or any(type(v) is not int for v in vertex_map):
+                raise WireError("a useful repetition's map must be a list of ints")
+            reps.append(RepUseful(tuple(vertex_map)))
         else:
             raise WireError("unknown repetition payload")
     return HbProof(tuple(reps))

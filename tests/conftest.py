@@ -30,20 +30,18 @@ CHI2_CRIT_3DF = 11.345
 
 
 def epr_message_arrays(t) -> dict:
-    """The 0/1 arrays of an EPR transcript's messages, unpacked from their
-    CENZ1 v2 bit-packed form with counts taken from the params alone:
-    s (ell bits), I (int64, from the ell-bit opened mask), theta_I
-    (|I|, k) and the deletion certificate's outcomes (len(blocks), k).
-    Messages the transcript does not hold are left out."""
+    """The arrays of an EPR transcript's messages in protocol form, with
+    counts taken from the params alone: s (ell bits, unpacked from its
+    CENZ1 bit-packed form), I (int64, from the ell-bit opened mask), and
+    theta_I and the deletion certificate's outcomes as sent, one uint8
+    block word each. Messages the transcript does not hold are left out."""
     p = t.params
-    ell, k = p["reps"] * p["m"] * p["m"] * p["b"], p["k"]
+    ell = p["reps"] * p["m"] * p["m"] * p["b"]
     messages = {step: wire.decode(payload) for _, step, payload in t.messages}
     out = {"s": np.unpackbits(messages["crs"]["s"], count=ell)}
     if "proof" in messages:
-        I = np.flatnonzero(np.unpackbits(messages["proof"]["opened"], count=ell)).astype(np.int64)
-        out["I"] = I
-        out["theta_I"] = np.unpackbits(messages["proof"]["theta_I"], count=len(I) * k).reshape(len(I), k)
+        out["I"] = np.flatnonzero(np.unpackbits(messages["proof"]["opened"], count=ell)).astype(np.int64)
+        out["theta_I"] = messages["proof"]["theta_I"]
     if "deletion-cert" in messages:
-        n = len(messages["deletion-cert"]["blocks"])
-        out["outcomes"] = np.unpackbits(messages["deletion-cert"]["outcomes"], count=n * k).reshape(n, k)
+        out["outcomes"] = messages["deletion-cert"]["outcomes"]
     return out

@@ -1,24 +1,40 @@
-"""bits.masked_parity, the word fold behind it and hbnizk.bits_to_matrix
-against the one-call reductions they replaced.
+"""bits.masked_parity and bits.check_deletion_cert on packed words
+against per-pair references, the row packing behind them, and the word
+fold behind hbnizk.bits_to_matrix against the one-call reductions it
+replaced.
 
-Arrays with many rows take a column-by-column path, small ones the
-single reduce; both must give the reference bits, dtype and shape."""
+The fold takes a column-by-column path for arrays with many rows and
+the single reduce for small ones; both must give the reference bits,
+dtype and shape."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cenizk.bits import _COLUMN_XOR_MIN_ROWS, _PARITY_CHUNK_ROWS, _fold, masked_parity
+from cenizk.bits import _COLUMN_XOR_MIN_ROWS, _fold, check_deletion_cert, masked_parity, pack_rows, unpack_rows
 from cenizk.hbnizk import bits_to_matrix
 
 
 def reference(theta, y):
+    """Per-pair parity: XOR of y over the positions where theta is 0."""
     return np.bitwise_xor.reduce(y & (theta ^ 1), axis=-1).astype(np.uint8)
+
+
+def cert_reference(cert, y, theta):
+    """Per-pair deletion check: cert equals y wherever theta is 1."""
+    mask = theta == 1
+    return bool(np.all(cert[mask] == y[mask]))
+
+
+def packed_parity(theta, y):
+    return masked_parity(pack_rows(theta), pack_rows(y))
 
 
 dtypes = st.sampled_from([np.uint8, np.int64])
 bit_pairs = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), max_size=40)
+# every EPR block width, and the widest rows a CRS dry run packs (lam 16)
+WIDTHS = [1, 2, 3, 4, 5, 6, 7, 8, 16]
 
 
 class TestMaskedParity:
@@ -26,7 +42,7 @@ class TestMaskedParity:
     def test_one_dimensional_pairs_match_reference(self, pairs, dtype):
         theta = np.array([t for t, _ in pairs], dtype=dtype)
         y = np.array([v for _, v in pairs], dtype=dtype)
-        got = masked_parity(theta, y)
+        got = packed_parity(theta, y)
         assert np.ndim(got) == 0 and got.dtype == np.uint8
         assert int(got) == int(reference(theta, y))
 
@@ -41,7 +57,7 @@ class TestMaskedParity:
         rng = np.random.default_rng(seed)
         theta = rng.integers(0, 2, size=(rows, k)).astype(dtype)
         y = rng.integers(0, 2, size=(rows, k)).astype(dtype)
-        got = masked_parity(theta, y)
+        got = packed_parity(theta, y)
         want = reference(theta, y)
         assert got.dtype == np.uint8 and got.shape == (rows,)
         assert np.array_equal(got, want)
@@ -49,32 +65,24 @@ class TestMaskedParity:
     @pytest.mark.parametrize("rows", [_COLUMN_XOR_MIN_ROWS - 1, _COLUMN_XOR_MIN_ROWS, 819200])
     @pytest.mark.parametrize("k", [1, 6, 16])
     def test_both_sides_of_the_column_threshold(self, rows, k):
+        # the word fold's two paths and the packed parity agree
         rng = np.random.default_rng(rows * 31 + k)
         theta = rng.integers(0, 2, size=(rows, k), dtype=np.uint8)
         y = rng.integers(0, 2, size=(rows, k), dtype=np.uint8)
-        assert np.array_equal(masked_parity(theta, y), reference(theta, y))
+        folded = _fold(y & (theta ^ 1), np.bitwise_xor)
+        assert np.array_equal(packed_parity(theta, y), folded)
+        assert np.array_equal(folded, reference(theta, y))
 
     def test_leading_axes_are_kept(self):
         rng = np.random.default_rng(5)
         theta = rng.integers(0, 2, size=(40, 30, 6), dtype=np.uint8)
         y = rng.integers(0, 2, size=(40, 30, 6), dtype=np.uint8)
-        got = masked_parity(theta, y)
+        got = packed_parity(theta, y)
         assert got.shape == (40, 30) and np.array_equal(got, reference(theta, y))
-
-    @pytest.mark.parametrize("rows", [d + _PARITY_CHUNK_ROWS for d in (-1, 0, 1)] + [2 * _PARITY_CHUNK_ROWS + 3])
-    def test_row_chunks_match_plain_reference(self, rows):
-        rng = np.random.default_rng(rows)
-        for k in [1, 2, 3, 4, 5, 6, 7, 8, 16]:
-            theta = rng.integers(0, 2, size=(rows, k), dtype=np.uint8)
-            y = rng.integers(0, 2, size=(rows, k), dtype=np.uint8)
-            theta.flags.writeable = y.flags.writeable = False
-            got = masked_parity(theta, y)
-            assert got.dtype == np.uint8 and got.shape == (rows,)
-            assert np.array_equal(got, np.bitwise_xor.reduce(y & (1 - theta), axis=-1))
 
     @pytest.mark.parametrize(
         "theta_shape, y_shape",
-        [((6,), (5, 6)), ((5, 6), (6,)), ((5, 1), (5, 6)), ((5, 6), (5, 7)), ((2 * _PARITY_CHUNK_ROWS, 6), (_PARITY_CHUNK_ROWS, 6))],
+        [((6,), (5, 6)), ((5, 6), (6,)), ((5, 1), (5, 6)), ((5, 6), (5, 7)), ((32768, 6), (16384, 6))],
     )
     def test_mismatched_shapes_raise(self, theta_shape, y_shape):
         with pytest.raises(ValueError, match="shape"):
@@ -83,9 +91,48 @@ class TestMaskedParity:
     @pytest.mark.parametrize("shape", [(0,), (5, 0), (300, 0)])
     def test_empty_last_axis_gives_zero(self, shape):
         empty = np.zeros(shape, dtype=np.uint8)
-        got = masked_parity(empty, empty)
+        got = packed_parity(empty, empty)
         assert got.dtype == np.uint8 and got.shape == shape[:-1]
         assert not np.any(got)
+
+
+class TestPackedWords:
+    """The block parity and the deletion check on packed words, against
+    the per-pair references, at every width a caller packs."""
+
+    @pytest.mark.parametrize("rows", [0, 1, 7, 4099])
+    @pytest.mark.parametrize("k", WIDTHS)
+    def test_parity_and_deletion_check_match_per_pair(self, rows, k):
+        rng = np.random.default_rng(rows * 17 + k)
+        theta, y = rng.integers(0, 2, size=(2, rows, k), dtype=np.uint8)
+        cert = y ^ (rng.random((rows, k)) < 0.02)  # a few flipped outcomes
+        for a in (theta, y, cert):
+            a.flags.writeable = False
+        t, v, c = (pack_rows(a) for a in (theta, y, cert))
+        assert t.dtype == (np.uint8 if k <= 8 else np.uint16) and t.shape == (rows,)
+        assert np.array_equal(masked_parity(t, v), reference(theta, y))
+        assert check_deletion_cert(c, v, t) == cert_reference(cert, y, theta)
+        assert check_deletion_cert(v, v, t)
+        # per row: a single wrong Hadamard outcome fails, a wrong Z outcome does not
+        for i in range(min(rows, 64)):
+            one = slice(i, i + 1)
+            assert check_deletion_cert(c[one], v[one], t[one]) == cert_reference(cert[i], y[i], theta[i])
+
+    @pytest.mark.parametrize("k", WIDTHS)
+    def test_word_bit_j_is_entry_j(self, k):
+        rows = np.eye(k, dtype=np.uint8)
+        assert pack_rows(rows).tolist() == [1 << j for j in range(k)]
+        if k <= 8:
+            assert np.array_equal(unpack_rows(pack_rows(rows), k), rows)
+
+    def test_rows_wider_than_a_word_raise(self):
+        with pytest.raises(ValueError, match="65 bits"):
+            pack_rows(np.zeros((3, 65), dtype=np.uint8))
+
+    def test_a_cert_of_another_shape_fails(self):
+        y = theta = np.full(4, 0b111, dtype=np.uint8)
+        assert not check_deletion_cert(y[:1], y, theta)  # would broadcast
+        assert not check_deletion_cert(y[:3], y, theta)
 
 
 SLICE_LENGTHS = [1, 2, 3, 4, 5, 8, 10, 16]

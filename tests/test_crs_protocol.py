@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cenizk import crs_protocol, wire
-from cenizk.bits import bits_to_int, int_to_bits, masked_parity
+from cenizk.bits import bits_to_int, int_to_bits, masked_parity, pack_rows
 from cenizk.crs_nizk import CompiledSpec, ToyCrs, compiled_prove, compiled_setup, toy_encode
 from cenizk.crs_protocol import (
     CrsParams,
@@ -59,10 +59,10 @@ def support_terms(theta, y):
 class TestPad:
     def test_direct_formula(self):
         # one block slice, theta=00, z=10 -> bit 1 xor 0 = 1
-        assert masked_parity(np.array([0, 0]), np.array([1, 0])) == 1
+        assert masked_parity(pack_rows([0, 0]), pack_rows([1, 0])) == 1
 
     def test_empty_xor(self):
-        assert masked_parity(np.array([1, 1]), np.array([1, 0])) == 0
+        assert masked_parity(pack_rows([1, 1]), pack_rows([1, 0])) == 0
 
     def test_support_terms_share_the_pad_exhaustive(self):
         # lam = 3: for every (y, theta) pair and every support term z,

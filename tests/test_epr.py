@@ -1,6 +1,7 @@
 """EPR network tests.
 
-The factored per-pair representation is cross-validated against the
+The factored representation (one basis word and one value word per
+block and role, bit j for pair j) is cross-validated against the
 generic sparse engine through `measure_blocks`, the measurement the
 protocols run: for every basis combination the joint outcome
 distribution of the two lanes must agree, on 1x1 networks (first-touch
@@ -49,24 +50,24 @@ class TestCorrelations:
     def test_same_basis_z_always_agree(self, rng):
         for _ in range(300):
             net = prep_epr(1, 1)
-            a = net.measure_blocks(ROLE_P, np.array([[0]]), rng)
-            b = net.measure_blocks(ROLE_V, np.array([[0]]), rng)
-            assert a[0, 0] == b[0, 0]
+            a = net.measure_blocks(ROLE_P, np.array([0]), rng)
+            b = net.measure_blocks(ROLE_V, np.array([0]), rng)
+            assert a[0] == b[0]
 
     def test_same_basis_x_always_agree(self, rng):
         for _ in range(300):
             net = prep_epr(1, 1)
-            a = net.measure_blocks(ROLE_P, np.array([[1]]), rng)
-            b = net.measure_blocks(ROLE_V, np.array([[1]]), rng)
-            assert a[0, 0] == b[0, 0]
+            a = net.measure_blocks(ROLE_P, np.array([1]), rng)
+            b = net.measure_blocks(ROLE_V, np.array([1]), rng)
+            assert a[0] == b[0]
 
     def test_cross_basis_independent(self, rng):
         # P measured in Z, V in X: the 2x2 joint table must be flat
         counts = np.zeros((2, 2))
         for _ in range(10_000):
             net = prep_epr(1, 1)
-            a = net.measure_blocks(ROLE_P, np.array([[0]]), rng)[0, 0]
-            b = net.measure_blocks(ROLE_V, np.array([[1]]), rng)[0, 0]
+            a = net.measure_blocks(ROLE_P, np.array([0]), rng)[0]
+            b = net.measure_blocks(ROLE_V, np.array([1]), rng)[0]
             counts[a, b] += 1
         # chi-square for independence with 1 df on the contingency table
         row = counts.sum(axis=1)
@@ -77,7 +78,7 @@ class TestCorrelations:
 
     def test_bulk_matches_scalar_semantics(self, rng):
         net = prep_epr(5, 3)
-        bases = rng.integers(0, 2, size=(5, 3), dtype=np.int8)
+        bases = rng.integers(0, 8, size=5, dtype=np.int8)
         out1 = net.measure_blocks(ROLE_P, bases, rng)
         # re-measuring the same half in the same bases repeats outcomes
         out2 = net.measure_blocks(ROLE_P, bases, rng)
@@ -85,8 +86,8 @@ class TestCorrelations:
 
 
 def _measure_one(net, role, basis, rng, block=0):
-    """One half of pair (block, 0) through `measure_blocks`; basis 0=Z 1=X."""
-    return int(net.measure_blocks(role, np.array([[basis]]), rng, blocks=[block])[0, 0])
+    """One half of the one-pair block `block` through `measure_blocks`; basis 0=Z 1=X."""
+    return int(net.measure_blocks(role, np.array([basis]), rng, blocks=[block])[0])
 
 
 class TestRemeasurement:
@@ -160,9 +161,9 @@ class TestCrossValidationAgainstEngine:
         b_p0, b_v0, b_v1, b_p1 = bases
         net = prep_epr(2, 1)
         p0 = _measure_one(net, ROLE_P, b_p0, rng)
-        v = net.measure_blocks(ROLE_V, np.array([[b_v0], [b_v1]]), rng)
+        v = net.measure_blocks(ROLE_V, np.array([b_v0, b_v1]), rng)
         p1 = _measure_one(net, ROLE_P, b_p1, rng, block=1)
-        return p0, int(v[0, 0]), int(v[1, 0]), p1
+        return p0, int(v[0]), int(v[1]), p1
 
     @pytest.mark.parametrize("bases", list(itertools.product((0, 1), repeat=4)))
     def test_mixed_branch_joint_distribution(self, bases, rng):
@@ -183,7 +184,7 @@ class TestExtraction:
         net = prep_epr(1, 2)
         with pytest.raises(SimUsageError):
             net.half_state(ROLE_V, [(0, 0)])
-        net.measure_blocks(ROLE_P, np.array([[1, 0]]), rng)
+        net.measure_blocks(ROLE_P, np.array([0b01]), rng)  # pair 0 in X, pair 1 in Z
         st = net.half_state(ROLE_V, [(0, 0), (0, 1)])
         assert st.num_qubits == 2
         assert st.norm_sq() == pytest.approx(1.0)
@@ -207,13 +208,13 @@ class TestSharedRecords:
 
     def test_partial_other_basis_leaves_partner_unchanged(self, rng):
         net = prep_epr(4, 3)
-        theta = rng.integers(0, 2, size=(4, 3), dtype=np.uint8)
+        theta = rng.integers(0, 8, size=4, dtype=np.uint8)
         y = net.measure_blocks(ROLE_P, theta, rng)
         theta_before, y_before = theta.copy(), y.copy()
         partner = [net.pair_state(i, j).amps for i in range(4) for j in range(3)]
         v_half = net.half_state(ROLE_V, [(1, j) for j in range(3)]).amps
         # P re-measures block 1 in the other basis
-        net.measure_blocks(ROLE_P, 1 - theta[[1]], rng, blocks=[1])
+        net.measure_blocks(ROLE_P, theta[[1]] ^ 0b111, rng, blocks=[1])
         # V's half, and every pair outside block 1, are as before
         assert net.half_state(ROLE_V, [(1, j) for j in range(3)]).amps == v_half
         after = [net.pair_state(i, j).amps for i in range(4) for j in range(3)]
@@ -233,8 +234,8 @@ class TestSharedRecords:
         for theta in itertools.product((0, 1), repeat=2):
             for _ in range(20):
                 net = prep_epr(2, 1)
-                y = net.measure_blocks(ROLE_P, np.array(theta, dtype=np.uint8)[:, None], rng)
-                v_states = [_unmeasured(project(bell, 0, "ZX"[b], int(a))[1], 1) for b, a in zip(theta, y[:, 0])]
+                y = net.measure_blocks(ROLE_P, np.array(theta, dtype=np.uint8), rng)
+                v_states = [_unmeasured(project(bell, 0, "ZX"[b], int(a))[1], 1) for b, a in zip(theta, y)]
                 c = _measure_one(net, ROLE_P, 1 - theta[0], rng)
                 for i in range(2):
                     assert _same_state(net.half_state(ROLE_V, [(i, 0)]), v_states[i])
@@ -246,7 +247,7 @@ class TestSharedRecords:
 
     def test_same_basis_whole_reread_draws_nothing(self, rng):
         net = prep_epr(3, 2)
-        theta = rng.integers(0, 2, size=(3, 2), dtype=np.uint8)
+        theta = rng.integers(0, 4, size=3, dtype=np.uint8)
         y = net.measure_blocks(ROLE_P, theta, rng)
         position = rng.bit_generator.state
         # the same array object, and an equal copy of it
@@ -255,35 +256,63 @@ class TestSharedRecords:
                 assert np.array_equal(net.measure_blocks(role, bases, rng), y)
         assert rng.bit_generator.state == position
         bell = SparseState(2, {0b00: SQRT_HALF, 0b11: SQRT_HALF})
-        for (i, j), b in np.ndenumerate(theta):
-            engine = _unmeasured(project(bell, 0, "ZX"[b], int(y[i, j]))[1], 1)
+        for i, j in itertools.product(range(3), range(2)):
+            b, value = (int(theta[i]) >> j) & 1, (int(y[i]) >> j) & 1
+            engine = _unmeasured(project(bell, 0, "ZX"[b], value)[1], 1)
             assert _same_state(net.half_state(ROLE_V, [(i, j)]), engine)
 
     def test_empty_block_list_draws_nothing(self, rng):
         net = prep_epr(3, 2)
         position = rng.bit_generator.state
-        out = net.measure_blocks(ROLE_V, np.ones((0, 2), dtype=np.uint8), rng, blocks=[])
-        assert out.shape == (0, 2)
+        out = net.measure_blocks(ROLE_V, np.ones(0, dtype=np.uint8), rng, blocks=[])
+        assert out.shape == (0,)
         assert rng.bit_generator.state == position
         assert set(net.pair_state(2, 1).amps) == {0b00, 0b11}
 
     def test_prep_allocates_nothing_at_criterion_one_shape(self, rng):
-        # 819,200 blocks of 6: one full-size uint8 array is 4.9 MB
+        # 819,200 blocks of 6: one word per block is 0.8 MB
         tracemalloc.start()
         try:
             net = prep_epr(819_200, 6)
             # an empty block list (epr_delete when every block is opened)
             # must not materialise the records either
-            empty = net.measure_blocks(ROLE_V, np.ones((0, 6), dtype=np.uint8), rng, blocks=[])
+            empty = net.measure_blocks(ROLE_V, np.ones(0, dtype=np.uint8), rng, blocks=[])
             _, peak = tracemalloc.get_traced_memory()
-            assert empty.shape == (0, 6) and peak < 64 * 1024
+            assert empty.shape == (0,) and peak < 64 * 1024
             assert set(net.pair_state(819_199, 5).amps) == {0b00, 0b11}
             # the first whole touch stores the bases and outcomes once
             tracemalloc.reset_peak()
-            theta = np.zeros((819_200, 6), dtype=np.uint8)
+            theta = np.zeros(819_200, dtype=np.uint8)
             before, _ = tracemalloc.get_traced_memory()
             net.measure_blocks(ROLE_P, theta, rng)
             after, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert after - before < 819_200 * 6 + 64 * 1024
+        assert after - before < 819_200 + 64 * 1024
+
+
+class TestBlockWords:
+    def test_basis_change_redraws_only_the_changed_pairs(self, rng):
+        net = prep_epr(4096, 6)
+        theta = rng.integers(0, 64, size=4096, dtype=np.uint8)
+        y = net.measure_blocks(ROLE_P, theta, rng).copy()
+        flip = rng.integers(0, 64, size=4096, dtype=np.uint8)
+        again = net.measure_blocks(ROLE_P, theta ^ flip, rng)
+        # pairs re-measured in their basis repeat; changed ones are fresh
+        assert not np.any((again ^ y) & ~flip & 0b111111)
+        changed = np.unpackbits(flip, bitorder="little").astype(bool)
+        agree = np.unpackbits(~(again ^ y), bitorder="little").astype(bool)[changed].mean()
+        assert abs(agree - 0.5) < 0.02
+        # V's record is still the first touch
+        assert np.array_equal(net.measure_blocks(ROLE_V, theta, rng), y)
+
+    def test_width_above_a_byte_rejected(self):
+        with pytest.raises(SimUsageError, match="at most 8"):
+            prep_epr(2, 9)
+
+    @pytest.mark.parametrize(
+        "bases", [np.array([0, 64]), np.array([0, -1]), np.zeros((2, 6), dtype=np.uint8), np.array([0.0, 1.0])]
+    )
+    def test_malformed_bases_rejected(self, bases, rng):
+        with pytest.raises(SimUsageError, match="word per block"):
+            prep_epr(2, 6).measure_blocks(ROLE_P, bases, rng)

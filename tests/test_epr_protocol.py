@@ -26,6 +26,7 @@ from cenizk.epr_protocol import (
     premeasure_all_z,
     run_cezk_real,
 )
+from cenizk.bits import unpack_rows
 from cenizk.graphs import canonical_cycle, complete_digraph, non_hamiltonian_triangle
 from cenizk.hbg import NaorOpening, SubsetOpening, hbg_verify_batch
 from cenizk.hbnizk import HbParams, _well_shaped
@@ -105,7 +106,8 @@ class TestHonestSessions:
         for _ in range(trials):
             crs, net = epr_setup(TINY, rng)
             _, prover = epr_prove(TINY, crs, net, g, w, rng)
-            t0 = int(np.bitwise_xor.reduce(prover.y[0][prover.theta[0] == 0])) if np.any(prover.theta[0] == 0) else 0
+            y0, theta0 = (unpack_rows(a[:1], TINY.block_width)[0] for a in (prover.y, prover.theta))
+            t0 = int(np.bitwise_xor.reduce(y0[theta0 == 0])) if np.any(theta0 == 0) else 0
             ones += t0 ^ int(crs.s[0])
         assert chi_square_uniform([ones, trials - ones]) < CHI2_CRIT_1DF
 
@@ -114,7 +116,7 @@ class TestHonestSessions:
         g, w = two_vertex_instance()
         crs, net = epr_setup(DELETING, rng)
         proof, prover = epr_prove(DELETING, crs, net, g, w, rng)
-        assert proof.theta_I.shape == (np.count_nonzero(proof.opened), DELETING.block_width)
+        assert proof.theta_I.shape == (np.count_nonzero(proof.opened),)
         from cenizk.hbg import SubsetOpening
 
         if isinstance(proof.op_I, SubsetOpening):
@@ -143,7 +145,8 @@ class TestDeletion:
         proof, prover = epr_prove(DELETING, crs, net, g, w, rng)
         _, residual = epr_verify(DELETING, crs, net, g, proof, rng)
         cert, _ = epr_delete(DELETING, residual, rng)
-        assert cert.outcomes.shape == (len(cert.blocks), DELETING.block_width)
+        assert cert.outcomes.shape == (len(cert.blocks),) and cert.outcomes.dtype == np.uint8
+        assert not np.any(cert.outcomes >> DELETING.block_width)
 
     def test_flipped_cert_bit_at_hadamard_position(self):
         g, w = two_vertex_instance()
@@ -155,18 +158,18 @@ class TestDeletion:
             cert, _ = epr_delete(DELETING, residual, rng)
             if len(cert.blocks) == 0:
                 continue
-            theta_rows = prover.theta[cert.blocks]
+            theta_rows = unpack_rows(prover.theta[cert.blocks], DELETING.block_width)
             hadamard = np.argwhere(theta_rows == 1)
             computational = np.argwhere(theta_rows == 0)
             if len(hadamard):
                 bad = cert.outcomes.copy()
                 bi, bj = hadamard[0]
-                bad[bi, bj] ^= 1
+                bad[bi] ^= 1 << bj
                 assert not epr_cert(DELETING, EprDeletionCert(cert.blocks, bad), prover)
             if len(computational):
                 ignored = cert.outcomes.copy()
                 ci, cj = computational[0]
-                ignored[ci, cj] ^= 1
+                ignored[ci] ^= 1 << cj
                 assert epr_cert(DELETING, EprDeletionCert(cert.blocks, ignored), prover)
             return  # one deleting trial is enough
         pytest.fail("no trial produced a deletion")
@@ -186,6 +189,41 @@ class TestDeletion:
             return
         pytest.fail("no trial produced a deletion")
 
+    @staticmethod
+    def _deleting_session():
+        g, w = two_vertex_instance()
+        for trial in range(300):
+            rng = stream(trial, "malformed-cert")
+            crs, net = epr_setup(DELETING, rng)
+            proof, prover = epr_prove(DELETING, crs, net, g, w, rng)
+            _, residual = epr_verify(DELETING, crs, net, g, proof, rng)
+            cert, _ = epr_delete(DELETING, residual, rng)
+            if len(cert.blocks) >= 2:
+                return cert, prover
+        pytest.fail("no trial deleted two blocks")
+
+    @pytest.mark.parametrize(
+        "how",
+        ["str", "float", "float_half", "float_outcomes", "signed_outcomes", "bit_above_k", "list_blocks", "list_outcomes"],
+    )
+    def test_malformed_cert_rejects_without_raising(self, how):
+        # blocks cast from "29" or 29.5 would certify block 29, and float
+        # 0.0/1.0 outcomes would compare equal to the recorded words
+        cert, prover = self._deleting_session()
+        assert epr_cert(DELETING, cert, prover)
+        blocks, outcomes = cert.blocks, cert.outcomes
+        bad = {
+            "str": (blocks.astype(str), outcomes),
+            "float": (blocks.astype(float), outcomes),
+            "float_half": (blocks + 0.5, outcomes),
+            "float_outcomes": (blocks, outcomes.astype(float)),
+            "signed_outcomes": (blocks, outcomes.astype(np.int64)),
+            "bit_above_k": (blocks, outcomes | (1 << DELETING.block_width)),
+            "list_blocks": (blocks.tolist(), outcomes),
+            "list_outcomes": (blocks, outcomes.tolist()),
+        }[how]
+        assert epr_cert(DELETING, EprDeletionCert(*bad), prover) is False
+
     def test_z_basis_cheat_rate_matches_analytic(self):
         """Deleting in Z instead of Hadamard passes per block with
         probability 2^-wt(theta_i); compare against the analytic value
@@ -202,10 +240,12 @@ class TestDeletion:
             unopened = np.flatnonzero(~residual.opened)
             if len(unopened) == 0:
                 continue
-            bases = np.zeros((len(unopened), DELETING.block_width), dtype=np.int8)
+            bases = np.zeros(len(unopened), dtype=np.int8)
             z_out = net.measure_blocks(ROLE_V, bases, rng, blocks=unopened)
-            theta_rows = prover.theta[unopened]
-            match = (z_out == prover.y[unopened]) | (theta_rows == 0)
+            k = DELETING.block_width
+            z_rows, y_rows = unpack_rows(z_out, k), unpack_rows(prover.y[unopened], k)
+            theta_rows = unpack_rows(prover.theta[unopened], k)
+            match = (z_rows == y_rows) | (theta_rows == 0)
             per_block = match.all(axis=1)
             passes += int(per_block.sum())
             blocks_seen += len(unopened)
@@ -303,7 +343,7 @@ class TestFullOpenedSet:
         cert, _ = epr_delete(TINY, residual, rng)
         assert cert.blocks.dtype == np.int64 and cert.blocks.tolist() == self.DELETED[how]
         assert np.array_equal(cert.blocks, np.flatnonzero(~residual.opened))
-        assert cert.outcomes.shape == (len(cert.blocks), TINY.block_width)
+        assert cert.outcomes.shape == (len(cert.blocks),)
 
 
 class TestRejectedOpenedSet:
@@ -329,7 +369,7 @@ class TestRejectedOpenedSet:
         "mask_two_d": (np.ones((3, 3), dtype=bool), EVERY),
         "mask_uint8_with_a_2": (np.array([2, 1, 1, 1, 1, 1, 1, 1, 1], dtype=np.uint8), EVERY),
         "mask_all_false": (np.zeros(9, dtype=bool), EVERY),
-        # well shaped, but theta_I holds nine rows
+        # well shaped, but theta_I holds nine words
         "mask_disagrees_with_theta_rows": (np.isin(np.arange(9), [1, 4], invert=True), [1, 4]),
     }
 
@@ -346,7 +386,7 @@ class TestRejectedOpenedSet:
         cert, _ = epr_delete(TINY, residual, rng)
         assert b == 0
         assert cert.blocks.dtype == np.int64 and cert.blocks.tolist() == expected
-        assert cert.outcomes.shape == (len(expected), TINY.block_width)
+        assert cert.outcomes.shape == (len(expected),)
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_verifier_state_holds_a_valid_opened_set(self, name):
@@ -375,6 +415,7 @@ class TestMalformedNaorOpening:
         crs, net = epr_setup(self.PARAMS, rng)
         proof, _ = epr_prove(self.PARAMS, crs, net, g, w, rng)
         positions, seeds = proof.op_I.positions, proof.op_I.seeds
+        blocks = np.flatnonzero(proof.opened)  # the generator positions; the opening covers their pairs
         assert proof.opened.all()  # so the subset seeds are a full naor opening's
         bad = {
             "seeds_short": SubsetOpening(positions, seeds[:-1]),
@@ -383,8 +424,8 @@ class TestMalformedNaorOpening:
             "naor_long": NaorOpening(np.append(seeds, seeds[:1])),
         }[how]
         assert epr_verify(self.PARAMS, crs, net, g, replace(proof, op_I=bad), rng)[0] == 0
-        assert not hbg_verify_batch(crs.crs_bg, proof.com, positions, proof.theta_I.ravel(), bad)
-        assert hbg_verify_batch(crs.crs_bg, proof.com, positions, proof.theta_I.ravel(), NaorOpening(seeds))
+        assert not hbg_verify_batch(crs.crs_bg, proof.com, blocks, proof.theta_I, bad)
+        assert hbg_verify_batch(crs.crs_bg, proof.com, blocks, proof.theta_I, NaorOpening(seeds))
 
 
 class TestAdversaries:

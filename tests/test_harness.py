@@ -73,6 +73,16 @@ class TestWire:
     def test_lists_and_tuples_normalize_to_lists(self):
         assert wire.decode(wire.encode((1, 2))) == [1, 2]
 
+    @pytest.mark.parametrize("entry", [1.5, 1.0, True, "1", None])
+    def test_useful_map_entries_must_be_ints(self, entry):
+        # int() would decode 1.5 as vertex 1
+        with pytest.raises(wire.WireError, match="list of ints"):
+            wire.hbproof_from_payload([{"kind": "useful", "map": [0, entry, 2]}])
+        with pytest.raises(wire.WireError, match="list of ints"):
+            wire.hbproof_from_payload([{"kind": "useful", "map": entry}])
+        proof = wire.hbproof_from_payload([{"kind": "useful", "map": [0, 1, 2]}])
+        assert proof.reps[0].vertex_map == (0, 1, 2)
+
     def test_trailing_bytes_rejected(self):
         with pytest.raises(wire.WireError):
             wire.decode(wire.encode(1) + b"x")
@@ -140,6 +150,7 @@ class TestWire:
 # an EPR session that leaves blocks unopened at seed 0: the criterion-3
 # quantum-output shape with the naor generator
 UNOPENED_PARAMS = {"n": 2, "reps": 8, "m": 2, "b": 1, "k": 2, "hbg": "naor", "hbg_s": 12}
+UNOPENED_SEED = 1  # a session at these params that leaves two blocks unopened
 
 
 class TestTranscriptSerialization:
@@ -184,7 +195,7 @@ class TestTranscriptSerialization:
 
     def test_version_1_file_is_refused(self, capsys, tmp_path):
         # a well-formed body behind version 1: v1 EPR payloads are not bit-packed
-        assert VERSION == 2
+        assert VERSION == 3
         data = serialize_transcript(self._sample())
         v1 = MAGIC + (1).to_bytes(2, "big") + data[7:]
         with pytest.raises(TranscriptError, match="version 1$"):
@@ -193,6 +204,20 @@ class TestTranscriptSerialization:
         path.write_bytes(v1)
         assert cli_main(["certify", "--in", str(path)]) == 2
         assert "unsupported transcript version 1" in capsys.readouterr().err
+
+    def test_version_2_epr_file_is_refused_not_replayed(self, capsys, tmp_path):
+        # version 2 drew the EPR bits one byte per pair: its sessions cannot
+        # be replayed, so the file is refused (exit 2), never compared (exit 1)
+        data = serialize_transcript(run_session("epr", None, 3))
+        v2 = MAGIC + (2).to_bytes(2, "big") + data[7:]
+        with pytest.raises(TranscriptError, match="version 2$"):
+            deserialize_transcript(v2)
+        path = tmp_path / "v2.cenz"
+        path.write_bytes(v2)
+        for verb in ("certify", "prove"):
+            assert cli_main([verb, "--in", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "unsupported transcript version 2" in err and "replay mismatch" not in err
 
 
 class TestDeterminism:
@@ -245,20 +270,21 @@ class TestDeterminism:
     def test_epr_messages_reveal_theta_only_for_opened_blocks(self):
         # the naor generator opens a subset of positions; at this seed two
         # blocks stay unopened
-        t = run_session("epr", UNOPENED_PARAMS, 0)
+        t = run_session("epr", UNOPENED_PARAMS, UNOPENED_SEED)
         payload = wire.decode(next(p for role, step, p in t.messages if step == "proof"))
         assert list(payload) == ["opened", "com", "theta_I", "op", "pi_hb"]
         arrays, k = epr_message_arrays(t), UNOPENED_PARAMS["k"]
         ell = len(arrays["s"])
         assert 0 < len(arrays["I"]) < ell
         assert payload["opened"].dtype == np.uint8 and len(payload["opened"]) == (ell + 7) // 8
-        assert payload["theta_I"].dtype == np.uint8 and len(payload["theta_I"]) == (len(arrays["I"]) * k + 7) // 8
+        assert payload["theta_I"].dtype == np.uint8 and payload["theta_I"].shape == (len(arrays["I"]),)
+        assert not np.any(payload["theta_I"] >> k)
         assert payload["op"]["kind"] == "subset"
         allowed = {int(i) * k + j for i in arrays["I"] for j in range(k)}
         assert set(int(p) for p in payload["op"]["positions"]) == allowed
 
     def test_epr_payloads_unpack_to_the_protocol_objects(self):
-        seed = 0
+        seed = UNOPENED_SEED
         pp = ep.EprParams(
             hb=HbParams(n=2, repetitions=8, matrix_side=2, block_len=1), block_width=2, hbg_mode="naor"
         )
@@ -342,6 +368,12 @@ class TestParamTypes:
         assert cli_main(["certify", "--in", str(path)]) == 2
         assert "seed must be an integer" in capsys.readouterr().err
 
+    def test_block_width_above_a_byte_is_usage_error(self, capsys):
+        # a block's bases and outcomes are one byte each
+        assert cli_main(["run-session", "--protocol", "epr", "--param", "k=9"]) == 2
+        assert "error: epr param k must be at most 8, got 9" in capsys.readouterr().err
+        assert cli_main(["run-session", "--protocol", "epr", "--param", "k=8"]) == 0
+
 
 # every integer param a session reads
 SIZE_PARAMS = [("epr", key) for key, value in default_epr_params().items() if isinstance(value, int)] + [
@@ -387,6 +419,7 @@ class TestCliParams:
         [
             ("epr", "m", 10**6, "reps*m*m*b*k"),
             ("epr", "reps", 2**23, "reps*m*m*b*k"),
+            ("epr", "k", 9, "k"),
             ("crs-toy", "lam", SIZE_CAPS["crs-toy"]["lam"] + 1, "lam"),
             ("crs-toy", "sig_width", SIZE_CAPS["crs-toy"]["sig_width"] + 1, "sig_width"),
             ("crs-dry", "lam", SIZE_CAPS["crs-dry"]["lam"] + 1, "lam"),

@@ -248,3 +248,55 @@ class TestHidingControl:
     def test_production_prg_passes_same_test(self, rng):
         acc = np.mean([self._predict_bits(PRG_BLAKE, rng) for _ in range(20)])
         assert abs(acc - 0.5) < 0.1  # the same distinguisher is blind here
+
+
+class TestWords:
+    """Positions of width > 1: the generator draws one word per position;
+    naor commits each of its bits and Open packs them back."""
+
+    @pytest.mark.parametrize("mode", ["dealer", "naor"])
+    @pytest.mark.parametrize("width", [2, 6, 8])
+    def test_round_trip_and_flipped_bits(self, mode, width):
+        rng = stream(width, "words", mode)
+        crs = hbg_setup(12, mode, rng, s=8, width=width)
+        com, r, op = hbg_genbits(crs, rng)
+        assert r.dtype == np.uint8 and r.shape == (12,) and not np.any(r >> width)
+        assert not r.flags.writeable
+        assert hbg_verify_batch(crs, com, range(12), r, op)
+        assert all(hbg_verify(crs, com, i, int(r[i]), op) for i in range(12))
+        for j in (0, width - 1):
+            bad = r.copy()
+            bad[5] ^= 1 << j
+            assert not hbg_verify_batch(crs, com, range(12), bad, op)
+            assert not hbg_verify(crs, com, 5, int(bad[5]), op)
+        # a bit at or above the width is never part of an opening
+        assert not hbg_verify(crs, com, 5, int(r[5]) | (1 << width), op)
+
+    @pytest.mark.parametrize("width", [2, 6])
+    def test_naor_commits_every_bit_and_open_packs_them(self, width):
+        rng = stream(width, "words-open")
+        crs = hbg_setup(5, "naor", rng, s=10, width=width)
+        assert crs.u.shape == (5 * width, crs.params.out_bytes)
+        com, r, op = hbg_genbits(crs, rng)
+        assert op.seeds.shape == (5 * width,) and len(com.data) == 5 * width * crs.params.out_bytes
+        for i in range(5):
+            for j in range(width):
+                p = i * width + j
+                c = np.frombuffer(com.chunk(p, crs.params.out_bytes), dtype=np.uint8)
+                g = np.frombuffer(prg_expand(int(op.seeds[p]), crs.params), dtype=np.uint8)
+                assert np.array_equal(c ^ crs.u[p] if (r[i] >> j) & 1 else c, g)
+        res = hbg_open(crs, com)
+        assert res.bits.dtype == np.uint8 and np.array_equal(res.bits, r)
+        assert res.equivocal.shape == res.garbage.shape == (5,)
+
+    def test_subset_opening_covers_the_bits_of_its_positions(self):
+        rng = stream(0, "words-subset")
+        crs = hbg_setup(6, "naor", rng, s=8, width=3)
+        com, r, op = hbg_genbits(crs, rng)
+        sub = restrict_opening(op, np.array([3, 4, 5, 12, 13, 14]))  # positions 1 and 4
+        assert hbg_verify_batch(crs, com, np.array([1, 4]), r[[1, 4]], sub)
+        assert not hbg_verify_batch(crs, com, np.array([1, 2]), r[[1, 2]], sub)
+
+    def test_width_above_a_byte_rejected(self, rng):
+        with pytest.raises(ValueError, match="width"):
+            hbg_setup(4, "dealer", rng, width=9)

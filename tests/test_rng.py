@@ -7,6 +7,9 @@ Large draws are cut from 32-bit words, taken from `random_raw` where
 the bit generator buffers half-words; they must give the bits and the
 whole generator state of `integers(0, 2, dtype=np.uint8)`. A `count=k`
 draw must give the bits and state of k such consecutive draws.
+
+`rng.blocks` is the one draw of EPR block words: byte i of the raw
+64-bit outputs, masked to the block width.
 """
 
 import ast
@@ -215,3 +218,34 @@ def test_bits_leave_the_whole_state_of_the_uint8_draws(bit_generator, shape, cou
         np.testing.assert_array_equal(got, rows[0] if count == 1 else np.stack(rows))
         # every field, the buffered half-word and a stale uinteger included
         np.testing.assert_equal(gen.bit_generator.state, ref.bit_generator.state)
+
+
+BLOCK_COUNTS = [0, 1, 7, 8, 9, 4099, 819200]
+
+
+@pytest.mark.parametrize("n", BLOCK_COUNTS)
+@pytest.mark.parametrize("width", range(1, 9))
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+def test_block_draw_is_masked_raw_bytes(bit_generator, width, n):
+    gen, ref = np.random.Generator(bit_generator(3)), np.random.Generator(bit_generator(3))
+    got = cenizk.rng.blocks(gen, n, width)
+    raw = ref.bit_generator.random_raw(-(-n // 8))
+    want = np.array([(int(w) >> (8 * b)) & 0xFF for w in raw[: -(-n // 8)].tolist() for b in range(8)], dtype=np.uint8)
+    assert got.dtype == np.uint8 and got.shape == (n,)
+    # never a bit at or above the width, and the raw bytes below it
+    assert not np.any(got >> width)
+    np.testing.assert_array_equal(got, want[:n] & ((1 << width) - 1))
+    # the generator advanced by exactly ceil(n/8) raw outputs
+    np.testing.assert_equal(gen.bit_generator.state, ref.bit_generator.state)
+
+
+@pytest.mark.parametrize("n", BLOCK_COUNTS)
+def test_block_draw_takes_one_random_raw_call(n):
+    gen = _RecordingGenerator(np.random.default_rng(5))
+    cenizk.rng.blocks(gen, n, 6)
+    assert gen.calls == [("random_raw", -(-n // 8))]
+
+
+def test_block_draw_fills_every_width():
+    words = cenizk.rng.blocks(np.random.default_rng(9), 4096, 6)
+    assert set(words.tolist()) == set(range(64))
