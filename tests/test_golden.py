@@ -2,19 +2,18 @@
 for fixed seeds. Any change to a verdict, an RNG draw order or a CENZ1
 byte shows up here.
 
-Each session is pinned twice: by its CENZ1 version-2 bytes, and by the
-version-1 bytes it re-expands to (the EPR 0/1 arrays unpacked into
-their v1 layout and key order, and 1 in the version field). The v1
-digests are the ones recorded before the EPR payloads were bit-packed,
-so they show that the move to v2 changed no draw, verdict or other byte."""
+CENZ1 version 3 draws and stores EPR bases and outcomes as one byte per
+block, and the hidden-bits generator draws its words the same way, so
+the EPR and crs-dry sessions are pinned by their version-3 bytes. A
+crs-toy transcript has the same bytes in versions 1 to 3 but for the
+version field, so the digests recorded under versions 1 and 2 still pin
+it, with that field set back."""
 
-import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from cenizk import wire
 from cenizk.rng import bits
 from cenizk.attacks import (
     ADV_BASIS_INFORMED,
@@ -40,107 +39,76 @@ from cenizk.harness import default_epr_params, run_session, serialize_transcript
 from cenizk.hbnizk import HbParams, cheat_prove
 from cenizk.rng import stream
 from cenizk.state import dump_lines
-from conftest import epr_message_arrays
 
+GOLDEN_V3 = {
+    ("epr", 0): "7332ddfbe201d4aaddb2703c963cf0c4496a388244ca89836ee50acb7f25be47",
+    ("epr", 1): "fac9d8571d0e8a20679c707187c9b6519181c65dec06287b83a825a93fe67c94",
+    ("epr", 2): "9e320f1e98025d139b117a49d2bd4c9e9ba9f24595de5a97e3dac72ab63da2d0",
+    ("epr", 3): "4781b5478c349f589a82618f212cdc4ae04177809a49a5fe88be95c3480c8cf0",
+    ("epr", 4): "b689d3a1e043a309ad1edc171b46ccab698ad4290cd6f3ef8404ee6ca0abec34",
+    ("crs-dry", 0): "a7644870eeb6b1a09e34f134d312ee25b81948f56040be36cb0f0b9d9cf66db6",
+    ("crs-dry", 1): "8b39e5b7a4475736fdb2a20cc4b09c5b147ad76faa8cf7604b0c864b4b257ebc",
+    ("crs-dry", 2): "6f828fd21aded97634dd2564ee3fb165660463508149e4d859ce636aa7fdcbae",
+    ("crs-dry", 3): "55abafa046c078827b20487e959f94fa96ffb298c662166a98449a7c422f1cac",
+    ("crs-dry", 4): "83e61467d761125ba43bc5a9e9a22b86860d96c4e6ca20a9a4c007ee6f29d754",
+}
+# crs-toy under version 1, then under version 2
 GOLDEN = {
-    ("epr", 0): "e18e37f0b8757ead19febf4968926a18de2f7180b3a0c30acd7d58591ffb5ec0",
-    ("epr", 1): "0c4efbb5817f55be12cc71d11908bc9cdc506273b5770f37f38f318be74dd2bd",
-    ("epr", 2): "8b88d9923dfae201cd44862bcb2a6beccdd1512e77cac6302adb9cd04266dbaa",
-    ("epr", 3): "6aabcfb40e52f9f739a29077192d8be362d505902afc0c8ca839b854b1fa6168",
-    ("epr", 4): "90a4de33fef0e3369a81cf00b1a63cff42295437bbf1c1e1d24eba2c6a5ffc16",
     ("crs-toy", 0): "014327ef7024f6362e2ff7edf4f7f20023f18572e631f976a34ce2cdd9494d75",
     ("crs-toy", 1): "94cce7718df47860a9f01ee82e55774fbd24874f2a005e294fe10e322f98cc29",
     ("crs-toy", 2): "82378fe9534a4ecc4e9a7b7affac37df71c0ec3f2d4d06ac4e3a1709476f319d",
     ("crs-toy", 3): "207e25f3833d34a9c1990a1adcf49fa99e8756e5324680e041b987cfe9030cc2",
     ("crs-toy", 4): "7b90aaaf6a4e2eb4f76a12f99ab9d6ef99a7b60127dbd89ebef6366cc8679967",
-    ("crs-dry", 0): "fcb611bc7ca6f4c514b01e085bccbbba3a718635e0d36971de28de78516046be",
-    ("crs-dry", 1): "85c043752905b158ca5dcd6307bec4415239adab3a1c719e3976486b380969be",
-    ("crs-dry", 2): "2f1592f4dc60e61eceaa056307a903ebe9bc233dbeef073c8914ee407be36fe9",
-    ("crs-dry", 3): "e407e72b3c36d989b26c92c2316cde3299114d43800ab2ab1520672bb9f3a9f2",
-    ("crs-dry", 4): "8f82a1af5825c5fc5efe332496f2b0e7aaf1edab647f1685907778502913239b",
 }
 GOLDEN_V2 = {
-    ("epr", 0): "07c42c915a1891cf9925e797244734bb9a756a59e5196bd630e54f0f9af508d7",
-    ("epr", 1): "06bc61bb872020eafd490015f99f733dd4bff06ab3fcb123b749dc2d19595a17",
-    ("epr", 2): "8eb782e1312138d99f42fb4ab9d5664605800bcf90691f7faa8e82593a6e5f8f",
-    ("epr", 3): "51dcc8009104616b71958f7b5998b929e8b981e09ea2001e6a9e6e8691170ed8",
-    ("epr", 4): "30d7fb7d2e1ffbcf067c5cafc66fb5360a809892f354af2b8a4dada6dbde62c7",
     ("crs-toy", 0): "a89bfe207257bb0151576150c0ed0d3712bb606946d1bca1fa69eed87470215e",
     ("crs-toy", 1): "77a8a70cdd7f32948d3851f161a3508987a01d805a679630de1e41c55dc0334d",
     ("crs-toy", 2): "972a049d552e68e15fad50fd7afd18caa2ab803cfacfc334d9fbc01f654128f7",
     ("crs-toy", 3): "ec65e8f8c68a79083004611f88aa8d9963a2467265a50dc6eba4e36f2ae1a0c5",
     ("crs-toy", 4): "f19e3211abbe52f1d3a9440f94f1f7b39f18d2a03d65ca628e17d0529d58d9b1",
-    ("crs-dry", 0): "d36442e96104804946725eab9bcbbfd2973411c22e57f67f98d9d19f93bff793",
-    ("crs-dry", 1): "14ff82ad16a7eba33efebe0da103be98a63e09c22b8537bf0fb26a6f53d8c231",
-    ("crs-dry", 2): "ba9c134abea7438b0bb89beba749a773787f8d28e7200d26c688f489573d127d",
-    ("crs-dry", 3): "8fc17fc1b45977acff73c76796c1b0c40ca1fd64843368e61ca8d4603a0f028c",
-    ("crs-dry", 4): "31db21054f6f782defdc09dd0ab9bcc81243e033ee6c77669732dec9033a8311",
 }
 
 # default EPR session with the naor-mode generator: the proof carries a
 # SubsetOpening (positions and seeds) instead of a dealer receipt
 NAOR = {"n": 3, "reps": 1, "m": 3, "b": 1, "k": 4, "hbg": "naor", "hbg_s": 12}
-NAOR_GOLDEN = {
-    0: "81fb9272418484a695a7bda67b26c63f5cabf1719e8c821e16e9b2a34c2adeb6",
-    1: "2d0289f9de6105917f4657286d147a6cb18f1803b3698ac0ea203f44568e4d0a",
-}
-NAOR_GOLDEN_V2 = {
-    0: "3caf40f4e15585e43d8b77667fe03c12dea65636453616390d6b1584e7d405b2",
-    1: "fc7876294ce32d148d27db2158c2f6bd4bf5549fdd0108205055d4c122261ed5",
+NAOR_GOLDEN_V3 = {
+    0: "5ed59b1081f156ca84566464236ad318ee907ceba720dc7d35e71b7a02de97f6",
+    1: "24c0f9d9fa0ed76d0073e37a6832c4edc28076cae83e37e2945e68ddd27d9e2f",
 }
 
 # criterion-1 shape: 4,915,200 EPR pairs
 CRITERION_1 = {"n": 4, "reps": 20, "m": 64, "b": 10, "k": 6, "hbg": "dealer", "hbg_s": 12}
-CRITERION_1_SEED0 = "0e09d547a29f4fb9b63c0c02de1e1c568526e04ab179be92f9dde24754caf69d"
-CRITERION_1_SEED0_V2 = "1e3a9b74239e7ca9a2189f319aa44628b2865ec2a46ab49e6a1493a3793c7010"
+CRITERION_1_SEED0_V3 = "590610e5416e7c66cf585857af5abc3f71a59b8bd55c84f53453eb1382e23371"
 
 
-def _v1_bytes(t) -> bytes:
-    """The CENZ1 version-1 serialization of transcript t: each EPR 0/1
-    array unpacked (s, the opened mask back to int64 I, theta_I as
-    (|I|, k) uint8, the certificate's outcomes), each payload re-encoded
-    in v1 key order, and 1 in the version field."""
-    if t.protocol == "epr":
-        arrays, messages = epr_message_arrays(t), []
-        for role, step, payload in t.messages:
-            p = wire.decode(payload)
-            if step == "crs":
-                p = {"s": arrays["s"], "hbg": p["hbg"]}
-            elif step == "proof":
-                p = {
-                    "I": arrays["I"],
-                    "com": p["com"],
-                    "theta_I": arrays["theta_I"],
-                    "op": p["op"],
-                    "pi_hb": p["pi_hb"],
-                }
-            elif step == "deletion-cert":
-                p = {"blocks": p["blocks"], "outcomes": arrays["outcomes"]}
-            messages.append((role, step, wire.encode(p)))
-        t = dataclasses.replace(t, messages=messages)
-    data = serialize_transcript(t)
-    return data[:5] + (1).to_bytes(2, "big") + data[7:]
+def _digest(data: bytes, version: int | None = None) -> str:
+    """SHA-256 of transcript bytes, with the version field set to version if given."""
+    if version is not None:
+        data = data[:5] + version.to_bytes(2, "big") + data[7:]
+    return hashlib.sha256(data).hexdigest()
 
 
-def _digests(protocol, params, seed) -> tuple[str, str]:
-    """(v2, v1) SHA-256 digests of one session's transcript."""
-    t = run_session(protocol, params, seed)
-    return tuple(hashlib.sha256(data).hexdigest() for data in (serialize_transcript(t), _v1_bytes(t)))
+def _session_digest(protocol, params, seed) -> str:
+    return _digest(serialize_transcript(run_session(protocol, params, seed)))
 
 
-@pytest.mark.parametrize("protocol,seed", sorted(GOLDEN))
+@pytest.mark.parametrize("protocol,seed", sorted([*GOLDEN_V3, *GOLDEN]))
 def test_default_session_digest(protocol, seed):
-    assert _digests(protocol, None, seed) == (GOLDEN_V2[(protocol, seed)], GOLDEN[(protocol, seed)])
+    if protocol == "crs-toy":
+        data = serialize_transcript(run_session(protocol, None, seed))
+        assert (_digest(data, 2), _digest(data, 1)) == (GOLDEN_V2[(protocol, seed)], GOLDEN[(protocol, seed)])
+    else:
+        assert _session_digest(protocol, None, seed) == GOLDEN_V3[(protocol, seed)]
 
 
-@pytest.mark.parametrize("seed", sorted(NAOR_GOLDEN))
+@pytest.mark.parametrize("seed", sorted(NAOR_GOLDEN_V3))
 def test_naor_session_digest(seed):
     assert NAOR == {**default_epr_params(), "hbg": "naor"}
-    assert _digests("epr", NAOR, seed) == (NAOR_GOLDEN_V2[seed], NAOR_GOLDEN[seed])
+    assert _session_digest("epr", NAOR, seed) == NAOR_GOLDEN_V3[seed]
 
 
 def test_criterion_1_session_digest():
-    assert _digests("epr", CRITERION_1, 0) == (CRITERION_1_SEED0_V2, CRITERION_1_SEED0)
+    assert _session_digest("epr", CRITERION_1, 0) == CRITERION_1_SEED0_V3
 
 
 # ---------------------------------------------------------------------
@@ -308,10 +276,10 @@ C3_LANES = {
     "c3qs": (False, C3_QUANTUM, two_cycle_pair(), keep_two_blocks_vstar),
 }
 C3_GOLDEN = {
-    "c3r": "502f5eb71fc7cd581c22f01dc86c745e6c7717c9e7b5430f0ff2383f9ae6e54c",
-    "c3s": "f5958d3a70a7d074071bc6d41a3d7e987d2527ee3cedff69ecfd7b968d148a74",
-    "c3qr": "9707fbc0d0738e3f5725eb37f3ca44899fb208e9d33221b06b194c220fbff756",
-    "c3qs": "78aae31de4e9b66bca59fc468243f23bf309e97f8eaf6fd07e7bf3e9d55ab0d1",
+    "c3r": "c55d83d28e316be2982aff229939caa52b417e57ba86c359fe2b20dd5a975e66",
+    "c3s": "e4f2286ab305ff3e796bbb4f09fbe35cc79067eb47f245ce046f58e068ad25f9",
+    "c3qr": "e2ea8ed047e1d4af448c5054a9b04ef48834b598303b44940f32b25878d2151f",
+    "c3qs": "3626c4dac5f9d11e14df59ff86e405002fb6fa3270bf3486b044b99361c42902",
 }
 
 
