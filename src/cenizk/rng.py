@@ -9,7 +9,7 @@ single attribute decides the draw everywhere. A large draw is cut from
 32-bit words, taken two to a raw 64-bit output where the generator
 buffers half-words, with the bits and whole state of `integers(0, 2)`;
 `bits(gen, shape, count=k)` cuts k consecutive draws from one word draw.
-`blocks` is the one draw of EPR block words: one masked byte per block.
+`blocks` draws generator and EPR block words: one masked byte each.
 """
 
 from __future__ import annotations

@@ -1,15 +1,16 @@
 """`rng.bits` is the package's one uniform-bit draw.
 
-Every 0/1 array in the package (EPR outcomes, hidden bits, pad keys,
-BB84 strings) comes from `cenizk.rng.bits`, looked up on the module at
-call time, so replacing that one attribute changes the draw everywhere.
+Every 0/1 array in the package (the EPR mask s, simulated hidden-bits
+blocks, pad keys, BB84 strings) comes from `cenizk.rng.bits`,
+looked up on the module at call time, so replacing that one attribute
+changes the draw everywhere.
 Large draws are cut from 32-bit words, taken from `random_raw` where
 the bit generator buffers half-words; they must give the bits and the
 whole generator state of `integers(0, 2, dtype=np.uint8)`. A `count=k`
 draw must give the bits and state of k such consecutive draws.
 
-`rng.blocks` is the one draw of EPR block words: byte i of the raw
-64-bit outputs, masked to the block width.
+`rng.blocks` is the one draw of words (the generator's output, EPR
+outcomes): byte i of the raw 64-bit outputs, masked to the word width.
 """
 
 import ast
@@ -230,7 +231,8 @@ def test_block_draw_is_masked_raw_bytes(bit_generator, width, n):
     gen, ref = np.random.Generator(bit_generator(3)), np.random.Generator(bit_generator(3))
     got = cenizk.rng.blocks(gen, n, width)
     raw = ref.bit_generator.random_raw(-(-n // 8))
-    want = np.array([(int(w) >> (8 * b)) & 0xFF for w in raw[: -(-n // 8)].tolist() for b in range(8)], dtype=np.uint8)
+    # byte b of each raw output, least significant first
+    want = ((raw[:, None] >> (8 * np.arange(8, dtype=np.uint64))) & 0xFF).astype(np.uint8).ravel()
     assert got.dtype == np.uint8 and got.shape == (n,)
     # never a bit at or above the width, and the raw bytes below it
     assert not np.any(got >> width)
