@@ -77,10 +77,16 @@ def _blocks(ys: np.ndarray, thetas: np.ndarray, cs: np.ndarray) -> list[CommitBl
     return [CommitBlock(y, theta, c) for y, theta, c in zip(ys, thetas, cs.tolist())]
 
 
+def _pads(draws) -> np.ndarray:
+    """Block parities of stacked (ys, thetas) rows, packed in one call."""
+    y, theta = pack_rows(draws)
+    return masked_parity(theta, y)
+
+
 def commit_bits(ms: np.ndarray, width: int, rng: np.random.Generator) -> list[CommitBlock]:
     """Batch commit: two draws (ys, then thetas) for a whole block vector."""
-    ys, thetas = rng_mod.bits(rng, (len(ms), width), count=2)
-    return _blocks(ys, thetas, np.asarray(ms, dtype=np.uint8) ^ masked_parity(pack_rows(thetas), pack_rows(ys)))
+    draws = rng_mod.bits(rng, (len(ms), width), count=2)
+    return _blocks(*draws, np.asarray(ms, dtype=np.uint8) ^ _pads(draws))
 
 
 def open_commit(block_state: SparseState, y: np.ndarray, theta: np.ndarray, c: int, rng) -> Optional[int]:
@@ -90,7 +96,7 @@ def open_commit(block_state: SparseState, y: np.ndarray, theta: np.ndarray, c: i
     outcomes, _ = measure(block_state, list(range(width)), ["X" if t else "Z" for t in theta], rng)
     if not np.array_equal(outcomes, y):
         return None
-    return int(c) ^ int(masked_parity(pack_rows(theta), pack_rows(y)))
+    return int(c) ^ int(_pads((y, theta)))
 
 
 def deletion_cert_for_block(block_state: SparseState, rng) -> np.ndarray:
@@ -153,16 +159,13 @@ def _permuted_adjacency(x: Digraph, taus: np.ndarray) -> np.ndarray:
 
 
 def _draw_reps(n: int, params: StrawmanParams, rng: np.random.Generator):
-    """Per repetition, a vertex permutation and then its n*n block
-    draws. Returns the (reps, n) permutations and the ys and thetas of
-    all reps*n*n blocks, row-major."""
-    taus = np.empty((params.reps, n), dtype=np.intp)
-    draws = np.empty((2, params.reps, n * n, params.width), dtype=np.uint8)
-    for rep in range(params.reps):
-        taus[rep] = rng.permutation(n)
-        draws[:, rep] = rng_mod.bits(rng, (n * n, params.width), count=2)
-    ys, thetas = draws.reshape(2, -1, params.width)
-    return taus, ys, thetas
+    """One attempt's draws: an independent uniform vertex permutation per
+    repetition, then the ys and thetas of all reps*n*n blocks, row-major.
+    Returns the (reps, n) permutations, the ys, the thetas and the
+    blocks' parities."""
+    taus = rng.permuted(np.tile(np.arange(n), (params.reps, 1)), axis=1)
+    draws = rng_mod.bits(rng, (params.block_count(n), params.width), count=2)
+    return taus, *draws, _pads(draws)
 
 
 def _opening_package(
@@ -228,8 +231,8 @@ def strawman_prove(
     params: StrawmanParams, x: Digraph, witness: CycleWitness, rng: np.random.Generator
 ) -> tuple[StrawmanProof, StrawmanKey]:
     require_witness(x, witness)
-    taus, ys, thetas = _draw_reps(x.n, params, rng)
-    blocks = _blocks(ys, thetas, _permuted_adjacency(x, taus).ravel() ^ masked_parity(pack_rows(thetas), pack_rows(ys)))
+    taus, ys, thetas, pads = _draw_reps(x.n, params, rng)
+    blocks = _blocks(ys, thetas, _permuted_adjacency(x, taus).ravel() ^ pads)
     classical, opened_ids = _opening_package(x, blocks, taus, witness, params.reps)
     proof = StrawmanProof(blocks, classical)
     key = StrawmanKey([b.y for b in blocks], [b.theta for b in blocks], opened_ids)
@@ -365,10 +368,10 @@ def derived_soundness_adversary(
     best = None
     for _ in range(grind_tries):
         guesses = rng_mod.bits(rng, reps)
-        taus, ys, thetas = _draw_reps(n, params, rng)
+        taus, ys, thetas, pads = _draw_reps(n, params, rng)
         # an everything-is-one commit can open any cycle
         ms = np.where(guesses[:, None, None] == 0, _permuted_adjacency(x, taus), np.uint8(1))
-        cs = ms.ravel() ^ masked_parity(pack_rows(thetas), pack_rows(ys))
+        cs = ms.ravel() ^ pads
         hits = int(np.sum(_fs_challenges(x, cs, reps) == guesses))
         if best is None or hits > best[0]:
             best = (hits, taus, ys, thetas, cs)
@@ -442,8 +445,9 @@ def run_deletion_experiment(
     exp: DeletionExperiment, b: int, rng: np.random.Generator
 ) -> DeletionOutcome:
     lam = exp.lam
-    y, theta = rng_mod.bits(rng, lam, count=2)
-    masked = int(b) ^ int(masked_parity(pack_rows(theta), pack_rows(y)))
+    draws = rng_mod.bits(rng, lam, count=2)
+    y, theta = draws
+    masked = int(b) ^ int(_pads(draws))
     payload = _z_payload(exp, theta, masked)
     _assert_no_theta_leak(exp, payload)
     register = prep_bb84(Bb84Descriptor(y, theta))
@@ -458,7 +462,7 @@ def run_deletion_experiment(
         leaked = payload["theta"]
         bases = ["Z" if t == 0 else "X" for t in leaked]
         outcomes, _ = measure(register, list(range(lam)), bases, rng)
-        recovered = payload["masked_bit"] ^ int(masked_parity(pack_rows(leaked), pack_rows(outcomes)))
+        recovered = payload["masked_bit"] ^ int(_pads((outcomes, leaked)))
         cert = outcomes  # X positions carry the true y; Z positions unchecked
         out_state = SparseState(1, {int(recovered): 1.0 + 0.0j})
         classical = {"bit": int(recovered)}

@@ -122,21 +122,31 @@ class TestDerivedProofSystem:
             assert derived_verify(params, bad, pkg, rng) == 0
 
     @pytest.mark.parametrize("reps", [1, 7, 24])
-    def test_one_grind_try_draws_once_per_repetition(self, reps, monkeypatch):
-        """One draw for the guesses, then one per repetition for all of
-        its blocks' ys and thetas."""
-        honest_bits, calls = rng_mod.bits, []
+    def test_one_grind_try_draws_once_per_attempt(self, reps, monkeypatch):
+        """One draw for the guesses, one permuted call for every
+        repetition's permutation, then one draw for all blocks' ys and
+        thetas."""
+        honest_bits, calls, shuffles = rng_mod.bits, [], []
 
         def counting(gen, shape, count=1):
             calls.append((shape, count))
             return honest_bits(gen, shape, count=count)
 
+        class CountingGenerator(np.random.Generator):
+            def permuted(self, x, *, axis=None, out=None):
+                shuffles.append(("permuted", np.shape(x), axis))
+                return super().permuted(x, axis=axis, out=out)
+
+            def permutation(self, x, axis=0):
+                shuffles.append(("permutation", x))
+                return super().permutation(x, axis=axis)
+
         monkeypatch.setattr(rng_mod, "bits", counting)
         bad = non_hamiltonian_triangle()
-        derived_soundness_adversary(StrawmanParams(reps=reps, width=5), bad, stream(0, "draws"), grind_tries=1)
-        assert len(calls) == 1 + reps
-        assert calls[0] == (reps, 1)
-        assert set(calls[1:]) == {((9, 5), 2)}
+        gen = CountingGenerator(stream(0, "draws").bit_generator)
+        derived_soundness_adversary(StrawmanParams(reps=reps, width=5), bad, gen, grind_tries=1)
+        assert calls == [(reps, 1), ((reps * 9, 5), 2)]
+        assert shuffles == [("permuted", (reps, 3), 1)]
 
     def test_witness_independence(self):
         """Two distinct Hamiltonian cycles of the triangle: per-repetition
@@ -183,6 +193,53 @@ class _Reads(Mapping):
 
     def __len__(self):
         return len(self.inner)
+
+
+class TestAttemptDraws:
+    """`_draw_reps`, one attempt's draws: a permutation per repetition
+    from one `permuted` call, then every block's ys and thetas."""
+
+    ATTEMPTS = 3000
+    REPS = 24
+    # chi-square with 5 degrees of freedom exceeds 30.86 with probability 1e-5
+    CHI2_BOUND = 30.86
+
+    @pytest.fixture(scope="class")
+    def codes(self):
+        """(attempts, reps) index of each row's permutation of 3 vertices
+        among the 6, in lexicographic order."""
+        rng = stream(0, "attempt-draws")
+        params = StrawmanParams(reps=self.REPS)
+        taus = np.stack([attacks._draw_reps(3, params, rng)[0] for _ in range(self.ATTEMPTS)])
+        assert taus.shape == (self.ATTEMPTS, self.REPS, 3)
+        assert (np.sort(taus, axis=-1) == np.arange(3)).all()
+        return taus[..., 0] * 2 + (taus[..., 1] > taus[..., 2])
+
+    def test_each_row_uniform_over_the_six_permutations(self, codes):
+        expected = self.ATTEMPTS / 6
+        for row in codes.T:
+            counts = np.bincount(row, minlength=6)
+            assert ((counts - expected) ** 2 / expected).sum() < self.CHI2_BOUND
+
+    def test_rows_of_an_attempt_uncorrelated(self, codes):
+        # equal at rate 1/6; 0.035 is about five standard deviations at 3,000 attempts
+        assert abs(np.mean(codes[:, 0] == codes[:, 1]) - 1 / 6) < 0.035
+        assert abs(np.mean(codes[:, :-1] == codes[:, 1:]) - 1 / 6) < 0.01
+
+    @pytest.mark.parametrize("width", [4, 5])
+    @pytest.mark.parametrize("reps", [1, 7, 24])
+    def test_block_draws_follow_the_permutations(self, reps, width):
+        """ys then thetas, (reps*n*n, width) each, drawn in one call right
+        after the permutations; at reps 24 and width 5 the draw's 2,160
+        entries reach the word path, at width 4 its 1,728 do not."""
+        params = StrawmanParams(reps=reps, width=width)
+        taus, ys, thetas, pads = attacks._draw_reps(3, params, stream(reps, width, "attempt-draws"))
+        replay = stream(reps, width, "attempt-draws")
+        assert np.array_equal(taus, replay.permuted(np.tile(np.arange(3), (reps, 1)), axis=1))
+        expected = rng_mod.bits(replay, (reps * 9, width), count=2)
+        assert ys.shape == thetas.shape == (reps * 9, width)
+        assert np.array_equal(ys, expected[0]) and np.array_equal(thetas, expected[1])
+        assert pads.tolist() == [int(y[t == 0].sum() % 2) for y, t in zip(ys, thetas)]
 
 
 class TestLazyPackage:
