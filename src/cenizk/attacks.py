@@ -159,10 +159,9 @@ def _permuted_adjacency(x: Digraph, taus: np.ndarray) -> np.ndarray:
 
 
 def _draw_reps(n: int, params: StrawmanParams, rng: np.random.Generator):
-    """One attempt's draws: an independent uniform vertex permutation per
-    repetition, then the ys and thetas of all reps*n*n blocks, row-major.
-    Returns the (reps, n) permutations, the ys, the thetas and the
-    blocks' parities."""
+    """One attempt's draws: a uniform vertex permutation per repetition,
+    then the ys and thetas of all reps*n*n blocks, row-major. Returns the
+    (reps, n) permutations, the ys, the thetas and the block parities."""
     taus = rng.permuted(np.tile(np.arange(n), (params.reps, 1)), axis=1)
     draws = rng_mod.bits(rng, (params.block_count(n), params.width), count=2)
     return taus, *draws, _pads(draws)
@@ -370,8 +369,7 @@ def derived_soundness_adversary(
         guesses = rng_mod.bits(rng, reps)
         taus, ys, thetas, pads = _draw_reps(n, params, rng)
         # an everything-is-one commit can open any cycle
-        ms = np.where(guesses[:, None, None] == 0, _permuted_adjacency(x, taus), np.uint8(1))
-        cs = ms.ravel() ^ pads
+        cs = np.where(guesses[:, None, None] == 0, _permuted_adjacency(x, taus), np.uint8(1)).ravel() ^ pads
         hits = int(np.sum(_fs_challenges(x, cs, reps) == guesses))
         if best is None or hits > best[0]:
             best = (hits, taus, ys, thetas, cs)
@@ -445,8 +443,7 @@ def run_deletion_experiment(
     exp: DeletionExperiment, b: int, rng: np.random.Generator
 ) -> DeletionOutcome:
     lam = exp.lam
-    draws = rng_mod.bits(rng, lam, count=2)
-    y, theta = draws
+    y, theta = draws = rng_mod.bits(rng, lam, count=2)
     masked = int(b) ^ int(_pads(draws))
     payload = _z_payload(exp, theta, masked)
     _assert_no_theta_leak(exp, payload)

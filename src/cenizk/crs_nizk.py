@@ -135,7 +135,7 @@ def compiled_prove(
     com, r_bg, opening = hbg_mod.hbg_genbits(crs.crs_bg, rng)
     r = r_bg ^ crs.s
     opened, pi_hb = hb_prove(r, x, witness, spec.hb)
-    return CompiledProof(com, opened, r_bg[opened], hbg_mod.restrict_opening(opening, np.flatnonzero(opened)), pi_hb)
+    return CompiledProof(com, opened, r_bg[opened], hbg_mod.restrict_opening(opening, opened), pi_hb)
 
 
 def compiled_verify(spec: CompiledSpec, crs: CompiledCrs, x: Digraph, proof: CompiledProof) -> int:

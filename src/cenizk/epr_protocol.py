@@ -102,11 +102,6 @@ def _opened_rows(a: np.ndarray, opened: np.ndarray) -> np.ndarray:
     return a if opened.all() else a[opened]
 
 
-def _opened_pairs(opened: np.ndarray, k: int) -> np.ndarray | range:
-    """The pairs of the blocks of a well-shaped mask: the bits a naor opening commits."""
-    return range(len(opened) * k) if opened.all() else np.flatnonzero(np.repeat(opened, k))
-
-
 # ---------------------------------------------------------------------
 # the five algorithms
 # ---------------------------------------------------------------------
@@ -137,7 +132,7 @@ def _assemble_proof(
 ) -> EprProof:
     """The proof for an opened mask: theta's words and the generator
     openings on its blocks."""
-    op_I = hbg_mod.restrict_opening(opening, _opened_pairs(opened, params.block_width))
+    op_I = hbg_mod.restrict_opening(opening, opened, params.block_width)
     return EprProof(opened, pi_hb, com, _opened_rows(theta, opened), op_I)
 
 

@@ -153,15 +153,16 @@ def _position_array(positions) -> np.ndarray:
     return np.asarray(positions, dtype=np.int64)
 
 
-def restrict_opening(opening, positions: np.ndarray | range):
-    """Project a full opening onto a revealed subset of committed bits (an
-    array or a range of them). A dealer opening is position-free and
-    comes back as is, so its positions are never converted."""
+def restrict_opening(opening, blocks: np.ndarray | range, width: int = 1):
+    """Project a full opening onto the committed bits [i*width, (i+1)*width)
+    of the revealed blocks i (a bool mask, an index array or a range). A
+    dealer opening is position-free and comes back as is, positions unbuilt."""
     if isinstance(opening, DealerOpening):
         return opening
     if isinstance(opening, NaorOpening):
-        positions = _position_array(positions)
-        return SubsetOpening(positions.copy(), opening.seeds[positions].copy())
+        blocks = np.flatnonzero(blocks) if getattr(blocks, "dtype", None) == bool else _position_array(blocks)
+        positions = (blocks[:, None] * width + np.arange(width)).ravel()
+        return SubsetOpening(positions, opening.seeds[positions])
     raise ValueError("unknown opening type")
 
 

@@ -246,9 +246,10 @@ def _anchored_map(witness: CycleWitness, hidden: HiddenCycle) -> tuple[int, ...]
 
 
 def _valid_map(vertex_map, params: HbParams) -> bool:
-    if len(vertex_map) != params.n:
+    # n distinct matrix vertices, each exactly an int as wire.hbproof_from_payload reads them
+    if not isinstance(vertex_map, (tuple, list)) or len(vertex_map) != params.n:
         return False
-    if any((not 0 <= v < params.matrix_side) for v in vertex_map):
+    if any(type(v) is not int or not 0 <= v < params.matrix_side for v in vertex_map):
         return False
     return len(set(vertex_map)) == params.n
 
@@ -285,7 +286,9 @@ def hb_verify(opened: np.ndarray, r_I: np.ndarray, x: Digraph, proof: HbProof, p
     if r_I.dtype.kind not in "biu" or r_I.max(initial=0) > 1 or r_I.min(initial=0) < 0:
         return False
     r_I = r_I.astype(np.uint8, copy=False)
-    if len(proof.reps) != params.repetitions or not _well_shaped(opened, params.total_bits):
+    if not isinstance(proof.reps, (tuple, list)) or len(proof.reps) != params.repetitions:
+        return False
+    if not _well_shaped(opened, params.total_bits):
         return False
     kp = params.bits_per_rep
     rows = opened.reshape(params.repetitions, kp)

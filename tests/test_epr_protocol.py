@@ -346,6 +346,47 @@ class TestFullOpenedSet:
         assert cert.outcomes.shape == (len(cert.blocks),)
 
 
+class TestPartialOpening:
+    """A partly opened proof at the criterion-1 shape: the generator
+    opening is restricted from the block mask, and only a naor opening
+    turns it into pair positions."""
+
+    PARAMS = EprParams(hb=HbParams(n=4, repetitions=20, matrix_side=64, block_len=10), block_width=6)
+
+    def test_dealer_proof_builds_no_pair_array(self):
+        import tracemalloc
+
+        from cenizk.epr_protocol import _assemble_proof
+        from cenizk.hbg import hbg_genbits, hbg_setup
+        from cenizk.hbnizk import HbProof, RepRevealAll
+
+        params = self.PARAMS
+        rng = stream(0, "partial-opening")
+        crs_bg = hbg_setup(params.num_blocks, "dealer", rng, width=params.block_width)
+        com, theta, opening = hbg_genbits(crs_bg, rng)
+        opened = np.ones(params.num_blocks, dtype=bool)
+        opened[: params.hb.bits_per_rep] = False  # one repetition closed
+        pi_hb = HbProof(tuple(RepRevealAll() for _ in range(params.hb.repetitions)))
+        tracemalloc.start()
+        try:
+            proof = _assemble_proof(params, opened, pi_hb, com, theta, opening)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert proof.op_I is opening and np.array_equal(proof.theta_I, theta[opened])
+        assert peak < 8 * 2**20
+
+    def test_naor_opening_covers_the_pairs_of_the_opened_blocks(self, rng):
+        from cenizk.hbg import restrict_opening
+
+        seeds = np.arange(40 * 3, dtype=np.uint64) * 7
+        opened = rng.random(40) < 0.5
+        sub = restrict_opening(NaorOpening(seeds), opened, 3)
+        pairs = np.flatnonzero(np.repeat(opened, 3))
+        assert sub.positions.dtype == np.int64 and np.array_equal(sub.positions, pairs)
+        assert np.array_equal(sub.seeds, seeds[pairs])
+
+
 class TestRejectedOpenedSet:
     """A rejected proof keeps a well-shaped mask as the verifier's opened
     set, so deletion covers exactly the blocks it leaves closed. Anything

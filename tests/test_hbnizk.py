@@ -616,6 +616,44 @@ class TestBlockTable:
         for bad in [np.full(k, 2), [-1] * k, [256] * k, [0.5] * k, r_I.astype(float), np.where(r_I == 1, 3, 0)]:
             assert not hb_verify(opened, bad, x, proof, params)
 
+    @staticmethod
+    def _useful_proof():
+        """An honest proof at the quantum-output fixture whose repetition 1 is useful."""
+        params, (x, witness) = FIXTURES["quantum"]
+        r = np.zeros(params.total_bits, dtype=np.uint8)
+        r[[5, 6]] = 1
+        opened, proof = hb_prove(r, x, witness, params)
+        assert isinstance(proof.reps[1], RepUseful) and hb_verify(opened, r[opened], x, proof, params)
+        return params, x, opened, r[opened], proof
+
+    @pytest.mark.parametrize(
+        "bad_map",
+        [lambda m: tuple(float(v) for v in m), lambda m: tuple(str(v) for v in m), lambda m: (1.5, 0),
+         lambda m: None, lambda m: tuple(bool(v) for v in m), lambda m: tuple(np.int64(v) for v in m)],
+        ids=["floats", "strs", "fraction", "none", "bools", "numpy-ints"],
+    )
+    def test_malformed_vertex_map_rejects(self, bad_map):
+        # a map of anything but Python ints rejects without raising,
+        # as wire.hbproof_from_payload refuses to decode one
+        params, x, opened, r_I, proof = self._useful_proof()
+        reps = list(proof.reps)
+        reps[1] = RepUseful(bad_map(reps[1].vertex_map))
+        assert hb_verify(opened, r_I, x, HbProof(tuple(reps)), params) is False
+
+    @pytest.mark.parametrize("reps", [None, 8, "xxxxxxxx", {}], ids=["none", "int", "str", "dict"])
+    def test_malformed_repetition_list_rejects(self, reps):
+        params, x, opened, r_I, _ = self._useful_proof()
+        assert hb_verify(opened, r_I, x, HbProof(reps), params) is False
+
+    @pytest.mark.parametrize("shape", sorted(FIXTURES))
+    def test_honest_maps_are_python_ints(self, shape, rng):
+        params, (x, witness) = FIXTURES[shape]
+        for _ in range(200):
+            r = (rng.random(params.total_bits) < rng.choice([0.5, 0.85])).astype(np.uint8)
+            proofs = [hb_prove(r, x, witness, params)[1], hb_simulate(x, params, rng)[2]]
+            maps = [rep.vertex_map for proof in proofs for rep in proof.reps if isinstance(rep, RepUseful)]
+            assert all(type(v) is int for vmap in maps for v in vmap)
+
     @pytest.mark.parametrize("m,b,n", [(64, 10, 4), (27, 8, 3)])  # criterion-1 and criterion-2 shapes
     def test_above_cap_decoder_matches_per_row_reference(self, m, b, n, rng):
         assert m * m * b > hbnizk._TABLE_MAX_BITS
