@@ -79,8 +79,8 @@ def _blocks(ys: np.ndarray, thetas: np.ndarray, cs: np.ndarray) -> list[CommitBl
 
 def _pads(draws) -> np.ndarray:
     """Block parities of stacked (ys, thetas) rows, packed in one call."""
-    y, theta = pack_rows(draws)
-    return masked_parity(theta, y)
+    words = pack_rows(draws)
+    return masked_parity(words[1], words[0])
 
 
 def commit_bits(ms: np.ndarray, width: int, rng: np.random.Generator) -> list[CommitBlock]:
