@@ -2,6 +2,7 @@
 verifier, adversaries, and the witness-free simulator."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,11 +26,12 @@ from cenizk.epr_protocol import (
     hypothetical_verifier,
     premeasure_all_z,
     run_cezk_real,
+    _assemble_proof,
 )
 from cenizk.bits import unpack_rows
 from cenizk.graphs import canonical_cycle, complete_digraph, non_hamiltonian_triangle
-from cenizk.hbg import NaorOpening, SubsetOpening, hbg_verify_batch
-from cenizk.hbnizk import HbParams, _well_shaped
+from cenizk.hbg import NaorOpening, SubsetOpening, hbg_genbits, hbg_setup, hbg_verify_batch, restrict_opening
+from cenizk.hbnizk import HbParams, HbProof, RepRevealAll, _well_shaped
 from cenizk.rng import stream
 from conftest import CHI2_CRIT_1DF, chi_square_uniform
 
@@ -354,12 +356,6 @@ class TestPartialOpening:
     PARAMS = EprParams(hb=HbParams(n=4, repetitions=20, matrix_side=64, block_len=10), block_width=6)
 
     def test_dealer_proof_builds_no_pair_array(self):
-        import tracemalloc
-
-        from cenizk.epr_protocol import _assemble_proof
-        from cenizk.hbg import hbg_genbits, hbg_setup
-        from cenizk.hbnizk import HbProof, RepRevealAll
-
         params = self.PARAMS
         rng = stream(0, "partial-opening")
         crs_bg = hbg_setup(params.num_blocks, "dealer", rng, width=params.block_width)
@@ -377,8 +373,6 @@ class TestPartialOpening:
         assert peak < 8 * 2**20
 
     def test_naor_opening_covers_the_pairs_of_the_opened_blocks(self, rng):
-        from cenizk.hbg import restrict_opening
-
         seeds = np.arange(40 * 3, dtype=np.uint64) * 7
         opened = rng.random(40) < 0.5
         sub = restrict_opening(NaorOpening(seeds), opened, 3)
