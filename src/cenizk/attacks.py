@@ -252,11 +252,14 @@ def strawman_verify(
             return 0
         challenges = _fs_challenges(x, cs, params.reps)
         for rep, (chal, op) in enumerate(zip(challenges, openings)):
+            if not isinstance(op, dict):
+                return 0
             if chal == 0:
                 if op.get("kind") != "full":
                     return 0
+                # a permutation of exactly the ints 0..n-1, as hbnizk._valid_map reads a map
                 tau = op["tau"]
-                if sorted(tau) != list(range(n)):
+                if any(type(t) is not int for t in tau) or sorted(tau) != list(range(n)):
                     return 0
                 bits = {}
                 for i, yv, tv in zip(op["ids"], op["ys"], op["thetas"]):

@@ -102,6 +102,11 @@ def _opened_rows(a: np.ndarray, opened: np.ndarray) -> np.ndarray:
     return a if opened.all() else a[opened]
 
 
+def _block_words(a, width: int) -> bool:
+    """a is an unsigned integer array of block words: no bit at or above width."""
+    return isinstance(a, np.ndarray) and a.dtype.kind == "u" and not a.max(initial=0) >> width
+
+
 # ---------------------------------------------------------------------
 # the five algorithms
 # ---------------------------------------------------------------------
@@ -144,6 +149,10 @@ def epr_verify(
     proof: EprProof,
     rng: np.random.Generator,
 ) -> tuple[int, EprVerifierState]:
+    """The verifier's half, read in theta_I on the opened blocks. The
+    prover measures the whole network first (`epr_prove`), so this is a
+    re-read of a collapsed network. A malformed proof rejects; it never
+    raises."""
     opened, ell = proof.opened, params.num_blocks
     if not _opening_ok(params, crs, proof):
         # a rejected mask stays the opened set if well shaped; a malformed one opens nothing
@@ -154,12 +163,15 @@ def epr_verify(
 
 
 def _opening_ok(params: EprParams, crs: EprCrs, proof: EprProof) -> bool:
-    """The opened mask is well shaped and the generator opens theta on its blocks."""
-    opened = proof.opened
-    if not _well_shaped(opened, params.num_blocks) or proof.theta_I.shape != (np.count_nonzero(opened),):
+    """The opened mask is well shaped, theta_I holds one block word per
+    opened block, and the generator opens theta on its blocks."""
+    opened, theta_I = proof.opened, proof.theta_I
+    if not _well_shaped(opened, params.num_blocks) or not isinstance(proof.com, hbg_mod.HbgCommitment):
+        return False
+    if not _block_words(theta_I, params.block_width) or theta_I.shape != (np.count_nonzero(opened),):
         return False
     blocks = range(len(opened)) if opened.all() else np.flatnonzero(opened)
-    return bool(hbg_mod.hbg_verify_batch(crs.crs_bg, proof.com, blocks, proof.theta_I, proof.op_I))
+    return bool(hbg_mod.hbg_verify_batch(crs.crs_bg, proof.com, blocks, theta_I, proof.op_I))
 
 
 def _hidden_bits_verdict(params: EprParams, crs: EprCrs, x: Digraph, proof: EprProof, y_I: np.ndarray) -> int:
@@ -185,8 +197,7 @@ def epr_cert(params: EprParams, cert: EprDeletionCert, prover: EprProverState) -
     blocks, outcomes, unopened = cert.blocks, cert.outcomes, np.flatnonzero(~prover.opened)
     if not (isinstance(blocks, np.ndarray) and blocks.dtype.kind in "iu" and np.array_equal(blocks, unopened)):
         return False
-    words = isinstance(outcomes, np.ndarray) and outcomes.dtype.kind == "u"
-    if not words or outcomes.max(initial=0) >> params.block_width:
+    if not _block_words(outcomes, params.block_width):
         return False
     return check_deletion_cert(outcomes, prover.y[unopened], prover.theta[unopened])
 

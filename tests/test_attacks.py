@@ -84,6 +84,25 @@ class TestSplitAttack:
         package = {"classical": proof.classical, "opened_states": {}}
         assert strawman_verify(params, g, package, rng) == 0
 
+    @pytest.mark.parametrize("how", ["none", "str", "float_tau"])
+    def test_malformed_opening_rejected(self, how, rng):
+        # every challenge-0 opening is a full one carrying tau; 1.0 ==
+        # 1 and hashes alike, so float entries would open the same bits
+        g, w, _ = triangle_both_cycles()
+        params = StrawmanParams(reps=8)
+        proof, key = strawman_prove(params, g, w, rng)
+        package = attacks._verification_half(proof.classical, proof.blocks)
+        assert strawman_verify(params, g, package, rng) == 1
+        openings = list(proof.classical["openings"])
+        full = next(rep for rep, op in enumerate(openings) if op["kind"] == "full")
+        openings[full] = {
+            "none": None,
+            "str": "abc",
+            "float_tau": {**openings[full], "tau": [float(t) for t in openings[full]["tau"]]},
+        }[how]
+        package["classical"] = {**proof.classical, "openings": openings}
+        assert strawman_verify(params, g, package, rng) == 0
+
     def test_split_fails_on_superposition_protocol(self):
         from cenizk.crs_nizk import toy_encode
         from cenizk.crs_protocol import CrsParams, crs_setup

@@ -4,12 +4,13 @@ The factored representation (one basis word and one value word per
 block and role, bit j for pair j) is cross-validated against the
 generic sparse engine through `measure_blocks`, the measurement the
 protocols run: for every basis combination the joint outcome
-distribution of the two lanes must agree, on 1x1 networks (first-touch
-and all-collapsed branches) and on a 2x1 network whose second call
-meets one collapsed and one entangled block (the mixed branch). The
+distribution of the two lanes must agree, on 1x1 networks (the whole
+first touch, then re-reads of the collapsed network) and on a 2x1
+network whose first touch is followed by single-block re-reads by
+each role. A first touch of some blocks only is a usage error. The
 lazy, shared representation (no arrays before the first measurement,
-one record for both halves after a whole-network first touch) is
-checked against engine states through `pair_state`/`half_state`.
+one record for both halves after it) is checked against engine states
+through `half_state` of both roles.
 """
 
 import itertools
@@ -26,19 +27,49 @@ from conftest import CHI2_CRIT_1DF
 SQRT_HALF = math.sqrt(0.5)
 
 
-def test_fresh_pair_is_epr():
-    net = prep_epr(1, 1)
-    st = net.pair_state(0, 0)
-    assert st.amps[0b00] == pytest.approx(SQRT_HALF)
-    assert st.amps[0b11] == pytest.approx(SQRT_HALF)
-    assert set(st.amps) == {0b00, 0b11}
+BELL = SparseState(2, {0b00: SQRT_HALF, 0b11: SQRT_HALF})
 
 
-def test_every_pair_reduces_to_epr_before_measurement():
+def _assert_fresh(net, pairs):
+    # the half of an entangled pair alone is mixed
+    for role in (ROLE_P, ROLE_V):
+        for pair in pairs:
+            with pytest.raises(SimUsageError, match="mixed"):
+                net.half_state(role, [pair])
+
+
+def _assert_halves_are_engine_states(net, theta, y, pairs):
+    """Both halves of each pair hold the engine's post-measurement state
+    of the unmeasured qubit of a Bell pair measured in theta with value y."""
+    for i, j in pairs:
+        engine = _eigenstate((int(theta[i]) >> j) & 1, (int(y[i]) >> j) & 1)
+        for role in (ROLE_P, ROLE_V):
+            assert _same_state(net.half_state(role, [(i, j)]), engine)
+
+
+def test_fresh_pair_is_epr(rng):
+    # (|00>+|11>)/sqrt(2) = (|++>+|-->)/sqrt(2): a first measurement in
+    # either basis gives either value and leaves both halves in the state
+    # the engine gives
+    for basis in (0, 1):
+        seen = set()
+        for _ in range(50):
+            net = prep_epr(1, 1)
+            _assert_fresh(net, [(0, 0)])
+            theta = np.array([basis], dtype=np.uint8)
+            y = net.measure_blocks(ROLE_P, theta, rng)
+            _assert_halves_are_engine_states(net, theta, y, [(0, 0)])
+            seen.add(int(y[0]))
+        assert seen == {0, 1}
+
+
+def test_every_pair_reduces_to_epr_before_measurement(rng):
     net = prep_epr(3, 2)
-    for i in range(3):
-        for j in range(2):
-            assert set(net.pair_state(i, j).amps) == {0b00, 0b11}
+    pairs = list(itertools.product(range(3), range(2)))
+    _assert_fresh(net, pairs)
+    theta = rng.integers(0, 4, size=3, dtype=np.uint8)
+    y = net.measure_blocks(ROLE_V, theta, rng)
+    _assert_halves_are_engine_states(net, theta, y, pairs)
 
 
 def test_zero_pairs_rejected():
@@ -85,9 +116,11 @@ class TestCorrelations:
         assert np.array_equal(out1, out2)
 
 
-def _measure_one(net, role, basis, rng, block=0):
-    """One half of the one-pair block `block` through `measure_blocks`; basis 0=Z 1=X."""
-    return int(net.measure_blocks(role, np.array([basis]), rng, blocks=[block])[0])
+def _measure_one(net, role, basis, rng, block=None):
+    """One half of the one-pair block `block` (None: the whole 1x1
+    network) through `measure_blocks`; basis 0=Z 1=X."""
+    blocks = None if block is None else [block]
+    return int(net.measure_blocks(role, np.array([basis]), rng, blocks=blocks)[0])
 
 
 class TestRemeasurement:
@@ -111,8 +144,7 @@ class TestCrossValidationAgainstEngine:
     """Joint outcome distributions: `measure_blocks` vs generic engine."""
 
     def _engine_sample(self, b1, b2, rng):
-        bell = SparseState(2, {0b00: SQRT_HALF, 0b11: SQRT_HALF})
-        out, _ = measure(bell, [0, 1], [b1, b2], rng)
+        out, _ = measure(BELL, [0, 1], [b1, b2], rng)
         return int(out[0]), int(out[1])
 
     def _network_sample(self, b1, b2, rng):
@@ -138,32 +170,41 @@ class TestCrossValidationAgainstEngine:
     # two Bell pairs as engine qubits P0, V0, P1, V1
     _TWO_PAIRS = {0b0000: 0.5, 0b0011: 0.5, 0b1100: 0.5, 0b1111: 0.5}
     # engine qubit of each network measurement, in the order below
-    _ENGINE_ORDER = (0, 1, 3, 2)
+    _ENGINE_ORDER = (0, 2, 0, 1)
 
     def _engine_distribution(self, bases):
         """Exact joint distribution of the four outcomes, Born
-        probabilities chained through `project`."""
+        probabilities chained through `project`. A measured qubit is a
+        product with the rest, so measuring it again projects the
+        engine's post-measurement state of that one qubit and leaves
+        the others alone."""
         dist = {}
         for outcome in itertools.product((0, 1), repeat=4):
-            prob, state = 1.0, SparseState(4, dict(self._TWO_PAIRS))
+            prob, state, measured = 1.0, SparseState(4, dict(self._TWO_PAIRS)), {}
             for q, b, v in zip(self._ENGINE_ORDER, bases, outcome):
-                p, state = project(state, q, "ZX"[b], v)
-                prob *= p  # p is 0.0 when state is None
-                if state is None:
+                if q in measured:
+                    p, post = project(_eigenstate(*measured[q]), 0, "ZX"[b], v)
+                else:
+                    p, post = project(state, q, "ZX"[b], v)
+                    state = post
+                measured[q] = (b, v)
+                prob *= p  # p is 0.0 when post is None
+                if post is None:
                     break
             dist[outcome] = prob
         return dist
 
     def _mixed_network_sample(self, bases, rng):
-        # P measures block 0 (first touch), then V measures both blocks
-        # (block 0 collapsed, block 1 entangled: the mixed branch), then
-        # P re-reads block 1 (all collapsed)
-        b_p0, b_v0, b_v1, b_p1 = bases
+        # a mixed sequence of whole and single-block reads by both roles:
+        # P measures both blocks (the first touch), then re-reads block 0
+        # (the same basis repeats, another draws fresh), then V reads
+        # block 0, whose record must still be the first touch's
+        b_p0, b_p1, b_p0_again, b_v0 = bases
         net = prep_epr(2, 1)
-        p0 = _measure_one(net, ROLE_P, b_p0, rng)
-        v = net.measure_blocks(ROLE_V, np.array([b_v0, b_v1]), rng)
-        p1 = _measure_one(net, ROLE_P, b_p1, rng, block=1)
-        return p0, int(v[0]), int(v[1]), p1
+        p = net.measure_blocks(ROLE_P, np.array([b_p0, b_p1]), rng)
+        p0_again = _measure_one(net, ROLE_P, b_p0_again, rng, block=0)
+        v0 = _measure_one(net, ROLE_V, b_v0, rng, block=0)
+        return int(p[0]), int(p[1]), p0_again, v0
 
     @pytest.mark.parametrize("bases", list(itertools.product((0, 1), repeat=4)))
     def test_mixed_branch_joint_distribution(self, bases, rng):
@@ -196,6 +237,12 @@ def _unmeasured(pair, q):
     return SparseState(1, {(key >> (1 - q)) & 1: amp for key, amp in pair.amps.items()})
 
 
+def _eigenstate(basis, value):
+    """The engine's one-qubit state after a measurement in basis (0=Z
+    1=X) gave value: the partner of a Bell pair measured that way."""
+    return _unmeasured(project(BELL, 0, "ZX"[basis], value)[1], 1)
+
+
 def _same_state(a, b):
     """Equal single-register pure states, up to a global phase."""
     overlap = sum(amp * np.conj(b.amps.get(key, 0)) for key, amp in a.amps.items())
@@ -211,14 +258,22 @@ class TestSharedRecords:
         theta = rng.integers(0, 8, size=4, dtype=np.uint8)
         y = net.measure_blocks(ROLE_P, theta, rng)
         theta_before, y_before = theta.copy(), y.copy()
-        partner = [net.pair_state(i, j).amps for i in range(4) for j in range(3)]
-        v_half = net.half_state(ROLE_V, [(1, j) for j in range(3)]).amps
+
+        def halves():
+            return {
+                (role, i, j): net.half_state(role, [(i, j)]).amps
+                for role in (ROLE_P, ROLE_V)
+                for i, j in itertools.product(range(4), range(3))
+            }
+
+        before = halves()
         # P re-measures block 1 in the other basis
         net.measure_blocks(ROLE_P, theta[[1]] ^ 0b111, rng, blocks=[1])
-        # V's half, and every pair outside block 1, are as before
-        assert net.half_state(ROLE_V, [(1, j) for j in range(3)]).amps == v_half
-        after = [net.pair_state(i, j).amps for i in range(4) for j in range(3)]
-        assert [a for n, a in enumerate(after) if n // 3 != 1] == [a for n, a in enumerate(partner) if n // 3 != 1]
+        # V's half, and P's outside block 1, are as before
+        after = halves()
+        assert {key: a for key, a in after.items() if key[0] == ROLE_V or key[1] != 1} == {
+            key: a for key, a in before.items() if key[0] == ROLE_V or key[1] != 1
+        }
         # V re-reads in theta and still gets the first-touch outcomes
         assert np.array_equal(net.measure_blocks(ROLE_V, theta, rng), y_before)
         # the arrays handed in and out at first touch are untouched
@@ -230,18 +285,17 @@ class TestSharedRecords:
         # the engine's post-measurement states of their qubits, and P's
         # half of block 0 must become the state the engine gives for
         # the new outcome
-        bell = SparseState(2, {0b00: SQRT_HALF, 0b11: SQRT_HALF})
         for theta in itertools.product((0, 1), repeat=2):
             for _ in range(20):
                 net = prep_epr(2, 1)
                 y = net.measure_blocks(ROLE_P, np.array(theta, dtype=np.uint8), rng)
-                v_states = [_unmeasured(project(bell, 0, "ZX"[b], int(a))[1], 1) for b, a in zip(theta, y)]
-                c = _measure_one(net, ROLE_P, 1 - theta[0], rng)
+                v_states = [_eigenstate(b, int(a)) for b, a in zip(theta, y)]
+                c = _measure_one(net, ROLE_P, 1 - theta[0], rng, block=0)
                 for i in range(2):
                     assert _same_state(net.half_state(ROLE_V, [(i, 0)]), v_states[i])
                 # P's qubit in basis 1-b with value c, as the engine
                 # leaves it when its partner is measured that way
-                p_state = _unmeasured(project(bell, 1, "ZX"[1 - theta[0]], c)[1], 0)
+                p_state = _unmeasured(project(BELL, 1, "ZX"[1 - theta[0]], c)[1], 0)
                 assert _same_state(net.half_state(ROLE_P, [(0, 0)]), p_state)
                 assert _same_state(net.half_state(ROLE_P, [(1, 0)]), v_states[1])
 
@@ -255,11 +309,7 @@ class TestSharedRecords:
             for role in (ROLE_V, ROLE_P):
                 assert np.array_equal(net.measure_blocks(role, bases, rng), y)
         assert rng.bit_generator.state == position
-        bell = SparseState(2, {0b00: SQRT_HALF, 0b11: SQRT_HALF})
-        for i, j in itertools.product(range(3), range(2)):
-            b, value = (int(theta[i]) >> j) & 1, (int(y[i]) >> j) & 1
-            engine = _unmeasured(project(bell, 0, "ZX"[b], value)[1], 1)
-            assert _same_state(net.half_state(ROLE_V, [(i, j)]), engine)
+        _assert_halves_are_engine_states(net, theta, y, itertools.product(range(3), range(2)))
 
     def test_empty_block_list_draws_nothing(self, rng):
         net = prep_epr(3, 2)
@@ -267,7 +317,18 @@ class TestSharedRecords:
         out = net.measure_blocks(ROLE_V, np.ones(0, dtype=np.uint8), rng, blocks=[])
         assert out.shape == (0,)
         assert rng.bit_generator.state == position
-        assert set(net.pair_state(2, 1).amps) == {0b00, 0b11}
+        _assert_fresh(net, [(2, 1)])
+
+    def test_partial_first_touch_rejected(self, rng):
+        # on a fresh network only the whole network may be measured: a
+        # block list, even one naming every block, raises before any draw
+        net = prep_epr(3, 2)
+        position = rng.bit_generator.state
+        for blocks in ([0, 2], [0, 1, 2]):
+            with pytest.raises(SimUsageError, match="cover every pair"):
+                net.measure_blocks(ROLE_P, np.zeros(len(blocks), dtype=np.uint8), rng, blocks=blocks)
+        assert rng.bit_generator.state == position
+        _assert_fresh(net, list(itertools.product(range(3), range(2))))
 
     def test_prep_allocates_nothing_at_criterion_one_shape(self, rng):
         # 819,200 blocks of 6: one word per block is 0.8 MB
@@ -279,7 +340,7 @@ class TestSharedRecords:
             empty = net.measure_blocks(ROLE_V, np.ones(0, dtype=np.uint8), rng, blocks=[])
             _, peak = tracemalloc.get_traced_memory()
             assert empty.shape == (0,) and peak < 64 * 1024
-            assert set(net.pair_state(819_199, 5).amps) == {0b00, 0b11}
+            _assert_fresh(net, [(819_199, 5)])
             # the first whole touch stores the bases and outcomes once
             tracemalloc.reset_peak()
             theta = np.zeros(819_200, dtype=np.uint8)

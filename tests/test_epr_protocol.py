@@ -1,6 +1,7 @@
 """Shared-EPR protocol tests: completeness, deletion, the measure-first
 verifier, adversaries, and the witness-free simulator."""
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -8,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cenizk.epr import ROLE_V
+from cenizk.epr import ROLE_P, ROLE_V
 from cenizk.epr_protocol import (
     BOT,
     EprDeletionCert,
@@ -33,6 +34,7 @@ from cenizk.graphs import canonical_cycle, complete_digraph, non_hamiltonian_tri
 from cenizk.hbg import NaorOpening, SubsetOpening, hbg_genbits, hbg_setup, hbg_verify_batch, restrict_opening
 from cenizk.hbnizk import HbParams, HbProof, RepRevealAll, _well_shaped
 from cenizk.rng import stream
+from cenizk.state import SimUsageError
 from conftest import CHI2_CRIT_1DF, chi_square_uniform
 
 TINY = EprParams(hb=HbParams(n=3, repetitions=1, matrix_side=3, block_len=1), block_width=4)
@@ -63,8 +65,17 @@ class TestSetup:
         assert chi_square_uniform([ones, trials - ones]) < CHI2_CRIT_1DF
 
     def test_network_is_epr(self, rng):
-        _, net = epr_setup(TINY, rng)
-        assert set(net.pair_state(0, 0).amps) == {0b00, 0b11}
+        # every half alone is mixed until the prover measures; then both
+        # halves of each pair hold one state (same-basis agreement)
+        g, w = complete_digraph(3), canonical_cycle(3)
+        crs, net = epr_setup(TINY, rng)
+        pairs = [(i, j) for i in range(TINY.num_blocks) for j in range(TINY.block_width)]
+        for role, pair in itertools.product((ROLE_P, ROLE_V), pairs):
+            with pytest.raises(SimUsageError, match="mixed"):
+                net.half_state(role, [pair])
+        epr_prove(TINY, crs, net, g, w, rng)
+        for pair in pairs:
+            assert net.half_state(ROLE_P, [pair]).amps == net.half_state(ROLE_V, [pair]).amps
 
 
 class TestHonestSessions:
@@ -461,6 +472,45 @@ class TestMalformedNaorOpening:
         assert epr_verify(self.PARAMS, crs, net, g, replace(proof, op_I=bad), rng)[0] == 0
         assert not hbg_verify_batch(crs.crs_bg, proof.com, blocks, proof.theta_I, bad)
         assert hbg_verify_batch(crs.crs_bg, proof.com, blocks, proof.theta_I, NaorOpening(seeds))
+
+
+class TestMalformedProof:
+    """Replacing one field of an honest proof rejects in both verifiers,
+    in both generator modes; nothing raises. theta_I must be unsigned
+    block words, like a deletion certificate's outcomes."""
+
+    CASES = {
+        "theta_I_list": lambda p: replace(p, theta_I=p.theta_I.tolist()),
+        "theta_I_float": lambda p: replace(p, theta_I=p.theta_I.astype(float)),
+        "theta_I_signed": lambda p: replace(p, theta_I=p.theta_I.astype(np.int64)),
+        "theta_I_bit_above_k": lambda p: replace(p, theta_I=p.theta_I | (1 << DELETING.block_width)),
+        "com_none": lambda p: replace(p, com=None),
+        "com_bytes": lambda p: replace(p, com=p.com.data),
+        "pi_hb_none": lambda p: replace(p, pi_hb=None),
+    }
+
+    @staticmethod
+    def _session(mode):
+        params = replace(DELETING, hbg_mode=mode)
+        g, w = two_vertex_instance()
+        rng = stream(0, f"malformed-proof-{mode}")
+        crs, net = epr_setup(params, rng)
+        proof, _ = epr_prove(params, crs, net, g, w, rng)
+        return params, g, crs, net, proof, rng
+
+    @pytest.mark.parametrize("mode", ["dealer", "naor"])
+    @pytest.mark.parametrize("how", sorted(CASES))
+    def test_epr_verify_rejects(self, how, mode):
+        params, g, crs, net, proof, rng = self._session(mode)
+        assert epr_verify(params, crs, net, g, proof, rng)[0] == 1
+        assert epr_verify(params, crs, net, g, self.CASES[how](proof), rng)[0] == 0
+
+    @pytest.mark.parametrize("mode", ["dealer", "naor"])
+    @pytest.mark.parametrize("how", sorted(CASES))
+    def test_hypothetical_verifier_rejects(self, how, mode):
+        params, g, crs, net, proof, rng = self._session(mode)
+        assert hypothetical_verifier(params, crs, net, g, proof, rng) == 1
+        assert hypothetical_verifier(params, crs, net, g, self.CASES[how](proof), rng) == 0
 
 
 class TestAdversaries:

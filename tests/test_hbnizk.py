@@ -163,7 +163,7 @@ class TestProveVerify:
             assert hb_verify(opened, r[opened], g, proof, TINY)
 
     def test_completeness_randomized_production(self, rng):
-        params = HbParams.defaults(4, 3)
+        params = HbParams(n=4, repetitions=3, matrix_side=64, block_len=10)
         g, w = complete_digraph(4), canonical_cycle(4)
         for _ in range(3):
             r = rng.integers(0, 2, size=params.total_bits, dtype=np.uint8)
