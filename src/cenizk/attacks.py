@@ -9,9 +9,9 @@ Three experiment families:
   certification) - the splitting attack succeeds with certainty. The
   same split packaged as a prover is the derived proof system that is
   simultaneously statistically sound and witness-independent, which is
-  the executable content of the impossibility argument. A forger's
-  discarded attempts are never turned into blocks, and opened states
-  are prepared when the verifier reads them.
+  the executable content of the impossibility argument. The forger
+  draws and scores all its grinding attempts at once, as arrays, and
+  opened states are prepared when the verifier reads them.
 
 * The same splitting attempt against the superposition CRS protocol,
   where it fails: any retained computational-basis copy of the
@@ -132,8 +132,8 @@ class StrawmanProof:
 class StrawmanKey:
     """rho_P: everything the prover needs to check revocation."""
 
-    ys: list
-    thetas: list
+    ys: np.ndarray  # (blocks, width) rows, row-major like the blocks
+    thetas: np.ndarray
     opened: set
 
 
@@ -158,24 +158,26 @@ def _permuted_adjacency(x: Digraph, taus: np.ndarray) -> np.ndarray:
     return permuted
 
 
-def _draw_reps(n: int, params: StrawmanParams, rng: np.random.Generator):
-    """One attempt's draws: a uniform vertex permutation per repetition,
-    then the ys and thetas of all reps*n*n blocks, row-major. Returns the
-    (reps, n) permutations, the ys, the thetas and the block parities."""
-    taus = rng.permuted(np.tile(np.arange(n), (params.reps, 1)), axis=1)
-    draws = rng_mod.bits(rng, (params.block_count(n), params.width), count=2)
-    return taus, *draws, _pads(draws)
+def _draw_reps(n: int, params: StrawmanParams, rng: np.random.Generator, attempts: int = 1):
+    """The draws of `attempts` attempts: a uniform vertex permutation per
+    repetition of every attempt, in one call, then the ys and thetas of
+    every attempt's reps*n*n blocks, row-major, in one call. Returns the
+    (attempts, reps, n) permutations, the (attempts, blocks, width) ys
+    and thetas, and the (attempts, blocks) block parities."""
+    taus = rng.permuted(np.tile(np.arange(n), (attempts * params.reps, 1)), axis=1)
+    draws = rng_mod.bits(rng, (attempts, params.block_count(n), params.width), count=2)
+    return taus.reshape(attempts, params.reps, n), *draws, _pads(draws)
 
 
 def _opening_package(
-    x: Digraph, blocks: list, taus: np.ndarray, cycle: CycleWitness, reps: int
+    x: Digraph, ys: np.ndarray, thetas: np.ndarray, cs: np.ndarray, taus: np.ndarray, cycle: CycleWitness, reps: int
 ) -> tuple[dict, set[int]]:
     """Open what the hash-derived challenges ask for: every entry of a
     challenge-0 repetition (with its permutation), the tau-image of the
-    cycle's edges in a challenge-1 one. Returns (classical package,
-    opened block ids)."""
+    cycle's edges in a challenge-1 one. ys, thetas and cs are the
+    blocks' rows. Returns (classical package, opened block ids)."""
     n = x.n
-    cs = [b.c for b in blocks]
+    cs = cs.tolist()
     challenges = _fs_challenges(x, cs, reps)
     openings = []
     opened_ids: set[int] = set()
@@ -187,8 +189,8 @@ def _opening_package(
         else:
             ids = sorted(_entry_id(rep, int(tau[u]), int(tau[v]), n) for u, v in cycle.edges())
             opening = {"kind": "cycle", "ids": ids}
-        opening["ys"] = [blocks[i].y for i in ids]
-        opening["thetas"] = [blocks[i].theta for i in ids]
+        opening["ys"] = [ys[i] for i in ids]
+        opening["thetas"] = [thetas[i] for i in ids]
         openings.append(opening)
         opened_ids.update(ids)
     classical = {"cs": cs, "openings": openings, "opened_ids": sorted(opened_ids)}
@@ -196,19 +198,23 @@ def _opening_package(
 
 
 class _OpenedStates(Mapping):
-    """Read-only id -> SparseState over the opened blocks. A block's
-    state is prepared the first time its id is read; an id that was not
-    opened is a KeyError."""
+    """Read-only id -> SparseState over the opened blocks, given as rows
+    of ys and thetas. A block's state is prepared the first time its id
+    is read; an id that was not opened is a KeyError."""
 
-    def __init__(self, blocks: list, opened_ids: list[int]):
-        self._blocks = blocks
+    def __init__(self, ys: np.ndarray, thetas: np.ndarray, opened_ids: list[int]):
+        self._ys, self._thetas = ys, thetas
         self._ids = opened_ids
         self._opened = frozenset(opened_ids)
+        self._states: dict[int, SparseState] = {}
 
     def __getitem__(self, i) -> SparseState:
         if i not in self._opened:
             raise KeyError(i)
-        return self._blocks[i].state
+        i = int(i)
+        if i not in self._states:
+            self._states[i] = prep_bb84(Bb84Descriptor(self._ys[i], self._thetas[i]))
+        return self._states[i]
 
     def __contains__(self, i) -> bool:
         return i in self._opened
@@ -220,22 +226,20 @@ class _OpenedStates(Mapping):
         return len(self._ids)
 
 
-def _verification_half(classical: dict, blocks: list) -> dict:
+def _verification_half(classical: dict, ys: np.ndarray, thetas: np.ndarray) -> dict:
     """What the splitting verifier keeps: the classical package and the
     opened blocks' states."""
-    return {"classical": classical, "opened_states": _OpenedStates(blocks, classical["opened_ids"])}
+    return {"classical": classical, "opened_states": _OpenedStates(ys, thetas, classical["opened_ids"])}
 
 
 def strawman_prove(
     params: StrawmanParams, x: Digraph, witness: CycleWitness, rng: np.random.Generator
 ) -> tuple[StrawmanProof, StrawmanKey]:
     require_witness(x, witness)
-    taus, ys, thetas, pads = _draw_reps(x.n, params, rng)
-    blocks = _blocks(ys, thetas, _permuted_adjacency(x, taus).ravel() ^ pads)
-    classical, opened_ids = _opening_package(x, blocks, taus, witness, params.reps)
-    proof = StrawmanProof(blocks, classical)
-    key = StrawmanKey([b.y for b in blocks], [b.theta for b in blocks], opened_ids)
-    return proof, key
+    taus, ys, thetas, pads = (a[0] for a in _draw_reps(x.n, params, rng))
+    cs = _permuted_adjacency(x, taus).ravel() ^ pads
+    classical, opened_ids = _opening_package(x, ys, thetas, cs, taus, witness, params.reps)
+    return StrawmanProof(_blocks(ys, thetas, cs), classical), StrawmanKey(ys, thetas, opened_ids)
 
 
 def strawman_verify(
@@ -336,7 +340,7 @@ def split_attack(
     n_blocks = params.block_count(x.n)
     opened = set(proof.classical["opened_ids"])
     to_cert = {i: proof.blocks[i].state for i in range(n_blocks) if i not in opened}
-    package = _verification_half(proof.classical, proof.blocks)
+    package = _verification_half(proof.classical, key.ys, key.thetas)
     cert_ok = strawman_cert(params, key, to_cert, n_blocks, rng)
     verify_ok = bool(strawman_verify(params, x, package, rng))
     return SplitOutcome(cert_ok, verify_ok)
@@ -349,8 +353,8 @@ def derived_prove(
     verifier, output the verification half. Together with the strawman
     verifier this forms the statistically-sound, witness-independent
     proof system the impossibility argument constructs."""
-    proof, _ = strawman_prove(params, x, witness, rng)
-    return _verification_half(proof.classical, proof.blocks)
+    proof, key = strawman_prove(params, x, witness, rng)
+    return _verification_half(proof.classical, key.ys, key.thetas)
 
 
 def derived_verify(params: StrawmanParams, x: Digraph, package: dict, rng) -> int:
@@ -362,26 +366,22 @@ def derived_soundness_adversary(
 ) -> dict:
     """Challenge-grinding forger for a false statement: prepares each
     repetition for one guessed challenge (an honest permuted commit for
-    0, an everything-is-one commit for 1) and re-rolls hoping the
-    hash-derived challenges land on the guesses. An attempt stays
-    arrays (one parity call scores it); only the kept one becomes
-    blocks and an opening package."""
+    0, an everything-is-one commit for 1) in each of grind_tries
+    attempts, hoping the hash-derived challenges land on the guesses.
+    Every attempt is drawn and scored at once, as arrays; the first
+    attempt with the most hits is kept (one that meets every challenge
+    verifies), and only its opened blocks ever become states."""
     n, reps = x.n, params.reps
-    best = None
-    for _ in range(grind_tries):
-        guesses = rng_mod.bits(rng, reps)
-        taus, ys, thetas, pads = _draw_reps(n, params, rng)
-        # an everything-is-one commit can open any cycle
-        cs = np.where(guesses[:, None, None] == 0, _permuted_adjacency(x, taus), np.uint8(1)).ravel() ^ pads
-        hits = int(np.sum(_fs_challenges(x, cs, reps) == guesses))
-        if best is None or hits > best[0]:
-            best = (hits, taus, ys, thetas, cs)
-        if hits == reps:
-            break
-    _, taus, ys, thetas, cs = best
-    blocks = _blocks(ys, thetas, cs)
-    classical, _ = _opening_package(x, blocks, taus, canonical_cycle(n), reps)
-    return _verification_half(classical, blocks)
+    guesses = rng_mod.bits(rng, (grind_tries, reps))
+    taus, ys, thetas, pads = _draw_reps(n, params, rng, grind_tries)
+    adjacency = _permuted_adjacency(x, taus.reshape(-1, n)).reshape(grind_tries, reps, n * n)
+    # an everything-is-one commit can open any cycle
+    cs = np.where(guesses[:, :, None] == 0, adjacency, np.uint8(1)).reshape(grind_tries, -1) ^ pads
+    challenges = np.array([_fs_challenges(x, c, reps) for c in cs])
+    best = int(np.argmax(np.count_nonzero(challenges == guesses, axis=1)))
+    ys, thetas = ys[best], thetas[best]
+    classical, _ = _opening_package(x, ys, thetas, cs[best], taus[best], canonical_cycle(n), reps)
+    return _verification_half(classical, ys, thetas)
 
 
 def split_attack_on_crs(crs_params, crs, x, witness, rng) -> SplitOutcome:

@@ -91,7 +91,7 @@ class TestSplitAttack:
         g, w, _ = triangle_both_cycles()
         params = StrawmanParams(reps=8)
         proof, key = strawman_prove(params, g, w, rng)
-        package = attacks._verification_half(proof.classical, proof.blocks)
+        package = attacks._verification_half(proof.classical, key.ys, key.thetas)
         assert strawman_verify(params, g, package, rng) == 1
         openings = list(proof.classical["openings"])
         full = next(rep for rep, op in enumerate(openings) if op["kind"] == "full")
@@ -142,9 +142,10 @@ class TestDerivedProofSystem:
 
     @pytest.mark.parametrize("reps", [1, 7, 24])
     def test_one_grind_try_draws_once_per_attempt(self, reps, monkeypatch):
-        """One draw for the guesses, one permuted call for every
-        repetition's permutation, then one draw for all blocks' ys and
-        thetas."""
+        """One forger, whatever grind_tries is: one draw for every
+        attempt's guesses, one permuted call for every attempt's
+        repetition permutations, then one draw for every attempt's
+        blocks' ys and thetas."""
         honest_bits, calls, shuffles = rng_mod.bits, [], []
 
         def counting(gen, shape, count=1):
@@ -162,10 +163,33 @@ class TestDerivedProofSystem:
 
         monkeypatch.setattr(rng_mod, "bits", counting)
         bad = non_hamiltonian_triangle()
-        gen = CountingGenerator(stream(0, "draws").bit_generator)
-        derived_soundness_adversary(StrawmanParams(reps=reps, width=5), bad, gen, grind_tries=1)
-        assert calls == [(reps, 1), ((reps * 9, 5), 2)]
-        assert shuffles == [("permuted", (reps, 3), 1)]
+        for tries in (1, 3, 16):
+            calls.clear()
+            shuffles.clear()
+            gen = CountingGenerator(stream(tries, "draws").bit_generator)
+            derived_soundness_adversary(StrawmanParams(reps=reps, width=5), bad, gen, grind_tries=tries)
+            assert calls == [((tries, reps), 1), ((tries, reps * 9, 5), 2)]
+            assert shuffles == [("permuted", (tries * reps, 3), 1)]
+
+    @pytest.mark.parametrize("tries", [1, 3, 16])
+    def test_keeps_the_first_attempt_with_the_most_hits(self, tries):
+        """Replaying the forger's draws and scoring each attempt on its
+        own picks the attempt whose commitments the package carries."""
+        bad, params = non_hamiltonian_triangle(), StrawmanParams(reps=7, width=5)
+        for trial in range(20):
+            package = derived_soundness_adversary(params, bad, stream(trial, "keep"), grind_tries=tries)
+            replay = stream(trial, "keep")
+            guesses = rng_mod.bits(replay, (tries, params.reps))
+            taus, _, _, pads = attacks._draw_reps(3, params, replay, tries)
+            hits, commitments = [], []
+            for guess, tau, pad in zip(guesses, taus, pads):
+                adjacency = attacks._permuted_adjacency(bad, tau)
+                cs = np.where(guess[:, None, None] == 0, adjacency, 1).ravel() ^ pad
+                hits.append(int(np.sum(attacks._fs_challenges(bad, cs, params.reps) == guess)))
+                commitments.append(cs.tolist())
+            kept = hits.index(max(hits))
+            assert package["classical"]["cs"] == commitments[kept]
+            assert derived_verify(params, bad, package, replay) == (max(hits) == params.reps)
 
     def test_witness_independence(self):
         """Two distinct Hamiltonian cycles of the triangle: per-repetition
@@ -226,10 +250,11 @@ class TestAttemptDraws:
     @pytest.fixture(scope="class")
     def codes(self):
         """(attempts, reps) index of each row's permutation of 3 vertices
-        among the 6, in lexicographic order."""
+        among the 6, in lexicographic order, all attempts drawn at once
+        as the forger draws them."""
         rng = stream(0, "attempt-draws")
         params = StrawmanParams(reps=self.REPS)
-        taus = np.stack([attacks._draw_reps(3, params, rng)[0] for _ in range(self.ATTEMPTS)])
+        taus = attacks._draw_reps(3, params, rng, self.ATTEMPTS)[0]
         assert taus.shape == (self.ATTEMPTS, self.REPS, 3)
         assert (np.sort(taus, axis=-1) == np.arange(3)).all()
         return taus[..., 0] * 2 + (taus[..., 1] > taus[..., 2])
@@ -248,17 +273,23 @@ class TestAttemptDraws:
     @pytest.mark.parametrize("width", [4, 5])
     @pytest.mark.parametrize("reps", [1, 7, 24])
     def test_block_draws_follow_the_permutations(self, reps, width):
-        """ys then thetas, (reps*n*n, width) each, drawn in one call right
-        after the permutations; at reps 24 and width 5 the draw's 2,160
-        entries reach the word path, at width 4 its 1,728 do not."""
+        """ys then thetas, (attempts, reps*n*n, width) each, drawn in one
+        call right after the permutations; for one attempt at reps 24
+        and width 5 the draw's 2,160 entries reach the word path, at
+        width 4 its 1,728 do not. One attempt's draws are the strawman
+        prover's."""
         params = StrawmanParams(reps=reps, width=width)
-        taus, ys, thetas, pads = attacks._draw_reps(3, params, stream(reps, width, "attempt-draws"))
-        replay = stream(reps, width, "attempt-draws")
-        assert np.array_equal(taus, replay.permuted(np.tile(np.arange(3), (reps, 1)), axis=1))
-        expected = rng_mod.bits(replay, (reps * 9, width), count=2)
-        assert ys.shape == thetas.shape == (reps * 9, width)
-        assert np.array_equal(ys, expected[0]) and np.array_equal(thetas, expected[1])
-        assert pads.tolist() == [int(y[t == 0].sum() % 2) for y, t in zip(ys, thetas)]
+        for attempts in (1, 3):
+            taus, ys, thetas, pads = attacks._draw_reps(3, params, stream(reps, width, "attempt-draws"), attempts)
+            replay = stream(reps, width, "attempt-draws")
+            permuted = replay.permuted(np.tile(np.arange(3), (attempts * reps, 1)), axis=1)
+            assert np.array_equal(taus, permuted.reshape(attempts, reps, 3))
+            expected = rng_mod.bits(replay, (attempts * reps * 9, width), count=2)
+            assert ys.shape == thetas.shape == (attempts, reps * 9, width)
+            assert np.array_equal(ys.reshape(-1, width), expected[0])
+            assert np.array_equal(thetas.reshape(-1, width), expected[1])
+            assert pads.shape == (attempts, reps * 9)
+            assert pads.ravel().tolist() == [int(y[t == 0].sum() % 2) for y, t in zip(*expected)]
 
 
 class TestLazyPackage:
