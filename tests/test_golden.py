@@ -118,11 +118,11 @@ def test_criterion_1_session_digest():
 # criterion-8 forger plus derived_verify on the non-Hamiltonian
 # triangle, forger and verifier on one stream
 FORGER_GOLDEN = {
-    0: "002f3d43b56a8b7db040417dbedecd5bd27142365fe99510c42340e239e3f465",
-    1: "690ed2a41ccc15fc667d45f74ef59603bab0a40a9e58120609e42b0dfb62f78e",
-    2: "3895071a0253f2e6186f8df286f8fdea0f9509c2c406bb2632c865fd68e31298",
-    3: "21093c658f2158815df2fd1f12ad0eb764edfbac5a52a08a8d995eb4c35210e7",
-    4: "fb7d343a51e7c30daf545478ee362cc2f3e60f1bf43406deee20d39808f15448",
+    0: "91624ed6d0be51fe08b1e54dfdb91ff515132ec83f6f6bf5ac90164eac53e1a4",
+    1: "fee693de339ea32054f1ad6b271fb95389ae899a2f5e5588fc6674066f497c11",
+    2: "3f6951aadda344a28713be8df68739218a4431efb795c85e00c86b7cf11ab4ad",
+    3: "d52bbec067ea390a025fa19029a2ba8ca85ba424392836bfe80620125f715f89",
+    4: "fafcc9d2a1f299933144f4e0c789e7c7ebc348358f86dfead39fd8288afb8b61",
 }
 
 # derived prover plus derived_verify on K3 with its first cycle
@@ -134,17 +134,18 @@ DERIVED_PROVE_GOLDEN = {
 
 # the same ops at StrawmanParams(reps=7, width=5): an attempt's block
 # vector draw on the triangle is 315 entries, which is not a whole
-# number of 32-bit words; (seed, grind_tries) for the forger. At seed 1
-# the second attempt meets all 7 challenges, so the forger stops there
-# and its package verifies, whatever grind_tries allows.
+# number of 32-bit words; (seed, grind_tries) for the forger, which
+# draws all its attempts at once, so 3 and 16 tries draw differently.
+# At seed 1 with 3 tries the first attempt meets all 7 challenges, so
+# the forger keeps it and its package verifies.
 SMALL = StrawmanParams(reps=7, width=5)
 SMALL_FORGER_GOLDEN = {
-    (0, 16): "a699c73f1e975fa43d526183f7e0c316fc568909c12576e7d4e7abdb340f2e5b",
-    (1, 16): "5d026bd38411ce9fdee119abadc2b420c6178ca076839baf1d178ffa2aa07bb9",
-    (2, 16): "b47c66bc9116830ee6b009f1470f5bfe8b7b73a8d7afe1c718fdb2f7a2220152",
-    (0, 3): "74e33d82774026185edf768c198a7a80b6ed68ba2cb0c006e75ad8452d279fe5",
-    (1, 3): "5d026bd38411ce9fdee119abadc2b420c6178ca076839baf1d178ffa2aa07bb9",
-    (2, 3): "ca1be4fb919df4b25ebb698e97765455e00568ec717f9358d44e151acff61731",
+    (0, 16): "f42c1f0f82fd5c4742593a992d25223b523c59d2097acc42f21c1cc5cbf83ccf",
+    (1, 16): "82e2e590306cf7c485b14aa2b39f446a68f3ff8a1a2d65daea5ff6524c3afaef",
+    (2, 16): "92afbcfd0a8e9ea5256ab93779585e8c0218c78c6197da2e9a058fe40b371dd7",
+    (0, 3): "b1d1224353a1b85d928c82b4d95520ae9eadabe9e3e898c775b90ab50e2500ca",
+    (1, 3): "3b84305dde064fd133daea659139e3a4f8933d1adf9976d038eb03174474a274",
+    (2, 3): "721d497a1ad575c78710da2fd9db382b0306004205b7b9ba6825c2f3e249e3b5",
 }
 SMALL_DERIVED_PROVE_GOLDEN = {
     0: "7c2b108c325371eef385605e0245fd9f5acbe8c910e66c50c02c901ad56523cd",
@@ -203,6 +204,13 @@ def test_forger_digest_off_word_boundary(seed, grind_tries):
     package = derived_soundness_adversary(SMALL, x, rng, grind_tries=grind_tries)
     verdict = derived_verify(SMALL, x, package, rng)
     assert _package_digest(package, verdict, rng) == SMALL_FORGER_GOLDEN[(seed, grind_tries)]
+
+
+def test_forger_meeting_every_challenge_verifies():
+    x = non_hamiltonian_triangle()
+    rng = stream(1, "derived-sound")
+    package = derived_soundness_adversary(SMALL, x, rng, grind_tries=3)
+    assert derived_verify(SMALL, x, package, rng) == 1
 
 
 @pytest.mark.parametrize("seed", sorted(SMALL_DERIVED_PROVE_GOLDEN))
