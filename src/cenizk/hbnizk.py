@@ -325,25 +325,23 @@ def hb_simulate(
 ) -> tuple[np.ndarray, np.ndarray, HbProof]:
     """Witness-free simulator: (opened, r_I, proof).
 
-    Samples each block uniformly; not-useful blocks are revealed
-    honestly. For a useful block only the anchored map's distribution
-    matters, and for the real prover that map is a uniform anchored
-    bijection onto the hidden cycle's vertices regardless of the
-    witness, so the simulator samples it directly. Opened values are
-    the true zeros of the sampled block.
+    Samples every block uniformly in one draw; not-useful blocks are
+    revealed honestly. For a useful block only the anchored map's
+    distribution matters, and for the real prover that map is a uniform
+    anchored bijection onto the hidden cycle's vertices regardless of
+    the witness, so the simulator samples it directly, after the blocks,
+    in repetition order. Opened values are the true zeros of the sampled
+    block.
     """
     decode = _block_decoder(params.matrix_side, params.block_len, params.n)
-    blocks = np.empty((params.repetitions, params.bits_per_rep), dtype=np.uint8)
+    blocks = rng_mod.bits(rng, params.bits_per_rep, count=params.repetitions).reshape(params.repetitions, -1)
     vmaps = []
-    for rep in range(params.repetitions):
-        blocks[rep] = rng_mod.bits(rng, params.bits_per_rep)
-        (hidden,) = decode(blocks[rep : rep + 1])
+    for rep, hidden in enumerate(decode(blocks)):
         if hidden is None:
             vmaps.append(None)
         else:
             w = sorted(hidden.vertices)
-            rest = rng.permutation(w[1:])
-            vmaps.append(tuple([w[0]] + [int(v) for v in rest]))
+            vmaps.append(tuple([w[0]] + [int(v) for v in rng.permutation(w[1:])]))
             blocks[rep] = 0  # a useful claim opens only entries that decode to 0
     mask = _opened_mask(vmaps, x, params)
     return mask.ravel(), blocks[mask], _proof(vmaps)

@@ -466,11 +466,12 @@ def ref_verify(opened, r_I, x, proof, params):
 
 
 def ref_simulate(x, params, rng):
-    """hb_simulate one repetition at a time, with the same draws."""
+    """hb_simulate one repetition at a time, with the same draws: every
+    block first, then each useful repetition's map in repetition order."""
     kp = params.bits_per_rep
     reps, opened, values = [], [], []
-    for rep in range(params.repetitions):
-        block = rng.integers(0, 2, size=kp, dtype=np.uint8)
+    blocks = [rng.integers(0, 2, size=kp, dtype=np.uint8) for _ in range(params.repetitions)]
+    for block in blocks:
         hidden = ref_decode(block, params)
         if hidden is None:
             reps.append(RepRevealAll())
