@@ -215,13 +215,22 @@ def hbg_genbits(crs, rng: np.random.Generator):
     raise ValueError(f"unknown hbg mode {crs.mode!r}")
 
 
+def _int_arrays(*arrays) -> bool:
+    return all(isinstance(a, np.ndarray) and a.dtype.kind in "iu" for a in arrays)
+
+
 def _naor_opening_ok(opening, committed: int) -> bool:
     """A naor opening holds one seed per committed bit it covers: all of
-    them, or a flat seed array aligned with a flat position array."""
+    them, or a flat seed array aligned with a flat position array. Seeds
+    and positions are integer arrays."""
     if isinstance(opening, NaorOpening):
-        return np.shape(opening.seeds) == (committed,)
+        return _int_arrays(opening.seeds) and opening.seeds.shape == (committed,)
     if isinstance(opening, SubsetOpening):
-        return np.ndim(opening.positions) == 1 and np.shape(opening.seeds) == np.shape(opening.positions)
+        return (
+            _int_arrays(opening.positions, opening.seeds)
+            and opening.positions.ndim == 1
+            and opening.seeds.shape == opening.positions.shape
+        )
     return False
 
 

@@ -31,7 +31,15 @@ from cenizk.epr_protocol import (
 )
 from cenizk.bits import unpack_rows
 from cenizk.graphs import canonical_cycle, complete_digraph, non_hamiltonian_triangle
-from cenizk.hbg import NaorOpening, SubsetOpening, hbg_genbits, hbg_setup, hbg_verify_batch, restrict_opening
+from cenizk.hbg import (
+    NaorOpening,
+    SubsetOpening,
+    hbg_genbits,
+    hbg_setup,
+    hbg_verify,
+    hbg_verify_batch,
+    restrict_opening,
+)
 from cenizk.hbnizk import HbParams, HbProof, RepRevealAll, _well_shaped
 from cenizk.rng import stream
 from cenizk.state import SimUsageError
@@ -450,11 +458,15 @@ class TestRejectedOpenedSet:
 
 class TestMalformedNaorOpening:
     """A naor opening whose seeds do not line up with the positions it
-    covers rejects; it must not raise inside the generator check."""
+    covers, or whose seeds or positions are not integer arrays, rejects
+    in the protocol and in both generator checks; nothing raises."""
 
     PARAMS = EprParams(hb=HbParams(n=3, repetitions=1, matrix_side=3, block_len=1), block_width=4, hbg_mode="naor")
 
-    @pytest.mark.parametrize("how", ["seeds_short", "seeds_two_d", "naor_short", "naor_long"])
+    @pytest.mark.parametrize(
+        "how",
+        ["seeds_short", "seeds_two_d", "naor_short", "naor_long", "float_subset", "object_seeds", "naor_float_seeds"],
+    )
     def test_epr_verify_rejects(self, how):
         g, w = complete_digraph(3), canonical_cycle(3)
         rng = stream(0, "naor-malformed")
@@ -468,10 +480,17 @@ class TestMalformedNaorOpening:
             "seeds_two_d": SubsetOpening(positions, seeds[:, None]),
             "naor_short": NaorOpening(seeds[:-1]),
             "naor_long": NaorOpening(np.append(seeds, seeds[:1])),
+            "float_subset": SubsetOpening(positions.astype(float), seeds.astype(float)),
+            "object_seeds": SubsetOpening(positions, seeds.astype(object)),
+            "naor_float_seeds": NaorOpening(seeds.astype(float)),
         }[how]
+        words = list(zip(blocks.tolist(), proof.theta_I.tolist()))
         assert epr_verify(self.PARAMS, crs, net, g, replace(proof, op_I=bad), rng)[0] == 0
         assert not hbg_verify_batch(crs.crs_bg, proof.com, blocks, proof.theta_I, bad)
-        assert hbg_verify_batch(crs.crs_bg, proof.com, blocks, proof.theta_I, NaorOpening(seeds))
+        assert not any(hbg_verify(crs.crs_bg, proof.com, i, t, bad) for i, t in words)
+        for honest in (proof.op_I, NaorOpening(seeds)):
+            assert hbg_verify_batch(crs.crs_bg, proof.com, blocks, proof.theta_I, honest)
+            assert all(hbg_verify(crs.crs_bg, proof.com, i, t, honest) for i, t in words)
 
 
 class TestMalformedProof:
