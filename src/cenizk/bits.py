@@ -82,6 +82,16 @@ def unpack_rows(words: np.ndarray, width: int) -> np.ndarray:
     return np.unpackbits(words[..., None], axis=-1, count=width, bitorder="little")
 
 
+def int_array(a) -> bool:
+    """a is a numpy array of a signed or unsigned integer dtype."""
+    return isinstance(a, np.ndarray) and a.dtype.kind in "iu"
+
+
+def words_fit(a, width: int) -> bool:
+    """a is unsigned integer words with no bit at or above width (no cast first)."""
+    return isinstance(a, np.ndarray) and a.dtype.kind == "u" and not int(a.max(initial=0)) >> width
+
+
 def masked_parity(theta: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Parity of each word of y over the bits where theta's word is 0, as
     uint8: the block parity behind every hidden bit and pad bit (a set

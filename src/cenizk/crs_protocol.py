@@ -52,7 +52,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from . import wire
-from .bits import as_bit_array, bits_to_int, check_deletion_cert, int_to_bits, masked_parity, pack_rows
+from .bits import as_bit_array, bits_to_int, check_deletion_cert, int_array, int_to_bits, masked_parity, pack_rows
 from .crs_nizk import (
     TOY_PROOF_BITS,
     CompiledProof,
@@ -541,10 +541,9 @@ def _compiled_proof_bits(proof) -> np.ndarray:
 
 
 def _opened_from_indices(I, total_bits: int) -> np.ndarray:
-    """The opened mask of a wire index list: ValueError unless I is flat
-    and strictly increasing inside [0, total_bits)."""
-    I = np.asarray(I, dtype=np.int64)
-    if I.ndim != 1 or (len(I) and ((I[1:] <= I[:-1]).any() or I[0] < 0 or I[-1] >= total_bits)):
+    """The opened mask of a wire index list: ValueError unless I is a flat,
+    strictly increasing integer array inside [0, total_bits)."""
+    if not int_array(I) or I.ndim != 1 or (len(I) and ((I[1:] <= I[:-1]).any() or I[0] < 0 or I[-1] >= total_bits)):
         raise ValueError("opened positions must be strictly increasing inside the hidden string")
     opened = np.zeros(total_bits, dtype=bool)
     opened[I] = True
@@ -558,7 +557,7 @@ def _compiled_proof_from_bits(bits: np.ndarray, total_bits: int):
         return CompiledProof(
             HbgCommitment(payload["com"]),
             _opened_from_indices(payload["I"], total_bits),
-            np.asarray(payload["r"], dtype=np.uint8),
+            payload["r"],
             wire.opening_from_payload(payload["op"]),
             wire.hbproof_from_payload(payload["pi"]),
         )

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import hbg as hbg_mod
 from . import rng as rng_mod
-from .bits import check_deletion_cert, masked_parity
+from .bits import check_deletion_cert, int_array, masked_parity, words_fit
 from .epr import ROLE_P, ROLE_V, EprNetwork, prep_epr
 from .graphs import CycleWitness, Digraph
 from .hbnizk import (
@@ -102,11 +102,6 @@ def _opened_rows(a: np.ndarray, opened: np.ndarray) -> np.ndarray:
     return a if opened.all() else a[opened]
 
 
-def _block_words(a, width: int) -> bool:
-    """a is an unsigned integer array of block words: no bit at or above width."""
-    return isinstance(a, np.ndarray) and a.dtype.kind == "u" and not a.max(initial=0) >> width
-
-
 # ---------------------------------------------------------------------
 # the five algorithms
 # ---------------------------------------------------------------------
@@ -163,15 +158,12 @@ def epr_verify(
 
 
 def _opening_ok(params: EprParams, crs: EprCrs, proof: EprProof) -> bool:
-    """The opened mask is well shaped, theta_I holds one block word per
-    opened block, and the generator opens theta on its blocks."""
-    opened, theta_I = proof.opened, proof.theta_I
-    if not _well_shaped(opened, params.num_blocks) or not isinstance(proof.com, hbg_mod.HbgCommitment):
-        return False
-    if not _block_words(theta_I, params.block_width) or theta_I.shape != (np.count_nonzero(opened),):
+    """The opened mask is well shaped and the generator opens theta_I's block words on its blocks."""
+    opened = proof.opened
+    if not _well_shaped(opened, params.num_blocks):
         return False
     blocks = range(len(opened)) if opened.all() else np.flatnonzero(opened)
-    return bool(hbg_mod.hbg_verify_batch(crs.crs_bg, proof.com, blocks, theta_I, proof.op_I))
+    return bool(hbg_mod.hbg_verify_batch(crs.crs_bg, proof.com, blocks, proof.theta_I, proof.op_I))
 
 
 def _hidden_bits_verdict(params: EprParams, crs: EprCrs, x: Digraph, proof: EprProof, y_I: np.ndarray) -> int:
@@ -195,9 +187,7 @@ def epr_cert(params: EprParams, cert: EprDeletionCert, prover: EprProverState) -
     the recorded y on theta's set bits (theta=0 positions are ignored).
     A malformed certificate rejects; it never raises."""
     blocks, outcomes, unopened = cert.blocks, cert.outcomes, np.flatnonzero(~prover.opened)
-    if not (isinstance(blocks, np.ndarray) and blocks.dtype.kind in "iu" and np.array_equal(blocks, unopened)):
-        return False
-    if not _block_words(outcomes, params.block_width):
+    if not (int_array(blocks) and np.array_equal(blocks, unopened) and words_fit(outcomes, params.block_width)):
         return False
     return check_deletion_cert(outcomes, prover.y[unopened], prover.theta[unopened])
 

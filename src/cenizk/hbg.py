@@ -5,13 +5,19 @@ protocol takes one per block, in the `bits` word convention). naor
 commits each bit of a word: bit j of word i is committed bit i*width+j.
 
 naor mode: per committed bit the CRS carries a random shift u of 3s
-bits; committing to bit b means publishing c = G(seed) XOR (b * u)
-for a fresh s-bit seed. Binding is statistical: a fixed
-c_i lies in the image coset of at most one bit value except with
-probability ~2^-s over the CRS, and the inefficient Open recovers the
-committed string by scanning all 2^s seeds. Hiding is computational
-(the PRG); commitments are NOT succinct (|com| grows with k), which is
-why asymptotic soundness statements downstream stay analytic.
+bits; committing to bit b means publishing c = G(seed) XOR (b * u) for a
+fresh s-bit seed. Binding is statistical: a fixed c_i lies in the image
+coset of at most one bit value except with probability ~2^-s over the
+CRS, and the inefficient Open recovers the committed string by testing
+c and c XOR u against G's image of all 2^s seeds. Hiding is
+computational (the PRG); commitments are NOT succinct (|com| grows with
+k), which is why asymptotic soundness statements downstream stay analytic.
+
+G is one array function, `_prg_rows`, hashing each distinct seed once;
+`prg_expand` is G at one seed. The commitment relation (`_commitments`)
+runs in passes of _PASS_BITS committed bits: GenBits builds com with it
+and batch verification checks com's rows against it. `hbg_verify` is
+the batch at one position.
 
 dealer mode: a trusted-registry test double with perfect binding and
 hiding, for protocol-logic experiments that want an ideal generator.
@@ -29,9 +35,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import rng as rng_mod
-from .bits import pack_rows, unpack_rows
+from .bits import int_array, pack_rows, unpack_rows, words_fit
 
 OPEN_SEED_LIMIT = 22  # brute-force Open guard: at most 2^22 seeds
+_PASS_BITS = 1 << 16  # committed bits per pass of the commitment relation
 
 PRG_BLAKE = "blake"
 PRG_IDENTITY = "identity"
@@ -60,33 +67,35 @@ class HbgParams:
         return (self.out_bits + 7) // 8
 
 
-def _mask_top(buf: bytes, out_bits: int) -> bytes:
-    extra = 8 * len(buf) - out_bits
-    if extra == 0:
-        return buf
-    first = buf[0] & (0xFF >> extra)
-    return bytes([first]) + buf[1:]
+_EXPAND = {  # one seed's out_bytes bytes of G, before the top bits are masked
+    PRG_BLAKE: lambda seed, n: hashlib.blake2b(seed.to_bytes(8, "big"), digest_size=n, person=b"hbg-prg").digest(),
+    PRG_IDENTITY: lambda seed, n: seed.to_bytes(n, "big"),
+}
+
+
+def _prg_rows(seeds: np.ndarray, params: HbgParams, mode: str) -> np.ndarray:
+    """G at each of seeds (integers in [0, 2^s)): (len(seeds), out_bytes) uint8
+    rows, big-endian with the top bits zero; each distinct seed hashed once."""
+    if mode not in _EXPAND:
+        raise ValueError(f"unknown prg mode {mode!r}")
+    distinct, where = np.unique(seeds, return_inverse=True)
+    n = params.out_bytes
+    rows = np.frombuffer(bytearray(b"".join(_EXPAND[mode](x, n) for x in distinct.tolist())), np.uint8).reshape(-1, n)
+    rows[:, 0] &= 0xFF >> (8 * n - params.out_bits)
+    return rows[where]
 
 
 def prg_expand(seed: int, params: HbgParams, mode: str = PRG_BLAKE) -> bytes:
-    """G: s-bit seed -> 3s-bit string (packed big-endian, top bits zero)."""
+    """G at one seed: s-bit seed -> 3s-bit string (packed big-endian, top bits zero)."""
     if seed >> params.s:
         raise ValueError("seed wider than s bits")
-    if mode == PRG_BLAKE:
-        raw = hashlib.blake2b(
-            seed.to_bytes(8, "big"), digest_size=params.out_bytes, person=b"hbg-prg"
-        ).digest()
-        return _mask_top(raw, params.out_bits)
-    if mode == PRG_IDENTITY:
-        return seed.to_bytes(params.out_bytes, "big")
-    raise ValueError(f"unknown prg mode {mode!r}")
+    return _prg_rows(np.array([seed], dtype=np.uint64), params, mode).tobytes()
 
 
 @lru_cache(maxsize=8)
-def _prg_image(s: int, out_bytes: int, mode: str) -> dict[bytes, int]:
-    params = HbgParams(k=1, s=s)
-    assert params.out_bytes == out_bytes
-    return {prg_expand(seed, params, mode): seed for seed in range(1 << s)}
+def _prg_image(s: int, mode: str) -> frozenset[bytes]:
+    """G's image of all 2^s seeds; Open only tests membership."""
+    return frozenset(g.tobytes() for g in _prg_rows(np.arange(1 << s, dtype=np.uint64), HbgParams(k=1, s=s), mode))
 
 
 # ---------------------------------------------------------------------
@@ -117,9 +126,6 @@ class DealerCrs:
 class HbgCommitment:
     data: bytes  # naor: committed * out_bytes packed c values; dealer: opaque handle
 
-    def chunk(self, i: int, out_bytes: int) -> bytes:
-        return self.data[i * out_bytes : (i + 1) * out_bytes]
-
 
 @dataclass(frozen=True)
 class NaorOpening:
@@ -131,14 +137,8 @@ class SubsetOpening:
     """Naor openings restricted to the committed bits a proof actually
     reveals; seeds for unopened bits never leave the prover."""
 
-    positions: np.ndarray  # sorted committed-bit positions
+    positions: np.ndarray  # strictly increasing committed-bit positions
     seeds: np.ndarray  # aligned with positions
-
-    def seed_at(self, i: int) -> int | None:
-        loc = int(np.searchsorted(self.positions, i))
-        if loc < len(self.positions) and self.positions[loc] == i:
-            return int(self.seeds[loc])
-        return None
 
 
 @dataclass(frozen=True)
@@ -178,20 +178,28 @@ class HbgOpenResult:
 # ---------------------------------------------------------------------
 
 
-def hbg_setup(
-    k: int, mode: str, rng: np.random.Generator, s: int = 12, prg_mode: str = PRG_BLAKE, width: int = 1
-):
+def hbg_setup(k: int, mode: str, rng: np.random.Generator, s: int = 12, prg_mode: str = PRG_BLAKE, width: int = 1):
     """CRS for k positions of width bits each."""
     params = HbgParams(k=k, s=s, width=width)
     if mode == "naor":
         u = rng.integers(0, 256, size=(params.committed, params.out_bytes), dtype=np.uint8)
-        extra = 8 * params.out_bytes - params.out_bits
-        if extra:
-            u[:, 0] &= 0xFF >> extra
+        u[:, 0] &= 0xFF >> (8 * params.out_bytes - params.out_bits)
         return NaorCrs(params, u, prg_mode)
     if mode == "dealer":
         return DealerCrs(params)
     raise ValueError(f"unknown hbg mode {mode!r}")
+
+
+def _passes(n: int):
+    """Slices of at most _PASS_BITS over n committed bits."""
+    return (slice(lo, lo + _PASS_BITS) for lo in range(0, n, _PASS_BITS))
+
+
+def _commitments(crs: NaorCrs, positions, seeds: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """c = G(seed) ^ bit * u[p], one row per committed bit p of positions."""
+    rows = _prg_rows(seeds, crs.params, crs.prg_mode)
+    rows ^= crs.u[positions] * bits[:, None]
+    return rows
 
 
 def hbg_genbits(crs, rng: np.random.Generator):
@@ -201,12 +209,9 @@ def hbg_genbits(crs, rng: np.random.Generator):
     r.flags.writeable = False
     if crs.mode == "naor":
         seeds = rng.integers(0, 1 << params.s, size=params.committed, dtype=np.uint64)
-        committed = unpack_rows(r, params.width).ravel().tolist()
-        chunks = bytearray()
-        for p, (seed, bit) in enumerate(zip(seeds.tolist(), committed)):
-            g = np.frombuffer(prg_expand(seed, params, crs.prg_mode), dtype=np.uint8)
-            chunks += ((g ^ crs.u[p]) if bit else g).tobytes()
-        return HbgCommitment(bytes(chunks)), r, NaorOpening(seeds)
+        bits = unpack_rows(r, params.width).ravel()
+        com = b"".join(_commitments(crs, p, seeds[p], bits[p]).tobytes() for p in _passes(params.committed))
+        return HbgCommitment(com), r, NaorOpening(seeds)
     if crs.mode == "dealer":
         com = rng.integers(0, 256, size=16, dtype=np.uint8).tobytes()
         receipt = hashlib.blake2b(com, digest_size=16, person=b"hbg-receipt").digest()
@@ -215,77 +220,71 @@ def hbg_genbits(crs, rng: np.random.Generator):
     raise ValueError(f"unknown hbg mode {crs.mode!r}")
 
 
-def _int_arrays(*arrays) -> bool:
-    return all(isinstance(a, np.ndarray) and a.dtype.kind in "iu" for a in arrays)
-
-
 def _naor_opening_ok(opening, committed: int) -> bool:
-    """A naor opening holds one seed per committed bit it covers: all of
-    them, or a flat seed array aligned with a flat position array. Seeds
-    and positions are integer arrays."""
+    """A naor opening is integer arrays: all `committed` seeds, or a flat
+    seed array aligned with a flat, strictly increasing position array."""
     if isinstance(opening, NaorOpening):
-        return _int_arrays(opening.seeds) and opening.seeds.shape == (committed,)
+        return int_array(opening.seeds) and opening.seeds.shape == (committed,)
     if isinstance(opening, SubsetOpening):
-        return (
-            _int_arrays(opening.positions, opening.seeds)
-            and opening.positions.ndim == 1
-            and opening.seeds.shape == opening.positions.shape
-        )
+        have, seeds = opening.positions, opening.seeds
+        flat = int_array(have) and int_array(seeds) and have.ndim == 1 and seeds.shape == have.shape
+        return flat and bool((have[1:] > have[:-1]).all())
     return False
+
+
+def _seeds_at(opening, positions: np.ndarray, s: int) -> np.ndarray | None:
+    """A valid naor opening's seeds at positions; None unless each has one in [0, 2^s)."""
+    index = positions
+    if isinstance(opening, SubsetOpening):
+        have = opening.positions
+        index = np.searchsorted(have, positions)
+        if (index == len(have)).any() or not np.array_equal(have[index], positions):
+            return None
+    seeds = opening.seeds[index]
+    if len(seeds) and (seeds.min() < 0 or int(seeds.max()) >> s):
+        return None
+    return seeds
 
 
 def hbg_verify(crs, com: HbgCommitment, i: int, r_i: int, opening) -> bool:
-    """Accept iff position i of com opens to the word r_i under the given proof."""
-    params = crs.params
-    if not 0 <= i < params.k:
+    """Accept iff position i of com opens to the word r_i: the batch at one position."""
+    if not all(isinstance(v, (int, np.integer)) for v in (i, r_i)) or not 0 <= r_i < 256:
         return False
-    if crs.mode == "naor":
-        r_i, w = int(r_i), params.width
-        if not _naor_opening_ok(opening, params.committed) or r_i >> w:
-            return False
-        for j, p in enumerate(range(i * w, (i + 1) * w)):
-            seed = int(opening.seeds[p]) if isinstance(opening, NaorOpening) else opening.seed_at(p)
-            c = np.frombuffer(com.chunk(p, params.out_bytes), dtype=np.uint8)
-            if seed is None or seed >> params.s or len(c) != params.out_bytes:
-                return False
-            if ((c ^ crs.u[p]) if (r_i >> j) & 1 else c).tobytes() != prg_expand(seed, params, crs.prg_mode):
-                return False
-        return True
-    if crs.mode == "dealer":
-        entry = crs.registry.get(com.data)
-        if entry is None or not isinstance(opening, DealerOpening):
-            return False
-        bits, receipt = entry
-        return opening.receipt == receipt and int(bits[i]) == int(r_i)
-    return False
+    return hbg_verify_batch(crs, com, range(i, i + 1), np.array([r_i], dtype=np.uint8), opening)
 
 
-def hbg_verify_batch(
-    crs, com: HbgCommitment, indices: np.ndarray | range, bits: np.ndarray, opening
-) -> bool:
-    """All-positions-at-once verification used on protocol hot paths.
-
-    indices is an array of positions or a range, bits their words; dealer
-    mode compares the registered words once, a contiguous range (step 1)
-    as one slice of them."""
-    bits = np.asarray(bits, dtype=np.uint8)
+def hbg_verify_batch(crs, com: HbgCommitment, indices: np.ndarray | range, bits: np.ndarray, opening) -> bool:
+    """Accept iff com (bytes data) opens each position in indices (an array
+    or a range) to its word in bits (`words_fit`). Dealer mode compares the
+    registered words once, a step-1 range as one slice; naor mode checks
+    com's rows, exactly `committed` of them, against the relation by pass."""
     params = crs.params
+    if not (isinstance(com, HbgCommitment) and isinstance(com.data, bytes)) or not words_fit(bits, params.width):
+        return False
     if isinstance(indices, range) and indices.step == 1:
         take = slice(indices.start, indices.stop)
         lo, hi = indices.start, indices.stop - 1
     else:
         indices = take = _position_array(indices)
         lo, hi = (indices.min(), indices.max()) if len(indices) else (0, 0)
-    if len(indices) != len(bits) or (len(indices) and (lo < 0 or hi >= params.k)):
+    if bits.shape != (len(indices),) or (len(indices) and (lo < 0 or hi >= params.k)):
         return False
     if crs.mode == "dealer":
         entry = crs.registry.get(com.data)
         if entry is None or not isinstance(opening, DealerOpening) or opening.receipt != entry[1]:
             return False
         return bool(np.array_equal(entry[0][take], bits))
-    return _naor_opening_ok(opening, params.committed) and all(
-        hbg_verify(crs, com, int(i), int(b), opening) for i, b in zip(indices, bits)
-    )
+    if len(com.data) != params.committed * params.out_bytes or not _naor_opening_ok(opening, params.committed):
+        return False
+    positions = (_position_array(indices)[:, None] * params.width + np.arange(params.width)).ravel()
+    bits = unpack_rows(bits.astype(np.uint8), params.width).ravel()
+    rows = np.frombuffer(com.data, dtype=np.uint8).reshape(params.committed, params.out_bytes)
+    for part in _passes(len(positions)):
+        at = positions[part]
+        seeds = _seeds_at(opening, at, params.s)
+        if seeds is None or not np.array_equal(rows[at], _commitments(crs, at, seeds, bits[part])):
+            return False
+    return True
 
 
 def hbg_open(crs, com: HbgCommitment) -> HbgOpenResult:
@@ -300,11 +299,9 @@ def hbg_open(crs, com: HbgCommitment) -> HbgOpenResult:
     params = crs.params
     if params.s > OPEN_SEED_LIMIT:
         raise ValueError(f"brute-force Open capped at s <= {OPEN_SEED_LIMIT}")
-    image = _prg_image(params.s, params.out_bytes, crs.prg_mode)
-    as_zero, as_one = np.zeros((2, params.committed), dtype=bool)
-    for i in range(params.committed):
-        c = np.frombuffer(com.chunk(i, params.out_bytes), dtype=np.uint8)
-        as_zero[i], as_one[i] = c.tobytes() in image, (c ^ crs.u[i]).tobytes() in image
+    image = _prg_image(params.s, crs.prg_mode)
+    c = np.frombuffer(com.data, dtype=np.uint8).reshape(params.committed, params.out_bytes)  # else ValueError
+    as_zero, as_one = (np.array([row.tobytes() in image for row in rows], dtype=bool) for rows in (c, c ^ crs.u))
     words = (params.k, params.width)
     return HbgOpenResult(
         pack_rows((as_one & ~as_zero).reshape(words)),

@@ -16,6 +16,7 @@ import struct
 
 import numpy as np
 
+from .bits import int_array
 from .hbg import DealerOpening, NaorOpening, SubsetOpening
 from .hbnizk import HbProof, RepRevealAll, RepUseful
 
@@ -205,15 +206,16 @@ def opening_payload(opening) -> dict:
 
 
 def opening_from_payload(payload: dict):
+    """The opening in payload; WireError unless its seeds and positions are integer arrays."""
     kind = payload.get("kind") if isinstance(payload, dict) else None
+    fields = {"naor": ("seeds",), "subset": ("positions", "seeds")}.get(kind, ())
+    if not all(int_array(payload.get(key)) for key in fields):
+        raise WireError(f"a {kind} opening's {' and '.join(fields)} must be integer arrays")
     if kind == "naor":
-        return NaorOpening(np.asarray(payload["seeds"], dtype=np.uint64))
+        return NaorOpening(payload["seeds"])
     if kind == "subset":
-        return SubsetOpening(
-            np.asarray(payload["positions"], dtype=np.int64),
-            np.asarray(payload["seeds"], dtype=np.uint64),
-        )
-    if kind == "dealer":
+        return SubsetOpening(payload["positions"], payload["seeds"])
+    if kind == "dealer" and isinstance(payload.get("receipt"), bytes):
         return DealerOpening(payload["receipt"])
     raise WireError("unknown opening payload")
 

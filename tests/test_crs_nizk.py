@@ -1,6 +1,7 @@
 """Compiled (hidden-bits -> CRS) NIZK and toy linear-code NIZK tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from cenizk.crs_nizk import (
 )
 from cenizk.graphs import canonical_cycle, complete_digraph, non_hamiltonian_triangle
 from cenizk.hbnizk import HbParams, cheat_prove, rep_coverable
-from cenizk.hbg import hbg_genbits
+from cenizk.hbg import HbgCommitment, hbg_genbits
 from cenizk.rng import stream
 from conftest import CHI2_CRIT_1DF, chi_square_uniform
 
@@ -236,3 +237,36 @@ class TestNaorOpening:
         g = complete_digraph(3)
         crs = compiled_setup(self.SPEC, stream(1, "naor-crs"))
         self._check(g, crs, compiled_prove(self.SPEC, crs, g, canonical_cycle(3), stream(1, "naor-prove")))
+
+
+class TestMalformedCompiledProof:
+    """Replacing one field of an honest compiled proof rejects in both
+    generator modes; nothing raises. r_bg_I must be unsigned words of one
+    bit, as hbg_verify_batch requires."""
+
+    CASES = {
+        "r_bg_I_none": lambda p: replace(p, r_bg_I=None),
+        "r_bg_I_float": lambda p: replace(p, r_bg_I=p.r_bg_I.astype(float)),
+        "r_bg_I_list": lambda p: replace(p, r_bg_I=p.r_bg_I.tolist()),
+        "r_bg_I_signed": lambda p: replace(p, r_bg_I=p.r_bg_I.astype(np.int64)),
+        "r_bg_I_two_d": lambda p: replace(p, r_bg_I=p.r_bg_I[:, None]),
+        "r_bg_I_two": lambda p: replace(p, r_bg_I=p.r_bg_I | 2),
+        "com_none": lambda p: replace(p, com=None),
+        "com_bytes": lambda p: replace(p, com=p.com.data),
+        "com_data_list": lambda p: replace(p, com=HbgCommitment(list(p.com.data))),
+        "com_data_none": lambda p: replace(p, com=HbgCommitment(None)),
+        "opening_none": lambda p: replace(p, opening=None),
+        "opened_none": lambda p: replace(p, opened=None),
+        "opened_list": lambda p: replace(p, opened=p.opened.tolist()),
+        "pi_hb_none": lambda p: replace(p, pi_hb=None),
+    }
+
+    @pytest.mark.parametrize("mode", ["dealer", "naor"])
+    @pytest.mark.parametrize("how", sorted(CASES))
+    def test_compiled_verify_rejects(self, how, mode):
+        spec = replace(TINY_SPEC, hbg_mode=mode, hbg_s=8)
+        g, rng = complete_digraph(3), stream(0, "malformed-compiled", mode)
+        crs = compiled_setup(spec, rng)
+        proof = compiled_prove(spec, crs, g, canonical_cycle(3), rng)
+        assert compiled_verify(spec, crs, g, proof) == 1
+        assert compiled_verify(spec, crs, g, self.CASES[how](proof)) == 0

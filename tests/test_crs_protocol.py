@@ -2,6 +2,7 @@
 verify/certify pipeline, cloning, and the classical dry run."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -449,6 +450,32 @@ class TestCompiledProofDecode:
     def test_malformed_payload_decodes_to_none(self, key, value):
         _, payload = self._proof_and_payload()
         assert self._decode({**payload, key: value}) is None
+
+    @pytest.mark.parametrize("mode", ["dealer", "naor"])
+    @pytest.mark.parametrize(
+        "key,cast",
+        [
+            ("r", lambda v: v.astype(float)),
+            ("r", lambda v: v.tolist()),
+            ("I", lambda v: v.astype(float)),
+            ("I", lambda v: v.tolist()),
+            ("com", list),
+            ("com", lambda v: None),
+            ("com", lambda v: 5),
+        ],
+        ids=["r-float", "r-list", "I-float", "I-list", "com-list", "com-none", "com-int"],
+    )
+    def test_inner_verifier_rejects_cast_fields(self, mode, key, cast):
+        # each field would read as the honest value after a cast, so only a
+        # check made before the cast rejects it
+        spec = replace(self.SPEC, hbg_mode=mode, hbg_s=8)
+        g, w, rng = complete_digraph(3), canonical_cycle(3), stream(0, "decode", mode)
+        crs = compiled_setup(spec, rng)
+        bits = crs_protocol._compiled_proof_bits(compiled_prove(spec, crs, g, w, rng))
+        payload = wire.decode(np.packbits(bits).tobytes())
+        assert crs_protocol._dry_inner_verify((spec, crs), g, bits) == 1
+        bad = np.unpackbits(np.frombuffer(wire.encode({**payload, key: cast(payload[key])}), dtype=np.uint8))
+        assert crs_protocol._dry_inner_verify((spec, crs), g, bad) == 0
 
     def test_payload_adapters_refuse_non_dicts(self):
         with pytest.raises(wire.WireError):

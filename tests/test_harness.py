@@ -83,6 +83,36 @@ class TestWire:
         proof = wire.hbproof_from_payload([{"kind": "useful", "map": [0, 1, 2]}])
         assert proof.reps[0].vertex_map == (0, 1, 2)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "naor", "seeds": np.array([1.5, 7.9])},
+            {"kind": "naor", "seeds": [1, 7]},
+            {"kind": "naor"},
+            {"kind": "subset", "positions": np.array([0.0, 1.0]), "seeds": np.array([1, 7], dtype=np.uint64)},
+            {"kind": "subset", "positions": np.array([0, 1]), "seeds": np.array([1.5, 7.9])},
+            {"kind": "subset", "positions": np.array([0, 1])},
+            {"kind": "subset", "seeds": np.array([1, 7], dtype=np.uint64)},
+            {"kind": "dealer"},
+            {"kind": "dealer", "receipt": "r"},
+        ],
+        ids=["naor-float", "naor-list", "naor-missing", "subset-float-positions", "subset-float-seeds",
+             "subset-no-seeds", "subset-no-positions", "dealer-no-receipt", "dealer-str-receipt"],
+    )
+    def test_opening_payload_needs_integer_arrays(self, payload):
+        with pytest.raises(wire.WireError):
+            wire.opening_from_payload(wire.decode(wire.encode(payload)))
+
+    def test_opening_payload_round_trip_keeps_arrays(self):
+        from cenizk.hbg import NaorOpening, SubsetOpening
+
+        sub = SubsetOpening(np.array([2, 5], dtype=np.int64), np.array([9, 4], dtype=np.uint64))
+        back = wire.opening_from_payload(wire.decode(wire.encode(wire.opening_payload(sub))))
+        assert isinstance(back, SubsetOpening) and back.positions.dtype == np.int64 and back.seeds.dtype == np.uint64
+        assert np.array_equal(back.positions, sub.positions) and np.array_equal(back.seeds, sub.seeds)
+        full = wire.opening_from_payload(wire.decode(wire.encode(wire.opening_payload(NaorOpening(sub.seeds)))))
+        assert isinstance(full, NaorOpening) and np.array_equal(full.seeds, sub.seeds)
+
     def test_trailing_bytes_rejected(self):
         with pytest.raises(wire.WireError):
             wire.decode(wire.encode(1) + b"x")

@@ -1,14 +1,19 @@
 """Hidden-bits generator tests: naor-style binding via the brute-force
 Open oracle, the dealer double, and the broken-PRG negative control."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from cenizk.bits import unpack_rows
 from cenizk.hbg import (
+    _PASS_BITS,
     PRG_BLAKE,
     PRG_IDENTITY,
+    HbgCommitment,
+    HbgParams,
     NaorOpening,
     SubsetOpening,
     hbg_genbits,
@@ -18,9 +23,12 @@ from cenizk.hbg import (
     hbg_verify_batch,
     prg_expand,
     restrict_opening,
+    _prg_rows,
 )
 from cenizk.rng import stream
 from conftest import CHI2_CRIT_1DF, chi_square_uniform
+
+CRITERION_SEED = 20260808  # the acceptance suite's SEED
 
 
 class TestNaorBasics:
@@ -28,7 +36,7 @@ class TestNaorBasics:
         crs = hbg_setup(6, "naor", rng, s=8)
         com, r, op = hbg_genbits(crs, rng)
         for i in range(6):
-            c = np.frombuffer(com.chunk(i, crs.params.out_bytes), dtype=np.uint8)
+            c = np.frombuffer(com.data, dtype=np.uint8).reshape(-1, crs.params.out_bytes)[i]
             g = np.frombuffer(prg_expand(int(op.seeds[i]), crs.params), dtype=np.uint8)
             if r[i] == 0:
                 assert np.array_equal(c, g)  # c_i = G(seed_i)
@@ -236,7 +244,7 @@ class TestHidingControl:
         correct = 0
         top_bytes = 2 * crs.params.s // 8
         for i in range(64):
-            c = np.frombuffer(com.chunk(i, crs.params.out_bytes), dtype=np.uint8)
+            c = np.frombuffer(com.data, dtype=np.uint8).reshape(-1, crs.params.out_bytes)[i]
             guess = 0 if not c[:top_bytes].any() else 1
             correct += guess == r[i]
         return correct / 64
@@ -282,7 +290,7 @@ class TestWords:
         for i in range(5):
             for j in range(width):
                 p = i * width + j
-                c = np.frombuffer(com.chunk(p, crs.params.out_bytes), dtype=np.uint8)
+                c = np.frombuffer(com.data, dtype=np.uint8).reshape(-1, crs.params.out_bytes)[p]
                 g = np.frombuffer(prg_expand(int(op.seeds[p]), crs.params), dtype=np.uint8)
                 assert np.array_equal(c ^ crs.u[p] if (r[i] >> j) & 1 else c, g)
         res = hbg_open(crs, com)
@@ -300,3 +308,236 @@ class TestWords:
     def test_width_above_a_byte_rejected(self, rng):
         with pytest.raises(ValueError, match="width"):
             hbg_setup(4, "dealer", rng, width=9)
+
+
+def g_reference(seed: int, s: int, mode: str = PRG_BLAKE) -> bytes:
+    """G at one seed straight from hashlib (or the identity), masked to
+    its 3s bits here."""
+    n = (3 * s + 7) // 8
+    if mode == PRG_BLAKE:
+        raw = hashlib.blake2b(seed.to_bytes(8, "big"), digest_size=n, person=b"hbg-prg").digest()
+    else:
+        raw = seed.to_bytes(n, "big")
+    return (int.from_bytes(raw, "big") & ((1 << 3 * s) - 1)).to_bytes(n, "big")
+
+
+def reference_verify(crs, com, indices, words, opening) -> bool:
+    """naor-mode hbg_verify_batch written out one committed bit at a time
+    from prg_expand and crs.u."""
+    p, n = crs.params, crs.params.out_bytes
+    if not isinstance(com, HbgCommitment) or len(com.data) != p.committed * n:
+        return False
+    if not isinstance(words, np.ndarray) or words.dtype.kind != "u" or words.shape != (len(indices),):
+        return False
+    if isinstance(opening, NaorOpening):
+        if opening.seeds.dtype.kind not in "iu" or opening.seeds.shape != (p.committed,):
+            return False
+        seed_of = dict(enumerate(opening.seeds.tolist()))
+    else:
+        have, seeds = opening.positions, opening.seeds
+        if have.dtype.kind not in "iu" or seeds.dtype.kind not in "iu" or have.ndim != 1 or seeds.shape != have.shape:
+            return False
+        if have.tolist() != sorted(set(have.tolist())):
+            return False
+        seed_of = dict(zip(have.tolist(), seeds.tolist()))
+    g_of = {}  # G per seed, computed once
+    for i, word in zip(list(indices), words.tolist()):
+        if not 0 <= i < p.k or word >> p.width:
+            return False
+        for j in range(p.width):
+            q = i * p.width + j
+            seed = seed_of.get(q)
+            if seed is None or not 0 <= seed < 1 << p.s:
+                return False
+            if seed not in g_of:
+                g_of[seed] = np.frombuffer(prg_expand(seed, p, crs.prg_mode), dtype=np.uint8)
+            if com.data[q * n : (q + 1) * n] != (g_of[seed] ^ crs.u[q] * ((word >> j) & 1)).tobytes():
+                return False
+    return True
+
+
+class TestOneG:
+    """G is one array function; prg_expand is G at one seed."""
+
+    @pytest.mark.parametrize("mode", [PRG_BLAKE, PRG_IDENTITY])
+    @pytest.mark.parametrize("s", [2, 12, 22, 64])
+    def test_prg_expand_pinned(self, s, mode):
+        params = HbgParams(k=1, s=s)
+        for seed in sorted({0, 1, 3, (1 << s) // 3, (1 << s) - 1}):
+            assert prg_expand(seed, params, mode) == g_reference(seed, s, mode)
+
+    @pytest.mark.parametrize("s", [2, 12, 64])
+    def test_seed_outside_s_bits_raises(self, s):
+        for seed in (1 << s, -1):
+            with pytest.raises(ValueError, match="wider"):
+                prg_expand(seed, HbgParams(k=1, s=s))
+
+    @pytest.mark.parametrize("mode", [PRG_BLAKE, PRG_IDENTITY])
+    def test_rows_of_repeated_seeds(self, mode):
+        params = HbgParams(k=1, s=10)
+        seeds = np.array([5, 1023, 5, 0, 1023, 5], dtype=np.uint64)
+        rows = _prg_rows(seeds, params, mode)
+        assert rows.shape == (6, params.out_bytes) and rows.dtype == np.uint8
+        assert [row.tobytes() for row in rows] == [g_reference(int(x), 10, mode) for x in seeds]
+        assert _prg_rows(seeds[:0], params, mode).shape == (0, params.out_bytes)
+
+
+class TestBatchMatchesReference:
+    """hbg_verify_batch gives reference_verify's verdict on honest and
+    tampered inputs, at widths 1, 6 and 8."""
+
+    @staticmethod
+    def _session(width, k=12, s=8):
+        rng = stream(width, "reference", k)
+        crs = hbg_setup(k, "naor", rng, s=s, width=width)
+        com, r, op = hbg_genbits(crs, rng)
+        return crs, com, r, op
+
+    @staticmethod
+    def _verdict(crs, com, indices, words, opening) -> bool:
+        want = reference_verify(crs, com, indices, words, opening)
+        assert hbg_verify_batch(crs, com, indices, words, opening) is want
+        return want
+
+    @pytest.mark.parametrize("width", [1, 6, 8])
+    def test_mutated_commitments_and_flipped_bits(self, width):
+        crs, com, r, op = self._session(width)
+        n, every = crs.params.out_bytes, np.arange(12)
+        assert self._verdict(crs, com, every, r, op)
+        assert self._verdict(crs, com, range(12), r, op)
+        for q in (0, 5 * width, 12 * width - 1):
+            for byte in (0, n - 1):
+                data = bytearray(com.data)
+                data[q * n + byte] ^= 1
+                assert not self._verdict(crs, HbgCommitment(bytes(data)), every, r, op)
+        for i in (0, 7, 11):
+            for j in range(width):
+                bad = r.copy()
+                bad[i] ^= 1 << j
+                assert not self._verdict(crs, com, every, bad, op)
+
+    @pytest.mark.parametrize("width", [1, 6, 8])
+    def test_seeds_wider_than_s(self, width):
+        crs, com, r, op = self._session(width)
+        s, n, q = crs.params.s, crs.params.out_bytes, 3 * width + width // 2
+        seeds = op.seeds.copy()
+        seeds[q] += np.uint64(1 << s)
+        assert not self._verdict(crs, com, np.arange(12), r, NaorOpening(seeds))
+        # a commitment made honestly from a seed outside [0, 2^s): G is
+        # defined there, so only the seed-width check rejects it
+        bit = (int(r[3]) >> (q - 3 * width)) & 1
+        c = np.frombuffer(g_reference(int(seeds[q]), s), dtype=np.uint8) ^ crs.u[q] * bit
+        forged = HbgCommitment(com.data[: q * n] + c.tobytes() + com.data[(q + 1) * n :])
+        assert not self._verdict(crs, forged, np.arange(12), r, NaorOpening(seeds))
+        sub = restrict_opening(NaorOpening(seeds), np.array([3]), width)
+        assert not self._verdict(crs, forged, np.array([3]), r[[3]], sub)
+        assert not self._verdict(crs, forged, np.array([3]), r[[3]], SubsetOpening(sub.positions, sub.seeds.astype(np.int64)))
+
+    @pytest.mark.parametrize("width", [1, 6, 8])
+    def test_missing_repeated_and_unsorted_positions(self, width):
+        crs, com, r, op = self._session(width)
+        sub = restrict_opening(op, np.array([1, 4, 6]), width)
+        for blocks, ok in (([1, 4, 6], True), ([6, 1, 4], True), ([4, 4, 1, 4], True), ([], True), ([1, 2], False), ([0], False)):
+            blocks = np.array(blocks, dtype=np.int64)
+            assert self._verdict(crs, com, blocks, r[blocks], sub) is ok
+        # the opening's own positions must be strictly increasing
+        twice = SubsetOpening(np.repeat(sub.positions, 2), np.repeat(sub.seeds, 2))
+        backwards = SubsetOpening(sub.positions[::-1].copy(), sub.seeds[::-1].copy())
+        for bad in (twice, backwards):
+            assert not self._verdict(crs, com, np.array([1, 4, 6]), r[[1, 4, 6]], bad)
+            assert not self._verdict(crs, com, np.array([6]), r[[6]], bad)
+
+    @pytest.mark.parametrize("width", [1, 6, 8])
+    def test_across_the_pass_boundary(self, width):
+        k = _PASS_BITS // width + 3  # k * width straddles one pass of committed bits
+        crs, com, r, op = self._session(width, k=k)
+        n, p = crs.params.out_bytes, crs.params
+        assert p.committed > _PASS_BITS
+        # GenBits: the rows on both sides of the boundary follow the relation
+        bits = unpack_rows(r, width).ravel()
+        for q in range(_PASS_BITS - 2 * width, p.committed):
+            g = np.frombuffer(g_reference(int(op.seeds[q]), p.s), dtype=np.uint8) ^ crs.u[q] * bits[q]
+            assert com.data[q * n : (q + 1) * n] == g.tobytes()
+        # a subset opening whose requested bits cross the boundary of a pass
+        blocks = np.arange(2, k)
+        sub = restrict_opening(op, blocks, width)
+        assert len(sub.positions) > _PASS_BITS
+        assert self._verdict(crs, com, blocks, r[blocks], sub)
+        for q in (sub.positions[_PASS_BITS - 1], sub.positions[_PASS_BITS]):
+            data = bytearray(com.data)
+            data[q * n] ^= 1
+            assert not self._verdict(crs, HbgCommitment(bytes(data)), blocks, r[blocks], sub)
+        bad = r[blocks].copy()
+        bad[-1] ^= 1
+        assert not self._verdict(crs, com, blocks, bad, sub)
+
+    def test_off_coset_chunk(self):
+        # criterion 9's adversarial chunk (its seed and stream): outside
+        # both cosets at s=8, so no seed and no claimed bit verifies
+        rng = stream(CRITERION_SEED, "c9-off")
+        crs = hbg_setup(1, "naor", rng, s=8)
+        image = {prg_expand(seed, crs.params) for seed in range(256)}
+        while True:
+            c = rng.integers(0, 256, size=crs.params.out_bytes, dtype=np.uint8)
+            c[0] &= 0xFF >> (8 * crs.params.out_bytes - crs.params.out_bits)
+            if c.tobytes() not in image and (c ^ crs.u[0]).tobytes() not in image:
+                break
+        com = HbgCommitment(c.tobytes())
+        for seed in range(256):
+            op = NaorOpening(np.array([seed], dtype=np.uint64))
+            for bit in (0, 1):
+                assert not self._verdict(crs, com, np.array([0]), np.array([bit], dtype=np.uint8), op)
+                assert not hbg_verify(crs, com, 0, bit, op)
+
+
+class TestWordRule:
+    """hbg_verify_batch takes words as unsigned arrays with no bit at or
+    above the width, checked before any cast; naor commitments are exactly
+    `committed` rows."""
+
+    @staticmethod
+    def _session(mode):
+        rng = stream(3, "word-rule", mode)
+        crs = hbg_setup(6, mode, rng, s=8, width=8)
+        com, r, op = hbg_genbits(crs, rng)
+        return crs, com, r, restrict_opening(op, np.array([2]), 8)
+
+    @pytest.mark.parametrize("mode", ["dealer", "naor"])
+    def test_words_that_cast_to_the_right_word_reject(self, mode):
+        crs, com, r, op = self._session(mode)
+        v = int(r[2])
+        assert hbg_verify_batch(crs, com, np.array([2]), np.array([v], dtype=np.uint8), op)
+        assert hbg_verify_batch(crs, com, np.array([2]), np.array([v], dtype=np.uint64), op)
+        for bad in (
+            np.array([v + 256]),
+            np.array([v - 256]),
+            np.array([v + 0.5]),
+            np.array([float(v)]),
+            np.array([v], dtype=np.int64),
+            np.array([[v]], dtype=np.uint8),
+            np.array([v + 256], dtype=np.uint16),
+            [v + 256],
+            [-1],
+            [v],
+            None,
+        ):
+            assert hbg_verify_batch(crs, com, np.array([2]), bad, op) is False
+        for bad in (v + 0.5, float(v), v + 256, -1, None, "3"):
+            assert hbg_verify(crs, com, 2, bad, op) is False
+        assert hbg_verify(crs, com, 2.0, v, op) is False
+        assert hbg_verify(crs, com, np.int64(2), np.uint8(v), op)
+
+    @pytest.mark.parametrize("mode", ["dealer", "naor"])
+    def test_commitment_must_be_an_hbg_commitment(self, mode):
+        crs, com, r, op = self._session(mode)
+        for bad in (com.data, None):
+            assert hbg_verify_batch(crs, bad, np.array([2]), r[[2]], op) is False
+            assert hbg_verify(crs, bad, 2, int(r[2]), op) is False
+
+    def test_naor_commitment_length_is_exact(self):
+        crs, com, r, op = self._session("naor")
+        n = crs.params.out_bytes
+        assert hbg_verify_batch(crs, com, np.array([2]), r[[2]], op)
+        for data in (com.data + b"\0", com.data + com.data[:n], com.data[: 3 * 8 * n], com.data[:-1]):
+            assert hbg_verify_batch(crs, HbgCommitment(data), np.array([2]), r[[2]], op) is False
+            assert hbg_verify(crs, HbgCommitment(data), 2, int(r[2]), op) is False
