@@ -87,6 +87,16 @@ def int_array(a) -> bool:
     return isinstance(a, np.ndarray) and a.dtype.kind in "iu"
 
 
+def flat_mask(a, n: int) -> bool:
+    """a is a flat bool mask of n entries: the one opened-set rule."""
+    return isinstance(a, np.ndarray) and a.dtype == bool and a.shape == (n,)
+
+
+def bit_array(a, n: int) -> bool:
+    """a is a flat bool or integer array of n entries, each 0 or 1 (no cast first)."""
+    return isinstance(a, np.ndarray) and a.dtype.kind in "biu" and a.shape == (n,) and bool(((a == 0) | (a == 1)).all())
+
+
 def words_fit(a, width: int) -> bool:
     """a is unsigned integer words with no bit at or above width (no cast first)."""
     return isinstance(a, np.ndarray) and a.dtype.kind == "u" and not int(a.max(initial=0)) >> width

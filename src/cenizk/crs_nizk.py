@@ -25,7 +25,7 @@ from . import hbg as hbg_mod
 from . import rng as rng_mod
 from .bits import as_bit_array, int_to_bits
 from .graphs import CycleWitness, Digraph
-from .hbnizk import HbParams, HbProof, _well_shaped, hb_prove, hb_verify
+from .hbnizk import HbParams, HbProof, hb_prove, hb_verify
 
 # ---------------------------------------------------------------------
 # toy linear-code NIZK (proof length 4)
@@ -139,10 +139,9 @@ def compiled_prove(
 
 
 def compiled_verify(spec: CompiledSpec, crs: CompiledCrs, x: Digraph, proof: CompiledProof) -> int:
+    # hbg_verify_batch checks the opened mask
     opened = proof.opened
-    if not _well_shaped(opened, spec.hb.total_bits) or not hbg_mod.hbg_verify_batch(
-        crs.crs_bg, proof.com, np.flatnonzero(opened), proof.r_bg_I, proof.opening
-    ):
+    if not hbg_mod.hbg_verify_batch(crs.crs_bg, proof.com, opened, proof.r_bg_I, proof.opening):
         return 0
     return int(hb_verify(opened, proof.r_bg_I ^ crs.s[opened], x, proof.pi_hb, spec.hb))
 

@@ -52,9 +52,11 @@ import numpy as np
 
 from . import rng as rng_mod
 from . import wire
-from .bits import as_bit_array, bits_to_int, check_deletion_cert, int_array, int_to_bits, masked_parity, pack_rows
+from .bits import as_bit_array, bit_array, bits_to_int, check_deletion_cert, int_array, int_to_bits, masked_parity
+from .bits import pack_rows
 from .crs_nizk import (
     TOY_PROOF_BITS,
+    TOY_STATEMENT_BITS,
     CompiledProof,
     CompiledSpec,
     ToyCrs,
@@ -379,7 +381,18 @@ def crs_verify(
 ) -> tuple[int, CrsProofState]:
     """Oracle the outer verifier into a fresh register, measure it, and
     hand back the post-measurement state either way (the rejecting
-    branch is kept for diagnostics)."""
+    branch is kept for diagnostics). A malformed proof or statement
+    rejects with sigma handed back and no draw: x must hold
+    TOY_STATEMENT_BITS bits and ct0 and ct1 ell bits each (`bit_array`),
+    and sigma.state must be a SparseState of total_qubits qubits."""
+    state = getattr(sigma, "state", None)
+    if not (
+        bit_array(x, TOY_STATEMENT_BITS)
+        and all(bit_array(getattr(sigma, ct, None), params.ell) for ct in ("ct0", "ct1"))
+        and isinstance(state, SparseState)
+        and state.num_qubits == params.total_qubits
+    ):
+        return 0, sigma
     regs = params.registers()
     (_, rejected), (prob1, accepted) = _verify_flag(params, x, sigma.state, sigma.ct0, sigma.ct1, regs)
     if rng.random() < prob1:

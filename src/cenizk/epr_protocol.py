@@ -33,14 +33,13 @@ import numpy as np
 
 from . import hbg as hbg_mod
 from . import rng as rng_mod
-from .bits import check_deletion_cert, int_array, masked_parity, words_fit
+from .bits import check_deletion_cert, flat_mask, int_array, masked_parity, words_fit
 from .epr import ROLE_P, ROLE_V, EprNetwork, prep_epr
 from .graphs import CycleWitness, Digraph
 from .hbnizk import (
     HbParams,
     HbProof,
     RepRevealAll,
-    _well_shaped,
     cheat_prove,
     hb_prove,
     hb_simulate,
@@ -149,21 +148,12 @@ def epr_verify(
     re-read of a collapsed network. A malformed proof rejects; it never
     raises."""
     opened, ell = proof.opened, params.num_blocks
-    if not _opening_ok(params, crs, proof):
+    if not hbg_mod.hbg_verify_batch(crs.crs_bg, proof.com, opened, proof.theta_I, proof.op_I):
         # a rejected mask stays the opened set if well shaped; a malformed one opens nothing
-        return 0, EprVerifierState(opened if _well_shaped(opened, ell) else np.zeros(ell, dtype=bool), network)
+        return 0, EprVerifierState(opened if flat_mask(opened, ell) else np.zeros(ell, dtype=bool), network)
     blocks = None if opened.all() else np.flatnonzero(opened)
     y_I = network.measure_blocks(ROLE_V, proof.theta_I, rng, blocks=blocks)
     return _hidden_bits_verdict(params, crs, x, proof, y_I), EprVerifierState(opened, network)
-
-
-def _opening_ok(params: EprParams, crs: EprCrs, proof: EprProof) -> bool:
-    """The opened mask is well shaped and the generator opens theta_I's block words on its blocks."""
-    opened = proof.opened
-    if not _well_shaped(opened, params.num_blocks):
-        return False
-    blocks = range(len(opened)) if opened.all() else np.flatnonzero(opened)
-    return bool(hbg_mod.hbg_verify_batch(crs.crs_bg, proof.com, blocks, proof.theta_I, proof.op_I))
 
 
 def _hidden_bits_verdict(params: EprParams, crs: EprCrs, x: Digraph, proof: EprProof, y_I: np.ndarray) -> int:
@@ -214,7 +204,7 @@ def hypothetical_verifier(
     verifies from the computational-basis values alone. Never used in
     certification flows."""
     y_all = premeasure_all_z(params, network, rng)
-    if not _opening_ok(params, crs, proof):
+    if not hbg_mod.hbg_verify_batch(crs.crs_bg, proof.com, proof.opened, proof.theta_I, proof.op_I):
         return 0
     return _hidden_bits_verdict(params, crs, x, proof, _opened_rows(y_all, proof.opened))
 

@@ -38,7 +38,7 @@ from .rng import stream
 from .state import dump_lines
 
 MAGIC = b"CENZ1"
-VERSION = 3
+VERSION = 4
 
 
 class TranscriptError(ValueError):

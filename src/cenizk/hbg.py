@@ -16,8 +16,14 @@ k), which is why asymptotic soundness statements downstream stay analytic.
 G is one array function, `_prg_rows`, hashing each distinct seed once;
 `prg_expand` is G at one seed. The commitment relation (`_commitments`)
 runs in passes of _PASS_BITS committed bits: GenBits builds com with it
-and batch verification checks com's rows against it. `hbg_verify` is
-the batch at one position.
+and batch verification checks com's rows against it.
+
+The opened set is one (k,) bool mask over positions, the only form
+`restrict_opening` and `hbg_verify_batch` accept; `hbg_verify` is the
+batch at a one-position mask. A naor opening is the seeds of the
+committed bits of the opened positions, in position order; their
+positions follow from the mask and the width, so no seed of a closed
+position leaves the prover and no position travels.
 
 dealer mode: a trusted-registry test double with perfect binding and
 hiding, for protocol-logic experiments that want an ideal generator.
@@ -35,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import rng as rng_mod
-from .bits import int_array, pack_rows, unpack_rows, words_fit
+from .bits import flat_mask, int_array, pack_rows, unpack_rows, words_fit
 
 OPEN_SEED_LIMIT = 22  # brute-force Open guard: at most 2^22 seeds
 _PASS_BITS = 1 << 16  # committed bits per pass of the commitment relation
@@ -129,16 +135,7 @@ class HbgCommitment:
 
 @dataclass(frozen=True)
 class NaorOpening:
-    seeds: np.ndarray  # (committed,) uint64
-
-
-@dataclass(frozen=True)
-class SubsetOpening:
-    """Naor openings restricted to the committed bits a proof actually
-    reveals; seeds for unopened bits never leave the prover."""
-
-    positions: np.ndarray  # strictly increasing committed-bit positions
-    seeds: np.ndarray  # aligned with positions
+    seeds: np.ndarray  # one per committed bit of the opened positions, in position order
 
 
 @dataclass(frozen=True)
@@ -146,23 +143,15 @@ class DealerOpening:
     receipt: bytes
 
 
-def _position_array(positions) -> np.ndarray:
-    """Positions as an int64 array; a range becomes the matching arange."""
-    if isinstance(positions, range):
-        return np.arange(positions.start, positions.stop, positions.step, dtype=np.int64)
-    return np.asarray(positions, dtype=np.int64)
-
-
-def restrict_opening(opening, blocks: np.ndarray | range, width: int = 1):
-    """Project a full opening onto the committed bits [i*width, (i+1)*width)
-    of the revealed blocks i (a bool mask, an index array or a range). A
-    dealer opening is position-free and comes back as is, positions unbuilt."""
-    if isinstance(opening, DealerOpening):
+def restrict_opening(opening, opened: np.ndarray, width: int = 1):
+    """The opening of the positions set in opened, a (k,) bool mask: a naor
+    opening keeps the seeds of their committed bits. A dealer opening is
+    position-free, and an opening of every position is already that opening;
+    both come back as is."""
+    if isinstance(opening, NaorOpening) and not opened.all():
+        return NaorOpening(opening.seeds[np.repeat(opened, width)])
+    if isinstance(opening, (NaorOpening, DealerOpening)):
         return opening
-    if isinstance(opening, NaorOpening):
-        blocks = np.flatnonzero(blocks) if getattr(blocks, "dtype", None) == bool else _position_array(blocks)
-        positions = (blocks[:, None] * width + np.arange(width)).ravel()
-        return SubsetOpening(positions, opening.seeds[positions])
     raise ValueError("unknown opening type")
 
 
@@ -195,10 +184,10 @@ def _passes(n: int):
     return (slice(lo, lo + _PASS_BITS) for lo in range(0, n, _PASS_BITS))
 
 
-def _commitments(crs: NaorCrs, positions, seeds: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """c = G(seed) ^ bit * u[p], one row per committed bit p of positions."""
+def _commitments(crs: NaorCrs, u: np.ndarray, seeds: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """c = G(seed) ^ bit * u, one row per committed bit with its shift row in u."""
     rows = _prg_rows(seeds, crs.params, crs.prg_mode)
-    rows ^= crs.u[positions] * bits[:, None]
+    rows ^= u * bits[:, None]
     return rows
 
 
@@ -210,7 +199,7 @@ def hbg_genbits(crs, rng: np.random.Generator):
     if crs.mode == "naor":
         seeds = rng.integers(0, 1 << params.s, size=params.committed, dtype=np.uint64)
         bits = unpack_rows(r, params.width).ravel()
-        com = b"".join(_commitments(crs, p, seeds[p], bits[p]).tobytes() for p in _passes(params.committed))
+        com = b"".join(_commitments(crs, crs.u[p], seeds[p], bits[p]).tobytes() for p in _passes(params.committed))
         return HbgCommitment(com), r, NaorOpening(seeds)
     if crs.mode == "dealer":
         com = rng.integers(0, 256, size=16, dtype=np.uint8).tobytes()
@@ -220,70 +209,45 @@ def hbg_genbits(crs, rng: np.random.Generator):
     raise ValueError(f"unknown hbg mode {crs.mode!r}")
 
 
-def _naor_opening_ok(opening, committed: int) -> bool:
-    """A naor opening is integer arrays: all `committed` seeds, or a flat
-    seed array aligned with a flat, strictly increasing position array."""
-    if isinstance(opening, NaorOpening):
-        return int_array(opening.seeds) and opening.seeds.shape == (committed,)
-    if isinstance(opening, SubsetOpening):
-        have, seeds = opening.positions, opening.seeds
-        flat = int_array(have) and int_array(seeds) and have.ndim == 1 and seeds.shape == have.shape
-        return flat and bool((have[1:] > have[:-1]).all())
-    return False
-
-
-def _seeds_at(opening, positions: np.ndarray, s: int) -> np.ndarray | None:
-    """A valid naor opening's seeds at positions; None unless each has one in [0, 2^s)."""
-    index = positions
-    if isinstance(opening, SubsetOpening):
-        have = opening.positions
-        index = np.searchsorted(have, positions)
-        if (index == len(have)).any() or not np.array_equal(have[index], positions):
-            return None
-    seeds = opening.seeds[index]
-    if len(seeds) and (seeds.min() < 0 or int(seeds.max()) >> s):
-        return None
-    return seeds
-
-
 def hbg_verify(crs, com: HbgCommitment, i: int, r_i: int, opening) -> bool:
-    """Accept iff position i of com opens to the word r_i: the batch at one position."""
-    if not all(isinstance(v, (int, np.integer)) for v in (i, r_i)) or not 0 <= r_i < 256:
+    """Accept iff position i of com opens to the word r_i: the batch at a one-position mask."""
+    if not all(isinstance(v, (int, np.integer)) for v in (i, r_i)) or not (0 <= r_i < 256 and 0 <= i < crs.params.k):
         return False
-    return hbg_verify_batch(crs, com, range(i, i + 1), np.array([r_i], dtype=np.uint8), opening)
+    return hbg_verify_batch(crs, com, np.arange(crs.params.k) == i, np.array([r_i], dtype=np.uint8), opening)
 
 
-def hbg_verify_batch(crs, com: HbgCommitment, indices: np.ndarray | range, bits: np.ndarray, opening) -> bool:
-    """Accept iff com (bytes data) opens each position in indices (an array
-    or a range) to its word in bits (`words_fit`). Dealer mode compares the
-    registered words once, a step-1 range as one slice; naor mode checks
-    com's rows, exactly `committed` of them, against the relation by pass."""
+def hbg_verify_batch(crs, com: HbgCommitment, opened: np.ndarray, words: np.ndarray, opening) -> bool:
+    """Accept iff com (bytes data) opens each position set in opened, a
+    (k,) bool mask, to its word in words (`words_fit`, one per set entry,
+    in order). Dealer mode compares the registered words once; naor mode
+    takes one seed per committed bit of the opened positions, in order,
+    and checks com's rows, exactly `committed` of them, against the
+    relation by pass."""
     params = crs.params
-    if not (isinstance(com, HbgCommitment) and isinstance(com.data, bytes)) or not words_fit(bits, params.width):
+    if not (isinstance(com, HbgCommitment) and isinstance(com.data, bytes)) or not words_fit(words, params.width):
         return False
-    if isinstance(indices, range) and indices.step == 1:
-        take = slice(indices.start, indices.stop)
-        lo, hi = indices.start, indices.stop - 1
-    else:
-        indices = take = _position_array(indices)
-        lo, hi = (indices.min(), indices.max()) if len(indices) else (0, 0)
-    if bits.shape != (len(indices),) or (len(indices) and (lo < 0 or hi >= params.k)):
+    if not flat_mask(opened, params.k) or words.shape != (np.count_nonzero(opened),):
         return False
     if crs.mode == "dealer":
         entry = crs.registry.get(com.data)
         if entry is None or not isinstance(opening, DealerOpening) or opening.receipt != entry[1]:
             return False
-        return bool(np.array_equal(entry[0][take], bits))
-    if len(com.data) != params.committed * params.out_bytes or not _naor_opening_ok(opening, params.committed):
+        return bool(np.array_equal(entry[0][opened], words))
+    seeds = opening.seeds if isinstance(opening, NaorOpening) else None
+    if len(com.data) != params.committed * params.out_bytes or not int_array(seeds):
         return False
-    positions = (_position_array(indices)[:, None] * params.width + np.arange(params.width)).ravel()
-    bits = unpack_rows(bits.astype(np.uint8), params.width).ravel()
+    if seeds.shape != (words.size * params.width,) or (len(seeds) and (seeds.min() < 0 or int(seeds.max()) >> params.s)):
+        return False
+    committed = np.repeat(opened, params.width)
+    bits = unpack_rows(words.astype(np.uint8), params.width).ravel()
     rows = np.frombuffer(com.data, dtype=np.uint8).reshape(params.committed, params.out_bytes)
-    for part in _passes(len(positions)):
-        at = positions[part]
-        seeds = _seeds_at(opening, at, params.s)
-        if seeds is None or not np.array_equal(rows[at], _commitments(crs, at, seeds, bits[part])):
+    lo = 0
+    for part in _passes(params.committed):
+        take = committed[part]
+        hi = lo + np.count_nonzero(take)
+        if not np.array_equal(rows[part][take], _commitments(crs, crs.u[part][take], seeds[lo:hi], bits[lo:hi])):
             return False
+        lo = hi
     return True
 
 
@@ -312,7 +276,6 @@ def hbg_open(crs, com: HbgCommitment) -> HbgOpenResult:
 
 __all__ = [
     "DealerCrs",
-    "SubsetOpening",
     "restrict_opening",
     "DealerOpening",
     "HbgCommitment",

@@ -51,7 +51,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng as rng_mod
-from .bits import _fold
+from .bits import _fold, flat_mask
 from .graphs import CycleWitness, Digraph, require_witness
 
 
@@ -216,11 +216,6 @@ def _opened_mask(vmaps: list[Optional[tuple[int, ...]]], x: Digraph, params: HbP
     return mask
 
 
-def _well_shaped(opened, bits: int) -> bool:
-    """opened is a flat bool mask over `bits` hidden bits, so a valid opened set."""
-    return isinstance(opened, np.ndarray) and opened.dtype == bool and opened.shape == (bits,)
-
-
 def _proof(vmaps: list[Optional[tuple[int, ...]]]) -> HbProof:
     return HbProof(tuple(RepRevealAll() if vmap is None else RepUseful(vmap) for vmap in vmaps))
 
@@ -284,7 +279,7 @@ def hb_verify(opened: np.ndarray, r_I: np.ndarray, x: Digraph, proof: HbProof, p
     reps = proof.reps if isinstance(proof, HbProof) else None
     if not isinstance(reps, (tuple, list)) or len(reps) != params.repetitions:
         return False
-    if not _well_shaped(opened, params.total_bits):
+    if not flat_mask(opened, params.total_bits):
         return False
     kp = params.bits_per_rep
     rows = opened.reshape(params.repetitions, kp)

@@ -17,7 +17,7 @@ import struct
 import numpy as np
 
 from .bits import int_array
-from .hbg import DealerOpening, NaorOpening, SubsetOpening
+from .hbg import DealerOpening, NaorOpening
 from .hbnizk import HbProof, RepRevealAll, RepUseful
 
 
@@ -198,23 +198,18 @@ def decode(data: bytes | bytearray | memoryview):
 def opening_payload(opening) -> dict:
     if isinstance(opening, NaorOpening):
         return {"kind": "naor", "seeds": opening.seeds}
-    if isinstance(opening, SubsetOpening):
-        return {"kind": "subset", "positions": opening.positions, "seeds": opening.seeds}
     if isinstance(opening, DealerOpening):
         return {"kind": "dealer", "receipt": opening.receipt}
     raise WireError("unknown opening type")
 
 
 def opening_from_payload(payload: dict):
-    """The opening in payload; WireError unless its seeds and positions are integer arrays."""
+    """The opening in payload; WireError unless a naor opening's seeds are an integer array."""
     kind = payload.get("kind") if isinstance(payload, dict) else None
-    fields = {"naor": ("seeds",), "subset": ("positions", "seeds")}.get(kind, ())
-    if not all(int_array(payload.get(key)) for key in fields):
-        raise WireError(f"a {kind} opening's {' and '.join(fields)} must be integer arrays")
     if kind == "naor":
+        if not int_array(payload.get("seeds")):
+            raise WireError("a naor opening's seeds must be an integer array")
         return NaorOpening(payload["seeds"])
-    if kind == "subset":
-        return SubsetOpening(payload["positions"], payload["seeds"])
     if kind == "dealer" and isinstance(payload.get("receipt"), bytes):
         return DealerOpening(payload["receipt"])
     raise WireError("unknown opening payload")

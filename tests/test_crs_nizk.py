@@ -222,21 +222,18 @@ class TestNaorOpening:
         hb=HbParams(n=3, repetitions=600, matrix_side=3, block_len=1), hbg_mode="naor", hbg_s=8
     )
 
-    def _check(self, g, crs, proof):
-        from cenizk.hbg import SubsetOpening, hbg_verify
-
-        closed = np.flatnonzero(~proof.opened)
-        assert len(closed) > 0  # some repetition is useful, so some bits stay hidden
-        assert isinstance(proof.opening, SubsetOpening)
-        assert np.array_equal(proof.opening.positions, np.flatnonzero(proof.opened))
-        assert compiled_verify(self.SPEC, crs, g, proof) == 1
-        for bit in (0, 1):
-            assert not hbg_verify(crs.crs_bg, proof.com, int(closed[0]), bit, proof.opening)
-
     def test_prover_opens_exactly_the_revealed_set(self):
+        from cenizk.hbg import NaorOpening
+
         g = complete_digraph(3)
         crs = compiled_setup(self.SPEC, stream(1, "naor-crs"))
-        self._check(g, crs, compiled_prove(self.SPEC, crs, g, canonical_cycle(3), stream(1, "naor-prove")))
+        proof = compiled_prove(self.SPEC, crs, g, canonical_cycle(3), stream(1, "naor-prove"))
+        _, _, full = hbg_genbits(crs.crs_bg, stream(1, "naor-prove"))  # compiled_prove's first draw
+        assert 0 < np.count_nonzero(proof.opened) < len(proof.opened)  # some repetition is useful
+        assert isinstance(proof.opening, NaorOpening)
+        assert np.array_equal(proof.opening.seeds, full.seeds[proof.opened])
+        assert compiled_verify(self.SPEC, crs, g, proof) == 1
+        assert compiled_verify(self.SPEC, crs, g, replace(proof, opening=full)) == 0
 
 
 class TestMalformedCompiledProof:

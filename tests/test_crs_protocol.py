@@ -267,6 +267,56 @@ class TestVerify:
         assert residual.state.equals(sigma.state)
 
 
+class TestMalformedVerifyInput:
+    """crs_verify rejects a statement or proof field of the wrong type,
+    dtype, values or length with verdict 0, hands sigma back and draws
+    nothing; nothing raises. One field of an honest toy session replaced
+    at a time."""
+
+    @staticmethod
+    def _session():
+        rng = stream(0, "probe-crs")
+        crs = crs_setup(rng)
+        sigma, _ = crs_prove(PARAMS, crs, STATEMENT, WITNESS, rng)
+        return rng, crs, sigma
+
+    X = {
+        "x_none": None,
+        "x_list": STATEMENT.tolist(),
+        "x_float": STATEMENT.astype(float),
+        "x_holds_a_2": np.where(STATEMENT == 1, 2, 0).astype(np.uint8),
+        "x_one_short": STATEMENT[:-1],
+        "x_two_d": STATEMENT[:, None],
+    }
+    SIGMA = {
+        "ct0_none": lambda s: replace(s, ct0=None),
+        "ct0_list": lambda s: replace(s, ct0=s.ct0.tolist()),
+        "ct0_float": lambda s: replace(s, ct0=s.ct0.astype(float)),
+        "ct0_holds_a_2": lambda s: replace(s, ct0=s.ct0 | 2),
+        "ct0_negative": lambda s: replace(s, ct0=-s.ct0.astype(np.int64)),
+        "ct1_one_short": lambda s: replace(s, ct1=s.ct1[:-1]),
+        "ct1_one_over": lambda s: replace(s, ct1=np.append(s.ct1, 0)),
+        "ct1_str": lambda s: replace(s, ct1="0110"),
+        "state_none": lambda s: replace(s, state=None),
+        "state_too_few_qubits": lambda s: replace(s, state=SparseState(4, {0: 1.0 + 0.0j})),
+        "sigma_none": lambda s: None,
+    }
+
+    def test_honest_session_accepts(self):
+        rng, crs, sigma = self._session()
+        assert crs_verify(PARAMS, crs, STATEMENT, sigma, rng)[0] == 1
+
+    @pytest.mark.parametrize("how", sorted([*X, *SIGMA]))
+    def test_rejects_without_a_draw(self, how):
+        rng, crs, sigma = self._session()
+        x = self.X.get(how, STATEMENT)
+        bad = self.SIGMA[how](sigma) if how in self.SIGMA else sigma
+        before = rng.bit_generator.state
+        b, residual = crs_verify(PARAMS, crs, x, bad, rng)
+        assert b == 0 and residual is bad
+        assert rng.bit_generator.state == before
+
+
 class TestCert:
     def test_honest_verify_then_cert(self, rng):
         crs = crs_setup(rng)

@@ -29,18 +29,17 @@ from cenizk.epr_protocol import (
     run_cezk_real,
     _assemble_proof,
 )
-from cenizk.bits import unpack_rows
+from cenizk.bits import flat_mask, unpack_rows
 from cenizk.graphs import canonical_cycle, complete_digraph, non_hamiltonian_triangle
 from cenizk.hbg import (
     NaorOpening,
-    SubsetOpening,
     hbg_genbits,
     hbg_setup,
     hbg_verify,
     hbg_verify_batch,
     restrict_opening,
 )
-from cenizk.hbnizk import HbParams, HbProof, RepRevealAll, _well_shaped
+from cenizk.hbnizk import HbParams, HbProof, RepRevealAll
 from cenizk.rng import stream
 from cenizk.state import SimUsageError
 from conftest import CHI2_CRIT_1DF, chi_square_uniform
@@ -138,13 +137,6 @@ class TestHonestSessions:
         crs, net = epr_setup(DELETING, rng)
         proof, prover = epr_prove(DELETING, crs, net, g, w, rng)
         assert proof.theta_I.shape == (np.count_nonzero(proof.opened),)
-        from cenizk.hbg import SubsetOpening
-
-        if isinstance(proof.op_I, SubsetOpening):
-            allowed = set()
-            for i in np.flatnonzero(proof.opened):
-                allowed.update(range(i * DELETING.block_width, (i + 1) * DELETING.block_width))
-            assert set(int(p) for p in proof.op_I.positions) <= allowed
 
 
 class TestDeletion:
@@ -350,7 +342,7 @@ class TestFullOpenedSet:
         g, crs, net, proof, rng = self._full_session("verify")
         b, residual = epr_verify(TINY, crs, net, g, self._tampered(proof, how), rng)
         assert b == (1 if how is None else 0)
-        assert _well_shaped(residual.opened, TINY.num_blocks)
+        assert flat_mask(residual.opened, TINY.num_blocks)
 
     @pytest.mark.parametrize("how", [None, "shifted", "missing"])
     def test_hypothetical_verifier_accepts_only_the_true_full_set(self, how):
@@ -370,7 +362,7 @@ class TestFullOpenedSet:
 class TestPartialOpening:
     """A partly opened proof at the criterion-1 shape: the generator
     opening is restricted from the block mask, and only a naor opening
-    turns it into pair positions."""
+    keeps part of itself, the seeds of the opened blocks' pairs."""
 
     PARAMS = EprParams(hb=HbParams(n=4, repetitions=20, matrix_side=64, block_len=10), block_width=6)
 
@@ -394,10 +386,10 @@ class TestPartialOpening:
     def test_naor_opening_covers_the_pairs_of_the_opened_blocks(self, rng):
         seeds = np.arange(40 * 3, dtype=np.uint64) * 7
         opened = rng.random(40) < 0.5
-        sub = restrict_opening(NaorOpening(seeds), opened, 3)
-        pairs = np.flatnonzero(np.repeat(opened, 3))
-        assert sub.positions.dtype == np.int64 and np.array_equal(sub.positions, pairs)
-        assert np.array_equal(sub.seeds, seeds[pairs])
+        full = NaorOpening(seeds)
+        sub = restrict_opening(full, opened, 3)
+        assert isinstance(sub, NaorOpening) and np.array_equal(sub.seeds, seeds[np.flatnonzero(np.repeat(opened, 3))])
+        assert restrict_opening(full, np.ones(40, dtype=bool), 3) is full
 
 
 class TestRejectedOpenedSet:
@@ -447,7 +439,7 @@ class TestRejectedOpenedSet:
         expected = self.CASES[name][1]
         g, crs, net, proof, rng = TestFullOpenedSet._full_session("rejected")
         _, residual = epr_verify(TINY, crs, net, g, replace(proof, opened=self._opened(name)), rng)
-        assert _well_shaped(residual.opened, TINY.num_blocks)
+        assert flat_mask(residual.opened, TINY.num_blocks)
         assert np.flatnonzero(~residual.opened).tolist() == expected
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -457,40 +449,38 @@ class TestRejectedOpenedSet:
 
 
 class TestMalformedNaorOpening:
-    """A naor opening whose seeds do not line up with the positions it
-    covers, or whose seeds or positions are not integer arrays, rejects
+    """A naor opening whose seeds do not line up with the committed bits
+    of the opened blocks, or whose seeds are not an integer array, rejects
     in the protocol and in both generator checks; nothing raises."""
 
     PARAMS = EprParams(hb=HbParams(n=3, repetitions=1, matrix_side=3, block_len=1), block_width=4, hbg_mode="naor")
 
     @pytest.mark.parametrize(
-        "how",
-        ["seeds_short", "seeds_two_d", "naor_short", "naor_long", "float_subset", "object_seeds", "naor_float_seeds"],
+        "how", ["seeds_short", "seeds_two_d", "naor_short", "naor_long", "object_seeds", "naor_float_seeds"]
     )
     def test_epr_verify_rejects(self, how):
         g, w = complete_digraph(3), canonical_cycle(3)
         rng = stream(0, "naor-malformed")
         crs, net = epr_setup(self.PARAMS, rng)
         proof, _ = epr_prove(self.PARAMS, crs, net, g, w, rng)
-        positions, seeds = proof.op_I.positions, proof.op_I.seeds
-        blocks = np.flatnonzero(proof.opened)  # the generator positions; the opening covers their pairs
-        assert proof.opened.all()  # so the subset seeds are a full naor opening's
+        seeds, width = proof.op_I.seeds, self.PARAMS.block_width
+        assert proof.opened.all()  # so the proof ships the prover's whole opening
         bad = {
-            "seeds_short": SubsetOpening(positions, seeds[:-1]),
-            "seeds_two_d": SubsetOpening(positions, seeds[:, None]),
-            "naor_short": NaorOpening(seeds[:-1]),
+            "seeds_short": NaorOpening(seeds[:-1]),
+            "seeds_two_d": NaorOpening(seeds[:, None]),
+            "naor_short": NaorOpening(seeds[:-width]),  # one block's seeds missing
             "naor_long": NaorOpening(np.append(seeds, seeds[:1])),
-            "float_subset": SubsetOpening(positions.astype(float), seeds.astype(float)),
-            "object_seeds": SubsetOpening(positions, seeds.astype(object)),
+            "object_seeds": NaorOpening(seeds.astype(object)),
             "naor_float_seeds": NaorOpening(seeds.astype(float)),
         }[how]
-        words = list(zip(blocks.tolist(), proof.theta_I.tolist()))
+        words = list(zip(np.flatnonzero(proof.opened).tolist(), proof.theta_I.tolist()))
         assert epr_verify(self.PARAMS, crs, net, g, replace(proof, op_I=bad), rng)[0] == 0
-        assert not hbg_verify_batch(crs.crs_bg, proof.com, blocks, proof.theta_I, bad)
+        assert not hbg_verify_batch(crs.crs_bg, proof.com, proof.opened, proof.theta_I, bad)
         assert not any(hbg_verify(crs.crs_bg, proof.com, i, t, bad) for i, t in words)
-        for honest in (proof.op_I, NaorOpening(seeds)):
-            assert hbg_verify_batch(crs.crs_bg, proof.com, blocks, proof.theta_I, honest)
-            assert all(hbg_verify(crs.crs_bg, proof.com, i, t, honest) for i, t in words)
+        assert hbg_verify_batch(crs.crs_bg, proof.com, proof.opened, proof.theta_I, proof.op_I)
+        for i, t in words:
+            one = np.arange(self.PARAMS.num_blocks) == i
+            assert hbg_verify(crs.crs_bg, proof.com, i, t, restrict_opening(proof.op_I, one, width))
 
 
 class TestMalformedProof:

@@ -3,11 +3,13 @@ for fixed seeds. Any change to a verdict, an RNG draw order or a CENZ1
 byte shows up here.
 
 CENZ1 version 3 draws and stores EPR bases and outcomes as one byte per
-block, and the hidden-bits generator draws its words the same way, so
-the EPR and crs-dry sessions are pinned by their version-3 bytes. A
-crs-toy transcript has the same bytes in versions 1 to 3 but for the
-version field, so the digests recorded under versions 1 and 2 still pin
-it, with that field set back."""
+block, and the hidden-bits generator draws its words the same way.
+Version 4 changed only the naor opening: it sends the seeds of the
+opened positions and no positions. So a dealer EPR, crs-dry or crs-toy
+transcript has the same bytes in version 4 as in version 3 (crs-toy in
+versions 1 to 3) but for the version field, and the digests recorded
+under those versions still pin it, with that field set back; the naor
+sessions are pinned by their version-4 bytes."""
 
 import hashlib
 
@@ -69,7 +71,7 @@ GOLDEN_V2 = {
 }
 
 # default EPR session with the naor-mode generator: the proof carries a
-# SubsetOpening (positions and seeds) instead of a dealer receipt
+# NaorOpening (the opened positions' seeds) instead of a dealer receipt
 NAOR = {"n": 3, "reps": 1, "m": 3, "b": 1, "k": 4, "hbg": "naor", "hbg_s": 12}
 NAOR_GOLDEN_V3 = {
     0: "5ed59b1081f156ca84566464236ad318ee907ceba720dc7d35e71b7a02de97f6",
@@ -88,8 +90,8 @@ def _digest(data: bytes, version: int | None = None) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _session_digest(protocol, params, seed) -> str:
-    return _digest(serialize_transcript(run_session(protocol, params, seed)))
+def _session_digest(protocol, params, seed, version: int | None = None) -> str:
+    return _digest(serialize_transcript(run_session(protocol, params, seed)), version)
 
 
 @pytest.mark.parametrize("protocol,seed", sorted([*GOLDEN_V3, *GOLDEN]))
@@ -98,7 +100,7 @@ def test_default_session_digest(protocol, seed):
         data = serialize_transcript(run_session(protocol, None, seed))
         assert (_digest(data, 2), _digest(data, 1)) == (GOLDEN_V2[(protocol, seed)], GOLDEN[(protocol, seed)])
     else:
-        assert _session_digest(protocol, None, seed) == GOLDEN_V3[(protocol, seed)]
+        assert _session_digest(protocol, None, seed, 3) == GOLDEN_V3[(protocol, seed)]
 
 
 @pytest.mark.parametrize("seed", sorted(NAOR_GOLDEN_V3))
@@ -108,7 +110,7 @@ def test_naor_session_digest(seed):
 
 
 def test_criterion_1_session_digest():
-    assert _session_digest("epr", CRITERION_1, 0) == CRITERION_1_SEED0_V3
+    assert _session_digest("epr", CRITERION_1, 0, 3) == CRITERION_1_SEED0_V3
 
 
 # ---------------------------------------------------------------------

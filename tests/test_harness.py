@@ -89,29 +89,23 @@ class TestWire:
             {"kind": "naor", "seeds": np.array([1.5, 7.9])},
             {"kind": "naor", "seeds": [1, 7]},
             {"kind": "naor"},
-            {"kind": "subset", "positions": np.array([0.0, 1.0]), "seeds": np.array([1, 7], dtype=np.uint64)},
-            {"kind": "subset", "positions": np.array([0, 1]), "seeds": np.array([1.5, 7.9])},
-            {"kind": "subset", "positions": np.array([0, 1])},
-            {"kind": "subset", "seeds": np.array([1, 7], dtype=np.uint64)},
+            {"kind": "subset", "positions": np.array([0, 1]), "seeds": np.array([1, 7], dtype=np.uint64)},
             {"kind": "dealer"},
             {"kind": "dealer", "receipt": "r"},
         ],
-        ids=["naor-float", "naor-list", "naor-missing", "subset-float-positions", "subset-float-seeds",
-             "subset-no-seeds", "subset-no-positions", "dealer-no-receipt", "dealer-str-receipt"],
+        ids=["naor-float", "naor-list", "naor-missing", "subset-kind-retired", "dealer-no-receipt", "dealer-str-receipt"],
     )
     def test_opening_payload_needs_integer_arrays(self, payload):
         with pytest.raises(wire.WireError):
             wire.opening_from_payload(wire.decode(wire.encode(payload)))
 
     def test_opening_payload_round_trip_keeps_arrays(self):
-        from cenizk.hbg import NaorOpening, SubsetOpening
+        from cenizk.hbg import NaorOpening
 
-        sub = SubsetOpening(np.array([2, 5], dtype=np.int64), np.array([9, 4], dtype=np.uint64))
-        back = wire.opening_from_payload(wire.decode(wire.encode(wire.opening_payload(sub))))
-        assert isinstance(back, SubsetOpening) and back.positions.dtype == np.int64 and back.seeds.dtype == np.uint64
-        assert np.array_equal(back.positions, sub.positions) and np.array_equal(back.seeds, sub.seeds)
-        full = wire.opening_from_payload(wire.decode(wire.encode(wire.opening_payload(NaorOpening(sub.seeds)))))
-        assert isinstance(full, NaorOpening) and np.array_equal(full.seeds, sub.seeds)
+        for seeds in (np.array([9, 4], dtype=np.uint64), np.array([9, 4], dtype=np.int64)):
+            back = wire.opening_from_payload(wire.decode(wire.encode(wire.opening_payload(NaorOpening(seeds)))))
+            assert isinstance(back, NaorOpening) and back.seeds.dtype == seeds.dtype
+            assert np.array_equal(back.seeds, seeds)
 
     def test_trailing_bytes_rejected(self):
         with pytest.raises(wire.WireError):
@@ -225,7 +219,7 @@ class TestTranscriptSerialization:
 
     def test_version_1_file_is_refused(self, capsys, tmp_path):
         # a well-formed body behind version 1: v1 EPR payloads are not bit-packed
-        assert VERSION == 3
+        assert VERSION == 4
         data = serialize_transcript(self._sample())
         v1 = MAGIC + (1).to_bytes(2, "big") + data[7:]
         with pytest.raises(TranscriptError, match="version 1$"):
@@ -248,6 +242,21 @@ class TestTranscriptSerialization:
             assert cli_main([verb, "--in", str(path)]) == 2
             err = capsys.readouterr().err
             assert "unsupported transcript version 2" in err and "replay mismatch" not in err
+
+
+    def test_version_3_file_is_refused(self, capsys, tmp_path):
+        # version 3 sent a naor opening's positions: its files are refused
+        # (exit 2), never replayed against version 4 bytes (exit 1)
+        data = serialize_transcript(run_session("epr", UNOPENED_PARAMS, UNOPENED_SEED))
+        v3 = MAGIC + (3).to_bytes(2, "big") + data[7:]
+        with pytest.raises(TranscriptError, match="version 3$"):
+            deserialize_transcript(v3)
+        path = tmp_path / "v3.cenz"
+        path.write_bytes(v3)
+        for verb in ("certify", "prove"):
+            assert cli_main([verb, "--in", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "unsupported transcript version 3" in err and "replay mismatch" not in err
 
 
 class TestDeterminism:
@@ -309,9 +318,9 @@ class TestDeterminism:
         assert payload["opened"].dtype == np.uint8 and len(payload["opened"]) == (ell + 7) // 8
         assert payload["theta_I"].dtype == np.uint8 and payload["theta_I"].shape == (len(arrays["I"]),)
         assert not np.any(payload["theta_I"] >> k)
-        assert payload["op"]["kind"] == "subset"
-        allowed = {int(i) * k + j for i in arrays["I"] for j in range(k)}
-        assert set(int(p) for p in payload["op"]["positions"]) == allowed
+        # a naor op carries one seed per pair of an opened block, and no positions
+        assert list(payload["op"]) == ["kind", "seeds"] and payload["op"]["kind"] == "naor"
+        assert payload["op"]["seeds"].shape == (len(arrays["I"]) * k,)
 
     def test_epr_payloads_unpack_to_the_protocol_objects(self):
         seed = UNOPENED_SEED

@@ -15,7 +15,6 @@ from cenizk.hbg import (
     HbgCommitment,
     HbgParams,
     NaorOpening,
-    SubsetOpening,
     hbg_genbits,
     hbg_open,
     hbg_setup,
@@ -29,6 +28,19 @@ from cenizk.rng import stream
 from conftest import CHI2_CRIT_1DF, chi_square_uniform
 
 CRITERION_SEED = 20260808  # the acceptance suite's SEED
+
+
+def mask(k, positions):
+    """The (k,) bool mask opening positions."""
+    opened = np.zeros(k, dtype=bool)
+    opened[list(positions)] = True
+    return opened
+
+
+def verify_each(crs, com, words, opening) -> list[bool]:
+    """hbg_verify at each position, with the opening restricted to it."""
+    k, width = crs.params.k, crs.params.width
+    return [hbg_verify(crs, com, i, int(words[i]), restrict_opening(opening, mask(k, [i]), width)) for i in range(k)]
 
 
 class TestNaorBasics:
@@ -46,7 +58,8 @@ class TestNaorBasics:
     def test_round_trip_all_positions(self, rng):
         crs = hbg_setup(10, "naor", rng, s=10)
         com, r, op = hbg_genbits(crs, rng)
-        assert all(hbg_verify(crs, com, i, int(r[i]), op) for i in range(10))
+        assert hbg_verify_batch(crs, com, np.ones(10, dtype=bool), r, op)
+        assert all(verify_each(crs, com, r, op))
 
     def test_setup_deterministic_under_seed(self):
         a = hbg_setup(4, "naor", stream(7, "x"), s=8)
@@ -66,10 +79,12 @@ class TestNaorBasics:
     def test_subset_opening_restriction(self, rng):
         crs = hbg_setup(8, "naor", rng, s=8)
         com, r, op = hbg_genbits(crs, rng)
-        sub = restrict_opening(op, np.array([1, 4, 6]))
-        assert isinstance(sub, SubsetOpening)
-        assert hbg_verify(crs, com, 4, int(r[4]), sub)
-        assert not hbg_verify(crs, com, 2, int(r[2]), sub)  # not revealed
+        opened = mask(8, [1, 4, 6])
+        sub = restrict_opening(op, opened)
+        assert isinstance(sub, NaorOpening) and np.array_equal(sub.seeds, op.seeds[[1, 4, 6]])
+        assert hbg_verify_batch(crs, com, opened, r[opened], sub)
+        assert not hbg_verify_batch(crs, com, mask(8, [1, 2, 6]), r[[1, 2, 6]], sub)  # 2 not revealed
+        assert not hbg_verify(crs, com, 4, int(r[4]), sub)  # three seeds for one position
 
     def test_r_marginal_uniform(self, rng):
         crs = hbg_setup(1, "naor", rng, s=8)
@@ -97,7 +112,7 @@ class TestOpenOracle:
         for i in range(6):
             if res.equivocal[i]:
                 continue  # the brute-force scan found a collision; skip
-            assert not hbg_verify(crs, com, i, int(r[i]) ^ 1, op)
+            assert not hbg_verify(crs, com, i, int(r[i]) ^ 1, restrict_opening(op, mask(6, [i])))
 
     def test_adversarial_off_coset_never_verifies(self, rng):
         # exhaustive at s=8: craft a chunk outside both cosets, then no
@@ -172,67 +187,83 @@ class TestDealer:
     def test_batch_verification(self, rng):
         crs = hbg_setup(64, "dealer", rng)
         com, r, op = hbg_genbits(crs, rng)
-        idx = np.arange(64)
-        assert hbg_verify_batch(crs, com, idx, r, op)
+        every = np.ones(64, dtype=bool)
+        assert hbg_verify_batch(crs, com, every, r, op)
         bad = r.copy()
         bad[10] ^= 1
-        assert not hbg_verify_batch(crs, com, idx, bad, op)
+        assert not hbg_verify_batch(crs, com, every, bad, op)
 
 
-class TestRangePositions:
-    """A range of positions is checked like the same positions as an array."""
+class TestOpenedMask:
+    """The opened set is one (k,) bool mask; a naor opening is one seed per
+    committed bit of the opened positions, in position order."""
 
     @staticmethod
-    def _session(mode):
-        rng = stream(7, "range", mode)
-        crs = hbg_setup(12, mode, rng, s=8)
+    def _session(mode, width=1):
+        rng = stream(7, "mask", mode, width)
+        crs = hbg_setup(12, mode, rng, s=8, width=width)
         com, r, op = hbg_genbits(crs, rng)
         return crs, com, r, op
 
     @pytest.mark.parametrize("mode", ["dealer", "naor"])
-    @pytest.mark.parametrize("span", [range(12), range(3, 9), range(0, 12, 2), range(5, 5)])
-    def test_range_and_array_verdicts_agree(self, mode, span):
+    def test_mask_of_wrong_length_rank_or_dtype_rejects(self, mode):
         crs, com, r, op = self._session(mode)
-        arr = np.array(list(span), dtype=np.int64)
-        op = restrict_opening(op, span)
-        bits = r[arr]
-        assert hbg_verify_batch(crs, com, span, bits, op) is True
-        assert hbg_verify_batch(crs, com, arr, bits, op) is True
-        if len(span):
-            bad = bits.copy()
-            bad[-1] ^= 1
-            assert hbg_verify_batch(crs, com, span, bad, op) is False
-            assert hbg_verify_batch(crs, com, arr, bad, op) is False
+        every = np.ones(12, dtype=bool)
+        assert hbg_verify_batch(crs, com, every, r, op) is True
+        for bad in (
+            every[:11],
+            np.ones(13, dtype=bool),
+            every.reshape(2, 6),
+            every[:, None],
+            every.astype(np.uint8),
+            np.arange(12),
+            every.tolist(),
+            range(12),
+            None,
+        ):
+            assert hbg_verify_batch(crs, com, bad, r, op) is False
 
     @pytest.mark.parametrize("mode", ["dealer", "naor"])
-    @pytest.mark.parametrize("span", [range(0, 13), range(10, 14), range(-1, 4)])
-    def test_range_outside_the_generator_rejected(self, mode, span):
+    def test_words_must_match_the_opened_count(self, mode):
         crs, com, r, op = self._session(mode)
-        # correct bits wherever a position exists; only the range is wrong
-        bits = np.array([r[i] if 0 <= i < 12 else 0 for i in span], dtype=np.uint8)
-        assert hbg_verify_batch(crs, com, span, bits, op) is False
-        assert hbg_verify_batch(crs, com, np.array(span), bits, op) is False
+        opened = mask(12, [0, 3, 4, 9])
+        op = restrict_opening(op, opened)
+        assert hbg_verify_batch(crs, com, opened, r[opened], op) is True
+        for words in (r[opened][:-1], r[mask(12, [0, 3, 4, 9, 10])], r):
+            assert hbg_verify_batch(crs, com, opened, words, op) is False
 
-    def test_length_mismatch_rejected(self):
-        crs, com, r, op = self._session("dealer")
-        assert hbg_verify_batch(crs, com, range(12), r[:11], op) is False
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_seed_count_one_short_or_one_over_rejects(self, width):
+        crs, com, r, op = self._session("naor", width)
+        opened = mask(12, [1, 2, 7, 11])
+        seeds = restrict_opening(op, opened, width).seeds
+        assert len(seeds) == opened.sum() * width
+        assert hbg_verify_batch(crs, com, opened, r[opened], NaorOpening(seeds)) is True
+        for bad in (seeds[:-1], np.append(seeds, seeds[:1]), op.seeds):
+            assert hbg_verify_batch(crs, com, opened, r[opened], NaorOpening(bad)) is False
 
-    @pytest.mark.parametrize("span", [range(12), range(2, 7), range(1, 12, 3), range(4, 4)])
-    def test_restrict_naor_opening_to_range_equals_array(self, span):
-        from cenizk.wire import encode, opening_payload
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_partly_opened_payload_carries_only_the_opened_seeds(self, width):
+        from cenizk.wire import decode, encode, opening_from_payload, opening_payload
 
-        _, _, _, op = self._session("naor")
-        by_range = restrict_opening(op, span)
-        by_array = restrict_opening(op, np.array(list(span), dtype=np.int64))
-        assert isinstance(by_range, SubsetOpening)
-        assert by_range.positions.dtype == by_array.positions.dtype == np.int64
-        assert np.array_equal(by_range.positions, by_array.positions)
-        assert np.array_equal(by_range.seeds, by_array.seeds)
-        assert encode(opening_payload(by_range)) == encode(opening_payload(by_array))
+        crs, com, r, op = self._session("naor", width)
+        opened = mask(12, [0, 5, 6, 10])
+        payload = decode(encode(opening_payload(restrict_opening(op, opened, width))))
+        assert list(payload) == ["kind", "seeds"] and payload["kind"] == "naor"
+        assert np.array_equal(payload["seeds"], op.seeds[np.repeat(opened, width)])
+        assert hbg_verify_batch(crs, com, opened, r[opened], opening_from_payload(payload))
+        # with every prover seed distinct, no closed position's seed is sent
+        distinct = NaorOpening(np.arange(12 * width, dtype=np.uint64) + 100)
+        sent = opening_payload(restrict_opening(distinct, opened, width))["seeds"]
+        assert len(sent) == opened.sum() * width
+        assert not np.isin(distinct.seeds[~np.repeat(opened, width)], sent).any()
 
-    def test_restrict_dealer_opening_is_position_free(self):
-        _, _, _, op = self._session("dealer")
-        assert restrict_opening(op, range(12)) is op
+    @pytest.mark.parametrize("mode", ["dealer", "naor"])
+    def test_restriction_to_every_position_is_the_opening_itself(self, mode):
+        _, _, _, op = self._session(mode)
+        assert restrict_opening(op, np.ones(12, dtype=bool)) is op
+        if mode == "dealer":
+            assert restrict_opening(op, mask(12, [3])) is op
 
 
 class TestHidingControl:
@@ -270,15 +301,17 @@ class TestWords:
         com, r, op = hbg_genbits(crs, rng)
         assert r.dtype == np.uint8 and r.shape == (12,) and not np.any(r >> width)
         assert not r.flags.writeable
-        assert hbg_verify_batch(crs, com, range(12), r, op)
-        assert all(hbg_verify(crs, com, i, int(r[i]), op) for i in range(12))
+        every = np.ones(12, dtype=bool)
+        assert hbg_verify_batch(crs, com, every, r, op)
+        assert all(verify_each(crs, com, r, op))
+        at5 = restrict_opening(op, mask(12, [5]), width)
         for j in (0, width - 1):
             bad = r.copy()
             bad[5] ^= 1 << j
-            assert not hbg_verify_batch(crs, com, range(12), bad, op)
-            assert not hbg_verify(crs, com, 5, int(bad[5]), op)
+            assert not hbg_verify_batch(crs, com, every, bad, op)
+            assert not hbg_verify(crs, com, 5, int(bad[5]), at5)
         # a bit at or above the width is never part of an opening
-        assert not hbg_verify(crs, com, 5, int(r[5]) | (1 << width), op)
+        assert not hbg_verify(crs, com, 5, int(r[5]) | (1 << width), at5)
 
     @pytest.mark.parametrize("width", [2, 6])
     def test_naor_commits_every_bit_and_open_packs_them(self, width):
@@ -301,9 +334,10 @@ class TestWords:
         rng = stream(0, "words-subset")
         crs = hbg_setup(6, "naor", rng, s=8, width=3)
         com, r, op = hbg_genbits(crs, rng)
-        sub = restrict_opening(op, np.array([3, 4, 5, 12, 13, 14]))  # positions 1 and 4
-        assert hbg_verify_batch(crs, com, np.array([1, 4]), r[[1, 4]], sub)
-        assert not hbg_verify_batch(crs, com, np.array([1, 2]), r[[1, 2]], sub)
+        sub = restrict_opening(op, mask(6, [1, 4]), 3)
+        assert np.array_equal(sub.seeds, op.seeds[[3, 4, 5, 12, 13, 14]])
+        assert hbg_verify_batch(crs, com, mask(6, [1, 4]), r[[1, 4]], sub)
+        assert not hbg_verify_batch(crs, com, mask(6, [1, 2]), r[[1, 2]], sub)
 
     def test_width_above_a_byte_rejected(self, rng):
         with pytest.raises(ValueError, match="width"):
@@ -321,33 +355,28 @@ def g_reference(seed: int, s: int, mode: str = PRG_BLAKE) -> bytes:
     return (int.from_bytes(raw, "big") & ((1 << 3 * s) - 1)).to_bytes(n, "big")
 
 
-def reference_verify(crs, com, indices, words, opening) -> bool:
+def reference_verify(crs, com, opened, words, opening) -> bool:
     """naor-mode hbg_verify_batch written out one committed bit at a time
     from prg_expand and crs.u."""
     p, n = crs.params, crs.params.out_bytes
     if not isinstance(com, HbgCommitment) or len(com.data) != p.committed * n:
         return False
+    if not isinstance(opened, np.ndarray) or opened.dtype != bool or opened.shape != (p.k,):
+        return False
+    indices = [i for i in range(p.k) if opened[i]]
     if not isinstance(words, np.ndarray) or words.dtype.kind != "u" or words.shape != (len(indices),):
         return False
-    if isinstance(opening, NaorOpening):
-        if opening.seeds.dtype.kind not in "iu" or opening.seeds.shape != (p.committed,):
-            return False
-        seed_of = dict(enumerate(opening.seeds.tolist()))
-    else:
-        have, seeds = opening.positions, opening.seeds
-        if have.dtype.kind not in "iu" or seeds.dtype.kind not in "iu" or have.ndim != 1 or seeds.shape != have.shape:
-            return False
-        if have.tolist() != sorted(set(have.tolist())):
-            return False
-        seed_of = dict(zip(have.tolist(), seeds.tolist()))
+    seeds = opening.seeds
+    if seeds.dtype.kind not in "iu" or seeds.shape != (len(indices) * p.width,):
+        return False
+    seeds = iter(seeds.tolist())  # the opened positions' committed bits, in order
     g_of = {}  # G per seed, computed once
-    for i, word in zip(list(indices), words.tolist()):
-        if not 0 <= i < p.k or word >> p.width:
+    for i, word in zip(indices, words.tolist()):
+        if word >> p.width:
             return False
         for j in range(p.width):
-            q = i * p.width + j
-            seed = seed_of.get(q)
-            if seed is None or not 0 <= seed < 1 << p.s:
+            q, seed = i * p.width + j, next(seeds)
+            if not 0 <= seed < 1 << p.s:
                 return False
             if seed not in g_of:
                 g_of[seed] = np.frombuffer(prg_expand(seed, p, crs.prg_mode), dtype=np.uint8)
@@ -402,9 +431,8 @@ class TestBatchMatchesReference:
     @pytest.mark.parametrize("width", [1, 6, 8])
     def test_mutated_commitments_and_flipped_bits(self, width):
         crs, com, r, op = self._session(width)
-        n, every = crs.params.out_bytes, np.arange(12)
+        n, every = crs.params.out_bytes, np.ones(12, dtype=bool)
         assert self._verdict(crs, com, every, r, op)
-        assert self._verdict(crs, com, range(12), r, op)
         for q in (0, 5 * width, 12 * width - 1):
             for byte in (0, n - 1):
                 data = bytearray(com.data)
@@ -422,30 +450,33 @@ class TestBatchMatchesReference:
         s, n, q = crs.params.s, crs.params.out_bytes, 3 * width + width // 2
         seeds = op.seeds.copy()
         seeds[q] += np.uint64(1 << s)
-        assert not self._verdict(crs, com, np.arange(12), r, NaorOpening(seeds))
+        every, at3 = np.ones(12, dtype=bool), mask(12, [3])
+        assert not self._verdict(crs, com, every, r, NaorOpening(seeds))
         # a commitment made honestly from a seed outside [0, 2^s): G is
         # defined there, so only the seed-width check rejects it
         bit = (int(r[3]) >> (q - 3 * width)) & 1
         c = np.frombuffer(g_reference(int(seeds[q]), s), dtype=np.uint8) ^ crs.u[q] * bit
         forged = HbgCommitment(com.data[: q * n] + c.tobytes() + com.data[(q + 1) * n :])
-        assert not self._verdict(crs, forged, np.arange(12), r, NaorOpening(seeds))
-        sub = restrict_opening(NaorOpening(seeds), np.array([3]), width)
-        assert not self._verdict(crs, forged, np.array([3]), r[[3]], sub)
-        assert not self._verdict(crs, forged, np.array([3]), r[[3]], SubsetOpening(sub.positions, sub.seeds.astype(np.int64)))
+        assert not self._verdict(crs, forged, every, r, NaorOpening(seeds))
+        sub = restrict_opening(NaorOpening(seeds), at3, width)
+        assert not self._verdict(crs, forged, at3, r[[3]], sub)
+        assert not self._verdict(crs, forged, at3, r[[3]], NaorOpening(sub.seeds.astype(np.int64)))
 
     @pytest.mark.parametrize("width", [1, 6, 8])
-    def test_missing_repeated_and_unsorted_positions(self, width):
+    def test_seeds_follow_the_mask_in_position_order(self, width):
         crs, com, r, op = self._session(width)
-        sub = restrict_opening(op, np.array([1, 4, 6]), width)
-        for blocks, ok in (([1, 4, 6], True), ([6, 1, 4], True), ([4, 4, 1, 4], True), ([], True), ([1, 2], False), ([0], False)):
-            blocks = np.array(blocks, dtype=np.int64)
-            assert self._verdict(crs, com, blocks, r[blocks], sub) is ok
-        # the opening's own positions must be strictly increasing
-        twice = SubsetOpening(np.repeat(sub.positions, 2), np.repeat(sub.seeds, 2))
-        backwards = SubsetOpening(sub.positions[::-1].copy(), sub.seeds[::-1].copy())
-        for bad in (twice, backwards):
-            assert not self._verdict(crs, com, np.array([1, 4, 6]), r[[1, 4, 6]], bad)
-            assert not self._verdict(crs, com, np.array([6]), r[[6]], bad)
+        opened = mask(12, [1, 4, 6])
+        seeds = restrict_opening(op, opened, width).seeds
+        assert self._verdict(crs, com, opened, r[opened], NaorOpening(seeds))
+        assert self._verdict(crs, com, mask(12, []), r[:0], NaorOpening(seeds[:0]))
+        for other in ([1, 2, 6], [0, 4, 6], [1, 4]):
+            assert not self._verdict(crs, com, mask(12, other), r[other], NaorOpening(seeds))
+        # the seeds of positions 1 and 4 swapped, and each position's bits reversed
+        blocks = seeds.reshape(3, width)
+        swapped, reversed_bits = blocks[[1, 0, 2]].ravel(), blocks[:, ::-1].ravel()
+        for bad in (swapped, reversed_bits, seeds[:-1], np.append(seeds, seeds[:1])):
+            if not np.array_equal(bad, seeds):
+                assert not self._verdict(crs, com, opened, r[opened], NaorOpening(bad))
 
     @pytest.mark.parametrize("width", [1, 6, 8])
     def test_across_the_pass_boundary(self, width):
@@ -458,18 +489,21 @@ class TestBatchMatchesReference:
         for q in range(_PASS_BITS - 2 * width, p.committed):
             g = np.frombuffer(g_reference(int(op.seeds[q]), p.s), dtype=np.uint8) ^ crs.u[q] * bits[q]
             assert com.data[q * n : (q + 1) * n] == g.tobytes()
-        # a subset opening whose requested bits cross the boundary of a pass
-        blocks = np.arange(2, k)
-        sub = restrict_opening(op, blocks, width)
-        assert len(sub.positions) > _PASS_BITS
-        assert self._verdict(crs, com, blocks, r[blocks], sub)
-        for q in (sub.positions[_PASS_BITS - 1], sub.positions[_PASS_BITS]):
+        # a partial opening: blocks 0 and 1 closed, and the block holding
+        # the first committed bit of the second pass, so the seeds of the
+        # second pass start at an offset the first pass's mask sets
+        opened = np.ones(k, dtype=bool)
+        opened[[0, 1, _PASS_BITS // width]] = False
+        sub = restrict_opening(op, opened, width)
+        assert len(sub.seeds) == (k - 3) * width
+        assert self._verdict(crs, com, opened, r[opened], sub)
+        for q in (_PASS_BITS - 1 - width, _PASS_BITS + width, p.committed - 1):
             data = bytearray(com.data)
             data[q * n] ^= 1
-            assert not self._verdict(crs, HbgCommitment(bytes(data)), blocks, r[blocks], sub)
-        bad = r[blocks].copy()
+            assert not self._verdict(crs, HbgCommitment(bytes(data)), opened, r[opened], sub)
+        bad = r[opened].copy()
         bad[-1] ^= 1
-        assert not self._verdict(crs, com, blocks, bad, sub)
+        assert not self._verdict(crs, com, opened, bad, sub)
 
     def test_off_coset_chunk(self):
         # criterion 9's adversarial chunk (its seed and stream): outside
@@ -486,8 +520,11 @@ class TestBatchMatchesReference:
         for seed in range(256):
             op = NaorOpening(np.array([seed], dtype=np.uint64))
             for bit in (0, 1):
-                assert not self._verdict(crs, com, np.array([0]), np.array([bit], dtype=np.uint8), op)
+                assert not self._verdict(crs, com, np.ones(1, dtype=bool), np.array([bit], dtype=np.uint8), op)
                 assert not hbg_verify(crs, com, 0, bit, op)
+
+
+AT2 = mask(6, [2])
 
 
 class TestWordRule:
@@ -500,14 +537,14 @@ class TestWordRule:
         rng = stream(3, "word-rule", mode)
         crs = hbg_setup(6, mode, rng, s=8, width=8)
         com, r, op = hbg_genbits(crs, rng)
-        return crs, com, r, restrict_opening(op, np.array([2]), 8)
+        return crs, com, r, restrict_opening(op, AT2, 8)
 
     @pytest.mark.parametrize("mode", ["dealer", "naor"])
     def test_words_that_cast_to_the_right_word_reject(self, mode):
         crs, com, r, op = self._session(mode)
         v = int(r[2])
-        assert hbg_verify_batch(crs, com, np.array([2]), np.array([v], dtype=np.uint8), op)
-        assert hbg_verify_batch(crs, com, np.array([2]), np.array([v], dtype=np.uint64), op)
+        assert hbg_verify_batch(crs, com, AT2, np.array([v], dtype=np.uint8), op)
+        assert hbg_verify_batch(crs, com, AT2, np.array([v], dtype=np.uint64), op)
         for bad in (
             np.array([v + 256]),
             np.array([v - 256]),
@@ -521,7 +558,7 @@ class TestWordRule:
             [v],
             None,
         ):
-            assert hbg_verify_batch(crs, com, np.array([2]), bad, op) is False
+            assert hbg_verify_batch(crs, com, AT2, bad, op) is False
         for bad in (v + 0.5, float(v), v + 256, -1, None, "3"):
             assert hbg_verify(crs, com, 2, bad, op) is False
         assert hbg_verify(crs, com, 2.0, v, op) is False
@@ -531,13 +568,13 @@ class TestWordRule:
     def test_commitment_must_be_an_hbg_commitment(self, mode):
         crs, com, r, op = self._session(mode)
         for bad in (com.data, None):
-            assert hbg_verify_batch(crs, bad, np.array([2]), r[[2]], op) is False
+            assert hbg_verify_batch(crs, bad, AT2, r[[2]], op) is False
             assert hbg_verify(crs, bad, 2, int(r[2]), op) is False
 
     def test_naor_commitment_length_is_exact(self):
         crs, com, r, op = self._session("naor")
         n = crs.params.out_bytes
-        assert hbg_verify_batch(crs, com, np.array([2]), r[[2]], op)
+        assert hbg_verify_batch(crs, com, AT2, r[[2]], op)
         for data in (com.data + b"\0", com.data + com.data[:n], com.data[: 3 * 8 * n], com.data[:-1]):
-            assert hbg_verify_batch(crs, HbgCommitment(data), np.array([2]), r[[2]], op) is False
+            assert hbg_verify_batch(crs, HbgCommitment(data), AT2, r[[2]], op) is False
             assert hbg_verify(crs, HbgCommitment(data), 2, int(r[2]), op) is False
