@@ -73,9 +73,9 @@ GOLDEN_V2 = {
 # default EPR session with the naor-mode generator: the proof carries a
 # NaorOpening (the opened positions' seeds) instead of a dealer receipt
 NAOR = {"n": 3, "reps": 1, "m": 3, "b": 1, "k": 4, "hbg": "naor", "hbg_s": 12}
-NAOR_GOLDEN_V3 = {
-    0: "5ed59b1081f156ca84566464236ad318ee907ceba720dc7d35e71b7a02de97f6",
-    1: "24c0f9d9fa0ed76d0073e37a6832c4edc28076cae83e37e2945e68ddd27d9e2f",
+NAOR_GOLDEN_V4 = {
+    0: "83ef99917da67f58c50c85991e5f186606f2d5ebe492d45a6a966c0b81fb37be",
+    1: "00ce56908f340c5cd13c966f6bc3f6add9fd9296ba7d758f2b866a51bbceae71",
 }
 
 # criterion-1 shape: 4,915,200 EPR pairs
@@ -103,10 +103,10 @@ def test_default_session_digest(protocol, seed):
         assert _session_digest(protocol, None, seed, 3) == GOLDEN_V3[(protocol, seed)]
 
 
-@pytest.mark.parametrize("seed", sorted(NAOR_GOLDEN_V3))
+@pytest.mark.parametrize("seed", sorted(NAOR_GOLDEN_V4))
 def test_naor_session_digest(seed):
     assert NAOR == {**default_epr_params(), "hbg": "naor"}
-    assert _session_digest("epr", NAOR, seed) == NAOR_GOLDEN_V3[seed]
+    assert _session_digest("epr", NAOR, seed) == NAOR_GOLDEN_V4[seed]
 
 
 def test_criterion_1_session_digest():
