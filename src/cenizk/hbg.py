@@ -219,10 +219,10 @@ def hbg_verify(crs, com: HbgCommitment, i: int, r_i: int, opening) -> bool:
 def hbg_verify_batch(crs, com: HbgCommitment, opened: np.ndarray, words: np.ndarray, opening) -> bool:
     """Accept iff com (bytes data) opens each position set in opened, a
     (k,) bool mask, to its word in words (`words_fit`, one per set entry,
-    in order). Dealer mode compares the registered words once; naor mode
-    takes one seed per committed bit of the opened positions, in order,
-    and checks com's rows, exactly `committed` of them, against the
-    relation by pass."""
+    in order). Dealer mode compares the registered words once, without an
+    index when every position is opened. Naor mode takes one seed per
+    committed bit of the opened positions, in order, and checks com's
+    rows, exactly `committed` of them, against the relation by pass."""
     params = crs.params
     if not (isinstance(com, HbgCommitment) and isinstance(com.data, bytes)) or not words_fit(words, params.width):
         return False
@@ -232,7 +232,7 @@ def hbg_verify_batch(crs, com: HbgCommitment, opened: np.ndarray, words: np.ndar
         entry = crs.registry.get(com.data)
         if entry is None or not isinstance(opening, DealerOpening) or opening.receipt != entry[1]:
             return False
-        return bool(np.array_equal(entry[0][opened], words))
+        return bool(np.array_equal(entry[0] if len(words) == params.k else entry[0][opened], words))
     seeds = opening.seeds if isinstance(opening, NaorOpening) else None
     if len(com.data) != params.committed * params.out_bytes or not int_array(seeds):
         return False
