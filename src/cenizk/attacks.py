@@ -29,6 +29,7 @@ Three experiment families:
 from __future__ import annotations
 
 import hashlib
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional
@@ -170,15 +171,14 @@ def _draw_reps(n: int, params: StrawmanParams, rng: np.random.Generator, attempt
 
 
 def _opening_package(
-    x: Digraph, ys: np.ndarray, thetas: np.ndarray, cs: np.ndarray, taus: np.ndarray, cycle: CycleWitness, reps: int
+    ys: np.ndarray, thetas: np.ndarray, cs: np.ndarray, taus: np.ndarray, cycle: CycleWitness, challenges: np.ndarray
 ) -> tuple[dict, set[int]]:
-    """Open what the hash-derived challenges ask for: every entry of a
-    challenge-0 repetition (with its permutation), the tau-image of the
+    """Open what the hash-derived challenges of cs ask for: every entry of
+    a challenge-0 repetition (with its permutation), the tau-image of the
     cycle's edges in a challenge-1 one. ys, thetas and cs are the
-    blocks' rows. Returns (classical package, opened block ids)."""
-    n = x.n
-    cs = cs.tolist()
-    challenges = _fs_challenges(x, cs, reps)
+    blocks' rows, taus the (reps, n) permutations. Returns (classical
+    package, opened block ids)."""
+    n = taus.shape[1]
     openings = []
     opened_ids: set[int] = set()
     for rep, chal in enumerate(challenges):
@@ -193,7 +193,7 @@ def _opening_package(
         opening["thetas"] = [thetas[i] for i in ids]
         openings.append(opening)
         opened_ids.update(ids)
-    classical = {"cs": cs, "openings": openings, "opened_ids": sorted(opened_ids)}
+    classical = {"cs": cs.tolist(), "openings": openings, "opened_ids": sorted(opened_ids)}
     return classical, opened_ids
 
 
@@ -238,7 +238,8 @@ def strawman_prove(
     require_witness(x, witness)
     taus, ys, thetas, pads = (a[0] for a in _draw_reps(x.n, params, rng))
     cs = _permuted_adjacency(x, taus).ravel() ^ pads
-    classical, opened_ids = _opening_package(x, ys, thetas, cs, taus, witness, params.reps)
+    challenges = _fs_challenges(x, cs, params.reps)
+    classical, opened_ids = _opening_package(ys, thetas, cs, taus, witness, challenges)
     return StrawmanProof(_blocks(ys, thetas, cs), classical), StrawmanKey(ys, thetas, opened_ids)
 
 
@@ -380,7 +381,7 @@ def derived_soundness_adversary(
     challenges = np.array([_fs_challenges(x, c, reps) for c in cs])
     best = int(np.argmax(np.count_nonzero(challenges == guesses, axis=1)))
     ys, thetas = ys[best], thetas[best]
-    classical, _ = _opening_package(x, ys, thetas, cs[best], taus[best], canonical_cycle(n), reps)
+    classical, _ = _opening_package(ys, thetas, cs[best], taus[best], canonical_cycle(n), challenges[best])
     return _verification_half(classical, ys, thetas)
 
 
@@ -508,6 +509,13 @@ def _exact_output_matrix(exp: DeletionExperiment, b: int) -> np.ndarray:
     return rho
 
 
+def hoeffding_halfwidth(trials: int, alpha: float = 0.05) -> float:
+    """Two-sided Hoeffding half-width of a rate over trials at level alpha."""
+    if trials <= 0:
+        return 0.0
+    return math.sqrt(math.log(2.0 / alpha) / (2.0 * trials))
+
+
 def td_estimate(exp: DeletionExperiment, rng: np.random.Generator, trials: int = 10_000) -> TdEstimate:
     """Trace distance between Exp(0) and Exp(1): exact for lambda <= 4
     with deterministic-branch adversaries, else a Monte Carlo bound on
@@ -523,8 +531,7 @@ def td_estimate(exp: DeletionExperiment, rng: np.random.Generator, trials: int =
             counts[b][digest] = counts[b].get(digest, 0) + 1
     keys = set(counts[0]) | set(counts[1])
     tv = 0.5 * sum(abs(counts[0].get(k, 0) - counts[1].get(k, 0)) / trials for k in keys)
-    halfwidth = float(np.sqrt(np.log(2 / 0.05) / (2 * trials)))
-    return TdEstimate(tv, exact=False, halfwidth=halfwidth, trials=trials)
+    return TdEstimate(tv, exact=False, halfwidth=hoeffding_halfwidth(trials), trials=trials)
 
 
 def keep_state_acceptance(lam: int, trials: int, rng: np.random.Generator) -> float:
@@ -555,6 +562,7 @@ __all__ = [
     "derived_prove",
     "derived_soundness_adversary",
     "derived_verify",
+    "hoeffding_halfwidth",
     "keep_state_acceptance",
     "open_commit",
     "run_deletion_experiment",

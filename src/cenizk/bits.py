@@ -5,6 +5,8 @@ Python ints paired with a width (sparse statevector keys: index 0 of
 the array is the int's most significant bit, character 0 of the
 printed bitstring), and as words packing one row each (EPR blocks,
 block parities: bit j, value 1 << j, is entry j of the row).
+An opened set is a flat bool mask (`flat_mask`), and `opened_rows`
+is the one way to take the opened rows of an array.
 """
 
 from __future__ import annotations
@@ -39,32 +41,6 @@ def int_to_bits(value: int, width: int) -> np.ndarray:
     return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
 
 
-# Below this many rows one reduce call over the last axis is cheaper than
-# the word-column loop; above it the loop wins (the two cross near 256
-# rows of 6; at 819200 x 6 the reduce over the short last axis takes ~6x
-# as long as the three-column XOR of 2-byte words).
-_COLUMN_XOR_MIN_ROWS = 256
-
-
-def _fold(a: np.ndarray, op: np.ufunc) -> np.ndarray:
-    """op (np.bitwise_xor or np.bitwise_and) over the last axis of a uint8
-    array: one `op.reduce` for few rows; for many, each row's k bytes read
-    as k/w words of w bytes (w the largest of 8, 4, 2, 1 dividing k), the
-    word columns combined and the result's bytes folded."""
-    k = a.shape[-1]
-    if k == 0 or a.size < _COLUMN_XOR_MIN_ROWS * k:
-        return op.reduce(a, axis=-1)
-    w = next(w for w in (8, 4, 2, 1) if k % w == 0)
-    words = np.ascontiguousarray(a).reshape(-1, k).view(f"u{w}")
-    out = op(words[:, 0], words[:, 1]) if k > w else words[:, 0].copy()
-    for j in range(2, k // w):
-        op(out, words[:, j], out=out)
-    while w > 1:
-        w //= 2
-        op(out, out >> (8 * w), out=out)
-    return out.astype(np.uint8).reshape(a.shape[:-1])
-
-
 def pack_rows(rows) -> np.ndarray:
     """(..., w) 0/1 rows (nonzero counts as 1) as (...,) words of the
     narrowest unsigned dtype that holds w <= 64 bits; empty rows give 0."""
@@ -90,6 +66,12 @@ def int_array(a) -> bool:
 def flat_mask(a, n: int) -> bool:
     """a is a flat bool mask of n entries: the one opened-set rule."""
     return isinstance(a, np.ndarray) and a.dtype == bool and a.shape == (n,)
+
+
+def opened_rows(a: np.ndarray, opened: np.ndarray) -> np.ndarray:
+    """a[opened] for a flat bool mask over a's first axis; a itself, with
+    no copy, when every entry is opened: the one opened-rows rule."""
+    return a if opened.all() else a[opened]
 
 
 def bit_array(a, n: int) -> bool:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import hbg as hbg_mod
 from . import rng as rng_mod
-from .bits import as_bit_array, int_to_bits
+from .bits import as_bit_array, int_to_bits, opened_rows
 from .graphs import CycleWitness, Digraph
 from .hbnizk import HbParams, HbProof, hb_prove, hb_verify
 
@@ -135,7 +135,7 @@ def compiled_prove(
     com, r_bg, opening = hbg_mod.hbg_genbits(crs.crs_bg, rng)
     r = r_bg ^ crs.s
     opened, pi_hb = hb_prove(r, x, witness, spec.hb)
-    return CompiledProof(com, opened, r_bg[opened], hbg_mod.restrict_opening(opening, opened), pi_hb)
+    return CompiledProof(com, opened, opened_rows(r_bg, opened), hbg_mod.restrict_opening(opening, opened), pi_hb)
 
 
 def compiled_verify(spec: CompiledSpec, crs: CompiledCrs, x: Digraph, proof: CompiledProof) -> int:
@@ -143,7 +143,7 @@ def compiled_verify(spec: CompiledSpec, crs: CompiledCrs, x: Digraph, proof: Com
     opened = proof.opened
     if not hbg_mod.hbg_verify_batch(crs.crs_bg, proof.com, opened, proof.r_bg_I, proof.opening):
         return 0
-    return int(hb_verify(opened, proof.r_bg_I ^ crs.s[opened], x, proof.pi_hb, spec.hb))
+    return int(hb_verify(opened, proof.r_bg_I ^ opened_rows(crs.s, opened), x, proof.pi_hb, spec.hb))
 
 
 __all__ = [

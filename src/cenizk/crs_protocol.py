@@ -372,6 +372,13 @@ def _attach_functional_registers(
     return apply_oracle(state, regs["R"], regs["P"] + regs["S"], _ps_memo(params, key).__getitem__)
 
 
+def _holds_proof_state(params: CrsParams, sigma) -> bool:
+    """sigma.state is a SparseState of total_qubits qubits: the one check
+    on a proof state handed in from outside."""
+    state = getattr(sigma, "state", None)
+    return isinstance(state, SparseState) and state.num_qubits == params.total_qubits
+
+
 def crs_verify(
     params: CrsParams,
     crs: CrsNizkCrs,
@@ -384,13 +391,11 @@ def crs_verify(
     branch is kept for diagnostics). A malformed proof or statement
     rejects with sigma handed back and no draw: x must hold
     TOY_STATEMENT_BITS bits and ct0 and ct1 ell bits each (`bit_array`),
-    and sigma.state must be a SparseState of total_qubits qubits."""
-    state = getattr(sigma, "state", None)
+    and sigma must hold a proof state (`_holds_proof_state`)."""
     if not (
         bit_array(x, TOY_STATEMENT_BITS)
         and all(bit_array(getattr(sigma, ct, None), params.ell) for ct in ("ct0", "ct1"))
-        and isinstance(state, SparseState)
-        and state.num_qubits == params.total_qubits
+        and _holds_proof_state(params, sigma)
     ):
         return 0, sigma
     regs = params.registers()
@@ -437,8 +442,13 @@ def crs_cert(
     rng: np.random.Generator,
     audit: bool = False,
 ):
-    """Signature test, uncompute, Hadamard measurement, y comparison."""
-    result = _certify(params, key, returned.state, params.registers(), rng)
+    """Signature test, uncompute, Hadamard measurement, y comparison. A
+    returned object that does not hold a proof state (`_holds_proof_state`)
+    rejects with no draw."""
+    if _holds_proof_state(params, returned):
+        result = _certify(params, key, returned.state, params.registers(), rng)
+    else:
+        result = CertAudit(0.0, None, None, False)
     return result if audit else result.accepted
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import hbg as hbg_mod
 from . import rng as rng_mod
-from .bits import check_deletion_cert, flat_mask, int_array, masked_parity, words_fit
+from .bits import check_deletion_cert, flat_mask, int_array, masked_parity, opened_rows, words_fit
 from .epr import ROLE_P, ROLE_V, EprNetwork, prep_epr
 from .graphs import CycleWitness, Digraph
 from .hbnizk import (
@@ -96,11 +96,6 @@ class EprDeletionCert:
     outcomes: np.ndarray  # (len(blocks),) Hadamard outcome words
 
 
-def _opened_rows(a: np.ndarray, opened: np.ndarray) -> np.ndarray:
-    """a[opened]; a itself (no copy) when every block is opened."""
-    return a if opened.all() else a[opened]
-
-
 # ---------------------------------------------------------------------
 # the five algorithms
 # ---------------------------------------------------------------------
@@ -132,7 +127,7 @@ def _assemble_proof(
     """The proof for an opened mask: theta's words and the generator
     openings on its blocks."""
     op_I = hbg_mod.restrict_opening(opening, opened, params.block_width)
-    return EprProof(opened, pi_hb, com, _opened_rows(theta, opened), op_I)
+    return EprProof(opened, pi_hb, com, opened_rows(theta, opened), op_I)
 
 
 def epr_verify(
@@ -158,7 +153,7 @@ def epr_verify(
 
 def _hidden_bits_verdict(params: EprParams, crs: EprCrs, x: Digraph, proof: EprProof, y_I: np.ndarray) -> int:
     """hb_verify on the opened hidden bits r_I = parity(y_I) ^ s_I."""
-    r_I = masked_parity(proof.theta_I, y_I) ^ _opened_rows(crs.s, proof.opened)
+    r_I = masked_parity(proof.theta_I, y_I) ^ opened_rows(crs.s, proof.opened)
     return int(hb_verify(proof.opened, r_I, x, proof.pi_hb, params.hb))
 
 
@@ -175,8 +170,9 @@ def epr_cert(params: EprParams, cert: EprDeletionCert, prover: EprProverState) -
     """Accept iff the certificate names exactly the unopened blocks, as an
     integer array, and its outcomes are unsigned block words that match
     the recorded y on theta's set bits (theta=0 positions are ignored).
-    A malformed certificate rejects; it never raises."""
-    blocks, outcomes, unopened = cert.blocks, cert.outcomes, np.flatnonzero(~prover.opened)
+    A malformed certificate, or another object, rejects; it never raises."""
+    blocks, outcomes = getattr(cert, "blocks", None), getattr(cert, "outcomes", None)
+    unopened = np.flatnonzero(~prover.opened)
     if not (int_array(blocks) and np.array_equal(blocks, unopened) and words_fit(outcomes, params.block_width)):
         return False
     return check_deletion_cert(outcomes, prover.y[unopened], prover.theta[unopened])
@@ -206,7 +202,7 @@ def hypothetical_verifier(
     y_all = premeasure_all_z(params, network, rng)
     if not hbg_mod.hbg_verify_batch(crs.crs_bg, proof.com, proof.opened, proof.theta_I, proof.op_I):
         return 0
-    return _hidden_bits_verdict(params, crs, x, proof, _opened_rows(y_all, proof.opened))
+    return _hidden_bits_verdict(params, crs, x, proof, opened_rows(y_all, proof.opened))
 
 
 # ---------------------------------------------------------------------

@@ -25,6 +25,7 @@ from . import crs_protocol as cp
 from . import epr_protocol as ep
 from . import hbg as hbg_mod
 from . import rng as rng_mod
+from .attacks import hoeffding_halfwidth
 from .bits import as_bit_array
 from .crs_nizk import CompiledSpec, toy_encode
 from .graphs import (
@@ -371,12 +372,6 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-def hoeffding_halfwidth(trials: int, alpha: float = 0.05) -> float:
-    if trials <= 0:
-        return 0.0
-    return math.sqrt(math.log(2.0 / alpha) / (2.0 * trials))
-
-
 def _per_trial(trial, trials: int, seed: int, *label):
     """The trial loop: successes of trial(rng) over trials, trial t on stream(seed, *label, t)."""
     return trials, sum(bool(trial(stream(seed, *label, t))) for t in range(trials)), {}
@@ -471,10 +466,8 @@ def _deletion_leaking_td(trials: int, params: dict | None, seed: int):
 def _deletion_keep_state(trials: int, params: dict | None, seed: int):
     """Every trial draws from the one stream of the experiment."""
     lam = _deletion_lam(params, 4, "deletion-keep-state")
-    exp = attacks.DeletionExperiment(lam, attacks.Z_PLAIN, attacks.ADV_KEEP_STATE)
-    rng = stream(seed, "deletion", "keep-state")
-    hits = sum(attacks.run_deletion_experiment(exp, 0, rng).accepted for _ in range(trials))
-    return trials, hits, {"analytic": 0.75**lam}
+    rate = attacks.keep_state_acceptance(lam, trials, stream(seed, "deletion", "keep-state"))
+    return trials, round(rate * trials), {"analytic": 0.75**lam}
 
 
 def _crs_honest(trials: int, params: dict | None, seed: int):

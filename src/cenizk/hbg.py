@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import rng as rng_mod
-from .bits import flat_mask, int_array, pack_rows, unpack_rows, words_fit
+from .bits import flat_mask, int_array, opened_rows, pack_rows, unpack_rows, words_fit
 
 OPEN_SEED_LIMIT = 22  # brute-force Open guard: at most 2^22 seeds
 _PASS_BITS = 1 << 16  # committed bits per pass of the commitment relation
@@ -219,10 +219,10 @@ def hbg_verify(crs, com: HbgCommitment, i: int, r_i: int, opening) -> bool:
 def hbg_verify_batch(crs, com: HbgCommitment, opened: np.ndarray, words: np.ndarray, opening) -> bool:
     """Accept iff com (bytes data) opens each position set in opened, a
     (k,) bool mask, to its word in words (`words_fit`, one per set entry,
-    in order). Dealer mode compares the registered words once, without an
-    index when every position is opened. Naor mode takes one seed per
-    committed bit of the opened positions, in order, and checks com's
-    rows, exactly `committed` of them, against the relation by pass."""
+    in order). Dealer mode compares the registered words once. Naor mode
+    takes one seed per committed bit of the opened positions, in order,
+    and checks com's rows, exactly `committed` of them, against the
+    relation by pass."""
     params = crs.params
     if not (isinstance(com, HbgCommitment) and isinstance(com.data, bytes)) or not words_fit(words, params.width):
         return False
@@ -232,7 +232,7 @@ def hbg_verify_batch(crs, com: HbgCommitment, opened: np.ndarray, words: np.ndar
         entry = crs.registry.get(com.data)
         if entry is None or not isinstance(opening, DealerOpening) or opening.receipt != entry[1]:
             return False
-        return bool(np.array_equal(entry[0] if len(words) == params.k else entry[0][opened], words))
+        return bool(np.array_equal(opened_rows(entry[0], opened), words))
     seeds = opening.seeds if isinstance(opening, NaorOpening) else None
     if len(com.data) != params.committed * params.out_bytes or not int_array(seeds):
         return False
@@ -245,7 +245,8 @@ def hbg_verify_batch(crs, com: HbgCommitment, opened: np.ndarray, words: np.ndar
     for part in _passes(params.committed):
         take = committed[part]
         hi = lo + np.count_nonzero(take)
-        if not np.array_equal(rows[part][take], _commitments(crs, crs.u[part][take], seeds[lo:hi], bits[lo:hi])):
+        u = opened_rows(crs.u[part], take)
+        if not np.array_equal(opened_rows(rows[part], take), _commitments(crs, u, seeds[lo:hi], bits[lo:hi])):
             return False
         lo = hi
     return True

@@ -1,8 +1,9 @@
 """Tooling checks on the public surface: every cenizk module imports on
 its own (so an import cycle fails here), every name it exports resolves,
-and every function the layered benchmark traces (perfbench/spans.py
-TARGETS) exists where the tracer looks for it, so a rename or deletion
-fails here rather than in `perfbench/run.py --trace 1`."""
+no module imports a `_`-prefixed name from a sibling, and every function
+the layered benchmark traces (perfbench/spans.py TARGETS) exists where
+the tracer looks for it, so a rename or deletion fails here rather than
+in `perfbench/run.py --trace 1`."""
 
 import ast
 import importlib
@@ -49,6 +50,21 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"cenizk.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing, f"cenizk.{name}.__all__ lists undefined names {missing}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_private_name_imported_from_a_sibling(name):
+    # a private name is its module's own business: a sibling that needs
+    # it should get a public name instead
+    tree = ast.parse((PACKAGE_ROOT / "cenizk" / f"{name}.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.module or '.'}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("cenizk"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"cenizk.{name} imports private names {private}"
 
 
 @pytest.mark.parametrize("layer,qual", _traced_targets())

@@ -1,18 +1,13 @@
 """bits.masked_parity and bits.check_deletion_cert on packed words
 against per-pair references, the row packing behind them, and the word
-fold behind hbnizk.bits_to_matrix against the one-call reductions it
-replaced.
-
-The fold takes a column-by-column path for arrays with many rows and
-the single reduce for small ones; both must give the reference bits,
-dtype and shape."""
+fold of hbnizk.bits_to_matrix against an all() over each slice."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cenizk.bits import _COLUMN_XOR_MIN_ROWS, _fold, check_deletion_cert, masked_parity, pack_rows, unpack_rows
+from cenizk.bits import check_deletion_cert, masked_parity, pack_rows, unpack_rows
 from cenizk.hbnizk import bits_to_matrix
 
 
@@ -48,7 +43,7 @@ class TestMaskedParity:
 
     @settings(max_examples=60)
     @given(
-        st.integers(0, 4 * _COLUMN_XOR_MIN_ROWS),
+        st.integers(0, 1024),
         st.sampled_from([1, 2, 6, 16]),
         dtypes,
         st.integers(0, 2**32 - 1),
@@ -62,16 +57,14 @@ class TestMaskedParity:
         assert got.dtype == np.uint8 and got.shape == (rows,)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("rows", [_COLUMN_XOR_MIN_ROWS - 1, _COLUMN_XOR_MIN_ROWS, 819200])
+    # small row counts, and the criterion-1 block count
+    @pytest.mark.parametrize("rows", [255, 256, 819200])
     @pytest.mark.parametrize("k", [1, 6, 16])
     def test_both_sides_of_the_column_threshold(self, rows, k):
-        # the word fold's two paths and the packed parity agree
         rng = np.random.default_rng(rows * 31 + k)
         theta = rng.integers(0, 2, size=(rows, k), dtype=np.uint8)
         y = rng.integers(0, 2, size=(rows, k), dtype=np.uint8)
-        folded = _fold(y & (theta ^ 1), np.bitwise_xor)
-        assert np.array_equal(packed_parity(theta, y), folded)
-        assert np.array_equal(folded, reference(theta, y))
+        assert np.array_equal(packed_parity(theta, y), reference(theta, y))
 
     def test_leading_axes_are_kept(self):
         rng = np.random.default_rng(5)
@@ -135,8 +128,8 @@ class TestPackedWords:
         assert not check_deletion_cert(y[:3], y, theta)
 
 
+# every word size of the fold, alone (b = w) and as several columns
 SLICE_LENGTHS = [1, 2, 3, 4, 5, 8, 10, 16]
-FOLD_ROWS = [1, _COLUMN_XOR_MIN_ROWS - 1, _COLUMN_XOR_MIN_ROWS, 4 * _COLUMN_XOR_MIN_ROWS + 3]
 
 
 def dense_bits(rng, shape, p=0.8):
@@ -155,52 +148,18 @@ def all_reference(block, m, b):
     return block.reshape(*block.shape[:-1], m, m, b).all(-1)
 
 
-class TestFold:
-    @pytest.mark.parametrize("rows", FOLD_ROWS)
-    @pytest.mark.parametrize("b", SLICE_LENGTHS)
-    def test_and_fold_is_all_over_bits(self, rows, b):
-        a = dense_bits(np.random.default_rng(rows * 31 + b), (rows, b))
-        got = _fold(a, np.bitwise_and)
-        assert got.dtype == np.uint8 and got.shape == (rows,)
-        assert np.array_equal(got, a.all(-1))
-
-    @pytest.mark.parametrize("op", [np.bitwise_and, np.bitwise_xor])
-    @pytest.mark.parametrize("rows", FOLD_ROWS)
-    @pytest.mark.parametrize("b", SLICE_LENGTHS)
-    def test_any_bytes_match_one_reduce(self, op, rows, b):
-        rng = np.random.default_rng(rows * 37 + b)
-        a = any_bytes(rng, (rows, b))
-        a[: rows // 2] |= 0xF0  # rows whose AND keeps high bits
-        got = _fold(a, op)
-        assert got.dtype == np.uint8 and np.array_equal(got, op.reduce(a, axis=-1))
-
-    @pytest.mark.parametrize("shape", [(10,), (1000, 10), (4, 300, 10), (2, 3, 300, 10)])
-    def test_leading_axes_are_kept(self, shape):
-        a = dense_bits(np.random.default_rng(len(shape)), shape)
-        got = _fold(a, np.bitwise_and)
-        assert got.shape == shape[:-1] and np.array_equal(got, a.all(-1))
-
-    def test_read_only_and_non_contiguous_inputs(self):
-        rng = np.random.default_rng(11)
-        wide = dense_bits(rng, (2 * 600, 2 * 10))
-        read_only = np.frombuffer(wide[:600, :10].tobytes(), dtype=np.uint8).reshape(600, 10)
-        gathered = wide[np.arange(600)[:, None] * 2, np.arange(10)]
-        for a in [read_only, gathered, wide[::2, :10], wide[:600, ::2], np.asfortranarray(wide[:600, :10])]:
-            for op in (np.bitwise_and, np.bitwise_xor):
-                assert np.array_equal(_fold(a, op), op.reduce(a, axis=-1))
-        assert not read_only.flags.writeable
-
-
 class TestBitsToMatrix:
-    @pytest.mark.parametrize("m", [2, 15, 16, 17])  # m*m rows per block: 256 sits on the threshold
+    @pytest.mark.parametrize("m", [2, 15, 16, 17])
     @pytest.mark.parametrize("b", SLICE_LENGTHS)
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
     def test_batched_matches_all_over_slices(self, m, b, lead):
         rng = np.random.default_rng(m * 100 + b * 10 + len(lead))
         block = dense_bits(rng, (*lead, m * m * b))
+        before = block.copy()
         got = bits_to_matrix(block, m, b)
         assert got.dtype == bool and got.shape == (*lead, m, m)
         assert np.array_equal(got, all_reference(block, m, b))
+        assert np.array_equal(block, before)  # the fold works on its own arrays
 
     @pytest.mark.parametrize("m", [2, 17])
     @pytest.mark.parametrize("b", SLICE_LENGTHS)
@@ -216,7 +175,7 @@ class TestBitsToMatrix:
         kp = m * m * b
         r = dense_bits(rng, 2 * reps * kp)
         wire = np.frombuffer(r.tobytes(), dtype=np.uint8)  # a decoded wire view
-        gathered = wire[(np.arange(reps) * 2 * kp)[:, None] + np.arange(kp)]  # hb_verify's r_I rows
+        gathered = wire[(np.arange(reps) * 2 * kp)[:, None] + np.arange(kp)]  # a fancy-index gather
         strided = r.reshape(2 * reps, kp)[::2]
         for blocks in [wire.reshape(2 * reps, kp), gathered, strided, np.asfortranarray(gathered)]:
             assert np.array_equal(bits_to_matrix(blocks, m, b), all_reference(blocks, m, b))

@@ -317,6 +317,31 @@ class TestMalformedVerifyInput:
         assert rng.bit_generator.state == before
 
 
+class TestMalformedCertInput:
+    """crs_cert rejects a returned object that holds no proof state of
+    total_qubits qubits with False (an audit says not accepted), draws
+    nothing and raises nothing."""
+
+    RETURNED = {
+        "none": lambda s: None,
+        "wrong_type": lambda s: s.state,
+        "state_none": lambda s: replace(s, state=None),
+        "state_not_sparse": lambda s: replace(s, state=np.zeros(PARAMS.total_qubits)),
+        "state_too_few_qubits": lambda s: replace(s, state=SparseState(4, {0: 1.0 + 0.0j})),
+        "state_one_over": lambda s: replace(s, state=append_register(s.state, 1)),
+    }
+
+    @pytest.mark.parametrize("how", sorted(RETURNED))
+    @pytest.mark.parametrize("audit", [False, True])
+    def test_rejects_without_a_draw(self, how, audit):
+        rng = stream(0, "probe-crs-cert")
+        sigma, key = crs_prove(PARAMS, crs_setup(rng), STATEMENT, WITNESS, rng)
+        before = rng.bit_generator.state
+        result = crs_cert(PARAMS, key, self.RETURNED[how](sigma), rng, audit=audit)
+        assert (result.accepted if audit else result) is False
+        assert rng.bit_generator.state == before
+
+
 class TestCert:
     def test_honest_verify_then_cert(self, rng):
         crs = crs_setup(rng)

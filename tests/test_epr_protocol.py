@@ -5,6 +5,7 @@ import itertools
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -236,6 +237,17 @@ class TestDeletion:
             "list_outcomes": (blocks, outcomes.tolist()),
         }[how]
         assert epr_cert(DELETING, EprDeletionCert(*bad), prover) is False
+
+    @pytest.mark.parametrize("how", ["none", "wrong_type", "no_blocks", "no_outcomes"])
+    def test_other_objects_reject_without_raising(self, how):
+        cert, prover = self._deleting_session()
+        bad = {
+            "none": None,
+            "wrong_type": (cert.blocks, cert.outcomes),
+            "no_blocks": SimpleNamespace(outcomes=cert.outcomes),
+            "no_outcomes": SimpleNamespace(blocks=cert.blocks),
+        }[how]
+        assert epr_cert(DELETING, bad, prover) is False
 
     def test_z_basis_cheat_rate_matches_analytic(self):
         """Deleting in Z instead of Hadamard passes per block with

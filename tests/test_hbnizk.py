@@ -7,10 +7,13 @@ the useful-claim lane is checked exhaustively over all 2^9 hidden
 strings at the smallest geometry.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cenizk import hbnizk
 from cenizk.graphs import (
@@ -548,6 +551,109 @@ def mutations(opened, r_I, proof, params, rng):
         reps[k] = RepUseful(tuple(int(v) for v in rng.permutation(params.matrix_side)[: params.n]))
     out.append((opened, r_I, HbProof(tuple(reps))))
     return out
+
+
+def index_hb_verify(opened, r_I, x, proof, params):
+    """hb_verify as it stood before it read the hidden string: each
+    repetition's bits found in r_I by running counts, the reveal-all rows
+    gathered by one fancy index and decoded together, then the useful
+    claims checked one by one."""
+    try:
+        r_I = np.asarray(r_I)
+    except (TypeError, ValueError):
+        return False
+    if r_I.dtype.kind not in "biu" or r_I.max(initial=0) > 1 or r_I.min(initial=0) < 0:
+        return False
+    r_I = r_I.astype(np.uint8, copy=False)
+    reps = proof.reps if isinstance(proof, HbProof) else None
+    if not isinstance(reps, (tuple, list)) or len(reps) != params.repetitions:
+        return False
+    if not (isinstance(opened, np.ndarray) and opened.dtype == bool and opened.shape == (params.total_bits,)):
+        return False
+    kp = params.bits_per_rep
+    rows = opened.reshape(params.repetitions, kp)
+    counts = np.count_nonzero(rows, axis=1).tolist()
+    ends = list(itertools.accumulate(counts))
+    if r_I.shape != (ends[-1],):
+        return False
+    reveal = [rep for rep, rep_proof in enumerate(reps) if isinstance(rep_proof, RepRevealAll)]
+    if any(counts[rep] != kp for rep in reveal):
+        return False
+    blocks = r_I[np.array([ends[rep] - kp for rep in reveal], dtype=np.int64)[:, None] + np.arange(kp)]
+    if any(ref_decode(block, params) is not None for block in blocks):
+        return False
+    for rep, rep_proof in enumerate(reps):
+        if isinstance(rep_proof, RepRevealAll):
+            continue
+        if not isinstance(rep_proof, RepUseful) or not hbnizk._valid_map(rep_proof.vertex_map, params):
+            return False
+        if (rows[rep] != required_mask(rep_proof.vertex_map, x, params)).any():
+            return False
+        if r_I[ends[rep] - counts[rep] : ends[rep]].reshape(-1, params.block_len).all(axis=1).any():
+            return False
+    return True
+
+
+def verify_case(rng, params, x, witness):
+    """One hb_verify input around an honest proof of dense or sparse
+    random bits: each repetition keeps its claim, turns reveal-all, or
+    claims a random map (sometimes one repeating a vertex); the mask is
+    the claims' own, with some entries flipped, or uniform; r_I is the
+    bits under the mask, some flipped, as bool, uint8 or int64, and
+    sometimes one entry short or over."""
+    r = (rng.random(params.total_bits) < rng.choice([0.5, 0.85])).astype(np.uint8)
+    _, proof = hb_prove(r, x, witness, params)
+    reps = []
+    for rep in proof.reps:
+        kind = rng.choice(["keep", "keep", "reveal", "useful"])
+        if kind == "reveal":
+            rep = RepRevealAll()
+        elif kind == "useful":
+            rep = RepUseful(tuple(int(v) for v in rng.integers(params.matrix_side, size=params.n)))
+        reps.append(rep)
+    proof = HbProof(tuple(reps))
+    opened = np.ones((params.repetitions, params.bits_per_rep), dtype=bool)
+    for k, rep in enumerate(reps):
+        if isinstance(rep, RepUseful) and hbnizk._valid_map(rep.vertex_map, params):
+            opened[k] = required_mask(rep.vertex_map, x, params)
+    opened = opened.ravel()
+    mask_kind = rng.choice(["claims", "claims", "flipped", "uniform"])
+    if mask_kind == "flipped":
+        opened = opened ^ (rng.random(opened.size) < 0.05)
+    elif mask_kind == "uniform":
+        opened = rng.random(opened.size) < rng.random()
+    r_I = r[opened]
+    if rng.random() < 0.2:
+        r_I = r_I ^ (rng.random(r_I.size) < 0.1)
+    r_I = r_I.astype(rng.choice([bool, np.uint8, np.int64]))
+    length = rng.choice([0, 0, 0, -1, 1])
+    if length == -1 and r_I.size:
+        r_I = r_I[:-1]
+    elif length == 1:
+        r_I = np.append(r_I, r_I[:1] if r_I.size else np.zeros(1, r_I.dtype))
+    return opened, r_I, proof
+
+
+class TestVerifyAgainstIndexArithmetic:
+    """hb_verify on the hidden string gives the verdict of the running-count
+    algorithm it replaced, at the table-decoded and the above-cap shapes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(FIXTURES)), st.integers(0, 2**32 - 1))
+    def test_same_verdict(self, shape, seed):
+        params, (x, witness) = FIXTURES[shape]
+        args = verify_case(np.random.default_rng(seed), params, x, witness)
+        assert hb_verify(*args[:2], x, args[2], params) == index_hb_verify(*args[:2], x, args[2], params)
+
+    @pytest.mark.parametrize("shape", sorted(FIXTURES))
+    def test_cases_reach_both_verdicts(self, shape):
+        params, (x, witness) = FIXTURES[shape]
+        rng = np.random.default_rng(7)
+        verdicts = set()
+        for _ in range(300):
+            opened, r_I, proof = verify_case(rng, params, x, witness)
+            verdicts.add(hb_verify(opened, r_I, x, proof, params))
+        assert verdicts == {True, False}
 
 
 class TestBlockTable:
