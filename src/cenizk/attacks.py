@@ -10,8 +10,10 @@ Three experiment families:
   same split packaged as a prover is the derived proof system that is
   simultaneously statistically sound and witness-independent, which is
   the executable content of the impossibility argument. The forger
-  draws and scores all its grinding attempts at once, as arrays, and
-  opened states are prepared when the verifier reads them.
+  draws and scores all its grinding attempts at once, as arrays. Blocks
+  are rows of ys, thetas and commitments (`commit_bits` returns them);
+  one lazily prepared id -> state map, `_BlockStates`, makes a block's
+  BB84 state the first time its id is read.
 
 * The same splitting attempt against the superposition CRS protocol,
   where it fails: any retained computational-basis copy of the
@@ -51,31 +53,38 @@ from .state import (
 )
 
 # ---------------------------------------------------------------------
-# BB84 bit commitment block (parity-masked)
+# BB84 bit commitment blocks (parity-masked)
 # ---------------------------------------------------------------------
 
 
-@dataclass
-class CommitBlock:
-    """Commit one bit m: publish c = m XOR parity(y over theta=0) next to
-    the quantum encoding |y>^theta; opening reveals (y, theta). The
-    encoding is materialized on first use so classical experiments
-    (challenge grinding) stay cheap."""
+class _BlockStates(Mapping):
+    """Read-only id -> SparseState over the listed blocks, given as rows of
+    ys and thetas: the one place a strawman block's encoding |y>^theta is
+    prepared, the first time its id is read, so classical experiments
+    (challenge grinding) stay cheap. An id not listed is a KeyError."""
 
-    y: np.ndarray
-    theta: np.ndarray
-    c: int
-    _state: Optional[SparseState] = None
+    def __init__(self, ys: np.ndarray, thetas: np.ndarray, ids):
+        self._ys, self._thetas = ys, thetas
+        self._ids = ids
+        self._listed = frozenset(ids)
+        self._states: dict[int, SparseState] = {}
 
-    @property
-    def state(self) -> SparseState:
-        if self._state is None:
-            self._state = prep_bb84(Bb84Descriptor(self.y, self.theta))
-        return self._state
+    def __getitem__(self, i) -> SparseState:
+        if i not in self._listed:
+            raise KeyError(i)
+        i = int(i)
+        if i not in self._states:
+            self._states[i] = prep_bb84(Bb84Descriptor(self._ys[i], self._thetas[i]))
+        return self._states[i]
 
+    def __contains__(self, i) -> bool:
+        return i in self._listed
 
-def _blocks(ys: np.ndarray, thetas: np.ndarray, cs: np.ndarray) -> list[CommitBlock]:
-    return [CommitBlock(y, theta, c) for y, theta, c in zip(ys, thetas, cs.tolist())]
+    def __iter__(self):
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
 
 
 def _pads(draws) -> np.ndarray:
@@ -84,17 +93,17 @@ def _pads(draws) -> np.ndarray:
     return masked_parity(words[1], words[0])
 
 
-def commit_bits(ms: np.ndarray, width: int, rng: np.random.Generator) -> list[CommitBlock]:
-    """Batch commit: two draws (ys, then thetas) for a whole block vector."""
+def commit_bits(ms: np.ndarray, width: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batch commit: two draws (ys, then thetas) for a whole block vector.
+    Returns the (ys, thetas, cs) rows, c = m XOR parity(y over theta=0)."""
     draws = rng_mod.bits(rng, (len(ms), width), count=2)
-    return _blocks(*draws, np.asarray(ms, dtype=np.uint8) ^ _pads(draws))
+    return *draws, np.asarray(ms, dtype=np.uint8) ^ _pads(draws)
 
 
 def open_commit(block_state: SparseState, y: np.ndarray, theta: np.ndarray, c: int, rng) -> Optional[int]:
     """Receiver-side opening: measure in the claimed basis; every outcome
     must reproduce the claimed y, then the bit is c XOR parity."""
-    width = len(y)
-    outcomes, _ = measure(block_state, list(range(width)), ["X" if t else "Z" for t in theta], rng)
+    outcomes, _ = measure(block_state, list(range(len(y))), ["X" if t else "Z" for t in theta], rng)
     if not np.array_equal(outcomes, y):
         return None
     return int(c) ^ int(_pads((y, theta)))
@@ -102,8 +111,7 @@ def open_commit(block_state: SparseState, y: np.ndarray, theta: np.ndarray, c: i
 
 def deletion_cert_for_block(block_state: SparseState, rng) -> np.ndarray:
     width = block_state.num_qubits
-    outcomes, _ = measure(block_state, list(range(width)), ["X"] * width, rng)
-    return outcomes
+    return measure(block_state, list(range(width)), ["X"] * width, rng)[0]
 
 
 # ---------------------------------------------------------------------
@@ -125,7 +133,7 @@ class StrawmanProof:
     """sigma: quantum blocks plus the classical package (commitment
     values, permutations/openings, the derived opening set)."""
 
-    blocks: list  # CommitBlock per (rep, u, v), row-major
+    blocks: Mapping  # id -> SparseState of every (rep, u, v) block, row-major
     classical: dict
 
 
@@ -172,64 +180,30 @@ def _draw_reps(n: int, params: StrawmanParams, rng: np.random.Generator, attempt
 
 def _opening_package(
     ys: np.ndarray, thetas: np.ndarray, cs: np.ndarray, taus: np.ndarray, cycle: CycleWitness, challenges: np.ndarray
-) -> tuple[dict, set[int]]:
+) -> dict:
     """Open what the hash-derived challenges of cs ask for: every entry of
     a challenge-0 repetition (with its permutation), the tau-image of the
     cycle's edges in a challenge-1 one. ys, thetas and cs are the
-    blocks' rows, taus the (reps, n) permutations. Returns (classical
-    package, opened block ids)."""
+    blocks' rows, taus the (reps, n) permutations. Returns the classical
+    package."""
     n = taus.shape[1]
     openings = []
-    opened_ids: set[int] = set()
-    for rep, chal in enumerate(challenges):
-        tau = taus[rep]
+    for rep, (chal, tau) in enumerate(zip(challenges, taus)):
         if chal == 0:
             ids = [_entry_id(rep, a, c, n) for a in range(n) for c in range(n)]
             opening = {"kind": "full", "tau": [int(t) for t in tau], "ids": ids}
         else:
             ids = sorted(_entry_id(rep, int(tau[u]), int(tau[v]), n) for u, v in cycle.edges())
             opening = {"kind": "cycle", "ids": ids}
-        opening["ys"] = [ys[i] for i in ids]
-        opening["thetas"] = [thetas[i] for i in ids]
+        opening.update(ys=[ys[i] for i in ids], thetas=[thetas[i] for i in ids])
         openings.append(opening)
-        opened_ids.update(ids)
-    classical = {"cs": cs.tolist(), "openings": openings, "opened_ids": sorted(opened_ids)}
-    return classical, opened_ids
-
-
-class _OpenedStates(Mapping):
-    """Read-only id -> SparseState over the opened blocks, given as rows
-    of ys and thetas. A block's state is prepared the first time its id
-    is read; an id that was not opened is a KeyError."""
-
-    def __init__(self, ys: np.ndarray, thetas: np.ndarray, opened_ids: list[int]):
-        self._ys, self._thetas = ys, thetas
-        self._ids = opened_ids
-        self._opened = frozenset(opened_ids)
-        self._states: dict[int, SparseState] = {}
-
-    def __getitem__(self, i) -> SparseState:
-        if i not in self._opened:
-            raise KeyError(i)
-        i = int(i)
-        if i not in self._states:
-            self._states[i] = prep_bb84(Bb84Descriptor(self._ys[i], self._thetas[i]))
-        return self._states[i]
-
-    def __contains__(self, i) -> bool:
-        return i in self._opened
-
-    def __iter__(self):
-        return iter(self._ids)
-
-    def __len__(self) -> int:
-        return len(self._ids)
+    return {"cs": cs.tolist(), "openings": openings, "opened_ids": sorted(i for op in openings for i in op["ids"])}
 
 
 def _verification_half(classical: dict, ys: np.ndarray, thetas: np.ndarray) -> dict:
     """What the splitting verifier keeps: the classical package and the
     opened blocks' states."""
-    return {"classical": classical, "opened_states": _OpenedStates(ys, thetas, classical["opened_ids"])}
+    return {"classical": classical, "opened_states": _BlockStates(ys, thetas, classical["opened_ids"])}
 
 
 def strawman_prove(
@@ -239,51 +213,45 @@ def strawman_prove(
     taus, ys, thetas, pads = (a[0] for a in _draw_reps(x.n, params, rng))
     cs = _permuted_adjacency(x, taus).ravel() ^ pads
     challenges = _fs_challenges(x, cs, params.reps)
-    classical, opened_ids = _opening_package(ys, thetas, cs, taus, witness, challenges)
-    return StrawmanProof(_blocks(ys, thetas, cs), classical), StrawmanKey(ys, thetas, opened_ids)
+    classical = _opening_package(ys, thetas, cs, taus, witness, challenges)
+    blocks = _BlockStates(ys, thetas, range(params.block_count(x.n)))
+    return StrawmanProof(blocks, classical), StrawmanKey(ys, thetas, set(classical["opened_ids"]))
 
 
-def strawman_verify(
-    params: StrawmanParams, x: Digraph, package: dict, rng: np.random.Generator
-) -> int:
+def strawman_verify(params: StrawmanParams, x: Digraph, package: dict, rng: np.random.Generator) -> int:
     """Verification needs only the opened blocks plus the classical
-    package; that locality is exactly what the splitting attack uses."""
+    package; that locality is exactly what the splitting attack uses.
+    Per repetition: the kind its challenge asks for, then tau (challenge
+    0) or exactly n ids (challenge 1), then every listed block opened in
+    order, then the full matrix or the single cycle."""
     try:
         cs = package["classical"]["cs"]
         openings = package["classical"]["openings"]
-        opened_states = package["opened_states"]  # id -> SparseState
+        states = package["opened_states"]  # id -> SparseState
         n = x.n
         if len(cs) != params.block_count(n) or len(openings) != params.reps:
             return 0
         challenges = _fs_challenges(x, cs, params.reps)
-        for rep, (chal, op) in enumerate(zip(challenges, openings)):
-            if not isinstance(op, dict):
+        for rep, (chal, op) in enumerate(zip(challenges.tolist(), openings)):
+            if not isinstance(op, dict) or op.get("kind") != ("full", "cycle")[chal]:
                 return 0
             if chal == 0:
-                if op.get("kind") != "full":
-                    return 0
                 # a permutation of exactly the ints 0..n-1, as hbnizk._valid_map reads a map
                 tau = op["tau"]
                 if any(type(t) is not int for t in tau) or sorted(tau) != list(range(n)):
                     return 0
-                bits = {}
-                for i, yv, tv in zip(op["ids"], op["ys"], op["thetas"]):
-                    m = open_commit(opened_states[i], yv, tv, cs[i], rng)
-                    if m is None:
-                        return 0
-                    bits[i] = m
-                for u in range(n):
-                    for v in range(n):
-                        i = _entry_id(rep, tau[u], tau[v], n)
-                        if bits.get(i) != int(x.adjacency[u, v]):
-                            return 0
-            else:
-                if op.get("kind") != "cycle" or len(op["ids"]) != n:
+            elif len(op["ids"]) != n:
+                return 0
+            bits = {}
+            for i, yv, tv in zip(op["ids"], op["ys"], op["thetas"], strict=True):
+                bits[i] = open_commit(states[i], yv, tv, cs[i], rng)
+                if bits[i] is None or (chal == 1 and bits[i] != 1):  # a cycle opens ones only
                     return 0
-                for i, yv, tv in zip(op["ids"], op["ys"], op["thetas"]):
-                    m = open_commit(opened_states[i], yv, tv, cs[i], rng)
-                    if m != 1:
-                        return 0
+            if chal == 0:
+                full = [bits.get(_entry_id(rep, tau[u], tau[v], n)) for u in range(n) for v in range(n)]
+                if full != x.adjacency.ravel().tolist():
+                    return 0
+            else:
                 # the opened ones must form a single directed n-cycle
                 cells = [i - rep * n * n for i in op["ids"]]
                 if any(not 0 <= c < n * n for c in cells):
@@ -293,20 +261,14 @@ def strawman_verify(
                 if usefulness(matrix.reshape(n, n), n) is None:
                     return 0
         return 1
-    except (KeyError, IndexError, TypeError, SimUsageError):
+    except (KeyError, IndexError, TypeError, ValueError, SimUsageError):
         return 0
 
 
-def strawman_cert(
-    params: StrawmanParams,
-    key: StrawmanKey,
-    returned_states: dict,
-    total_blocks: int,
-    rng: np.random.Generator,
-) -> bool:
+def strawman_cert(key: StrawmanKey, returned_states: Mapping, rng: np.random.Generator) -> bool:
     """X-measure every unopened block and match the recorded y on the
     Hadamard positions."""
-    for i in range(total_blocks):
+    for i in range(len(key.ys)):
         if i in key.opened:
             continue
         if i not in returned_states:
@@ -338,11 +300,9 @@ def split_attack(
     blocks (with cloned classical openings) to the verification
     register. Both sides accept with certainty on the strawman."""
     proof, key = strawman_prove(params, x, witness, rng)
-    n_blocks = params.block_count(x.n)
-    opened = set(proof.classical["opened_ids"])
-    to_cert = {i: proof.blocks[i].state for i in range(n_blocks) if i not in opened}
+    to_cert = {i: proof.blocks[i] for i in proof.blocks if i not in key.opened}
     package = _verification_half(proof.classical, key.ys, key.thetas)
-    cert_ok = strawman_cert(params, key, to_cert, n_blocks, rng)
+    cert_ok = strawman_cert(key, to_cert, rng)
     verify_ok = bool(strawman_verify(params, x, package, rng))
     return SplitOutcome(cert_ok, verify_ok)
 
@@ -381,7 +341,7 @@ def derived_soundness_adversary(
     challenges = np.array([_fs_challenges(x, c, reps) for c in cs])
     best = int(np.argmax(np.count_nonzero(challenges == guesses, axis=1)))
     ys, thetas = ys[best], thetas[best]
-    classical, _ = _opening_package(ys, thetas, cs[best], taus[best], canonical_cycle(n), challenges[best])
+    classical = _opening_package(ys, thetas, cs[best], taus[best], canonical_cycle(n), challenges[best])
     return _verification_half(classical, ys, thetas)
 
 
@@ -546,7 +506,6 @@ __all__ = [
     "ADV_BASIS_INFORMED",
     "ADV_HONEST_DELETER",
     "ADV_KEEP_STATE",
-    "CommitBlock",
     "DeletionExperiment",
     "DeletionOutcome",
     "SplitOutcome",

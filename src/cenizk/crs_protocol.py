@@ -444,12 +444,30 @@ def crs_cert(
 ):
     """Signature test, uncompute, Hadamard measurement, y comparison. A
     returned object that does not hold a proof state (`_holds_proof_state`)
-    rejects with no draw."""
+    rejects with no draw; a malformed key raises ValueError first (`_require_key`)."""
+    _require_key(params, key)
     if _holds_proof_state(params, returned):
         result = _certify(params, key, returned.state, params.registers(), rng)
     else:
         result = CertAudit(0.0, None, None, False)
     return result if audit else result.accepted
+
+
+def _require_key(params: CrsParams, key: CrsProverKey) -> None:
+    """ValueError naming every malformed field of a prover key: theta and
+    y must be r_qubits bits and k0 and k1 ell bits (`bit_array`),
+    preimages an (r_qubits, 2) integer array, prfk 16 bytes."""
+    fields = {
+        "theta": bit_array(key.theta, params.r_qubits),
+        "k0": bit_array(key.k0, params.ell),
+        "k1": bit_array(key.k1, params.ell),
+        "y": bit_array(key.y, params.r_qubits),
+        "prfk": isinstance(key.prfk, bytes) and len(key.prfk) == 16,
+        "preimages": int_array(key.preimages) and key.preimages.shape == (params.r_qubits, 2),
+    }
+    bad = [name for name, ok in fields.items() if not ok]
+    if bad:
+        raise ValueError(f"malformed prover key field(s): {', '.join(bad)}")
 
 
 def _certify(

@@ -382,11 +382,8 @@ def _epr_honest(trials: int, params: dict | None, seed: int):
     x, witness = complete_digraph(pp.hb.n), canonical_cycle(pp.hb.n)
 
     def trial(rng):
-        crs, network = ep.epr_setup(pp, rng)
-        proof, prover = ep.epr_prove(pp, crs, network, x, witness, rng)
-        b, residual = ep.epr_verify(pp, crs, network, x, proof, rng)
-        cert, _ = ep.epr_delete(pp, residual, rng)
-        return b == 1 and ep.epr_cert(pp, cert, prover)
+        out, _, _ = ep.run_cezk_real(pp, x, witness, ep.honest_delete_vstar, rng)
+        return out != ep.BOT and out["verdict"] == 1
 
     return _per_trial(trial, trials, seed, "epr-honest")
 

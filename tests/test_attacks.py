@@ -34,29 +34,94 @@ from cenizk.attacks import (
 )
 from cenizk.graphs import non_hamiltonian_triangle, triangle_both_cycles, two_cycle_pair
 from cenizk.rng import stream
+from cenizk.state import Bb84Descriptor, prep_bb84
 
 
 class TestCommitBlocks:
+    """commit_bits returns (ys, thetas, cs) rows; a block's state is
+    prep_bb84 of its row."""
+
+    @staticmethod
+    def _commit(m, width, rng):
+        ys, thetas, cs = commit_bits([m], width, rng)
+        assert ys.shape == thetas.shape == (1, width) and cs.shape == (1,)
+        return ys[0], thetas[0], int(cs[0]), prep_bb84(Bb84Descriptor(ys[0], thetas[0]))
+
     def test_open_round_trip(self, rng):
         for m in (0, 1):
-            block = commit_bits([m], 4, rng)[0]
-            got = open_commit(block.state, block.y, block.theta, block.c, rng)
-            assert got == m
+            y, theta, c, state = self._commit(m, 4, rng)
+            assert open_commit(state, y, theta, c, rng) == m
 
     def test_wrong_basis_claim_detected(self, rng):
         detected = 0
         trials = 200
         for _ in range(trials):
-            block = commit_bits([1], 6, rng)[0]
-            bad_theta = block.theta ^ 1  # flip every basis claim
-            got = open_commit(block.state, block.y, bad_theta, block.c, rng)
-            detected += got is None
+            y, theta, c, state = self._commit(1, 6, rng)
+            bad_theta = theta ^ 1  # flip every basis claim
+            detected += open_commit(state, y, bad_theta, c, rng) is None
         assert detected > trials * 0.9  # per-position detection is 1/2
 
     def test_deletion_cert_checks_hadamard_positions(self, rng):
-        block = commit_bits([0], 5, rng)[0]
-        cert = deletion_cert_for_block(block.state, rng)
-        assert check_deletion_cert(cert, block.y, block.theta)
+        y, theta, _, state = self._commit(0, 5, rng)
+        cert = deletion_cert_for_block(state, rng)
+        assert check_deletion_cert(cert, y, theta)
+
+    def test_rows_are_the_two_draws(self):
+        ms = np.array([0, 1, 1, 0, 1], dtype=np.uint8)
+        ys, thetas, cs = commit_bits(ms, 5, stream(0, "commit-rows"))
+        expected = rng_mod.bits(stream(0, "commit-rows"), (5, 5), count=2)
+        assert np.array_equal(ys, expected[0]) and np.array_equal(thetas, expected[1])
+        assert cs.tolist() == [int(m) ^ int(y[t == 0].sum() % 2) for m, y, t in zip(ms, ys, thetas)]
+
+
+def _previous_rep_block(g, openings, full, cycle):
+    """A cycle opening whose first block is swapped for the same cell of
+    the repetition before it, a full one, where every off-diagonal cell
+    of the triangle opens to 1: an id outside its repetition, whose cell
+    index would wrap onto the cell it replaces."""
+    kinds = [op["kind"] for op in openings]
+    rep = next(r for r in range(1, len(kinds)) if kinds[r - 1 : r + 1] == ["full", "cycle"])
+    prev, op = openings[rep - 1], openings[rep]
+    j = prev["ids"].index(op["ids"][0] - g.n * g.n)
+    swapped = {key: [prev[key][j]] + op[key][1:] for key in ("ids", "ys", "thetas")}
+    return rep, {**op, **swapped}
+
+
+# name -> (statement, openings, a full rep, a cycle rep) -> (rep, the opening sent there)
+MALFORMED = {
+    "none": lambda g, ops, full, cycle: (full, None),
+    "str": lambda g, ops, full, cycle: (full, "abc"),
+    "float_tau": lambda g, ops, full, cycle: (full, {**ops[full], "tau": [float(t) for t in ops[full]["tau"]]}),
+    "cycle_kind_under_challenge_0": lambda g, ops, full, cycle: (full, {**ops[full], "kind": "cycle"}),
+    "full_kind_under_challenge_1": lambda g, ops, full, cycle: (cycle, {**ops[cycle], "kind": "full"}),
+    "full_missing_entry": lambda g, ops, full, cycle: (
+        full,
+        {key: value[:-1] if key in ("ids", "ys", "thetas") else value for key, value in ops[full].items()},
+    ),
+    "cycle_id_outside_rep": _previous_rep_block,
+    # every listed cell counts toward the cycle, so each must be opened
+    "cycle_block_listed_not_opened": lambda g, ops, full, cycle: (
+        cycle,
+        {**ops[cycle], "ys": ops[cycle]["ys"][:-1], "thetas": ops[cycle]["thetas"][:-1]},
+    ),
+}
+
+
+def _zero_in_a_cycle(g, w, params):
+    """An honest package but for one commitment: repetition 0's block at
+    the image of the cycle's first edge commits to 0, and the hash of the
+    changed commitments still asks repetition 0 for the cycle. Its cycle
+    opening then opens that block to 0; every other check passes."""
+    u, v = w.edges()[0]
+    for trial in range(64):
+        taus, ys, thetas, pads = (a[0] for a in attacks._draw_reps(g.n, params, stream(trial, "zero-in-cycle")))
+        cs = attacks._permuted_adjacency(g, taus).ravel() ^ pads
+        cs[attacks._entry_id(0, taus[0][u], taus[0][v], g.n)] ^= 1
+        challenges = attacks._fs_challenges(g, cs, params.reps)
+        if challenges[0] == 1:
+            classical = attacks._opening_package(ys, thetas, cs, taus, w, challenges)
+            return attacks._verification_half(classical, ys, thetas)
+    raise AssertionError("no stream kept repetition 0 a cycle challenge")
 
 
 class TestSplitAttack:
@@ -84,7 +149,7 @@ class TestSplitAttack:
         package = {"classical": proof.classical, "opened_states": {}}
         assert strawman_verify(params, g, package, rng) == 0
 
-    @pytest.mark.parametrize("how", ["none", "str", "float_tau"])
+    @pytest.mark.parametrize("how", sorted(MALFORMED) + ["cycle_opens_zero"])
     def test_malformed_opening_rejected(self, how, rng):
         # every challenge-0 opening is a full one carrying tau; 1.0 ==
         # 1 and hashes alike, so float entries would open the same bits
@@ -93,14 +158,15 @@ class TestSplitAttack:
         proof, key = strawman_prove(params, g, w, rng)
         package = attacks._verification_half(proof.classical, key.ys, key.thetas)
         assert strawman_verify(params, g, package, rng) == 1
-        openings = list(proof.classical["openings"])
-        full = next(rep for rep, op in enumerate(openings) if op["kind"] == "full")
-        openings[full] = {
-            "none": None,
-            "str": "abc",
-            "float_tau": {**openings[full], "tau": [float(t) for t in openings[full]["tau"]]},
-        }[how]
-        package["classical"] = {**proof.classical, "openings": openings}
+        if how == "cycle_opens_zero":
+            package = _zero_in_a_cycle(g, w, params)
+        else:
+            openings = list(proof.classical["openings"])
+            kinds = [op["kind"] for op in openings]
+            full, cycle = kinds.index("full"), kinds.index("cycle")
+            rep, opening = MALFORMED[how](g, openings, full, cycle)
+            openings[rep] = opening
+            package["classical"] = {**proof.classical, "openings": openings}
         assert strawman_verify(params, g, package, rng) == 0
 
     def test_split_fails_on_superposition_protocol(self):
@@ -293,7 +359,8 @@ class TestAttemptDraws:
 
 
 class TestLazyPackage:
-    """opened_states prepares a block's state when its id is read."""
+    """A package's opened_states and a proof's blocks are one kind of map
+    (`_BlockStates`): a block's state is prepared when its id is read."""
 
     @pytest.fixture
     def preps(self, monkeypatch):
@@ -342,6 +409,18 @@ class TestLazyPackage:
         assert len(states) == len(opened)
         assert list(states) == opened
         assert all(i in states for i in opened)
+
+    def test_proof_blocks_list_every_block(self, preps):
+        g, w, _ = triangle_both_cycles()
+        params = StrawmanParams(reps=6)
+        proof, key = strawman_prove(params, g, w, stream(0, "lazy-blocks"))
+        assert preps == []
+        assert list(proof.blocks) == list(range(params.block_count(g.n)))
+        last = params.block_count(g.n) - 1
+        assert proof.blocks[last] is proof.blocks[last] and len(preps) == 1
+        assert proof.blocks[last].equals(prep_bb84(Bb84Descriptor(key.ys[last], key.thetas[last])), tol=0)
+        with pytest.raises(KeyError):
+            proof.blocks[last + 1]
 
     def test_unopened_id_verifies_to_zero(self, preps):
         g, w, _ = triangle_both_cycles()

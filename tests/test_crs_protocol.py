@@ -342,6 +342,57 @@ class TestMalformedCertInput:
         assert rng.bit_generator.state == before
 
 
+class TestMalformedProverKey:
+    """The prover key is the caller's own: crs_cert raises ValueError
+    naming a malformed field, before any draw and whatever is returned."""
+
+    KEYS = {
+        "theta_list": ("theta", lambda k: k.theta.tolist()),
+        "theta_none": ("theta", lambda k: None),
+        "theta_float": ("theta", lambda k: k.theta.astype(float)),
+        "theta_one_short": ("theta", lambda k: k.theta[:-1]),
+        "theta_2d": ("theta", lambda k: k.theta.reshape(2, -1)),
+        "y_with_twos": ("y", lambda k: k.y * 2),
+        "y_negative": ("y", lambda k: -k.y.astype(np.int8)),
+        "k0_one_over": ("k0", lambda k: np.append(k.k0, 0)),
+        "k1_str": ("k1", lambda k: "0" * PARAMS.ell),
+        "preimages_float": ("preimages", lambda k: k.preimages.astype(float)),
+        "preimages_flat": ("preimages", lambda k: k.preimages.ravel()),
+        "preimages_one_short": ("preimages", lambda k: k.preimages[:-1]),
+        "prfk_none": ("prfk", lambda k: None),
+        "prfk_short": ("prfk", lambda k: k.prfk[:-1]),
+        "prfk_str": ("prfk", lambda k: k.prfk.hex()[:16]),
+    }
+
+    @pytest.mark.parametrize("how", sorted(KEYS))
+    @pytest.mark.parametrize("returned", ["residual", "none"])
+    def test_raises_without_a_draw(self, how, returned):
+        rng = stream(0, "probe-crs-key")
+        crs = crs_setup(rng)
+        sigma, key = crs_prove(PARAMS, crs, STATEMENT, WITNESS, rng)
+        _, residual = crs_verify(PARAMS, crs, STATEMENT, sigma, rng)
+        field, bad = self.KEYS[how]
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"field\\(s\\): {field}$"):
+            crs_cert(PARAMS, replace(key, **{field: bad(key)}), residual if returned == "residual" else None, rng)
+        assert rng.bit_generator.state == before
+
+    def test_names_every_malformed_field(self, rng):
+        sigma, key = crs_prove(PARAMS, crs_setup(rng), STATEMENT, WITNESS, rng)
+        with pytest.raises(ValueError, match="field\\(s\\): theta, prfk$"):
+            crs_cert(PARAMS, replace(key, theta=None, prfk=None), sigma, rng)
+
+    def test_integer_and_bool_bits_certify_alike(self):
+        rng = stream(0, "probe-crs-key")
+        crs = crs_setup(rng)
+        sigma, key = crs_prove(PARAMS, crs, STATEMENT, WITNESS, rng)
+        _, residual = crs_verify(PARAMS, crs, STATEMENT, sigma, rng)
+        as_bool = replace(key, theta=key.theta.astype(bool), y=key.y.astype(bool))
+        audits = [crs_cert(PARAMS, k, residual, stream(0, "certify"), audit=True) for k in (key, as_bool)]
+        assert audits[0].accepted
+        assert_same_audit(*audits)
+
+
 class TestCert:
     def test_honest_verify_then_cert(self, rng):
         crs = crs_setup(rng)
