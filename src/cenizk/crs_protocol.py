@@ -91,8 +91,6 @@ class CrsParams:
 
     lam: int = 2
     sig_width: int = 16  # OWF output bits per encoding position
-    owf_mode: str = "hash"  # "identity" is the negative-control fixture
-    prf_mode: str = "hash"
     ell: ClassVar[int] = TOY_PROOF_BITS
     preimage_bits: ClassVar[int] = 32
 
@@ -177,11 +175,11 @@ def _pad_table(ell: int, lam: int) -> list[int]:
     """One half's pad indexed by its ell*lam masked bits (z & ~theta):
     bit i, most significant first, is the parity of block i's lam bits.
     Built on first use; 4,096 entries at ell=4, lam=3."""
-    parity = [v.bit_count() & 1 for v in range(1 << lam)]
-    table = [0]
-    for _ in range(ell):
-        table = [(t << 1) | p for t in table for p in parity]
-    return table
+    # every masked value as ell words of lam bits, block 0 most significant;
+    # the mask is already applied, so no bit is a Hadamard position
+    blocks = np.arange(ell - 1, -1, -1)
+    words = (np.arange(1 << (ell * lam))[:, None] >> (lam * blocks)) & ((1 << lam) - 1)
+    return (masked_parity(np.zeros_like(words), words) @ (1 << blocks)).tolist()
 
 
 # ---------------------------------------------------------------------
@@ -189,38 +187,29 @@ def _pad_table(ell: int, lam: int) -> list[int]:
 # ---------------------------------------------------------------------
 
 
-def _prf_mask(prfk: bytes, width: int, mode: str) -> Callable[[int], int]:
-    """z -> F_prfk(z), `width` bits. In hash mode the keyed blake2b is set
-    up once and copied per z, which gives the digest of
-    blake2b(z, key=prfk)."""
+def _prf_mask(prfk: bytes, width: int) -> Callable[[int], int]:
+    """z -> F_prfk(z), `width` bits. The keyed blake2b is set up once and
+    copied per z, which gives the digest of blake2b(z, key=prfk)."""
     low = (1 << width) - 1
-    if mode == "hash":
-        keyed = hashlib.blake2b(key=prfk, digest_size=16)
+    keyed = hashlib.blake2b(key=prfk, digest_size=16)
 
-        def prf(z_int: int) -> int:
-            h = keyed.copy()
-            h.update(z_int.to_bytes(16, "big"))
-            return int.from_bytes(h.digest(), "big") & low
+    def prf(z_int: int) -> int:
+        h = keyed.copy()
+        h.update(z_int.to_bytes(16, "big"))
+        return int.from_bytes(h.digest(), "big") & low
 
-        return prf
-    if mode == "identity":
-        return lambda z_int: z_int & low
-    raise ValueError(f"unknown prf mode {mode!r}")
+    return prf
 
 
 _OWF_HASH = hashlib.blake2b(digest_size=8, person=b"lamport-owf")
 
 
-def _owf_int(preimage: int, sig_width: int, mode: str) -> int:
-    """The sig_width-bit OWF image of a 64-bit preimage. In hash mode the
-    personalised blake2b is set up once and copied per preimage."""
-    if mode == "hash":
-        h = _OWF_HASH.copy()
-        h.update(int(preimage).to_bytes(8, "big"))
-        return int.from_bytes(h.digest(), "big") & ((1 << sig_width) - 1)
-    if mode == "identity":
-        return int(preimage) & ((1 << sig_width) - 1)
-    raise ValueError(f"unknown owf mode {mode!r}")
+def _owf_int(preimage: int, sig_width: int) -> int:
+    """The sig_width-bit OWF image of a 64-bit preimage. The personalised
+    blake2b is set up once and copied per preimage."""
+    h = _OWF_HASH.copy()
+    h.update(int(preimage).to_bytes(8, "big"))
+    return int.from_bytes(h.digest(), "big") & ((1 << sig_width) - 1)
 
 
 _SIG_CHUNK = 8  # z bits per lookup table
@@ -238,7 +227,7 @@ def _sig_lookup(params: CrsParams, preimages: np.ndarray):
     pre = np.asarray(preimages, dtype=np.uint64).reshape(-1, 2).tolist()
     n, w = len(pre), params.sig_width
     # both OWF images of every encoding position: table[i][b] signs z_i = b
-    table = [[_owf_int(p, w, params.owf_mode) for p in pair] for pair in pre]
+    table = [[_owf_int(p, w) for p in pair] for pair in pre]
     base = 0
     # deltas by bit of the integer z, least significant first
     deltas = []
@@ -317,7 +306,7 @@ def _ps_memo(params: CrsParams, key: CrsProverKey) -> _PsMemo:
     if memo is None:
         w, sig_bits = params.witness_bits, params.sig_bits
         top, spread = _omega_int(key, params) << (w + sig_bits), (1 << w) | 1
-        prf, sig = _prf_mask(key.prfk, w, params.prf_mode), _sig_lookup(params, key.preimages)
+        prf, sig = _prf_mask(key.prfk, w), _sig_lookup(params, key.preimages)
         memo = key._ps_memo[params] = _PsMemo()
         # (omega ^ mask) || mask is (omega << w) ^ mask * (2^w + 1)
         memo.fill = lambda z_int: top ^ ((prf(z_int) * spread) << sig_bits) ^ sig(z_int)
@@ -487,7 +476,7 @@ def _certify(
     return CertAudit(prob, state, cert_bits, check_deletion_cert(cert_bits, key.y, key.theta))
 
 
-def cert_match_probability(params: CrsParams, key: CrsProverKey, state: SparseState) -> float:
+def cert_match_probability(key: CrsProverKey, state: SparseState) -> float:
     """Exact probability that the Hadamard measurement of R matches the
     recorded y at every theta=1 position (audit lane for the uncomputed
     state)."""
@@ -652,13 +641,13 @@ def crs_prove_dry(
 
     preimages = rng.integers(0, 1 << params.preimage_bits, size=(n_r, 2), dtype=np.uint64)
     pre = preimages.tolist()
-    w, mode = params.sig_width, params.owf_mode
+    w = params.sig_width
     z_bits = z.tolist()
     chunks = _lamport_sign(pre, z_bits)
     # the Lamport check: chunk i must hash to the image of pre[i][z_i];
     # an honest chunk is that preimage, so it is never hashed
     sig_ok = len(chunks) == len(z_bits) and all(
-        c == p[b] or _owf_int(c, w, mode) == _owf_int(p[b], w, mode) for c, p, b in zip(chunks, pre, z_bits)
+        c == p[b] or _owf_int(c, w) == _owf_int(p[b], w) for c, p, b in zip(chunks, pre, z_bits)
     )
 
     pad0_z = pad_half(theta, z, 0, ell, lam)

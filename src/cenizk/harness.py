@@ -167,9 +167,9 @@ SIZE_CAPS = {
 
 def _require_params(params, defaults: dict, what: str) -> None:
     """ValueError naming every key of params not in defaults, every key of
-    defaults not in params, the first key whose value is not of the default
-    value's type, the first integer (a size) below 1, or the first size
-    above its SIZE_CAPS cap."""
+    defaults not in params, the first key whose value is not exactly of the
+    default value's type (a bool is no int), the first integer (a size)
+    below 1, or the first size above its SIZE_CAPS cap."""
     if not isinstance(params, dict):
         raise ValueError(f"{what} params must be a dict, got {type(params).__name__}")
     unknown = [str(key) for key in params if key not in defaults]
@@ -179,7 +179,7 @@ def _require_params(params, defaults: dict, what: str) -> None:
     if missing:
         raise ValueError(f"{what} params missing {', '.join(missing)}")
     for key, default in defaults.items():
-        if not isinstance(params[key], type(default)):
+        if type(params[key]) is not type(default):
             raise ValueError(f"{what} param {key} must be a {type(default).__name__}, got {params[key]!r}")
         if isinstance(default, int) and params[key] < 1:
             raise ValueError(f"{what} param {key} must be at least 1, got {params[key]!r}")
@@ -212,7 +212,7 @@ def run_session(protocol: str, params: dict | None, seed: int, stop_after: str |
     stages, defaults, run = _SESSIONS[protocol]
     if stop_after is not None and stop_after not in stages:
         raise ValueError(f"{protocol} has no stage {stop_after!r}; stages: {', '.join(stages)}")
-    if not isinstance(seed, (int, np.integer)):
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     return run(params or defaults(), seed, stop_after or stages[-1])
 

@@ -13,10 +13,12 @@ c and c XOR u against G's image of all 2^s seeds. Hiding is
 computational (the PRG); commitments are NOT succinct (|com| grows with
 k), which is why asymptotic soundness statements downstream stay analytic.
 
-G is one array function, `_prg_rows`, hashing each distinct seed once;
-`prg_expand` is G at one seed. The commitment relation (`_commitments`)
-runs in passes of _PASS_BITS committed bits: GenBits builds com with it
-and batch verification checks com's rows against it.
+G is one fixed function: `_expand` hashes one seed, and the array
+function `_prg_rows` hashes each distinct seed once (the hiding tests
+swap a broken `_expand` in as their negative control); `prg_expand` is
+G at one seed. The commitment relation (`_commitments`) runs in passes
+of _PASS_BITS committed bits: GenBits builds com with it and batch
+verification checks com's rows against it.
 
 The opened set is one (k,) bool mask over positions, the only form
 `restrict_opening` and `hbg_verify_batch` accept; `hbg_verify` is the
@@ -27,9 +29,6 @@ position leaves the prover and no position travels.
 
 dealer mode: a trusted-registry test double with perfect binding and
 hiding, for protocol-logic experiments that want an ideal generator.
-
-The PRG also ships a deliberately broken identity mode used as the
-negative control in the hiding tests.
 """
 
 from __future__ import annotations
@@ -45,9 +44,6 @@ from .bits import flat_mask, int_array, opened_rows, pack_rows, unpack_rows, wor
 
 OPEN_SEED_LIMIT = 22  # brute-force Open guard: at most 2^22 seeds
 _PASS_BITS = 1 << 16  # committed bits per pass of the commitment relation
-
-PRG_BLAKE = "blake"
-PRG_IDENTITY = "identity"
 
 
 @dataclass(frozen=True)
@@ -73,35 +69,32 @@ class HbgParams:
         return (self.out_bits + 7) // 8
 
 
-_EXPAND = {  # one seed's out_bytes bytes of G, before the top bits are masked
-    PRG_BLAKE: lambda seed, n: hashlib.blake2b(seed.to_bytes(8, "big"), digest_size=n, person=b"hbg-prg").digest(),
-    PRG_IDENTITY: lambda seed, n: seed.to_bytes(n, "big"),
-}
+def _expand(seed: int, n: int) -> bytes:
+    """One seed's n bytes of G, before the top bits are masked."""
+    return hashlib.blake2b(seed.to_bytes(8, "big"), digest_size=n, person=b"hbg-prg").digest()
 
 
-def _prg_rows(seeds: np.ndarray, params: HbgParams, mode: str) -> np.ndarray:
+def _prg_rows(seeds: np.ndarray, params: HbgParams) -> np.ndarray:
     """G at each of seeds (integers in [0, 2^s)): (len(seeds), out_bytes) uint8
     rows, big-endian with the top bits zero; each distinct seed hashed once."""
-    if mode not in _EXPAND:
-        raise ValueError(f"unknown prg mode {mode!r}")
     distinct, where = np.unique(seeds, return_inverse=True)
     n = params.out_bytes
-    rows = np.frombuffer(bytearray(b"".join(_EXPAND[mode](x, n) for x in distinct.tolist())), np.uint8).reshape(-1, n)
+    rows = np.frombuffer(bytearray(b"".join(_expand(x, n) for x in distinct.tolist())), np.uint8).reshape(-1, n)
     rows[:, 0] &= 0xFF >> (8 * n - params.out_bits)
     return rows[where]
 
 
-def prg_expand(seed: int, params: HbgParams, mode: str = PRG_BLAKE) -> bytes:
+def prg_expand(seed: int, params: HbgParams) -> bytes:
     """G at one seed: s-bit seed -> 3s-bit string (packed big-endian, top bits zero)."""
     if seed >> params.s:
         raise ValueError("seed wider than s bits")
-    return _prg_rows(np.array([seed], dtype=np.uint64), params, mode).tobytes()
+    return _prg_rows(np.array([seed], dtype=np.uint64), params).tobytes()
 
 
 @lru_cache(maxsize=8)
-def _prg_image(s: int, mode: str) -> frozenset[bytes]:
+def _prg_image(s: int) -> frozenset[bytes]:
     """G's image of all 2^s seeds; Open only tests membership."""
-    return frozenset(g.tobytes() for g in _prg_rows(np.arange(1 << s, dtype=np.uint64), HbgParams(k=1, s=s), mode))
+    return frozenset(g.tobytes() for g in _prg_rows(np.arange(1 << s, dtype=np.uint64), HbgParams(k=1, s=s)))
 
 
 # ---------------------------------------------------------------------
@@ -113,7 +106,6 @@ def _prg_image(s: int, mode: str) -> frozenset[bytes]:
 class NaorCrs:
     params: HbgParams
     u: np.ndarray  # (committed, out_bytes) uint8 shifts
-    prg_mode: str = PRG_BLAKE
 
     mode = "naor"
 
@@ -167,13 +159,13 @@ class HbgOpenResult:
 # ---------------------------------------------------------------------
 
 
-def hbg_setup(k: int, mode: str, rng: np.random.Generator, s: int = 12, prg_mode: str = PRG_BLAKE, width: int = 1):
+def hbg_setup(k: int, mode: str, rng: np.random.Generator, s: int = 12, width: int = 1):
     """CRS for k positions of width bits each."""
     params = HbgParams(k=k, s=s, width=width)
     if mode == "naor":
         u = rng.integers(0, 256, size=(params.committed, params.out_bytes), dtype=np.uint8)
         u[:, 0] &= 0xFF >> (8 * params.out_bytes - params.out_bits)
-        return NaorCrs(params, u, prg_mode)
+        return NaorCrs(params, u)
     if mode == "dealer":
         return DealerCrs(params)
     raise ValueError(f"unknown hbg mode {mode!r}")
@@ -186,7 +178,7 @@ def _passes(n: int):
 
 def _commitments(crs: NaorCrs, u: np.ndarray, seeds: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """c = G(seed) ^ bit * u, one row per committed bit with its shift row in u."""
-    rows = _prg_rows(seeds, crs.params, crs.prg_mode)
+    rows = _prg_rows(seeds, crs.params)
     rows ^= u * bits[:, None]
     return rows
 
@@ -264,7 +256,7 @@ def hbg_open(crs, com: HbgCommitment) -> HbgOpenResult:
     params = crs.params
     if params.s > OPEN_SEED_LIMIT:
         raise ValueError(f"brute-force Open capped at s <= {OPEN_SEED_LIMIT}")
-    image = _prg_image(params.s, crs.prg_mode)
+    image = _prg_image(params.s)
     c = np.frombuffer(com.data, dtype=np.uint8).reshape(params.committed, params.out_bytes)  # else ValueError
     as_zero, as_one = (np.array([row.tobytes() in image for row in rows], dtype=bool) for rows in (c, c ^ crs.u))
     words = (params.k, params.width)
@@ -285,8 +277,6 @@ __all__ = [
     "NaorCrs",
     "NaorOpening",
     "OPEN_SEED_LIMIT",
-    "PRG_BLAKE",
-    "PRG_IDENTITY",
     "hbg_genbits",
     "hbg_open",
     "hbg_setup",

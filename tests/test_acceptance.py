@@ -247,9 +247,7 @@ def test_criterion_5_crs_toy_mode():
     p_verify = crs_verify_prob(params, x, sigma)
     b, residual = crs_verify(params, crs, x, sigma, rng)
     audit = crs_cert(params, key, residual, rng, audit=True)
-    p_cert = audit.sig_test_prob * cert_match_probability(
-        params, key, cert_uncompute(params, key, sigma)
-    )
+    p_cert = audit.sig_test_prob * cert_match_probability(key, cert_uncompute(params, key, sigma))
     audit_ok = abs(p_verify - 1.0) < 1e-9 and abs(p_cert - 1.0) < 1e-9 and audit.accepted
     ok = report.successes >= 99 and elapsed <= 300 and audit_ok
     _line(

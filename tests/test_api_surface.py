@@ -1,9 +1,10 @@
 """Tooling checks on the public surface: every cenizk module imports on
 its own (so an import cycle fails here), every name it exports resolves,
-no module imports a `_`-prefixed name from a sibling, and every function
-the layered benchmark traces (perfbench/spans.py TARGETS) exists where
-the tracer looks for it, so a rename or deletion fails here rather than
-in `perfbench/run.py --trace 1`."""
+no module imports a `_`-prefixed name from a sibling, every function
+reads every parameter it takes, and every function the layered
+benchmark traces (perfbench/spans.py TARGETS) exists where the tracer
+looks for it, so a rename or deletion fails here rather than in
+`perfbench/run.py --trace 1`."""
 
 import ast
 import importlib
@@ -75,30 +76,48 @@ def test_traced_target_exists(layer, qual):
     assert callable(obj)
 
 
-# dispatch-table entries whose signature the table fixes: a session body
-# takes (params, seed, stop) and an experiment (trials, params, seed),
-# whether or not it reads each one
-UNUSED_PARAM_EXEMPT = {"_run_dry_session", "_deletion_honest_td", "_deletion_leaking_td"}
+# parameters whose place a signature fixes, read or not: a dispatch
+# table's session body takes (params, seed, stop) and its experiment
+# (trials, params, seed); a protocol algorithm takes the CRS, and the
+# forged-proof prover the honest prover's whole input
+UNREAD_PARAM_EXEMPT = {
+    ("_run_dry_session", "stop"),
+    ("_deletion_honest_td", "trials"),
+    ("_deletion_leaking_td", "trials"),
+    ("toy_prove", "crs"),
+    ("toy_verify", "crs"),
+    ("crs_verify", "crs"),
+    ("forged_proof_prover", "crs"),
+    ("forged_proof_prover", "network"),
+    ("forged_proof_prover", "x"),
+}
 
 
-def _unread_params(path: Path):
-    """(function, parameter) for every parameter of a `_`-prefixed function
-    in path that the function's body (nested functions included) never
-    reads."""
+def _unread_params(name: str, private: bool) -> list[tuple[str, str]]:
+    """(function, parameter) for every parameter of a function of module
+    name, `_`-prefixed or public as private says, that the function's
+    body (nested functions included) never reads."""
+    path = PACKAGE_ROOT / "cenizk" / f"{name}.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unread = []
     for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or not node.name.startswith("_"):
-            continue
-        if node.name in UNUSED_PARAM_EXEMPT:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name.startswith("_") != private:
             continue
         a = node.args
         params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p is not None]
         body = (n for stmt in node.body for n in ast.walk(stmt))
         read = {n.id for n in body if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-        yield from ((node.name, p) for p in params if p not in read)
+        unread += [(node.name, p) for p in params if p not in read and (node.name, p) not in UNREAD_PARAM_EXEMPT]
+    return unread
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_private_functions_read_every_parameter(name):
-    unread = list(_unread_params(PACKAGE_ROOT / "cenizk" / f"{name}.py"))
+    unread = _unread_params(name, private=True)
+    assert not unread, f"cenizk.{name}: parameters never read {unread}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_public_functions_read_every_parameter(name):
+    unread = _unread_params(name, private=False)
     assert not unread, f"cenizk.{name}: parameters never read {unread}"

@@ -30,7 +30,6 @@ from cenizk.crs_protocol import (
     _certify,
     _omega_int,
     _outer_verify,
-    _owf_int,
     _pad_table,
     _sig_lookup,
 )
@@ -415,7 +414,7 @@ class TestCert:
                 PARAMS.sig_bits,
             )
             assert post.equals(expected, tol=1e-9)
-            assert cert_match_probability(PARAMS, key, post) == pytest.approx(1.0)
+            assert cert_match_probability(key, post) == pytest.approx(1.0)
 
     def test_z_measured_adversary_passes_at_analytic_rate(self):
         """An adversary that measures the encoding register in Z before
@@ -613,8 +612,21 @@ class TestCompiledProofDecode:
 
 
 def sig_table_reference(params, preimages):
-    """Both OWF images of every position, hashed from numpy scalars."""
-    return [[_owf_int(preimages[i, b], params.sig_width, params.owf_mode) for b in (0, 1)] for i in range(len(preimages))]
+    """Both OWF images of every position, from numpy scalars, under the
+    module's OWF (a test's fake when one is swapped in)."""
+    return [[crs_protocol._owf_int(preimages[i, b], params.sig_width) for b in (0, 1)] for i in range(len(preimages))]
+
+
+@pytest.fixture
+def identity_owf(monkeypatch):
+    """A broken OWF for the test that takes it: a preimage's own low bits."""
+    monkeypatch.setattr(crs_protocol, "_owf_int", lambda preimage, sig_width: int(preimage) & ((1 << sig_width) - 1))
+
+
+@pytest.fixture
+def identity_prf(monkeypatch):
+    """A broken PRF for the test that takes it: z's own low bits."""
+    monkeypatch.setattr(crs_protocol, "_prf_mask", lambda prfk, width: lambda z_int: z_int & ((1 << width) - 1))
 
 
 def sig_int_reference(z_int, table, width):
@@ -643,9 +655,16 @@ class TestSignatureLookup:
 
     @pytest.mark.parametrize(
         "params",
-        [CrsParams(sig_width=1), CrsParams(lam=1), CrsParams(lam=3, sig_width=5), CrsParams(owf_mode="identity")],
+        [CrsParams(sig_width=1), CrsParams(lam=1), CrsParams(lam=3, sig_width=5)],
     )
     def test_matches_per_position_chain_at_other_shapes(self, params):
+        self._matches_per_position_chain(params)
+
+    def test_matches_per_position_chain_under_an_identity_owf(self, identity_owf):
+        self._matches_per_position_chain(PARAMS)
+
+    @staticmethod
+    def _matches_per_position_chain(params):
         preimages = _preimages(params, 7)
         sig = _sig_lookup(params, preimages)
         table = sig_table_reference(params, preimages)
@@ -778,8 +797,11 @@ class TestPsMemo:
 
 
 class TestNegativeControlFixtures:
-    def test_identity_prf_masks_are_predictable(self, rng):
-        params = CrsParams(prf_mode="identity")
+    """A broken PRF or OWF swapped in exposes what the real one hides;
+    the outer proof's layout is (omega ^ mask) || mask."""
+
+    def test_identity_prf_masks_are_predictable(self, rng, identity_prf):
+        params = PARAMS
         crs = crs_setup(rng)
         sigma, key = crs_prove(params, crs, STATEMENT, WITNESS, rng)
         # with the identity PRF the mask half of each outer proof equals
@@ -797,8 +819,8 @@ class TestNegativeControlFixtures:
             assert mask == (z & ((1 << w_bits) - 1))
             assert (pi >> w_bits) ^ mask == omega
 
-    def test_identity_owf_exposes_preimages(self, rng):
-        params = CrsParams(owf_mode="identity", sig_width=16)
+    def test_identity_owf_exposes_preimages(self, rng, identity_owf):
+        params = PARAMS
         crs = crs_setup(rng)
         sigma, key = crs_prove(params, crs, STATEMENT, WITNESS, rng)
         # signature chunks ARE the (truncated) preimages under identity f

@@ -391,21 +391,50 @@ class TestPartialParams:
 class TestParamTypes:
     @pytest.mark.parametrize(
         "protocol,key,value",
-        [("epr", "n", None), ("crs-toy", "lam", [2]), ("crs-toy", "witness", 1011)],
+        [
+            ("epr", "n", None),
+            ("crs-toy", "lam", [2]),
+            ("crs-toy", "witness", 1011),
+            # a bool is an int to isinstance: True ran as 1 under a second
+            # encoding of the params, and False was refused as a size below 1
+            ("epr", "k", True),
+            ("epr", "b", True),
+            ("epr", "hbg_s", True),
+            ("epr", "n", False),
+            ("crs-toy", "lam", True),
+            ("crs-toy", "sig_width", True),
+            ("crs-dry", "lam", True),
+        ],
     )
     def test_certify_names_a_param_of_the_wrong_type(self, capsys, tmp_path, protocol, key, value):
         defaults = default_epr_params() if protocol == "epr" else default_crs_params()
         path = tmp_path / "typed.cenz"
         path.write_bytes(serialize_transcript(Transcript(protocol, {**defaults, key: value}, 0)))
         assert cli_main(["certify", "--in", str(path)]) == 2
-        assert f"{protocol} param {key} must be a" in capsys.readouterr().err
+        expected = f"{protocol} param {key} must be a {type(defaults[key]).__name__}, got {value!r}"
+        assert expected in capsys.readouterr().err
 
-    @pytest.mark.parametrize("seed", ["x", 1.5])
+    @pytest.mark.parametrize("seed", ["x", 1.5, True, False])
     def test_certify_names_a_non_integer_seed(self, capsys, tmp_path, seed):
         path = tmp_path / "seed.cenz"
         path.write_bytes(serialize_transcript(Transcript("epr", default_epr_params(), seed)))
         assert cli_main(["certify", "--in", str(path)]) == 2
         assert "seed must be an integer" in capsys.readouterr().err
+
+    # a bool k made hbg-binding fail with a TypeError inside hbg_open
+    @pytest.mark.parametrize(
+        "name,params,key",
+        [
+            ("hbg-binding", {"s": 12, "k": True}, "k"),
+            ("hbg-binding", {"s": True}, "s"),
+            ("deletion-keep-state", {"lam": True}, "lam"),
+            ("epr-honest", {**default_epr_params(), "reps": True}, "reps"),
+            ("crs-honest", {**default_crs_params(), "lam": True}, "lam"),
+        ],
+    )
+    def test_run_experiment_refuses_a_bool_int_param(self, name, params, key):
+        with pytest.raises(ValueError, match=f"param {key} must be a int, got True"):
+            run_experiment(name, 2, params, 0)
 
     def test_block_width_above_a_byte_is_usage_error(self, capsys):
         # a block's bases and outcomes are one byte each

@@ -1,5 +1,6 @@
 """Hidden-bits generator tests: naor-style binding via the brute-force
-Open oracle, the dealer double, and the broken-PRG negative control."""
+Open oracle, the dealer double, and the hiding control, which swaps a
+broken G in for the real one."""
 
 import hashlib
 import math
@@ -7,11 +8,10 @@ import math
 import numpy as np
 import pytest
 
+from cenizk import hbg
 from cenizk.bits import unpack_rows
 from cenizk.hbg import (
     _PASS_BITS,
-    PRG_BLAKE,
-    PRG_IDENTITY,
     HbgCommitment,
     HbgParams,
     NaorOpening,
@@ -266,11 +266,22 @@ class TestOpenedMask:
             assert restrict_opening(op, mask(12, [3])) is op
 
 
+@pytest.fixture
+def identity_g(monkeypatch):
+    """A broken G for the test that takes it: a seed's own bytes. Open's
+    cached image of G is cleared before and after, so no image of the
+    fake reaches a test that runs under the real G."""
+    hbg._prg_image.cache_clear()
+    monkeypatch.setattr(hbg, "_expand", lambda seed, n: seed.to_bytes(n, "big"))
+    yield
+    hbg._prg_image.cache_clear()
+
+
 class TestHidingControl:
-    def _predict_bits(self, prg_mode, rng):
+    def _predict_bits(self, rng):
         # distinguisher: guess r_i = 0 iff the top 2s bits of c_i are zero
-        # (the identity PRG leaves them zero for r=0 and is exposed by u)
-        crs = hbg_setup(64, "naor", rng, s=8, prg_mode=prg_mode)
+        # (the identity G leaves them zero for r=0 and is exposed by u)
+        crs = hbg_setup(64, "naor", rng, s=8)
         com, r, _ = hbg_genbits(crs, rng)
         correct = 0
         top_bytes = 2 * crs.params.s // 8
@@ -280,13 +291,21 @@ class TestHidingControl:
             correct += guess == r[i]
         return correct / 64
 
-    def test_identity_prg_leaks(self, rng):
-        acc = np.mean([self._predict_bits(PRG_IDENTITY, rng) for _ in range(20)])
+    def test_identity_prg_leaks(self, rng, identity_g):
+        acc = np.mean([self._predict_bits(rng) for _ in range(20)])
         assert acc > 0.95  # negative control: broken PRG exposes the bits
 
     def test_production_prg_passes_same_test(self, rng):
-        acc = np.mean([self._predict_bits(PRG_BLAKE, rng) for _ in range(20)])
+        acc = np.mean([self._predict_bits(rng) for _ in range(20)])
         assert abs(acc - 0.5) < 0.1  # the same distinguisher is blind here
+
+    def test_identity_prg_still_binds(self, identity_g):
+        # an injective G binds: Open recovers the bits it cannot hide
+        rng = stream(0, "identity-binds")
+        crs = hbg_setup(64, "naor", rng, s=8)
+        com, r, _ = hbg_genbits(crs, rng)
+        res = hbg_open(crs, com)
+        assert np.array_equal(res.bits, r) and not res.equivocal.any() and not res.garbage.any()
 
 
 class TestWords:
@@ -344,14 +363,10 @@ class TestWords:
             hbg_setup(4, "dealer", rng, width=9)
 
 
-def g_reference(seed: int, s: int, mode: str = PRG_BLAKE) -> bytes:
-    """G at one seed straight from hashlib (or the identity), masked to
-    its 3s bits here."""
+def g_reference(seed: int, s: int) -> bytes:
+    """G at one seed straight from hashlib, masked to its 3s bits here."""
     n = (3 * s + 7) // 8
-    if mode == PRG_BLAKE:
-        raw = hashlib.blake2b(seed.to_bytes(8, "big"), digest_size=n, person=b"hbg-prg").digest()
-    else:
-        raw = seed.to_bytes(n, "big")
+    raw = hashlib.blake2b(seed.to_bytes(8, "big"), digest_size=n, person=b"hbg-prg").digest()
     return (int.from_bytes(raw, "big") & ((1 << 3 * s) - 1)).to_bytes(n, "big")
 
 
@@ -379,7 +394,7 @@ def reference_verify(crs, com, opened, words, opening) -> bool:
             if not 0 <= seed < 1 << p.s:
                 return False
             if seed not in g_of:
-                g_of[seed] = np.frombuffer(prg_expand(seed, p, crs.prg_mode), dtype=np.uint8)
+                g_of[seed] = np.frombuffer(prg_expand(seed, p), dtype=np.uint8)
             if com.data[q * n : (q + 1) * n] != (g_of[seed] ^ crs.u[q] * ((word >> j) & 1)).tobytes():
                 return False
     return True
@@ -388,12 +403,11 @@ def reference_verify(crs, com, opened, words, opening) -> bool:
 class TestOneG:
     """G is one array function; prg_expand is G at one seed."""
 
-    @pytest.mark.parametrize("mode", [PRG_BLAKE, PRG_IDENTITY])
     @pytest.mark.parametrize("s", [2, 12, 22, 64])
-    def test_prg_expand_pinned(self, s, mode):
+    def test_prg_expand_pinned(self, s):
         params = HbgParams(k=1, s=s)
         for seed in sorted({0, 1, 3, (1 << s) // 3, (1 << s) - 1}):
-            assert prg_expand(seed, params, mode) == g_reference(seed, s, mode)
+            assert prg_expand(seed, params) == g_reference(seed, s)
 
     @pytest.mark.parametrize("s", [2, 12, 64])
     def test_seed_outside_s_bits_raises(self, s):
@@ -401,14 +415,13 @@ class TestOneG:
             with pytest.raises(ValueError, match="wider"):
                 prg_expand(seed, HbgParams(k=1, s=s))
 
-    @pytest.mark.parametrize("mode", [PRG_BLAKE, PRG_IDENTITY])
-    def test_rows_of_repeated_seeds(self, mode):
+    def test_rows_of_repeated_seeds(self):
         params = HbgParams(k=1, s=10)
         seeds = np.array([5, 1023, 5, 0, 1023, 5], dtype=np.uint64)
-        rows = _prg_rows(seeds, params, mode)
+        rows = _prg_rows(seeds, params)
         assert rows.shape == (6, params.out_bytes) and rows.dtype == np.uint8
-        assert [row.tobytes() for row in rows] == [g_reference(int(x), 10, mode) for x in seeds]
-        assert _prg_rows(seeds[:0], params, mode).shape == (0, params.out_bytes)
+        assert [row.tobytes() for row in rows] == [g_reference(int(x), 10) for x in seeds]
+        assert _prg_rows(seeds[:0], params).shape == (0, params.out_bytes)
 
 
 class TestBatchMatchesReference:
