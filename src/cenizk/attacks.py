@@ -469,11 +469,11 @@ def _exact_output_matrix(exp: DeletionExperiment, b: int) -> np.ndarray:
     return rho
 
 
-def hoeffding_halfwidth(trials: int, alpha: float = 0.05) -> float:
-    """Two-sided Hoeffding half-width of a rate over trials at level alpha."""
+def hoeffding_halfwidth(trials: int) -> float:
+    """Two-sided Hoeffding half-width of a rate over trials at level 0.05."""
     if trials <= 0:
         return 0.0
-    return math.sqrt(math.log(2.0 / alpha) / (2.0 * trials))
+    return math.sqrt(math.log(2.0 / 0.05) / (2.0 * trials))
 
 
 def td_estimate(exp: DeletionExperiment, rng: np.random.Generator, trials: int = 10_000) -> TdEstimate:

@@ -424,22 +424,14 @@ def cert_uncompute(params: CrsParams, key: CrsProverKey, sigma: CrsProofState) -
     return _attach_functional_registers(params, sigma.state, key, params.registers())
 
 
-def crs_cert(
-    params: CrsParams,
-    key: CrsProverKey,
-    returned: CrsProofState,
-    rng: np.random.Generator,
-    audit: bool = False,
-):
+def crs_cert(params: CrsParams, key: CrsProverKey, returned: CrsProofState, rng: np.random.Generator) -> bool:
     """Signature test, uncompute, Hadamard measurement, y comparison. A
     returned object that does not hold a proof state (`_holds_proof_state`)
     rejects with no draw; a malformed key raises ValueError first (`_require_key`)."""
     _require_key(params, key)
-    if _holds_proof_state(params, returned):
-        result = _certify(params, key, returned.state, params.registers(), rng)
-    else:
-        result = CertAudit(0.0, None, None, False)
-    return result if audit else result.accepted
+    if not _holds_proof_state(params, returned):
+        return False
+    return _certify(params, key, returned.state, params.registers(), rng).accepted
 
 
 def _require_key(params: CrsParams, key: CrsProverKey) -> None:

@@ -146,12 +146,13 @@ def default_crs_params() -> dict:
 # cap sits above every shape the acceptance suite and the benchmark run:
 # the largest EPR session is criterion 1's 4,915,200 pairs, every CRS
 # session uses lam=2 and sig_width=16, the deletion experiments run at
-# lam 2-8 (8 in the deletion digest) and hbg-binding at s=12, k=8. A key
-# "a*b" caps the product of params a, b.
+# lam 2-8 (8 in the deletion digest) and every seed width is 8, 10 or 12.
+# A key "a*b" caps the product of params a, b.
 SIZE_CAPS = {
     # reps*m*m*b*k is the EPR pair count (hidden bits times block width);
-    # a block's bases and outcomes are one byte each, so k is at most 8
-    "epr": {"reps*m*m*b*k": 1 << 23, "k": 8},
+    # a block's bases and outcomes are one byte each, so k is at most 8;
+    # the generator's seed width is at most hbg.SEED_BITS_MAX
+    "epr": {"reps*m*m*b*k": 1 << 23, "k": 8, "hbg_s": hbg_mod.SEED_BITS_MAX},
     # toy states hold up to 2^(8*lam) terms; the OWF images have 64 bits
     "crs-toy": {"lam": 3, "sig_width": 64},
     # the dry run hashes 2*ell encoding positions per unit of lam (4,160
@@ -159,9 +160,9 @@ SIZE_CAPS = {
     "crs-dry": {"lam": 16, "sig_width": 64},
     # prep_bb84 builds 2^wt(theta) terms, up to 2^lam, on every trial
     **dict.fromkeys(("deletion-honest-td", "deletion-leaking-td", "deletion-keep-state"), {"lam": 8}),
-    # Open hashes all 2^s seeds (kept below OPEN_SEED_LIMIT, which is
-    # checked only after GenBits); each trial makes k PRG calls and k scans
-    "hbg-binding": {"s": 16, "k": 1024},
+    # G is one table over all 2^s seeds (s at most hbg.SEED_BITS_MAX); each
+    # trial commits k bits and Open tests 2k rows against G's image
+    "hbg-binding": {"s": hbg_mod.SEED_BITS_MAX, "k": 1024},
 }
 
 
@@ -212,9 +213,14 @@ def run_session(protocol: str, params: dict | None, seed: int, stop_after: str |
     stages, defaults, run = _SESSIONS[protocol]
     if stop_after is not None and stop_after not in stages:
         raise ValueError(f"{protocol} has no stage {stop_after!r}; stages: {', '.join(stages)}")
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    _require_seed(seed)
     return run(params or defaults(), seed, stop_after or stages[-1])
+
+
+def _require_seed(seed) -> None:
+    """ValueError unless seed is a Python or numpy integer (a bool is none) of at least 0."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def _run_epr_session(params: dict, seed: int, stop: str) -> Transcript:
@@ -578,6 +584,7 @@ def attack_names() -> list[str]:
 def run_experiment(name: str, trials: int, params: dict | None, seed: int) -> ExperimentReport:
     if name not in _EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; known: {', '.join(experiment_names())}")
+    _require_seed(seed)
     if trials < 0:
         raise ValueError("trials must be >= 0")
     if trials == 0:

@@ -13,12 +13,14 @@ c and c XOR u against G's image of all 2^s seeds. Hiding is
 computational (the PRG); commitments are NOT succinct (|com| grows with
 k), which is why asymptotic soundness statements downstream stay analytic.
 
-G is one fixed function: `_expand` hashes one seed, and the array
-function `_prg_rows` hashes each distinct seed once (the hiding tests
-swap a broken `_expand` in as their negative control); `prg_expand` is
-G at one seed. The commitment relation (`_commitments`) runs in passes
-of _PASS_BITS committed bits: GenBits builds com with it and batch
-verification checks com's rows against it.
+G is one fixed function: `_expand` hashes one seed (the hiding tests
+swap a broken `_expand` in as their negative control). `_g_table(s)` is
+G at every s-bit seed, read-only and hashed once per s; GenBits, batch
+verification, `prg_expand` (G at one seed) and Open (G's image) read it.
+s lies in 2..SEED_BITS_MAX, so the table has at most 2^16 rows. The
+commitment relation (`_commitments`) runs in passes of _PASS_BITS
+committed bits: GenBits builds com with it and batch verification checks
+com's rows against it.
 
 The opened set is one (k,) bool mask over positions, the only form
 `restrict_opening` and `hbg_verify_batch` accept; `hbg_verify` is the
@@ -42,7 +44,7 @@ import numpy as np
 from . import rng as rng_mod
 from .bits import flat_mask, int_array, opened_rows, pack_rows, unpack_rows, words_fit
 
-OPEN_SEED_LIMIT = 22  # brute-force Open guard: at most 2^22 seeds
+SEED_BITS_MAX = 16  # s lies in 2..SEED_BITS_MAX: G's table has at most 2^16 rows
 _PASS_BITS = 1 << 16  # committed bits per pass of the commitment relation
 
 
@@ -53,8 +55,8 @@ class HbgParams:
     width: int = 1  # bits per position
 
     def __post_init__(self):
-        if self.k < 1 or self.s < 2 or not 1 <= self.width <= 8:
-            raise ValueError("need k >= 1, s >= 2 and 1 <= width <= 8 (one byte per position)")
+        if self.k < 1 or not 2 <= self.s <= SEED_BITS_MAX or not 1 <= self.width <= 8:
+            raise ValueError(f"need k >= 1, 2 <= s <= {SEED_BITS_MAX} and 1 <= width <= 8 (one byte per position)")
 
     @property
     def committed(self) -> int:  # committed bits: width per position
@@ -74,27 +76,29 @@ def _expand(seed: int, n: int) -> bytes:
     return hashlib.blake2b(seed.to_bytes(8, "big"), digest_size=n, person=b"hbg-prg").digest()
 
 
-def _prg_rows(seeds: np.ndarray, params: HbgParams) -> np.ndarray:
-    """G at each of seeds (integers in [0, 2^s)): (len(seeds), out_bytes) uint8
-    rows, big-endian with the top bits zero; each distinct seed hashed once."""
-    distinct, where = np.unique(seeds, return_inverse=True)
+@lru_cache(maxsize=8)
+def _g_table(s: int) -> np.ndarray:
+    """G at every s-bit seed: a read-only (2^s, out_bytes) uint8 array whose
+    row x is G(x), big-endian with the top bits zero."""
+    params = HbgParams(k=1, s=s)
     n = params.out_bytes
-    rows = np.frombuffer(bytearray(b"".join(_expand(x, n) for x in distinct.tolist())), np.uint8).reshape(-1, n)
-    rows[:, 0] &= 0xFF >> (8 * n - params.out_bits)
-    return rows[where]
+    table = np.frombuffer(bytearray(b"".join(_expand(x, n) for x in range(1 << s))), np.uint8).reshape(-1, n)
+    table[:, 0] &= 0xFF >> (8 * n - params.out_bits)
+    table.flags.writeable = False
+    return table
 
 
 def prg_expand(seed: int, params: HbgParams) -> bytes:
     """G at one seed: s-bit seed -> 3s-bit string (packed big-endian, top bits zero)."""
     if seed >> params.s:
         raise ValueError("seed wider than s bits")
-    return _prg_rows(np.array([seed], dtype=np.uint64), params).tobytes()
+    return _g_table(params.s)[seed].tobytes()
 
 
 @lru_cache(maxsize=8)
 def _prg_image(s: int) -> frozenset[bytes]:
-    """G's image of all 2^s seeds; Open only tests membership."""
-    return frozenset(g.tobytes() for g in _prg_rows(np.arange(1 << s, dtype=np.uint64), HbgParams(k=1, s=s)))
+    """G's image of all 2^s seeds, the rows of its table; Open only tests membership."""
+    return frozenset(row.tobytes() for row in _g_table(s))
 
 
 # ---------------------------------------------------------------------
@@ -177,8 +181,9 @@ def _passes(n: int):
 
 
 def _commitments(crs: NaorCrs, u: np.ndarray, seeds: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """c = G(seed) ^ bit * u, one row per committed bit with its shift row in u."""
-    rows = _prg_rows(seeds, crs.params)
+    """c = G(seed) ^ bit * u, one row per committed bit with its shift row in u;
+    seeds must lie in [0, 2^s). The gather copies, so the table stays as is."""
+    rows = _g_table(crs.params.s)[seeds]
     rows ^= u * bits[:, None]
     return rows
 
@@ -254,8 +259,6 @@ def hbg_open(crs, com: HbgCommitment) -> HbgOpenResult:
     if crs.mode != "naor":
         raise ValueError("Open is defined for the naor instantiation only")
     params = crs.params
-    if params.s > OPEN_SEED_LIMIT:
-        raise ValueError(f"brute-force Open capped at s <= {OPEN_SEED_LIMIT}")
     image = _prg_image(params.s)
     c = np.frombuffer(com.data, dtype=np.uint8).reshape(params.committed, params.out_bytes)  # else ValueError
     as_zero, as_one = (np.array([row.tobytes() in image for row in rows], dtype=bool) for rows in (c, c ^ crs.u))
@@ -276,7 +279,7 @@ __all__ = [
     "HbgParams",
     "NaorCrs",
     "NaorOpening",
-    "OPEN_SEED_LIMIT",
+    "SEED_BITS_MAX",
     "hbg_genbits",
     "hbg_open",
     "hbg_setup",

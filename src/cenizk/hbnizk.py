@@ -96,23 +96,6 @@ class HbProof:
     reps: tuple  # one RepRevealAll | RepUseful per repetition
 
 
-@dataclass(frozen=True)
-class HiddenCycle:
-    """One-entries of a useful matrix: a directed n-cycle."""
-
-    successor: tuple[tuple[int, int], ...]  # sorted (u, succ(u)) pairs
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(u for u, _ in self.successor)
-
-    def successor_of(self, u: int) -> int:
-        for a, c in self.successor:
-            if a == u:
-                return c
-        raise KeyError(u)
-
-
 # ---------------------------------------------------------------------
 # block decoding and the usefulness test
 # ---------------------------------------------------------------------
@@ -137,8 +120,9 @@ def bits_to_matrix(block: np.ndarray, m: int, b: int) -> np.ndarray:
     return out.astype(np.uint8).view(bool).reshape(*block.shape[:-1], m, m)
 
 
-def usefulness(matrix: np.ndarray, n: int) -> Optional[HiddenCycle]:
-    """HiddenCycle when the ones form a single directed n-cycle, else None.
+def usefulness(matrix: np.ndarray, n: int) -> Optional[CycleWitness]:
+    """The hidden cycle when the ones form a single directed n-cycle, else
+    None: a CycleWitness over matrix vertices, walked from the smallest.
 
     That is: n >= 2, and the ones are a permutation of n vertices (n
     ones, one in each of n rows, the same n columns) whose orbit from
@@ -148,12 +132,12 @@ def usefulness(matrix: np.ndarray, n: int) -> Optional[HiddenCycle]:
     succ = dict(ones)
     if n < 2 or len(ones) != n or len(succ) != n or set(succ.values()) != set(succ):
         return None
-    start = cur = min(succ)
+    orbit = [min(succ)]
     for _ in range(n - 1):
-        cur = succ[cur]
-        if cur == start:
+        orbit.append(succ[orbit[-1]])
+        if orbit[-1] == orbit[0]:
             return None
-    return HiddenCycle(tuple(sorted(succ.items())))
+    return CycleWitness(tuple(orbit))
 
 
 # Blocks of at most this many bits are decoded by table lookup (larger
@@ -163,7 +147,7 @@ _TABLE_MAX_BITS = 12
 
 
 @functools.lru_cache(maxsize=32)
-def _block_decoder(m: int, b: int, n: int) -> Callable[[np.ndarray], list[Optional[HiddenCycle]]]:
+def _block_decoder(m: int, b: int, n: int) -> Callable[[np.ndarray], list[Optional[CycleWitness]]]:
     """Decoder for a (reps, m*m*b) block array: usefulness of each row.
 
     Up to _TABLE_MAX_BITS bits, one dot product packs every row to an
@@ -231,18 +215,15 @@ def _proof(vmaps: list[Optional[tuple[int, ...]]]) -> HbProof:
     return HbProof(tuple(RepRevealAll() if vmap is None else RepUseful(vmap) for vmap in vmaps))
 
 
-def _anchored_map(witness: CycleWitness, hidden: HiddenCycle) -> tuple[int, ...]:
-    # Anchor graph vertex 0 to the smallest hidden-cycle vertex, then
-    # walk both cycles in step; the unique map wrapping the witness
-    # cycle onto the hidden one under that anchoring.
+def _anchored_map(witness: CycleWitness, hidden: CycleWitness) -> tuple[int, ...]:
+    # Anchor graph vertex 0 to the smallest hidden-cycle vertex (the first
+    # of hidden.order), then walk both cycles in step; the unique map
+    # wrapping the witness cycle onto the hidden one under that anchoring.
     n = len(witness.order)
+    start = witness.order.index(0)
     vmap = [0] * n
-    g = 0
-    h = min(hidden.vertices)
-    for _ in range(n):
-        vmap[g] = h
-        g = witness.successor_of(g)
-        h = hidden.successor_of(h)
+    for step, h in enumerate(hidden.order):
+        vmap[witness.order[(start + step) % n]] = h
     return tuple(vmap)
 
 
@@ -334,7 +315,7 @@ def hb_simulate(
         if hidden is None:
             vmaps.append(None)
         else:
-            w = sorted(hidden.vertices)
+            w = sorted(hidden.order)
             vmaps.append(tuple([w[0]] + [int(v) for v in rng.permutation(w[1:])]))
             blocks[rep] = 0  # a useful claim opens only entries that decode to 0
     mask = _opened_mask(vmaps, x, params)
@@ -410,7 +391,6 @@ __all__ = [
     "cover_map",
     "rep_coverable",
     "HbProof",
-    "HiddenCycle",
     "RepRevealAll",
     "RepUseful",
     "bits_to_matrix",

@@ -224,7 +224,7 @@ def test_criterion_5_crs_toy_mode():
         CrsParams,
         cert_match_probability,
         cert_uncompute,
-        crs_cert,
+        _certify,
         crs_prove,
         crs_setup,
         crs_verify,
@@ -246,7 +246,7 @@ def test_criterion_5_crs_toy_mode():
     sigma, key = crs_prove(params, crs, x, w, rng)
     p_verify = crs_verify_prob(params, x, sigma)
     b, residual = crs_verify(params, crs, x, sigma, rng)
-    audit = crs_cert(params, key, residual, rng, audit=True)
+    audit = _certify(params, key, residual.state, params.registers(), rng)
     p_cert = audit.sig_test_prob * cert_match_probability(key, cert_uncompute(params, key, sigma))
     audit_ok = abs(p_verify - 1.0) < 1e-9 and abs(p_cert - 1.0) < 1e-9 and audit.accepted
     ok = report.successes >= 99 and elapsed <= 300 and audit_ok

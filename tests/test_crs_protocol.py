@@ -318,8 +318,7 @@ class TestMalformedVerifyInput:
 
 class TestMalformedCertInput:
     """crs_cert rejects a returned object that holds no proof state of
-    total_qubits qubits with False (an audit says not accepted), draws
-    nothing and raises nothing."""
+    total_qubits qubits with False, draws nothing and raises nothing."""
 
     RETURNED = {
         "none": lambda s: None,
@@ -331,13 +330,11 @@ class TestMalformedCertInput:
     }
 
     @pytest.mark.parametrize("how", sorted(RETURNED))
-    @pytest.mark.parametrize("audit", [False, True])
-    def test_rejects_without_a_draw(self, how, audit):
+    def test_rejects_without_a_draw(self, how):
         rng = stream(0, "probe-crs-cert")
         sigma, key = crs_prove(PARAMS, crs_setup(rng), STATEMENT, WITNESS, rng)
         before = rng.bit_generator.state
-        result = crs_cert(PARAMS, key, self.RETURNED[how](sigma), rng, audit=audit)
-        assert (result.accepted if audit else result) is False
+        assert crs_cert(PARAMS, key, self.RETURNED[how](sigma), rng) is False
         assert rng.bit_generator.state == before
 
 
@@ -387,7 +384,8 @@ class TestMalformedProverKey:
         sigma, key = crs_prove(PARAMS, crs, STATEMENT, WITNESS, rng)
         _, residual = crs_verify(PARAMS, crs, STATEMENT, sigma, rng)
         as_bool = replace(key, theta=key.theta.astype(bool), y=key.y.astype(bool))
-        audits = [crs_cert(PARAMS, k, residual, stream(0, "certify"), audit=True) for k in (key, as_bool)]
+        regs = PARAMS.registers()
+        audits = [_certify(PARAMS, k, residual.state, regs, stream(0, "certify")) for k in (key, as_bool)]
         assert audits[0].accepted
         assert_same_audit(*audits)
 
@@ -397,7 +395,7 @@ class TestCert:
         crs = crs_setup(rng)
         sigma, key = crs_prove(PARAMS, crs, STATEMENT, WITNESS, rng)
         b, residual = crs_verify(PARAMS, crs, STATEMENT, sigma, rng)
-        audit = crs_cert(PARAMS, key, residual, rng, audit=True)
+        audit = _certify(PARAMS, key, residual.state, PARAMS.registers(), rng)
         assert b == 1 and audit.accepted
         assert audit.sig_test_prob == pytest.approx(1.0)
 
@@ -463,7 +461,7 @@ class TestCert:
         from cenizk.state import SparseState
 
         mixed = CrsProofState(SparseState(sigma.state.num_qubits, amps), sigma.ct0, sigma.ct1)
-        audit = crs_cert(PARAMS, key, mixed, rng, audit=True)
+        audit = _certify(PARAMS, key, mixed.state, PARAMS.registers(), rng)
         assert audit.sig_test_prob == pytest.approx(1.0 - 1.0 / terms)
         assert audit.post_uncompute.num_terms() == terms - 1
 
@@ -751,7 +749,7 @@ class TestPsMemo:
             amps[some_key ^ 1] = amps.pop(some_key)
             mixed = CrsProofState(SparseState(residual.state.num_qubits, amps), residual.ct0, residual.ct1)
             audits = [
-                crs_cert(PARAMS, k, mixed, stream(seed, "certify"), audit=True)
+                _certify(PARAMS, k, mixed.state, PARAMS.registers(), stream(seed, "certify"))
                 for k in (key, key_from_wire(seed))
             ]
             assert audits[0].sig_test_prob == pytest.approx(1.0 - 1.0 / len(amps))

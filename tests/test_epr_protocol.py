@@ -462,13 +462,14 @@ class TestRejectedOpenedSet:
 
 class TestMalformedNaorOpening:
     """A naor opening whose seeds do not line up with the committed bits
-    of the opened blocks, or whose seeds are not an integer array, rejects
-    in the protocol and in both generator checks; nothing raises."""
+    of the opened blocks, whose seeds are not an integer array, or that
+    holds a negative seed, rejects in the protocol and in both generator checks; nothing raises."""
 
     PARAMS = EprParams(hb=HbParams(n=3, repetitions=1, matrix_side=3, block_len=1), block_width=4, hbg_mode="naor")
 
     @pytest.mark.parametrize(
-        "how", ["seeds_short", "seeds_two_d", "naor_short", "naor_long", "object_seeds", "naor_float_seeds"]
+        "how",
+        ["seeds_short", "seeds_two_d", "naor_short", "naor_long", "object_seeds", "naor_float_seeds", "negative_seed"],
     )
     def test_epr_verify_rejects(self, how):
         g, w = complete_digraph(3), canonical_cycle(3)
@@ -484,6 +485,8 @@ class TestMalformedNaorOpening:
             "naor_long": NaorOpening(np.append(seeds, seeds[:1])),
             "object_seeds": NaorOpening(seeds.astype(object)),
             "naor_float_seeds": NaorOpening(seeds.astype(float)),
+            # an int64 -1 would index G's last row if the seed range went unchecked
+            "negative_seed": NaorOpening(np.where(np.arange(seeds.size) == 0, -1, seeds.astype(np.int64))),
         }[how]
         words = list(zip(np.flatnonzero(proof.opened).tolist(), proof.theta_I.tolist()))
         assert epr_verify(self.PARAMS, crs, net, g, replace(proof, op_I=bad), rng)[0] == 0

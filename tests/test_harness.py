@@ -1,13 +1,15 @@
 """Harness and CLI tests: transcript round-trips, determinism, report
 plumbing, and the command surface."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cenizk import epr_protocol as ep
-from cenizk import wire
+from cenizk import hbg, wire
 from cenizk.cli import main as cli_main
 from cenizk.graphs import canonical_cycle, complete_digraph
 from cenizk.harness import MAGIC, SIZE_CAPS, VERSION, _require_params
@@ -421,6 +423,32 @@ class TestParamTypes:
         assert cli_main(["certify", "--in", str(path)]) == 2
         assert "seed must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [True, False, 1.0, "3", -1])
+    @pytest.mark.parametrize("entry", ["run_session", "run_experiment"])
+    def test_sessions_and_experiments_share_one_seed_rule(self, entry, seed):
+        # True ran as seed 1, 1.0 and "3" raised numpy's TypeError, and -1
+        # numpy's "expected non-negative integer"
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {re.escape(repr(seed))}$"):
+            if entry == "run_session":
+                run_session("epr", None, seed)
+            else:
+                run_experiment("deletion-keep-state", 2, None, seed)
+
+    def test_a_numpy_integer_seed_is_its_int(self):
+        assert run_experiment("deletion-keep-state", 2, None, np.int64(3)).extra == (
+            run_experiment("deletion-keep-state", 2, None, 3).extra
+        )
+        assert serialize_transcript(run_session("epr", None, np.uint8(3))) == serialize_transcript(
+            run_session("epr", None, 3)
+        )
+
+    @pytest.mark.parametrize(
+        "argv", [["run-session"], ["run-experiment", "--name", "deletion-keep-state", "--trials", "2"]]
+    )
+    def test_negative_seed_is_usage_error(self, capsys, argv):
+        assert cli_main([*argv, "--seed", "-1"]) == 2
+        assert "error: seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
     # a bool k made hbg-binding fail with a TypeError inside hbg_open
     @pytest.mark.parametrize(
         "name,params,key",
@@ -488,6 +516,7 @@ class TestCliParams:
             ("epr", "m", 10**6, "reps*m*m*b*k"),
             ("epr", "reps", 2**23, "reps*m*m*b*k"),
             ("epr", "k", 9, "k"),
+            ("epr", "hbg_s", 17, "hbg_s"),
             ("crs-toy", "lam", SIZE_CAPS["crs-toy"]["lam"] + 1, "lam"),
             ("crs-toy", "sig_width", SIZE_CAPS["crs-toy"]["sig_width"] + 1, "sig_width"),
             ("crs-dry", "lam", SIZE_CAPS["crs-dry"]["lam"] + 1, "lam"),
@@ -528,6 +557,9 @@ class TestCliParams:
         value = SIZE_CAPS[name][key] + 1
         assert cli_main(["run-experiment", "--name", name, "--trials", "1", "--param", f"{key}={value}"]) == 2
         assert f"error: {name} param {key} must be at most {value - 1}, got {value}" in capsys.readouterr().err
+
+    def test_one_seed_width_cap(self):
+        assert SIZE_CAPS["epr"]["hbg_s"] == SIZE_CAPS["hbg-binding"]["s"] == hbg.SEED_BITS_MAX
 
     def test_experiment_caps_admit_every_suite_value(self):
         for name in ("deletion-honest-td", "deletion-leaking-td", "deletion-keep-state"):

@@ -12,6 +12,7 @@ from cenizk import hbg
 from cenizk.bits import unpack_rows
 from cenizk.hbg import (
     _PASS_BITS,
+    SEED_BITS_MAX,
     HbgCommitment,
     HbgParams,
     NaorOpening,
@@ -22,7 +23,7 @@ from cenizk.hbg import (
     hbg_verify_batch,
     prg_expand,
     restrict_opening,
-    _prg_rows,
+    _g_table,
 )
 from cenizk.rng import stream
 from conftest import CHI2_CRIT_1DF, chi_square_uniform
@@ -154,10 +155,14 @@ class TestOpenOracle:
         assert equivocal_positions <= bound + 3 * sigma + 1
 
     def test_guard_rejects_large_s(self, rng):
-        crs = hbg_setup(2, "naor", rng, s=23)
-        com, _, _ = hbg_genbits(crs, rng)
-        with pytest.raises(ValueError):
-            hbg_open(crs, com)
+        # one seed-width range, 2..SEED_BITS_MAX, in both modes
+        assert SEED_BITS_MAX == 16
+        for mode in ("dealer", "naor"):
+            with pytest.raises(ValueError, match="2 <= s <= 16"):
+                hbg_setup(2, mode, rng, s=17)
+            with pytest.raises(ValueError, match="2 <= s <= 16"):
+                hbg_setup(2, mode, rng, s=1)
+            assert hbg_setup(2, mode, rng, s=16).params.s == 16
 
     def test_dealer_mode_has_no_open(self, rng):
         crs = hbg_setup(2, "dealer", rng)
@@ -266,15 +271,24 @@ class TestOpenedMask:
             assert restrict_opening(op, mask(12, [3])) is op
 
 
+def _clear_g_caches():
+    hbg._g_table.cache_clear()
+    hbg._prg_image.cache_clear()
+
+
 @pytest.fixture
 def identity_g(monkeypatch):
-    """A broken G for the test that takes it: a seed's own bytes. Open's
-    cached image of G is cleared before and after, so no image of the
-    fake reaches a test that runs under the real G."""
-    hbg._prg_image.cache_clear()
+    """A broken G for the test that takes it: a seed's own bytes. G's
+    cached table and Open's cached image are cleared before and after, so
+    the real G cannot reach the test and no trace of the fake reaches a
+    test that runs under the real G. The fake is checked to be the G that
+    is read, so a cache added later cannot leak the real one in."""
+    _clear_g_caches()
     monkeypatch.setattr(hbg, "_expand", lambda seed, n: seed.to_bytes(n, "big"))
+    params = HbgParams(k=1, s=8)
+    assert [prg_expand(x, params) for x in (0, 5, 255)] == [x.to_bytes(params.out_bytes, "big") for x in (0, 5, 255)]
     yield
-    hbg._prg_image.cache_clear()
+    _clear_g_caches()
 
 
 class TestHidingControl:
@@ -401,15 +415,15 @@ def reference_verify(crs, com, opened, words, opening) -> bool:
 
 
 class TestOneG:
-    """G is one array function; prg_expand is G at one seed."""
+    """G is one read-only table over every s-bit seed; prg_expand is one row."""
 
-    @pytest.mark.parametrize("s", [2, 12, 22, 64])
+    @pytest.mark.parametrize("s", [2, 12, 16])
     def test_prg_expand_pinned(self, s):
         params = HbgParams(k=1, s=s)
         for seed in sorted({0, 1, 3, (1 << s) // 3, (1 << s) - 1}):
             assert prg_expand(seed, params) == g_reference(seed, s)
 
-    @pytest.mark.parametrize("s", [2, 12, 64])
+    @pytest.mark.parametrize("s", [2, 12, 16])
     def test_seed_outside_s_bits_raises(self, s):
         for seed in (1 << s, -1):
             with pytest.raises(ValueError, match="wider"):
@@ -417,11 +431,16 @@ class TestOneG:
 
     def test_rows_of_repeated_seeds(self):
         params = HbgParams(k=1, s=10)
+        table = _g_table(10)
+        assert table.shape == (1 << 10, params.out_bytes) and table.dtype == np.uint8
         seeds = np.array([5, 1023, 5, 0, 1023, 5], dtype=np.uint64)
-        rows = _prg_rows(seeds, params)
-        assert rows.shape == (6, params.out_bytes) and rows.dtype == np.uint8
+        rows = table[seeds]
+        assert rows.shape == (6, params.out_bytes)
         assert [row.tobytes() for row in rows] == [g_reference(int(x), 10) for x in seeds]
-        assert _prg_rows(seeds[:0], params).shape == (0, params.out_bytes)
+        assert table[seeds[:0]].shape == (0, params.out_bytes)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] ^= 1
+        assert table[0].tobytes() == g_reference(0, 10)
 
 
 class TestBatchMatchesReference:
@@ -517,6 +536,26 @@ class TestBatchMatchesReference:
         bad = r[opened].copy()
         bad[-1] ^= 1
         assert not self._verdict(crs, com, opened, bad, sub)
+
+    @pytest.mark.parametrize("width", [1, 6, 8])
+    def test_negative_seed(self, width):
+        # an int64 seed of -1 would index the table's last row, G(2^s - 1):
+        # a commitment made honestly from that seed, opened with -1 instead,
+        # is rejected by the seed-width check alone
+        crs, com, r, op = self._session(width)
+        s, n, q = crs.params.s, crs.params.out_bytes, 3 * width
+        seeds = op.seeds.astype(np.int64)
+        seeds[q] = (1 << s) - 1
+        bit = int(r[3]) & 1
+        c = np.frombuffer(g_reference((1 << s) - 1, s), dtype=np.uint8) ^ crs.u[q] * bit
+        forged = HbgCommitment(com.data[: q * n] + c.tobytes() + com.data[(q + 1) * n :])
+        every = np.ones(12, dtype=bool)
+        assert self._verdict(crs, forged, every, r, NaorOpening(seeds))
+        seeds[q] = -1
+        assert not self._verdict(crs, forged, every, r, NaorOpening(seeds))
+        sub = restrict_opening(NaorOpening(seeds), mask(12, [3]), width)
+        assert not self._verdict(crs, forged, mask(12, [3]), r[[3]], sub)
+        assert not hbg_verify(crs, forged, 3, int(r[3]), sub)
 
     def test_off_coset_chunk(self):
         # criterion 9's adversarial chunk (its seed and stream): outside

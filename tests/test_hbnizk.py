@@ -80,7 +80,9 @@ class TestDecodeAndUsefulness:
         mat[0, 1] = mat[1, 2] = mat[2, 0] = True
         hidden = usefulness(mat, 3)
         assert hidden is not None
-        assert hidden.vertices == (0, 1, 2)
+        assert hidden.order == (0, 1, 2)
+        # the orbit from the smallest vertex, not the sorted vertices
+        assert usefulness(mat.T, 3).order == (0, 2, 1)
 
     def test_fixed_points_not_useful(self):
         mat = np.eye(3, dtype=bool)
@@ -428,7 +430,7 @@ def ref_prove(r, x, witness, params):
             reps.append(RepRevealAll())
             opened.append(np.ones(kp, dtype=bool))
             continue
-        vmap, g, h = [0] * n, 0, min(hidden.vertices)
+        vmap, g, h = [0] * n, 0, min(hidden.order)
         for _ in range(n):
             vmap[g] = h
             g, h = witness.successor_of(g), hidden.successor_of(h)
@@ -481,7 +483,7 @@ def ref_simulate(x, params, rng):
             opened.append(np.ones(kp, dtype=bool))
             values.append(block)
         else:
-            w = sorted(hidden.vertices)
+            w = sorted(hidden.order)
             vmap = tuple([w[0]] + [int(v) for v in rng.permutation(w[1:])])
             reps.append(RepUseful(vmap))
             need = required_mask(vmap, x, params)
