@@ -437,14 +437,15 @@ def crs_cert(params: CrsParams, key: CrsProverKey, returned: CrsProofState, rng:
 def _require_key(params: CrsParams, key: CrsProverKey) -> None:
     """ValueError naming every malformed field of a prover key: theta and
     y must be r_qubits bits and k0 and k1 ell bits (`bit_array`),
-    preimages an (r_qubits, 2) integer array, prfk 16 bytes."""
+    preimages an (r_qubits, 2) integer array, prfk 16 bytes; a missing field is malformed."""
+    theta, k0, k1, y, prfk, pre = (getattr(key, f, None) for f in ("theta", "k0", "k1", "y", "prfk", "preimages"))
     fields = {
-        "theta": bit_array(key.theta, params.r_qubits),
-        "k0": bit_array(key.k0, params.ell),
-        "k1": bit_array(key.k1, params.ell),
-        "y": bit_array(key.y, params.r_qubits),
-        "prfk": isinstance(key.prfk, bytes) and len(key.prfk) == 16,
-        "preimages": int_array(key.preimages) and key.preimages.shape == (params.r_qubits, 2),
+        "theta": bit_array(theta, params.r_qubits),
+        "k0": bit_array(k0, params.ell),
+        "k1": bit_array(k1, params.ell),
+        "y": bit_array(y, params.r_qubits),
+        "prfk": isinstance(prfk, bytes) and len(prfk) == 16,
+        "preimages": int_array(pre) and pre.shape == (params.r_qubits, 2),
     }
     bad = [name for name, ok in fields.items() if not ok]
     if bad:
@@ -544,7 +545,6 @@ def cert_original_after_clone(
 @dataclass(frozen=True)
 class DryRunRecord:
     ell: int
-    z: np.ndarray
     ct0: np.ndarray
     ct1: np.ndarray
     checks: dict[str, bool]
@@ -655,7 +655,7 @@ def crs_prove_dry(
         ),
         "sig_chain_consistent": bool(sig_ok),
     }
-    return DryRunRecord(ell, z, ct0, ct1, checks)
+    return DryRunRecord(ell, ct0, ct1, checks)
 
 
 __all__ = [

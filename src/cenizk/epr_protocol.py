@@ -275,15 +275,6 @@ def honest_delete_vstar(params, crs, network, x, proof, rng):
     return cert, out
 
 
-def delete_then_remeasure_vstar(params, crs, network, x, proof, rng):
-    """Honest deletion followed by a Z remeasurement of the deleted
-    qubits; the extra outcomes join the classical output."""
-    cert, out = honest_delete_vstar(params, crs, network, x, proof, rng)
-    rebases = np.zeros(len(cert.blocks), dtype=np.uint8)
-    re_out = network.measure_blocks(ROLE_V, rebases, rng, blocks=cert.blocks)
-    return cert, {**out, "remeasured": tuple(int(v) for v in re_out)}
-
-
 def keep_two_blocks_vstar(params, crs, network, x, proof, rng):
     """Honest verify + delete, additionally handing back the first two
     deleted blocks' post-measurement qubits as a quantum register."""
@@ -337,7 +328,6 @@ __all__ = [
     "EprProof",
     "EprProverState",
     "EprVerifierState",
-    "delete_then_remeasure_vstar",
     "epr_cert",
     "epr_delete",
     "epr_prove",

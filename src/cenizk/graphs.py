@@ -58,10 +58,6 @@ class CycleWitness:
     def __post_init__(self):
         object.__setattr__(self, "order", tuple(int(v) for v in self.order))
 
-    def successor_of(self, v: int) -> int:
-        i = self.order.index(v)
-        return self.order[(i + 1) % len(self.order)]
-
     def edges(self) -> list[tuple[int, int]]:
         n = len(self.order)
         return [(self.order[i], self.order[(i + 1) % n]) for i in range(n)]

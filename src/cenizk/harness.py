@@ -156,8 +156,8 @@ SIZE_CAPS = {
     # toy states hold up to 2^(8*lam) terms; the OWF images have 64 bits
     "crs-toy": {"lam": 3, "sig_width": 64},
     # the dry run hashes 2*ell encoding positions per unit of lam (4,160
-    # at its fixed triangle statement)
-    "crs-dry": {"lam": 16, "sig_width": 64},
+    # at its fixed triangle statement); it refuses every sig_width but 16
+    "crs-dry": {"lam": 16},
     # prep_bb84 builds 2^wt(theta) terms, up to 2^lam, on every trial
     **dict.fromkeys(("deletion-honest-td", "deletion-leaking-td", "deletion-keep-state"), {"lam": 8}),
     # G is one table over all 2^s seeds (s at most hbg.SEED_BITS_MAX); each
@@ -213,18 +213,28 @@ def run_session(protocol: str, params: dict | None, seed: int, stop_after: str |
     stages, defaults, run = _SESSIONS[protocol]
     if stop_after is not None and stop_after not in stages:
         raise ValueError(f"{protocol} has no stage {stop_after!r}; stages: {', '.join(stages)}")
-    _require_seed(seed)
+    _require_count(seed, "seed")
     return run(params or defaults(), seed, stop_after or stages[-1])
 
 
-def _require_seed(seed) -> None:
-    """ValueError unless seed is a Python or numpy integer (a bool is none) of at least 0."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+def _require_count(value, what: str) -> None:
+    """ValueError unless value is a Python or numpy integer (a bool is none) of at least 0."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{what} must be an integer >= 0, got {value!r}")
+
+
+def _refuse_unread(params: dict, defaults: dict, keys: tuple, what: str, session: str) -> None:
+    """ValueError naming the first of keys, params the session never reads,
+    that is not its default: one session has one transcript."""
+    for key in keys:
+        if params[key] != defaults[key]:
+            raise ValueError(f"{what} param {key} must be {defaults[key]!r}: {session} never reads it")
 
 
 def _run_epr_session(params: dict, seed: int, stop: str) -> Transcript:
     pp = _epr_protocol_params(params)
+    if pp.hbg_mode == "dealer":
+        _refuse_unread(params, default_epr_params(), ("hbg_s",), "epr", "a dealer session")
     x, witness = complete_digraph(pp.hb.n), canonical_cycle(pp.hb.n)
     t = Transcript("epr", dict(params), seed)
 
@@ -326,9 +336,10 @@ def _run_crs_session(params: dict, seed: int, stop: str) -> Transcript:
 
 
 def _run_dry_session(params: dict, seed: int, stop: str) -> Transcript:
-    # the rehearsal proves a fixed triangle cycle; the witness param is
-    # only validated
+    # the rehearsal proves a fixed triangle cycle and signs honestly, so
+    # it reads neither witness nor sig_width; both are validated, then refused
     pp, _ = _crs_params(params, "crs-dry")
+    _refuse_unread(params, default_crs_params(), ("witness", "sig_width"), "crs-dry", "the dry run")
     t = Transcript("crs-dry", dict(params), seed)
     hb = HbParams(n=3, repetitions=1, matrix_side=3, block_len=1)
     spec = CompiledSpec(hb=hb, hbg_mode="dealer")
@@ -584,9 +595,8 @@ def attack_names() -> list[str]:
 def run_experiment(name: str, trials: int, params: dict | None, seed: int) -> ExperimentReport:
     if name not in _EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; known: {', '.join(experiment_names())}")
-    _require_seed(seed)
-    if trials < 0:
-        raise ValueError("trials must be >= 0")
+    _require_count(seed, "seed")
+    _require_count(trials, "trials")
     if trials == 0:
         return ExperimentReport(name, 0, 0, 0.0, 0.0, 0.0, {})
     t0 = time.time()

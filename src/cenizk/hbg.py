@@ -15,8 +15,8 @@ k), which is why asymptotic soundness statements downstream stay analytic.
 
 G is one fixed function: `_expand` hashes one seed (the hiding tests
 swap a broken `_expand` in as their negative control). `_g_table(s)` is
-G at every s-bit seed, read-only and hashed once per s; GenBits, batch
-verification, `prg_expand` (G at one seed) and Open (G's image) read it.
+G at every s-bit seed, hashed once per s and G's only cache; GenBits,
+batch verification, `prg_expand` and Open (G's image) read it.
 s lies in 2..SEED_BITS_MAX, so the table has at most 2^16 rows. The
 commitment relation (`_commitments`) runs in passes of _PASS_BITS
 committed bits: GenBits builds com with it and batch verification checks
@@ -93,12 +93,6 @@ def prg_expand(seed: int, params: HbgParams) -> bytes:
     if seed >> params.s:
         raise ValueError("seed wider than s bits")
     return _g_table(params.s)[seed].tobytes()
-
-
-@lru_cache(maxsize=8)
-def _prg_image(s: int) -> frozenset[bytes]:
-    """G's image of all 2^s seeds, the rows of its table; Open only tests membership."""
-    return frozenset(row.tobytes() for row in _g_table(s))
 
 
 # ---------------------------------------------------------------------
@@ -259,9 +253,11 @@ def hbg_open(crs, com: HbgCommitment) -> HbgOpenResult:
     if crs.mode != "naor":
         raise ValueError("Open is defined for the naor instantiation only")
     params = crs.params
-    image = _prg_image(params.s)
     c = np.frombuffer(com.data, dtype=np.uint8).reshape(params.committed, params.out_bytes)  # else ValueError
-    as_zero, as_one = (np.array([row.tobytes() in image for row in rows], dtype=bool) for rows in (c, c ^ crs.u))
+    # rows as big-endian integers: c and c ^ u, each searched for in G's sorted image
+    weights = 256 ** np.arange(params.out_bytes - 1, -1, -1)
+    image, tested = np.sort(_g_table(params.s) @ weights), np.concatenate([c, c ^ crs.u]) @ weights
+    as_zero, as_one = (image[np.searchsorted(image, tested).clip(max=len(image) - 1)] == tested).reshape(2, -1)
     words = (params.k, params.width)
     return HbgOpenResult(
         pack_rows((as_one & ~as_zero).reshape(words)),

@@ -117,8 +117,9 @@ def test_criterion_3_epr_cezk():
 
     # quantum-output strategy: the two unopened blocks of the two-vertex
     # instance come back as qubits; the experiment output block-
-    # diagonalizes over (tag, Hadamard outcome), so the assembled
-    # density matrices give the exact TD of the cq output
+    # diagonalizes over (tag, Hadamard outcome), so each side's output is
+    # a diagonal frequency matrix over those branches from 80,000 sampled
+    # trials, and the TD is between the two estimates, not exact
     qparams = EprParams(hb=HbParams(n=2, repetitions=8, matrix_side=2, block_len=1), block_width=2)
     gq, wq = two_cycle_pair()
     dim = 1 + 1 + 16  # bot, no-deletion, 16 Hadamard patterns of 4 qubits

@@ -1,6 +1,8 @@
 """Tooling checks on the public surface: every cenizk module imports on
 its own (so an import cycle fails here), every name it exports resolves,
-no module imports a `_`-prefixed name from a sibling, every function
+no module imports a `_`-prefixed name from a sibling, every definition
+is read by the package, the acceptance suite or perfbench's workloads
+(a name-based reachability check with an allowlist), every function
 reads every parameter it takes, and every function the layered
 benchmark traces (perfbench/spans.py TARGETS) exists where the tracer
 looks for it, so a rename or deletion fails here rather than in
@@ -13,6 +15,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,7 +23,8 @@ import pytest
 import cenizk
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(cenizk.__path__))
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+REPO_ROOT = Path(__file__).resolve().parents[1]
+SPANS_PATH = REPO_ROOT / "perfbench" / "spans.py"
 PACKAGE_ROOT = Path(cenizk.__file__).resolve().parents[1]
 
 
@@ -66,6 +70,73 @@ def test_no_private_name_imported_from_a_sibling(name):
         if alias.name.startswith("_")
     ]
     assert not private, f"cenizk.{name} imports private names {private}"
+
+
+# the files whose reads count as uses: the package itself (cli included),
+# the acceptance suite, and the benchmark's workloads
+READERS = [PACKAGE_ROOT / "cenizk" / f"{name}.py" for name in MODULES] + [
+    REPO_ROOT / "tests" / "test_acceptance.py",
+    REPO_ROOT / "perfbench" / "workloads.py",
+]
+
+# names nothing in READERS reads, each kept for the reason given
+ALLOWLIST = {
+    "attacks.commit_bits": "in perfbench/spans.py's trace list only; goes when the benchmark drops it",
+    "state.drop_last_register": "in perfbench/spans.py's trace list only; goes when the benchmark drops it",
+    "hbnizk.useful_probability": "the closed form the decoder tests check; ROADMAP item 5 gives it a caller",
+}
+
+
+def _definitions():
+    """(module.qualname, node) for every top-level function, class and
+    constant of every module, and every method or property of its
+    classes; dunders excluded."""
+    for name in MODULES:
+        for node in ast.parse((PACKAGE_ROOT / "cenizk" / f"{name}.py").read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield f"{name}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                        yield f"{name}.{node.name}.{item.name}", item
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    yield f"{name}.{target.id}", node
+
+
+def _reads(tree) -> Counter:
+    """How often each name is read in tree, as a bare name or an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def _unread_names() -> set[str]:
+    """Every definition whose last name READERS never read outside the
+    definition itself. The match is by name alone, so a read of any
+    attribute or variable with the same name counts as a use."""
+    reads = sum((_reads(ast.parse(path.read_text(encoding="utf-8"))) for path in READERS), Counter())
+    unread = set()
+    for qual, node in _definitions():
+        last = qual.rsplit(".", 1)[1]
+        if reads[last] <= _reads(node)[last]:
+            unread.add(qual)
+    return unread
+
+
+def test_every_definition_is_read():
+    unread = _unread_names() - ALLOWLIST.keys()
+    assert not unread, f"defined but read by nothing in the package, the acceptance suite or perfbench: {sorted(unread)}"
+
+
+def test_allowlist_names_only_unread_definitions():
+    defined = {qual for qual, _ in _definitions()}
+    unread = _unread_names()
+    stale = {qual: "no such definition" if qual not in defined else "read" for qual in ALLOWLIST if qual not in unread}
+    assert not stale, f"allowlist entries to remove: {stale}"
 
 
 @pytest.mark.parametrize("layer,qual", _traced_targets())

@@ -378,6 +378,11 @@ class TestMalformedProverKey:
         with pytest.raises(ValueError, match="field\\(s\\): theta, prfk$"):
             crs_cert(PARAMS, replace(key, theta=None, prfk=None), sigma, rng)
 
+    def test_a_key_of_another_type_names_every_field(self, rng):
+        # an object() key raised AttributeError on its first field
+        with pytest.raises(ValueError, match="field\\(s\\): theta, k0, k1, y, prfk, preimages$"):
+            crs_cert(PARAMS, object(), None, rng)
+
     def test_integer_and_bool_bits_certify_alike(self):
         rng = stream(0, "probe-crs-key")
         crs = crs_setup(rng)

@@ -15,7 +15,6 @@ from cenizk.epr_protocol import (
     BOT,
     EprDeletionCert,
     EprParams,
-    delete_then_remeasure_vstar,
     epr_cert,
     epr_delete,
     epr_prove,
@@ -585,11 +584,6 @@ class TestCeZk:
             out, _, _ = epr_sim(TINY, g, honest_delete_vstar, stream(trial, "bs"))
             bot_sim += out == BOT
         assert bot_real == bot_sim == 0
-
-    def test_remeasure_vstar_also_certifies(self, rng):
-        g, w = two_vertex_instance()
-        out, _, _ = run_cezk_real(DELETING, g, w, delete_then_remeasure_vstar, rng)
-        assert out != BOT
 
     def test_tv_real_vs_sim_small(self):
         # module-scale version of the acceptance experiment

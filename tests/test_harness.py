@@ -434,6 +434,17 @@ class TestParamTypes:
             else:
                 run_experiment("deletion-keep-state", 2, None, seed)
 
+    @pytest.mark.parametrize("trials", [True, False, 2.5, "3", None, -1])
+    def test_trials_follow_the_seed_rule(self, trials):
+        # True ran one trial and reported "trials True"; 2.5, "3" and None
+        # raised TypeError
+        with pytest.raises(ValueError, match=f"trials must be an integer >= 0, got {re.escape(repr(trials))}$"):
+            run_experiment("deletion-keep-state", trials, None, 0)
+
+    def test_a_numpy_integer_trial_count_is_its_int(self):
+        report = run_experiment("deletion-keep-state", np.int64(3), None, 0)
+        assert (report.trials, report.successes) == (3, run_experiment("deletion-keep-state", 3, None, 0).successes)
+
     def test_a_numpy_integer_seed_is_its_int(self):
         assert run_experiment("deletion-keep-state", 2, None, np.int64(3)).extra == (
             run_experiment("deletion-keep-state", 2, None, 3).extra
@@ -471,7 +482,8 @@ class TestParamTypes:
         assert cli_main(["run-session", "--protocol", "epr", "--param", "k=8"]) == 0
 
 
-# every integer param a session reads
+# every integer param a session checks as a size; crs-dry checks sig_width
+# so, although it refuses every well-formed value but the default
 SIZE_PARAMS = [("epr", key) for key, value in default_epr_params().items() if isinstance(value, int)] + [
     ("crs-toy", "lam"),
     ("crs-toy", "sig_width"),
@@ -520,7 +532,8 @@ class TestCliParams:
             ("crs-toy", "lam", SIZE_CAPS["crs-toy"]["lam"] + 1, "lam"),
             ("crs-toy", "sig_width", SIZE_CAPS["crs-toy"]["sig_width"] + 1, "sig_width"),
             ("crs-dry", "lam", SIZE_CAPS["crs-dry"]["lam"] + 1, "lam"),
-            ("crs-dry", "sig_width", SIZE_CAPS["crs-dry"]["sig_width"] + 1, "sig_width"),
+            # no cap: the dry run never reads sig_width and refuses it
+            ("crs-dry", "sig_width", 65, "sig_width"),
         ],
     )
     def test_size_above_cap_is_usage_error(self, capsys, tmp_path, protocol, key, value, name):
@@ -528,7 +541,11 @@ class TestCliParams:
         path = tmp_path / "huge.cenz"
         path.write_bytes(serialize_transcript(Transcript(protocol, {**defaults, key: value}, 0)))
         assert cli_main(["certify", "--in", str(path)]) == 2
-        assert f"error: {protocol} param {name} must be at most" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if protocol == "crs-dry" and key == "sig_width":
+            assert "error: crs-dry param sig_width must be 16: the dry run never reads it" in err
+        else:
+            assert f"error: {protocol} param {name} must be at most" in err
 
     @pytest.mark.parametrize(
         "protocol,params",
@@ -602,6 +619,62 @@ class TestCliParams:
         default = run_experiment("hbg-binding", 3, None, 5)
         partial = run_experiment("hbg-binding", 3, {"k": 8}, 5)
         assert (default.successes, default.extra) == (partial.successes, partial.extra)
+
+
+# every param a session records -> one valid other value and a seed at
+# which it moves a message. epr n at the default shape moves one only when
+# one n finds the hidden matrix useful and the other does not: seed 32 is
+# the first such draw in dealer mode and 409 in naor mode. Every other
+# key moves a message at seed 0.
+_EPR_VARIANTS = {"n": (2, 32), "reps": (2, 0), "m": (4, 0), "b": (2, 0), "k": (3, 0), "hbg_s": (10, 0)}
+_CRS_VARIANTS = {"lam": (1, 0), "witness": ("0110", 0), "sig_width": (8, 0)}
+PARAM_VARIANTS = {
+    "epr-dealer": ("epr", default_epr_params(), {**_EPR_VARIANTS, "hbg": ("naor", 0)}),
+    "epr-naor": ("epr", {**default_epr_params(), "hbg": "naor"}, {**_EPR_VARIANTS, "n": (2, 409), "hbg": ("dealer", 0)}),
+    "crs-toy": ("crs-toy", default_crs_params(), _CRS_VARIANTS),
+    "crs-dry": ("crs-dry", default_crs_params(), _CRS_VARIANTS),
+}
+
+
+class TestOneTranscriptPerSession:
+    """A recorded param that moves no message would give one session many
+    valid transcripts, so each either moves a message or is refused."""
+
+    def test_every_recorded_param_has_a_variant(self):
+        for protocol, defaults, variants in PARAM_VARIANTS.values():
+            assert variants.keys() == defaults.keys(), protocol
+
+    @pytest.mark.parametrize("session,key", [(name, key) for name, (_, _, v) in PARAM_VARIANTS.items() for key in v])
+    def test_a_param_moves_a_message_or_is_refused(self, session, key):
+        protocol, defaults, variants = PARAM_VARIANTS[session]
+        value, seed = variants[key]
+        try:
+            messages = run_session(protocol, {**defaults, key: value}, seed).messages
+        except ValueError as exc:
+            assert re.search(f"param {key} must be .*never reads it", str(exc)), exc
+            return
+        assert messages != run_session(protocol, defaults, seed).messages
+
+    @pytest.mark.parametrize(
+        "protocol,param,message",
+        [
+            ("epr", "hbg_s=10", "epr param hbg_s must be 12: a dealer session never reads it"),
+            ("crs-dry", "witness=0000", "crs-dry param witness must be '1011': the dry run never reads it"),
+            ("crs-dry", "sig_width=8", "crs-dry param sig_width must be 16: the dry run never reads it"),
+        ],
+    )
+    def test_an_unread_param_is_usage_error(self, capsys, tmp_path, protocol, param, message):
+        assert cli_main(["run-session", "--protocol", protocol, "--param", param]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        key, value = param.split("=")
+        defaults = default_epr_params() if protocol == "epr" else default_crs_params()
+        path = tmp_path / "unread.cenz"
+        path.write_bytes(serialize_transcript(Transcript(protocol, {**defaults, key: type(defaults[key])(value)}, 0)))
+        assert cli_main(["certify", "--in", str(path)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_a_naor_session_reads_hbg_s(self):
+        run_session("epr", {**default_epr_params(), "hbg": "naor", "hbg_s": 10}, 0)
 
 
 class TestStages:

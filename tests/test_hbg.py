@@ -271,24 +271,19 @@ class TestOpenedMask:
             assert restrict_opening(op, mask(12, [3])) is op
 
 
-def _clear_g_caches():
-    hbg._g_table.cache_clear()
-    hbg._prg_image.cache_clear()
-
-
 @pytest.fixture
 def identity_g(monkeypatch):
     """A broken G for the test that takes it: a seed's own bytes. G's
-    cached table and Open's cached image are cleared before and after, so
+    one cache, its table, is cleared before and after, so
     the real G cannot reach the test and no trace of the fake reaches a
     test that runs under the real G. The fake is checked to be the G that
     is read, so a cache added later cannot leak the real one in."""
-    _clear_g_caches()
+    hbg._g_table.cache_clear()
     monkeypatch.setattr(hbg, "_expand", lambda seed, n: seed.to_bytes(n, "big"))
     params = HbgParams(k=1, s=8)
     assert [prg_expand(x, params) for x in (0, 5, 255)] == [x.to_bytes(params.out_bytes, "big") for x in (0, 5, 255)]
     yield
-    _clear_g_caches()
+    hbg._g_table.cache_clear()
 
 
 class TestHidingControl:

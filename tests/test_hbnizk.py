@@ -430,10 +430,11 @@ def ref_prove(r, x, witness, params):
             reps.append(RepRevealAll())
             opened.append(np.ones(kp, dtype=bool))
             continue
-        vmap, g, h = [0] * n, 0, min(hidden.order)
-        for _ in range(n):
-            vmap[g] = h
-            g, h = witness.successor_of(g), hidden.successor_of(h)
+        # walk both cycles in step: the witness from 0, the hidden one from its least vertex
+        g, h = witness.order.index(0), hidden.order.index(min(hidden.order))
+        vmap = [0] * n
+        for step in range(n):
+            vmap[witness.order[(g + step) % n]] = hidden.order[(h + step) % n]
         reps.append(RepUseful(tuple(vmap)))
         opened.append(required_mask(tuple(vmap), x, params))
     return np.concatenate(opened), HbProof(tuple(reps))
