@@ -352,7 +352,7 @@ def split_attack_on_crs(crs_params, crs, x, witness, rng) -> SplitOutcome:
     with probability 1 - 2^-wt(theta)."""
     sigma, key = cp.crs_prove(crs_params, crs, x, witness, rng)
     clone = cp.clone_attack(crs_params, sigma)
-    verify_ok = bool(cp.verify_clone_half(crs_params, x, clone, "copy", rng))
+    verify_ok = bool(cp.verify_clone_half(crs_params, x, clone, clone.copy, rng))
     cert_ok = bool(cp.cert_original_after_clone(crs_params, key, clone, rng))
     return SplitOutcome(cert_ok, verify_ok)
 
@@ -360,9 +360,6 @@ def split_attack_on_crs(crs_params, crs, x, witness, rng) -> SplitOutcome:
 # ---------------------------------------------------------------------
 # certified-deletion experiment (the reduction target)
 # ---------------------------------------------------------------------
-
-Z_PLAIN = "plain-payload"
-Z_THETA_LEAKING = "theta-leaking"
 
 ADV_HONEST_DELETER = "honest-deleter"
 ADV_KEEP_STATE = "keep-state"
@@ -373,27 +370,12 @@ EXACT_LAMBDA_LIMIT = 4
 
 @dataclass(frozen=True)
 class DeletionExperiment:
+    """Z hands every adversary the masked bit; the basis-informed one also
+    gets theta (the leaking negative control, which violates Z's
+    semantic-security precondition)."""
+
     lam: int
-    z_fixture: str = Z_PLAIN
     adversary: str = ADV_HONEST_DELETER
-
-    def __post_init__(self):
-        if self.z_fixture == Z_PLAIN and self.adversary == ADV_BASIS_INFORMED:
-            raise ValueError("the basis-informed adversary needs the leaking fixture")
-
-
-def _z_payload(exp: DeletionExperiment, theta: np.ndarray, masked_bit: int) -> dict:
-    if exp.z_fixture == Z_PLAIN:
-        return {"masked_bit": int(masked_bit)}
-    if exp.z_fixture == Z_THETA_LEAKING:
-        # negative control: violates the semantic-security precondition
-        return {"masked_bit": int(masked_bit), "theta": theta.copy()}
-    raise ValueError(f"unknown Z fixture {exp.z_fixture!r}")
-
-
-def _assert_no_theta_leak(exp: DeletionExperiment, payload: dict) -> None:
-    if exp.z_fixture != Z_THETA_LEAKING and "theta" in payload:
-        raise AssertionError("Z fixture leaked theta despite declaring semantic security")
 
 
 @dataclass(frozen=True)
@@ -409,8 +391,6 @@ def run_deletion_experiment(
     lam = exp.lam
     y, theta = draws = rng_mod.bits(rng, lam, count=2)
     masked = int(b) ^ int(_pads(draws))
-    payload = _z_payload(exp, theta, masked)
-    _assert_no_theta_leak(exp, payload)
     register = prep_bb84(Bb84Descriptor(y, theta))
 
     if exp.adversary == ADV_HONEST_DELETER:
@@ -418,12 +398,11 @@ def run_deletion_experiment(
         out_state, classical = None, {}
     elif exp.adversary == ADV_KEEP_STATE:
         cert = rng_mod.bits(rng, lam)
-        out_state, classical = register, {"masked_bit": payload["masked_bit"]}
+        out_state, classical = register, {"masked_bit": masked}
     elif exp.adversary == ADV_BASIS_INFORMED:
-        leaked = payload["theta"]
-        bases = ["Z" if t == 0 else "X" for t in leaked]
+        bases = ["Z" if t == 0 else "X" for t in theta]
         outcomes, _ = measure(register, list(range(lam)), bases, rng)
-        recovered = payload["masked_bit"] ^ int(_pads((outcomes, leaked)))
+        recovered = masked ^ int(_pads((outcomes, theta)))
         cert = outcomes  # X positions carry the true y; Z positions unchecked
         out_state = SparseState(1, {int(recovered): 1.0 + 0.0j})
         classical = {"bit": int(recovered)}
@@ -497,7 +476,7 @@ def td_estimate(exp: DeletionExperiment, rng: np.random.Generator, trials: int =
 def keep_state_acceptance(lam: int, trials: int, rng: np.random.Generator) -> float:
     """Post-selection rate of the keep-the-state adversary; analytically
     the average of 2^-wt(theta), i.e. (3/4)^lambda."""
-    exp = DeletionExperiment(lam, Z_PLAIN, ADV_KEEP_STATE)
+    exp = DeletionExperiment(lam, ADV_KEEP_STATE)
     hits = sum(run_deletion_experiment(exp, 0, rng).accepted for _ in range(trials))
     return hits / trials
 
@@ -513,8 +492,6 @@ __all__ = [
     "StrawmanParams",
     "StrawmanProof",
     "TdEstimate",
-    "Z_PLAIN",
-    "Z_THETA_LEAKING",
     "check_deletion_cert",
     "commit_bits",
     "deletion_cert_for_block",

@@ -18,32 +18,19 @@ import sys
 from . import harness
 
 
-# params whose default is a string keep their values as given ("0011")
-_STR_PARAMS = {
-    key
-    for defaults in (harness.default_epr_params(), harness.default_crs_params())
-    for key, value in defaults.items()
-    if isinstance(value, str)
-}
-
-
-def _parse_params(pairs: list[str] | None) -> dict | None:
-    if not pairs:
-        return None
-    out = {}
-    for pair in pairs:
+def _params(name: str, pairs: list[str] | None) -> dict:
+    """name's default params with each --param key=value laid over them. A
+    value is an int where the default is one and the value is digits, so
+    "witness=0011" stays a string and "k=x" is refused as no int."""
+    defaults = harness.default_params(name)
+    params = dict(defaults)
+    for pair in pairs or ():
         if "=" not in pair:
             raise ValueError(f"--param expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
-        out[key] = int(value) if key not in _STR_PARAMS and value.lstrip("-").isdigit() else value
-    return out
-
-
-def _merged_params(protocol: str, overrides: dict | None) -> dict:
-    base = harness.default_epr_params() if protocol == "epr" else harness.default_crs_params()
-    if overrides:
-        base.update(overrides)
-    return base
+        is_int = isinstance(defaults.get(key), int) and value.lstrip("-").isdigit()
+        params[key] = int(value) if is_int else value
+    return params
 
 
 def _replay_mismatch(given: list, replayed: list) -> str | None:
@@ -66,7 +53,7 @@ def _cmd_stage(args, stage: str | None) -> int:
         protocol, params, seed = prev.protocol, prev.params, prev.seed
     else:
         protocol = args.protocol
-        params = _merged_params(protocol, _parse_params(args.param))
+        params = _params(protocol, args.param)
         seed = args.seed
     transcript = harness.run_session(protocol, params, seed, stop_after=stage)
     if prev is not None:
@@ -83,7 +70,7 @@ def _cmd_stage(args, stage: str | None) -> int:
 
 
 def _cmd_run_experiment(args) -> int:
-    report = harness.run_experiment(args.name, args.trials, _parse_params(args.param), args.seed)
+    report = harness.run_experiment(args.name, args.trials, _params(args.name, args.param), args.seed)
     text = report.text()
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:

@@ -517,12 +517,12 @@ def verify_clone_half(
     params: CrsParams,
     x: np.ndarray,
     clone: CloneResult,
-    half: str,
+    half: dict[str, list[int]],
     rng: np.random.Generator,
 ) -> int:
-    """Run outer verification against one clone half's R and P registers."""
-    regs = clone.original if half == "original" else clone.copy
-    _, (prob1, _) = _verify_flag(params, x, clone.state, clone.ct0, clone.ct1, regs)
+    """Run outer verification against one clone half's registers:
+    clone.original or clone.copy."""
+    _, (prob1, _) = _verify_flag(params, x, clone.state, clone.ct0, clone.ct1, half)
     # one draw, outcome 1 below P[1], as a Z measurement of the flag
     return int(rng.random() < prob1)
 

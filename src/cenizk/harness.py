@@ -166,11 +166,14 @@ SIZE_CAPS = {
 }
 
 
-def _require_params(params, defaults: dict, what: str) -> None:
-    """ValueError naming every key of params not in defaults, every key of
-    defaults not in params, the first key whose value is not exactly of the
-    default value's type (a bool is no int), the first integer (a size)
-    below 1, or the first size above its SIZE_CAPS cap."""
+def _require_params(params, defaults: dict, what: str) -> dict:
+    """The params a run takes: a copy of defaults when params is None, else
+    params itself, which must be complete. ValueError naming every key of
+    params not in defaults, every key of defaults not in params, the first
+    key whose value is not exactly of the default value's type (a bool is
+    no int), the first integer (a size) below 1, or the first size above
+    its SIZE_CAPS cap under what, the run's family."""
+    params = dict(defaults) if params is None else params
     if not isinstance(params, dict):
         raise ValueError(f"{what} params must be a dict, got {type(params).__name__}")
     unknown = [str(key) for key in params if key not in defaults]
@@ -188,33 +191,30 @@ def _require_params(params, defaults: dict, what: str) -> None:
         size = math.prod(params[key] for key in name.split("*"))
         if size > cap:
             raise ValueError(f"{what} param {name} must be at most {cap}, got {size}")
+    return params
 
 
 def _epr_protocol_params(params: dict) -> ep.EprParams:
-    _require_params(params, default_epr_params(), "epr")
-    hb = HbParams(
-        n=int(params["n"]),
-        repetitions=int(params["reps"]),
-        matrix_side=int(params["m"]),
-        block_len=int(params["b"]),
-    )
-    return ep.EprParams(
-        hb=hb, block_width=int(params["k"]), hbg_mode=params["hbg"], hbg_s=int(params["hbg_s"])
-    )
+    """EprParams from checked epr params; a dealer run refuses hbg_s."""
+    if params["hbg"] == "dealer":
+        _refuse_unread(params, default_epr_params(), ("hbg_s",), "epr", "a dealer session")
+    hb = HbParams(n=params["n"], repetitions=params["reps"], matrix_side=params["m"], block_len=params["b"])
+    return ep.EprParams(hb=hb, block_width=params["k"], hbg_mode=params["hbg"], hbg_s=params["hbg_s"])
 
 
 def run_session(protocol: str, params: dict | None, seed: int, stop_after: str | None = None) -> Transcript:
     """Drive the honest parties end to end (or through stop_after).
 
-    stop_after must be one of the protocol's stages. The classical dry
-    run is a single step, so every crs-dry stage gives its whole record."""
+    params is None (the protocol's defaults) or a complete dict. stop_after
+    must be one of the protocol's stages. The classical dry run is a single
+    step, so every crs-dry stage gives its whole record."""
     if protocol not in _SESSIONS:
         raise ValueError(f"unknown protocol {protocol!r}")
     stages, defaults, run = _SESSIONS[protocol]
     if stop_after is not None and stop_after not in stages:
         raise ValueError(f"{protocol} has no stage {stop_after!r}; stages: {', '.join(stages)}")
     _require_count(seed, "seed")
-    return run(params or defaults(), seed, stop_after or stages[-1])
+    return run(_require_params(params, defaults, protocol), seed, stop_after or stages[-1])
 
 
 def _require_count(value, what: str) -> None:
@@ -233,8 +233,6 @@ def _refuse_unread(params: dict, defaults: dict, keys: tuple, what: str, session
 
 def _run_epr_session(params: dict, seed: int, stop: str) -> Transcript:
     pp = _epr_protocol_params(params)
-    if pp.hbg_mode == "dealer":
-        _refuse_unread(params, default_epr_params(), ("hbg_s",), "epr", "a dealer session")
     x, witness = complete_digraph(pp.hb.n), canonical_cycle(pp.hb.n)
     t = Transcript("epr", dict(params), seed)
 
@@ -277,9 +275,8 @@ def _epr_proof_payload(proof) -> dict:
 
 
 def _crs_params(params: dict, what: str):
-    """(CrsParams, witness bits) from crs-toy or crs-dry session params."""
-    _require_params(params, default_crs_params(), what)
-    pp = cp.CrsParams(lam=int(params["lam"]), sig_width=int(params["sig_width"]))
+    """(CrsParams, witness bits) from checked crs-toy or crs-dry params."""
+    pp = cp.CrsParams(lam=params["lam"], sig_width=params["sig_width"])
     try:
         w = as_bit_array(params["witness"])
     except ValueError:
@@ -354,9 +351,9 @@ def _run_dry_session(params: dict, seed: int, stop: str) -> Transcript:
 
 # protocol -> (stages, default params, session body)
 _SESSIONS = {
-    "epr": (EPR_STAGES, default_epr_params, _run_epr_session),
-    "crs-toy": (CRS_STAGES, default_crs_params, _run_crs_session),
-    "crs-dry": (CRS_STAGES, default_crs_params, _run_dry_session),
+    "epr": (EPR_STAGES, default_epr_params(), _run_epr_session),
+    "crs-toy": (CRS_STAGES, default_crs_params(), _run_crs_session),
+    "crs-dry": (CRS_STAGES, default_crs_params(), _run_dry_session),
 }
 
 
@@ -394,8 +391,8 @@ def _per_trial(trial, trials: int, seed: int, *label):
     return trials, sum(bool(trial(stream(seed, *label, t))) for t in range(trials)), {}
 
 
-def _epr_honest(trials: int, params: dict | None, seed: int):
-    pp = _epr_protocol_params(params or default_epr_params())
+def _epr_honest(trials: int, params: dict, seed: int):
+    pp = _epr_protocol_params(params)
     x, witness = complete_digraph(pp.hb.n), canonical_cycle(pp.hb.n)
 
     def trial(rng):
@@ -403,9 +400,6 @@ def _epr_honest(trials: int, params: dict | None, seed: int):
         return out != ep.BOT and out["verdict"] == 1
 
     return _per_trial(trial, trials, seed, "epr-honest")
-
-
-_SOUNDNESS_PARAMS = {**default_epr_params(), "n": 3, "reps": 20, "m": 27, "b": 8, "k": 6}
 
 
 def _measure_first(pp, prove):
@@ -422,20 +416,20 @@ def _measure_first(pp, prove):
     return trial
 
 
-def _epr_soundness_greedy(trials: int, params: dict | None, seed: int):
-    trial = _measure_first(_epr_protocol_params(params or _SOUNDNESS_PARAMS), ep.greedy_basis_prover)
+def _epr_soundness_greedy(trials: int, params: dict, seed: int):
+    trial = _measure_first(_epr_protocol_params(params), ep.greedy_basis_prover)
     return _per_trial(trial, trials, seed, "epr-soundness", "greedy")
 
 
-def _epr_soundness_forged(trials: int, params: dict | None, seed: int):
-    trial = _measure_first(_epr_protocol_params(params or _SOUNDNESS_PARAMS), ep.forged_proof_prover)
+def _epr_soundness_forged(trials: int, params: dict, seed: int):
+    trial = _measure_first(_epr_protocol_params(params), ep.forged_proof_prover)
     return _per_trial(trial, trials, seed, "epr-soundness", "forged")
 
 
-def _epr_single_rep(trials: int, params: dict | None, seed: int):
+def _epr_single_rep(trials: int, params: dict, seed: int):
     """Greedy prover at one repetition, next to the matrix-level
     Monte-Carlo oracle for the coverable-block rate."""
-    pp = _epr_protocol_params(params or {**_SOUNDNESS_PARAMS, "reps": 1})
+    pp = _epr_protocol_params(params)
     trial = _measure_first(pp, functools.partial(ep.greedy_basis_prover, genbits_tries=1))
     _, accepted, _ = _per_trial(trial, trials, seed, "epr-single")
     x = non_hamiltonian_triangle()
@@ -459,33 +453,23 @@ def _td(exp: attacks.DeletionExperiment, seed: int, label: str):
     return 1, 1, {"td": est.value, "exact": est.exact}
 
 
-def _deletion_lam(params: dict | None, default: int, what: str) -> int:
-    """lam of a deletion experiment, checked like a session param."""
-    params = params or {"lam": default}
-    _require_params(params, {"lam": default}, what)
-    return params["lam"]
+def _deletion_honest_td(trials: int, params: dict, seed: int):
+    return _td(attacks.DeletionExperiment(params["lam"]), seed, "honest-td")
 
 
-def _deletion_honest_td(trials: int, params: dict | None, seed: int):
-    lam = _deletion_lam(params, 3, "deletion-honest-td")
-    return _td(attacks.DeletionExperiment(lam), seed, "honest-td")
+def _deletion_leaking_td(trials: int, params: dict, seed: int):
+    return _td(attacks.DeletionExperiment(params["lam"], attacks.ADV_BASIS_INFORMED), seed, "leaking-td")
 
 
-def _deletion_leaking_td(trials: int, params: dict | None, seed: int):
-    lam = _deletion_lam(params, 2, "deletion-leaking-td")
-    exp = attacks.DeletionExperiment(lam, attacks.Z_THETA_LEAKING, attacks.ADV_BASIS_INFORMED)
-    return _td(exp, seed, "leaking-td")
-
-
-def _deletion_keep_state(trials: int, params: dict | None, seed: int):
+def _deletion_keep_state(trials: int, params: dict, seed: int):
     """Every trial draws from the one stream of the experiment."""
-    lam = _deletion_lam(params, 4, "deletion-keep-state")
+    lam = params["lam"]
     rate = attacks.keep_state_acceptance(lam, trials, stream(seed, "deletion", "keep-state"))
     return trials, round(rate * trials), {"analytic": 0.75**lam}
 
 
-def _crs_honest(trials: int, params: dict | None, seed: int):
-    pp, w, x = _crs_instance(params or default_crs_params())
+def _crs_honest(trials: int, params: dict, seed: int):
+    pp, w, x = _crs_instance(params)
 
     def trial(rng):
         crs = cp.crs_setup(rng)
@@ -497,12 +481,8 @@ def _crs_honest(trials: int, params: dict | None, seed: int):
     return _per_trial(trial, trials, seed, "crs-honest")
 
 
-def _hbg_binding(trials: int, params: dict | None, seed: int):
-    """Counts equivocations and open mismatches, so it keeps its own loop.
-    Params s and k default one by one."""
-    defaults = {"s": 12, "k": 8}
-    params = {**defaults, **(params or {})}
-    _require_params(params, defaults, "hbg-binding")
+def _hbg_binding(trials: int, params: dict, seed: int):
+    """Counts equivocations and open mismatches, so it keeps its own loop."""
     equivocations = 0
     mismatches = 0
     for trial in range(trials):
@@ -533,8 +513,8 @@ def _clone(rng) -> bool:
     crs = cp.crs_setup(rng)
     sigma, _ = cp.crs_prove(pp, crs, x, w, rng)
     clone = cp.clone_attack(pp, sigma)
-    va = cp.verify_clone_half(pp, x, clone, "original", rng)
-    vb = cp.verify_clone_half(pp, x, clone, "copy", rng)
+    va = cp.verify_clone_half(pp, x, clone, clone.original, rng)
+    vb = cp.verify_clone_half(pp, x, clone, clone.copy, rng)
     return va == 1 and vb == 1
 
 
@@ -560,28 +540,37 @@ _ATTACKS = {
 }
 
 
-def _attack(name: str):
-    """Experiment of attack `name`: trial t on stream(seed, name, t); it takes no params."""
-
-    def experiment(trials: int, params: dict | None, seed: int):
-        _require_params(params or {}, {}, name)
-        return _per_trial(_ATTACKS[name], trials, seed, name)
-
-    return experiment
+def _attack(name: str, trials: int, params: dict, seed: int):
+    """Experiment of attack `name`: trial t on stream(seed, name, t)."""
+    return _per_trial(_ATTACKS[name], trials, seed, name)
 
 
+_SOUNDNESS_PARAMS = {**default_epr_params(), "reps": 20, "m": 27, "b": 8, "k": 6}
+
+# experiment -> (family, default params, body). The family names the params
+# in error messages and keys SIZE_CAPS: the EPR experiments take epr params
+# and crs-honest takes crs-toy params.
 _EXPERIMENTS = {
-    "epr-honest": _epr_honest,
-    "epr-soundness-greedy": _epr_soundness_greedy,
-    "epr-soundness-forged": _epr_soundness_forged,
-    "epr-single-rep": _epr_single_rep,
-    "deletion-honest-td": _deletion_honest_td,
-    "deletion-leaking-td": _deletion_leaking_td,
-    "deletion-keep-state": _deletion_keep_state,
-    "crs-honest": _crs_honest,
-    "hbg-binding": _hbg_binding,
-    **{name: _attack(name) for name in _ATTACKS},
+    "epr-honest": ("epr", default_epr_params(), _epr_honest),
+    "epr-soundness-greedy": ("epr", _SOUNDNESS_PARAMS, _epr_soundness_greedy),
+    "epr-soundness-forged": ("epr", _SOUNDNESS_PARAMS, _epr_soundness_forged),
+    "epr-single-rep": ("epr", {**_SOUNDNESS_PARAMS, "reps": 1}, _epr_single_rep),
+    "deletion-honest-td": ("deletion-honest-td", {"lam": 3}, _deletion_honest_td),
+    "deletion-leaking-td": ("deletion-leaking-td", {"lam": 2}, _deletion_leaking_td),
+    "deletion-keep-state": ("deletion-keep-state", {"lam": 4}, _deletion_keep_state),
+    "crs-honest": ("crs-toy", default_crs_params(), _crs_honest),
+    "hbg-binding": ("hbg-binding", {"s": 12, "k": 8}, _hbg_binding),
+    **{name: (name, {}, functools.partial(_attack, name)) for name in _ATTACKS},
 }
+
+
+def default_params(name: str) -> dict:
+    """A copy of the default params of session protocol or experiment name."""
+    if name in _SESSIONS:
+        return dict(_SESSIONS[name][1])
+    if name not in _EXPERIMENTS:
+        raise ValueError(f"unknown protocol or experiment {name!r}")
+    return dict(_EXPERIMENTS[name][1])
 
 
 def experiment_names() -> list[str]:
@@ -593,14 +582,17 @@ def attack_names() -> list[str]:
 
 
 def run_experiment(name: str, trials: int, params: dict | None, seed: int) -> ExperimentReport:
+    """trials of experiment name; params is None (its defaults) or a complete dict."""
     if name not in _EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; known: {', '.join(experiment_names())}")
     _require_count(seed, "seed")
     _require_count(trials, "trials")
+    family, defaults, run = _EXPERIMENTS[name]
+    params = _require_params(params, defaults, family)
     if trials == 0:
         return ExperimentReport(name, 0, 0, 0.0, 0.0, 0.0, {})
     t0 = time.time()
-    trials, successes, extra = _EXPERIMENTS[name](trials, params, seed)
+    trials, successes, extra = run(trials, params, seed)
     return ExperimentReport(
         name, trials, successes, successes / trials, hoeffding_halfwidth(trials), time.time() - t0, extra
     )
@@ -614,6 +606,7 @@ __all__ = [
     "attack_names",
     "default_crs_params",
     "default_epr_params",
+    "default_params",
     "deserialize_transcript",
     "experiment_names",
     "hoeffding_halfwidth",

@@ -15,8 +15,9 @@ k), which is why asymptotic soundness statements downstream stay analytic.
 
 G is one fixed function: `_expand` hashes one seed (the hiding tests
 swap a broken `_expand` in as their negative control). `_g_table(s)` is
-G at every s-bit seed, hashed once per s and G's only cache; GenBits,
-batch verification, `prg_expand` and Open (G's image) read it.
+G at every s-bit seed with its sorted image, hashed once per s and G's
+only cache; GenBits, batch verification and `prg_expand` read its rows,
+Open its image.
 s lies in 2..SEED_BITS_MAX, so the table has at most 2^16 rows. The
 commitment relation (`_commitments`) runs in passes of _PASS_BITS
 committed bits: GenBits builds com with it and batch verification checks
@@ -76,23 +77,34 @@ def _expand(seed: int, n: int) -> bytes:
     return hashlib.blake2b(seed.to_bytes(8, "big"), digest_size=n, person=b"hbg-prg").digest()
 
 
+def _row_ints(rows: np.ndarray) -> np.ndarray:
+    """Rows of G's width as big-endian integers (3s <= 48 bits fit an int64)."""
+    return rows @ 256 ** np.arange(rows.shape[1] - 1, -1, -1)
+
+
+@dataclass(frozen=True)
+class _G:
+    rows: np.ndarray  # read-only (2^s, out_bytes) uint8; row x is G(x), big-endian, top bits zero
+    image: np.ndarray  # read-only: the rows as integers (`_row_ints`), sorted for Open's search
+
+
 @lru_cache(maxsize=8)
-def _g_table(s: int) -> np.ndarray:
-    """G at every s-bit seed: a read-only (2^s, out_bytes) uint8 array whose
-    row x is G(x), big-endian with the top bits zero."""
+def _g_table(s: int) -> _G:
+    """G at every s-bit seed, with its sorted image."""
     params = HbgParams(k=1, s=s)
     n = params.out_bytes
-    table = np.frombuffer(bytearray(b"".join(_expand(x, n) for x in range(1 << s))), np.uint8).reshape(-1, n)
-    table[:, 0] &= 0xFF >> (8 * n - params.out_bits)
-    table.flags.writeable = False
-    return table
+    rows = np.frombuffer(bytearray(b"".join(_expand(x, n) for x in range(1 << s))), np.uint8).reshape(-1, n)
+    rows[:, 0] &= 0xFF >> (8 * n - params.out_bits)
+    image = np.sort(_row_ints(rows))
+    rows.flags.writeable = image.flags.writeable = False
+    return _G(rows, image)
 
 
 def prg_expand(seed: int, params: HbgParams) -> bytes:
     """G at one seed: s-bit seed -> 3s-bit string (packed big-endian, top bits zero)."""
     if seed >> params.s:
         raise ValueError("seed wider than s bits")
-    return _g_table(params.s)[seed].tobytes()
+    return _g_table(params.s).rows[seed].tobytes()
 
 
 # ---------------------------------------------------------------------
@@ -177,7 +189,7 @@ def _passes(n: int):
 def _commitments(crs: NaorCrs, u: np.ndarray, seeds: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """c = G(seed) ^ bit * u, one row per committed bit with its shift row in u;
     seeds must lie in [0, 2^s). The gather copies, so the table stays as is."""
-    rows = _g_table(crs.params.s)[seeds]
+    rows = _g_table(crs.params.s).rows[seeds]
     rows ^= u * bits[:, None]
     return rows
 
@@ -254,9 +266,8 @@ def hbg_open(crs, com: HbgCommitment) -> HbgOpenResult:
         raise ValueError("Open is defined for the naor instantiation only")
     params = crs.params
     c = np.frombuffer(com.data, dtype=np.uint8).reshape(params.committed, params.out_bytes)  # else ValueError
-    # rows as big-endian integers: c and c ^ u, each searched for in G's sorted image
-    weights = 256 ** np.arange(params.out_bytes - 1, -1, -1)
-    image, tested = np.sort(_g_table(params.s) @ weights), np.concatenate([c, c ^ crs.u]) @ weights
+    # c and c ^ u as integers, each searched for in G's sorted image
+    image, tested = _g_table(params.s).image, _row_ints(np.concatenate([c, c ^ crs.u]))
     as_zero, as_one = (image[np.searchsorted(image, tested).clip(max=len(image) - 1)] == tested).reshape(2, -1)
     words = (params.k, params.width)
     return HbgOpenResult(

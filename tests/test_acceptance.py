@@ -7,7 +7,9 @@ Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,10 +25,20 @@ from cenizk.rng import stream
 SEED = 20260808
 
 
+# every criterion's line as last recorded, its wall-clock fields ("in
+# 1.6s") removed; the record moves only on a commit of its own, with a
+# CHANGES.md entry saying what moved and why
+RECORD = Path(__file__).with_name("acceptance_lines.txt")
+
+
 def _line(number: int, ok: bool, detail: str) -> None:
-    status = "PASS" if ok else "FAIL"
-    print(f"[criterion {number:2d}] {status}: {detail}")
+    head = f"[criterion {number:2d}]"
+    line = f"{head} {'PASS' if ok else 'FAIL'}: {detail}"
+    print(line)
     assert ok, detail
+    printed = re.sub(r" in \d+\.\ds ", " ", line)
+    recorded = [r for r in RECORD.read_text(encoding="ascii").splitlines() if r.startswith(head)]
+    assert recorded == [printed], f"criterion {number} moved from {RECORD.name}:\nprinted:  {printed}\nrecorded: {recorded}"
 
 
 # ---------------------------------------------------------------------
@@ -186,14 +198,13 @@ def test_criterion_4_deletion_harness():
     from cenizk.attacks import (
         ADV_BASIS_INFORMED,
         DeletionExperiment,
-        Z_THETA_LEAKING,
         keep_state_acceptance,
         td_estimate,
     )
 
     rng = stream(SEED, "c4")
     honest = td_estimate(DeletionExperiment(3), rng)
-    leaking = td_estimate(DeletionExperiment(2, Z_THETA_LEAKING, ADV_BASIS_INFORMED), rng)
+    leaking = td_estimate(DeletionExperiment(2, ADV_BASIS_INFORMED), rng)
     lam = 4
     rate = keep_state_acceptance(lam, 10_000, rng)
     analytic = 0.75**lam

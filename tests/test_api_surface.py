@@ -155,6 +155,7 @@ UNREAD_PARAM_EXEMPT = {
     ("_run_dry_session", "stop"),
     ("_deletion_honest_td", "trials"),
     ("_deletion_leaking_td", "trials"),
+    ("_attack", "params"),
     ("toy_prove", "crs"),
     ("toy_verify", "crs"),
     ("crs_verify", "crs"),

@@ -15,8 +15,6 @@ from cenizk.attacks import (
     ADV_KEEP_STATE,
     DeletionExperiment,
     StrawmanParams,
-    Z_PLAIN,
-    Z_THETA_LEAKING,
     check_deletion_cert,
     commit_bits,
     deletion_cert_for_block,
@@ -448,7 +446,7 @@ class TestDeletionExperiment:
         assert est.value <= 1e-9
 
     def test_leaking_fixture_td_large(self, rng):
-        est = td_estimate(DeletionExperiment(2, Z_THETA_LEAKING, ADV_BASIS_INFORMED), rng)
+        est = td_estimate(DeletionExperiment(2, ADV_BASIS_INFORMED), rng)
         assert est.exact
         assert est.value >= 0.5
 
@@ -461,7 +459,7 @@ class TestDeletionExperiment:
         assert abs(rate - p) <= 3 * sigma
 
     def test_keep_state_outputs_register_on_acceptance(self, rng):
-        exp = DeletionExperiment(3, Z_PLAIN, ADV_KEEP_STATE)
+        exp = DeletionExperiment(3, ADV_KEEP_STATE)
         seen_state = False
         for _ in range(200):
             out = run_deletion_experiment(exp, 0, rng)
@@ -476,13 +474,9 @@ class TestDeletionExperiment:
             out = run_deletion_experiment(exp, 1, rng)
             assert out.accepted and out.output_state is None
 
-    def test_structural_theta_leak_guard(self):
-        with pytest.raises(ValueError):
-            DeletionExperiment(2, Z_PLAIN, ADV_BASIS_INFORMED)
-
     def test_monte_carlo_branch_with_hoeffding(self, rng):
         # beyond the exact guard: classical-digest TV with an interval
-        exp = DeletionExperiment(6, Z_PLAIN, ADV_KEEP_STATE)
+        exp = DeletionExperiment(6, ADV_KEEP_STATE)
         est = td_estimate(exp, rng, trials=2_000)
         assert not est.exact
         assert est.halfwidth > 0

@@ -478,8 +478,8 @@ class TestClone:
             crs = crs_setup(rng)
             sigma, _ = crs_prove(PARAMS, crs, STATEMENT, WITNESS, rng)
             clone = clone_attack(PARAMS, sigma)
-            assert verify_clone_half(PARAMS, STATEMENT, clone, "original", rng) == 1
-            assert verify_clone_half(PARAMS, STATEMENT, clone, "copy", rng) == 1
+            assert verify_clone_half(PARAMS, STATEMENT, clone, clone.original, rng) == 1
+            assert verify_clone_half(PARAMS, STATEMENT, clone, clone.copy, rng) == 1
 
     def test_clones_classically_correlated(self, rng):
         crs = crs_setup(rng)

@@ -20,8 +20,6 @@ from cenizk.rng import bits
 from cenizk.attacks import (
     ADV_BASIS_INFORMED,
     ADV_KEEP_STATE,
-    Z_PLAIN,
-    Z_THETA_LEAKING,
     DeletionExperiment,
     StrawmanParams,
     derived_prove,
@@ -229,8 +227,8 @@ def test_deletion_experiment_digest():
     for lam in (3, 5, 8):
         for exp in (
             DeletionExperiment(lam),
-            DeletionExperiment(lam, Z_PLAIN, ADV_KEEP_STATE),
-            DeletionExperiment(lam, Z_THETA_LEAKING, ADV_BASIS_INFORMED),
+            DeletionExperiment(lam, ADV_KEEP_STATE),
+            DeletionExperiment(lam, ADV_BASIS_INFORMED),
         ):
             rng = stream(11, "deletion", lam, exp.adversary)
             for b in (0, 1, 1, 0, 1):

@@ -18,7 +18,9 @@ from cenizk.harness import (
     TranscriptError,
     default_crs_params,
     default_epr_params,
+    default_params,
     deserialize_transcript,
+    experiment_names,
     hoeffding_halfwidth,
     run_experiment,
     run_session,
@@ -465,7 +467,7 @@ class TestParamTypes:
         "name,params,key",
         [
             ("hbg-binding", {"s": 12, "k": True}, "k"),
-            ("hbg-binding", {"s": True}, "s"),
+            ("hbg-binding", {"s": True, "k": 8}, "s"),
             ("deletion-keep-state", {"lam": True}, "lam"),
             ("epr-honest", {**default_epr_params(), "reps": True}, "reps"),
             ("crs-honest", {**default_crs_params(), "lam": True}, "lam"),
@@ -615,10 +617,16 @@ class TestCliParams:
         assert cli_main(["certify", "--in", str(path)]) == 2
         assert "epr has no param bogus;" in capsys.readouterr().err
 
-    def test_hbg_binding_defaults_its_params_one_by_one(self):
-        default = run_experiment("hbg-binding", 3, None, 5)
-        partial = run_experiment("hbg-binding", 3, {"k": 8}, 5)
-        assert (default.successes, default.extra) == (partial.successes, partial.extra)
+    @pytest.mark.parametrize("name", experiment_names())
+    def test_python_entry_takes_none_or_a_complete_dict(self, name):
+        default = run_experiment(name, 2, None, 5)
+        complete = run_experiment(name, 2, default_params(name), 5)
+        assert (default.successes, default.extra) == (complete.successes, complete.extra)
+        for key in default_params(name):
+            partial = default_params(name)
+            del partial[key]
+            with pytest.raises(ValueError, match=f"params missing {key}$"):
+                run_experiment(name, 2, partial, 5)
 
 
 # every param a session records -> one valid other value and a seed at
@@ -675,6 +683,49 @@ class TestOneTranscriptPerSession:
 
     def test_a_naor_session_reads_hbg_s(self):
         run_session("epr", {**default_epr_params(), "hbg": "naor", "hbg_s": 10}, 0)
+
+
+EPR_EXPERIMENTS = ["epr-honest", "epr-soundness-greedy", "epr-soundness-forged", "epr-single-rep"]
+
+
+def _without_wall_clock(text: str) -> list[str]:
+    return [line for line in text.splitlines() if not line.startswith("wall_clock_s ")]
+
+
+class TestOneParamRule:
+    """Every verb fills omitted keys from the run's defaults in the CLI;
+    the Python entry points take None or a complete dict."""
+
+    @pytest.mark.parametrize("name", experiment_names())
+    def test_cli_with_one_param_is_the_complete_dict_run(self, capsys, name):
+        # one key given (the attacks take none), the others filled in
+        defaults = default_params(name)
+        argv = ["run-experiment", "--name", name, "--trials", "2", "--seed", "3"]
+        argv += [arg for key in list(defaults)[:1] for arg in ("--param", f"{key}={defaults[key]}")]
+        assert cli_main(argv) == 0
+        report = run_experiment(name, 2, defaults, 3)
+        assert _without_wall_clock(capsys.readouterr().out) == _without_wall_clock(report.text())
+
+    @pytest.mark.parametrize("name", EPR_EXPERIMENTS)
+    def test_a_dealer_experiment_refuses_hbg_s(self, capsys, name):
+        argv = ["run-experiment", "--name", name, "--trials", "1", "--param", "hbg_s=10"]
+        assert cli_main(argv) == 2
+        assert "error: epr param hbg_s must be 12: a dealer session never reads it" in capsys.readouterr().err
+
+    def test_a_naor_experiment_reads_hbg_s(self):
+        report = run_experiment("epr-honest", 1, {**default_params("epr-honest"), "hbg": "naor", "hbg_s": 10}, 0)
+        assert report.successes == 1
+
+    @pytest.mark.parametrize("name", ["epr", "crs-toy", "crs-dry", *experiment_names()])
+    def test_default_params_is_a_copy(self, name):
+        params = default_params(name)
+        before = dict(params)
+        params.update(dict.fromkeys(before, 0), bogus=1)
+        assert default_params(name) == before
+
+    def test_default_params_of_an_unknown_name(self):
+        with pytest.raises(ValueError, match="unknown protocol or experiment 'bogus'"):
+            default_params("bogus")
 
 
 class TestStages:
@@ -822,10 +873,12 @@ class TestCli:
         rc = cli_main(["delete", "--protocol", "crs-toy"])
         assert rc == 2
 
-    def test_run_experiment_partial_params_is_usage_error(self, capsys):
-        rc = cli_main(["run-experiment", "--name", "epr-honest", "--param", "n=3", "--trials", "1"])
-        assert rc == 2
-        assert "epr params missing reps, m, b, k, hbg, hbg_s" in capsys.readouterr().err
+    def test_run_experiment_partial_params_fill_from_the_defaults(self, capsys):
+        # a partial --param list runs as the complete dict with the
+        # experiment's own defaults (reps=20 here, not the session's 1)
+        assert cli_main(["run-experiment", "--name", "epr-soundness-greedy", "--param", "reps=2", "--trials", "2"]) == 0
+        complete = run_experiment("epr-soundness-greedy", 2, {**default_params("epr-soundness-greedy"), "reps": 2}, 0)
+        assert capsys.readouterr().out.split("wall_clock_s")[0] == complete.text().split("wall_clock_s")[0]
 
     @pytest.mark.parametrize(
         "protocol,params",

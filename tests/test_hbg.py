@@ -426,7 +426,7 @@ class TestOneG:
 
     def test_rows_of_repeated_seeds(self):
         params = HbgParams(k=1, s=10)
-        table = _g_table(10)
+        table = _g_table(10).rows
         assert table.shape == (1 << 10, params.out_bytes) and table.dtype == np.uint8
         seeds = np.array([5, 1023, 5, 0, 1023, 5], dtype=np.uint64)
         rows = table[seeds]
