@@ -24,8 +24,8 @@ Three experiment families:
   Z(theta, b XOR parity, |y>^theta) returns a certificate checked on
   the Hadamard positions; valid deletion information-theoretically
   erases the computational-basis parity, making the masked bit
-  unrecoverable. Exact trace distances at small sizes, Monte Carlo
-  above.
+  unrecoverable. Each adversary is written once: exact trace distances
+  run it on every measurement branch at small sizes, Monte Carlo above.
 """
 
 from __future__ import annotations
@@ -47,8 +47,10 @@ from .state import (
     Bb84Descriptor,
     SimUsageError,
     SparseState,
+    density_matrix,
     measure,
     prep_bb84,
+    project,
     trace_distance,
 )
 
@@ -385,32 +387,35 @@ class DeletionOutcome:
     classical: dict
 
 
-def run_deletion_experiment(
-    exp: DeletionExperiment, b: int, rng: np.random.Generator
-) -> DeletionOutcome:
-    lam = exp.lam
-    y, theta = draws = rng_mod.bits(rng, lam, count=2)
-    masked = int(b) ^ int(_pads(draws))
+def _run_adversary(exp: DeletionExperiment, y, theta, b: int, measured, draw) -> DeletionOutcome:
+    """Z hands the adversary |y>^theta and the masked bit, then checks its
+    certificate; measured(register, bases) gives outcomes, draw(n) bits."""
+    masked = int(b) ^ int(_pads((y, theta)))
     register = prep_bb84(Bb84Descriptor(y, theta))
-
     if exp.adversary == ADV_HONEST_DELETER:
-        cert, _ = measure(register, list(range(lam)), ["X"] * lam, rng)
+        cert = measured(register, ["X"] * exp.lam)
         out_state, classical = None, {}
     elif exp.adversary == ADV_KEEP_STATE:
-        cert = rng_mod.bits(rng, lam)
+        cert = draw(exp.lam)
         out_state, classical = register, {"masked_bit": masked}
     elif exp.adversary == ADV_BASIS_INFORMED:
-        bases = ["Z" if t == 0 else "X" for t in theta]
-        outcomes, _ = measure(register, list(range(lam)), bases, rng)
+        outcomes = measured(register, ["Z" if t == 0 else "X" for t in theta])
         recovered = masked ^ int(_pads((outcomes, theta)))
         cert = outcomes  # X positions carry the true y; Z positions unchecked
-        out_state = SparseState(1, {int(recovered): 1.0 + 0.0j})
-        classical = {"bit": int(recovered)}
+        out_state = SparseState(1, {recovered: 1.0 + 0.0j})
+        classical = {"bit": recovered}
     else:
         raise ValueError(f"unknown adversary {exp.adversary!r}")
-
     accepted = check_deletion_cert(cert, y, theta)
     return DeletionOutcome(accepted, out_state if accepted else None, classical if accepted else {})
+
+
+def run_deletion_experiment(exp: DeletionExperiment, b: int, rng: np.random.Generator) -> DeletionOutcome:
+    """`_run_adversary` with its measurement and fresh bits sampled from rng."""
+    y, theta = rng_mod.bits(rng, exp.lam, count=2)
+    return _run_adversary(
+        exp, y, theta, b, lambda reg, bases: measure(reg, range(exp.lam), bases, rng)[0], lambda n: rng_mod.bits(rng, n)
+    )
 
 
 @dataclass(frozen=True)
@@ -418,33 +423,32 @@ class TdEstimate:
     value: float
     exact: bool
     halfwidth: float = 0.0
-    trials: int = 0
 
 
 def _exact_output_matrix(exp: DeletionExperiment, b: int) -> np.ndarray:
-    """Density matrix of the experiment output over bot + B, averaged
-    over the (y, theta) mixture. Exact for the deterministic-branch
-    adversaries at small lambda."""
-    lam = exp.lam
-    if lam > EXACT_LAMBDA_LIMIT:
-        raise ValueError(f"exact mode capped at lambda <= {EXACT_LAMBDA_LIMIT}")
-    out_dim = 2 if exp.adversary == ADV_BASIS_INFORMED else 1
-    dim = 1 + out_dim  # index 0 is the bot flag
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    weight = 1.0 / (4**lam)
-    for y_int in range(1 << lam):
-        for th_int in range(1 << lam):
-            # y and theta as words (the parity ignores their bit order)
-            parity = int(masked_parity(np.uint64(th_int), np.uint64(y_int)))
-            masked = int(b) ^ parity
-            if exp.adversary == ADV_HONEST_DELETER:
-                # always accepted, empty output
-                rho[1, 1] += weight
-            elif exp.adversary == ADV_BASIS_INFORMED:
-                recovered = masked ^ parity  # = b exactly
-                rho[1 + recovered, 1 + recovered] += weight
-            else:
-                raise ValueError("exact mode supports the deterministic adversaries only")
+    """Density matrix of the experiment output over bot + B: `_run_adversary`
+    on every (y, theta) and every outcome string of its one measurement
+    (it never draws), each branch weighted by its `project` probabilities."""
+    bot, kept = 0.0, 0.0
+    for branch in np.ndindex((2,) * 3 * exp.lam):
+        y, theta, outcomes = np.array(branch, dtype=np.uint8).reshape(3, exp.lam)
+        weight = 4.0**-exp.lam
+
+        def measured(register, bases):
+            nonlocal weight
+            for q, (basis, bit) in enumerate(zip(bases, outcomes)):
+                prob, register = project(register, q, basis, bit) if register else (0.0, None)
+                weight *= prob
+            return outcomes
+
+        out = _run_adversary(exp, y, theta, b, measured, None)
+        state = out.output_state
+        if not out.accepted:
+            bot += weight
+        else:  # an empty output is one cell
+            kept = kept + weight * (density_matrix(state, range(state.num_qubits)) if state else np.ones((1, 1)))
+    rho = np.pad(np.atleast_2d(kept), ((1, 0), (1, 0)))  # index 0 is the bot flag
+    rho[0, 0] = bot
     return rho
 
 
@@ -456,10 +460,10 @@ def hoeffding_halfwidth(trials: int) -> float:
 
 
 def td_estimate(exp: DeletionExperiment, rng: np.random.Generator, trials: int = 10_000) -> TdEstimate:
-    """Trace distance between Exp(0) and Exp(1): exact for lambda <= 4
-    with deterministic-branch adversaries, else a Monte Carlo bound on
-    the classical outcome distributions with a Hoeffding interval."""
-    if exp.lam <= EXACT_LAMBDA_LIMIT and exp.adversary in (ADV_HONEST_DELETER, ADV_BASIS_INFORMED):
+    """Trace distance between Exp(0) and Exp(1): exact for lambda <= 4,
+    else a Monte Carlo bound on the classical outcome distributions with a
+    Hoeffding interval. Keep-state, which draws, is always Monte Carlo."""
+    if exp.lam <= EXACT_LAMBDA_LIMIT and exp.adversary != ADV_KEEP_STATE:
         value = trace_distance(_exact_output_matrix(exp, 0), _exact_output_matrix(exp, 1))
         return TdEstimate(value, exact=True)
     counts: list[dict] = [{}, {}]
@@ -470,7 +474,7 @@ def td_estimate(exp: DeletionExperiment, rng: np.random.Generator, trials: int =
             counts[b][digest] = counts[b].get(digest, 0) + 1
     keys = set(counts[0]) | set(counts[1])
     tv = 0.5 * sum(abs(counts[0].get(k, 0) - counts[1].get(k, 0)) / trials for k in keys)
-    return TdEstimate(tv, exact=False, halfwidth=hoeffding_halfwidth(trials), trials=trials)
+    return TdEstimate(tv, exact=False, halfwidth=hoeffding_halfwidth(trials))
 
 
 def keep_state_acceptance(lam: int, trials: int, rng: np.random.Generator) -> float:

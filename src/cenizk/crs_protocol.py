@@ -127,7 +127,7 @@ class CrsParams:
 
 @dataclass(frozen=True)
 class CrsNizkCrs:
-    crs_in: object  # ToyCrs (toy mode) or CompiledCrs (dry mode)
+    crs_in: object  # ToyCrs (toy mode) or a (CompiledSpec, CompiledCrs) pair (dry mode)
     crs_out: ToyCrs
 
 
@@ -593,7 +593,6 @@ def _lamport_sign(pre, z) -> list[int]:
 
 
 def _dry_inner_verify(crs_in, x, candidate_bits) -> int:
-    # crs_in here is a (CompiledSpec, CompiledCrs) pair; see crs_setup_dry
     spec, crs = crs_in
     proof = _compiled_proof_from_bits(as_bit_array(candidate_bits), spec.hb.total_bits)
     if proof is None:

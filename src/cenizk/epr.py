@@ -152,9 +152,4 @@ class EprNetwork:
         return SparseState(len(pairs), amps)
 
 
-def prep_epr(block_count: int, block_width: int) -> EprNetwork:
-    """Fresh network of block_count x block_width EPR pairs; allocates nothing."""
-    return EprNetwork(block_count, block_width)
-
-
-__all__ = ["EprNetwork", "ROLE_P", "ROLE_V", "prep_epr"]
+__all__ = ["EprNetwork", "ROLE_P", "ROLE_V"]

@@ -34,7 +34,7 @@ import numpy as np
 from . import hbg as hbg_mod
 from . import rng as rng_mod
 from .bits import check_deletion_cert, flat_mask, int_array, masked_parity, opened_rows, words_fit
-from .epr import ROLE_P, ROLE_V, EprNetwork, prep_epr
+from .epr import ROLE_P, ROLE_V, EprNetwork
 from .graphs import CycleWitness, Digraph
 from .hbnizk import (
     HbParams,
@@ -104,7 +104,7 @@ class EprDeletionCert:
 def epr_setup(params: EprParams, rng: np.random.Generator) -> tuple[EprCrs, EprNetwork]:
     crs_bg = hbg_mod.hbg_setup(params.num_blocks, params.hbg_mode, rng, s=params.hbg_s, width=params.block_width)
     s = rng_mod.bits(rng, params.num_blocks)
-    return EprCrs(crs_bg, s), prep_epr(params.num_blocks, params.block_width)
+    return EprCrs(crs_bg, s), EprNetwork(params.num_blocks, params.block_width)
 
 
 def epr_prove(
@@ -303,7 +303,7 @@ def epr_sim(params, x, vstar: VStar, rng):
     ell, k = params.num_blocks, params.block_width
     crs_bg = hbg_mod.hbg_setup(ell, params.hbg_mode, rng, s=params.hbg_s, width=k)
     com, theta, opening = hbg_mod.hbg_genbits(crs_bg, rng)
-    network = prep_epr(ell, k)
+    network = EprNetwork(ell, k)
     opened, r_I, pi_hb = hb_simulate(x, params.hb, rng)
     y = network.measure_blocks(ROLE_P, theta, rng)
     t = masked_parity(theta, y)

@@ -27,9 +27,6 @@ class Digraph:
             raise ValueError("self-loops are not allowed")
         object.__setattr__(self, "adjacency", adj)
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [(int(u), int(v)) for u, v in np.argwhere(self.adjacency)]
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adjacency[u, v])
 

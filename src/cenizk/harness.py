@@ -107,6 +107,8 @@ def deserialize_transcript(data: bytes) -> Transcript:
         t.records = body["records"]
     except (KeyError, IndexError, TypeError) as exc:
         raise TranscriptError("transcript body missing fields") from exc
+    if not isinstance(t.protocol, str):
+        raise TranscriptError(f"transcript protocol must be a str, got {t.protocol!r}")
     return t
 
 
@@ -448,9 +450,9 @@ def _epr_single_rep(trials: int, params: dict, seed: int):
 
 
 def _td(exp: attacks.DeletionExperiment, seed: int, label: str):
-    """One trace-distance estimate, reported as 1 trial and 1 success."""
+    """One trace-distance estimate and its halfwidth, reported as 1 trial and 1 success."""
     est = attacks.td_estimate(exp, stream(seed, "deletion", label))
-    return 1, 1, {"td": est.value, "exact": est.exact}
+    return 1, 1, {"td": est.value, "exact": est.exact, "td_halfwidth": est.halfwidth}
 
 
 def _deletion_honest_td(trials: int, params: dict, seed: int):
@@ -491,7 +493,7 @@ def _hbg_binding(trials: int, params: dict, seed: int):
         com, r, _ = hbg_mod.hbg_genbits(crs, rng)
         res = hbg_mod.hbg_open(crs, com)
         equivocations += int(res.equivocal.any())
-        mismatches += int(not np.array_equal(res.bits, r))
+        mismatches += int(res.garbage.any() or not np.array_equal(res.bits, r))  # garbage defaults a bit to 0
     good = trials - max(equivocations, mismatches)
     return trials, good, {"equivocations": equivocations, "open_mismatches": mismatches}
 

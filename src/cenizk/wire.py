@@ -5,9 +5,9 @@ always encodes to the same bytes, which golden-file and round-trip
 tests rely on. Supported values: None, bool, int (arbitrary size),
 float, bytes, str, list, dict (insertion order preserved), and numpy
 arrays of bool/uint/int/float dtypes. Decoding accepts only canonical
-bytes (each int has exactly one encoding) nested at most MAX_DEPTH
-lists and dicts deep. Decoded arrays are read-only views into the
-decoded buffer, not copies.
+bytes (one spelling per int, array dtype and bool array byte; no
+repeated dict key) nested at most MAX_DEPTH lists and dicts deep.
+Decoded arrays are read-only views into the decoded buffer, not copies.
 """
 
 from __future__ import annotations
@@ -152,23 +152,26 @@ def _decode_from(r: _Reader, depth: int = 0):
         out = {}
         for _ in range(r.take_len()):
             key = _decode_from(r, depth + 1)
-            if not isinstance(key, str):
-                raise WireError("dict keys must decode to strings")
+            if not isinstance(key, str) or key in out:
+                raise WireError("dict keys must decode to distinct strings")
             out[key] = _decode_from(r, depth + 1)
         return out
     if tag == _TAG_ARRAY:
         try:
-            dt = np.dtype(str(r.take(r.take_len()), "ascii"))
+            dt = np.dtype(field := str(r.take(r.take_len()), "ascii"))
         except (TypeError, ValueError, UnicodeDecodeError) as exc:
             raise WireError("bad array dtype") from exc
-        if dt.kind not in "buif":
-            raise WireError(f"unsupported array dtype {dt}")
+        # the one spelling encode writes: the little-endian dtype's str
+        if dt.kind not in "buif" or dt.newbyteorder("<").str != field:
+            raise WireError(f"unsupported or non-canonical array dtype {field!r}")
         ndim = r.take(1)[0]
         shape = tuple(r.take_len() for _ in range(ndim))
         raw = r.take(r.take_len())
         count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
         if len(raw) != count * dt.itemsize:
             raise WireError("array payload size mismatch")
+        if dt.kind == "b" and np.frombuffer(raw, dtype=np.uint8).max(initial=0) > 1:
+            raise WireError("bool array bytes must be 0 or 1")
         arr = np.frombuffer(raw, dtype=dt).reshape(shape)
         arr.flags.writeable = False
         return arr

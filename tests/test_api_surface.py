@@ -3,10 +3,10 @@ its own (so an import cycle fails here), every name it exports resolves,
 no module imports a `_`-prefixed name from a sibling, every definition
 is read by the package, the acceptance suite or perfbench's workloads
 (a name-based reachability check with an allowlist), every function
-reads every parameter it takes, and every function the layered
-benchmark traces (perfbench/spans.py TARGETS) exists where the tracer
-looks for it, so a rename or deletion fails here rather than in
-`perfbench/run.py --trace 1`."""
+reads every parameter it takes, the package fits its line budget, and
+every function the layered benchmark traces (perfbench/spans.py
+TARGETS) exists where the tracer looks for it, so a rename or deletion
+fails here rather than in `perfbench/run.py --trace 1`."""
 
 import ast
 import importlib
@@ -84,13 +84,14 @@ ALLOWLIST = {
     "attacks.commit_bits": "in perfbench/spans.py's trace list only; goes when the benchmark drops it",
     "state.drop_last_register": "in perfbench/spans.py's trace list only; goes when the benchmark drops it",
     "hbnizk.useful_probability": "the closed form the decoder tests check; ROADMAP item 5 gives it a caller",
+    "crs_protocol.CertAudit.post_uncompute": "the audit's uncomputed state, which the Test-projector and memo tests check",
 }
 
 
 def _definitions():
     """(module.qualname, node) for every top-level function, class and
-    constant of every module, and every method or property of its
-    classes; dunders excluded."""
+    constant of every module, and every method, property or annotated
+    (dataclass) field of its classes; dunders excluded."""
     for name in MODULES:
         for node in ast.parse((PACKAGE_ROOT / "cenizk" / f"{name}.py").read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -99,6 +100,8 @@ def _definitions():
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
                         yield f"{name}.{node.name}.{item.name}", item
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        yield f"{name}.{node.name}.{item.target.id}", item
             targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
             for target in targets:
                 if isinstance(target, ast.Name) and not target.id.startswith("__"):
@@ -137,6 +140,16 @@ def test_allowlist_names_only_unread_definitions():
     unread = _unread_names()
     stale = {qual: "no such definition" if qual not in defined else "read" for qual in ALLOWLIST if qual not in unread}
     assert not stale, f"allowlist entries to remove: {stale}"
+
+
+# ROADMAP item 8: no net growth, src/cenizk ends the round at or below this
+LINE_BUDGET = 4372
+
+
+def test_package_fits_the_line_budget():
+    # newline count over every module, as `cat src/cenizk/*.py | wc -l`
+    lines = sum(path.read_text(encoding="utf-8").count("\n") for path in (PACKAGE_ROOT / "cenizk").glob("*.py"))
+    assert lines <= LINE_BUDGET, f"src/cenizk has {lines} lines, over the budget of {LINE_BUDGET}"
 
 
 @pytest.mark.parametrize("layer,qual", _traced_targets())

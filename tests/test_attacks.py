@@ -12,8 +12,10 @@ from cenizk import attacks
 from cenizk import rng as rng_mod
 from cenizk.attacks import (
     ADV_BASIS_INFORMED,
+    ADV_HONEST_DELETER,
     ADV_KEEP_STATE,
     DeletionExperiment,
+    DeletionOutcome,
     StrawmanParams,
     check_deletion_cert,
     commit_bits,
@@ -32,7 +34,7 @@ from cenizk.attacks import (
 )
 from cenizk.graphs import non_hamiltonian_triangle, triangle_both_cycles, two_cycle_pair
 from cenizk.rng import stream
-from cenizk.state import Bb84Descriptor, prep_bb84
+from cenizk.state import Bb84Descriptor, SparseState, prep_bb84
 
 
 class TestCommitBlocks:
@@ -481,6 +483,31 @@ class TestDeletionExperiment:
         assert not est.exact
         assert est.halfwidth > 0
         assert est.value <= 3 * est.halfwidth  # keep-state digests carry no b
+
+    @pytest.mark.parametrize("lam", [2, 3])
+    def test_exact_lane_builds_rho_from_the_adversary_output(self, monkeypatch, lam):
+        # an honest deleter that also hands back |b> leaks b completely; the
+        # exact lane sees that only if it reads what the adversary returns
+        shared = attacks._run_adversary
+
+        def leaky(exp, y, theta, b, measured, draw):
+            out = shared(exp, y, theta, b, measured, draw)
+            return DeletionOutcome(out.accepted, SparseState(1, {int(b): 1.0 + 0.0j}), out.classical)
+
+        monkeypatch.setattr(attacks, "_run_adversary", leaky)
+        est = td_estimate(DeletionExperiment(lam), stream(0, "leaky-deleter"))
+        assert est.exact
+        assert est.value == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("adversary", [ADV_HONEST_DELETER, ADV_BASIS_INFORMED])
+    @pytest.mark.parametrize("lam", [2, 4])
+    def test_monte_carlo_lane_agrees_with_the_exact_value(self, monkeypatch, lam, adversary):
+        exp = DeletionExperiment(lam, adversary)
+        exact = td_estimate(exp, stream(0, "td-exact"))
+        monkeypatch.setattr(attacks, "EXACT_LAMBDA_LIMIT", 0)
+        sampled = td_estimate(exp, stream(0, "td-monte-carlo"), trials=2_000)
+        assert exact.exact and not sampled.exact
+        assert abs(sampled.value - exact.value) <= 3 * sampled.halfwidth
 
     def test_exact_guard_rejects_large_lambda(self, rng):
         exp = DeletionExperiment(6)

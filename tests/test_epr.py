@@ -20,7 +20,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cenizk.epr import ROLE_P, ROLE_V, prep_epr
+from cenizk.epr import ROLE_P, ROLE_V, EprNetwork
 from cenizk.state import SimUsageError, SparseState, measure, project
 from conftest import CHI2_CRIT_1DF
 
@@ -54,7 +54,7 @@ def test_fresh_pair_is_epr(rng):
     for basis in (0, 1):
         seen = set()
         for _ in range(50):
-            net = prep_epr(1, 1)
+            net = EprNetwork(1, 1)
             _assert_fresh(net, [(0, 0)])
             theta = np.array([basis], dtype=np.uint8)
             y = net.measure_blocks(ROLE_P, theta, rng)
@@ -64,7 +64,7 @@ def test_fresh_pair_is_epr(rng):
 
 
 def test_every_pair_reduces_to_epr_before_measurement(rng):
-    net = prep_epr(3, 2)
+    net = EprNetwork(3, 2)
     pairs = list(itertools.product(range(3), range(2)))
     _assert_fresh(net, pairs)
     theta = rng.integers(0, 4, size=3, dtype=np.uint8)
@@ -74,20 +74,20 @@ def test_every_pair_reduces_to_epr_before_measurement(rng):
 
 def test_zero_pairs_rejected():
     with pytest.raises(SimUsageError):
-        prep_epr(0, 1)
+        EprNetwork(0, 1)
 
 
 class TestCorrelations:
     def test_same_basis_z_always_agree(self, rng):
         for _ in range(300):
-            net = prep_epr(1, 1)
+            net = EprNetwork(1, 1)
             a = net.measure_blocks(ROLE_P, np.array([0]), rng)
             b = net.measure_blocks(ROLE_V, np.array([0]), rng)
             assert a[0] == b[0]
 
     def test_same_basis_x_always_agree(self, rng):
         for _ in range(300):
-            net = prep_epr(1, 1)
+            net = EprNetwork(1, 1)
             a = net.measure_blocks(ROLE_P, np.array([1]), rng)
             b = net.measure_blocks(ROLE_V, np.array([1]), rng)
             assert a[0] == b[0]
@@ -96,7 +96,7 @@ class TestCorrelations:
         # P measured in Z, V in X: the 2x2 joint table must be flat
         counts = np.zeros((2, 2))
         for _ in range(10_000):
-            net = prep_epr(1, 1)
+            net = EprNetwork(1, 1)
             a = net.measure_blocks(ROLE_P, np.array([0]), rng)[0]
             b = net.measure_blocks(ROLE_V, np.array([1]), rng)[0]
             counts[a, b] += 1
@@ -108,7 +108,7 @@ class TestCorrelations:
         assert stat < CHI2_CRIT_1DF
 
     def test_bulk_matches_scalar_semantics(self, rng):
-        net = prep_epr(5, 3)
+        net = EprNetwork(5, 3)
         bases = rng.integers(0, 8, size=5, dtype=np.int8)
         out1 = net.measure_blocks(ROLE_P, bases, rng)
         # re-measuring the same half in the same bases repeats outcomes
@@ -127,13 +127,13 @@ class TestRemeasurement:
     def test_same_basis_idempotent(self, rng):
         for basis in (0, 1):
             for _ in range(100):
-                net = prep_epr(1, 1)
+                net = EprNetwork(1, 1)
                 a = _measure_one(net, ROLE_P, basis, rng)
                 assert _measure_one(net, ROLE_P, basis, rng) == a
 
     def test_basis_change_does_not_touch_partner(self, rng):
         for _ in range(200):
-            net = prep_epr(1, 1)
+            net = EprNetwork(1, 1)
             a = _measure_one(net, ROLE_P, 0, rng)  # Z collapse
             _measure_one(net, ROLE_P, 1, rng)  # X remeasure P
             # V's Z value was fixed by the first collapse
@@ -148,7 +148,7 @@ class TestCrossValidationAgainstEngine:
         return int(out[0]), int(out[1])
 
     def _network_sample(self, b1, b2, rng):
-        net = prep_epr(1, 1)
+        net = EprNetwork(1, 1)
         a = _measure_one(net, ROLE_P, 0 if b1 == "Z" else 1, rng)
         b = _measure_one(net, ROLE_V, 0 if b2 == "Z" else 1, rng)
         return a, b
@@ -200,7 +200,7 @@ class TestCrossValidationAgainstEngine:
         # (the same basis repeats, another draws fresh), then V reads
         # block 0, whose record must still be the first touch's
         b_p0, b_p1, b_p0_again, b_v0 = bases
-        net = prep_epr(2, 1)
+        net = EprNetwork(2, 1)
         p = net.measure_blocks(ROLE_P, np.array([b_p0, b_p1]), rng)
         p0_again = _measure_one(net, ROLE_P, b_p0_again, rng, block=0)
         v0 = _measure_one(net, ROLE_V, b_v0, rng, block=0)
@@ -222,7 +222,7 @@ class TestCrossValidationAgainstEngine:
 
 class TestExtraction:
     def test_half_state_requires_collapse(self, rng):
-        net = prep_epr(1, 2)
+        net = EprNetwork(1, 2)
         with pytest.raises(SimUsageError):
             net.half_state(ROLE_V, [(0, 0)])
         net.measure_blocks(ROLE_P, np.array([0b01]), rng)  # pair 0 in X, pair 1 in Z
@@ -254,7 +254,7 @@ class TestSharedRecords:
     later measurements must not leak through it into the partner."""
 
     def test_partial_other_basis_leaves_partner_unchanged(self, rng):
-        net = prep_epr(4, 3)
+        net = EprNetwork(4, 3)
         theta = rng.integers(0, 8, size=4, dtype=np.uint8)
         y = net.measure_blocks(ROLE_P, theta, rng)
         theta_before, y_before = theta.copy(), y.copy()
@@ -282,7 +282,7 @@ class TestSharedRecords:
         # the new outcome
         for theta in itertools.product((0, 1), repeat=2):
             for _ in range(20):
-                net = prep_epr(2, 1)
+                net = EprNetwork(2, 1)
                 y = net.measure_blocks(ROLE_P, np.array(theta, dtype=np.uint8), rng)
                 v_states = [_eigenstate(b, int(a)) for b, a in zip(theta, y)]
                 c = _measure_one(net, ROLE_P, 1 - theta[0], rng, block=0)
@@ -295,7 +295,7 @@ class TestSharedRecords:
                 assert _same_state(net.half_state(ROLE_P, [(1, 0)]), v_states[1])
 
     def test_same_basis_whole_reread_draws_nothing(self, rng):
-        net = prep_epr(3, 2)
+        net = EprNetwork(3, 2)
         theta = rng.integers(0, 4, size=3, dtype=np.uint8)
         y = net.measure_blocks(ROLE_P, theta, rng)
         position = rng.bit_generator.state
@@ -307,7 +307,7 @@ class TestSharedRecords:
         _assert_halves_are_engine_states(net, theta, y, itertools.product(range(3), range(2)))
 
     def test_empty_block_list_draws_nothing(self, rng):
-        net = prep_epr(3, 2)
+        net = EprNetwork(3, 2)
         position = rng.bit_generator.state
         out = net.measure_blocks(ROLE_V, np.ones(0, dtype=np.uint8), rng, blocks=[])
         assert out.shape == (0,)
@@ -317,7 +317,7 @@ class TestSharedRecords:
     def test_partial_first_touch_rejected(self, rng):
         # on a fresh network only the whole network may be measured: a
         # block list, even one naming every block, raises before any draw
-        net = prep_epr(3, 2)
+        net = EprNetwork(3, 2)
         position = rng.bit_generator.state
         for blocks in ([0, 2], [0, 1, 2]):
             with pytest.raises(SimUsageError, match="cover every pair"):
@@ -329,7 +329,7 @@ class TestSharedRecords:
         # 819,200 blocks of 6: one word per block is 0.8 MB
         tracemalloc.start()
         try:
-            net = prep_epr(819_200, 6)
+            net = EprNetwork(819_200, 6)
             # an empty block list (epr_delete when every block is opened)
             # must not materialise the records either
             empty = net.measure_blocks(ROLE_V, np.ones(0, dtype=np.uint8), rng, blocks=[])
@@ -349,7 +349,7 @@ class TestSharedRecords:
 
 class TestBlockWords:
     def test_basis_change_redraws_only_the_changed_pairs(self, rng):
-        net = prep_epr(4096, 6)
+        net = EprNetwork(4096, 6)
         theta = rng.integers(0, 64, size=4096, dtype=np.uint8)
         y = net.measure_blocks(ROLE_P, theta, rng).copy()
         flip = rng.integers(0, 64, size=4096, dtype=np.uint8)
@@ -364,11 +364,11 @@ class TestBlockWords:
 
     def test_width_above_a_byte_rejected(self):
         with pytest.raises(SimUsageError, match="at most 8"):
-            prep_epr(2, 9)
+            EprNetwork(2, 9)
 
     @pytest.mark.parametrize(
         "bases", [np.array([0, 64]), np.array([0, -1]), np.zeros((2, 6), dtype=np.uint8), np.array([0.0, 1.0])]
     )
     def test_malformed_bases_rejected(self, bases, rng):
         with pytest.raises(SimUsageError, match="word per block"):
-            prep_epr(2, 6).measure_blocks(ROLE_P, bases, rng)
+            EprNetwork(2, 6).measure_blocks(ROLE_P, bases, rng)

@@ -131,6 +131,25 @@ class TestWire:
         with pytest.raises(wire.WireError):
             wire.decode(data)
 
+    @pytest.mark.parametrize("field", [b">u8", b"uint64", b"u8", b"Q", b"<Q"])
+    def test_only_the_written_dtype_spelling_decodes(self, field):
+        # every field names the dtype encode writes as <u8
+        data = wire.encode(np.array([1, 2, 3], dtype=np.uint64))
+        assert data[5:8] == b"<u8" and wire.decode(data).tolist() == [1, 2, 3]
+        with pytest.raises(wire.WireError, match="non-canonical array dtype"):
+            wire.decode(data[:1] + len(field).to_bytes(4, "big") + field + data[8:])
+
+    def test_bool_array_bytes_are_0_or_1(self):
+        data = wire.encode(np.array([False, True]))
+        assert data[-2:] == b"\x00\x01"
+        with pytest.raises(wire.WireError, match="0 or 1"):
+            wire.decode(data[:-1] + b"\x02")
+
+    def test_repeated_dict_key_rejected(self):
+        data = wire.encode({"a": 1, "b": 2})
+        with pytest.raises(wire.WireError, match="distinct"):
+            wire.decode(data.replace(b"\x01b", b"\x01a"))
+
     def test_nesting_depth_capped(self):
         ok = b"L\x00\x00\x00\x01" * wire.MAX_DEPTH + b"N"
         assert wire.decode(ok) is not None
@@ -424,6 +443,14 @@ class TestParamTypes:
         path.write_bytes(serialize_transcript(Transcript("epr", default_epr_params(), seed)))
         assert cli_main(["certify", "--in", str(path)]) == 2
         assert "seed must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("protocol", [["epr"], {"epr": 1}, 7, None, b"epr"])
+    def test_certify_names_a_protocol_that_is_no_str(self, capsys, tmp_path, protocol):
+        # a list or dict protocol once escaped the CLI as an unhashable-type TypeError
+        path = tmp_path / "protocol.cenz"
+        path.write_bytes(serialize_transcript(Transcript(protocol, default_epr_params(), 0)))
+        assert cli_main(["certify", "--in", str(path)]) == 2
+        assert "transcript protocol must be a str" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", [True, False, 1.0, "3", -1])
     @pytest.mark.parametrize("entry", ["run_session", "run_experiment"])
@@ -741,17 +768,21 @@ class TestStages:
 
 class TestDecodeFuzz:
     """Truncated or single-byte-mutated golden transcripts decode to a
-    Transcript or raise TranscriptError; nothing else escapes. Decode
-    only: a mutated size param could ask a session for huge arrays."""
+    Transcript or raise TranscriptError; nothing else escapes, and a
+    mutant that decodes re-encodes to its own bytes. Decode only: a
+    mutated size param could ask a session for huge arrays."""
 
     GOLDEN = {protocol: serialize_transcript(run_session(protocol, None, 0)) for protocol in ("epr", "crs-toy")}
 
     @staticmethod
     def _decode(data):
+        """The transcript in data, or None when it raises TranscriptError."""
         try:
-            assert isinstance(deserialize_transcript(data), Transcript)
+            t = deserialize_transcript(data)
         except TranscriptError:
-            pass
+            return None
+        assert isinstance(t, Transcript)
+        return t
 
     @given(st.sampled_from(sorted(GOLDEN)), st.data())
     @settings(max_examples=300, deadline=None)
@@ -765,7 +796,9 @@ class TestDecodeFuzz:
         golden = bytearray(self.GOLDEN[protocol])
         pos = data.draw(st.integers(0, len(golden) - 1))
         golden[pos] = data.draw(st.integers(0, 255).filter(lambda b: b != golden[pos]))
-        self._decode(bytes(golden))
+        t = self._decode(bytes(golden))
+        # canonical: bytes that decode are the bytes their transcript encodes to
+        assert t is None or serialize_transcript(t) == golden
 
 
 class TestCertifyFuzz:

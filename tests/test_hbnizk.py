@@ -464,7 +464,7 @@ def ref_verify(opened, r_I, x, proof, params):
         block = np.ones(kp, dtype=np.uint8)
         block[row] = vals
         matrix = bits_to_matrix(block, m, b)
-        for a, c in x.edges():
+        for a, c in np.argwhere(x.adjacency):
             matrix[vmap[a], vmap[c]] = False
         if matrix.any():
             return False
