@@ -139,11 +139,11 @@ def compiled_prove(
 
 
 def compiled_verify(spec: CompiledSpec, crs: CompiledCrs, x: Digraph, proof: CompiledProof) -> int:
-    # hbg_verify_batch checks the opened mask
-    opened = proof.opened
-    if not hbg_mod.hbg_verify_batch(crs.crs_bg, proof.com, opened, proof.r_bg_I, proof.opening):
+    # hbg_verify_batch checks every field; a missing one (a proof that is no CompiledProof) opens nothing
+    com, opened, r_bg_I, opening = (getattr(proof, f, None) for f in ("com", "opened", "r_bg_I", "opening"))
+    if not hbg_mod.hbg_verify_batch(crs.crs_bg, com, opened, r_bg_I, opening):
         return 0
-    return int(hb_verify(opened, proof.r_bg_I ^ opened_rows(crs.s, opened), x, proof.pi_hb, spec.hb))
+    return int(hb_verify(opened, r_bg_I ^ opened_rows(crs.s, opened), x, getattr(proof, "pi_hb", None), spec.hb))
 
 
 __all__ = [

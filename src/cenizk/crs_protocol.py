@@ -7,16 +7,17 @@ superposition over the BB84 support, an outer proof of the OR
 statement "some (theta, k0, k1) decrypts ct0 or ct1 to an accepted
 inner proof" plus a one-time signature chain over the encoding
 register. Verification evaluates the outer verifier into a fresh
-register and measures it; certification checks the signature chain,
+register and measures it; certification tests the signature chain,
 uncomputes proofs and signatures with the recorded PRF key, measures
 the encoding register in the Hadamard basis and compares against the
 recorded y wherever theta is 1.
 
 The outer-verifier bit and the signature-test bit are each measured
-with `state.measure_flag`, which is exactly appending a flag qubit,
-XORing the oracle into it, measuring it in Z and dropping it, done in
-one pass. Outer proofs and signatures go into the contiguous P||S
-register through one oracle.
+with `state.measure_flag` (append a flag qubit, XOR the oracle into it,
+measure it in Z, drop it; one pass) and sampled with one draw against
+its probability. `crs_verify_prob` and `crs_cert_prob` are the exact
+lanes of verification and certification. Outer proofs and signatures
+go into the contiguous P||S register through one oracle.
 
 A term's P||S value is a pure function of z and the prover key, so the
 key memoises it in one memo per CrsParams, built once with its PRF and
@@ -46,7 +47,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Optional
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -407,31 +408,34 @@ def _verify_flag(
     return measure_flag(state, regs["R"] + regs["P"], _outer_verify(params, x, ct0, ct1))
 
 
-@dataclass(frozen=True)
-class CertAudit:
-    """Step-by-step record of one certification run."""
-
-    sig_test_prob: float
-    post_uncompute: Optional[SparseState]
-    cert_bits: Optional[np.ndarray]
-    accepted: bool
-
-
 def cert_uncompute(params: CrsParams, key: CrsProverKey, sigma: CrsProofState) -> SparseState:
-    """Uncompute outer proofs and signatures from the recorded key; on an
-    undisturbed proof this returns exactly the BB84 state with zeroed
-    P and S registers."""
+    """Uncompute outer proofs and signatures from the recorded key; on an undisturbed
+    proof this returns exactly the BB84 state with zeroed P and S registers."""
     return _attach_functional_registers(params, sigma.state, key, params.registers())
 
 
 def crs_cert(params: CrsParams, key: CrsProverKey, returned: CrsProofState, rng: np.random.Generator) -> bool:
-    """Signature test, uncompute, Hadamard measurement, y comparison. A
-    returned object that does not hold a proof state (`_holds_proof_state`)
-    rejects with no draw; a malformed key raises ValueError first (`_require_key`)."""
+    """Signature test, uncompute, Hadamard measurement, y comparison. A returned object holding no proof
+    state (`_holds_proof_state`) rejects with no draw; a malformed key raises ValueError first (`_require_key`)."""
     _require_key(params, key)
     if not _holds_proof_state(params, returned):
         return False
-    return _certify(params, key, returned.state, params.registers(), rng).accepted
+    return _certify(params, key, returned.state, params.registers(), rng)
+
+
+def crs_cert_prob(params: CrsParams, key: CrsProverKey, returned: CrsProofState) -> float:
+    """Exact acceptance probability of crs_cert (the audit lane of certification): the
+    signature test's pass probability times that of each Hadamard readout of R matching y
+    where theta is 1; the other positions marginalise out."""
+    _require_key(params, key)
+    if not _holds_proof_state(params, returned):
+        return 0.0
+    prob, _, state = _sig_test(params, key, returned.state, params.registers())
+    for j in np.flatnonzero(key.theta):
+        if state is not None:  # None: a readout had probability 0, so prob is 0
+            p, state = project(state, int(j), "X", int(key.y[j]))
+            prob *= p
+    return prob
 
 
 def _require_key(params: CrsParams, key: CrsProverKey) -> None:
@@ -452,35 +456,28 @@ def _require_key(params: CrsParams, key: CrsProverKey) -> None:
         raise ValueError(f"malformed prover key field(s): {', '.join(bad)}")
 
 
-def _certify(
-    params: CrsParams, key: CrsProverKey, state: SparseState, regs: dict[str, list[int]], rng: np.random.Generator
-) -> CertAudit:
-    """crs_cert on the registers regs of state (the proof's own, or one
-    half of a clone). The signature test compares S with the low bits of R's P||S value."""
+def _sig_test(params: CrsParams, key: CrsProverKey, state: SparseState, regs: dict):
+    """The signature test (S against the low bits of R's P||S value) and the
+    uncompute on regs of state (the proof's own, or a clone half): its pass
+    probability, whether it can both pass and fail, and the uncomputed passing branch or None."""
     memo, width = _ps_memo(params, key), params.sig_bits
     mask = (1 << width) - 1
-    _, (prob, state) = measure_flag(
+    (_, failed), (prob, passed) = measure_flag(
         state, regs["R"] + regs["S"], lambda zs: int((zs & mask) == (memo[zs >> width] & mask))
     )
-    if state is None:
-        return CertAudit(0.0, None, None, False)
-    state = _attach_functional_registers(params, state, key, regs)
+    if passed is not None:
+        passed = _attach_functional_registers(params, passed, key, regs)
+    return prob, failed is not None and passed is not None, passed
+
+
+def _certify(params: CrsParams, key: CrsProverKey, state: SparseState, regs: dict, rng: np.random.Generator) -> bool:
+    """crs_cert on regs of state. The signature test draws only when it can both pass and fail,
+    passing below its probability as crs_verify's flag does: an honest or cloned proof draws nothing."""
+    prob, both, state = _sig_test(params, key, state, regs)
+    if state is None or (both and rng.random() >= prob):
+        return False
     cert_bits, _ = measure(state, regs["R"], ["X"] * len(regs["R"]), rng)
-    return CertAudit(prob, state, cert_bits, check_deletion_cert(cert_bits, key.y, key.theta))
-
-
-def cert_match_probability(key: CrsProverKey, state: SparseState) -> float:
-    """Exact probability that the Hadamard measurement of R matches the
-    recorded y at every theta=1 position (audit lane for the uncomputed
-    state)."""
-    prob = 1.0
-    current = state
-    for j in np.flatnonzero(key.theta == 1):
-        p, current = project(current, int(j), "X", int(key.y[j]))
-        if current is None:
-            return 0.0
-        prob *= p
-    return prob
+    return check_deletion_cert(cert_bits, key.y, key.theta)
 
 
 # ---------------------------------------------------------------------
@@ -534,7 +531,7 @@ def cert_original_after_clone(
     rng: np.random.Generator,
 ) -> bool:
     """Certification of the original half while the twin is withheld."""
-    return _certify(params, key, clone.state, clone.original, rng).accepted
+    return _certify(params, key, clone.state, clone.original, rng)
 
 
 # ---------------------------------------------------------------------
@@ -658,18 +655,17 @@ def crs_prove_dry(
 
 
 __all__ = [
-    "CertAudit",
     "CloneResult",
     "CrsNizkCrs",
     "CrsParams",
     "CrsProofState",
     "CrsProverKey",
     "DryRunRecord",
-    "cert_match_probability",
     "cert_original_after_clone",
     "cert_uncompute",
     "clone_attack",
     "crs_cert",
+    "crs_cert_prob",
     "crs_prove",
     "crs_prove_dry",
     "crs_setup",

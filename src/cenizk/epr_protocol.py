@@ -142,8 +142,8 @@ def epr_verify(
     prover measures the whole network first (`epr_prove`), so this is a
     re-read of a collapsed network. A malformed proof rejects; it never
     raises."""
-    opened, ell = proof.opened, params.num_blocks
-    if not hbg_mod.hbg_verify_batch(crs.crs_bg, proof.com, opened, proof.theta_I, proof.op_I):
+    opened, ell = getattr(proof, "opened", None), params.num_blocks
+    if not _hbg_accepts(crs, proof):
         # a rejected mask stays the opened set if well shaped; a malformed one opens nothing
         return 0, EprVerifierState(opened if flat_mask(opened, ell) else np.zeros(ell, dtype=bool), network)
     blocks = None if opened.all() else np.flatnonzero(opened)
@@ -151,10 +151,16 @@ def epr_verify(
     return _hidden_bits_verdict(params, crs, x, proof, y_I), EprVerifierState(opened, network)
 
 
+def _hbg_accepts(crs: EprCrs, proof: EprProof) -> bool:
+    """hbg_verify_batch on proof's fields; a missing field (no EprProof) opens nothing."""
+    com, opened, theta_I, op_I = (getattr(proof, f, None) for f in ("com", "opened", "theta_I", "op_I"))
+    return hbg_mod.hbg_verify_batch(crs.crs_bg, com, opened, theta_I, op_I)
+
+
 def _hidden_bits_verdict(params: EprParams, crs: EprCrs, x: Digraph, proof: EprProof, y_I: np.ndarray) -> int:
     """hb_verify on the opened hidden bits r_I = parity(y_I) ^ s_I."""
     r_I = masked_parity(proof.theta_I, y_I) ^ opened_rows(crs.s, proof.opened)
-    return int(hb_verify(proof.opened, r_I, x, proof.pi_hb, params.hb))
+    return int(hb_verify(proof.opened, r_I, x, getattr(proof, "pi_hb", None), params.hb))
 
 
 def epr_delete(
@@ -200,7 +206,7 @@ def hypothetical_verifier(
     verifies from the computational-basis values alone. Never used in
     certification flows."""
     y_all = premeasure_all_z(params, network, rng)
-    if not hbg_mod.hbg_verify_batch(crs.crs_bg, proof.com, proof.opened, proof.theta_I, proof.op_I):
+    if not _hbg_accepts(crs, proof):
         return 0
     return _hidden_bits_verdict(params, crs, x, proof, opened_rows(y_all, proof.opened))
 

@@ -135,10 +135,6 @@ EPR_STAGES = ("setup", "prove", "verify", "delete", "certify")
 CRS_STAGES = ("setup", "prove", "verify", "certify")
 
 
-def default_epr_params() -> dict:
-    return {"n": 3, "reps": 1, "m": 3, "b": 1, "k": 4, "hbg": "dealer", "hbg_s": 12}
-
-
 def default_crs_params() -> dict:
     return {"lam": 2, "witness": "1011", "sig_width": 16}
 
@@ -199,7 +195,7 @@ def _require_params(params, defaults: dict, what: str) -> dict:
 def _epr_protocol_params(params: dict) -> ep.EprParams:
     """EprParams from checked epr params; a dealer run refuses hbg_s."""
     if params["hbg"] == "dealer":
-        _refuse_unread(params, default_epr_params(), ("hbg_s",), "epr", "a dealer session")
+        _refuse_unread(params, default_params("epr"), ("hbg_s",), "epr", "a dealer session")
     hb = HbParams(n=params["n"], repetitions=params["reps"], matrix_side=params["m"], block_len=params["b"])
     return ep.EprParams(hb=hb, block_width=params["k"], hbg_mode=params["hbg"], hbg_s=params["hbg_s"])
 
@@ -353,10 +349,19 @@ def _run_dry_session(params: dict, seed: int, stop: str) -> Transcript:
 
 # protocol -> (stages, default params, session body)
 _SESSIONS = {
-    "epr": (EPR_STAGES, default_epr_params(), _run_epr_session),
+    "epr": (EPR_STAGES, {"n": 3, "reps": 1, "m": 3, "b": 1, "k": 4, "hbg": "dealer", "hbg_s": 12}, _run_epr_session),
     "crs-toy": (CRS_STAGES, default_crs_params(), _run_crs_session),
     "crs-dry": (CRS_STAGES, default_crs_params(), _run_dry_session),
 }
+
+
+def default_params(name: str) -> dict:
+    """A copy of the default params of session protocol or experiment name."""
+    if name in _SESSIONS:
+        return dict(_SESSIONS[name][1])
+    if name not in _EXPERIMENTS:
+        raise ValueError(f"unknown protocol or experiment {name!r}")
+    return dict(_EXPERIMENTS[name][1])
 
 
 # ---------------------------------------------------------------------
@@ -547,13 +552,13 @@ def _attack(name: str, trials: int, params: dict, seed: int):
     return _per_trial(_ATTACKS[name], trials, seed, name)
 
 
-_SOUNDNESS_PARAMS = {**default_epr_params(), "reps": 20, "m": 27, "b": 8, "k": 6}
+_SOUNDNESS_PARAMS = {**default_params("epr"), "reps": 20, "m": 27, "b": 8, "k": 6}
 
 # experiment -> (family, default params, body). The family names the params
 # in error messages and keys SIZE_CAPS: the EPR experiments take epr params
 # and crs-honest takes crs-toy params.
 _EXPERIMENTS = {
-    "epr-honest": ("epr", default_epr_params(), _epr_honest),
+    "epr-honest": ("epr", default_params("epr"), _epr_honest),
     "epr-soundness-greedy": ("epr", _SOUNDNESS_PARAMS, _epr_soundness_greedy),
     "epr-soundness-forged": ("epr", _SOUNDNESS_PARAMS, _epr_soundness_forged),
     "epr-single-rep": ("epr", {**_SOUNDNESS_PARAMS, "reps": 1}, _epr_single_rep),
@@ -564,15 +569,6 @@ _EXPERIMENTS = {
     "hbg-binding": ("hbg-binding", {"s": 12, "k": 8}, _hbg_binding),
     **{name: (name, {}, functools.partial(_attack, name)) for name in _ATTACKS},
 }
-
-
-def default_params(name: str) -> dict:
-    """A copy of the default params of session protocol or experiment name."""
-    if name in _SESSIONS:
-        return dict(_SESSIONS[name][1])
-    if name not in _EXPERIMENTS:
-        raise ValueError(f"unknown protocol or experiment {name!r}")
-    return dict(_EXPERIMENTS[name][1])
 
 
 def experiment_names() -> list[str]:
@@ -607,7 +603,6 @@ __all__ = [
     "TranscriptError",
     "attack_names",
     "default_crs_params",
-    "default_epr_params",
     "default_params",
     "deserialize_transcript",
     "experiment_names",

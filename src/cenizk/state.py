@@ -94,7 +94,7 @@ class SparseState:
         assert not mags or (min(self.amps) >= 0 and max(self.amps) < limit), "key out of range"
 
     def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amps.values())
+        return _sq_norm(self.amps)
 
     def num_terms(self) -> int:
         return len(self.amps)

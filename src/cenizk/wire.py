@@ -12,6 +12,7 @@ Decoded arrays are read-only views into the decoded buffer, not copies.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -167,12 +168,14 @@ def _decode_from(r: _Reader, depth: int = 0):
         ndim = r.take(1)[0]
         shape = tuple(r.take_len() for _ in range(ndim))
         raw = r.take(r.take_len())
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        if len(raw) != count * dt.itemsize:
+        if len(raw) != math.prod(shape) * dt.itemsize:  # Python ints: an int64 product can wrap
             raise WireError("array payload size mismatch")
         if dt.kind == "b" and np.frombuffer(raw, dtype=np.uint8).max(initial=0) > 1:
             raise WireError("bool array bytes must be 0 or 1")
-        arr = np.frombuffer(raw, dtype=dt).reshape(shape)
+        try:
+            arr = np.frombuffer(raw, dtype=dt).reshape(shape)
+        except ValueError as exc:  # more dimensions than numpy supports
+            raise WireError(f"array of {ndim} dimensions") from exc
         arr.flags.writeable = False
         return arr
     raise WireError(f"unknown tag {bytes(tag)!r}")

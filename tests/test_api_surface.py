@@ -84,7 +84,6 @@ ALLOWLIST = {
     "attacks.commit_bits": "in perfbench/spans.py's trace list only; goes when the benchmark drops it",
     "state.drop_last_register": "in perfbench/spans.py's trace list only; goes when the benchmark drops it",
     "hbnizk.useful_probability": "the closed form the decoder tests check; ROADMAP item 5 gives it a caller",
-    "crs_protocol.CertAudit.post_uncompute": "the audit's uncomputed state, which the Test-projector and memo tests check",
 }
 
 
@@ -108,24 +107,29 @@ def _definitions():
                     yield f"{name}.{target.id}", node
 
 
-def _reads(tree) -> Counter:
-    """How often each name is read in tree, as a bare name or an attribute."""
+def _reads(tree, attributes_only: bool) -> Counter:
+    """How often each name is read in tree, as an attribute or, unless
+    attributes_only, as a bare name."""
+    kinds = ast.Attribute if attributes_only else (ast.Name, ast.Attribute)
     return Counter(
         n.id if isinstance(n, ast.Name) else n.attr
         for n in ast.walk(tree)
-        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+        if isinstance(n, kinds) and isinstance(n.ctx, ast.Load)
     )
 
 
 def _unread_names() -> set[str]:
     """Every definition whose last name READERS never read outside the
-    definition itself. The match is by name alone, so a read of any
-    attribute or variable with the same name counts as a use."""
-    reads = sum((_reads(ast.parse(path.read_text(encoding="utf-8"))) for path in READERS), Counter())
+    definition itself. The match is by name alone: a read of any
+    attribute with the same name counts as a use, and so does a read of
+    any variable unless the definition is a class member (a method,
+    property or field), which is only ever read as an attribute."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in READERS]
+    reads = {member: sum((_reads(tree, member) for tree in trees), Counter()) for member in (False, True)}
     unread = set()
     for qual, node in _definitions():
-        last = qual.rsplit(".", 1)[1]
-        if reads[last] <= _reads(node)[last]:
+        member, last = qual.count(".") == 2, qual.rsplit(".", 1)[1]
+        if reads[member][last] <= _reads(node, member)[last]:
             unread.add(qual)
     return unread
 

@@ -237,9 +237,10 @@ class TestNaorOpening:
 
 
 class TestMalformedCompiledProof:
-    """Replacing one field of an honest compiled proof rejects in both
-    generator modes; nothing raises. r_bg_I must be unsigned words of one
-    bit, as hbg_verify_batch requires."""
+    """Replacing one field of an honest compiled proof, or the whole proof
+    with None or another object, rejects in both generator modes; nothing
+    raises. r_bg_I must be unsigned words of one bit, as hbg_verify_batch
+    requires."""
 
     CASES = {
         "r_bg_I_none": lambda p: replace(p, r_bg_I=None),
@@ -256,6 +257,8 @@ class TestMalformedCompiledProof:
         "opened_none": lambda p: replace(p, opened=None),
         "opened_list": lambda p: replace(p, opened=p.opened.tolist()),
         "pi_hb_none": lambda p: replace(p, pi_hb=None),
+        "proof_none": lambda p: None,
+        "proof_not_a_proof": lambda p: object(),
     }
 
     @pytest.mark.parametrize("mode", ["dealer", "naor"])

@@ -8,17 +8,18 @@ import numpy as np
 import pytest
 
 from cenizk import crs_protocol, wire
+from cenizk.attacks import hoeffding_halfwidth
 from cenizk.bits import bits_to_int, int_to_bits, masked_parity, pack_rows
 from cenizk.crs_nizk import CompiledSpec, ToyCrs, compiled_prove, compiled_setup, toy_encode
 from cenizk.crs_protocol import (
     CrsParams,
     CrsProofState,
     CrsProverKey,
-    cert_match_probability,
     cert_original_after_clone,
     cert_uncompute,
     clone_attack,
     crs_cert,
+    crs_cert_prob,
     crs_prove,
     crs_prove_dry,
     crs_setup,
@@ -32,6 +33,7 @@ from cenizk.crs_protocol import (
     _outer_verify,
     _pad_table,
     _sig_lookup,
+    _sig_test,
 )
 from cenizk.graphs import canonical_cycle, complete_digraph
 from cenizk.harness import run_session
@@ -389,10 +391,7 @@ class TestMalformedProverKey:
         sigma, key = crs_prove(PARAMS, crs, STATEMENT, WITNESS, rng)
         _, residual = crs_verify(PARAMS, crs, STATEMENT, sigma, rng)
         as_bool = replace(key, theta=key.theta.astype(bool), y=key.y.astype(bool))
-        regs = PARAMS.registers()
-        audits = [_certify(PARAMS, k, residual.state, regs, stream(0, "certify")) for k in (key, as_bool)]
-        assert audits[0].accepted
-        assert_same_audit(*audits)
+        assert certify_alike((key, as_bool), residual.state, PARAMS.registers(), 0) == (pytest.approx(1.0), True)
 
 
 class TestCert:
@@ -400,9 +399,8 @@ class TestCert:
         crs = crs_setup(rng)
         sigma, key = crs_prove(PARAMS, crs, STATEMENT, WITNESS, rng)
         b, residual = crs_verify(PARAMS, crs, STATEMENT, sigma, rng)
-        audit = _certify(PARAMS, key, residual.state, PARAMS.registers(), rng)
-        assert b == 1 and audit.accepted
-        assert audit.sig_test_prob == pytest.approx(1.0)
+        assert b == 1 and crs_cert(PARAMS, key, residual, rng)
+        assert _sig_test(PARAMS, key, residual.state, PARAMS.registers())[:2] == (pytest.approx(1.0), False)
 
     def test_uncompute_recompute_identity(self):
         # skipping verification entirely: uncompute recovers |y>^theta
@@ -417,7 +415,7 @@ class TestCert:
                 PARAMS.sig_bits,
             )
             assert post.equals(expected, tol=1e-9)
-            assert cert_match_probability(key, post) == pytest.approx(1.0)
+            assert crs_cert_prob(PARAMS, key, sigma) == pytest.approx(1.0)
 
     def test_z_measured_adversary_passes_at_analytic_rate(self):
         """An adversary that measures the encoding register in Z before
@@ -439,6 +437,35 @@ class TestCert:
             expected += 2.0 ** (-int(key.theta.sum()))
         sigma_bound = math.sqrt(trials) * 0.5
         assert abs(passes - expected) <= 3 * sigma_bound + 1
+
+    def test_cert_prob_is_exact_on_honest_and_z_measured_proofs(self):
+        # 1 on an honest residual; 2^-wt(theta) once R is measured in Z,
+        # one factor 1/2 per Hadamard position
+        from cenizk.state import measure
+
+        for trial in range(20):
+            rng = stream(trial, "zadv")
+            crs = crs_setup(rng)
+            sigma, key = crs_prove(PARAMS, crs, STATEMENT, WITNESS, rng)
+            _, residual = crs_verify(PARAMS, crs, STATEMENT, sigma, stream(trial, "verify"))
+            assert abs(crs_cert_prob(PARAMS, key, residual) - 1.0) <= 1e-9
+            _, collapsed = measure(sigma.state, list(range(PARAMS.r_qubits)), ["Z"] * PARAMS.r_qubits, rng)
+            returned = CrsProofState(collapsed, sigma.ct0, sigma.ct1)
+            assert abs(crs_cert_prob(PARAMS, key, returned) - 2.0 ** -int(key.theta.sum())) <= 1e-9
+
+    def test_half_forged_proof_passes_at_its_exact_rate(self):
+        # every other term's signature corrupted: the signature test passes
+        # with probability 1/2, and a pass is drawn, not taken for granted
+        rng = stream(0, "half-forged")
+        sigma, key = crs_prove(PARAMS, crs_setup(rng), STATEMENT, WITNESS, rng)
+        amps = {k ^ (i % 2): a for i, (k, a) in enumerate(sigma.state.amps.items())}  # last S bit
+        forged = CrsProofState(SparseState(sigma.state.num_qubits, amps), sigma.ct0, sigma.ct1)
+        assert _sig_test(PARAMS, key, forged.state, PARAMS.registers())[:2] == (pytest.approx(0.5), True)
+        exact = crs_cert_prob(PARAMS, key, forged)
+        assert exact == pytest.approx(0.25)  # signature test 1/2, readout 1/2
+        trials = 2000
+        rate = sum(crs_cert(PARAMS, key, forged, stream(t, "half-forged-cert")) for t in range(trials)) / trials
+        assert abs(rate - exact) <= 3 * hoeffding_halfwidth(trials)
 
     def test_forged_signature_register_rejected(self, rng):
         # flipping signature bits on every term leaves nothing for the
@@ -465,10 +492,9 @@ class TestCert:
         amps[some_key ^ 1] = amps.pop(some_key)  # corrupt one term's signature
         from cenizk.state import SparseState
 
-        mixed = CrsProofState(SparseState(sigma.state.num_qubits, amps), sigma.ct0, sigma.ct1)
-        audit = _certify(PARAMS, key, mixed.state, PARAMS.registers(), rng)
-        assert audit.sig_test_prob == pytest.approx(1.0 - 1.0 / terms)
-        assert audit.post_uncompute.num_terms() == terms - 1
+        prob, both, post = _sig_test(PARAMS, key, SparseState(sigma.state.num_qubits, amps), PARAMS.registers())
+        assert prob == pytest.approx(1.0 - 1.0 / terms) and both
+        assert post.num_terms() == terms - 1
 
 
 class TestClone:
@@ -708,41 +734,41 @@ def key_from_wire(seed):
     return CrsProverKey(p["theta"], p["k0"], p["k1"], ToyCrs(p["crs_out"]), p["y"], p["prfk"], p["preimages"])
 
 
-def assert_same_audit(a, b):
-    """Equal CertAudits: probability, bits, verdict, and the uncomputed
-    state's keys, amplitudes and dict order."""
-    assert (a.sig_test_prob, a.accepted) == (b.sig_test_prob, b.accepted)
-    assert np.array_equal(a.cert_bits, b.cert_bits)
-    assert list(a.post_uncompute.amps.items()) == list(b.post_uncompute.amps.items())
+def certify_alike(keys, state, regs, seed, label="certify"):
+    """Certify regs of state under each key: the signature test's pass
+    probability, the uncomputed state's keys, amplitudes and dict order,
+    and the verdict on stream(seed, label) are the same for every key.
+    Returns (pass probability, verdict)."""
+    tests = [_sig_test(PARAMS, k, state, regs) for k in keys]
+    verdicts = {_certify(PARAMS, k, state, regs, stream(seed, label)) for k in keys}
+    (prob, both, post), *others = tests
+    for other_prob, other_both, other_post in others:
+        assert (other_prob, other_both) == (prob, both)
+        assert list(other_post.amps.items()) == list(post.amps.items())
+    assert len(verdicts) == 1
+    return prob, verdicts.pop()
 
 
 class TestPsMemo:
     """Each prover key memoises z -> P||S value. The memo is a cache:
     certification under a key rebuilt from the wire, which recomputes
-    every value, gives the same audit as under the key that proved."""
+    every value, certifies as the key that proved does."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rebuilt_key_certifies_the_default_sessions_alike(self, seed):
         _, residual, key = honest_session(seed)
         rebuilt = key_from_wire(seed)
         assert not rebuilt._ps_memo and key._ps_memo
-        regs = PARAMS.registers()
-        audits = [_certify(PARAMS, k, residual.state, regs, stream(seed, "certify")) for k in (key, rebuilt)]
-        assert audits[0].accepted
-        assert_same_audit(*audits)
+        assert certify_alike((key, rebuilt), residual.state, PARAMS.registers(), seed) == (pytest.approx(1.0), True)
 
     def test_rebuilt_key_certifies_a_clone_alike(self):
         for seed in range(5):
             _, residual, key = honest_session(seed)
             clone = clone_attack(PARAMS, residual)
-            audits = []
-            for k in (key, key_from_wire(seed)):
-                rng = stream(seed, "clonecert")
-                audits.append(_certify(PARAMS, k, clone.state, clone.original, rng))
-                assert cert_original_after_clone(PARAMS, k, clone, stream(seed, "clonecert")) == (
-                    audits[-1].accepted
-                )
-            assert_same_audit(*audits)
+            keys = (key, key_from_wire(seed))
+            _, verdict = certify_alike(keys, clone.state, clone.original, seed, "clonecert")
+            for k in keys:
+                assert cert_original_after_clone(PARAMS, k, clone, stream(seed, "clonecert")) == verdict
 
     def test_rebuilt_key_certifies_a_partial_forgery_alike(self):
         # the state of test_partial_forgery_is_projected_out: one term's
@@ -752,13 +778,9 @@ class TestPsMemo:
             amps = dict(residual.state.amps)
             some_key = next(iter(amps))
             amps[some_key ^ 1] = amps.pop(some_key)
-            mixed = CrsProofState(SparseState(residual.state.num_qubits, amps), residual.ct0, residual.ct1)
-            audits = [
-                _certify(PARAMS, k, mixed.state, PARAMS.registers(), stream(seed, "certify"))
-                for k in (key, key_from_wire(seed))
-            ]
-            assert audits[0].sig_test_prob == pytest.approx(1.0 - 1.0 / len(amps))
-            assert_same_audit(*audits)
+            mixed = SparseState(residual.state.num_qubits, amps)
+            prob, _ = certify_alike((key, key_from_wire(seed)), mixed, PARAMS.registers(), seed)
+            assert prob == pytest.approx(1.0 - 1.0 / len(amps))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_one_session_evaluates_the_prf_once_per_term(self, seed, monkeypatch):

@@ -498,9 +498,10 @@ class TestMalformedNaorOpening:
 
 
 class TestMalformedProof:
-    """Replacing one field of an honest proof rejects in both verifiers,
-    in both generator modes; nothing raises. theta_I must be unsigned
-    block words, like a deletion certificate's outcomes."""
+    """Replacing one field of an honest proof, or the whole proof with None
+    or another object, rejects in both verifiers, in both generator modes;
+    nothing raises. theta_I must be unsigned block words, like a deletion
+    certificate's outcomes."""
 
     CASES = {
         "theta_I_list": lambda p: replace(p, theta_I=p.theta_I.tolist()),
@@ -510,6 +511,8 @@ class TestMalformedProof:
         "com_none": lambda p: replace(p, com=None),
         "com_bytes": lambda p: replace(p, com=p.com.data),
         "pi_hb_none": lambda p: replace(p, pi_hb=None),
+        "proof_none": lambda p: None,
+        "proof_not_a_proof": lambda p: object(),
     }
 
     @staticmethod

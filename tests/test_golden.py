@@ -35,7 +35,7 @@ from cenizk.graphs import (
     triangle_both_cycles,
     two_cycle_pair,
 )
-from cenizk.harness import default_epr_params, run_session, serialize_transcript
+from cenizk.harness import default_params, run_session, serialize_transcript
 from cenizk.hbnizk import HbParams, cheat_prove
 from cenizk.rng import stream
 from cenizk.state import dump_lines
@@ -103,7 +103,7 @@ def test_default_session_digest(protocol, seed):
 
 @pytest.mark.parametrize("seed", sorted(NAOR_GOLDEN_V4))
 def test_naor_session_digest(seed):
-    assert NAOR == {**default_epr_params(), "hbg": "naor"}
+    assert NAOR == {**default_params("epr"), "hbg": "naor"}
     assert _session_digest("epr", NAOR, seed) == NAOR_GOLDEN_V4[seed]
 
 

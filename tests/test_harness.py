@@ -17,7 +17,6 @@ from cenizk.harness import (
     Transcript,
     TranscriptError,
     default_crs_params,
-    default_epr_params,
     default_params,
     deserialize_transcript,
     experiment_names,
@@ -51,6 +50,22 @@ values = st.recursive(
     ),
     max_leaves=12,
 )
+
+
+def array_bytes(dims, payload=b""):
+    """The wire bytes of a <u8 array whose header names dims, then payload."""
+    shape = b"".join(dim.to_bytes(4, "big") for dim in dims)
+    return b"A\x00\x00\x00\x03<u8" + bytes([len(dims)]) + shape + len(payload).to_bytes(4, "big") + payload
+
+
+# array headers numpy refuses: more dimensions than it supports, or
+# dimensions whose int64 product wraps around to the payload's size
+UNSUPPORTED_SHAPES = {
+    "65-dims": ([1] * 65, bytes(8)),
+    "71-dims": ([0] * 71, b""),
+    "64-dims-of-2": ([2] * 64, b""),
+    "32-dims-of-4": ([4] * 32, b""),
+}
 
 
 def _eq(a, b):
@@ -150,6 +165,12 @@ class TestWire:
         with pytest.raises(wire.WireError, match="distinct"):
             wire.decode(data.replace(b"\x01b", b"\x01a"))
 
+    @pytest.mark.parametrize("how", sorted(UNSUPPORTED_SHAPES))
+    def test_unsupported_array_shape_rejected(self, how):
+        assert wire.decode(array_bytes([2, 1], bytes(16))).shape == (2, 1)
+        with pytest.raises(wire.WireError):
+            wire.decode(array_bytes(*UNSUPPORTED_SHAPES[how]))
+
     def test_nesting_depth_capped(self):
         ok = b"L\x00\x00\x00\x01" * wire.MAX_DEPTH + b"N"
         assert wire.decode(ok) is not None
@@ -233,6 +254,10 @@ class TestTranscriptSerialization:
         data = serialize_transcript(self._sample())
         with pytest.raises(TranscriptError):
             deserialize_transcript(data[: len(data) // 2])
+
+    def test_unsupported_array_shape_is_parse_error(self):
+        with pytest.raises(TranscriptError, match="dimensions"):
+            deserialize_transcript(MAGIC + VERSION.to_bytes(2, "big") + array_bytes(*UNSUPPORTED_SHAPES["65-dims"]))
 
     def test_version_gate(self):
         data = serialize_transcript(self._sample())
@@ -430,7 +455,7 @@ class TestParamTypes:
         ],
     )
     def test_certify_names_a_param_of_the_wrong_type(self, capsys, tmp_path, protocol, key, value):
-        defaults = default_epr_params() if protocol == "epr" else default_crs_params()
+        defaults = default_params(protocol)
         path = tmp_path / "typed.cenz"
         path.write_bytes(serialize_transcript(Transcript(protocol, {**defaults, key: value}, 0)))
         assert cli_main(["certify", "--in", str(path)]) == 2
@@ -440,7 +465,7 @@ class TestParamTypes:
     @pytest.mark.parametrize("seed", ["x", 1.5, True, False])
     def test_certify_names_a_non_integer_seed(self, capsys, tmp_path, seed):
         path = tmp_path / "seed.cenz"
-        path.write_bytes(serialize_transcript(Transcript("epr", default_epr_params(), seed)))
+        path.write_bytes(serialize_transcript(Transcript("epr", default_params("epr"), seed)))
         assert cli_main(["certify", "--in", str(path)]) == 2
         assert "seed must be an integer" in capsys.readouterr().err
 
@@ -448,7 +473,7 @@ class TestParamTypes:
     def test_certify_names_a_protocol_that_is_no_str(self, capsys, tmp_path, protocol):
         # a list or dict protocol once escaped the CLI as an unhashable-type TypeError
         path = tmp_path / "protocol.cenz"
-        path.write_bytes(serialize_transcript(Transcript(protocol, default_epr_params(), 0)))
+        path.write_bytes(serialize_transcript(Transcript(protocol, default_params("epr"), 0)))
         assert cli_main(["certify", "--in", str(path)]) == 2
         assert "transcript protocol must be a str" in capsys.readouterr().err
 
@@ -496,7 +521,7 @@ class TestParamTypes:
             ("hbg-binding", {"s": 12, "k": True}, "k"),
             ("hbg-binding", {"s": True, "k": 8}, "s"),
             ("deletion-keep-state", {"lam": True}, "lam"),
-            ("epr-honest", {**default_epr_params(), "reps": True}, "reps"),
+            ("epr-honest", {**default_params("epr"), "reps": True}, "reps"),
             ("crs-honest", {**default_crs_params(), "lam": True}, "lam"),
         ],
     )
@@ -513,7 +538,7 @@ class TestParamTypes:
 
 # every integer param a session checks as a size; crs-dry checks sig_width
 # so, although it refuses every well-formed value but the default
-SIZE_PARAMS = [("epr", key) for key, value in default_epr_params().items() if isinstance(value, int)] + [
+SIZE_PARAMS = [("epr", key) for key, value in default_params("epr").items() if isinstance(value, int)] + [
     ("crs-toy", "lam"),
     ("crs-toy", "sig_width"),
     ("crs-dry", "lam"),
@@ -545,7 +570,7 @@ class TestCliParams:
     def test_size_below_one_is_usage_error(self, capsys, tmp_path, protocol, key, value):
         assert cli_main(["run-session", "--protocol", protocol, "--param", f"{key}={value}"]) == 2
         assert f"{protocol} param {key} must be at least 1, got {value}" in capsys.readouterr().err
-        defaults = default_epr_params() if protocol == "epr" else default_crs_params()
+        defaults = default_params(protocol)
         path = tmp_path / "size.cenz"
         path.write_bytes(serialize_transcript(Transcript(protocol, {**defaults, key: value}, 0)))
         assert cli_main(["certify", "--in", str(path)]) == 2
@@ -566,7 +591,7 @@ class TestCliParams:
         ],
     )
     def test_size_above_cap_is_usage_error(self, capsys, tmp_path, protocol, key, value, name):
-        defaults = default_epr_params() if protocol == "epr" else default_crs_params()
+        defaults = default_params(protocol)
         path = tmp_path / "huge.cenz"
         path.write_bytes(serialize_transcript(Transcript(protocol, {**defaults, key: value}, 0)))
         assert cli_main(["certify", "--in", str(path)]) == 2
@@ -587,7 +612,7 @@ class TestCliParams:
         ],
     )
     def test_caps_admit_every_suite_shape(self, protocol, params):
-        _require_params(params, default_epr_params() if protocol == "epr" else default_crs_params(), protocol)
+        _require_params(params, default_params(protocol), protocol)
 
     @pytest.mark.parametrize(
         "name,key",
@@ -640,7 +665,7 @@ class TestCliParams:
 
     def test_certify_names_an_unknown_param_key(self, capsys, tmp_path):
         path = tmp_path / "unknown.cenz"
-        path.write_bytes(serialize_transcript(Transcript("epr", {**default_epr_params(), "bogus": 7}, 0)))
+        path.write_bytes(serialize_transcript(Transcript("epr", {**default_params("epr"), "bogus": 7}, 0)))
         assert cli_main(["certify", "--in", str(path)]) == 2
         assert "epr has no param bogus;" in capsys.readouterr().err
 
@@ -664,8 +689,8 @@ class TestCliParams:
 _EPR_VARIANTS = {"n": (2, 32), "reps": (2, 0), "m": (4, 0), "b": (2, 0), "k": (3, 0), "hbg_s": (10, 0)}
 _CRS_VARIANTS = {"lam": (1, 0), "witness": ("0110", 0), "sig_width": (8, 0)}
 PARAM_VARIANTS = {
-    "epr-dealer": ("epr", default_epr_params(), {**_EPR_VARIANTS, "hbg": ("naor", 0)}),
-    "epr-naor": ("epr", {**default_epr_params(), "hbg": "naor"}, {**_EPR_VARIANTS, "n": (2, 409), "hbg": ("dealer", 0)}),
+    "epr-dealer": ("epr", default_params("epr"), {**_EPR_VARIANTS, "hbg": ("naor", 0)}),
+    "epr-naor": ("epr", {**default_params("epr"), "hbg": "naor"}, {**_EPR_VARIANTS, "n": (2, 409), "hbg": ("dealer", 0)}),
     "crs-toy": ("crs-toy", default_crs_params(), _CRS_VARIANTS),
     "crs-dry": ("crs-dry", default_crs_params(), _CRS_VARIANTS),
 }
@@ -702,14 +727,14 @@ class TestOneTranscriptPerSession:
         assert cli_main(["run-session", "--protocol", protocol, "--param", param]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         key, value = param.split("=")
-        defaults = default_epr_params() if protocol == "epr" else default_crs_params()
+        defaults = default_params(protocol)
         path = tmp_path / "unread.cenz"
         path.write_bytes(serialize_transcript(Transcript(protocol, {**defaults, key: type(defaults[key])(value)}, 0)))
         assert cli_main(["certify", "--in", str(path)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
 
     def test_a_naor_session_reads_hbg_s(self):
-        run_session("epr", {**default_epr_params(), "hbg": "naor", "hbg_s": 10}, 0)
+        run_session("epr", {**default_params("epr"), "hbg": "naor", "hbg_s": 10}, 0)
 
 
 EPR_EXPERIMENTS = ["epr-honest", "epr-soundness-greedy", "epr-soundness-forged", "epr-single-rep"]
